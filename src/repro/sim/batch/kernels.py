@@ -20,7 +20,9 @@ receivers' views are *already* padded ``(rows, cap)`` matrices, so the
 whole dedup → distance → rank → truncate chain runs in padded form —
 no flattening, no ``np.unique``, and (on exact-integer squared
 distances, which every grid scenario produces) a single non-stable
-integer ``argsort`` per merge.
+integer ``argsort`` per merge.  Callers feed the padded kernels one
+:func:`block_rows`-sized row block at a time, which keeps every
+temporary inside one scratch budget (:data:`_SCRATCH_BYTES`).
 
 Every public kernel dispatches through the selectable backend registry
 (:mod:`repro.sim.batch.backend`): the reference NumPy implementations
@@ -44,10 +46,17 @@ from . import backend as _backend
 #: Sort sentinel pushing invalid entries past every real key.
 _SENTINEL = np.iinfo(np.int64).max
 
-#: Above this ``rows * id_stride`` product the dense last-writer scatter
-#: dedup (one int32 cell per possible ``(row, id)`` pair) would allocate
-#: too much scratch; the padded per-row sort path takes over.
-_DENSE_DEDUP_LIMIT = 1 << 23
+#: Scratch budget of one row block: no single temporary of a block —
+#: the int32 last-writer table of :func:`keep_last_per_row`, the padded
+#: coordinate block — may exceed it.  Blocks this small are recycled
+#: from the heap; whole-network temporaries (10-60 MB from 3,200 nodes
+#: up) are mmapped, or trimmed back to the OS, on every call and
+#: page-faulted in afresh by the next.
+_SCRATCH_BYTES = 2 << 20
+
+#: Floor on block rows, bounding the per-block Python overhead where
+#: one row's last-writer table alone nears the budget (paper scale).
+_MIN_BLOCK_ROWS = 64
 
 #: Squared distances must stay below 2**51 for the integer rank path:
 #: ``sqrt`` is injective on distinct exactly-representable integers up
@@ -346,48 +355,42 @@ def dedup_priority_truncate(
 # -- fused padded merge ---------------------------------------------------
 
 
+def block_rows(id_stride: int, width: int, dim: int) -> int:
+    """Rows per row block such that neither the ``rows * id_stride``
+    int32 last-writer table nor the ``(rows, width, dim)`` float pad
+    outgrows :data:`_SCRATCH_BYTES`."""
+    row_bytes = max(4 * id_stride, 8 * dim * width, 1)
+    return max(_MIN_BLOCK_ROWS, _SCRATCH_BYTES // row_bytes)
+
+
 def keep_last_per_row(ids_pad: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Keep-mask over a padded ``(rows, width)`` id matrix: for each
     duplicated id within a row, only the *last* (rightmost) valid copy
     survives.
 
-    Small domains use a dense last-writer scatter — one int32 cell per
-    possible ``(row, id)`` pair, written in column order so the final
-    write per pair is the rightmost copy (NumPy fancy assignment stores
-    the last value for repeated indices).  Large domains fall back to a
-    per-row stable sort by id, where the last entry of each equal-id
-    run is the rightmost copy.
+    A dense last-writer scatter — one int32 cell per possible
+    ``(row, id)`` pair, written in column order so the final write per
+    pair is the rightmost copy (NumPy fancy assignment stores the last
+    value for repeated indices).  Callers bound ``rows`` with
+    :func:`block_rows` so the table stays inside the scratch budget.
     """
     n_rows, width = ids_pad.shape
     stride = int(ids_pad.max(initial=-1)) + 1
-    if stride <= 0 or not valid.any():
-        return np.zeros((n_rows, width), dtype=bool)
-    cols = np.broadcast_to(np.arange(width, dtype=np.int32), (n_rows, width))
-    if n_rows * stride <= _DENSE_DEDUP_LIMIT:
-        # ``empty``, not ``full``: every cell read below was written by
-        # the scatter (reads index ``lin_v`` only), so the O(rows*stride)
-        # initialisation pass would be pure waste.
-        lastcol = np.empty(n_rows * stride, dtype=np.int32)
-        if _mem.ENABLED:
-            _mem.scratch(
-                "kernel_pads", "keep_last_per_row.dense", lastcol.nbytes
-            )
-        lin = np.arange(n_rows, dtype=np.int64)[:, None] * stride + ids_pad
-        lin_v = lin[valid]
-        col_v = cols[valid]
-        lastcol[lin_v] = col_v
-        keep = np.zeros((n_rows, width), dtype=bool)
-        keep[valid] = lastcol[lin_v] == col_v
-        return keep
-    key = np.where(valid, ids_pad, _SENTINEL)
-    order = np.argsort(key, axis=1, kind="stable")
-    k_s = np.take_along_axis(key, order, axis=1)
-    last = np.empty((n_rows, width), dtype=bool)
-    last[:, -1] = True
-    last[:, :-1] = k_s[:, :-1] != k_s[:, 1:]
-    last &= k_s != _SENTINEL
     keep = np.zeros((n_rows, width), dtype=bool)
-    np.put_along_axis(keep, order, last, axis=1)
+    if stride <= 0 or not valid.any():
+        return keep
+    # ``empty``, not ``full``: every cell read below was written by the
+    # scatter (reads index ``lin_v`` only), so the O(rows*stride)
+    # initialisation pass would be pure waste.
+    lastcol = np.empty(n_rows * stride, dtype=np.int32)
+    if _mem.ENABLED:
+        _mem.scratch("kernel_pads", "keep_last_per_row.dense", lastcol.nbytes)
+    cols = np.broadcast_to(np.arange(width, dtype=np.int32), (n_rows, width))
+    lin = np.arange(n_rows, dtype=np.int64)[:, None] * stride + ids_pad
+    lin_v = lin[valid]
+    col_v = cols[valid]
+    lastcol[lin_v] = col_v
+    keep[valid] = lastcol[lin_v] == col_v
     return keep
 
 

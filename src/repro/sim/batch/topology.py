@@ -18,12 +18,16 @@ groomed round-start snapshot:
    ``cap`` entries closest to the receiver's position, stored in ranked
    order.
 
-Steps 2-3 are fused: the view gather that ranks entries for partner
-selection is reused as the initiator's buffer pool, and both directions
-of every exchange rank in a single stacked row-distance + top-k call.
-Step 4 scatters the messages into one padded ``(receivers, width)``
-block next to the receivers' existing views and runs the fused
-:func:`~repro.sim.batch.kernels.merge_rank_truncate` — no flat
+Every stage runs a *row block* at a time: partner ranking, both
+directions of every exchange (stacked into one list of pool rows) and
+the merge each gather only :func:`~repro.sim.batch.kernels.block_rows`
+rows into padded scratch, so no padded temporary outgrows the
+kernels' scratch budget however large the network is.  Rows rank
+independently and RNG draws are taken for the whole network before a
+block loop starts, so blocking changes no result and no stream.  Step 4
+pads each block of receivers — existing view entries, then incoming
+entries in arrival order — only to its own widest row and runs the
+fused :func:`~repro.sim.batch.kernels.merge_rank_truncate` — no flat
 re-concatenation, no global sort.
 
 Batch-vs-event semantic deltas: exchanges are snapshot-based rather
@@ -135,24 +139,32 @@ class _BatchTopologyBase:
 
     # -- queries -----------------------------------------------------------
 
+    def _closest_alive(self, sim, rows: np.ndarray, pos: np.ndarray, k: int):
+        """``(ids, pick, kd)`` of a row block: its view ids, the columns
+        of each row's ``k`` closest *alive* entries, closest first, and
+        their squared rank distances (``inf`` past the last alive one)."""
+        ids = self._ids[rows]
+        d = kernels.row_rank_sq(self.space, pos[rows], self._coords[rows])
+        d[~sim.alive_entry_mask(ids)] = np.inf
+        pick = kernels.topk_smallest(d, k)
+        rix = np.arange(len(ids))[:, None]
+        kd = d[rix, pick]
+        order = np.argsort(kd, axis=1, kind="stable")
+        return ids, pick[rix, order], kd[rix, order]
+
     def neighbors_rows(self, sim, rows: np.ndarray, k: int) -> np.ndarray:
         """``(len(rows), k)`` closest *alive* view entries per row,
         closest first, ``-1`` padded — the vectorised form of
         ``neighbors`` feeding migration and the proximity metric."""
         self._ensure_rows(sim.network.table.n_rows)
-        ids = self._ids[rows]
-        coords = self._coords[rows]
-        pos = sim.network.table.coords_rows()[rows]
-        cand = sim.alive_entry_mask(ids)
-        d = kernels.row_rank_sq(self.space, pos, coords)
-        d[~cand] = np.inf
-        pick = kernels.topk_smallest(d, k)
-        rix = np.arange(len(rows))[:, None]
-        kd = d[rix, pick]
-        order = np.argsort(kd, axis=1, kind="stable")
-        pick = pick[rix, order]
-        kd = kd[rix, order]
-        return np.where(np.isfinite(kd), ids[rix, pick], -1)
+        pos = sim.network.table.coords_rows()
+        out = np.empty((len(rows), min(k, self.capacity)), dtype=np.int64)
+        step = kernels.block_rows(0, self.capacity, self._coord_dim)
+        for a in range(0, len(rows), step):
+            ids, pick, kd = self._closest_alive(sim, rows[a : a + step], pos, k)
+            rix = np.arange(len(ids))[:, None]
+            out[a : a + step] = np.where(np.isfinite(kd), ids[rix, pick], -1)
+        return out
 
     def neighbors(self, sim, node, k: int) -> List[NodeId]:
         """Scalar interface kept for the backup placement heuristic and
@@ -201,7 +213,6 @@ class _BatchTopologyBase:
         qrow: np.ndarray,
         pos: np.ndarray,
         m: int,
-        view_i=None,
         extra_i=None,
         extra_q=None,
     ):
@@ -212,37 +223,43 @@ class _BatchTopologyBase:
         descriptor (plus optional extra descriptors at current
         positions); the payload ranks the initiator's pool against the
         *partner's* position and the reply the partner's pool against
-        the *initiator's* — stacked into a single row-distance + top-k
-        call so the gathers and kernel launches happen once per layer
-        step.  ``view_i`` reuses an already-gathered ``(ids, coords)``
-        view block for the initiator side (the partner-selection rank
-        already paid for it).
+        the *initiator's*.  Both directions are stacked into one list of
+        pool rows and ranked a row block at a time (every row ranks
+        independently), so the gathered pools stay O(block).
         """
-        pool_i = self._pool_blocks(sim, irow, pos, view_i, extra_i)
-        pool_q = self._pool_blocks(sim, qrow, pos, None, extra_q)
-        pool_ids = np.concatenate([pool_i[0], pool_q[0]])
-        pool_coords = np.concatenate([pool_i[1], pool_q[1]])
-        target = np.concatenate([pos[qrow], pos[irow]])
-        d = kernels.row_rank_sq(self.space, target, pool_coords)
-        d[pool_ids < 0] = np.inf
-        pick = kernels.topk_smallest(d, m)
-        rix = np.arange(len(pool_ids))[:, None]
-        kd = d[rix, pick]
-        ids = np.where(np.isfinite(kd), pool_ids[rix, pick], -1)
-        coords = pool_coords[rix, pick]
         E = len(irow)
+        dim = self._coord_dim
+        rows = np.concatenate([irow, qrow])
+        toward = np.concatenate([qrow, irow])
+        if extra_i is None:
+            extra = np.empty((2 * E, 0), dtype=np.int64)
+        else:
+            extra = np.concatenate([extra_i, extra_q])
+        width = self.capacity + 1 + extra.shape[1]
+        k = min(m, width)
+        ids = np.empty((2 * E, k), dtype=np.int64)
+        coords = np.empty((2 * E, k, dim))
+        step = kernels.block_rows(0, width, dim)
+        for a in range(0, 2 * E, step):
+            blk = slice(a, a + step)
+            pool_ids, pool_coords = self._pool_blocks(sim, rows[blk], pos, extra[blk])
+            d = kernels.row_rank_sq(self.space, pos[toward[blk]], pool_coords)
+            d[pool_ids < 0] = np.inf
+            pick = kernels.topk_smallest(d, m)
+            rix = np.arange(len(pool_ids))[:, None]
+            kd = d[rix, pick]
+            ids[blk] = np.where(np.isfinite(kd), pool_ids[rix, pick], -1)
+            coords[blk] = pool_coords[rix, pick]
         return (ids[:E], coords[:E]), (ids[E:], coords[E:])
 
-    def _pool_blocks(self, sim, rows, pos, view=None, extra_ids=None):
+    def _pool_blocks(self, sim, rows, pos, extra_ids):
         """One side's padded pool: view entries, own fresh descriptor,
-        optional extra descriptors at current positions."""
+        extra descriptors (possibly none) at current positions."""
         table = sim.network.table
-        if view is None:
-            view = (self._ids[rows], self._coords[rows])
         own = table._nid_of[rows]
-        blocks_ids = [view[0], own[:, None]]
-        blocks_coords = [view[1], pos[rows][:, None, :]]
-        if extra_ids is not None and extra_ids.shape[1]:
+        blocks_ids = [self._ids[rows], own[:, None]]
+        blocks_coords = [self._coords[rows], pos[rows][:, None, :]]
+        if extra_ids.shape[1]:
             valid = extra_ids >= 0
             extra_coords = np.zeros(extra_ids.shape + (self._coord_dim,))
             if valid.any():
@@ -261,27 +278,25 @@ class _BatchTopologyBase:
         ids_blocks,
         coords_blocks,
     ) -> None:
-        """Scatter the (receiver, message) blocks into one padded block
-        next to the receivers' existing views and run the fused ranked
-        merge-truncate.
+        """Merge the (receiver, message) blocks into the receivers' views
+        through the fused ranked merge-truncate, one row block at a time.
 
         Column order per receiver — existing view entries first, then
         incoming entries in message-arrival order — reproduces the
         freshest-copy-wins dedup of the former flat pipeline exactly.
+
+        Receivers are ordered by incoming-entry count and cut into
+        blocks of :func:`~repro.sim.batch.kernels.block_rows` rows, each
+        padded only to its own widest row: a flooded receiver widens
+        one block instead of the whole network, and pad and kernel
+        scratch stay O(block).  The kernel ranks each row independently
+        and blocks are disjoint, so the result is identical to one
+        whole-network call.
         """
         table = sim.network.table
         pos = table.coords_rows()
         C = self.capacity
         dim = self._coord_dim
-
-        # Receivers: every row addressed by a message gets re-ranked,
-        # even if all its incoming entries are filtered out below.
-        rec = np.concatenate(recv_blocks)
-        touched = np.zeros(len(self._ids), dtype=bool)
-        touched[rec] = True
-        recv_rows = np.flatnonzero(touched)
-        uidx = np.zeros(len(self._ids), dtype=np.int64)
-        uidx[recv_rows] = np.arange(len(recv_rows))
 
         inc_rows = np.concatenate(
             [np.repeat(rows, blk.shape[1]) for rows, blk in zip(recv_blocks, ids_blocks)]
@@ -295,84 +310,66 @@ class _BatchTopologyBase:
         inc_ids = inc_ids[keep]
         inc_coords = inc_coords[keep]
 
-        # Per-receiver incoming columns in flat arrival order: a stable
-        # radix grouping by receiver keeps equal-receiver entries in
-        # input order, and the run position is the column offset.
-        order = kernels.radix_argsort(inc_rows)
-        rows_s = inc_rows[order]
-        poscol = kernels.cumcount(rows_s)
-        max_in = int(poscol.max()) + 1 if len(poscol) else 0
-
+        # Receivers: every row addressed by a message gets re-ranked,
+        # even if all its incoming entries were filtered out above.
+        # Fullest first, so a block's first row is its widest.
+        cnt_in = np.bincount(inc_rows, minlength=len(self._ids))
+        touched = np.zeros(len(self._ids), dtype=bool)
+        touched[np.concatenate(recv_blocks)] = True
+        recv_rows = np.flatnonzero(touched)
+        recv_rows = recv_rows[kernels.radix_argsort(cnt_in[recv_rows])[::-1]]
+        cnt_in = cnt_in[recv_rows]
         U = len(recv_rows)
-        width = C + max_in
-        ids_pad = np.full((U, width), -1, dtype=np.int64)
-        coords_pad = np.zeros((U, width, dim))
-        ids_pad[:, :C] = self._ids[recv_rows]
-        coords_pad[:, :C] = self._coords[recv_rows]
-        urow = uidx[rows_s]
-        ids_pad[urow, C + poscol] = inc_ids[order]
-        coords_pad[urow, C + poscol] = inc_coords[order]
-        valid = ids_pad >= 0
-        ages_pad = None
-        if self._ages is not None:
-            ages_pad = np.zeros((U, width), dtype=np.int64)
-            # Incoming descriptors are freshly heard of: age 0.
-            ages_pad[:, :C] = self._ages[recv_rows]
-        if obs_mem.ENABLED:
-            pad_bytes = ids_pad.nbytes + coords_pad.nbytes + valid.nbytes
-            if ages_pad is not None:
-                pad_bytes += ages_pad.nbytes
-            obs_mem.scratch("topology_pads", f"{self.name}.merge_pad", pad_bytes)
+        slot_of = np.zeros(len(self._ids), dtype=np.int64)
+        slot_of[recv_rows] = np.arange(U)
 
-        # Receiver-bucketed dispatch: a handful of flooded receivers
-        # would otherwise pad *every* row to the global maximum, so rows
-        # are grouped into incoming-count buckets and each bucket merges
-        # at its own width.  A row occupies columns ``[0, C + count)``,
-        # so narrowing is a pure column slice, and the kernel ranks each
-        # row independently — results are identical to one full-width
-        # call.
-        cnt_in = (
-            np.bincount(urow, minlength=U)
-            if len(urow)
-            else np.zeros(U, dtype=np.int64)
+        # Per-receiver incoming columns in flat arrival order: a stable
+        # radix grouping by receiver slot keeps equal-receiver entries
+        # in input order, so a block's entries are one contiguous run
+        # and the position within a receiver's run is the column offset.
+        slot = slot_of[inc_rows]
+        order = kernels.radix_argsort(slot)
+        slot = slot[order]
+        inc_ids = inc_ids[order]
+        inc_coords = inc_coords[order]
+        ends = np.cumsum(cnt_in)
+        col = C + np.arange(len(slot)) - (ends - cnt_in)[slot]
+
+        stride = 1 + max(
+            int(self._ids.max(initial=-1)), int(inc_ids.max(initial=-1))
         )
-        if U and max_in > 8:
-            b1, b2 = max_in // 4, max_in // 2
-            buckets = [
-                (cnt_in <= b1, b1),
-                ((cnt_in > b1) & (cnt_in <= b2), b2),
-                (cnt_in > b2, max_in),
-            ]
-        else:
-            buckets = [(np.ones(U, dtype=bool), max_in)]
-        for sel, up in buckets:
-            rows_g = np.flatnonzero(sel)
-            if not len(rows_g):
-                continue
-            wg = C + up
-            gr = recv_rows[rows_g]
+        a = 0
+        while a < U:
+            width = C + int(cnt_in[a])
+            b = min(U, a + kernels.block_rows(stride, width, dim))
+            rows = recv_rows[a:b]
+            lo = int(ends[a] - cnt_in[a])
+            hi = int(ends[b - 1])
+            ids_pad = np.full((b - a, width), -1, dtype=np.int64)
+            coords_pad = np.zeros((b - a, width, dim))
+            ids_pad[:, :C] = self._ids[rows]
+            coords_pad[:, :C] = self._coords[rows]
+            ids_pad[slot[lo:hi] - a, col[lo:hi]] = inc_ids[lo:hi]
+            coords_pad[slot[lo:hi] - a, col[lo:hi]] = inc_coords[lo:hi]
+            valid = ids_pad >= 0
+            ages_pad = None
+            if self._ages is not None:
+                # Incoming descriptors are freshly heard of: age 0.
+                ages_pad = np.zeros((b - a, width), dtype=np.int64)
+                ages_pad[:, :C] = self._ages[rows]
+            if obs_mem.ENABLED:
+                pad_bytes = ids_pad.nbytes + coords_pad.nbytes + valid.nbytes
+                if ages_pad is not None:
+                    pad_bytes += ages_pad.nbytes
+                obs_mem.scratch("topology_pads", f"{self.name}.merge_pad", pad_bytes)
+            out = kernels.merge_rank_truncate(
+                self.space, pos[rows], ids_pad, coords_pad, valid, C, ages_pad
+            )
+            self._ids[rows] = out[0]
+            self._coords[rows] = out[1]
             if ages_pad is not None:
-                out_ids, out_coords, out_ages = kernels.merge_rank_truncate(
-                    self.space,
-                    pos[gr],
-                    ids_pad[rows_g, :wg],
-                    coords_pad[rows_g, :wg],
-                    valid[rows_g, :wg],
-                    C,
-                    ages_pad[rows_g, :wg],
-                )
-                self._ages[gr] = out_ages
-            else:
-                out_ids, out_coords = kernels.merge_rank_truncate(
-                    self.space,
-                    pos[gr],
-                    ids_pad[rows_g, :wg],
-                    coords_pad[rows_g, :wg],
-                    valid[rows_g, :wg],
-                    C,
-                )
-            self._ids[gr] = out_ids
-            self._coords[gr] = out_coords
+                self._ages[rows] = out[2]
+            a = b
 
     # -- canonical-state bridge ---------------------------------------------
 
@@ -442,24 +439,21 @@ class BatchTMan(_BatchTopologyBase):
         gen = sim.rng_for(self.name)
         self._groom(sim, act)
 
-        # Partner: uniform among the ψ closest alive view entries.  The
-        # gathered view blocks feed the buffer pools below unchanged.
+        # Partner: uniform among the ψ closest alive view entries, one
+        # draw per alive node taken before the row blocks are ranked.
         pos = table.coords_rows()
-        ids_act = self._ids[act]
-        coords_act = self._coords[act]
-        d = kernels.row_rank_sq(self.space, pos[act], coords_act)
-        d[~sim.alive_entry_mask(ids_act)] = np.inf
-        pick = kernels.topk_smallest(d, self.psi)
-        kd = np.take_along_axis(d, pick, axis=1)
-        finite = np.isfinite(kd)
-        avail = finite.sum(axis=1)
-        has = avail > 0
-        order = np.argsort(kd, axis=1, kind="stable")
-        sorted_cols = np.take_along_axis(pick, order, axis=1)
         u = gen.random(len(act))
-        j = np.minimum((u * np.maximum(avail, 1)).astype(np.int64), np.maximum(avail - 1, 0))
-        col = np.take_along_axis(sorted_cols, j[:, None], axis=1)[:, 0]
-        partner = np.where(has, ids_act[np.arange(len(act)), col], -1)
+        partner = np.empty(len(act), dtype=np.int64)
+        step = kernels.block_rows(0, self.capacity, self._coord_dim)
+        for a in range(0, len(act), step):
+            ids, pick, kd = self._closest_alive(sim, act[a : a + step], pos, self.psi)
+            avail = np.isfinite(kd).sum(axis=1)
+            j = np.minimum(
+                (u[a : a + step] * np.maximum(avail, 1)).astype(np.int64),
+                np.maximum(avail - 1, 0),
+            )
+            rix = np.arange(len(ids))
+            partner[a : a + step] = np.where(avail > 0, ids[rix, pick[rix, j]], -1)
 
         ex = np.flatnonzero(partner >= 0)
         if len(ex) == 0:
@@ -474,7 +468,6 @@ class BatchTMan(_BatchTopologyBase):
             qrow,
             pos,
             self.message_size,
-            view_i=(ids_act[ex], coords_act[ex]),
         )
         n_desc = int((pay_ids >= 0).sum() + (rep_ids >= 0).sum())
         sim.meter.charge_descriptors(self.name, n_desc, self._coord_dim)
@@ -556,7 +549,6 @@ class BatchVicinity(_BatchTopologyBase):
             qrow,
             pos,
             self.message_size,
-            view_i=(ids_act[ex], self._coords[irow]),
             extra_i=extra_i,
             extra_q=extra_q,
         )

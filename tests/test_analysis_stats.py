@@ -1,9 +1,14 @@
 """Tests for the statistics helpers."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.analysis import stats
 from repro.analysis.stats import (
     MeanCI,
     aggregate_series,
@@ -49,6 +54,42 @@ class TestMeanCI:
         wide = mean_ci([0.0, 1.0])
         narrow = mean_ci([0.0, 1.0] * 20)
         assert narrow.half_width < wide.half_width
+
+
+class TestLazyScipy:
+    """``scipy.stats`` loads with the first quantile lookup, never with
+    the package: simulations, the claims gate and workers never ask for
+    a confidence interval."""
+
+    SAMPLE = [1.0, 2.0, 4.0, 7.0]  # sd/sqrt(n) = sqrt(7)/2
+
+    @pytest.fixture(autouse=True)
+    def fresh_quantile_cache(self):
+        stats._t_quantile.cache_clear()
+        yield
+        stats._t_quantile.cache_clear()
+
+    def test_runtime_imports_leave_scipy_out(self):
+        code = (
+            "import sys\n"
+            "import repro.experiments.scenario, repro.runtime.checkpoint, repro.eval\n"
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        )
+        src = Path(__file__).parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_pinned_student_t_with_scipy(self):
+        pytest.importorskip("scipy.stats")
+        assert mean_ci(self.SAMPLE).half_width == pytest.approx(4.209980742298516)
+        assert mean_ci(self.SAMPLE, 0.90).half_width == pytest.approx(3.113207196519196)
+
+    def test_pinned_normal_fallback_without_scipy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)  # import raises
+        assert mean_ci(self.SAMPLE).half_width == pytest.approx(2.592788640868113)
+        # The fallback follows ``confidence`` (it used to return z(0.975)
+        # whatever was asked).
+        assert mean_ci(self.SAMPLE, 0.90).half_width == pytest.approx(2.1759368200081015)
 
 
 class TestAggregateSeries:

@@ -240,6 +240,43 @@ class TestMemLedger:
         assert tracked <= tm_peak
         assert tm_peak < 4 * tracked + (1 << 20)
 
+    def test_merge_scratch_sites_report_one_block_not_the_network(self):
+        """``tman.merge_pad``, ``keep_last_per_row.dense`` and
+        ``merge_rank_truncate.out`` account each row block on its own:
+        the site peak is the largest block, and shrinking the blocks
+        shrinks it while the event count grows."""
+        from unittest import mock
+
+        from repro.experiments.scenario import prepare_scenario
+        from repro.sim.batch import kernels
+
+        sites = (
+            "tman.merge_pad",
+            "keep_last_per_row.dense",
+            "merge_rank_truncate.out",
+        )
+
+        def ledger(rows_per_block):
+            obs_mem.reset()
+            obs_mem.set_enabled(True)
+            with mock.patch.object(
+                kernels, "block_rows", lambda *_: rows_per_block
+            ):
+                sim, *_ = prepare_scenario(
+                    tiny_config(width=12, height=6, engine="batch")
+                )
+                sim.run(4)
+            obs_mem.set_enabled(False)
+            return obs_mem.snapshot()["sites"]
+
+        whole, blocked = ledger(1 << 30), ledger(8)
+        for site in sites:
+            # Up to 72 receivers in blocks of 8 rows: the largest block
+            # is at most a ninth of the one whole-network block (and
+            # count-sorted blocks are narrower than the global width).
+            assert blocked[site]["events"] > 4 * whole[site]["events"]
+            assert 9 * blocked[site]["peak"] <= whole[site]["peak"]
+
     def test_peak_round_attribution(self):
         obs_mem.set_enabled(True)
         obs_mem.reset()

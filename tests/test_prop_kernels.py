@@ -535,3 +535,203 @@ def test_counting_partition_matches_stable_argsort(data):
     order = np.argsort(~valid, axis=1, kind="stable")
     want = np.take_along_axis(cand, order, axis=1)
     np.testing.assert_array_equal(packed, want)
+
+
+# -- row-blocked topology merges ------------------------------------------
+#
+# ``_apply_merges`` cuts the receivers into budget-sized row blocks and
+# ``keep_last_per_row`` always takes the dense last-writer scatter.  The
+# retired alternatives live on here as oracles only: the per-row stable
+# sort dedup, and one whole-network pad handed to a single kernel call.
+
+from types import SimpleNamespace
+from unittest import mock
+
+from repro.experiments.scenario import ScenarioConfig, prepare_scenario
+from repro.runtime import state_digest
+from repro.sim.batch.topology import BatchTMan, BatchVicinity
+
+
+def _keep_last_by_sort(ids_pad, valid):
+    """Per-row stable sort by id: the last entry of each equal-id run is
+    the rightmost copy (the dedup path the dense scatter replaced)."""
+    n_rows, width = ids_pad.shape
+    sentinel = np.iinfo(np.int64).max
+    key = np.where(valid, ids_pad, sentinel)
+    order = np.argsort(key, axis=1, kind="stable")
+    k_s = np.take_along_axis(key, order, axis=1)
+    last = np.empty((n_rows, width), dtype=bool)
+    last[:, -1] = True
+    last[:, :-1] = k_s[:, :-1] != k_s[:, 1:]
+    last &= k_s != sentinel
+    keep = np.zeros((n_rows, width), dtype=bool)
+    np.put_along_axis(keep, order, last, axis=1)
+    return keep
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_keep_last_per_row_matches_sort_oracle(data):
+    n_rows = data.draw(st.integers(1, 6))
+    width = data.draw(st.integers(1, 14))
+    cells = st.lists(
+        st.lists(st.integers(-1, 9), min_size=width, max_size=width),
+        min_size=n_rows,
+        max_size=n_rows,
+    )
+    ids_pad = np.asarray(data.draw(cells), dtype=np.int64)
+    valid = ids_pad >= 0
+    np.testing.assert_array_equal(
+        batch_kernels.keep_last_per_row(ids_pad, valid),
+        _keep_last_by_sort(ids_pad, valid),
+    )
+
+
+class _MergeSim:
+    """The slice of ``BatchSimulation`` that ``_apply_merges`` reads."""
+
+    def __init__(self, nid_of, pos, detected):
+        table = SimpleNamespace(_nid_of=nid_of, coords_rows=lambda: pos)
+        self.network = SimpleNamespace(table=table)
+        self._detected = np.asarray(sorted(detected), dtype=np.int64)
+
+    def detected_entry_mask(self, ids):
+        return np.isin(ids, self._detected)
+
+
+def _whole_network_merge(layer, sim, recv_blocks, ids_blocks, coords_blocks):
+    """Expected ``(ids, coords, ages)`` state: every addressed receiver's
+    view and filtered incoming entries, in arrival order, in ONE pad
+    handed to ONE kernel call."""
+    table = sim.network.table
+    C, dim = layer.capacity, layer._coord_dim
+    incoming = {}
+    for rows, ids, coords in zip(recv_blocks, ids_blocks, coords_blocks):
+        for r, id_row, coord_row in zip(rows.tolist(), ids.tolist(), coords):
+            got = incoming.setdefault(r, [])
+            for nid, coord in zip(id_row, coord_row):
+                if nid >= 0 and nid != table._nid_of[r] and nid not in sim._detected:
+                    got.append((nid, coord))
+    recv = np.asarray(sorted(incoming), dtype=np.int64)
+    width = C + max(len(got) for got in incoming.values())
+    ids_pad = np.full((len(recv), width), -1, dtype=np.int64)
+    coords_pad = np.zeros((len(recv), width, dim))
+    ids_pad[:, :C] = layer._ids[recv]
+    coords_pad[:, :C] = layer._coords[recv]
+    ages_pad = None
+    if layer._ages is not None:
+        ages_pad = np.zeros((len(recv), width), dtype=np.int64)
+        ages_pad[:, :C] = layer._ages[recv]
+    for u, r in enumerate(recv.tolist()):
+        for j, (nid, coord) in enumerate(incoming[r]):
+            ids_pad[u, C + j] = nid
+            coords_pad[u, C + j] = coord
+    out = batch_kernels.merge_rank_truncate(
+        layer.space, table.coords_rows()[recv], ids_pad, coords_pad,
+        ids_pad >= 0, C, ages_pad,
+    )
+    want = [layer._ids.copy(), layer._coords.copy()]
+    if ages_pad is not None:
+        want.append(layer._ages.copy())
+    for state, block in zip(want, out):
+        state[recv] = block
+    return want
+
+
+@pytest.mark.parametrize("with_ages", [False, True], ids=("tman", "vicinity"))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_blocked_apply_merges_matches_whole_network_call(with_ages, data):
+    """Blocked ``_apply_merges`` ≡ one whole-network call for block
+    sizes {1, 3, U-1, U, >U}, with a flooded receiver, receivers whose
+    incoming entries are all filtered (``-1`` pads, own id, detected
+    peers) and the id gaps reinjection leaves (ids sparse in a range far
+    wider than the row count)."""
+    space = FlatTorus(16.0, 8.0)
+    n_rows = data.draw(st.integers(2, 9))
+    cap = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(1, 4))
+    nid_of = np.asarray(
+        data.draw(
+            st.lists(st.integers(0, 60), min_size=n_rows, max_size=n_rows, unique=True)
+        ),
+        dtype=np.int64,
+    )
+    detected = set(data.draw(st.lists(st.integers(0, 60), max_size=6)))
+    coord = st.tuples(st.integers(0, 15).map(float), st.integers(0, 7).map(float))
+    pos = np.asarray([data.draw(coord) for _ in range(n_rows)], dtype=float)
+    sim = _MergeSim(nid_of, pos, detected)
+    # Ids a view or a message may carry: live nodes, detected peers,
+    # strangers — and the empty slot.
+    any_id = st.one_of(st.just(-1), st.sampled_from(nid_of.tolist()), st.integers(0, 60))
+
+    def grid(n, w, elem):
+        return data.draw(
+            st.lists(st.lists(elem, min_size=w, max_size=w), min_size=n, max_size=n)
+        )
+
+    if with_ages:
+        layer = BatchVicinity(space, rps=None, view_size=cap)
+    else:
+        layer = BatchTMan(space, rps=None, view_cap=cap)
+    layer._ensure_rows(n_rows)
+    # Stored views hold each id at most once (every merge dedups).
+    for r in range(n_rows):
+        held = data.draw(st.lists(st.integers(0, 60), max_size=cap, unique=True))
+        layer._ids[r, : len(held)] = held
+    layer._coords[:n_rows] = np.asarray(grid(n_rows, cap, coord), dtype=float)
+    if with_ages:
+        layer._ages[:n_rows] = np.asarray(grid(n_rows, cap, st.integers(0, 30)))
+
+    flooded = data.draw(st.integers(0, n_rows - 1))
+    recv_blocks, ids_blocks, coords_blocks = [], [], []
+    for _ in range(2):  # payloads, then replies
+        rows = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=8))
+        rows += [flooded] * data.draw(st.integers(0, 6))
+        recv_blocks.append(np.asarray(rows, dtype=np.int64))
+        ids = np.asarray(grid(len(rows), m, any_id), dtype=np.int64)
+        for e in range(len(rows)):
+            if data.draw(st.integers(0, 3)) == 0:  # nothing survives the filter
+                ids[e] = data.draw(
+                    st.sampled_from([-1, int(nid_of[rows[e]]), *sorted(detected)])
+                )
+        ids_blocks.append(ids)
+        coords_blocks.append(np.asarray(grid(len(rows), m, coord), dtype=float))
+
+    want = _whole_network_merge(layer, sim, recv_blocks, ids_blocks, coords_blocks)
+    start = [layer._ids.copy(), layer._coords.copy()]
+    if with_ages:
+        start.append(layer._ages.copy())
+    U = len(set(np.concatenate(recv_blocks).tolist()))
+    for rows_per_block in sorted({1, 3, max(U - 1, 1), U, U + 7}):
+        layer._ids[:], layer._coords[:] = start[0], start[1]
+        if with_ages:
+            layer._ages[:] = start[2]
+        with mock.patch.object(
+            batch_kernels, "block_rows", lambda *_, n=rows_per_block: n
+        ):
+            layer._apply_merges(sim, recv_blocks, ids_blocks, coords_blocks)
+        got = [layer._ids, layer._coords] + ([layer._ages] if with_ages else [])
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.slow
+def test_blocked_run_matches_unblocked_at_160x80():
+    """Chunked/unchunked parity at a paper shape: the Fig. 10a 160×80
+    grid through the repair wave, budget-sized row blocks vs every
+    stage in one whole-network block."""
+    cfg = ScenarioConfig(
+        engine="batch", width=160, height=80, metrics=(), seed=1,
+        failure_round=2, reinjection_round=None, total_rounds=4,
+    )
+
+    def digest_after_run():
+        sim, *_ = prepare_scenario(cfg)
+        sim.run(cfg.total_rounds)
+        return state_digest(sim)
+
+    blocked = digest_after_run()
+    with mock.patch.object(batch_kernels, "block_rows", lambda *_: 1 << 30):
+        unblocked = digest_after_run()
+    assert blocked == unblocked
