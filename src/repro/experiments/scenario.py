@@ -27,7 +27,12 @@ from ..gossip.rps import PeerSamplingLayer
 from ..gossip.tman import TManLayer
 from ..gossip.vicinity import VicinityLayer
 from ..metrics.collector import ALL_METRICS, MetricsRecorder
-from ..metrics.homogeneity import holder_index, homogeneity, surviving_fraction
+from ..metrics.homogeneity import (
+    holder_index,
+    homogeneity,
+    pack_points,
+    surviving_fraction,
+)
 from ..metrics.proximity import proximity
 from ..metrics.reshaping import reference_homogeneity, reshaping_time
 from ..obs import profiling as obs_profiling
@@ -312,11 +317,14 @@ class SeriesHealthProbe:
     :func:`build_simulation` only when series emission is enabled, so
     unobserved runs pay nothing."""
 
+    _packed = None  # as on MetricsRecorder: older checkpoints lack it
+
     def __init__(
         self, space, points: List[DataPoint], k_proximity: int = 4
     ) -> None:
         self.space = space
         self.points = points
+        self._packed = pack_points(space, points)
         self.k_proximity = k_proximity
 
     def on_round_end(self, sim) -> None:
@@ -327,7 +335,7 @@ class SeriesHealthProbe:
             return
         probes = {
             "homogeneity": float(
-                homogeneity(self.space, self.points, alive)
+                homogeneity(self.space, self.points, alive, self._packed)
             ),
             "proximity": float(
                 proximity(self.space, sim, self.k_proximity)

@@ -8,7 +8,7 @@ from typing import Dict, List, Sequence, Tuple
 from ..sim.engine import Simulation
 from ..spaces.base import Space
 from ..types import DataPoint
-from .homogeneity import homogeneity
+from .homogeneity import homogeneity, pack_points
 from .messages import DEFAULT_EXCLUDE, per_node_cost
 from .proximity import proximity
 from .storage import average_storage
@@ -25,6 +25,11 @@ class MetricsRecorder:
     always recorded.
     """
 
+    #: ``pack_points`` of the run's points.  Class attribute so
+    #: recorders checkpointed before it existed restore cleanly (they
+    #: re-pack every round).
+    _packed = None
+
     def __init__(
         self,
         space: Space,
@@ -38,6 +43,7 @@ class MetricsRecorder:
             raise ValueError(f"unknown metrics: {sorted(unknown)}")
         self.space = space
         self.points = list(points)
+        self._packed = pack_points(space, self.points)
         self.k_proximity = k_proximity
         self.metrics = tuple(metrics)
         self.exclude_layers = exclude_layers
@@ -49,7 +55,7 @@ class MetricsRecorder:
         self.n_alive.append(len(alive))
         if "homogeneity" in self.series:
             self.series["homogeneity"].append(
-                homogeneity(self.space, self.points, alive)
+                homogeneity(self.space, self.points, alive, self._packed)
             )
         if "proximity" in self.series:
             self.series["proximity"].append(

@@ -15,9 +15,19 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from ..obs import mem as obs_mem
+from ..sim.arrays import block_rows
 from ..sim.network import SimNode
 from ..spaces.base import Space
 from ..types import DataPoint, PointId
+
+
+def pack_points(space: Space, points: Sequence[DataPoint]):
+    """The static side of :func:`homogeneity` — the id column and the
+    packed coordinate batch of ``points`` — for callers that hold the
+    same points for a whole run and pack them once, not every round."""
+    pids = np.fromiter((p.pid for p in points), np.int64, len(points))
+    return pids, space.pack_batch([p.coord for p in points])
 
 
 def holder_index(nodes: Sequence[SimNode]) -> Dict[PointId, List[SimNode]]:
@@ -33,41 +43,25 @@ def holder_index(nodes: Sequence[SimNode]) -> Dict[PointId, List[SimNode]]:
     return index
 
 
-def _positions_batch(space: Space, nodes: Sequence[SimNode]):
-    """Current positions of ``nodes`` as a packed kernel batch, read
-    straight from the node table's coordinate column when every node is
-    table-backed (the normal case), packed from the position tuples
-    otherwise (detached test nodes)."""
-    table = nodes[0]._table if nodes else None
-    if (
-        table is not None
-        and table.is_vector
-        and all(n._table is table for n in nodes)
-    ):
-        return table.gather_rows([n._row for n in nodes])
-    return space.pack_batch([node.pos for node in nodes])
-
-
 def homogeneity(
     space: Space,
     points: Sequence[DataPoint],
     alive_nodes: Sequence[SimNode],
+    packed=None,
 ) -> float:
     """Mean distance from each original data point to its nearest
     primary holder (or nearest node at all, if the point was lost).
 
-    The dominant case — a point with exactly one holder, which is every
-    point of a converged system — is batched into one row-paired
-    :meth:`~repro.spaces.base.Space.distance_rows` kernel; lost points
-    share one pairwise block against the whole network.  Values are
-    float-identical to the historical per-point scalar loop (pinned by
-    the equivalence tests in ``tests/test_metrics_homogeneity``).
-
-    Table-backed networks (every simulation run) take a flat-array
-    route: holder multiplicity via ``bincount`` instead of the
-    dict-of-lists index, positions read straight off the coordinate
-    column.  Per-point distances, reduction order and therefore the
-    result are bit-identical to the generic path below.
+    Table-backed networks (every simulation run) take the flat-array
+    kernel, :func:`_homogeneity_table`: holder multiplicity via
+    ``bincount``, positions read straight off the coordinate column,
+    one row-paired :meth:`~repro.spaces.base.Space.distance_rows` call
+    for the single-holder points (every point of a converged system),
+    lost points through the row-blocked nearest-node kernel.  Detached
+    nodes and object-coordinate spaces take the per-point loop below —
+    the definition, and the oracle the kernel is tested against
+    (``tests/test_metrics_homogeneity``).  ``packed`` is
+    ``pack_points(space, points)`` when the caller already holds it.
     """
     if not points:
         return 0.0
@@ -77,83 +71,48 @@ def homogeneity(
     if table is not None and table.is_vector and all(
         n._table is table for n in alive_nodes
     ):
-        return _homogeneity_table(space, points, alive_nodes, table)
+        return _homogeneity_table(
+            space, packed or pack_points(space, points), alive_nodes, table
+        )
     holders = holder_index(alive_nodes)
-    all_positions = _positions_batch(space, alive_nodes)
+    all_positions = space.pack_batch([node.pos for node in alive_nodes])
     total = 0.0
-    single_pts: list = []
-    single_holder_pos: list = []
-    multi_pts: list = []
-    multi_counts: list = []
-    multi_holders: list = []
-    lost_pts: list = []
     for point in points:
         holding = holders.get(point.pid)
         if holding:
-            if len(holding) == 1:
-                single_pts.append(point.coord)
-                single_holder_pos.append(holding[0].pos)
-            else:
-                multi_pts.append(point.coord)
-                multi_counts.append(len(holding))
-                multi_holders.extend(holding)
+            total += min(space.distance(point.coord, node.pos) for node in holding)
         else:
-            lost_pts.append(point.coord)
-    if single_pts:
-        total += float(
-            np.sum(
-                space.distance_rows(
-                    space.pack_batch(single_pts),
-                    space.pack_batch(single_holder_pos),
-                )
-            )
-        )
-    if multi_pts:
-        # One flat (point, holder) distance batch, min-reduced per
-        # point — the recovery-spike case where points are briefly
-        # multiply held.
-        counts = np.asarray(multi_counts)
-        batch = space.pack_batch(multi_pts)
-        positions = _positions_batch(space, multi_holders)
-        if isinstance(batch, np.ndarray) and isinstance(positions, np.ndarray):
-            rep = np.repeat(batch, counts, axis=0)
-            d = space.distance_rows(rep, positions)
-            offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            total += float(np.sum(np.minimum.reduceat(d, offsets)))
-        else:  # object-coordinate spaces: per-point scalar kernels
-            offset = 0
-            for coord, count in zip(multi_pts, counts):
-                total += float(
-                    np.min(
-                        space.distance_block(
-                            coord, positions[offset : offset + count]
-                        )
-                    )
-                )
-                offset += count
-    if lost_pts:
-        # Row i of ``pairwise`` is float-identical to
-        # ``distance_block(lost_pts[i], all_positions)``.
-        total += float(
-            np.sum(
-                np.min(
-                    space.pairwise(space.pack_batch(lost_pts), all_positions),
-                    axis=1,
-                )
-            )
-        )
+            total += float(np.min(space.distance_block(point.coord, all_positions)))
     return total / len(points)
+
+
+def _nearest_node(space: Space, queries: np.ndarray, positions: np.ndarray):
+    """Distance from each query point to its nearest node position, one
+    :func:`~repro.sim.arrays.block_rows` block of queries at a time: the
+    distance block is O(block), not ``len(queries) * len(positions)``.
+    Float-identical to ``np.min(space.pairwise(queries, positions),
+    axis=1)`` on the canonical coordinates a simulation stores."""
+    out = np.empty(len(queries))
+    step = block_rows(0, len(positions), space.dim)
+    for a in range(0, len(queries), step):
+        out[a : a + step] = space.nearest_canonical(queries[a : a + step], positions)
+    if obs_mem.ENABLED:
+        obs_mem.scratch(
+            "observer_pads",
+            "homogeneity.nearest",
+            8 * min(step, len(queries)) * len(positions),
+        )
+    return out
 
 
 def _homogeneity_table(
     space: Space,
-    points: Sequence[DataPoint],
+    packed,
     alive_nodes: Sequence[SimNode],
     table,
 ) -> float:
     """Flat-array :func:`homogeneity` for table-backed nodes (see the
-    docstring there; single/multi/lost points are accumulated in the
-    same order with the same kernels, so values match bit for bit)."""
+    docstring there)."""
     pid_list: list = []
     row_list: list = []
     for node in alive_nodes:
@@ -164,9 +123,7 @@ def _homogeneity_table(
         if g:
             pid_list.extend(g)
             row_list.extend([node._row] * len(g))
-    npts = len(points)
-    pt_pids = np.fromiter((p.pid for p in points), np.int64, npts)
-    pt_coords = space.pack_batch([p.coord for p in points])
+    pt_pids, pt_coords = packed
     hp = np.asarray(pid_list, dtype=np.int64)
     hr = np.asarray(row_list, dtype=np.int64)
     size = int(max(hp.max(initial=-1), pt_pids.max(initial=-1))) + 1
@@ -182,48 +139,28 @@ def _homogeneity_table(
         total += float(
             np.sum(space.distance_rows(pt_coords[single], pos_all[rows]))
         )
-    if pcount.max(initial=0) > 1:
-        # Multiply-held points (recovery spikes): group the holder
-        # entries by pid, walk the multi points in input order and
-        # min-reduce each point's group — the min over the same holder
-        # set is order-independent, so the values match the generic
-        # path's holder-list order exactly.
-        in_pts = np.zeros(size, dtype=bool)
-        in_pts[pt_pids] = True
-        hsel = (counts[hp] > 1) & in_pts[hp]
-        sub_p = hp[hsel]
-        sub_r = hr[hsel]
-        order = np.argsort(sub_p, kind="stable")
-        sub_p = sub_p[order]
-        sub_r = sub_r[order]
-        uniq, start, grp = np.unique(sub_p, return_index=True, return_counts=True)
-        start_of = np.zeros(size, dtype=np.int64)
-        count_of = np.zeros(size, dtype=np.int64)
-        start_of[uniq] = start
-        count_of[uniq] = grp
-        multi = pcount > 1
-        mpids = pt_pids[multi]
-        cnts = count_of[mpids]
-        idx = np.concatenate(
-            [np.arange(s, s + c) for s, c in zip(start_of[mpids], cnts)]
+    multi = pcount > 1
+    if multi.any():
+        # Multiply-held points (recovery spikes): one distance per
+        # holder entry, min-reduced per pid (the min over a holder set
+        # is order-independent), summed in point order.
+        coord_of = np.zeros((size,) + pt_coords.shape[1:])
+        coord_of[pt_pids] = pt_coords
+        held = counts[hp] > 1
+        best = np.full(size, np.inf)
+        np.minimum.at(
+            best, hp[held], space.distance_rows(coord_of[hp[held]], pos_all[hr[held]])
         )
-        rep = np.repeat(pt_coords[multi], cnts, axis=0)
-        d = space.distance_rows(rep, pos_all[sub_r[idx]])
-        offsets = np.concatenate([[0], np.cumsum(cnts)[:-1]])
-        total += float(np.sum(np.minimum.reduceat(d, offsets)))
+        total += float(np.sum(best[pt_pids[multi]]))
     lost = pcount == 0
     if lost.any():
-        total += float(
-            np.sum(
-                np.min(
-                    space.pairwise(
-                        pt_coords[lost], _positions_batch(space, alive_nodes)
-                    ),
-                    axis=1,
-                )
-            )
+        node_rows = np.fromiter(
+            (node._row for node in alive_nodes), np.int64, len(alive_nodes)
         )
-    return total / len(points)
+        total += float(
+            np.sum(_nearest_node(space, pt_coords[lost], table.coords_at(node_rows)))
+        )
+    return total / len(pt_pids)
 
 
 def lost_points(

@@ -12,10 +12,10 @@ quality is where the neighbour actually is.
 
 from __future__ import annotations
 
-
 import numpy as np
 
-from ..sim.arrays import ViewBuffer
+from ..obs import mem as obs_mem
+from ..sim.arrays import block_rows, view_ids
 from ..sim.engine import Simulation
 from ..sim.network import SimNode
 from ..spaces.base import Space
@@ -30,77 +30,60 @@ def node_proximity(
     view = getattr(node, "tman_view", None)
     if not view:
         return float("nan")
-    if isinstance(view, ViewBuffer):
-        # Array path: liveness mask over the id column, then one gather
-        # of the *current* positions from the node table.
-        ids, _ = view.arrays()
-        alive = ids[sim.network.alive_mask(ids)]
-        if len(alive) == 0:
-            return float("nan")
-        positions = sim.network.positions_of(alive)
-    else:
-        coords = [
-            sim.network.node(nid).pos
-            for nid in view
-            if sim.network.is_alive(nid)
-        ]
-        if not coords:
-            return float("nan")
-        positions = space.pack_batch(coords)
-    dists = np.sort(space.distance_block(node.pos, positions))
+    # Liveness mask over the id column, then one gather of the
+    # *current* positions from the node table.
+    ids = view_ids(view)
+    alive = ids[sim.network.alive_mask(ids)]
+    if len(alive) == 0:
+        return float("nan")
+    dists = np.sort(space.distance_block(node.pos, sim.network.positions_of(alive)))
     return float(np.mean(dists[: min(k, len(dists))]))
 
 
-def _proximity_batch(space: Space, sim, topo, k: int) -> float:
-    """Whole-network proximity in one kernel over the batch engine's
-    padded view arrays (same definition as the scalar path: mean over
-    nodes of the mean distance to their k closest alive view entries,
-    by current true position)."""
-    table = sim.network.table
-    act = np.flatnonzero(table.alive_rows())
-    if len(act) == 0:
-        return float("nan")
-    ids = topo._ids[act]
-    alive = sim.alive_entry_mask(ids)
-    positions = np.zeros(ids.shape + (space.dim,))
-    if alive.any():
-        positions[alive] = table.gather(ids[alive])
-    d = np.sqrt(space.rank_sq_rows(table.coords_rows()[act], positions))
-    d = np.where(alive, d, np.inf)
-    counts = np.minimum(alive.sum(axis=1), k)
-    has = counts > 0
-    if not has.any():
-        return float("nan")
-    kk = min(k, d.shape[1])
-    smallest = np.partition(d, kk - 1, axis=1)[:, :kk] if kk < d.shape[1] else d
-    smallest = np.sort(smallest, axis=1)
-    csum = np.cumsum(np.where(np.isfinite(smallest), smallest, 0.0), axis=1)
-    means = csum[np.arange(len(act)), np.maximum(counts - 1, 0)] / np.maximum(
-        counts, 1
-    )
-    return float(np.mean(means[has]))
+def _view_means(space: Space, table, rows, ids, k: int) -> np.ndarray:
+    """:func:`node_proximity` of every row of ``rows`` (``nan`` without
+    an alive neighbour) from the padded view matrix ``ids``, a row block
+    at a time: resolve the ids through the node table's sentinel slot,
+    rank by current true position, average the ``k`` closest alive
+    entries per row."""
+    means = np.full(len(rows), np.nan)
+    width = ids.shape[1]
+    if width == 0:
+        return means
+    pos = table.coords_rows()
+    kk = min(k, width)
+    step = block_rows(0, width, space.dim)
+    for a in range(0, len(rows), step):
+        blk = rows[a : a + step]
+        entry_rows = table.rows_of(ids[blk])
+        alive = table.alive_at(entry_rows)
+        coords = table.coords_at(entry_rows)
+        d = np.sqrt(space.rank_sq_rows(pos[blk], coords))
+        if obs_mem.ENABLED:
+            obs_mem.scratch(
+                "observer_pads", "proximity.distance_pad", coords.nbytes + d.nbytes
+            )
+        d[~alive] = np.inf
+        if kk < width:
+            d = np.partition(d, kk - 1, axis=1)[:, :kk]
+        d.sort(axis=1)
+        cnt = np.minimum(alive.sum(axis=1), k)
+        csum = np.cumsum(np.where(np.isfinite(d), d, 0.0), axis=1)
+        total = csum[np.arange(len(blk)), np.maximum(cnt - 1, 0)]
+        means[a : a + step] = np.where(cnt > 0, total / np.maximum(cnt, 1), np.nan)
+    return means
 
 
 def proximity(space: Space, sim: Simulation, k: int = 4) -> float:
-    """Network-wide mean proximity over all alive nodes."""
-    topo = None
-    if hasattr(sim, "detected_entry_mask"):  # batch engine
-        from ..sim.batch.topology import _BatchTopologyBase
-
-        topo = next(
-            (
-                layer
-                for layer in getattr(sim, "layers", ())
-                if isinstance(layer, _BatchTopologyBase)
-            ),
-            None,
-        )
-    if topo is not None:
-        return _proximity_batch(space, sim, topo, k)
-    values = [
-        node_proximity(space, sim, node, k) for node in sim.network.alive_nodes()
-    ]
-    values = [v for v in values if not np.isnan(v)]
-    if not values:
-        return float("nan")
-    return float(np.mean(values))
+    """Network-wide mean proximity: the mean of :func:`node_proximity`
+    over the alive nodes that have an alive neighbour, scored for both
+    engines by one kernel over the padded view matrix
+    (:meth:`~repro.sim.engine.Simulation.view_matrix`)."""
+    table = sim.network.table
+    if table.is_vector:
+        means = _view_means(space, table, *sim.view_matrix(), k)
+    else:  # object coordinates cannot be packed: the scalar definition
+        nodes = sim.network.alive_nodes()
+        means = np.array([node_proximity(space, sim, node, k) for node in nodes])
+    means = means[~np.isnan(means)]
+    return float(np.mean(means)) if len(means) else float("nan")

@@ -26,7 +26,12 @@ def average_storage(alive_nodes: Sequence[SimNode]) -> float:
     """Mean stored points per alive node."""
     if not alive_nodes:
         return 0.0
-    return sum(node_storage(node) for node in alive_nodes) / len(alive_nodes)
+    total = 0
+    for node in alive_nodes:
+        state = getattr(node, "poly", None)
+        if state is not None:  # node_storage inlined: no call chain per node
+            total += len(state.guests) + sum(map(len, state.ghosts.values()))
+    return total / len(alive_nodes)
 
 
 def total_unique_points(alive_nodes: Sequence[SimNode]) -> int:

@@ -25,6 +25,11 @@ and friends):
 
 Both containers deep-copy and pickle cleanly, which the checkpoint
 subsystem relies on.
+
+The module also owns the array core's one scratch budget
+(:data:`_SCRATCH_BYTES`, :func:`block_rows`): every padded kernel — the
+batch topology stages, the metric observers — works a row block of that
+size at a time, so no temporary scales with the network.
 """
 
 from __future__ import annotations
@@ -44,6 +49,26 @@ OBJECT_DIM = "object"
 _GROW = 2.0
 _MIN_CAP = 8
 
+#: Scratch budget of one row block: no single temporary of a block —
+#: the int32 last-writer table of the merge kernels, a padded
+#: coordinate block, a lost-point distance block — may exceed it.
+#: Blocks this small are recycled from the heap; whole-network
+#: temporaries (10-60 MB from 3,200 nodes up) are mmapped, or trimmed
+#: back to the OS, on every call and page-faulted in afresh by the next.
+_SCRATCH_BYTES = 2 << 20
+
+#: Floor on block rows, bounding the per-block Python overhead where
+#: one row alone nears the budget (paper scale).
+_MIN_BLOCK_ROWS = 64
+
+
+def block_rows(id_stride: int, width: int, dim: int) -> int:
+    """Rows per row block such that neither a ``rows * id_stride``
+    int32 last-writer table nor a ``(rows, width, dim)`` float pad
+    outgrows :data:`_SCRATCH_BYTES`."""
+    row_bytes = max(4 * id_stride, 8 * dim * width, 1)
+    return max(_MIN_BLOCK_ROWS, _SCRATCH_BYTES // row_bytes)
+
 
 def _grown(capacity: int, needed: int) -> int:
     new = max(_MIN_CAP, capacity)
@@ -61,6 +86,14 @@ class NodeTable:
     storage.  The canonical per-node coordinate object (the exact tuple
     or frozenset handed in) is kept alongside the arrays so ``pos``
     reads return the same objects scalar code always saw.
+
+    The last slot of every column is a *sentinel* that is never
+    allocated: ``_row_of[-1] == -1``, and row ``-1`` is dead with zero
+    coordinates.  A ``-1`` view pad indexes the sentinel id slot and a
+    released id stores ``-1``, so :meth:`rows_of` → :meth:`alive_at` /
+    :meth:`coords_at` resolve a padded id block of any shape to "dead,
+    zero" in plain ``take`` calls — no validity mask, no compress and
+    scatter.  Growth appends fresh slots, which *are* sentinel values.
     """
 
     def __init__(self) -> None:
@@ -73,10 +106,21 @@ class NodeTable:
         self._pos_cache: List = []  # row -> canonical coordinate object
         self._free: List[int] = []
         self._n_rows = 0
-        #: Set once a node id has ever been released: only then can an
-        #: id map to row -1, so the gather fast paths skip the
-        #: validity scan until it can matter.
+        #: Set once a node id has ever been released: only then can a
+        #: view hold an id the network no longer knows
+        #: (:meth:`repro.sim.engine.Simulation.departed`).
         self._has_released = False
+
+    def __setstate__(self, state) -> None:
+        """Tables pickled before the sentinel slot existed may have
+        their last slot in use and uninitialised coordinates past the
+        allocated rows: re-establish the sentinel."""
+        self.__dict__.update(state)
+        self._grow_rows(self._n_rows)
+        if self._row_of[-1] != -1:
+            self._grow_ids(len(self._row_of) - 1)
+        if self._coords is not None:
+            self._coords[self._n_rows :] = 0.0
 
     # -- layout ----------------------------------------------------------
 
@@ -119,7 +163,7 @@ class NodeTable:
             isinstance(c, (int, float, np.floating, np.integer)) for c in coord
         ):
             self._dim = len(coord)
-            self._coords = np.empty((_MIN_CAP, self._dim), dtype=float)
+            self._coords = np.zeros((len(self._alive), self._dim), dtype=float)
             if _mem.ENABLED:
                 _mem.add("node_table", "NodeTable.rows", self._coords.nbytes)
         else:
@@ -128,10 +172,10 @@ class NodeTable:
 
     def _grow_rows(self, needed: int) -> None:
         cap = len(self._alive)
-        if needed <= cap:
+        if needed < cap:  # the last slot stays the sentinel
             return
         before = self.nbytes if _mem.ENABLED else 0
-        new_cap = _grown(cap, needed)
+        new_cap = _grown(cap, needed + 1)
         self._alive = np.concatenate(
             [self._alive, np.zeros(new_cap - cap, dtype=bool)]
         )
@@ -142,7 +186,7 @@ class NodeTable:
             [self._nid_of, np.full(new_cap - cap, -1, dtype=np.int64)]
         )
         if self._coords is not None:
-            grown = np.empty((new_cap, self._coords.shape[1]), dtype=float)
+            grown = np.zeros((new_cap, self._coords.shape[1]), dtype=float)
             grown[:cap] = self._coords
             self._coords = grown
         if _mem.ENABLED:
@@ -150,9 +194,9 @@ class NodeTable:
 
     def _grow_ids(self, nid: NodeId) -> None:
         cap = len(self._row_of)
-        if nid < cap:
+        if nid + 1 < cap:  # the last slot stays the sentinel
             return
-        new_cap = _grown(cap, nid + 1)
+        new_cap = _grown(cap, nid + 2)
         self._row_of = np.concatenate(
             [self._row_of, np.full(new_cap - cap, -1, dtype=np.int64)]
         )
@@ -224,32 +268,40 @@ class NodeTable:
     # -- batch reads -----------------------------------------------------
 
     def rows_of(self, ids: np.ndarray) -> np.ndarray:
-        """Row indices for an array of node ids (-1 for released ids;
-        callers gathering per-row state must mask those out — see
-        :meth:`alive_mask`)."""
-        return self._row_of[ids]
+        """Row indices for a node-id array of any shape.  ``-1`` pads
+        and released ids resolve to row ``-1``, the sentinel, which
+        :meth:`alive_at` and :meth:`coords_at` read as dead and zero."""
+        return self._row_of.take(ids)
+
+    def alive_at(self, rows: np.ndarray) -> np.ndarray:
+        """Liveness of the given rows (of :meth:`rows_of`)."""
+        return self._alive.take(rows)
+
+    def row_flags(self, rows: np.ndarray, sentinel: bool) -> np.ndarray:
+        """A bool column over every row slot, set at ``rows``, whose
+        sentinel row reads ``sentinel`` — a per-row predicate that
+        callers resolve through :meth:`rows_of` like :meth:`alive_at`."""
+        flags = np.zeros(len(self._alive), dtype=bool)
+        flags[rows] = True
+        flags[-1] = sentinel
+        return flags
+
+    def coords_at(self, rows: np.ndarray) -> np.ndarray:
+        """Current coordinates of the given rows (of :meth:`rows_of`),
+        ``rows.shape + (dim,)``; vector mode only."""
+        return self._coords.take(rows, axis=0)
 
     def row(self, nid: NodeId) -> int:
         return int(self._row_of[nid])
 
-    def is_alive_row(self, row: int) -> bool:
-        return bool(self._alive[row])
-
     def alive_mask(self, ids: np.ndarray) -> np.ndarray:
         """Boolean mask: which of the given node ids are alive.
 
-        Ids of *released* (removed) nodes map to no row and report
-        dead — a view that still holds a pruned id must treat it like
-        any other departed peer, not alias another node's row."""
-        if len(ids) == 0:
-            return np.zeros(0, dtype=bool)
-        rows = self._row_of[ids]
-        if not self._has_released or rows.min() >= 0:
-            return self._alive[rows]
-        out = np.zeros(len(ids), dtype=bool)
-        valid = rows >= 0
-        out[valid] = self._alive[rows[valid]]
-        return out
+        Ids of *released* (removed) nodes and ``-1`` pads map to the
+        sentinel row and report dead — a view that still holds a pruned
+        id must treat it like any other departed peer, not alias
+        another node's row."""
+        return self._alive.take(self._row_of.take(ids))
 
     def alive_rows(self) -> np.ndarray:
         """Bool column over allocated rows (do not mutate)."""
@@ -266,17 +318,12 @@ class NodeTable:
         return self._coords[: self._n_rows]
 
     def gather(self, ids: np.ndarray):
-        """Current true coordinates of the given node ids, as an
-        ``(n, dim)`` array in vector mode or a list of coordinate
-        objects otherwise."""
-        rows = self._row_of[ids]
+        """Current true coordinates of the given node ids: an
+        ``ids.shape + (dim,)`` array in vector mode (zeros for ``-1``
+        pads and released ids), a list of coordinate objects otherwise."""
+        rows = self._row_of.take(ids)
         if self._coords is not None:
-            return self._coords[rows]
-        return [self._pos_cache[r] for r in rows]
-
-    def gather_rows(self, rows: Sequence[int]):
-        if self._coords is not None:
-            return self._coords[np.asarray(rows, dtype=np.int64)]
+            return self._coords.take(rows, axis=0)
         return [self._pos_cache[r] for r in rows]
 
 
@@ -468,3 +515,11 @@ class ViewBuffer:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ViewBuffer(n={len(self.coords)}, dim={self._dim})"
+
+
+def view_ids(view) -> np.ndarray:
+    """The id column of a topology view slot: a :class:`ViewBuffer`, a
+    plain dict (tests, ad-hoc probes) or ``None``."""
+    if isinstance(view, ViewBuffer):
+        return view.arrays()[0]
+    return np.fromiter(view or (), np.int64)

@@ -43,6 +43,7 @@ from ...spaces.base import Space
 from ..engine import Layer, Observer, Simulation
 from ..network import Network
 from ..rng import derive_seed
+from .topology import _BatchTopologyBase
 
 #: Version of the *batch* simulation semantics (the event engine is
 #: version 1 — :data:`repro.sim.engine.SEMANTICS_VERSION`).  Bump in the
@@ -144,25 +145,28 @@ class BatchSimulation(Simulation):
         return self._act_rows
 
     def detected_entry_mask(self, ids: np.ndarray) -> np.ndarray:
-        """Vectorised failure-detector test over an id array of any
-        shape; ``-1`` pads report not-detected (callers mask validity
-        separately), released ids report detected."""
-        flat = np.ascontiguousarray(ids).ravel()
-        out = np.zeros(flat.shape, dtype=bool)
-        valid = flat >= 0
-        if valid.any():
-            out[valid] = self.detected_mask(flat[valid])
-        return out.reshape(ids.shape)
+        """Vectorised failure-detector test over a padded id array of
+        any shape; ``-1`` pads report not-detected (they share the
+        sentinel row with released ids, which report detected)."""
+        out = self.detected_mask(ids)
+        out &= ids >= 0
+        return out
 
     def alive_entry_mask(self, ids: np.ndarray) -> np.ndarray:
-        """Vectorised liveness test over an id array of any shape
+        """Vectorised liveness test over a padded id array of any shape
         (``-1`` pads and released ids report dead)."""
-        flat = np.ascontiguousarray(ids).ravel()
-        out = np.zeros(flat.shape, dtype=bool)
-        valid = flat >= 0
-        if valid.any():
-            out[valid] = self.network.alive_mask(flat[valid])
-        return out.reshape(ids.shape)
+        return self.network.alive_mask(ids)
+
+    def view_matrix(self):
+        """``(rows, ids)`` of :meth:`Simulation.view_matrix`, straight
+        from the topology layer's padded state (no copy)."""
+        topo = next(
+            (layer for layer in self.layers if isinstance(layer, _BatchTopologyBase)),
+            None,
+        )
+        if topo is None:
+            return super().view_matrix()
+        return self.alive_act_rows(), topo.view_arrays()[0]
 
     # -- canonical-state bridge -------------------------------------------
 

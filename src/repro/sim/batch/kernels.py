@@ -22,7 +22,8 @@ no flattening, no ``np.unique``, and (on exact-integer squared
 distances, which every grid scenario produces) a single non-stable
 integer ``argsort`` per merge.  Callers feed the padded kernels one
 :func:`block_rows`-sized row block at a time, which keeps every
-temporary inside one scratch budget (:data:`_SCRATCH_BYTES`).
+temporary inside the array core's one scratch budget
+(:data:`repro.sim.arrays._SCRATCH_BYTES`, re-exported here).
 
 Every public kernel dispatches through the selectable backend registry
 (:mod:`repro.sim.batch.backend`): the reference NumPy implementations
@@ -41,22 +42,11 @@ import numpy as np
 
 from ...obs import mem as _mem
 from ...obs.metrics import timed
+from ..arrays import _SCRATCH_BYTES, block_rows  # re-exported: the one scratch budget
 from . import backend as _backend
 
 #: Sort sentinel pushing invalid entries past every real key.
 _SENTINEL = np.iinfo(np.int64).max
-
-#: Scratch budget of one row block: no single temporary of a block —
-#: the int32 last-writer table of :func:`keep_last_per_row`, the padded
-#: coordinate block — may exceed it.  Blocks this small are recycled
-#: from the heap; whole-network temporaries (10-60 MB from 3,200 nodes
-#: up) are mmapped, or trimmed back to the OS, on every call and
-#: page-faulted in afresh by the next.
-_SCRATCH_BYTES = 2 << 20
-
-#: Floor on block rows, bounding the per-block Python overhead where
-#: one row's last-writer table alone nears the budget (paper scale).
-_MIN_BLOCK_ROWS = 64
 
 #: Squared distances must stay below 2**51 for the integer rank path:
 #: ``sqrt`` is injective on distinct exactly-representable integers up
@@ -353,14 +343,6 @@ def dedup_priority_truncate(
 
 
 # -- fused padded merge ---------------------------------------------------
-
-
-def block_rows(id_stride: int, width: int, dim: int) -> int:
-    """Rows per row block such that neither the ``rows * id_stride``
-    int32 last-writer table nor the ``(rows, width, dim)`` float pad
-    outgrows :data:`_SCRATCH_BYTES`."""
-    row_bytes = max(4 * id_stride, 8 * dim * width, 1)
-    return max(_MIN_BLOCK_ROWS, _SCRATCH_BYTES // row_bytes)
 
 
 def keep_last_per_row(ids_pad: np.ndarray, valid: np.ndarray) -> np.ndarray:

@@ -351,7 +351,7 @@ class BatchPolystyrene:
             counts > 0, packed[np.arange(len(act)), j], -1
         )
 
-        prow = table.rows_of(np.maximum(partner, 0))
+        prow = table.rows_of(partner)
         perm = gen.permutation(len(act))
         act_l = act.tolist()
         prow_l = prow.tolist()

@@ -178,7 +178,6 @@ class BatchPeerSampling:
         network = sim.network
         table = network.table
         self._ensure_rows(table.n_rows)
-        R = table.n_rows
         ids = self._ids
         ages = self._ages
         act = sim.alive_act_rows()
@@ -219,13 +218,8 @@ class BatchPeerSampling:
 
         # Exchanges only proceed with alive partners (a dead undetected
         # partner costs the initiator its entry, as in the event engine).
-        prow = np.full(len(act), -1, dtype=np.int64)
-        known = has_partner.copy()
-        prow[known] = table.rows_of(partner[known])
-        palive = np.zeros(len(act), dtype=bool)
-        ok = prow >= 0
-        palive[ok] = table.alive_rows()[prow[ok]] if R else False
-        ex = np.flatnonzero(has_partner & palive)
+        prow = table.rows_of(partner)
+        ex = np.flatnonzero(table.alive_at(prow))
         if len(ex) == 0:
             return
         n_ex = len(ex)
@@ -295,7 +289,7 @@ class BatchPeerSampling:
         inc_ages = np.concatenate([rep_ages.ravel(), pay_ages.ravel()])
         inc_keep = inc_ids >= 0
         inc_keep &= inc_ids != table._nid_of[inc_recv]
-        inc_keep[inc_keep] &= ~sim.detected_entry_mask(inc_ids[inc_keep])
+        inc_keep &= ~sim.detected_entry_mask(inc_ids)
         inc_recv = inc_recv[inc_keep]
         inc_ids = inc_ids[inc_keep]
         inc_ages = inc_ages[inc_keep]

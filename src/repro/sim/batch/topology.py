@@ -120,14 +120,8 @@ class _BatchTopologyBase:
             self._ages[rows] = 0
         n_peers = peers.shape[1]
         if n_peers:
-            valid = peers >= 0
-            flat = peers[valid]
-            sub_ids = np.full((len(rows), n_peers), -1, dtype=np.int64)
-            sub_ids[valid] = flat
-            sub_coords = np.zeros((len(rows), n_peers, self._coord_dim))
-            sub_coords[valid] = table.gather(flat)
-            self._ids[rows, :n_peers] = sub_ids
-            self._coords[rows, :n_peers] = sub_coords
+            self._ids[rows, :n_peers] = peers
+            self._coords[rows, :n_peers] = table.gather(peers)
 
     def init_network(self, sim) -> None:
         self._ensure_rows(sim.network.table.n_rows)
@@ -155,7 +149,7 @@ class _BatchTopologyBase:
     def neighbors_rows(self, sim, rows: np.ndarray, k: int) -> np.ndarray:
         """``(len(rows), k)`` closest *alive* view entries per row,
         closest first, ``-1`` padded — the vectorised form of
-        ``neighbors`` feeding migration and the proximity metric."""
+        ``neighbors`` feeding migration."""
         self._ensure_rows(sim.network.table.n_rows)
         pos = sim.network.table.coords_rows()
         out = np.empty((len(rows), min(k, self.capacity)), dtype=np.int64)
@@ -189,8 +183,7 @@ class _BatchTopologyBase:
     def _groom(self, sim, act: np.ndarray) -> None:
         """Evict detected peers and re-bootstrap empty views in place."""
         ids_act = self._ids[act]
-        valid = ids_act >= 0
-        evict = valid & sim.detected_entry_mask(ids_act)
+        evict = sim.detected_entry_mask(ids_act)
         if evict.any():
             ids_act[evict] = -1
             self._ids[act] = ids_act
@@ -260,12 +253,8 @@ class _BatchTopologyBase:
         blocks_ids = [self._ids[rows], own[:, None]]
         blocks_coords = [self._coords[rows], pos[rows][:, None, :]]
         if extra_ids.shape[1]:
-            valid = extra_ids >= 0
-            extra_coords = np.zeros(extra_ids.shape + (self._coord_dim,))
-            if valid.any():
-                extra_coords[valid] = table.gather(extra_ids[valid])
             blocks_ids.append(extra_ids)
-            blocks_coords.append(extra_coords)
+            blocks_coords.append(table.gather(extra_ids))
         return (
             np.concatenate(blocks_ids, axis=1),
             np.concatenate(blocks_coords, axis=1),
@@ -305,7 +294,7 @@ class _BatchTopologyBase:
         inc_coords = np.concatenate([blk.reshape(-1, dim) for blk in coords_blocks])
         keep = inc_ids >= 0
         keep &= inc_ids != table._nid_of[inc_rows]
-        keep[keep] &= ~sim.detected_entry_mask(inc_ids[keep])
+        keep &= ~sim.detected_entry_mask(inc_ids)
         inc_rows = inc_rows[keep]
         inc_ids = inc_ids[keep]
         inc_coords = inc_coords[keep]

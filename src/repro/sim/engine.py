@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Protocol, Sequence
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from ..obs import trace as obs_trace
 from ..spaces.base import Space
 from ..types import Coord, DataPoint, NodeId
 from . import rng as rng_mod
+from .arrays import view_ids
 from .network import Network, SimNode
 from .transport import MessageMeter
 
@@ -205,30 +206,41 @@ class Simulation:
         return self._detected
 
     def detected_mask(self, ids: np.ndarray) -> np.ndarray:
-        """Vectorised form of :meth:`detects_failed` over an id array —
-        the fast path for the per-view eviction scans in the gossip
-        layers."""
+        """Vectorised form of :meth:`detects_failed` over an id array of
+        any shape — the fast path for the per-view eviction scans in
+        the gossip layers.  Released (pruned) ids have no row and are
+        long-detected: the table's sentinel row reads detected."""
+        table = self.network.table
         key = (self.round, self.network.n_alive, self.network.n_total)
         # ``getattr``: simulations restored from pre-array checkpoints
         # may lack the cache attributes.
         if getattr(self, "_detected_rows_key", None) != key:
-            table = self.network.table
-            mask = np.zeros(table.n_rows, dtype=bool)
-            for nid in self.detected_failed():
-                mask[table.row(nid)] = True
-            self._detected_rows = mask
+            detected = self.detected_failed()
+            self._detected_rows = table.row_flags(
+                table.rows_of(np.fromiter(detected, np.int64, len(detected))),
+                sentinel=True,
+            )
             self._detected_rows_key = key
-        if len(ids) == 0:
-            return np.zeros(0, dtype=bool)
-        table = self.network.table
-        rows = table.rows_of(ids)
-        if not table._has_released or rows.min() >= 0:
-            return self._detected_rows[rows]
-        # Released (pruned) ids have no row; they are long-detected.
-        out = np.ones(len(ids), dtype=bool)
-        valid = rows >= 0
-        out[valid] = self._detected_rows[rows[valid]]
-        return out
+        return self._detected_rows.take(table.rows_of(ids))
+
+    def view_matrix(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The topology views as one padded id matrix, ``(rows, ids)``:
+        ``ids`` is indexed by table row (``-1`` pads) and ``rows`` are
+        the alive nodes' rows, in :meth:`Network.alive_ids` order — what
+        the proximity metric scores.  Packed here from the per-node
+        ``tman_view`` slots; the batch engine's layers already hold it."""
+        nodes = self.network.alive_nodes()
+        rows = np.fromiter((node.row for node in nodes), np.int64, len(nodes))
+        packed = [view_ids(getattr(node, "tman_view", None)) for node in nodes]
+        lens = np.fromiter(map(len, packed), np.int64, len(packed))
+        total = int(lens.sum())
+        ids = np.full(
+            (self.network.table.n_rows, int(lens.max(initial=0))), -1, np.int64
+        )
+        if total:
+            col = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
+            ids[np.repeat(rows, lens), col] = np.concatenate(packed)
+        return rows, ids
 
     # -- main loop ---------------------------------------------------------
 

@@ -182,6 +182,15 @@ class Space(ABC):
         :meth:`pairwise` there."""
         return self.pairwise(batch, other)
 
+    def nearest_canonical(self, batch: Batch, other: Batch) -> np.ndarray:
+        """Distance from each ``batch`` row to its nearest ``other`` row
+        under the canonical-coordinates precondition — the lost-point
+        term of homogeneity.  The values are consumed, so overrides must
+        stay float-identical to ``np.min(pairwise(batch, other),
+        axis=1)``.  Callers bound ``len(batch)`` (one row block): the
+        working set is ``len(batch) * len(other)`` distances."""
+        return np.min(self.pairwise_canonical(batch, other), axis=1)
+
     def pairwise(self, batch: Batch, other: Optional[Batch] = None) -> np.ndarray:
         """All-pairs distance matrix ``(len(batch), len(other))``
         (``other`` defaults to ``batch``).  Row ``i`` is float-identical

@@ -179,6 +179,21 @@ class FlatTorus(VectorSpace):
         np.minimum(diff, periods - diff, out=diff)
         return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
+    def nearest_canonical(self, batch: Batch, other: Batch) -> np.ndarray:
+        """Nearest-row distances through :meth:`rank_sq_rows` against
+        the broadcast (not materialised) ``other`` column: ``min`` per
+        row, one ``sqrt`` after the ``min`` — ``sqrt`` is monotone and
+        correctly rounded, so the result is float-identical to the
+        default.  Beyond two axes ``einsum`` sums the squares in another
+        order than the axis loop (fractional coordinates then differ in
+        the last digit), so those tori keep the default."""
+        if self.dim > 2:
+            return super().nearest_canonical(batch, other)
+        dsq = self.rank_sq_rows(
+            batch, np.broadcast_to(other, (len(batch),) + other.shape)
+        )
+        return np.sqrt(dsq.min(axis=1))
+
     def pairwise_sq(self, batch: Batch, other: Optional[Batch] = None) -> np.ndarray:
         if other is None:
             other = batch

@@ -110,10 +110,10 @@ class TestSurvivingFraction:
 
 
 class TestVectorisedEquivalence:
-    """The row-wise batched homogeneity must be float-equal to the
-    historical per-point scalar loop (hypothesis over random holder
-    assignments covering the single-holder, multi-holder and lost
-    cases)."""
+    """The flat-array kernel table-backed networks take must be
+    float-equal to the per-point scalar loop (hypothesis over random
+    holder assignments covering the single-holder, multi-holder and
+    lost cases); detached nodes take that loop itself."""
 
     @staticmethod
     def scalar_reference(space, points, alive_nodes):
@@ -135,7 +135,15 @@ class TestVectorisedEquivalence:
         return total / len(points)
 
     def test_matches_scalar_reference(self):
+        self.check_against_scalar_reference(table_backed=False)
+
+    def test_table_kernel_matches_scalar_reference(self):
+        self.check_against_scalar_reference(table_backed=True)
+
+    def check_against_scalar_reference(self, table_backed):
         from hypothesis import given, settings, strategies as st
+
+        from repro.sim.network import Network
 
         coord = st.tuples(
             st.floats(min_value=0, max_value=7.99, allow_nan=False),
@@ -147,9 +155,15 @@ class TestVectorisedEquivalence:
         def run(data):
             n_nodes = data.draw(st.integers(min_value=1, max_value=8))
             n_points = data.draw(st.integers(min_value=1, max_value=10))
-            nodes = [
-                node_with(i, data.draw(coord)) for i in range(n_nodes)
-            ]
+            if table_backed:
+                network = Network()
+                nodes = [network.add_node(data.draw(coord)) for _ in range(n_nodes)]
+                for node in nodes:
+                    node.poly = PolystyreneState()
+            else:
+                nodes = [
+                    node_with(i, data.draw(coord)) for i in range(n_nodes)
+                ]
             points = []
             for pid in range(n_points):
                 point = DataPoint(pid, data.draw(coord))

@@ -277,6 +277,45 @@ class TestMemLedger:
             assert blocked[site]["events"] > 4 * whole[site]["events"]
             assert 9 * blocked[site]["peak"] <= whole[site]["peak"]
 
+    def test_observer_pads_report_one_block_not_lost_times_network(self):
+        """The observers' scratch is on the ledger, and row-blocked: on
+        a 160x80 batch cell the lost-point distance block of
+        ``homogeneity`` peaks at one ``block_rows`` block, not at
+        ``lost x n``; the proximity pad likewise stays a block."""
+        from repro.experiments.scenario import prepare_scenario
+        from repro.metrics.homogeneity import lost_points
+        from repro.sim.arrays import _SCRATCH_BYTES, block_rows
+
+        obs_mem.reset()
+        obs_mem.set_enabled(True)
+        config = ScenarioConfig(
+            engine="batch", width=160, height=80, seed=1, failure_round=2,
+            reinjection_round=None, total_rounds=3,
+            metrics=("homogeneity", "proximity"),
+        )
+        sim, _, _, points, _ = prepare_scenario(config)
+        sim.run(config.total_rounds)
+        obs_mem.set_enabled(False)
+        snap = obs_mem.snapshot()
+        sites = snap["sites"]
+
+        n = sim.network.n_alive
+        lost = len(lost_points(points, sim.network.alive_nodes()))
+        rows = block_rows(0, n, sim.space.dim)
+        assert lost > 4 * rows  # several blocks' worth of lost points
+        nearest = sites["homogeneity.nearest"]
+        assert nearest["family"] == "observer_pads"
+        assert nearest["peak"] == 8 * rows * n
+        assert 4 * nearest["peak"] < 8 * lost * n
+
+        pad = sites["proximity.distance_pad"]
+        assert pad["family"] == "observer_pads"
+        assert pad["events"] > config.total_rounds  # several blocks a round
+        assert pad["peak"] <= 2 * _SCRATCH_BYTES
+        assert snap["families"]["observer_pads"]["peak"] == max(
+            nearest["peak"], pad["peak"]
+        )
+
     def test_peak_round_attribution(self):
         obs_mem.set_enabled(True)
         obs_mem.reset()

@@ -735,3 +735,55 @@ def test_blocked_run_matches_unblocked_at_160x80():
     with mock.patch.object(batch_kernels, "block_rows", lambda *_: 1 << 30):
         unblocked = digest_after_run()
     assert blocked == unblocked
+
+
+# -- blocked nearest-node kernel (the lost-point term of homogeneity) ------
+
+import importlib
+
+# (the package re-exports the ``homogeneity`` function under the
+# module's own name, so the module has to be asked for by path)
+homogeneity_mod = importlib.import_module("repro.metrics.homogeneity")
+
+NEAREST_SPACES = [
+    Euclidean(2),
+    Euclidean(3),
+    FlatTorus(80.0, 40.0),
+    FlatTorus(1.5, 7.25),
+    Ring(12.5),
+    # Three axes: ``einsum`` sums the squares in another order than the
+    # axis loop, so this torus keeps the (row-blocked) ``pairwise``.
+    FlatTorus(4.0, 5.0, 6.0),
+]
+
+
+def _canonical_coords(data, space, n, grid):
+    """``n`` canonical coordinates of ``space``: inside the period cell
+    for the modular spaces, on the integer grid or fractional."""
+    highs = getattr(space, "periods", (50.0,) * space.dim)
+    if grid:
+        axis = [st.integers(0, max(int(h) - 1, 0)).map(float) for h in highs]
+    else:
+        axis = [
+            st.floats(0, h, exclude_max=True, allow_nan=False, allow_subnormal=False)
+            for h in highs
+        ]
+    rows = data.draw(st.lists(st.tuples(*axis), min_size=n, max_size=n))
+    return np.asarray(rows, dtype=float).reshape(n, space.dim)
+
+
+@pytest.mark.parametrize("space", NEAREST_SPACES, ids=repr)
+@pytest.mark.parametrize("grid", [True, False], ids=["grid", "fractional"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_blocked_nearest_node_matches_pairwise_min(space, grid, data):
+    """``_nearest_node`` ≡ ``np.min(space.pairwise(a, b), axis=1)`` bit
+    for bit, whatever the block size."""
+    n = data.draw(st.integers(1, 9))
+    queries = _canonical_coords(data, space, n, grid)
+    positions = _canonical_coords(data, space, data.draw(st.integers(1, 12)), grid)
+    want = np.min(space.pairwise(queries, positions), axis=1)
+    for step in sorted({1, max(n - 1, 1), n, n + 5}):
+        with mock.patch.object(homogeneity_mod, "block_rows", lambda *_, s=step: s):
+            got = homogeneity_mod._nearest_node(space, queries, positions)
+        assert got.tobytes() == want.tobytes()

@@ -106,6 +106,100 @@ class TestNodeTable:
         assert table.gather(ids).tolist() == [list(c) for c in coords]
 
 
+def assert_sentinel(table: NodeTable) -> None:
+    """The last slot of every column is the never-allocated sentinel."""
+    assert table._row_of[-1] == -1
+    assert table.n_rows < len(table._alive)
+    assert not table._alive[-1]
+    assert not table._coords[-1].any()
+    pads = np.array([[-1, -1]])
+    rows = table.rows_of(pads)
+    assert rows.tolist() == [[-1, -1]]
+    assert not table.alive_at(rows).any()
+    assert not table.coords_at(rows).any()
+
+
+class TestNodeTableSentinel:
+    def test_invariants_hold_across_growth_release_and_reuse(self):
+        table = NodeTable()
+        rng = random.Random(4)
+        live, released, next_id = [], [], 0
+        for step in range(400):
+            # Adds dominate (they cross every row and id capacity
+            # boundary); ids jump so ``_grow_ids`` outpaces ``_grow_rows``.
+            if live and rng.random() < 0.35:
+                nid = live.pop(rng.randrange(len(live)))
+                table.mark_dead(table.row(nid), rnd=step)
+                table.release(nid)
+                released.append(nid)
+            else:
+                next_id += rng.choice((1, 1, 1, 9))
+                table.add(next_id, (float(next_id), float(step)))
+                live.append(next_id)
+            assert_sentinel(table)
+            block = np.array([live[-3:] + released[-3:] + [-1]])
+            rows = table.rows_of(block)
+            n_live = len(live[-3:])
+            assert table.alive_at(rows)[0].tolist() == [True] * n_live + [False] * (
+                block.shape[1] - n_live
+            )
+            coords = table.coords_at(rows)[0]
+            assert coords[:n_live, 0].tolist() == [float(n) for n in live[-3:]]
+            assert not coords[n_live:].any()
+
+    def test_full_row_and_id_capacity_keep_the_sentinel_free(self):
+        """Filling exactly to a capacity boundary must grow, not hand
+        the sentinel slot out."""
+        table = NodeTable()
+        for nid in range(64):
+            table.add(nid, (1.0 + nid, 1.0))
+            assert_sentinel(table)
+        assert table.alive_mask(np.arange(64)).all()
+
+    def test_padded_reads_take_any_shape(self):
+        table = NodeTable()
+        for nid in range(5):
+            table.add(nid, (float(nid + 1), 2.0))
+        table.mark_dead(table.row(3), rnd=1)
+        ids = np.array([[[0, -1], [3, 4]]])
+        assert table.alive_mask(ids).tolist() == [[[True, False], [False, True]]]
+        assert table.gather(ids).shape == (1, 2, 2, 2)
+        assert table.gather(ids)[0, 0].tolist() == [[1.0, 2.0], [0.0, 0.0]]
+        flags = table.row_flags(table.rows_of(np.array([3])), sentinel=True)
+        assert flags.take(table.rows_of(ids)).tolist() == [[[False, True], [True, False]]]
+
+    def test_pickle_and_deepcopy_keep_the_sentinel(self):
+        table = NodeTable()
+        for nid in range(20):
+            table.add(nid, (float(nid), 1.0))
+        table.mark_dead(table.row(7), rnd=2)
+        table.release(7)
+        for clone in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+            assert_sentinel(clone)
+            ids = np.array([0, 7, 19, -1])
+            assert clone.alive_mask(ids).tolist() == table.alive_mask(ids).tolist()
+            assert clone.gather(ids).tolist() == table.gather(ids).tolist()
+
+    def test_tables_pickled_before_the_sentinel_are_upgraded(self):
+        """The old layout could have its last row and last id slot in
+        use, and left coordinates past ``n_rows`` uninitialised."""
+        table = NodeTable()
+        for nid in range(8):
+            table.add(nid, (float(nid + 1), 3.0))
+        state = dict(table.__dict__)
+        for column in ("_alive", "_death", "_nid_of", "_row_of"):
+            state[column] = state[column][:8].copy()  # every slot in use
+        state["_coords"] = state["_coords"][:8].copy()
+        old = NodeTable.__new__(NodeTable)
+        old.__setstate__(state)
+        assert_sentinel(old)
+        ids = np.array([0, 7, -1])
+        assert old.alive_mask(ids).tolist() == [True, True, False]
+        assert old.gather(ids).tolist() == [[1.0, 3.0], [8.0, 3.0], [0.0, 0.0]]
+        assert old.add(8, (9.0, 3.0)) == 8
+        assert_sentinel(old)
+
+
 class TestNetworkRemoveNode:
     def test_remove_node_recycles_row_for_reinjection(self):
         network = Network()

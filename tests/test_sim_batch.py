@@ -212,6 +212,50 @@ class TestBatchSimulation:
             assert own not in picked
             assert all(sim.network.is_alive(nid) for nid in picked)
 
+    def test_entry_masks_match_their_compress_expand_reference(self):
+        """``alive_entry_mask``/``detected_entry_mask`` over random padded
+        id blocks — alive, dead-undetected, detected and *released* ids,
+        ``-1`` pads — equal the compress → scalar test → expand bodies
+        they had before the node table's sentinel slot."""
+        from hypothesis import given, settings, strategies as st
+
+        sim, *_ = prepare_scenario(
+            batch_config(detector_delay=2, retention_rounds=4, total_rounds=20)
+        )
+        network = sim.network
+
+        def reference(ids, test):
+            flat = ids.ravel()
+            out = np.zeros(flat.shape, dtype=bool)
+            valid = flat >= 0
+            out[valid] = [test(int(nid)) for nid in flat[valid]]
+            return out.reshape(ids.shape)
+
+        @given(data=st.data())
+        @settings(max_examples=30, deadline=None)
+        def check(data):
+            known = st.integers(-1, network._next_id - 1)
+            shape = data.draw(st.sampled_from([(0,), (7,), (3, 5), (2, 0), (2, 3, 4)]))
+            ids = np.asarray(
+                data.draw(st.lists(known, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
+                dtype=np.int64,
+            ).reshape(shape)
+            departed = sim.departed()
+            np.testing.assert_array_equal(
+                sim.alive_entry_mask(ids), reference(ids, network.is_alive)
+            )
+            np.testing.assert_array_equal(
+                sim.detected_entry_mask(ids), reference(ids, departed)
+            )
+
+        # Round 6: the failure@5 is dead but undetected (delay 2);
+        # round 8: detected; round 11: pruned (released ids, free rows);
+        # round 14: reinjected nodes reuse the freed rows.
+        for target in (6, 8, 11, 14):
+            sim.run(target - sim.round)
+            check()
+        assert network.table._has_released and len(network.nodes) < network._next_id
+
     def test_retention_bounds_batch_table(self):
         result = run_scenario(batch_config(retention_rounds=3))
         assert result.n_alive[-1] > 0
