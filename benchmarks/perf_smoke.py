@@ -22,11 +22,13 @@ times faster (default 6.0; the recorded trajectory in
 ``baseline_core.json`` puts it near 7x on the 1-CPU container).
 
 A third gate covers the hot merge kernel itself: ``--kernel-gate``
-micro-benchmarks ``dedup_rank_truncate`` — the receiver-bucketed
-implementation against the retained global-sort reference — at the
-(receivers, view) shapes of the reduced and paper presets, verifies the
-outputs match exactly, and fails unless the bucketed kernel is at least
-``--kernel-threshold`` times faster at every shape.
+micro-benchmarks the fused padded ``merge_rank_truncate`` — the kernel
+the topology layers run — against the flat global-sort reference
+pipeline at the (receivers, view) shapes of the reduced and paper
+presets, on the integer lattice and on the half-step lattice of Phase
+3.  It verifies the outputs match exactly, and fails unless the kernel
+is at least ``--kernel-threshold`` times faster than the reference and
+the half-step block costs at most 1.3x the integer one.
 
 Usage::
 
@@ -34,7 +36,7 @@ Usage::
     python benchmarks/perf_smoke.py --record   # re-record current side
     python benchmarks/perf_smoke.py --engine batch   # gate cell, batch engine
     python benchmarks/perf_smoke.py --engine-gate    # batch >= 6x event
-    python benchmarks/perf_smoke.py --kernel-gate    # bucketed >= 2x sort
+    python benchmarks/perf_smoke.py --kernel-gate    # merge >= 2x flat sort
     python benchmarks/perf_smoke.py --obs-gate       # disabled obs <= 2%
     python benchmarks/perf_smoke.py --mem-gate       # tracked peak vs baseline
     python benchmarks/perf_smoke.py --mem-gate --record   # re-record peak
@@ -141,24 +143,86 @@ def engine_gate(threshold: float) -> int:
     return 0
 
 
-#: (receivers, entries-per-receiver, cap) shapes for --kernel-gate:
-#: receivers from the preset torus grids (the largest reduced sweep
-#: grid — the engine-gate cell — and the paper preset's main grid),
-#: ~140 incoming entries per receiver (the instrumented median of the
-#: T-Man merge at the gate cell) ranked down to the view cap.
+#: (grid width, grid height, entries-per-receiver, cap) shapes for
+#: --kernel-gate: one receiver per node of the preset torus grids (the
+#: largest reduced sweep grid — the engine-gate cell — and the paper
+#: preset's main grid), ~140 merged entries per receiver (the
+#: instrumented median of the T-Man merge at the gate cell) ranked down
+#: to the view cap.
 KERNEL_GATE_SHAPES = (
-    ("reduced 48x24", 48 * 24, 140, 100),
-    ("paper 80x40", 80 * 40, 140, 100),
+    ("reduced 48x24", 48, 24, 140, 100),
+    ("paper 80x40", 80, 40, 140, 100),
 )
+
+#: A half-step-lattice block may cost at most this much more than the
+#: same block on the integer lattice: both must take the one-sort
+#: exact-key path (the float fallback measured ~2.4x).
+KERNEL_GATE_LATTICE_RATIO = 1.3
+
+
+def _merge_block(width, height, per, rng, half_step):
+    """One merge load on a ``width x height`` torus: every node a
+    receiver of ``per`` random descriptors (duplicates included) at
+    lattice positions — whole steps, or a whole/half-step mix like the
+    views of a network re-injected on ``Grid.parallel(0.5)``."""
+    n = width * height
+    ids = rng.integers(0, n, (n, per)).astype(np.int64)
+    lattice = np.stack(np.divmod(np.arange(n), height), axis=1).astype(float)
+    coords = lattice[rng.integers(0, n, (n, per))]
+    if half_step:
+        coords += 0.5 * rng.integers(0, 2, (n, per, 1))
+    return lattice, ids, coords, rng.integers(0, 50, (n, per)).astype(np.int64)
+
+
+def _merge_blocked(kernels, space, pos, ids, coords, ages, cap):
+    """``merge_rank_truncate`` over budget-sized row blocks, the way
+    ``_apply_merges`` calls it."""
+    n, per = ids.shape
+    stride = n
+    step = kernels.block_rows(stride, per, coords.shape[2])
+    outs = [
+        kernels.merge_rank_truncate_numpy(
+            space, pos[a : a + step], ids[a : a + step], coords[a : a + step],
+            ids[a : a + step] >= 0, cap, stride, ages[a : a + step],
+        )
+        for a in range(0, n, step)
+    ]
+    return tuple(np.concatenate(part) for part in zip(*outs))
+
+
+def _merge_flat_reference(kernels, space, pos, ids, coords, ages, cap):
+    """The flat reference pipeline: dedup keep-last, rank by
+    ``space.distance_rows``, id tie-break, truncate — re-padded."""
+    n, per = ids.shape
+    recv = np.repeat(np.arange(n, dtype=np.int64), per)
+    flat_coords = coords.reshape(-1, coords.shape[2])
+
+    def dist_of(kept):
+        return space.distance_rows(pos[recv[kept]], flat_coords[kept])
+
+    sel, slot, age = kernels.dedup_rank_truncate_reference(
+        recv, ids.ravel(), dist_of, cap, ages.ravel()
+    )
+    out_ids = np.full((n, cap), -1, dtype=np.int64)
+    out_coords = np.zeros((n, cap, coords.shape[2]))
+    out_ages = np.zeros((n, cap), dtype=np.int64)
+    out_ids[recv[sel], slot] = ids.ravel()[sel]
+    out_coords[recv[sel], slot] = flat_coords[sel]
+    out_ages[recv[sel], slot] = age
+    return out_ids, out_coords, out_ages
 
 
 def kernel_gate(threshold: float, repeats: int = 5) -> int:
-    """Fail unless the receiver-bucketed ``dedup_rank_truncate`` beats
-    the retained global-sort reference by at least ``threshold`` x at
-    every preset shape (min-of-``repeats`` per side; outputs are also
-    checked for exact equality, so the speed claim cannot drift apart
-    from the equivalence claim)."""
+    """Gate the kernel that actually runs — the fused padded
+    ``merge_rank_truncate`` — at every preset shape (min-of-``repeats``
+    per side, one session): outputs equal to the flat reference
+    pipeline on the integer and on the half-step lattice (so the speed
+    claim cannot drift apart from the equivalence claim), at least
+    ``threshold`` x faster than it, and the half-step block within
+    ``KERNEL_GATE_LATTICE_RATIO`` of the integer one, so Phase 3 cannot
+    silently fall off the one-sort path again."""
     from repro.sim.batch import kernels
+    from repro.spaces import FlatTorus
 
     def best_of(fn, *args):
         best, out = float("inf"), None
@@ -169,43 +233,54 @@ def kernel_gate(threshold: float, repeats: int = 5) -> int:
         return best, out
 
     failed = False
-    for label, n_recv, per, cap in KERNEL_GATE_SHAPES:
-        rng = np.random.default_rng(0)
-        total = n_recv * per
-        recv = np.repeat(np.arange(n_recv, dtype=np.int64), per)
-        ids = rng.integers(0, n_recv, total).astype(np.int64)
-        ages = rng.integers(0, 50, total).astype(np.int64)
-        dists = rng.random(total)
-
-        def dist_of(kept, dists=dists):
-            return dists[kept]
-
-        t_ref, out_ref = best_of(
-            kernels.dedup_rank_truncate_reference, recv, ids, dist_of, cap, ages
-        )
-        t_new, out_new = best_of(
-            kernels.dedup_rank_truncate_numpy, recv, ids, dist_of, cap, ages
-        )
-        if not all(np.array_equal(a, b) for a, b in zip(out_ref, out_new)):
-            print(f"FAIL: {label}: bucketed kernel output differs from reference")
-            failed = True
-            continue
-        speedup = t_ref / t_new
+    for label, width, height, per, cap in KERNEL_GATE_SHAPES:
+        space = FlatTorus(float(width), float(height))
+        timings = {}
+        for lattice in ("integer", "half-step"):
+            block = _merge_block(
+                width, height, per, np.random.default_rng(0), lattice == "half-step"
+            )
+            t_ref, out_ref = best_of(
+                _merge_flat_reference, kernels, space, *block, cap
+            )
+            t_new, out_new = best_of(_merge_blocked, kernels, space, *block, cap)
+            if not all(np.array_equal(a, b) for a, b in zip(out_ref, out_new)):
+                print(
+                    f"FAIL: {label} ({lattice}): merge_rank_truncate output "
+                    "differs from the flat reference pipeline"
+                )
+                failed = True
+            timings[lattice] = (t_ref, t_new)
+        t_ref, t_int = timings["integer"]
+        t_half = timings["half-step"][1]
+        speedup = t_ref / t_int
+        ratio = t_half / t_int
         print(
-            f"kernel gate {label} (R={total}, cap={cap}): "
-            f"sort {t_ref * 1e3:.2f}ms, bucketed {t_new * 1e3:.2f}ms -> "
-            f"{speedup:.2f}x (threshold {threshold:.1f}x)"
+            f"kernel gate {label} (R={width * height * per}, cap={cap}): "
+            f"flat reference {t_ref * 1e3:.2f}ms, merge_rank_truncate "
+            f"{t_int * 1e3:.2f}ms -> {speedup:.2f}x (threshold "
+            f"{threshold:.1f}x); half-step lattice {t_half * 1e3:.2f}ms -> "
+            f"{ratio:.2f}x the integer one (limit "
+            f"{KERNEL_GATE_LATTICE_RATIO:.1f}x)"
         )
         if speedup < threshold:
             print(
-                f"FAIL: {label}: bucketed dedup_rank_truncate is only "
-                f"{speedup:.2f}x the sort-based reference "
-                f"(gate requires >= {threshold:.1f}x)"
+                f"FAIL: {label}: merge_rank_truncate is only {speedup:.2f}x "
+                f"the flat reference pipeline (gate requires >= {threshold:.1f}x)"
+            )
+            failed = True
+        if ratio > KERNEL_GATE_LATTICE_RATIO:
+            print(
+                f"FAIL: {label}: the half-step block costs {ratio:.2f}x the "
+                f"integer one (gate allows <= {KERNEL_GATE_LATTICE_RATIO:.1f}x)"
             )
             failed = True
     if failed:
         return 1
-    print(f"OK: bucketed dedup_rank_truncate >= {threshold:.1f}x at every shape")
+    print(
+        f"OK: merge_rank_truncate >= {threshold:.1f}x the flat reference and "
+        f"lattice-independent at every shape"
+    )
     return 0
 
 
@@ -513,16 +588,17 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--kernel-gate",
         action="store_true",
-        help="micro-benchmark the receiver-bucketed dedup_rank_truncate "
-        "against the retained global-sort reference at the reduced and "
-        "paper preset shapes and fail if it is not >= --kernel-threshold "
-        "times faster (outputs are also checked for exact equality)",
+        help="micro-benchmark the fused merge_rank_truncate against the "
+        "flat global-sort reference pipeline at the reduced and paper "
+        "preset shapes and fail if it is not >= --kernel-threshold times "
+        "faster or if a half-step-lattice block costs more than 1.3x an "
+        "integer-lattice one (outputs are also checked for exact equality)",
     )
     parser.add_argument(
         "--kernel-threshold",
         type=float,
         default=2.0,
-        help="min bucketed-over-sort speedup for --kernel-gate "
+        help="min merge-over-flat-reference speedup for --kernel-gate "
         "(default 2.0)",
     )
     parser.add_argument(

@@ -62,13 +62,12 @@ def _torus_rank_sq_rows(origins, blocks, periods):
 
 
 @_jit
-def _merge_core(ids_pad, dsq, valid, stride, cap, coords_pad, ages_pad, has_ages):
+def _merge_core(ids_pad, key, valid, stride, cap, coords_pad, ages_pad, has_ages):
     """Per-row dedup (last copy wins) + integer-key rank + truncate.
 
-    Preconditions checked by the caller: ``dsq`` holds exact integers
-    and ``dsq.max() * stride + stride`` fits int64 — the same guards as
-    the NumPy integer fast path, so the composite ``dsq * stride + id``
-    key is a total order and one non-stable sort per row suffices.
+    ``key`` is the caller's ``kernels.exact_rank_key`` — the same guard
+    as the NumPy fast path, so the composite ``key * stride + id`` is a
+    total order inside int64 and one non-stable sort per row suffices.
     """
     n_rows, width = ids_pad.shape
     dim = coords_pad.shape[2]
@@ -86,7 +85,7 @@ def _merge_core(ids_pad, dsq, valid, stride, cap, coords_pad, ages_pad, has_ages
         cnt = 0
         for c in range(width):
             if valid[r, c] and lastcol[ids_pad[r, c]] == c:
-                keys[cnt] = np.int64(dsq[r, c]) * stride + ids_pad[r, c]
+                keys[cnt] = key[r, c] * stride + ids_pad[r, c]
                 cols[cnt] = c
                 cnt += 1
         order = np.argsort(keys[:cnt])
@@ -169,29 +168,22 @@ def merge_rank_truncate_numba(
     coords_pad: np.ndarray,
     valid: np.ndarray,
     cap: int,
+    stride: int,
     ages_pad: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, ...]:
     from . import kernels
 
-    dsq = row_rank_sq_numba(space, pos, coords_pad)
-    stride = int(ids_pad.max(initial=-1)) + 1
-    dmax = float(dsq.max(initial=0.0))
-    int_ok = (
-        stride > 0
-        and dmax < kernels._MAX_EXACT_SQ
-        and dmax * stride + stride < float(1 << 62)
-        and bool(np.all(dsq == np.floor(dsq)))
-    )
-    if not int_ok:
+    key = kernels.exact_rank_key(row_rank_sq_numba(space, pos, coords_pad), stride)
+    if key is None:
         return kernels.merge_rank_truncate_numpy(
-            space, pos, ids_pad, coords_pad, valid, cap, ages_pad
+            space, pos, ids_pad, coords_pad, valid, cap, stride, ages_pad
         )
     has_ages = ages_pad is not None
     if not has_ages:
         ages_pad = np.zeros((1, 1), dtype=np.int64)
     out_ids, out_coords, out_ages = _merge_core(
         np.ascontiguousarray(ids_pad),
-        dsq,
+        key,
         np.ascontiguousarray(valid),
         stride,
         cap,

@@ -18,9 +18,11 @@ global composite-key sort over every entry of the round.  The fused
 :func:`merge_rank_truncate` goes further for the topology merge: the
 receivers' views are *already* padded ``(rows, cap)`` matrices, so the
 whole dedup → distance → rank → truncate chain runs in padded form —
-no flattening, no ``np.unique``, and (on exact-integer squared
-distances, which every grid scenario produces) a single non-stable
-integer ``argsort`` per merge.  Callers feed the padded kernels one
+no flattening, no ``np.unique``, and (wherever the squared distances
+have an :func:`exact_rank_key`, which every dyadic-grid scenario
+produces) a single non-stable integer ``argsort`` per merge.  Per-row
+picks are read back through :func:`take_rows`, the layers' one row
+gather.  Callers feed the padded kernels one
 :func:`block_rows`-sized row block at a time, which keeps every
 temporary inside the array core's one scratch budget
 (:data:`repro.sim.arrays._SCRATCH_BYTES`, re-exported here).
@@ -48,11 +50,62 @@ from . import backend as _backend
 #: Sort sentinel pushing invalid entries past every real key.
 _SENTINEL = np.iinfo(np.int64).max
 
-#: Squared distances must stay below 2**51 for the integer rank path:
-#: ``sqrt`` is injective on distinct exactly-representable integers up
-#: to that bound, which is what makes ranking by the *squared* integer
-#: key bit-identical to the reference ranking by float distance.
+#: Integer rank keys must stay below 2**51: ``sqrt`` is injective on
+#: distinct exactly-representable integers up to that bound, which is
+#: what makes ranking by the integer key bit-identical to the reference
+#: ranking by float distance (:func:`exact_rank_key`).
 _MAX_EXACT_SQ = float(1 << 51)
+
+#: The composite ``key * stride + id`` must stay inside int64.
+_MAX_EXACT_KEY = float(1 << 62)
+
+
+def take_rows(mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Row gather ``out[i, ...] = mat[i, cols[i, ...]]`` with ``mat``'s
+    trailing axes kept — the one way a batch layer reads per-row picked
+    columns.  One ``take`` on the row-flattened operand through a flat
+    ``cols + i * width`` index: no index broadcasting (``mat[rix,
+    cols]``) and no python-level shape checks (``np.take_along_axis``),
+    which dominate at block shapes.  Columns must be non-negative."""
+    n, width = mat.shape[:2]
+    offset = np.arange(n, dtype=np.int64) * width
+    flat = cols + offset.reshape((n,) + (1,) * (cols.ndim - 1))
+    if _mem.ENABLED:
+        _mem.scratch("kernel_pads", "take_rows.index", flat.nbytes)
+    return mat.reshape((n * width,) + mat.shape[2:]).take(flat, axis=0)
+
+
+def exact_rank_key(dsq: np.ndarray, stride: int) -> Optional[np.ndarray]:
+    """Squared distances as an exact int64 rank key, or ``None`` when
+    they have no such key.
+
+    ``dsq`` is scaled by the largest power of four that keeps the key
+    below ``2**51`` and the composite ``key * stride + id`` inside
+    int64, and qualifies when every scaled value is an integer — any
+    dyadic lattice (integer, half-step, quarter-step grids and their
+    mixes), not only the integer one.  ``sqrt`` of an exact
+    ``n / 4**s`` is ``sqrt(n) / 2**s`` exactly, and ``sqrt`` is
+    injective and monotone on integers below ``2**51``, so ranking by
+    ``(key, id)`` is bit-identical to the reference ranking by
+    ``(sqrt(dsq), id)``.  Distances below one unit get the head-room
+    of one unit, which keeps every ``sqrt`` far from the subnormals.
+    """
+    if stride <= 0:
+        return None
+    dmax = max(float(dsq.max(initial=0.0)), 1.0)
+    scale, nxt = 0.0, 1.0
+    while (
+        dmax * nxt < _MAX_EXACT_SQ
+        and dmax * nxt * stride + stride < _MAX_EXACT_KEY
+    ):
+        scale, nxt = nxt, nxt * 4.0
+    if not scale:
+        return None
+    scaled = dsq * scale
+    # The truncating ``astype`` equals ``floor`` on this non-negative
+    # range, so comparing the cast back doubles as the integrality test.
+    key = scaled.astype(np.int64)
+    return key if np.array_equal(key, scaled) else None
 
 
 def cumcount(sorted_keys: np.ndarray) -> np.ndarray:
@@ -207,7 +260,7 @@ def dedup_rank_truncate_numpy(
     k = min(cap, width)
     top = order2[:, :k]
     fit = np.arange(k) < np.minimum(counts, cap)[:, None]
-    sel = kept[np.take_along_axis(idx_pad, top, axis=1)[fit]]
+    sel = kept[take_rows(idx_pad, top)[fit]]
     slot = np.broadcast_to(np.arange(k, dtype=np.int64), (n_buckets, k))[fit]
     if ages is None:
         return sel, slot
@@ -345,10 +398,12 @@ def dedup_priority_truncate(
 # -- fused padded merge ---------------------------------------------------
 
 
-def keep_last_per_row(ids_pad: np.ndarray, valid: np.ndarray) -> np.ndarray:
+def keep_last_per_row(
+    ids_pad: np.ndarray, valid: np.ndarray, stride: int
+) -> np.ndarray:
     """Keep-mask over a padded ``(rows, width)`` id matrix: for each
     duplicated id within a row, only the *last* (rightmost) valid copy
-    survives.
+    survives.  ``stride`` bounds every valid id from above.
 
     A dense last-writer scatter — one int32 cell per possible
     ``(row, id)`` pair, written in column order so the final write per
@@ -357,7 +412,6 @@ def keep_last_per_row(ids_pad: np.ndarray, valid: np.ndarray) -> np.ndarray:
     :func:`block_rows` so the table stays inside the scratch budget.
     """
     n_rows, width = ids_pad.shape
-    stride = int(ids_pad.max(initial=-1)) + 1
     keep = np.zeros((n_rows, width), dtype=bool)
     if stride <= 0 or not valid.any():
         return keep
@@ -383,63 +437,55 @@ def merge_rank_truncate_numpy(
     coords_pad: np.ndarray,
     valid: np.ndarray,
     cap: int,
+    stride: int,
     ages_pad: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, ...]:
     """Fused padded merge (see :func:`merge_rank_truncate`)."""
     n_rows, width = ids_pad.shape
-    keep = keep_last_per_row(ids_pad, valid)
+    keep = keep_last_per_row(ids_pad, valid, stride)
     dsq = space.rank_sq_rows(pos, coords_pad)
     cnt = keep.sum(axis=1)
     k = min(cap, width)
-    stride = int(ids_pad.max(initial=-1)) + 1
-    dmax = float(dsq.max(initial=0.0))
-    int_ok = (
-        stride > 0
-        and dmax < _MAX_EXACT_SQ
-        and dmax * stride + stride < float(1 << 62)
-    )
-    if int_ok:
-        # Candidate integer squared distances: the truncating ``astype``
-        # equals ``floor`` on this non-negative range, so comparing the
-        # cast back against ``dsq`` doubles as the integrality test.
-        dsq_i = dsq.astype(np.int64)
-        int_ok = bool(np.all(dsq_i == dsq))
-    if int_ok:
-        # Exact-integer squared distances (every grid scenario): the
-        # composite (dsq, id) int64 key is a total order, so one
-        # *non-stable* sort suffices and ranking by dsq is bit-identical
-        # to the reference ranking by sqrt(dsq) (sqrt is injective on
-        # distinct integers below 2**51).  Invalid slots (id ``-1``)
-        # are overwritten by the sentinel, so the raw ids can feed the
-        # key directly.
-        key = np.where(keep, dsq_i * stride + ids_pad, _SENTINEL)
-        order = np.argsort(key, axis=1)
+    key = exact_rank_key(dsq, stride)
+    if key is not None:
+        # Exact rank key (every dyadic grid scenario): the composite
+        # (key, id) int64 is a total order, so one *non-stable* sort
+        # ranks like the reference.  Invalid slots (id ``-1``) are
+        # overwritten by the sentinel, so the raw ids can feed it.
+        key *= stride
+        key += ids_pad
+        order = np.argsort(np.where(keep, key, _SENTINEL), axis=1)
     else:
         # Float path: rank by sqrt like the reference, id tie-break via
         # a cascade of two stable sorts (by id, then by distance).
         idkey = np.where(keep, ids_pad, _SENTINEL)
         o1 = np.argsort(idkey, axis=1, kind="stable")
         d = np.sqrt(np.where(keep, dsq, np.inf))
-        o2 = np.argsort(np.take_along_axis(d, o1, axis=1), axis=1, kind="stable")
-        order = np.take_along_axis(o1, o2, axis=1)
+        o2 = np.argsort(take_rows(d, o1), axis=1, kind="stable")
+        order = take_rows(o1, o2)
     top = order[:, :k]
-    fit = np.arange(k) < np.minimum(cnt, cap)[:, None]
-    # Harvest with direct row-fancy indexing — ``take_along_axis``'s
-    # python-level broadcasting checks dominate at these shapes.
-    rix = np.arange(n_rows)[:, None]
-    out_ids = np.full((n_rows, cap), -1, dtype=np.int64)
-    out_ids[:, :k] = np.where(fit, ids_pad[rix, top], -1)
-    out_coords = np.zeros((n_rows, cap, coords_pad.shape[2]), dtype=float)
-    out_coords[:, :k] = np.where(fit[:, :, None], coords_pad[rix, top], 0.0)
     if _mem.ENABLED:
-        out_bytes = out_ids.nbytes + out_coords.nbytes
-        if ages_pad is not None:
-            out_bytes += out_ids.nbytes  # out_ages mirrors out_ids
-        _mem.scratch("kernel_pads", "merge_rank_truncate.out", out_bytes)
+        # int64 ids (+ int64 ages) and float64 coords per output slot.
+        n_cols = 1 + coords_pad.shape[2] + (ages_pad is not None)
+        _mem.scratch(
+            "kernel_pads", "merge_rank_truncate.out", 8 * n_rows * cap * n_cols
+        )
+    if n_rows and int(cnt.min()) >= cap:
+        # Every row fills ``cap`` (the common case): the gathers *are*
+        # the output blocks, there is nothing to mask.
+        out = take_rows(ids_pad, top), take_rows(coords_pad, top)
+        if ages_pad is None:
+            return out
+        return (*out, take_rows(ages_pad, top))
+    fit = np.arange(k) < np.minimum(cnt, cap)[:, None]
+    out_ids = np.full((n_rows, cap), -1, dtype=np.int64)
+    out_ids[:, :k] = np.where(fit, take_rows(ids_pad, top), -1)
+    out_coords = np.zeros((n_rows, cap, coords_pad.shape[2]), dtype=float)
+    out_coords[:, :k] = np.where(fit[:, :, None], take_rows(coords_pad, top), 0.0)
     if ages_pad is None:
         return out_ids, out_coords
     out_ages = np.zeros((n_rows, cap), dtype=np.int64)
-    out_ages[:, :k] = np.where(fit, ages_pad[rix, top], 0)
+    out_ages[:, :k] = np.where(fit, take_rows(ages_pad, top), 0)
     return out_ids, out_coords, out_ages
 
 
@@ -451,6 +497,7 @@ def merge_rank_truncate(
     coords_pad: np.ndarray,
     valid: np.ndarray,
     cap: int,
+    stride: int,
     ages_pad: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, ...]:
     """The topology merge in fused padded form — the bucketed successor
@@ -459,7 +506,9 @@ def merge_rank_truncate(
     ``ids_pad``/``coords_pad`` are ``(rows, width)`` padded blocks whose
     columns hold each receiver's existing view entries first and the
     incoming message entries after, in arrival order; ``valid`` masks
-    real entries; ``pos`` is each receiver's own position.  Per row the
+    real entries; ``pos`` is each receiver's own position; ``stride``
+    is any exclusive upper bound on the ids (callers compute the
+    network-wide one once per merge, not per block).  Per row the
     kernel keeps the last (freshest) copy of every duplicated id, ranks
     the survivors by canonical-coordinate distance to ``pos`` with id
     tie-break, truncates to ``cap`` and returns ``(rows, cap)`` blocks
@@ -472,7 +521,7 @@ def merge_rank_truncate(
     ``tests/test_prop_kernels.py``.
     """
     return _backend.active_backend().merge_rank_truncate(
-        space, pos, ids_pad, coords_pad, valid, cap, ages_pad
+        space, pos, ids_pad, coords_pad, valid, cap, stride, ages_pad
     )
 
 

@@ -82,7 +82,7 @@ class BatchPeerSampling:
         distinct within each row; short rows pad with ``-1``."""
         k = self.view_size if k is None else k
         table = sim.network.table
-        alive_ids = np.asarray(sim.network.alive_ids(), dtype=np.int64)
+        alive_ids = sim.network.alive_ids_array()
         n = len(alive_ids)
         out = np.full((len(rows), k), -1, dtype=np.int64)
         if n == 0 or len(rows) == 0:
@@ -96,7 +96,7 @@ class BatchPeerSampling:
             keys[alive_ids[None, :] == own[lo:hi, None]] = np.inf
             pick = kernels.topk_smallest(keys, k)
             got = alive_ids[pick]
-            finite = np.isfinite(np.take_along_axis(keys, pick, axis=1))
+            finite = np.isfinite(kernels.take_rows(keys, pick))
             out[lo:hi, : pick.shape[1]] = np.where(finite, got, -1)
         return out
 
@@ -145,8 +145,8 @@ class BatchPeerSampling:
         keys = gen.random(ids.shape)
         keys[~cand] = np.inf
         pick = kernels.topk_smallest(keys, k)
-        got = np.take_along_axis(ids, pick, axis=1)
-        finite = np.isfinite(np.take_along_axis(keys, pick, axis=1))
+        got = kernels.take_rows(ids, pick)
+        finite = np.isfinite(kernels.take_rows(keys, pick))
         out = np.full((len(rows), k), -1, dtype=np.int64)
         out[:, : pick.shape[1]] = np.where(finite, got, -1)
         starved = ~finite.any(axis=1) if pick.shape[1] else np.ones(len(rows), bool)
@@ -239,11 +239,11 @@ class BatchPeerSampling:
         ipick = ifinite = None
         if take > 0:
             ipick = kernels.topk_smallest(ikeys, take)
-            got = np.take_along_axis(A_ids[ex], ipick, axis=1)
-            ifinite = np.isfinite(np.take_along_axis(ikeys, ipick, axis=1))
+            got = kernels.take_rows(A_ids[ex], ipick)
+            ifinite = np.isfinite(kernels.take_rows(ikeys, ipick))
             pay_ids[:, :take] = np.where(ifinite, got, -1)
             pay_ages[:, :take] = np.where(
-                ifinite, np.take_along_axis(A_ages[ex], ipick, axis=1), 0
+                ifinite, kernels.take_rows(A_ages[ex], ipick), 0
             )
         pay_ids[:, take] = own_ex  # fresh self-descriptor, age 0
 
@@ -254,12 +254,10 @@ class BatchPeerSampling:
         rkeys[~pvalid] = np.inf
         rtake = min(l, V)
         qpick = kernels.topk_smallest(rkeys, rtake)
-        got = np.take_along_axis(P_ids, qpick, axis=1)
-        qfinite = np.isfinite(np.take_along_axis(rkeys, qpick, axis=1))
+        got = kernels.take_rows(P_ids, qpick)
+        qfinite = np.isfinite(kernels.take_rows(rkeys, qpick))
         rep_ids = np.where(qfinite, got, -1)
-        rep_ages = np.where(
-            qfinite, np.take_along_axis(P_ages, qpick, axis=1), 0
-        )
+        rep_ages = np.where(qfinite, kernels.take_rows(P_ages, qpick), 0)
 
         dim = sim.space.dim or 1
         n_desc = int((pay_ids >= 0).sum() + (rep_ids >= 0).sum())

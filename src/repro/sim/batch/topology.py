@@ -140,11 +140,14 @@ class _BatchTopologyBase:
         ids = self._ids[rows]
         d = kernels.row_rank_sq(self.space, pos[rows], self._coords[rows])
         d[~sim.alive_entry_mask(ids)] = np.inf
+        if obs_mem.ENABLED:
+            obs_mem.scratch(
+                "topology_pads", f"{self.name}.rank_block", ids.nbytes + d.nbytes
+            )
         pick = kernels.topk_smallest(d, k)
-        rix = np.arange(len(ids))[:, None]
-        kd = d[rix, pick]
+        kd = kernels.take_rows(d, pick)
         order = np.argsort(kd, axis=1, kind="stable")
-        return ids, pick[rix, order], kd[rix, order]
+        return ids, kernels.take_rows(pick, order), kernels.take_rows(kd, order)
 
     def neighbors_rows(self, sim, rows: np.ndarray, k: int) -> np.ndarray:
         """``(len(rows), k)`` closest *alive* view entries per row,
@@ -156,8 +159,9 @@ class _BatchTopologyBase:
         step = kernels.block_rows(0, self.capacity, self._coord_dim)
         for a in range(0, len(rows), step):
             ids, pick, kd = self._closest_alive(sim, rows[a : a + step], pos, k)
-            rix = np.arange(len(ids))[:, None]
-            out[a : a + step] = np.where(np.isfinite(kd), ids[rix, pick], -1)
+            out[a : a + step] = np.where(
+                np.isfinite(kd), kernels.take_rows(ids, pick), -1
+            )
         return out
 
     def neighbors(self, sim, node, k: int) -> List[NodeId]:
@@ -238,11 +242,16 @@ class _BatchTopologyBase:
             pool_ids, pool_coords = self._pool_blocks(sim, rows[blk], pos, extra[blk])
             d = kernels.row_rank_sq(self.space, pos[toward[blk]], pool_coords)
             d[pool_ids < 0] = np.inf
+            if obs_mem.ENABLED:
+                obs_mem.scratch(
+                    "topology_pads",
+                    f"{self.name}.exchange_pool",
+                    pool_ids.nbytes + pool_coords.nbytes + d.nbytes,
+                )
             pick = kernels.topk_smallest(d, m)
-            rix = np.arange(len(pool_ids))[:, None]
-            kd = d[rix, pick]
-            ids[blk] = np.where(np.isfinite(kd), pool_ids[rix, pick], -1)
-            coords[blk] = pool_coords[rix, pick]
+            kd = kernels.take_rows(d, pick)
+            ids[blk] = np.where(np.isfinite(kd), kernels.take_rows(pool_ids, pick), -1)
+            coords[blk] = kernels.take_rows(pool_coords, pick)
         return (ids[:E], coords[:E]), (ids[E:], coords[E:])
 
     def _pool_blocks(self, sim, rows, pos, extra_ids):
@@ -295,9 +304,8 @@ class _BatchTopologyBase:
         keep = inc_ids >= 0
         keep &= inc_ids != table._nid_of[inc_rows]
         keep &= ~sim.detected_entry_mask(inc_ids)
-        inc_rows = inc_rows[keep]
-        inc_ids = inc_ids[keep]
-        inc_coords = inc_coords[keep]
+        kept = np.flatnonzero(keep)
+        inc_rows = inc_rows[kept]
 
         # Receivers: every row addressed by a message gets re-ranked,
         # even if all its incoming entries were filtered out above.
@@ -316,11 +324,14 @@ class _BatchTopologyBase:
         # radix grouping by receiver slot keeps equal-receiver entries
         # in input order, so a block's entries are one contiguous run
         # and the position within a receiver's run is the column offset.
+        # Filter and grouping compose into one index, so the incoming
+        # ids and coordinates move once.
         slot = slot_of[inc_rows]
         order = kernels.radix_argsort(slot)
         slot = slot[order]
-        inc_ids = inc_ids[order]
-        inc_coords = inc_coords[order]
+        src = kept[order]
+        inc_ids = inc_ids[src]
+        inc_coords = inc_coords[src]
         ends = np.cumsum(cnt_in)
         col = C + np.arange(len(slot)) - (ends - cnt_in)[slot]
 
@@ -352,7 +363,7 @@ class _BatchTopologyBase:
                     pad_bytes += ages_pad.nbytes
                 obs_mem.scratch("topology_pads", f"{self.name}.merge_pad", pad_bytes)
             out = kernels.merge_rank_truncate(
-                self.space, pos[rows], ids_pad, coords_pad, valid, C, ages_pad
+                self.space, pos[rows], ids_pad, coords_pad, valid, C, stride, ages_pad
             )
             self._ids[rows] = out[0]
             self._coords[rows] = out[1]
@@ -441,8 +452,8 @@ class BatchTMan(_BatchTopologyBase):
                 (u[a : a + step] * np.maximum(avail, 1)).astype(np.int64),
                 np.maximum(avail - 1, 0),
             )
-            rix = np.arange(len(ids))
-            partner[a : a + step] = np.where(avail > 0, ids[rix, pick[rix, j]], -1)
+            col = kernels.take_rows(pick, j)
+            partner[a : a + step] = np.where(avail > 0, kernels.take_rows(ids, col), -1)
 
         ex = np.flatnonzero(partner >= 0)
         if len(ex) == 0:

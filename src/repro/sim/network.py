@@ -134,6 +134,12 @@ class DelayedFailureDetector(FailureDetector):
 class Network:
     """Registry of all nodes, alive and crashed, over a NodeTable."""
 
+    #: int64 mirror of the alive ids in an over-allocated buffer whose
+    #: first ``n_alive`` slots are in use (:meth:`alive_ids_array`).
+    #: Built on first use and never pickled, so a network restored from
+    #: any checkpoint starts from this class default.
+    _alive_arr: Optional[np.ndarray] = None
+
     def __init__(self, detector: Optional[FailureDetector] = None) -> None:
         self.table = NodeTable()
         self.nodes: Dict[NodeId, SimNode] = {}
@@ -160,9 +166,25 @@ class Network:
         row = self.table.add(nid, pos)
         node = SimNode(nid, initial_point=initial_point, table=self.table, row=row)
         self.nodes[nid] = node
+        n = len(self._alive)
         self._alive[nid] = None
-        self._alive_cache = None
+        # Extend the enumeration caches instead of dropping them: a
+        # reinjection wave reads them once per spawned node.
+        if self._alive_cache is not None:
+            self._alive_cache.append(nid)
+        arr = self._alive_arr
+        if arr is not None:
+            if n == len(arr):
+                arr = self._alive_arr = np.concatenate(
+                    [arr, np.empty(max(n, 8), dtype=np.int64)]
+                )
+            arr[n] = nid
         return node
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_alive_arr", None)
+        return state
 
     def node(self, nid: NodeId) -> SimNode:
         try:
@@ -241,7 +263,7 @@ class Network:
                 self.table.mark_dead(self.nodes[nid]._row, rnd)
                 failed.append(nid)
         if failed:
-            self._alive_cache = None
+            self._alive_cache = self._alive_arr = None
         return failed
 
     # -- enumeration & sampling -----------------------------------------
@@ -251,6 +273,14 @@ class Network:
         if self._alive_cache is None:
             self._alive_cache = list(self._alive)
         return self._alive_cache
+
+    def alive_ids_array(self) -> np.ndarray:
+        """:meth:`alive_ids` as an int64 array (cached between crashes,
+        extended in place on add; do not mutate)."""
+        n = len(self._alive)
+        if self._alive_arr is None:
+            self._alive_arr = np.fromiter(self._alive, dtype=np.int64, count=n)
+        return self._alive_arr[:n]
 
     def alive_view(self) -> Dict[NodeId, None]:
         """The live alive-set mapping, for O(1) ``nid in view`` checks
@@ -286,8 +316,7 @@ class Network:
     def alive_positions(self):
         """Packed batch of all alive nodes' current positions, in
         :meth:`alive_ids` order."""
-        ids = np.asarray(self.alive_ids(), dtype=np.int64)
-        return self.table.gather(ids)
+        return self.table.gather(self.alive_ids_array())
 
     def random_alive(
         self,

@@ -18,12 +18,15 @@ import json
 import os
 from pathlib import Path
 from typing import Dict
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.experiments.presets import SMOKE
 from repro.experiments.scenario import ScenarioConfig, prepare_scenario
 from repro.runtime.checkpoint import state_digest
+from repro.sim.batch import kernels
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "state_digests_batch.json"
 UPDATE_ENV = "REPRO_UPDATE_GOLDEN"
@@ -119,3 +122,27 @@ def test_state_digest_matches_golden(name):
             "batch sweeps recorded before the change are no longer "
             "comparable)."
         )
+
+
+@pytest.mark.parametrize(
+    "name", ["batch-smoke-poly-K4-advanced", "batch-smoke-vicinity-K4"]
+)
+def test_half_step_merge_blocks_take_the_exact_key(name):
+    """16x8 through failure and re-injection on the parallel half-step
+    grid, T-Man and Vicinity: merge blocks that see a half-step
+    coordinate stay on the one-sort integer-key path, and the
+    trajectory is the golden one."""
+    half_step_keyed = []
+    real = kernels.exact_rank_key
+
+    def spy(dsq, stride):
+        key = real(dsq, stride)
+        if key is not None and not np.array_equal(dsq, np.floor(dsq)):
+            half_step_keyed.append(dsq.shape)
+        return key
+
+    with mock.patch.object(kernels, "exact_rank_key", spy):
+        actual = compute_digests(name)
+    assert half_step_keyed
+    if not os.environ.get(UPDATE_ENV):
+        assert actual == load_goldens()[name]

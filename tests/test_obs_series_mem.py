@@ -241,10 +241,11 @@ class TestMemLedger:
         assert tm_peak < 4 * tracked + (1 << 20)
 
     def test_merge_scratch_sites_report_one_block_not_the_network(self):
-        """``tman.merge_pad``, ``keep_last_per_row.dense`` and
-        ``merge_rank_truncate.out`` account each row block on its own:
-        the site peak is the largest block, and shrinking the blocks
-        shrinks it while the event count grows."""
+        """The merge pad and kernel scratch (``tman.merge_pad``,
+        ``keep_last_per_row.dense``, ``merge_rank_truncate.out``) and
+        the partner-ranking and exchange-pool blocks account each row
+        block on its own: the site peak is the largest block, and
+        shrinking the blocks shrinks it while the event count grows."""
         from unittest import mock
 
         from repro.experiments.scenario import prepare_scenario
@@ -254,6 +255,8 @@ class TestMemLedger:
             "tman.merge_pad",
             "keep_last_per_row.dense",
             "merge_rank_truncate.out",
+            "tman.rank_block",
+            "tman.exchange_pool",
         )
 
         def ledger(rows_per_block):
@@ -276,6 +279,43 @@ class TestMemLedger:
             # count-sorted blocks are narrower than the global width).
             assert blocked[site]["events"] > 4 * whole[site]["events"]
             assert 9 * blocked[site]["peak"] <= whole[site]["peak"]
+        for name in sites:
+            family = "topology_pads" if name.startswith("tman.") else "kernel_pads"
+            assert blocked[name]["family"] == family
+        assert blocked["take_rows.index"]["family"] == "kernel_pads"
+        # ``take_rows``' flat index is as large as its caller's pick:
+        # one block in the topology stages, so the peak falls with the
+        # block size (down to the whole-network picks of ``rps.step``).
+        assert blocked["take_rows.index"]["events"] > whole["take_rows.index"]["events"]
+        assert 4 * blocked["take_rows.index"]["peak"] <= whole["take_rows.index"]["peak"]
+
+    @pytest.mark.parametrize("fill", ["every-row-full", "ragged"])
+    def test_merge_harvest_and_take_rows_are_byte_exact(self, fill):
+        """``merge_rank_truncate.out`` is the bytes of the blocks the
+        kernel returns — on the masked harvest and on the no-mask
+        return alike — and ``take_rows.index`` the bytes of one pick."""
+        from repro.sim.batch import kernels
+        from repro.spaces import FlatTorus
+
+        rng = np.random.default_rng(3)
+        n, width, cap = 6, 12, 5
+        ids_pad = np.argsort(rng.random((n, width)), axis=1)
+        valid = np.ones((n, width), dtype=bool)
+        if fill == "ragged":
+            valid[::2, 2:] = False
+        coords_pad = rng.integers(0, 8, (n, width, 2)) / 2.0
+        ages_pad = rng.integers(0, 9, (n, width))
+        obs_mem.reset()
+        obs_mem.set_enabled(True)
+        out = kernels.merge_rank_truncate_numpy(
+            FlatTorus(16.0, 8.0), coords_pad[:, 0], np.where(valid, ids_pad, -1),
+            coords_pad, valid, cap, width, ages_pad,
+        )
+        obs_mem.set_enabled(False)
+        sites = obs_mem.snapshot()["sites"]
+        assert [o.shape[:2] for o in out] == [(n, cap)] * 3
+        assert sites["merge_rank_truncate.out"]["peak"] == sum(o.nbytes for o in out)
+        assert sites["take_rows.index"]["peak"] == 8 * n * cap
 
     def test_observer_pads_report_one_block_not_lost_times_network(self):
         """The observers' scratch is on the ledger, and row-blocked: on

@@ -413,27 +413,62 @@ def _merge_model(space, pos, ids_pad, coords_pad, valid, cap, ages_pad):
     return out_ids, out_coords, out_ages
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("grid", [True, False], ids=("int-grid", "float"))
+def _merge_impls():
+    """Every available backend's fused merge, plus the numba wrapper run
+    as the plain Python it degrades to where numba is missing."""
+    impls = [
+        pytest.param(kernel_backend.get_backend(b).merge_rank_truncate, id=b)
+        for b in BACKENDS
+    ]
+    if "numba" not in BACKENDS:
+        from repro.sim.batch import _numba
+
+        impls.append(pytest.param(_numba.merge_rank_truncate_numba, id="numba-py"))
+    return impls
+
+
+#: Coordinate lattices of the merge suite: axis steps per lattice; the
+#: mixed lattice draws whole and half steps entry by entry, like a
+#: reinjected network whose views mix both grids.
+LATTICE_STEPS = {
+    "int-grid": (1.0,),
+    "half-step": (0.5,),
+    "quarter-step": (0.25,),
+    "mixed-int-half": (1.0, 0.5),
+}
+
+
+def _lattice_coord(steps):
+    def axis(extent):
+        return st.sampled_from(steps).flatmap(
+            lambda step: st.integers(0, int(extent / step) - 1).map(
+                lambda i: i * step
+            )
+        )
+
+    return st.tuples(axis(16), axis(8))
+
+
+@pytest.mark.parametrize("impl", _merge_impls())
+@pytest.mark.parametrize("lattice", [*LATTICE_STEPS, "float"])
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
-def test_merge_rank_truncate_matches_dict_model(backend, grid, data):
-    """The fused padded merge ≡ a per-row dict model, on both the exact
-    integer-key path (grid coordinates) and the float sqrt path, with
-    empty rows, duplicate ids and tied distances in the mix."""
+def test_merge_rank_truncate_matches_dict_model(impl, lattice, data):
+    """The fused padded merge ≡ a per-row dict model on the exact-key
+    path (integer, half-step, quarter-step and mixed lattices) and the
+    float sqrt path, with empty rows, duplicate ids and tied distances
+    in the mix, ages on and off, and blocks where every row fills
+    ``cap`` (the no-mask harvest) and where none does."""
     space = FlatTorus(16.0, 8.0)
     n_rows = data.draw(st.integers(1, 5))
     width = data.draw(st.integers(1, 12))
-    cap = data.draw(st.integers(1, 6))
-    if grid:
-        coord = st.tuples(
-            st.integers(0, 15).map(float), st.integers(0, 7).map(float)
-        )
-    else:
+    if lattice == "float":
         coord = st.tuples(
             st.floats(0, 15.99, allow_nan=False),
             st.floats(0, 7.99, allow_nan=False),
         )
+    else:
+        coord = _lattice_coord(LATTICE_STEPS[lattice])
     rows = data.draw(
         st.lists(
             st.lists(
@@ -445,34 +480,158 @@ def test_merge_rank_truncate_matches_dict_model(backend, grid, data):
             max_size=n_rows,
         )
     )
-    valid = np.asarray(
-        data.draw(
-            st.lists(
-                st.lists(st.booleans(), min_size=width, max_size=width),
-                min_size=n_rows,
-                max_size=n_rows,
-            )
-        ),
-        dtype=bool,
-    )
+    ids = np.asarray([[e[0] for e in row] for row in rows], dtype=np.int64)
+    fill = data.draw(st.sampled_from(["ragged", "every-row-full", "no-row-full"]))
+    if fill == "ragged":
+        cap = data.draw(st.integers(1, 6))
+        valid = np.asarray(
+            data.draw(
+                st.lists(
+                    st.lists(st.booleans(), min_size=width, max_size=width),
+                    min_size=n_rows,
+                    max_size=n_rows,
+                )
+            ),
+            dtype=bool,
+        )
+    else:
+        # All slots valid and ids distinct per row: each row keeps
+        # exactly ``width`` entries, so ``cap`` decides fullness.
+        shift = data.draw(st.integers(0, 5))
+        ids = (np.arange(width) + np.arange(n_rows)[:, None] + shift) % (width + 3)
+        valid = np.ones((n_rows, width), dtype=bool)
+        if fill == "every-row-full":
+            cap = data.draw(st.integers(1, width))
+        else:
+            cap = width + data.draw(st.integers(1, 3))
     pos = space.pack_batch([data.draw(coord) for _ in range(n_rows)])
-    ids_pad = np.where(
-        valid, np.asarray([[e[0] for e in row] for row in rows]), -1
-    ).astype(np.int64)
+    ids_pad = np.where(valid, ids, -1).astype(np.int64)
     coords_pad = np.asarray(
         [[e[1] for e in row] for row in rows], dtype=float
     )
     ages_pad = np.asarray([[e[2] for e in row] for row in rows], dtype=np.int64)
-    with_ages = data.draw(st.booleans())
-    args = (space, pos, ids_pad, coords_pad, valid, cap)
-    want = _merge_model(*args, ages_pad if with_ages else None)
-    with kernel_backend.use_backend(backend):
-        got = batch_kernels.merge_rank_truncate(
-            *args, ages_pad if with_ages else None
-        )
+    if not data.draw(st.booleans()):
+        ages_pad = None
+    # Any bound above the ids is a valid stride (callers pass the
+    # network-wide one).
+    stride = int(ids_pad.max()) + 1 + data.draw(st.integers(0, 4))
+    if lattice != "float":
+        dsq = space.rank_sq_rows(pos, coords_pad)
+        assert batch_kernels.exact_rank_key(dsq, max(stride, 1)) is not None
+    want = _merge_model(space, pos, ids_pad, coords_pad, valid, cap, ages_pad)
+    got = impl(space, pos, ids_pad, coords_pad, valid, cap, stride, ages_pad)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
+        assert g.dtype == w.dtype
+
+
+# -- the exact rank key and the row-gather primitive ------------------------
+
+
+def _same_ranking(key, dsq):
+    """Ranking by ``key`` ≡ ranking by ``sqrt(dsq)``: same order, same
+    ties (stable argsorts agree only then)."""
+    return np.array_equal(
+        np.argsort(key.ravel(), kind="stable"),
+        np.argsort(np.sqrt(dsq).ravel(), kind="stable"),
+    )
+
+
+@pytest.mark.parametrize("lattice", list(LATTICE_STEPS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_exact_rank_key_on_dyadic_lattices(lattice, data):
+    """Dyadic squared distances always get a key; it fits the composite
+    ``key * stride + id`` into int64 and ranks exactly like ``sqrt``."""
+    space = FlatTorus(16.0, 8.0)
+    coord = _lattice_coord(LATTICE_STEPS[lattice])
+    n_rows = data.draw(st.integers(1, 4))
+    width = data.draw(st.integers(1, 10))
+    pos = space.pack_batch([data.draw(coord) for _ in range(n_rows)])
+    block = np.asarray(
+        [[data.draw(coord) for _ in range(width)] for _ in range(n_rows)], dtype=float
+    )
+    dsq = space.rank_sq_rows(pos, block)
+    stride = data.draw(st.sampled_from([1, 7, 3200, 51_200, 1 << 31]))
+    key = batch_kernels.exact_rank_key(dsq, stride)
+    assert key is not None and key.dtype == np.int64 and key.shape == dsq.shape
+    assert key.min() >= 0
+    assert int(key.max()) * stride + stride < 1 << 62
+    assert _same_ranking(key, dsq)
+
+
+@given(
+    dsq=st.lists(
+        st.floats(0.0, 1e9, allow_nan=False, width=64), min_size=1, max_size=24
+    ),
+    stride=st.integers(-2, 1 << 40),
+)
+@settings(max_examples=150, deadline=None)
+def test_exact_rank_key_is_sound_on_any_input(dsq, stride):
+    """Whatever the values, a returned key is a correct one — and
+    ``stride <= 0`` (a block without a single id) never gets one."""
+    dsq = np.asarray([dsq], dtype=float)
+    key = batch_kernels.exact_rank_key(dsq, stride)
+    if stride <= 0:
+        assert key is None
+    if key is not None:
+        assert int(key.max()) * stride + stride < 1 << 62
+        assert _same_ranking(key, dsq)
+
+
+def test_exact_rank_key_rejects_non_dyadic_and_exhausted_head_room():
+    space = FlatTorus(16.0, 8.0)
+    tenth = np.asarray(
+        [[(0.1 * i, 0.1 * j) for i in range(12) for j in range(4)]], dtype=float
+    )
+    dsq = space.rank_sq_rows(tenth[:, 0], tenth)
+    assert batch_kernels.exact_rank_key(dsq, 3200) is None
+    whole = np.asarray([[0.0, 1.0, 4.0, 9.0]])
+    assert batch_kernels.exact_rank_key(whole, 3200) is not None
+    assert batch_kernels.exact_rank_key(whole, 0) is None
+    assert batch_kernels.exact_rank_key(whole, -1) is None
+    # Head-room: the key itself (2**51) and the composite (2**62).
+    assert batch_kernels.exact_rank_key(whole * float(1 << 49), 1) is None
+    assert batch_kernels.exact_rank_key(whole, 1 << 59) is None
+    assert batch_kernels.exact_rank_key(whole, 1 << 58) is not None
+    # A quarter-step block with no room to scale by four falls back.
+    assert batch_kernels.exact_rank_key(whole + 0.25, 1 << 58) is None
+    assert batch_kernels.exact_rank_key(np.asarray([[np.inf, 1.0]]), 8) is None
+    assert batch_kernels.exact_rank_key(np.asarray([[np.nan, 1.0]]), 8) is None
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_take_rows_matches_take_along_axis_and_row_fancy_indexing(data):
+    """``take_rows`` ≡ ``np.take_along_axis`` (2-D) / ``mat[rix, cols]``
+    (3-D, trailing axes kept), including no picks at all, one row,
+    1-D picks and non-contiguous operands."""
+    n = data.draw(st.integers(1, 5))
+    w = data.draw(st.integers(1, 9))
+    k = data.draw(st.integers(0, 6))
+    dim = data.draw(st.sampled_from([None, 1, 2, 3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 1 << 16)))
+    shape = (n, w) if dim is None else (n, w, dim)
+    layout = data.draw(st.sampled_from(["contiguous", "strided", "transposed"]))
+    if layout == "strided":
+        mat = rng.random((n, 2 * w) + shape[2:])[:, ::2]
+    elif layout == "transposed":
+        mat = np.swapaxes(rng.random((w, n) + shape[2:]), 0, 1)
+    else:
+        mat = rng.random(shape)
+    assert mat.shape == shape
+    cols = rng.integers(0, w, (n, k))
+    if data.draw(st.booleans()):
+        cols = cols[:, ::-1]  # a non-contiguous pick, like ``order[:, :k]``
+    got = batch_kernels.take_rows(mat, cols)
+    np.testing.assert_array_equal(got, mat[np.arange(n)[:, None], cols])
+    if dim is None:
+        np.testing.assert_array_equal(got, np.take_along_axis(mat, cols, axis=1))
+    one = rng.integers(0, w, n)
+    np.testing.assert_array_equal(
+        batch_kernels.take_rows(mat, one), mat[np.arange(n), one]
+    )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -581,8 +740,9 @@ def test_keep_last_per_row_matches_sort_oracle(data):
     )
     ids_pad = np.asarray(data.draw(cells), dtype=np.int64)
     valid = ids_pad >= 0
+    stride = int(ids_pad.max()) + 1 + data.draw(st.integers(0, 3))
     np.testing.assert_array_equal(
-        batch_kernels.keep_last_per_row(ids_pad, valid),
+        batch_kernels.keep_last_per_row(ids_pad, valid, stride),
         _keep_last_by_sort(ids_pad, valid),
     )
 
@@ -628,7 +788,7 @@ def _whole_network_merge(layer, sim, recv_blocks, ids_blocks, coords_blocks):
             coords_pad[u, C + j] = coord
     out = batch_kernels.merge_rank_truncate(
         layer.space, table.coords_rows()[recv], ids_pad, coords_pad,
-        ids_pad >= 0, C, ages_pad,
+        ids_pad >= 0, C, int(ids_pad.max(initial=-1)) + 1, ages_pad,
     )
     want = [layer._ids.copy(), layer._coords.copy()]
     if ages_pad is not None:

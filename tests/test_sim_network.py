@@ -83,6 +83,55 @@ class TestFailures:
         assert 0 not in net.alive_ids()
         assert 0 in before  # old list untouched
 
+    def test_alive_ids_array_tracks_alive_ids(self):
+        """The int64 mirror equals ``alive_ids()`` after every kind of
+        membership change: adds (extended in place, past the buffer's
+        capacity), crashes, removal of a dead node, reuse of its row,
+        and a pickle / deep-copy round trip (the array is not part of
+        the state and comes back lazily)."""
+        import copy
+        import pickle
+
+        import numpy as np
+
+        def check(net):
+            arr = net.alive_ids_array()
+            assert arr.dtype == np.int64
+            assert arr.tolist() == net.alive_ids() == list(net.alive_view())
+            np.testing.assert_array_equal(
+                net.alive_positions(), net.positions_of(arr)
+            )
+
+        net = make_network(3)
+        check(net)
+        held = net.alive_ids_array()
+        for i in range(3, 40):  # crosses several buffer doublings
+            net.add_node((float(i), 0.0))
+            check(net)
+        assert held.tolist() == [0, 1, 2]  # earlier reads are not disturbed
+        net.fail([1, 17, 39], rnd=4)
+        check(net)
+        net.add_node((99.0, 0.0))  # extends the exact-size rebuilt array
+        check(net)
+        net.remove_node(17)
+        check(net)
+        reused = net.add_node((17.5, 0.0))
+        assert reused.row == 17  # the freed row, under a fresh id
+        check(net)
+
+        assert "_alive_arr" not in net.__getstate__()
+        for clone in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+            assert clone._alive_arr is None
+            check(clone)
+            clone.add_node((5.5, 0.0))
+            clone.fail([0], rnd=9)
+            check(clone)
+        # A network pickled before the array existed has no such
+        # attribute at all: the class default stands in.
+        old = Network.__new__(Network)
+        old.__dict__.update(net.__getstate__())
+        check(old)
+
     def test_crash_stop_no_recovery_path(self):
         net = make_network(2)
         net.fail([0], rnd=0)
