@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="profile the run (cProfile + per-round phase timing + peak "
-        "RSS/array-bytes sampling) and write obs/profile.json under "
+        "RSS / ledger-tracked bytes) and write obs/profile.json under "
         "--obs-dir (default: ./obs/)",
     )
 

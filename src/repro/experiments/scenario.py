@@ -35,7 +35,6 @@ from ..metrics.homogeneity import (
 )
 from ..metrics.proximity import proximity
 from ..metrics.reshaping import reference_homogeneity, reshaping_time
-from ..obs import profiling as obs_profiling
 from ..obs import series as obs_series
 from ..shapes.grid import TorusGrid
 from ..sim.engine import Simulation
@@ -440,8 +439,6 @@ def build_simulation(
     )
     snapshotter = PositionSnapshotter(config.snapshot_rounds)
     observers: List[object] = [recorder, snapshotter]
-    if obs_profiling.ACTIVE:
-        observers.append(obs_profiling.ArraySampler())
     if obs_series.ENABLED:
         observers.append(
             SeriesHealthProbe(space, points, k_proximity=config.k_proximity)

@@ -1,15 +1,18 @@
 """``repro.obs`` — zero-dependency observability for the reproduction.
 
-Three cooperating pieces, all stdlib-only:
+Cooperating pieces, all stdlib-only:
 
+* :mod:`repro.obs.stream` — the one JSONL stream layer every writer and
+  reader below goes through (append atomicity, fork guard, torn-tail
+  rule, failure policy, the ``<run>/obs/<name>`` convention).
 * :mod:`repro.obs.log` — structured JSONL event logging with bound
   run/worker/cell context (``obs.log.info("queue.claim", task=...)``).
 * :mod:`repro.obs.metrics` — a process-wide registry of counters,
   gauges, and histograms with timer context managers, instrumented at
   the hot seams of both engines and the cluster runtime, flushed as
-  single-write JSONL lines.
+  JSONL lines.
 * :mod:`repro.obs.profiling` — ``--profile`` support: cProfile + peak
-  RSS / array-bytes sampling → ``obs/profile.json``.
+  RSS + the ledger's peak tracked bytes → ``obs/profile.json``.
 * :mod:`repro.obs.trace` — causal spans with cross-process parent
   propagation, emitted to ``obs/spans.jsonl``; the ``repro obs trace``
   / ``export`` / ``diff`` analysis surfaces read them back.
@@ -34,8 +37,8 @@ processes — under fork *or* spawn — and cluster workers inherit it:
                           ``profile.json``).  Setting it enables metrics.
 ``REPRO_OBS``             ``1`` forces metrics collection on even with no
                           obs dir (snapshots only, nothing written)
-``REPRO_PROFILE``         ``1`` arms the profiler (cProfile + memory
-                          sampling) in every process of the run
+``REPRO_PROFILE``         ``1`` arms the profiler (cProfile + peak memory)
+                          in every process of the run
 ``REPRO_TRACE_CTX``       ``<trace_id>:<span_id>`` — the parent span a
                           child process's spans attach under, so a
                           distributed sweep stitches into one trace tree
@@ -58,7 +61,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from . import log, mem, metrics, profiling, series, trace
+from . import log, mem, metrics, profiling, series, stream, trace
 
 ENV_LOG = "REPRO_LOG"
 ENV_OBS_DIR = "REPRO_OBS_DIR"
@@ -73,38 +76,12 @@ def run_dir() -> Optional[Path]:
     return _RUN_DIR
 
 
-def obs_dir() -> Optional[Path]:
-    """``<run_dir>/obs``, or None when no run dir is configured."""
-    return _RUN_DIR / "obs" if _RUN_DIR is not None else None
-
-
 def metrics_path() -> Optional[Path]:
-    d = obs_dir()
-    return d / "metrics.jsonl" if d is not None else None
+    return stream.sink(_RUN_DIR, "metrics.jsonl")
 
 
 def profile_path() -> Optional[Path]:
-    d = obs_dir()
-    return d / "profile.json" if d is not None else None
-
-
-def spans_path() -> Optional[Path]:
-    d = obs_dir()
-    return d / "spans.jsonl" if d is not None else None
-
-
-def series_path() -> Optional[Path]:
-    d = obs_dir()
-    return d / "series.jsonl" if d is not None else None
-
-
-def mem_path() -> Optional[Path]:
-    d = obs_dir()
-    return d / "mem.json" if d is not None else None
-
-
-def profiling_active() -> bool:
-    return profiling.ACTIVE
+    return stream.sink(_RUN_DIR, "profile.json")
 
 
 def configure(
@@ -127,15 +104,10 @@ def configure(
             os.environ[ENV_LOG] = str(log_level)
     if dir is not None:
         _RUN_DIR = Path(dir)
-        d = obs_dir()
-        try:
-            d.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            pass
-        log.set_events_path(d / "events.jsonl")
-        trace.set_spans_path(d / "spans.jsonl")
+        log.set_events_path(stream.sink(_RUN_DIR, "events.jsonl"))
+        trace.set_spans_path(stream.sink(_RUN_DIR, "spans.jsonl"))
         trace.set_enabled(True)
-        series.set_series_path(d / "series.jsonl")
+        series.set_series_path(stream.sink(_RUN_DIR, "series.jsonl"))
         series.set_enabled(True)
         mem.set_enabled(True)
         if export_env:
@@ -212,9 +184,8 @@ def flush_cell_metrics(ctx: Optional[Dict[str, Any]] = None) -> Optional[Dict[st
     # snapshot into the run's mem.json at the same seam.
     trace.flush()
     series.flush()
-    mp = mem_path()
-    if mp is not None and mem.ENABLED:
-        mem.write_snapshot(mp)
+    if _RUN_DIR is not None and mem.ENABLED:
+        mem.write_snapshot(stream.sink(_RUN_DIR, "mem.json"))
     return snap
 
 

@@ -18,9 +18,9 @@ Two sinks, both optional:
 * **stderr** — human-scannable ``LEVEL event k=v ...`` lines, gated by
   the configured level (``REPRO_LOG`` / ``--log-level``).
 * **events.jsonl** — the machine-readable stream under the configured
-  obs dir (``REPRO_OBS_DIR`` / ``--obs-dir``), appended one
-  ``O_APPEND`` write per event so concurrent workers interleave whole
-  lines.  ``repro obs tail`` reads this file.
+  obs dir (``REPRO_OBS_DIR`` / ``--obs-dir``), one unbuffered
+  :func:`repro.obs.stream.try_append` per event.  ``repro obs tail``
+  reads this file.
 
 Disabled path (the default): :data:`LEVEL` is :data:`OFF`, so
 ``obs.log.debug(...)`` is one integer compare.
@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import contextvars
 import json
-import os
 import sys
 import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
+
+from . import stream
 
 # Numeric levels, matching stdlib logging's ordering coarsely.
 DEBUG = 10
@@ -87,10 +88,6 @@ def set_level(level: Union[str, int, None]) -> None:
 def set_events_path(path: Union[str, Path, None]) -> None:
     global _EVENTS_PATH
     _EVENTS_PATH = Path(path) if path is not None else None
-
-
-def events_path() -> Optional[Path]:
-    return _EVENTS_PATH
 
 
 def active() -> bool:
@@ -160,17 +157,7 @@ def emit(level: int, event: str, **fields: Any) -> Optional[Dict[str, Any]]:
     for key, value in fields.items():
         record[key] = _json_safe(value)
     if to_file:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"), default=repr)
-        try:
-            fd = os.open(
-                _EVENTS_PATH, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
-            try:
-                os.write(fd, (line + "\n").encode("utf8"))
-            finally:
-                os.close(fd)
-        except OSError:  # pragma: no cover - sink failure must not kill runs
-            pass
+        stream.try_append(_EVENTS_PATH, [stream.encode(record, default=repr)])
     if to_stderr:
         parts = [
             f"{key}={record[key]}"

@@ -41,11 +41,13 @@ from __future__ import annotations
 
 import json
 import os
+import resource
+import sys
 import threading
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from . import profiling
+from . import stream
 
 #: The one global switch every ledger call site checks first.
 ENABLED = False
@@ -172,9 +174,21 @@ def series_fields() -> Dict[str, Dict[str, int]]:
 
 
 def total_peak() -> int:
-    """Peak simultaneous tracked bytes — what the mem-gate gates."""
+    """Peak simultaneous tracked bytes — what the mem-gate gates and
+    ``profile.json`` reports as ``peak_tracked_bytes``."""
     with _LOCK:
         return _TOTAL_PEAK
+
+
+def peak_rss_bytes() -> int:
+    """Peak resident set size of this process, in bytes.
+
+    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS.
+    """
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # pragma: no cover - linux CI
+        return int(peak)
+    return int(peak) * 1024
 
 
 def is_empty() -> bool:
@@ -197,7 +211,7 @@ def snapshot() -> Dict[str, Any]:
                 name: dict(fam) for name, fam in sorted(_FAMILIES.items())
             },
             "sites": {name: dict(s) for name, s in sorted(_SITES.items())},
-            "peak_rss_bytes": profiling.peak_rss_bytes(),
+            "peak_rss_bytes": peak_rss_bytes(),
         }
 
 
@@ -291,20 +305,9 @@ def write_snapshot(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
 # -- reading back ------------------------------------------------------------
 
 
-def resolve_mem_path(target: Union[str, Path]) -> Path:
-    """``target`` may be a mem.json file, a run dir containing
-    ``obs/mem.json``, or a dir containing ``mem.json``."""
-    p = Path(target)
-    if p.is_file():
-        return p
-    for cand in (p / "obs" / "mem.json", p / "mem.json"):
-        if cand.is_file():
-            return cand
-    raise FileNotFoundError(f"no mem.json under {target}")
-
-
 def load_mem(target: Union[str, Path]) -> Dict[str, Any]:
-    return json.loads(resolve_mem_path(target).read_text())
+    path = stream.resolve(target, "mem.json", what="memory snapshot")
+    return json.loads(path.read_text())
 
 
 def _fmt_bytes(n: float) -> str:

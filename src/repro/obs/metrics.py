@@ -14,8 +14,9 @@ The registry is thread-safe (one lock around every mutation — the
 cluster worker's heartbeat thread and its drain loop share the
 process registry) and *process*-oblivious: every worker process owns
 its own registry, resets it per cell, and flushes the snapshot as one
-``O_APPEND`` JSONL line (:func:`flush`) — concurrent flushers interleave
-whole lines, exactly like the result store's appends.
+JSONL line (:func:`flush`, through :mod:`repro.obs.stream`) —
+concurrent flushers interleave whole lines, exactly like the result
+store's appends.
 
 Snapshot schema (one flushed line)::
 
@@ -37,7 +38,6 @@ any of them.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import random
@@ -47,6 +47,7 @@ from functools import wraps
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from . import stream
 from . import trace as _trace
 
 #: The one global switch every instrumented seam checks before doing any
@@ -453,18 +454,10 @@ def flush(
     snapshot: Optional[Dict[str, Any]] = None,
     reset: bool = False,
 ) -> Dict[str, Any]:
-    """Append one metrics line to ``path`` as a single ``write()`` on an
-    ``O_APPEND`` descriptor — process-safe the same way result-store
-    appends are.  Returns the written record."""
+    """Append one metrics line to ``path`` (unbuffered, never raising —
+    :func:`repro.obs.stream.try_append`).  Returns the record."""
     record = metrics_record(ctx=ctx, snapshot=snapshot)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, (line + "\n").encode("utf8"))
-    finally:
-        os.close(fd)
+    stream.try_append(path, [stream.encode(record)])
     if reset:
         _REGISTRY.reset()
     return record

@@ -1,16 +1,14 @@
-"""Profiling hooks: cProfile wrapping, memory sampling, ``profile.json``.
+"""Profiling hooks: cProfile wrapping and ``profile.json``.
 
 ``--profile`` (or ``REPRO_PROFILE=1``) arms a :class:`Profiler` around a
-run: the whole run executes under :mod:`cProfile`, an
-:class:`ArraySampler` observer rides the simulation sampling peak RSS
-and live array bytes (NodeTable + per-node ViewBuffers) each round, and
-at the end everything — hot functions, peak memory, and the metrics
-registry's per-phase/per-kernel histograms — lands in one
-``obs/profile.json``.
+run: the whole run executes under :mod:`cProfile`, and at the end
+everything — hot functions, peak RSS, the byte ledger's peak tracked
+bytes (:mod:`repro.obs.mem`), and the metrics registry's
+per-phase/per-kernel histograms — lands in one ``obs/profile.json``.
 
-All sampling is read-only: the observer draws no RNG, mutates no state,
-and observers are outside ``state_digest``, so a profiled run's
-trajectory and golden digests are bit-identical to an unprofiled one.
+Profiling is read-only: it draws no RNG and mutates no state, so a
+profiled run's trajectory and golden digests are bit-identical to an
+unprofiled one.
 """
 
 from __future__ import annotations
@@ -18,71 +16,20 @@ from __future__ import annotations
 import cProfile
 import json
 import pstats
-import resource
-import sys
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from . import metrics
+from . import mem, metrics
 
 #: Whether a profiler is armed for this process (set by
-#: :func:`repro.obs.configure`); :func:`repro.experiments.scenario.build_simulation`
-#: checks it to attach an :class:`ArraySampler` to every simulation it
-#: builds.
+#: :func:`repro.obs.configure`, which turns metrics collection on with it).
 ACTIVE = False
 
 
 def set_active(on: bool) -> None:
     global ACTIVE
     ACTIVE = bool(on)
-
-
-def peak_rss_bytes() -> int:
-    """Peak resident set size of this process, in bytes.
-
-    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS.
-    """
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # pragma: no cover - linux CI
-        return int(peak)
-    return int(peak) * 1024
-
-
-def array_bytes(sim) -> int:
-    """Total bytes of the live array state of a simulation: the
-    NodeTable's backing arrays plus every per-node ViewBuffer.  Pure
-    accounting (``nbytes`` properties), no copies."""
-    total = 0
-    table = getattr(getattr(sim, "network", None), "table", None)
-    if table is not None:
-        total += int(getattr(table, "nbytes", 0))
-    network = getattr(sim, "network", None)
-    if network is not None:
-        for node in network.nodes.values():
-            for value in vars(node).values():
-                nbytes = getattr(value, "nbytes", None)
-                if isinstance(nbytes, int):
-                    total += nbytes
-    return total
-
-
-class ArraySampler:
-    """Simulation observer recording memory high-water marks into the
-    metrics registry (``mem.peak_rss_bytes`` / ``mem.peak_array_bytes``
-    gauges) every ``interval`` rounds.  Attached only when profiling is
-    active; per-node ViewBuffer accounting is O(n) per sample, which a
-    profiled run accepts by definition."""
-
-    def __init__(self, interval: int = 1) -> None:
-        self.interval = max(1, int(interval))
-
-    def on_round_end(self, sim) -> None:
-        if sim.round % self.interval:
-            return
-        reg = metrics.registry()
-        reg.gauge_max("mem.peak_rss_bytes", peak_rss_bytes())
-        reg.gauge_max("mem.peak_array_bytes", array_bytes(sim))
 
 
 class Profiler:
@@ -138,8 +85,8 @@ class Profiler:
             "ts": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "ctx": dict(ctx or {}),
             "wall_s": round(wall_s, 6) if wall_s is not None else None,
-            "peak_rss_bytes": peak_rss_bytes(),
-            "peak_array_bytes": snap["gauges"].get("mem.peak_array_bytes"),
+            "peak_rss_bytes": mem.peak_rss_bytes(),
+            "peak_tracked_bytes": mem.total_peak(),
             "hot_functions": self.hot_functions(),
             "metrics": snap,
         }

@@ -12,9 +12,8 @@ aggregated timing histograms — metrics and per-span-name durations —
 with noise floors, and with ``--gate`` turns regressions into a
 nonzero exit (:func:`diff_runs`).
 
-All readers use the result store's torn-line discipline: a trailing
-line that does not parse is skipped (a writer may be mid-append), never
-an error.
+Streams are found and read through :mod:`repro.obs.stream` (its
+torn-tail rule: a line that does not parse is skipped, never an error).
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from typing import (
 
 from ..viz.tables import format_table
 from . import series as _series
+from . import stream as _stream
 from . import trace as _trace
 from .metrics import MetricsRegistry, _percentile
 
@@ -50,67 +50,28 @@ SECTIONS = (
 
 
 def resolve_metrics_path(target: Union[str, Path]) -> Optional[Path]:
-    """Locate the metrics stream for a target: a metrics/profile file
-    itself, a run dir containing ``obs/metrics.jsonl``, or an obs dir
-    containing ``metrics.jsonl``."""
-    target = Path(target)
-    if target.is_file():
-        return target
-    for candidate in (
-        target / "obs" / "metrics.jsonl",
-        target / "metrics.jsonl",
-    ):
-        if candidate.is_file():
-            return candidate
-    return None
+    return _stream.resolve(target, "metrics.jsonl")
 
 
 def resolve_events_path(target: Union[str, Path]) -> Optional[Path]:
-    """Locate the events stream for a target (same convention)."""
-    target = Path(target)
-    if target.is_file():
-        return target
-    for candidate in (
-        target / "obs" / "events.jsonl",
-        target / "events.jsonl",
-    ):
-        if candidate.is_file():
-            return candidate
-    return None
+    return _stream.resolve(target, "events.jsonl")
 
 
 def load_jsonl(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Parse a JSONL stream, skipping unparseable lines (torn appends)."""
-    records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-    return records
+    return list(_stream.read(path))
 
 
 def load_metrics_records(target: Union[str, Path]) -> List[Dict[str, Any]]:
     """All metrics records reachable from ``target``: metrics.jsonl
     lines, a profile.json's embedded snapshot, or cell-record
     ``metrics`` sections when pointed at a results file."""
-    path = resolve_metrics_path(target)
-    if path is None:
-        raise FileNotFoundError(
-            f"no metrics stream found under {target} "
-            "(expected obs/metrics.jsonl, metrics.jsonl, or a file path)"
-        )
+    path = _stream.resolve(target, "metrics.jsonl", what="metrics stream")
     if path.suffix == ".json":
         report = json.loads(path.read_text())
         snap = report.get("metrics", report)
         return [snap]
-    records = load_jsonl(path)
     out = []
-    for record in records:
+    for record in _stream.read(path):
         if record.get("kind") == "metrics" or "hists" in record or "counters" in record:
             out.append(record)
         elif "metrics" in record and isinstance(record["metrics"], dict):
@@ -219,24 +180,6 @@ def format_report(target: Union[str, Path]) -> str:
     return "\n\n".join(chunks)
 
 
-#: Stream name → path resolver, shared by tail and follow.
-def _resolve_series_or_none(target: Union[str, Path]) -> Optional[Path]:
-    """Adapter: :func:`repro.obs.series.resolve_series_path` raises when
-    absent; the stream registry (tail/watch) wants None-and-keep-polling."""
-    try:
-        return _series.resolve_series_path(target)
-    except FileNotFoundError:
-        return None
-
-
-STREAM_RESOLVERS: Dict[str, Callable[[Union[str, Path]], Optional[Path]]] = {
-    "events": resolve_events_path,
-    "metrics": resolve_metrics_path,
-    "spans": _trace.resolve_spans_path,
-    "series": _resolve_series_or_none,
-}
-
-
 def format_record(record: Dict[str, Any]) -> str:
     """One stream record (event, metrics line, or span) as one compact
     human line — shared by ``tail`` and ``tail --follow``."""
@@ -292,11 +235,10 @@ def format_tail(
 ) -> str:
     """The last ``lines`` records of a run's event/metrics/span stream,
     one compact line each."""
-    resolver = STREAM_RESOLVERS.get(stream, resolve_events_path)
-    path = resolver(target)
+    path = _stream.resolve(target, f"{stream}.jsonl")
     if path is None:
         return f"no {stream} stream found under {target}"
-    records = load_jsonl(path)[-max(1, lines):]
+    records = list(_stream.read(path))[-max(1, lines):]
     if not records:
         return f"{path}: empty"
     out = [f"{path} (last {len(records)} of stream)"]
@@ -320,11 +262,11 @@ def follow_stream(
     from the top).  ``stop`` is checked once per poll — the CLI passes
     None and relies on Ctrl-C; tests pass a countdown.
     """
-    resolver = STREAM_RESOLVERS.get(stream, resolve_events_path)
+    name = f"{stream}.jsonl"
     offset: Optional[int] = None
     pending = b""
     while True:
-        path = resolver(target)
+        path = _stream.resolve(target, name)
         if path is not None:
             try:
                 size = path.stat().st_size
@@ -342,14 +284,9 @@ def follow_stream(
                 pending += chunk
                 *complete, pending = pending.split(b"\n")
                 for raw in complete:
-                    raw = raw.strip()
-                    if not raw:
-                        continue
-                    try:
-                        record = json.loads(raw.decode("utf8"))
-                    except (json.JSONDecodeError, UnicodeDecodeError):
-                        continue
-                    yield format_record(record)
+                    record, _ = _stream.parse(raw)
+                    if record is not None:
+                        yield format_record(record)
         if stop is not None and stop():
             return
         time.sleep(poll_s)
@@ -567,44 +504,41 @@ def write_scaled_copy(
     dst = Path(dst)
     obs_dst = dst / "obs"
     obs_dst.mkdir(parents=True, exist_ok=True)
-    scaled_fields = ("sum", "min", "max", "mean", "p50", "p95", "p99")
-    metrics_path = resolve_metrics_path(src)
-    if metrics_path is not None and metrics_path.suffix != ".json":
+
+    def scale_metrics(record: Dict[str, Any]) -> None:
+        for hist in (record.get("hists") or {}).values():
+            for key in ("sum", "min", "max", "mean", "p50", "p95", "p99"):
+                if key in hist:
+                    hist[key] = float(hist[key]) * factor
+            if hist.get("res"):
+                hist["res"] = [float(v) * factor for v in hist["res"]]
+
+    def scale_span(record: Dict[str, Any]) -> None:
+        if "dur" in record:
+            record["dur"] = float(record["dur"]) * factor
+
+    def scale_series(record: Dict[str, Any]) -> None:
+        if "wall_s" in record:
+            record["wall_s"] = float(record["wall_s"]) * factor
+        for section in ("layers", "kernels"):
+            if isinstance(record.get(section), dict):
+                record[section] = {
+                    k: float(v) * factor for k, v in record[section].items()
+                }
+
+    for name, scale in (
+        ("metrics.jsonl", scale_metrics),
+        ("spans.jsonl", scale_span),
+        ("series.jsonl", scale_series),
+    ):
+        path = _stream.resolve(src, name)
+        if path is None or path.suffix == ".json":
+            continue
         lines = []
-        for record in load_jsonl(metrics_path):
-            for hist in (record.get("hists") or {}).values():
-                for key in scaled_fields:
-                    if key in hist:
-                        hist[key] = float(hist[key]) * factor
-                if hist.get("res"):
-                    hist["res"] = [float(v) * factor for v in hist["res"]]
-            lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-        (obs_dst / "metrics.jsonl").write_text(
-            "\n".join(lines) + "\n" if lines else "", encoding="utf8"
-        )
-    spans_path = _trace.resolve_spans_path(src)
-    if spans_path is not None:
-        lines = []
-        for record in load_jsonl(spans_path):
-            if "dur" in record:
-                record["dur"] = float(record["dur"]) * factor
-            lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-        (obs_dst / "spans.jsonl").write_text(
-            "\n".join(lines) + "\n" if lines else "", encoding="utf8"
-        )
-    series_path = _resolve_series_or_none(src)
-    if series_path is not None:
-        lines = []
-        for record in load_jsonl(series_path):
-            if "wall_s" in record:
-                record["wall_s"] = float(record["wall_s"]) * factor
-            for section in ("layers", "kernels"):
-                if isinstance(record.get(section), dict):
-                    record[section] = {
-                        k: float(v) * factor for k, v in record[section].items()
-                    }
-            lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-        (obs_dst / "series.jsonl").write_text(
+        for record in _stream.read(path):
+            scale(record)
+            lines.append(_stream.encode(record))
+        (obs_dst / name).write_text(
             "\n".join(lines) + "\n" if lines else "", encoding="utf8"
         )
     return dst

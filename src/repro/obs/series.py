@@ -26,12 +26,11 @@ record.
 
 Emission rides the engine's existing per-round seam behind the same
 one-branch ``ENABLED`` fast path as metrics and spans, with records
-buffered per process and flushed as batched ``O_APPEND`` writes
-(concurrent workers interleave whole lines).  Everything is read-only
-and draws no simulation RNG: trajectories and golden digests are
-bit-identical with series on or off.
+buffered per process in a :class:`repro.obs.stream.BufferedStream`.
+Everything is read-only and draws no simulation RNG: trajectories and
+golden digests are bit-identical with series on or off.
 
-Reading back: :func:`load_series` (torn trailing lines skipped),
+Reading back: :func:`load_series`,
 :func:`format_series` (the ``repro obs series`` table + unicode
 sparklines), and ``repro obs watch`` follows the live stream through
 :func:`repro.obs.report.follow_stream`.
@@ -39,16 +38,14 @@ sparklines), and ``repro obs watch`` follows the live stream through
 
 from __future__ import annotations
 
-import atexit
-import json
 import os
-import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from . import log
 from . import mem as _mem
 from . import metrics as _metrics
+from . import stream
 
 #: The one global switch the engine's per-round seam checks.
 ENABLED = False
@@ -56,15 +53,8 @@ ENABLED = False
 #: Probe cadence environment knob (rounds between health probes).
 ENV_SERIES_EVERY = "REPRO_OBS_SERIES_EVERY"
 
-_SERIES_PATH: Optional[Path] = None
-
-# -- the per-process buffer (same discipline as trace.py) --------------------
-
-_BUFFER: List[str] = []
-_BUFFER_CAP = 128
-_BUFFER_PID = os.getpid()
-_BUFFER_LOCK = threading.Lock()
-_ATEXIT_REGISTERED = False
+#: The buffered ``series.jsonl`` sink (no path: records go nowhere).
+_STREAM = stream.BufferedStream()
 
 #: Cumulative registry totals at the previous emit, for per-round deltas.
 _LAST_HIST: Dict[str, Tuple[int, float]] = {}
@@ -95,16 +85,8 @@ def enabled() -> bool:
     return ENABLED
 
 
-def set_series_path(path: Union[str, Path, None]) -> None:
-    global _SERIES_PATH, _ATEXIT_REGISTERED
-    _SERIES_PATH = Path(path) if path is not None else None
-    if _SERIES_PATH is not None and not _ATEXIT_REGISTERED:
-        atexit.register(flush)
-        _ATEXIT_REGISTERED = True
-
-
-def series_path() -> Optional[Path]:
-    return _SERIES_PATH
+set_series_path = _STREAM.set_path
+flush = _STREAM.flush
 
 
 def set_probe_every(every: int) -> None:
@@ -159,45 +141,6 @@ def note_probes(values: Dict[str, float]) -> None:
 
 
 # -- emission ----------------------------------------------------------------
-
-
-def _append_record(record: Dict[str, Any]) -> None:
-    global _BUFFER_PID
-    line = json.dumps(record, sort_keys=True, separators=(",", ":"), default=repr)
-    with _BUFFER_LOCK:
-        if os.getpid() != _BUFFER_PID:
-            # Forked child: the parent's unflushed records are not ours.
-            _BUFFER.clear()
-            _BUFFER_PID = os.getpid()
-        _BUFFER.append(line)
-        full = len(_BUFFER) >= _BUFFER_CAP
-    if full:
-        flush()
-
-
-def flush() -> int:
-    """Write every buffered record to ``series.jsonl`` as one
-    ``O_APPEND`` write; safe anytime (per cell, worker exit, atexit)."""
-    global _BUFFER_PID
-    with _BUFFER_LOCK:
-        if os.getpid() != _BUFFER_PID:
-            _BUFFER.clear()
-            _BUFFER_PID = os.getpid()
-            return 0
-        if not _BUFFER or _SERIES_PATH is None:
-            return 0
-        lines, count = "\n".join(_BUFFER) + "\n", len(_BUFFER)
-        _BUFFER.clear()
-    try:
-        _SERIES_PATH.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(_SERIES_PATH, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, lines.encode("utf8"))
-        finally:
-            os.close(fd)
-    except OSError:  # pragma: no cover - sink failure must not kill runs
-        return 0
-    return count
 
 
 def emit_round(
@@ -263,39 +206,18 @@ def emit_round(
     if _PENDING_PROBES is not None:
         record["probes"] = _PENDING_PROBES
         _PENDING_PROBES = None
-    _append_record(record)
+    _STREAM.add(record)
 
 
 # -- reading back ------------------------------------------------------------
 
 
 def resolve_series_path(target: Union[str, Path]) -> Path:
-    """``target`` may be a series.jsonl file, a run dir containing
-    ``obs/series.jsonl``, or a dir containing ``series.jsonl``."""
-    p = Path(target)
-    if p.is_file():
-        return p
-    for cand in (p / "obs" / "series.jsonl", p / "series.jsonl"):
-        if cand.is_file():
-            return cand
-    raise FileNotFoundError(f"no series.jsonl under {target}")
+    return stream.resolve(target, "series.jsonl", what="series stream")
 
 
 def load_series(target: Union[str, Path]) -> List[Dict[str, Any]]:
-    """All series records, torn trailing lines skipped."""
-    records: List[Dict[str, Any]] = []
-    with open(resolve_series_path(target), "r", encoding="utf8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn trailing line from a live writer
-            if isinstance(rec, dict):
-                records.append(rec)
-    return records
+    return list(stream.read(resolve_series_path(target)))
 
 
 def flatten_columns(record: Dict[str, Any]) -> Dict[str, float]:

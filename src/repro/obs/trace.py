@@ -16,10 +16,8 @@ sweep reconstructs into **one** tree:
 Emission mirrors :mod:`repro.obs.metrics`: everything is off by
 default, and the instrumented seams cost one module-global check
 (``perf_smoke.py --obs-gate`` covers this fast path).  When an obs dir
-is configured, finished spans are buffered per process and appended to
-``obs/spans.jsonl`` in batched single ``write()`` calls on an
-``O_APPEND`` descriptor, so concurrent workers interleave whole lines
-and readers use the result store's torn-trailing-line discipline.
+is configured, finished spans are buffered per process in a
+:class:`repro.obs.stream.BufferedStream` over ``obs/spans.jsonl``.
 
 Span record schema (one line)::
 
@@ -38,11 +36,9 @@ trace-event JSON loads in Perfetto or ``about:tracing``).
 
 from __future__ import annotations
 
-import atexit
 import contextvars
 import json
 import os
-import threading
 import time
 from pathlib import Path
 from typing import (
@@ -56,6 +52,8 @@ from typing import (
     Union,
 )
 
+from . import stream
+
 #: The one global switch every traced seam checks before any work —
 #: the same one-branch disabled fast path as ``repro.obs.metrics``.
 ENABLED = False
@@ -67,8 +65,8 @@ ENV_CTX = "REPRO_TRACE_CTX"
 _perf_counter = time.perf_counter
 _time = time.time
 
-#: Path of the spans.jsonl sink, or None (spans recorded nowhere).
-_SPANS_PATH: Optional[Path] = None
+#: The buffered ``spans.jsonl`` sink (no path: spans recorded nowhere).
+_STREAM = stream.BufferedStream()
 
 #: Current span context: ``(trace_id, span_id)`` of the innermost open
 #: span, inherited by children (same thread/task) and by forked
@@ -76,18 +74,6 @@ _SPANS_PATH: Optional[Path] = None
 _CTX: contextvars.ContextVar[Optional[Tuple[str, str]]] = contextvars.ContextVar(
     "repro_obs_trace_ctx", default=None
 )
-
-# -- the per-process buffer --------------------------------------------------
-# Finished spans accumulate here and are flushed in one O_APPEND write
-# per batch.  The owning pid is tracked so a pool child forked mid-run
-# drops the parent's unflushed spans instead of duplicating them.
-
-_BUFFER: List[str] = []
-_BUFFER_CAP = 128
-_BUFFER_PID = os.getpid()
-_BUFFER_LOCK = threading.Lock()
-_ATEXIT_REGISTERED = False
-
 
 def set_enabled(on: bool) -> None:
     global ENABLED
@@ -98,16 +84,8 @@ def enabled() -> bool:
     return ENABLED
 
 
-def set_spans_path(path: Union[str, Path, None]) -> None:
-    global _SPANS_PATH, _ATEXIT_REGISTERED
-    _SPANS_PATH = Path(path) if path is not None else None
-    if _SPANS_PATH is not None and not _ATEXIT_REGISTERED:
-        atexit.register(flush)
-        _ATEXIT_REGISTERED = True
-
-
-def spans_path() -> Optional[Path]:
-    return _SPANS_PATH
+set_spans_path = _STREAM.set_path
+flush = _STREAM.flush
 
 
 def new_id() -> str:
@@ -173,47 +151,6 @@ def adopt_env(environ: Optional[Dict[str, str]] = None) -> _CtxBinding:
 # -- emission ----------------------------------------------------------------
 
 
-def _append_record(record: Dict[str, Any]) -> None:
-    global _BUFFER_PID
-    line = json.dumps(record, sort_keys=True, separators=(",", ":"), default=repr)
-    with _BUFFER_LOCK:
-        if os.getpid() != _BUFFER_PID:
-            # Forked child: the parent's unflushed spans are not ours
-            # to write (the parent will flush them itself).
-            _BUFFER.clear()
-            _BUFFER_PID = os.getpid()
-        _BUFFER.append(line)
-        full = len(_BUFFER) >= _BUFFER_CAP
-    if full:
-        flush()
-
-
-def flush() -> int:
-    """Write every buffered span to ``spans.jsonl`` as one ``O_APPEND``
-    write; returns the number of spans written.  Safe to call anytime
-    (and called per cell, at worker exit, and atexit)."""
-    global _BUFFER_PID
-    with _BUFFER_LOCK:
-        if os.getpid() != _BUFFER_PID:
-            _BUFFER.clear()
-            _BUFFER_PID = os.getpid()
-            return 0
-        if not _BUFFER or _SPANS_PATH is None:
-            return 0
-        lines, count = "\n".join(_BUFFER) + "\n", len(_BUFFER)
-        _BUFFER.clear()
-    try:
-        _SPANS_PATH.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(_SPANS_PATH, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, lines.encode("utf8"))
-        finally:
-            os.close(fd)
-    except OSError:  # pragma: no cover - sink failure must not kill runs
-        return 0
-    return count
-
-
 def record(
     name: str,
     start: float,
@@ -239,7 +176,7 @@ def record(
     }
     if attrs:
         rec["attrs"] = attrs
-    _append_record(rec)
+    _STREAM.add(rec)
 
 
 class Span:
@@ -295,7 +232,7 @@ class Span:
         }
         if self.attrs:
             rec["attrs"] = self.attrs
-        _append_record(rec)
+        _STREAM.add(rec)
         return False
 
 
@@ -345,41 +282,15 @@ def traced(name: str) -> Callable:
 # -- reading -----------------------------------------------------------------
 
 
-def resolve_spans_path(target: Union[str, Path]) -> Optional[Path]:
-    """Locate the span stream for a target: a spans file itself, a run
-    dir containing ``obs/spans.jsonl``, or an obs dir."""
-    target = Path(target)
-    if target.is_file():
-        return target
-    for candidate in (target / "obs" / "spans.jsonl", target / "spans.jsonl"):
-        if candidate.is_file():
-            return candidate
-    return None
-
-
 def load_spans(target: Union[str, Path]) -> List[Dict[str, Any]]:
-    """All span records reachable from ``target`` (torn trailing lines
-    skipped, like every JSONL reader in this tree).  Raises
+    """All span records reachable from ``target``; raises
     ``FileNotFoundError`` when no span stream exists."""
-    path = resolve_spans_path(target)
-    if path is None:
-        raise FileNotFoundError(
-            f"no span stream found under {target} "
-            "(expected obs/spans.jsonl, spans.jsonl, or a file path)"
-        )
-    spans: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if rec.get("kind") == "span" and "span" in rec and "name" in rec:
-                spans.append(rec)
-    return spans
+    path = stream.resolve(target, "spans.jsonl", what="span stream")
+    return [
+        rec
+        for rec in stream.read(path)
+        if rec.get("kind") == "span" and "span" in rec and "name" in rec
+    ]
 
 
 class SpanNode:

@@ -32,20 +32,14 @@ from typing import Optional, Union
 from ..errors import CheckpointError
 from ..obs import mem as obs_mem
 from ..obs import metrics as obs_metrics
-from ..sim.arrays import OBJECT_DIM, ViewBuffer
+from ..sim.arrays import ViewBuffer
 from ..sim.engine import Simulation
 
-#: On-disk checkpoint format.
-#:
-#: * Format 1 — the original per-node object layout: ``SimNode``
-#:   instances owning their position, per-node ``dict`` views.
-#: * Format 2 — the array-backed layout: network state in a
-#:   struct-of-arrays :class:`~repro.sim.arrays.NodeTable`, views as
-#:   :class:`~repro.sim.arrays.ViewBuffer` columns.
-#:
-#: :func:`load` still reads format-1 files and :func:`restore` upgrades
-#: them in place (same digests, same trajectories); :func:`save` always
-#: writes the current format.
+#: On-disk checkpoint format: the array-backed layout (network state in
+#: a struct-of-arrays :class:`~repro.sim.arrays.NodeTable`, views as
+#: :class:`~repro.sim.arrays.ViewBuffer` columns).  Format 1 was the
+#: per-node object layout nothing has written since the array refactor;
+#: :func:`load` and :func:`restore` reject every format but this one.
 CHECKPOINT_FORMAT = 2
 
 _MAGIC = b"repro-ckpt"
@@ -100,9 +94,7 @@ def restore(
 ) -> Simulation:
     """A fresh simulation continuing exactly from the checkpointed
     round.  Each call returns an independent copy, so one checkpoint can
-    fork many divergent futures.  Format-1 (pre-array) checkpoints are
-    upgraded to the array-backed layout on the fly — the upgraded run
-    produces the exact same trajectory.
+    fork many divergent futures.
 
     ``engine`` requests a specific execution engine (``"event"`` or
     ``"batch"``): a snapshot taken under the other engine is *converted*
@@ -114,14 +106,12 @@ def restore(
     snapshot cannot run under the target engine (non-vector space, or a
     layer stack the converter does not recognise).
     """
-    if checkpoint.format not in (1, CHECKPOINT_FORMAT):
+    if checkpoint.format != CHECKPOINT_FORMAT:
         raise CheckpointError(
             f"unsupported checkpoint format {checkpoint.format} "
-            f"(this build reads formats 1..{CHECKPOINT_FORMAT})"
+            f"(this build reads format {CHECKPOINT_FORMAT})"
         )
     sim = copy.deepcopy(checkpoint.sim)
-    if checkpoint.format == 1:
-        _upgrade_v1(sim)
     if engine is not None:
         sim = convert_engine(sim, engine)
     return sim
@@ -194,58 +184,12 @@ def load(path: Union[str, Path]) -> SimulationCheckpoint:
             raise CheckpointError(
                 f"{path} does not contain a SimulationCheckpoint"
             )
-        if checkpoint.format not in (1, CHECKPOINT_FORMAT):
+        if checkpoint.format != CHECKPOINT_FORMAT:
             raise CheckpointError(
-                f"unsupported checkpoint format {checkpoint.format} in {path}"
+                f"unsupported checkpoint format {checkpoint.format} in {path} "
+                f"(this build reads format {CHECKPOINT_FORMAT})"
             )
     return checkpoint
-
-
-# -- legacy-format upgrade --------------------------------------------------
-
-
-def _upgrade_v1(sim: Simulation) -> None:
-    """Convert a format-1 (pre-array) simulation object graph to the
-    struct-of-arrays layout, in place.
-
-    Format-1 pickles refer to the current classes by name, so they
-    unpickle into instances carrying the *old* attribute layout
-    (``SimNode.__dict__['pos']``, per-node ``dict`` views, a dict-based
-    ``Network``).  This rebuilds the network over a
-    :class:`~repro.sim.arrays.NodeTable` and converts every view dict
-    into its :class:`~repro.sim.arrays.ViewBuffer` slot, preserving
-    membership, insertion order, positions, ages and death records —
-    the upgraded simulation has the same :func:`state_digest` and runs
-    the same trajectory.
-    """
-    from ..sim.network import Network
-
-    old = sim.network.__dict__
-    network = Network(old["detector"])
-    network._next_id = old["_next_id"]
-    for nid, old_node in old["nodes"].items():
-        legacy = dict(vars(old_node))
-        node = network._register(
-            nid, legacy.pop("pos"), legacy.pop("initial_point", None)
-        )
-        legacy.pop("nid", None)
-        for attr, value in legacy.items():
-            if attr == "tman_view" and isinstance(value, dict):
-                dim = sim.space.dim
-                value = ViewBuffer(
-                    dim if dim is not None else OBJECT_DIM, value.items()
-                )
-            setattr(node, attr, value)
-    # Replay the death record (death order and rounds preserved).
-    for nid in old["_dead"]:
-        del network._alive[nid]
-        network._death_round[nid] = old["_death_round"][nid]
-        network._dead.append(nid)
-        network.table.mark_dead(network.nodes[nid]._row, old["_death_round"][nid])
-    network._alive_cache = None
-    sim.network = network
-    sim._detected_key = None
-    sim._detected_rows_key = None
 
 
 # -- state fingerprinting ---------------------------------------------------

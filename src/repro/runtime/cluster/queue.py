@@ -11,7 +11,7 @@ supported:
   ``O_CREAT|O_EXCL`` file (exactly one claimant can create it), a
   heartbeat is an ``utime`` on that file, completion is an exclusive
   ``done/`` marker, and results are appended to per-worker JSONL shards
-  (single-``write()`` ``O_APPEND`` lines via the result-store code).
+  (durable :class:`~repro.runtime.store.ResultStore` appends).
 * :class:`SqliteWorkQueue` — a single SQLite file.  Claims are
   ``BEGIN IMMEDIATE`` transactions; results are rows.
 
@@ -500,9 +500,9 @@ class DirWorkQueue(WorkQueue):
         return True
 
     def _append_shard(self, worker_id: str, record: Dict[str, Any]) -> None:
-        ResultStore(self._dir("shards") / f"{_qid(worker_id)}.jsonl")._append(
-            record
-        )
+        ResultStore(
+            self._dir("shards") / f"{_qid(worker_id)}.jsonl"
+        ).append_record(record)
 
     def claim(self, worker_id, now=None):
         now = time.time() if now is None else now

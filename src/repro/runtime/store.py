@@ -18,14 +18,14 @@ sweeps back through :meth:`ResultStore.cells` /
 :func:`repro.analysis.stats.mean_ci_over_cells` /
 :func:`repro.viz.tables.format_store_cells`.
 
-Writes are crash- and concurrency-safe at record granularity: every
-record goes out as one ``write()`` on an ``O_APPEND`` descriptor, so
-concurrent writers (several cluster workers sharing one shard file, or
-a reader racing an appender) interleave whole lines, never bytes.  A
-torn trailing line — a writer killed mid-``write`` — is skipped with a
-warning on read instead of poisoning the whole store; corruption
-*before* the tail (which a torn append cannot produce) still raises
-:class:`~repro.errors.StoreError`.
+Writes and reads go through :mod:`repro.obs.stream` — the one JSONL
+stream layer — in its durable/strict mode: every record is one atomic
+append that raises on failure (concurrent writers — several cluster
+workers sharing one shard file, a reader racing an appender —
+interleave whole lines, never bytes), a torn trailing line — a writer
+killed mid-``write`` — is skipped with a warning on read instead of
+poisoning the whole store, and corruption *before* the tail (which a
+torn append cannot produce) raises :class:`~repro.errors.StoreError`.
 """
 
 from __future__ import annotations
@@ -36,13 +36,12 @@ import json
 import os
 import subprocess
 import time
-import warnings
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 from ..errors import StoreError
 from ..experiments.scenario import ScenarioConfig, ScenarioResult
-from ..obs import log as obs_log
+from ..obs import stream
 
 STORE_FORMAT = 1
 
@@ -240,18 +239,7 @@ class ResultStore:
     # -- writing ---------------------------------------------------------
 
     def _append(self, record: Dict[str, Any]) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        data = (line + "\n").encode("utf8")
-        # One write() on an O_APPEND descriptor: concurrent appenders
-        # (cluster workers sharing a shard, a merge racing a straggler)
-        # interleave whole records, and a crash can tear at most the
-        # final line — which records() skips on read.
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, data)
-        finally:
-            os.close(fd)
+        stream.append(self.path, [stream.encode(record)])
 
     def append_record(self, record: Dict[str, Any]) -> None:
         """Append one pre-built record (merge path: fold a shard cell
@@ -328,39 +316,9 @@ class ResultStore:
         """
         if not self.path.exists():
             return
-        # Streamed with a one-line holdback: an undecodable line is only
-        # a torn append if nothing follows it, so decide when the next
-        # non-blank line (or EOF) arrives instead of buffering the file.
-        bad: Optional[int] = None
-        bad_error: Optional[json.JSONDecodeError] = None
-        with self.path.open("r", encoding="utf8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if bad is not None:
-                    raise StoreError(
-                        f"corrupt record at {self.path}:{bad}: {bad_error}"
-                    ) from bad_error
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    bad, bad_error = lineno, exc
-                    continue
-                if kind is None or record.get("kind") == kind:
-                    yield record
-        if bad is not None:
-            warnings.warn(
-                f"skipping torn trailing record at {self.path}:{bad} "
-                "(interrupted write?)",
-                stacklevel=2,
-            )
-            obs_log.warning(
-                "store.torn_record",
-                path=str(self.path),
-                line=bad,
-                error=str(bad_error),
-            )
+        for record in stream.read(self.path, strict=True):
+            if kind is None or record.get("kind") == kind:
+                yield record
 
     def runs(self) -> List[Dict[str, Any]]:
         """All run headers, oldest first."""
@@ -472,26 +430,17 @@ class ResultStore:
         if not self.path.exists():
             problem(f"store file does not exist: {self.path}")
             return report
-        with self.path.open("r", encoding="utf8") as fh:
-            lines = [
-                (lineno, line.strip())
-                for lineno, line in enumerate(fh, start=1)
-                if line.strip()
-            ]
         run_ids = set()
         seen_cells: set = set()
-        for index, (lineno, line) in enumerate(lines):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if index == len(lines) - 1:
-                    report["torn_tail"] = True
-                    problem(
-                        f"line {lineno}: torn trailing record ({exc})",
-                        fatal=False,
-                    )
-                else:
-                    problem(f"line {lineno}: corrupt record mid-file ({exc})")
+        # A bad line is a torn tail only if nothing follows it: hold it
+        # back until the next line (or EOF) decides, as records() does.
+        bad: Optional[tuple] = None
+        for lineno, record, exc in stream.scan(self.path):
+            if bad is not None:
+                problem("line %d: corrupt record mid-file (%s)" % bad)
+                bad = None
+            if record is None:
+                bad = (lineno, exc)
                 continue
             kind = record.get("kind")
             if kind == "run":
@@ -542,6 +491,9 @@ class ResultStore:
                 seen_cells.add(key)
             else:
                 problem(f"line {lineno}: unknown record kind {kind!r}")
+        if bad is not None:
+            report["torn_tail"] = True
+            problem("line %d: torn trailing record (%s)" % bad, fatal=False)
         return report
 
     def series_of(self, field: str, run_id: Optional[str] = None, **config_filters: Any) -> List[float]:

@@ -68,7 +68,6 @@ def _build_numpy() -> KernelBackend:
 
     return KernelBackend(
         "numpy",
-        dedup_rank_truncate=kernels.dedup_rank_truncate_numpy,
         dedup_priority_truncate=kernels.dedup_priority_truncate_numpy,
         merge_rank_truncate=kernels.merge_rank_truncate_numpy,
         row_rank_sq=kernels.row_rank_sq_numpy,

@@ -144,39 +144,7 @@ def radix_argsort(a: np.ndarray) -> np.ndarray:
     return np.argsort(a, kind="stable")
 
 
-def group_pairs_order(recv: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Permutation sorting ``(recv, id)`` pairs lexicographically with
-    ties in input order — two radix passes, no composite-key sort."""
-    order = radix_argsort(ids)
-    return order[radix_argsort(recv[order])]
-
-
-@timed("kernel.pairs_member")
-def pairs_member(
-    q_rows: np.ndarray,
-    q_ids: np.ndarray,
-    s_rows: np.ndarray,
-    s_ids: np.ndarray,
-) -> np.ndarray:
-    """Membership of query ``(row, id)`` pairs in a set of pairs.
-
-    Encodes each pair as ``row * stride + id`` (both are small
-    non-negative ints, so the composite stays well inside int64) and
-    binary-searches the sorted set keys.
-    """
-    out = np.zeros(len(q_rows), dtype=bool)
-    if len(s_rows) == 0 or len(q_rows) == 0:
-        return out
-    stride = int(max(q_ids.max(initial=0), s_ids.max(initial=0))) + 1
-    s_keys = np.sort(s_rows.astype(np.int64) * stride + s_ids)
-    q_keys = q_rows.astype(np.int64) * stride + q_ids
-    pos = np.searchsorted(s_keys, q_keys)
-    inside = pos < len(s_keys)
-    out[inside] = s_keys[pos[inside]] == q_keys[inside]
-    return out
-
-
-# -- dedup_rank_truncate -------------------------------------------------
+# -- dedup_rank_truncate (reference only) --------------------------------
 
 
 def _empty_rank_result(ages):
@@ -213,86 +181,6 @@ def dedup_rank_truncate_reference(
     if ages is None:
         return sel, slot
     return sel, slot, ages[sel]
-
-
-def dedup_rank_truncate_numpy(
-    recv: np.ndarray,
-    ids: np.ndarray,
-    dist_of,
-    cap: int,
-    ages: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, ...]:
-    """Bucketed implementation: radix-group by ``(recv, id)``, keep the
-    last copy per pair, then rank each receiver bucket in a padded
-    ``(buckets, max_bucket)`` matrix with one ``axis=1`` sort."""
-    if len(recv) == 0:
-        return _empty_rank_result(ages)
-    order = group_pairs_order(recv, ids)
-    r_s = recv[order]
-    i_s = ids[order]
-    last = np.ones(len(order), dtype=bool)
-    last[:-1] = (r_s[1:] != r_s[:-1]) | (i_s[1:] != i_s[:-1])
-    kept = order[last]  # sorted by (recv, id), freshest copy per pair
-    dist = np.asarray(dist_of(kept), dtype=float)
-    rrecv = recv[kept]
-
-    # Bucket layout: rrecv is group-sorted, so runs are segments.
-    starts = np.ones(len(kept), dtype=bool)
-    starts[1:] = rrecv[1:] != rrecv[:-1]
-    counts = np.diff(np.append(np.flatnonzero(starts), len(kept)))
-    n_buckets = len(counts)
-    width = int(counts.max())
-    poscol = cumcount(rrecv)
-    srow = np.repeat(np.arange(n_buckets, dtype=np.int64), counts)
-    dist_pad = np.full((n_buckets, width), np.inf)
-    dist_pad[srow, poscol] = dist
-    idx_pad = np.zeros((n_buckets, width), dtype=np.int64)
-    idx_pad[srow, poscol] = np.arange(len(kept), dtype=np.int64)
-    if _mem.ENABLED:
-        _mem.scratch(
-            "kernel_pads",
-            "dedup_rank_truncate.pad",
-            dist_pad.nbytes + idx_pad.nbytes,
-        )
-    # Stable sort on the padded distances: equal distances keep their
-    # column order, and columns are id-sorted — the id tie-break.
-    order2 = np.argsort(dist_pad, axis=1, kind="stable")
-    k = min(cap, width)
-    top = order2[:, :k]
-    fit = np.arange(k) < np.minimum(counts, cap)[:, None]
-    sel = kept[take_rows(idx_pad, top)[fit]]
-    slot = np.broadcast_to(np.arange(k, dtype=np.int64), (n_buckets, k))[fit]
-    if ages is None:
-        return sel, slot
-    return sel, slot, ages[sel]
-
-
-@timed("kernel.dedup_rank_truncate")
-def dedup_rank_truncate(
-    recv: np.ndarray,
-    ids: np.ndarray,
-    dist_of,
-    cap: int,
-    ages: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, ...]:
-    """Distance-ranked merge: dedup per ``(recv, id)`` keeping the
-    *last* occurrence (callers append entries in increasing freshness
-    order — existing view first, then messages in arrival order — so
-    the last copy of a descriptor is the freshest), rank each receiver
-    group by ``dist_of(kept_indices)`` with id tie-break, and keep the
-    ``cap`` closest per receiver.
-
-    ``dist_of`` is called once with the indices (into the flat input)
-    that survive dedup and must return their rank distances — deferring
-    the distance computation until after dedup keeps the kernel cheap.
-
-    Returns ``(sel, slot)`` (+ ``ages[sel]`` when given): ``sel`` are
-    flat input indices of the surviving entries and ``slot`` their
-    rank position within their receiver's view.
-    """
-    return _backend.active_backend().dedup_rank_truncate(
-        recv, ids, dist_of, cap, ages
-    )
 
 
 # -- dedup_priority_truncate ---------------------------------------------
@@ -501,7 +389,7 @@ def merge_rank_truncate(
     ages_pad: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, ...]:
     """The topology merge in fused padded form — the bucketed successor
-    of routing every merge through a flat :func:`dedup_rank_truncate`.
+    of the flat pipeline :func:`dedup_rank_truncate_reference` keeps.
 
     ``ids_pad``/``coords_pad`` are ``(rows, width)`` padded blocks whose
     columns hold each receiver's existing view entries first and the

@@ -31,7 +31,7 @@ def obs_clean():
     obs._RUN_DIR = None
     obs.series.set_enabled(False)
     obs.series.set_series_path(None)
-    obs.series._BUFFER.clear()
+    obs.series._STREAM.clear()
     obs.series.reset_cell()
     obs.mem.set_enabled(False)
     obs.mem.reset()
@@ -184,6 +184,8 @@ class TestReaders:
         data = json.loads((tmp_path / "profile.json").read_text())
         assert data["kind"] == "profile"
         assert data["peak_rss_bytes"] > 0
+        assert data["peak_tracked_bytes"] == obs.mem.total_peak()
+        assert "peak_array_bytes" not in data
         assert isinstance(data["hot_functions"], list)
 
     def test_load_metrics_records_raises_when_nothing_found(self, tmp_path):

@@ -30,11 +30,11 @@ def obs_clean():
     obs._RUN_DIR = None
     obs_trace.set_enabled(False)
     obs_trace.set_spans_path(None)
-    obs_trace._BUFFER.clear()
+    obs_trace._STREAM.clear()
     obs_trace._CTX.set(None)
     obs_series.set_enabled(False)
     obs_series.set_series_path(None)
-    obs_series._BUFFER.clear()
+    obs_series._STREAM.clear()
     obs_series.reset_cell()
     obs_mem.set_enabled(False)
     obs_mem.reset()
@@ -267,7 +267,8 @@ class TestTimedDecorator:
 
         assert core_split.split_basic.__obs_timed__ == "kernel.split.basic"
         assert (
-            batch_kernels.pairs_member.__obs_timed__ == "kernel.pairs_member"
+            batch_kernels.merge_rank_truncate.__obs_timed__
+            == "kernel.merge_rank_truncate"
         )
 
 

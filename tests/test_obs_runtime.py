@@ -36,11 +36,11 @@ def obs_clean():
     obs._RUN_DIR = None
     obs_trace.set_enabled(False)
     obs_trace.set_spans_path(None)
-    obs_trace._BUFFER.clear()
+    obs_trace._STREAM.clear()
     obs_trace._CTX.set(None)
     obs_series.set_enabled(False)
     obs_series.set_series_path(None)
-    obs_series._BUFFER.clear()
+    obs_series._STREAM.clear()
     obs_series.reset_cell()
     obs_mem.set_enabled(False)
     obs_mem.reset()
@@ -78,8 +78,8 @@ class TestTrajectoryInvariance:
     @pytest.mark.parametrize("engine", ["event", "batch"])
     def test_state_digest_identical_with_obs_enabled(self, tmp_path, engine):
         """Instrumentation is read-only: enabling metrics + debug
-        logging + profiling (ArraySampler attached) must leave the
-        trajectory bit-identical in both engines."""
+        logging + profiling must leave the trajectory bit-identical in
+        both engines."""
         config = tiny_config(engine=engine)
         plain = run_digest(config)
         obs.configure(

@@ -53,11 +53,11 @@ def obs_clean():
     obs._RUN_DIR = None
     obs_trace.set_enabled(False)
     obs_trace.set_spans_path(None)
-    obs_trace._BUFFER.clear()
+    obs_trace._STREAM.clear()
     obs_trace._CTX.set(None)
     obs_series.set_enabled(False)
     obs_series.set_series_path(None)
-    obs_series._BUFFER.clear()
+    obs_series._STREAM.clear()
     obs_series.reset_cell()
     obs_series.set_probe_every(10)
     obs_mem.set_enabled(False)
@@ -212,24 +212,26 @@ class TestMemLedger:
 
     def test_ledger_scratch_within_tracemalloc_envelope(self):
         """The padded-kernel scratch accounting agrees with what the
-        allocator actually hands out: for a synthetic dedup workload the
+        allocator actually hands out: for a synthetic merge block the
         ledger's tracked scratch bytes are a lower bound on (and within
-        2x of) tracemalloc's peak for the call."""
+        4x of) tracemalloc's peak for the call."""
         from repro.sim.batch import kernels
+        from repro.spaces.torus import FlatTorus
 
         rng = np.random.default_rng(0)
-        n_recv, per, cap = 64, 120, 40
-        total = n_recv * per
-        recv = np.repeat(np.arange(n_recv, dtype=np.int64), per)
-        ids = rng.integers(0, n_recv, total).astype(np.int64)
-        ages = rng.integers(0, 50, total).astype(np.int64)
-        dists = rng.random(total)
+        n_rows, width, cap = 64, 120, 40
+        space = FlatTorus(16.0, 8.0)
+        pos = rng.integers(0, 8, (n_rows, 2)).astype(float)
+        ids = rng.integers(0, n_rows, (n_rows, width)).astype(np.int64)
+        coords = rng.integers(0, 8, (n_rows, width, 2)).astype(float)
+        ages = rng.integers(0, 50, (n_rows, width)).astype(np.int64)
+        valid = np.ones((n_rows, width), dtype=bool)
         obs_mem.set_enabled(True)
         obs_mem.reset()
         tracemalloc.start()
         try:
-            kernels.dedup_rank_truncate_numpy(
-                recv, ids, lambda kept: dists[kept], cap, ages
+            kernels.merge_rank_truncate_numpy(
+                space, pos, ids, coords, valid, cap, n_rows, ages
             )
             _, tm_peak = tracemalloc.get_traced_memory()
         finally:
@@ -444,7 +446,7 @@ class TestWatch:
         obs_series.set_series_path(path)
 
         def write_round(rnd):
-            obs_series._append_record(
+            obs_series._STREAM.add(
                 {
                     "kind": "series",
                     "ctx": {"task_id": "w"},

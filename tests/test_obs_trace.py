@@ -38,11 +38,11 @@ def _reset_obs() -> None:
     obs._RUN_DIR = None
     obs_trace.set_enabled(False)
     obs_trace.set_spans_path(None)
-    obs_trace._BUFFER.clear()
+    obs_trace._STREAM.clear()
     obs_trace._CTX.set(None)
     obs_series.set_enabled(False)
     obs_series.set_series_path(None)
-    obs_series._BUFFER.clear()
+    obs_series._STREAM.clear()
     obs_series.reset_cell()
     obs_mem.set_enabled(False)
     obs_mem.reset()

@@ -279,21 +279,16 @@ from repro.sim.batch import kernels as batch_kernels
 BACKENDS = kernel_backend.available_backends()
 
 
-def flat_loads(allow_ties=True, single_receiver=False, duplicate_ids=False):
-    """Strategy for flat (recv, ids, dists, ages) merge loads, biased
+def flat_loads(single_receiver=False, duplicate_ids=False):
+    """Strategy for flat (recv, ids, ages, prio) merge loads, biased
     toward the degenerate shapes: empty loads, one receiver bucket,
-    heavily duplicated ids, tied distances."""
+    heavily duplicated ids."""
     n_recv = st.just(1) if single_receiver else st.integers(1, 6)
     id_pool = st.just(7) if duplicate_ids else st.integers(0, 9)
-    dist = (
-        st.sampled_from([0.0, 1.0, 2.0, 2.0, 5.0])
-        if allow_ties
-        else st.floats(0.0, 100.0, allow_nan=False)
-    )
     return st.tuples(
         n_recv,
         st.lists(
-            st.tuples(id_pool, dist, st.integers(0, 50), st.integers(0, 2)),
+            st.tuples(id_pool, st.integers(0, 50), st.integers(0, 2)),
             min_size=0,
             max_size=60,
         ),
@@ -310,10 +305,9 @@ def _unpack_load(draw_pair, data):
         recv = sorted(recv)
     recv = np.asarray(recv, dtype=np.int64)
     ids = np.asarray([r[0] for r in rows], dtype=np.int64)
-    dists = np.asarray([r[1] for r in rows], dtype=float)
-    ages = np.asarray([r[2] for r in rows], dtype=np.int64)
-    prio = np.asarray([r[3] for r in rows], dtype=np.int64)
-    return recv, ids, dists, ages, prio
+    ages = np.asarray([r[1] for r in rows], dtype=np.int64)
+    prio = np.asarray([r[2] for r in rows], dtype=np.int64)
+    return recv, ids, ages, prio
 
 
 def test_numba_backend_gated_not_installed_means_numpy():
@@ -331,45 +325,13 @@ def test_numba_backend_gated_not_installed_means_numpy():
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "shape",
-    [
-        dict(),
-        dict(single_receiver=True),
-        dict(duplicate_ids=True),
-        dict(allow_ties=False),
-    ],
-    ids=("mixed", "single-receiver", "all-duplicate-ids", "no-ties"),
-)
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_dedup_rank_truncate_matches_reference(backend, shape, data):
-    recv, ids, dists, ages, _ = _unpack_load(
-        data.draw(flat_loads(**shape)), data
-    )
-    cap = data.draw(st.integers(1, 8))
-
-    def dist_of(kept):
-        return dists[kept]
-
-    want = batch_kernels.dedup_rank_truncate_reference(
-        recv, ids, dist_of, cap, ages
-    )
-    with kernel_backend.use_backend(backend):
-        got = batch_kernels.dedup_rank_truncate(recv, ids, dist_of, cap, ages)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize(
-    "shape",
     [dict(), dict(single_receiver=True), dict(duplicate_ids=True)],
     ids=("mixed", "single-receiver", "all-duplicate-ids"),
 )
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_dedup_priority_truncate_matches_reference(backend, shape, data):
-    recv, ids, _, ages, prio = _unpack_load(
+    recv, ids, ages, prio = _unpack_load(
         data.draw(flat_loads(**shape)), data
     )
     order_in = np.arange(len(recv), dtype=np.int64)
@@ -640,30 +602,10 @@ def test_dedup_kernels_empty_load(backend):
     every backend."""
     empty = np.zeros(0, dtype=np.int64)
     with kernel_backend.use_backend(backend):
-        sel, slot = batch_kernels.dedup_rank_truncate(
-            empty, empty, lambda kept: np.zeros(0), 4
-        )
-        assert len(sel) == 0 and len(slot) == 0
         sel, slot, age = batch_kernels.dedup_priority_truncate(
             empty, empty, empty, empty, empty, 4
         )
         assert len(sel) == 0 and len(slot) == 0 and len(age) == 0
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_dedup_rank_truncate_tie_break_is_id_order(backend):
-    """Equal distances rank by ascending id — the contract the golden
-    digests depend on, checked against a hand-built load."""
-    recv = np.zeros(4, dtype=np.int64)
-    ids = np.asarray([9, 3, 7, 5], dtype=np.int64)
-
-    def dist_of(kept):
-        return np.ones(len(kept), dtype=float)
-
-    with kernel_backend.use_backend(backend):
-        sel, slot = batch_kernels.dedup_rank_truncate(recv, ids, dist_of, 3)
-    assert ids[sel].tolist() == [3, 5, 7]
-    assert slot.tolist() == [0, 1, 2]
 
 
 @given(data=st.data())

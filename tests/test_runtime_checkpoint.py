@@ -268,61 +268,25 @@ class TestDigest:
 
 
 class TestLegacyFormatUpgrade:
-    """Format-1 (pre-array) checkpoints still load and run identically.
+    """The format-1 upgrader is retired: only ``CHECKPOINT_FORMAT``
+    loads, and every other format number is rejected by name."""
 
-    ``tests/fixtures/checkpoint_v1.ckpt`` was written by the per-node
-    object layout (format 1) before the struct-of-arrays refactor;
-    ``checkpoint_v1.json`` records the digests the original code
-    computed for the saved state and for a 3-round continuation.
-    """
-
-    import json as _json
-    from pathlib import Path as _Path
-
-    FIXTURE_DIR = _Path(__file__).parent / "fixtures"
-
-    def _load_meta(self):
-        import json
-
-        return json.loads(
-            (self.FIXTURE_DIR / "checkpoint_v1.json").read_text(encoding="utf8")
+    def test_format_1_rejected_naming_the_format(self, tmp_path):
+        sim, *_ = prepare_scenario(small_config())
+        ck = checkpoint.SimulationCheckpoint(
+            format=1,
+            round=sim.round,
+            seed=sim.seed,
+            n_alive=sim.network.n_alive,
+            n_total=sim.network.n_total,
+            layer_names=[layer.name for layer in sim.layers],
+            sim=sim,
         )
-
-    def test_v1_fixture_loads_and_digest_matches(self):
-        meta = self._load_meta()
-        ck = checkpoint.load(self.FIXTURE_DIR / "checkpoint_v1.ckpt")
-        assert ck.format == 1
-        assert ck.round == meta["round"]
-        assert ck.layer_names == meta["layers"]
-        sim = checkpoint.restore(ck)
-        # The upgraded simulation is array-backed ...
-        assert sim.network.table.is_vector
-        from repro.sim.arrays import ViewBuffer
-
-        node = sim.network.alive_nodes()[0]
-        assert isinstance(node.tman_view, ViewBuffer)
-        assert isinstance(node.rps_view, dict)
-        # ... and fingerprints exactly as the original code did.
-        assert checkpoint.state_digest(sim) == meta["digest"]
-
-    def test_v1_fixture_runs_identical_trajectory(self):
-        meta = self._load_meta()
-        sim = checkpoint.restore(
-            checkpoint.load(self.FIXTURE_DIR / "checkpoint_v1.ckpt")
-        )
-        sim.run(3)
-        assert checkpoint.state_digest(sim) == meta["digest_plus3"]
-
-    def test_v1_resaves_as_current_format(self, tmp_path):
-        ck = checkpoint.load(self.FIXTURE_DIR / "checkpoint_v1.ckpt")
-        sim = checkpoint.restore(ck)
-        fresh = checkpoint.snapshot(sim)
-        assert fresh.format == checkpoint.CHECKPOINT_FORMAT
-        path = checkpoint.save(fresh, tmp_path / "upgraded.ckpt")
-        again = checkpoint.load(path)
-        assert again.format == checkpoint.CHECKPOINT_FORMAT
-        assert checkpoint.state_digest(checkpoint.restore(again)) == \
-            checkpoint.state_digest(sim)
+        path = checkpoint.save(ck, tmp_path / "v1.ckpt")
+        with pytest.raises(CheckpointError, match="format 1 "):
+            checkpoint.load(path)
+        with pytest.raises(CheckpointError, match="format 1 "):
+            checkpoint.restore(ck)
 
     def test_unknown_future_format_rejected(self, tmp_path):
         config = small_config()
