@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="QUEUE",
         default=None,
         help="shared work queue for --distributed: a directory "
-        "(NFS-style share) or a .db/.sqlite file",
+        "(NFS-style share)",
     )
     sweep.add_argument(
         "--no-join",
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue",
         metavar="QUEUE",
         required=True,
-        help="the shared work queue (directory or .db/.sqlite file)",
+        help="the shared work queue directory",
     )
     worker.add_argument(
         "--max-cells",
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         "or reset cells; merge: fold worker shards into a result store",
     )
     queue.add_argument(
-        "queue", metavar="QUEUE", help="the shared work queue path"
+        "queue", metavar="QUEUE", help="the shared work queue directory"
     )
     queue.add_argument(
         "--task",
@@ -1091,7 +1091,8 @@ def _cmd_queue(args) -> int:
         )
         print(
             f"{status['done']}/{status['total']} done "
-            f"({status['ok']} ok, {status['failed']} failed), "
+            f"({status['ok']} ok, {status['failed']} failed, "
+            f"{status['retried']} retried), "
             f"{status['leased']} leased, {status['pending']} pending; "
             f"lease {status['lease_s']:.0f}s, "
             f"max attempts {status['max_attempts']}"

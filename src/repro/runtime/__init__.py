@@ -18,11 +18,10 @@ subsystem is the machinery that runs such grids at production scale:
   (:class:`CheckpointCache`) and forked into every ablation variant,
   with byte-identical results to cold-start sweeps;
 * :mod:`repro.runtime.cluster` — distributed sweeps: a lease-based
-  :class:`~repro.runtime.cluster.WorkQueue` over a shared directory or
-  SQLite file, a coordinator that publishes prefix checkpoints for
-  workers to fetch by digest, worker daemons with heartbeats and
-  bounded retries, and shard merging that is byte-identical to a
-  serial run;
+  :class:`~repro.runtime.cluster.WorkQueue` over a shared directory,
+  a coordinator that publishes prefix checkpoints for workers to fetch
+  by digest, worker daemons with heartbeats and bounded retries, and
+  shard merging that is byte-identical to a serial run;
 * :mod:`repro.runtime.dispatch` — :func:`execute_scenarios`, the one
   front door choosing serial / process-pool / fork / distributed
   execution.
@@ -75,8 +74,6 @@ from .store import (
 )
 from .cluster import (
     Coordinator,
-    DirWorkQueue,
-    SqliteWorkQueue,
     TaskSpec,
     Worker,
     WorkQueue,
@@ -123,8 +120,6 @@ __all__ = [
     "summary_digest",
     # cluster
     "WorkQueue",
-    "DirWorkQueue",
-    "SqliteWorkQueue",
     "TaskSpec",
     "Worker",
     "Coordinator",

@@ -1,7 +1,7 @@
 """repro.runtime.cluster — distributed sweep execution.
 
 A sweep grid drained by many worker processes/machines that share
-nothing but a queue — a directory (NFS-style) or a SQLite file:
+nothing but a queue directory (an NFS-style share):
 
 * :mod:`~repro.runtime.cluster.queue` — :class:`WorkQueue` with atomic
   lease-based claims, heartbeats, lease expiry, and bounded retries
@@ -30,9 +30,7 @@ from .merge import MergeReport, diff_stores, merge_queue, merged_records
 from .queue import (
     DEFAULT_LEASE_S,
     DEFAULT_MAX_ATTEMPTS,
-    DirWorkQueue,
     Lease,
-    SqliteWorkQueue,
     TaskSpec,
     WorkQueue,
     open_queue,
@@ -42,8 +40,6 @@ from .worker import Worker, WorkerStats, default_worker_id, run_worker
 __all__ = [
     # queue
     "WorkQueue",
-    "DirWorkQueue",
-    "SqliteWorkQueue",
     "TaskSpec",
     "Lease",
     "open_queue",

@@ -37,7 +37,7 @@ from ...obs import trace as obs_trace
 from ..forksweep import ForkContinuationTask
 from ..runner import SweepTask, _execute_task
 from ..store import cell_record
-from .queue import Lease, TaskSpec, WorkQueue, open_queue
+from .queue import DEFAULT_LEASE_S, Lease, TaskSpec, WorkQueue, open_queue
 
 LogFn = Callable[[str], None]
 
@@ -163,7 +163,8 @@ class Worker:
         spec = lease.task
         task = task_from_spec(spec, str(self.queue.cache_root()))
         manifest = self.queue.manifest() or {}
-        interval = max(0.05, float(manifest.get("lease_s", 60.0)) / 4.0)
+        lease_s = float(manifest.get("lease_s", DEFAULT_LEASE_S))
+        interval = max(0.05, lease_s / 4.0)
         hb_stop = threading.Event()
         hb = threading.Thread(
             target=self._heartbeat_loop,

@@ -180,6 +180,13 @@ class TestCheckpointGcProtection:
 
 
 class TestQueueDiagnostics:
+    def test_status_on_a_regular_file_is_a_clean_error(self, tmp_path, capsys):
+        stale = tmp_path / "grid.sqlite"
+        stale.write_bytes(b"SQLite format 3\0")
+        assert main(["queue", "status", str(stale)]) == 1
+        err = capsys.readouterr().err
+        assert str(stale) in err and "directories" in err
+
     def test_status_unpublished_queue(self, tmp_path, capsys):
         assert main(["queue", "status", str(tmp_path / "q")]) == 1
         assert "no published grid" in capsys.readouterr().out

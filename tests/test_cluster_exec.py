@@ -120,16 +120,6 @@ class TestDistributedEqualsSerial:
             for record in merged.cells(run_id=report.run_id)
         )
 
-    def test_sqlite_queue_equivalent_too(self, tmp_path):
-        tasks = ablation_grid()
-        serial = serial_store(tmp_path, tasks)
-        queue = open_queue(tmp_path / "q.sqlite")
-        Coordinator(queue, workers=1).publish(tasks, lease_s=60)
-        drain_with(queue, "w1", "w2", max_cells=2)
-        merged = ResultStore(tmp_path / "merged.jsonl")
-        merge_queue(queue, merged)
-        assert diff_stores(serial, merged, run_a="serial") == []
-
     def test_merge_is_idempotent(self, tmp_path):
         tasks = ablation_grid()
         queue = open_queue(tmp_path / "q")

@@ -1,25 +1,28 @@
-"""Work-queue primitives: publish/join, atomic claims, leases, retries.
-
-Parametrized over both backends (shared directory, SQLite file) — the
-protocol is identical; only the medium differs.
+"""Work-queue primitives: publish/join, atomic claims, leases, retries,
+and the one-scan lease state table they all read.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import socket
 import time
+from urllib.parse import quote
 
 import pytest
 
 from repro.errors import ClusterError
 from repro.experiments.scenario import ScenarioConfig
-from repro.runtime.cluster import (
-    DirWorkQueue,
-    SqliteWorkQueue,
-    TaskSpec,
-    open_queue,
-)
+from repro.runtime.cluster import TaskSpec, WorkQueue, open_queue
+from repro.runtime.cluster.queue import _atomic_write
+from repro.runtime.cluster.merge import merged_records
 from repro.runtime.runner import grid_tasks
-from repro.runtime.store import config_hash
+from repro.runtime.store import cell_record, config_hash
+
+#: A fixed "now": lease ages in the ``now=``-driven tests are exact and
+#: nothing sleeps.
+T0 = 1_000_000.0
 
 
 def tiny_config(**overrides) -> ScenarioConfig:
@@ -43,22 +46,163 @@ def specs(n=3, **overrides):
     ]
 
 
-@pytest.fixture(params=["dir", "sqlite"])
-def queue(request, tmp_path):
-    if request.param == "dir":
-        return open_queue(tmp_path / "queue")
-    return open_queue(tmp_path / "queue.sqlite")
+# One medium; the param keeps the historical ``[dir]`` test ids.
+@pytest.fixture(params=["dir"])
+def queue(tmp_path):
+    return open_queue(tmp_path / "queue")
 
 
 class TestOpenQueue:
-    def test_suffix_selects_backend(self, tmp_path):
-        assert isinstance(open_queue(tmp_path / "q"), DirWorkQueue)
-        assert isinstance(open_queue(tmp_path / "q.db"), SqliteWorkQueue)
-        assert isinstance(open_queue(tmp_path / "q.sqlite"), SqliteWorkQueue)
-
     def test_open_queue_passes_through_instances(self, tmp_path):
         q = open_queue(tmp_path / "q")
         assert open_queue(q) is q
+
+    def test_open_queue_rejects_regular_file(self, tmp_path):
+        """A ``grid.sqlite`` left by an older run is not a queue."""
+        stale = tmp_path / "grid.sqlite"
+        stale.write_bytes(b"SQLite format 3\0")
+        with pytest.raises(ClusterError, match="directories") as info:
+            open_queue(stale)
+        assert str(stale) in str(info.value)
+
+
+def ok_record(lease, run_id="run-1"):
+    return cell_record(
+        run_id,
+        lease.task.task_id,
+        lease.task.config,
+        status="ok",
+        worker=lease.worker_id,
+    )
+
+
+class TestAtomicWrite:
+    def test_same_pid_writers_on_two_hosts_do_not_collide(
+        self, tmp_path, monkeypatch
+    ):
+        """Two machines sharing the directory, both pid 7: writer B's
+        whole write lands between A's temp write and A's rename.  With
+        a pid-only temp name B renames A's temp file away and A's
+        ``replace`` raises ``FileNotFoundError``."""
+        target = tmp_path / "spec.json"
+        hosts = iter(["host-a", "host-b"])
+        monkeypatch.setattr(os, "getpid", lambda: 7)
+        monkeypatch.setattr(socket, "gethostname", lambda: next(hosts))
+        real_replace = os.replace
+
+        def replace_with_b_in_the_window(src, dst):
+            monkeypatch.setattr(os, "replace", real_replace)
+            _atomic_write(target, b"B")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_with_b_in_the_window)
+        _atomic_write(target, b"A")
+        assert target.read_bytes() == b"A"  # last rename wins, whole
+        assert os.listdir(tmp_path) == ["spec.json"]  # no temp debris
+
+
+class TestScan:
+    def test_state_table(self, tmp_path):
+        """Every row of the lease state table, read by the one scan and
+        by each fold over it (has_claimable, status, claim)."""
+        queue = open_queue(tmp_path / "q")
+        t2, t3, t4, t5, t6 = (s.task_id for s in specs(5))
+        queue.publish(specs(5), run_id="run-1", lease_s=10, max_attempts=2)
+        foreign = TaskSpec(task_id="foreign", config=tiny_config(seed=99))
+        (tmp_path / "q" / "tasks" / "foreign.json").write_text(
+            json.dumps(foreign.to_dict())
+        )
+        l2, l3, l4, l5 = (queue.claim("w", now=T0) for _ in range(4))
+        assert [l.task.task_id for l in (l2, l3, l4, l5)] == [t2, t3, t4, t5]
+        assert queue.complete(l5, ok_record(l5))
+        # t2 and t3 stay alive past the first expiry, t4 is re-offered.
+        assert queue.heartbeat(l2, now=T0 + 11)
+        assert queue.heartbeat(l3, now=T0 + 11)
+        l4b = queue.claim("w", now=T0 + 11)
+        assert (l4b.task.task_id, l4b.attempt) == (t4, 2)
+        assert queue.heartbeat(l2, now=T0 + 20)
+
+        now = T0 + 22
+        rows = {c.task_id: c for c in queue._scan(now)}
+        assert {tid: (c.state, c.attempt) for tid, c in rows.items()} == {
+            t2: ("leased", 1),
+            t3: ("expired", 1),
+            t4: ("exhausted", 2),
+            t5: ("done", 1),
+            t6: ("pending", 0),
+        }
+        assert rows[t2].age == 2.0 and rows[t3].age == 11.0
+        assert queue.has_claimable(now)
+        status = queue.status(now)
+        assert (status["done"], status["ok"], status["failed"]) == (1, 1, 0)
+        assert status["leases"] == {
+            t2: {"worker": "w", "attempt": 1, "age_s": 2.0}
+        }
+        assert status["pending"] == 3 and status["retried"] == 1
+
+        # claim takes the first claimable row in order: the expired t3,
+        # then retires the exhausted t4 on its way to the pending t6.
+        retry = queue.claim("w2", now=now)
+        assert (retry.task.task_id, retry.attempt) == (t3, 2)
+        fresh = queue.claim("w2", now=now)
+        assert (fresh.task.task_id, fresh.attempt) == (t6, 1)
+        assert queue.claim("w2", now=now) is None
+        assert not queue.has_claimable(now)
+        status = queue.status(now)
+        assert (status["done"], status["failed"]) == (2, 1)
+        assert status["leased"] == 3 and status["pending"] == 0
+        assert "foreign" not in {c.task_id for c in queue._scan(now)}
+
+    def test_parent_layout_queue_drains_under_this_code(self, tmp_path):
+        """QUEUE_FORMAT 1 as the previous release wrote it, built from
+        plain files: an indented manifest, one spec per cell, one cell
+        already finished, one holding a dead worker's expired claim."""
+        root = tmp_path / "q"
+        grid = specs(3)
+        for name in ("tasks", "claims", "done", "shards", "payloads", "workers"):
+            (root / name).mkdir(parents=True)
+        for spec in grid:
+            (root / "tasks" / f"{quote(spec.task_id, safe='')}.json").write_text(
+                json.dumps(spec.to_dict(), sort_keys=True)
+            )
+        manifest = {
+            "format": 1,
+            "run_id": "old-run",
+            "created": "2026-09-01T00:00:00",
+            "metadata": {},
+            "lease_s": 10.0,
+            "max_attempts": 3,
+            "n_tasks": 3,
+            "task_hashes": {s.task_id: config_hash(s.config) for s in grid},
+            "cache_root": None,
+            "trace": None,
+        }
+        (root / "manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=1)
+        )
+        first, second, _ = (quote(s.task_id, safe="") for s in grid)
+        finished = cell_record(
+            "old-run", grid[0].task_id, grid[0].config, status="ok", worker="old"
+        )
+        (root / "shards" / "old.jsonl").write_text(json.dumps(finished) + "\n")
+        (root / "done" / f"{first}.json").write_text(
+            json.dumps({"status": "ok", "worker": "old", "attempt": 1})
+        )
+        dead = root / "claims" / f"{second}@1"
+        dead.write_text(json.dumps({"worker": "old", "claimed_at": T0}))
+        os.utime(dead, (T0, T0))
+
+        queue = open_queue(root)
+        assert queue.publish(grid)["run_id"] == "old-run"  # joins
+        attempts = {}
+        while (lease := queue.claim("new", now=T0 + 60)) is not None:
+            attempts[lease.task.task_id] = lease.attempt
+            assert queue.complete(lease, ok_record(lease, "old-run"))
+        assert attempts == {grid[1].task_id: 2, grid[2].task_id: 1}
+        assert queue.is_complete()
+        assert sorted(r["task_id"] for r in merged_records(queue)) == sorted(
+            s.task_id for s in grid
+        )
 
 
 class TestPublish:
@@ -141,6 +285,34 @@ class TestClaims:
             time.sleep(0.05)
         # Well past the original expiry, the cell is still owned.
         assert queue.claim("thief") is None
+
+    def test_heartbeat_reports_lost_lease(self, queue):
+        """A lease superseded by a newer attempt, or whose cell is done,
+        is lost: ``False``, and the stale claim file is not re-stamped."""
+        queue.publish(specs(2), run_id="run-1", lease_s=10)
+        stale = queue.claim("slow", now=T0)
+        finished = queue.claim("slow", now=T0)
+        newer = queue.claim("next", now=T0 + 11)
+        assert newer.task == stale.task and newer.attempt == 2
+        assert queue.heartbeat(stale, now=T0 + 12) is False
+        stale_claim = queue.path / "claims" / (
+            quote(stale.task.task_id, safe="") + "@1"
+        )
+        assert stale_claim.stat().st_mtime == T0
+        assert queue.heartbeat(newer, now=T0 + 12) is True
+
+        assert queue.complete(finished, ok_record(finished))
+        assert queue.heartbeat(finished, now=T0 + 12) is False
+
+    def test_heartbeat_revives_released_lease(self, queue):
+        """Released but not yet re-claimed: the owner's next heartbeat
+        takes the cell back."""
+        queue.publish(specs(1), lease_s=3600)
+        lease = queue.claim("w")
+        assert queue.release_leases() == 1
+        assert queue.has_claimable()
+        assert queue.heartbeat(lease) is True
+        assert not queue.has_claimable()
 
     def test_exhausted_cell_retired_as_error(self, queue):
         queue.publish(specs(1), lease_s=0.05, max_attempts=2)

@@ -53,6 +53,31 @@ def ablation_grid():
     )
 
 
+def worker_process(queue_path, worker_id, *extra):
+    """A real ``repro worker`` process against ``queue_path``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep * bool(
+        env.get("PYTHONPATH")
+    ) + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro",
+            "worker",
+            "--queue",
+            str(queue_path),
+            "--worker-id",
+            worker_id,
+            *extra,
+        ],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+
+
 class TestLeaseRecovery:
     def test_dead_worker_cell_requeued_and_run_equals_serial(self, tmp_path):
         """A worker claims a cell and dies silently (no heartbeat, no
@@ -116,26 +141,7 @@ class TestLeaseRecovery:
         queue = open_queue(queue_path)
         Coordinator(queue, workers=1).publish(tasks, lease_s=0.5)
 
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + os.pathsep * bool(
-            env.get("PYTHONPATH")
-        ) + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "worker",
-                "--queue",
-                str(queue_path),
-                "--worker-id",
-                "victim",
-            ],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
+        proc = worker_process(queue_path, "victim")
         try:
             # Wait until the victim holds at least one lease...
             deadline = time.time() + 30
@@ -155,6 +161,35 @@ class TestLeaseRecovery:
         Worker(queue, worker_id="survivor", poll_s=0.05).run()
         assert queue.is_complete()
 
+        merged = ResultStore(tmp_path / "merged.jsonl")
+        report = merge_queue(queue, merged)
+        assert not report.missing and report.errors == 0
+        assert diff_stores(serial, merged, run_a="serial") == []
+
+    def test_two_workers_sharing_one_worker_id(self, tmp_path):
+        """ROADMAP 6(b), duplicate worker ids: two concurrent worker
+        processes started with the same ``--worker-id`` append to one
+        shard and rewrite one registration file, and still every cell
+        is claimed once and the merged store equals the serial run."""
+        tasks = ablation_grid()
+        serial = ResultStore(tmp_path / "serial.jsonl")
+        ParallelRunner(workers=1).run(tasks, store=serial, run_id="serial")
+
+        queue_path = tmp_path / "q"
+        queue = open_queue(queue_path)
+        Coordinator(queue, workers=1).publish(tasks, lease_s=60)
+        twins = [
+            worker_process(queue_path, "twin", "--poll", "0.02")
+            for _ in range(2)
+        ]
+        assert [proc.wait(timeout=120) for proc in twins] == [0, 0]
+
+        assert queue.is_complete()
+        assert list(queue.workers_seen()) == ["twin"]
+        records = list(queue.cell_records())
+        assert sorted(r["task_id"] for r in records) == sorted(
+            t.task_id for t in tasks
+        )
         merged = ResultStore(tmp_path / "merged.jsonl")
         report = merge_queue(queue, merged)
         assert not report.missing and report.errors == 0
