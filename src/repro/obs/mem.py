@@ -292,9 +292,8 @@ def write_snapshot(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
                 except (ValueError, TypeError):
                     merged = {}
             merged = merge_snapshot(merged, snap)
-            tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-            tmp.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-            os.replace(tmp, path)
+            text = json.dumps(merged, indent=2, sort_keys=True) + "\n"
+            stream.atomic_write(path, text.encode("utf8"))
             return merged
         finally:
             os.close(fd)

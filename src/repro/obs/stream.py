@@ -20,6 +20,9 @@ and found:
   (:func:`append` — durability).
 * **Where files live** — ``<run>/obs/<name>``: :func:`sink` names it for
   writers, :func:`resolve` finds it for readers.
+
+Whole files that are *replaced* rather than appended to (queue task and
+worker files, checkpoints, ``mem.json``) share :func:`atomic_write`.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import atexit
 import json
 import os
+import socket
 import threading
 import warnings
 from pathlib import Path
@@ -57,6 +61,18 @@ def append(path: PathLike, lines: List[str]) -> int:
     finally:
         os.close(fd)
     return len(lines)
+
+
+def atomic_write(path: PathLike, data: bytes) -> None:
+    """Write-then-rename, so readers never see a partial file.  The temp
+    name carries host *and* pid: machines sharing the directory
+    (containers especially) routinely share low pids."""
+    path = Path(path)
+    tmp = path.with_name(
+        f"{path.name}.{socket.gethostname()}-{os.getpid()}.tmp"
+    )
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
 def try_append(path: PathLike, lines: List[str]) -> int:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import io
-import os
 import pickle
 import types
 from dataclasses import dataclass, field
@@ -32,6 +31,7 @@ from typing import Optional, Union
 from ..errors import CheckpointError
 from ..obs import mem as obs_mem
 from ..obs import metrics as obs_metrics
+from ..obs.stream import atomic_write
 from ..sim.arrays import ViewBuffer
 from ..sim.engine import Simulation
 
@@ -146,14 +146,12 @@ def save(checkpoint: SimulationCheckpoint, path: Union[str, Path]) -> Path:
                 "checkpoint is not picklable (a scheduled event is probably a "
                 f"closure — use the event classes in repro.sim.failures): {exc}"
             ) from exc
-        # Per-process tmp name: two workers publishing the same
-        # content-addressed cache entry concurrently must not truncate each
-        # other's half-written tmp file before the rename.
-        tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
+        # Two workers publishing the same content-addressed cache entry
+        # concurrently must not truncate each other's half-written
+        # temp file before the rename.
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(_MAGIC + blob)
-            tmp.replace(path)
+            atomic_write(path, _MAGIC + blob)
         except OSError as exc:
             raise CheckpointError(
                 f"cannot write checkpoint {path}: {exc}"

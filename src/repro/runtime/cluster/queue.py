@@ -39,7 +39,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import socket
 import time
 import urllib.parse
 from dataclasses import dataclass
@@ -60,6 +59,7 @@ from ...errors import ClusterError
 from ...experiments.scenario import ScenarioConfig
 from ...obs import log as obs_log
 from ...obs import metrics as obs_metrics
+from ...obs.stream import atomic_write
 from ..store import (
     ResultStore,
     cell_record,
@@ -161,17 +161,6 @@ def _read_json(path: Path) -> Dict[str, Any]:
         return json.loads(path.read_text(encoding="utf8"))
     except (OSError, json.JSONDecodeError):
         return {}
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write-then-rename, so readers never see a partial file.  The temp
-    name carries host *and* pid: machines sharing the directory
-    (containers especially) routinely share low pids."""
-    tmp = path.with_name(
-        f"{path.name}.{socket.gethostname()}-{os.getpid()}.tmp"
-    )
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
 
 
 def _create_exclusive(path: Path, content: Dict[str, Any]) -> bool:
@@ -288,7 +277,7 @@ class WorkQueue:
         for name in ("tasks", "claims", "done", "shards", "payloads", "workers"):
             (self.path / name).mkdir(parents=True, exist_ok=True)
         for spec in tasks:
-            _atomic_write(
+            atomic_write(
                 self.path / "tasks" / f"{_qid(spec.task_id)}.json",
                 json.dumps(spec.to_dict(), sort_keys=True).encode("utf8"),
             )
@@ -515,7 +504,7 @@ class WorkQueue:
         record is still in a shard and merge dedupes it)."""
         qid = _qid(lease.task.task_id)
         if payload is not None:
-            _atomic_write(self.path / "payloads" / f"{qid}.pkl", payload)
+            atomic_write(self.path / "payloads" / f"{qid}.pkl", payload)
         # Record first, done marker second: once the marker exists the
         # record is guaranteed readable.  The reverse order could retire
         # a cell whose result was lost with the crashing worker.
@@ -605,7 +594,7 @@ class WorkQueue:
     def register_worker(self, worker_id: str, info: Dict[str, Any]) -> None:
         path = self.path / "workers" / f"{_qid(worker_id)}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(path, json.dumps(info, sort_keys=True).encode("utf8"))
+        atomic_write(path, json.dumps(info, sort_keys=True).encode("utf8"))
 
     # -- reporting -------------------------------------------------------
 

@@ -28,8 +28,9 @@ subsystem relies on.
 
 The module also owns the array core's one scratch budget
 (:data:`_SCRATCH_BYTES`, :func:`block_rows`): every padded kernel — the
-batch topology stages, the metric observers — works a row block of that
-size at a time, so no temporary scales with the network.
+batch peer-sampling and topology stages, the metric observers — works a
+row block of that size at a time, so no temporary scales with the
+network and a batch process's peak footprint is its steady state.
 """
 
 from __future__ import annotations
@@ -51,23 +52,56 @@ _MIN_CAP = 8
 
 #: Scratch budget of one row block: no single temporary of a block —
 #: the int32 last-writer table of the merge kernels, a padded
-#: coordinate block, a lost-point distance block — may exceed it.
-#: Blocks this small are recycled from the heap; whole-network
-#: temporaries (10-60 MB from 3,200 nodes up) are mmapped, or trimmed
-#: back to the OS, on every call and page-faulted in afresh by the next.
+#: coordinate block, a lost-point distance block, a bootstrap key block
+#: — may exceed it.  Blocks this small are recycled from the heap (see
+#: :func:`reserve_scratch`); whole-network temporaries (10-60 MB from
+#: 3,200 nodes up) are mmapped, or trimmed back to the OS, on every
+#: call and page-faulted in afresh by the next.
 _SCRATCH_BYTES = 2 << 20
 
 #: Floor on block rows, bounding the per-block Python overhead where
 #: one row alone nears the budget (paper scale).
 _MIN_BLOCK_ROWS = 64
 
+#: What :func:`reserve_scratch` allocates and frees: room for a round's
+#: live block temporaries (a handful of :data:`_SCRATCH_BYTES` blocks
+#: plus the round's messages at 3,200 nodes).  A quarter of it leaves
+#: the trim threshold below that high-water, so the heap top is given
+#: back and re-faulted every round (133k against 7k minor faults in the
+#: 40 rounds of ``repair-batch-80x40``); twice it is past the 32 MiB
+#: glibc adapts to and changes nothing (138k).
+_SCRATCH_ARENA_BYTES = 8 * _SCRATCH_BYTES
 
-def block_rows(id_stride: int, width: int, dim: int) -> int:
+
+def block_rows(
+    id_stride: int, width: int, dim: int, min_rows: int = _MIN_BLOCK_ROWS
+) -> int:
     """Rows per row block such that neither a ``rows * id_stride``
     int32 last-writer table nor a ``(rows, width, dim)`` float pad
-    outgrows :data:`_SCRATCH_BYTES`."""
+    outgrows :data:`_SCRATCH_BYTES`.  ``min_rows`` is 1 where one row
+    is itself network-sized work (the bootstrap oracle), so a block's
+    fixed cost needs no further rows to amortise it."""
     row_bytes = max(4 * id_stride, 8 * dim * width, 1)
-    return max(_MIN_BLOCK_ROWS, _SCRATCH_BYTES // row_bytes)
+    return max(min_rows, _SCRATCH_BYTES // row_bytes)
+
+
+def reserve_scratch() -> None:
+    """Allocate and free one :data:`_SCRATCH_ARENA_BYTES` block, once
+    per batch simulation, so the block temporaries are served from
+    retained heap instead of fresh pages.
+
+    The rule relied on is glibc malloc's dynamic ``mmap`` threshold:
+    requests of 128 KiB and up are served by ``mmap`` — zero pages,
+    faulted in on first touch, unmapped on ``free`` — until such a
+    chunk is freed, which raises the threshold to that chunk's size (up
+    to 32 MiB) and the trim threshold to twice it.  After this call every
+    block temporary comes from the main heap, whose top is returned to
+    the OS only beyond 32 MiB free, so each round reuses the pages the
+    last one touched.  Untouched ``np.empty`` memory costs no RSS; on
+    allocators without the rule the call is a no-op in effect.  The
+    threshold only ever rises within a process.
+    """
+    np.empty(_SCRATCH_ARENA_BYTES, dtype=np.uint8)
 
 
 def _grown(capacity: int, needed: int) -> int:

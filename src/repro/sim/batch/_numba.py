@@ -105,13 +105,13 @@ def _merge_core(ids_pad, key, valid, stride, cap, coords_pad, ages_pad, has_ages
 
 
 @_jit
-def _priority_core(recv, ids, prio, order_in, ages, stride, cap):
-    """Flat slot-priority merge: min ``(prio, order_in)`` per
+def _priority_core(recv, ids, sel_key, ages, stride, cap):
+    """Flat slot-priority merge: min ``sel_key`` (the caller's
+    ``kernels._priority_key`` of ``(prio, order_in)``) per
     ``(recv, id)`` with group-minimum age, first ``cap`` survivors per
-    receiver in ``(prio, order_in)`` order — identical selection and
-    ordering to the reference cascade of stable sorts."""
+    receiver in ``sel_key`` order — identical selection and ordering to
+    the reference cascade of stable sorts."""
     n = len(recv)
-    sel_key = prio.astype(np.int64) * n + order_in
     pair_key = recv.astype(np.int64) * stride + ids
     order = np.argsort(pair_key, kind="mergesort")
     # Within each (recv, id) run find the min sel_key entry + min age.
@@ -139,7 +139,7 @@ def _priority_core(recv, ids, prio, order_in, ages, stride, cap):
         if keep[t]:
             kept[p] = t
             p += 1
-    final_key = recv[kept].astype(np.int64) * (3 * np.int64(n)) + sel_key[kept]
+    final_key = recv[kept].astype(np.int64) * (sel_key.max() + 1) + sel_key[kept]
     order2 = np.argsort(final_key, kind="mergesort")
     sel = np.empty(n_kept, np.int64)
     slot = np.empty(n_kept, np.int64)
@@ -204,6 +204,8 @@ def dedup_priority_truncate_numba(
     ages: np.ndarray,
     cap: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    from . import kernels
+
     if len(recv) == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty
@@ -211,8 +213,7 @@ def dedup_priority_truncate_numba(
     return _priority_core(
         np.ascontiguousarray(recv, dtype=np.int64),
         np.ascontiguousarray(ids, dtype=np.int64),
-        np.ascontiguousarray(prio, dtype=np.int64),
-        np.ascontiguousarray(order_in, dtype=np.int64),
+        kernels._priority_key(prio, order_in),
         np.ascontiguousarray(ages, dtype=np.int64),
         stride,
         cap,

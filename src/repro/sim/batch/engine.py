@@ -40,6 +40,7 @@ import numpy as np
 
 from ...errors import ConfigurationError
 from ...spaces.base import Space
+from .. import arrays
 from ..engine import Layer, Observer, Simulation
 from ..network import Network
 from ..rng import derive_seed
@@ -98,6 +99,7 @@ class BatchSimulation(Simulation):
             for layer in layers
         }
         self._engine_rng = generator_for(self.seed, "engine")
+        arrays.reserve_scratch()
 
     def rng_for(self, layer_name: str) -> np.random.Generator:
         """The dedicated vector-RNG substream of a layer."""

@@ -186,6 +186,14 @@ def dedup_rank_truncate_reference(
 # -- dedup_priority_truncate ---------------------------------------------
 
 
+def _priority_key(prio: np.ndarray, order_in: np.ndarray) -> np.ndarray:
+    """``(prio, order_in)`` as one sortable int64.  The stride comes
+    from ``order_in`` itself, never from the batch length: callers feed
+    the kernel receiver *blocks*, and a receiver must rank the same in
+    any batch it is part of."""
+    return prio.astype(np.int64) * (int(order_in.max()) + 1) + order_in
+
+
 def dedup_priority_truncate_reference(
     recv: np.ndarray,
     ids: np.ndarray,
@@ -200,7 +208,7 @@ def dedup_priority_truncate_reference(
     if len(recv) == 0:
         return empty, empty, empty
     n = len(recv)
-    sel_key = prio.astype(np.int64) * n + order_in
+    sel_key = _priority_key(prio, order_in)
     pre = np.argsort(sel_key, kind="stable")
     stride = int(ids.max(initial=0)) + 1
     pair_key = recv[pre].astype(np.int64) * stride + ids[pre]
@@ -211,7 +219,7 @@ def dedup_priority_truncate_reference(
     starts = np.flatnonzero(first)
     min_age = np.minimum.reduceat(ages[pre][order], starts)
     kept = pre[order[first]]
-    final_key = recv[kept].astype(np.int64) * (3 * n) + sel_key[kept]
+    final_key = recv[kept].astype(np.int64) * (int(sel_key.max()) + 1) + sel_key[kept]
     order2 = np.argsort(final_key, kind="stable")
     slot = cumcount(recv[kept][order2])
     fit = slot < cap
@@ -235,7 +243,7 @@ def dedup_priority_truncate_numpy(
     if len(recv) == 0:
         return empty, empty, empty
     n = len(recv)
-    sel_key = prio.astype(np.int64) * n + order_in
+    sel_key = _priority_key(prio, order_in)
     # LSD radix cascade: least-significant key first.
     order = radix_argsort(sel_key)
     order = order[radix_argsort(ids[order])]

@@ -2,18 +2,41 @@
 
 State is two padded arrays indexed by node-table row: ``ids`` ``(R, V)``
 (``-1`` marks an empty slot) and ``ages`` ``(R, V)``.  One
-:meth:`BatchPeerSampling.step` call runs the round for every alive node:
+:meth:`BatchPeerSampling.step` call runs the round for every alive node
+as four loops over :func:`~repro.sim.batch.kernels.block_rows`-sized row
+blocks, so no temporary scales with the network:
 
-1. groom every view (evict detected peers, age the rest, re-seed empty
-   views from the bootstrap oracle — the counted fallback);
-2. pick every node's partner (its oldest entry) and drop that entry;
-3. build all shuffle payloads and replies from the groomed round-start
-   snapshot (random subsets plus a fresh self-descriptor);
-4. apply every merge at once with the batch Cyclon rule
+1. per block of alive rows — groom (evict detected peers, age the rest,
+   re-seed empty views from the bootstrap oracle — the counted
+   fallback), pick the partner (the oldest entry) and drop that entry;
+2. per block of exchanges — the initiators' payloads (a random subset of
+   the groomed view plus a fresh self-descriptor);
+3. per block of exchanges — the partners' replies, from the same
+   groomed round-start snapshot;
+4. per block of *receiver* rows — the batch Cyclon merge
    (:func:`~repro.sim.batch.kernels.dedup_priority_truncate`): existing
    non-sent entries keep their slots, incoming entries fill empty slots
    first and replace sent-out entries only when space runs out,
-   duplicate descriptors keep the minimum age.
+   duplicate descriptors keep the minimum age.  The round's messages
+   are bucketed by receiver once (one stable radix pass, so a receiver
+   reads them in arrival order); a block then builds the existing /
+   incoming / priority / order arrays of its own receivers only.
+
+Only the round's *messages* stay whole-network — the reply and payload
+descriptors, the sent-slot mask and the per-node partner column, all
+state-sized or smaller.  They have to: loops 2–3 read the groomed
+snapshot of every view, so no merge may land before the last reply is
+built (the same rule as :mod:`~repro.sim.batch.topology`).
+
+Blocking changes no RNG draw.  ``Generator.random`` fills row-major, so
+a ``(rows, width)`` key matrix drawn one row block at a time consumes
+the stream exactly like one whole-network call; empty views re-seed in
+ascending row order whatever the block size; and because every payload
+key row is drawn before any reply key row, payloads and replies are two
+passes over the exchanges, not one.  Rows merge independently
+(:func:`~repro.sim.batch.kernels.dedup_priority_truncate` ranks a
+receiver the same in any batch), so the blocked round is bit-identical
+to a one-block round.
 
 The semantic deltas against the event engine's sequential Cyclon are
 the batch-synchronous snapshot (a reply is computed from the partner's
@@ -29,12 +52,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ...obs import mem as obs_mem
 from ...types import NodeId
 from . import kernels
-
-#: Cap on the scratch matrix of the vectorised bootstrap sampler
-#: (rows x alive floats); bigger populations are processed in row chunks.
-_BOOTSTRAP_CHUNK = 1 << 22
 
 
 class BatchPeerSampling:
@@ -68,6 +88,9 @@ class BatchPeerSampling:
         self._ages = np.concatenate(
             [self._ages, np.zeros((grow, self.view_size), dtype=np.int64)]
         )
+        if obs_mem.ENABLED:
+            # int64 ids and int64 ages per new slot.
+            obs_mem.add("rps_views", "rps.views", 16 * grow * self.view_size)
 
     def view_arrays(self):
         """The raw ``(ids, ages)`` state (rows indexed by table row)."""
@@ -89,12 +112,17 @@ class BatchPeerSampling:
             return out
         gen = sim.rng_for(self.name)
         own = table._nid_of[rows]
-        chunk = max(1, _BOOTSTRAP_CHUNK // max(1, n))
-        for lo in range(0, len(rows), chunk):
-            hi = min(lo + chunk, len(rows))
+        # A float64 key and an int64 partition cell per alive peer: a
+        # row is network-sized, hence no row floor.  Row-major fill
+        # makes the draws independent of the block size.
+        step = kernels.block_rows(0, n, 2, 1)
+        for lo in range(0, len(rows), step):
+            hi = min(lo + step, len(rows))
             keys = gen.random((hi - lo, n))
             keys[alive_ids[None, :] == own[lo:hi, None]] = np.inf
             pick = kernels.topk_smallest(keys, k)
+            if obs_mem.ENABLED:
+                obs_mem.scratch("rps_pads", "rps.bootstrap_keys", 2 * keys.nbytes)
             got = alive_ids[pick]
             finite = np.isfinite(kernels.take_rows(keys, pick))
             out[lo:hi, : pick.shape[1]] = np.where(finite, got, -1)
@@ -175,8 +203,7 @@ class BatchPeerSampling:
     # -- one whole-network shuffle round -------------------------------------
 
     def step(self, sim) -> None:
-        network = sim.network
-        table = network.table
+        table = sim.network.table
         self._ensure_rows(table.n_rows)
         ids = self._ids
         ages = self._ages
@@ -185,146 +212,154 @@ class BatchPeerSampling:
             return
         gen = sim.rng_for(self.name)
         V = self.view_size
+        l = self.shuffle_length  # <= V: every message is l descriptors
+        # Loops 1-3 hold about five V-wide 8-byte columns per row (the
+        # id and age gathers, a key or mask block, a pick, its index).
+        step = kernels.block_rows(0, V, 5)
 
-        # 1. groom: evict detected, age the rest, re-seed empty views.
-        A_ids = ids[act]
-        A_ages = ages[act]
-        valid = A_ids >= 0
-        evict = valid & sim.detected_entry_mask(A_ids)
-        A_ids[evict] = -1
-        valid &= ~evict
-        A_ages[valid] += 1
-        empty = ~valid.any(axis=1)
-        if empty.any():
-            seeded = self._bootstrap_rows(sim, act[empty])
-            self.bootstrap_fallbacks += int(empty.sum())
-            A_ids[empty] = seeded
-            A_ages[empty] = 0
+        # 1. groom (evict detected, age the rest, re-seed empty views)
+        # and partner (the oldest entry: max age, ties to the max id).
+        partner = np.empty(len(act), dtype=np.int64)
+        for a in range(0, len(act), step):
+            rows = act[a : a + step]
+            A_ids = ids[rows]
+            A_ages = ages[rows]
             valid = A_ids >= 0
-
-        # 2. partner: the oldest entry (max age, ties to the max id).
-        agekey = np.where(valid, A_ages, -1)
-        oldest = agekey.max(axis=1)
-        oldmask = valid & (agekey == oldest[:, None])
-        partner = np.max(np.where(oldmask, A_ids, -1), axis=1)
-        has_partner = partner >= 0
-        pcol = np.argmax(
-            oldmask & (A_ids == partner[:, None]), axis=1
-        )
-        A_ids[has_partner, pcol[has_partner]] = -1
-        valid = A_ids >= 0
-        ids[act] = A_ids
-        ages[act] = A_ages
+            evict = valid & sim.detected_entry_mask(A_ids)
+            A_ids[evict] = -1
+            valid &= ~evict
+            A_ages[valid] += 1
+            empty = ~valid.any(axis=1)
+            if empty.any():
+                self.bootstrap_fallbacks += int(empty.sum())
+                A_ids[empty] = self._bootstrap_rows(sim, rows[empty])
+                A_ages[empty] = 0
+                valid = A_ids >= 0
+            agekey = np.where(valid, A_ages, -1)
+            oldmask = valid & (agekey == agekey.max(axis=1)[:, None])
+            chosen = np.max(np.where(oldmask, A_ids, -1), axis=1)
+            has_partner = chosen >= 0
+            pcol = np.argmax(oldmask & (A_ids == chosen[:, None]), axis=1)
+            A_ids[has_partner, pcol[has_partner]] = -1
+            ids[rows] = A_ids
+            ages[rows] = A_ages
+            partner[a : a + step] = chosen
 
         # Exchanges only proceed with alive partners (a dead undetected
         # partner costs the initiator its entry, as in the event engine).
         prow = table.rows_of(partner)
         ex = np.flatnonzero(table.alive_at(prow))
-        if len(ex) == 0:
-            return
         n_ex = len(ex)
+        if n_ex == 0:
+            return
         irow = act[ex]
         qrow = prow[ex]
         own_ex = table._nid_of[irow]
 
-        # 3. buffers from the groomed snapshot.  No array-wide state
-        # copy: nothing below mutates the views until the final
-        # scatter-back, so fancy-indexed gathers *are* the snapshot.
-        l = self.shuffle_length
-        take = min(l - 1, V)
-        ikeys = gen.random((n_ex, V))
-        ikeys[~valid[ex]] = np.inf
-        pay_ids = np.full((n_ex, take + 1), -1, dtype=np.int64)
-        pay_ages = np.zeros((n_ex, take + 1), dtype=np.int64)
-        ipick = ifinite = None
-        if take > 0:
-            ipick = kernels.topk_smallest(ikeys, take)
-            got = kernels.take_rows(A_ids[ex], ipick)
-            ifinite = np.isfinite(kernels.take_rows(ikeys, ipick))
-            pay_ids[:, :take] = np.where(ifinite, got, -1)
-            pay_ages[:, :take] = np.where(
-                ifinite, kernels.take_rows(A_ages[ex], ipick), 0
-            )
-        pay_ids[:, take] = own_ex  # fresh self-descriptor, age 0
-
-        P_ids = ids[qrow]
-        P_ages = ages[qrow]
-        pvalid = (P_ids >= 0) & (P_ids != own_ex[:, None])
-        rkeys = gen.random((n_ex, V))
-        rkeys[~pvalid] = np.inf
-        rtake = min(l, V)
-        qpick = kernels.topk_smallest(rkeys, rtake)
-        got = kernels.take_rows(P_ids, qpick)
-        qfinite = np.isfinite(kernels.take_rows(rkeys, qpick))
-        rep_ids = np.where(qfinite, got, -1)
-        rep_ages = np.where(qfinite, kernels.take_rows(P_ages, qpick), 0)
-
-        dim = sim.space.dim or 1
-        n_desc = int((pay_ids >= 0).sum() + (rep_ids >= 0).sum())
-        sim.meter.charge_descriptors(self.name, n_desc, dim)
-
-        # 4. merges.  Sent-out entries: initiators sent their payload
-        # subset (not the self-descriptor), partners sent their reply.
-        # Both subsets were picked as view *columns*, and ids are unique
-        # within a view row, so a (row, slot) scatter marks exactly the
-        # (row, id) pairs the former sorted-key membership test did.
-        # Writes are True-only: a row partnered by several initiators
-        # accumulates all its reply picks.
+        # The round's messages, replies above payloads (the order they
+        # reach a node that both initiates and is partnered), and the
+        # view slots that were sent out.  Nothing below mutates the
+        # views until loop 4, so the gathers of loops 2-3 *are* the
+        # groomed snapshot.  Both subsets are picked as view *columns*
+        # and ids are unique within a view row, so a (row, slot) mark
+        # names exactly one (row, id) pair; marks are True-only, so a
+        # row partnered by several initiators accumulates all its picks.
+        msg_ids = np.full((2 * n_ex, l), -1, dtype=np.int64)
+        msg_ages = np.zeros((2 * n_ex, l), dtype=np.int64)
         sent_mask = np.zeros((len(ids), V), dtype=bool)
+        if obs_mem.ENABLED:
+            obs_mem.scratch(
+                "rps_pads",
+                "rps.messages",
+                msg_ids.nbytes + msg_ages.nbytes + sent_mask.nbytes,
+            )
         flat_sent = sent_mask.ravel()
-        if ipick is not None:
-            lin = irow[:, None] * V + ipick
-            flat_sent[lin[ifinite]] = True
-        lin = qrow[:, None] * V + qpick
-        flat_sent[lin[qfinite]] = True
 
-        # Incoming flat entries: replies to initiators first, then
-        # payloads to partners (initiator order).
-        inc_recv = np.concatenate(
-            [np.repeat(irow, rtake), np.repeat(qrow, take + 1)]
-        )
-        inc_ids = np.concatenate([rep_ids.ravel(), pay_ids.ravel()])
-        inc_ages = np.concatenate([rep_ages.ravel(), pay_ages.ravel()])
-        inc_keep = inc_ids >= 0
-        inc_keep &= inc_ids != table._nid_of[inc_recv]
-        inc_keep &= ~sim.detected_entry_mask(inc_ids)
-        inc_recv = inc_recv[inc_keep]
-        inc_ids = inc_ids[inc_keep]
-        inc_ages = inc_ages[inc_keep]
+        def subsets(rows, barred, k, out_ids, out_ages):
+            """Write a random ``k``-subset of each view of ``rows``
+            (entries equal to ``barred`` excluded) and mark it sent."""
+            for a in range(0, n_ex, step):
+                blk = slice(a, a + step)
+                S_ids = ids[rows[blk]]
+                keys = gen.random(S_ids.shape)
+                keys[(S_ids < 0) | (S_ids == barred[blk, None])] = np.inf
+                pick = kernels.topk_smallest(keys, k)
+                finite = np.isfinite(kernels.take_rows(keys, pick))
+                out_ids[blk, :k] = np.where(
+                    finite, kernels.take_rows(S_ids, pick), -1
+                )
+                out_ages[blk, :k] = np.where(
+                    finite, kernels.take_rows(ages[rows[blk]], pick), 0
+                )
+                flat_sent[(rows[blk, None] * V + pick)[finite]] = True
 
-        touched = np.zeros(len(ids), dtype=bool)
-        touched[irow] = True
-        touched[qrow] = True
-        recv_rows = np.flatnonzero(touched)
-        E_ids = ids[recv_rows]
-        E_ages = ages[recv_rows]
-        ex_recv = np.repeat(recv_rows, V)
-        ex_ids = E_ids.ravel()
-        ex_ages = E_ages.ravel()
-        ex_slot = np.tile(np.arange(V, dtype=np.int64), len(recv_rows))
-        ex_keep = ex_ids >= 0
-        ex_recv = ex_recv[ex_keep]
-        ex_ids = ex_ids[ex_keep]
-        ex_ages = ex_ages[ex_keep]
-        ex_slot = ex_slot[ex_keep]
-        was_sent = sent_mask[recv_rows].ravel()[ex_keep]
+        # 2. payloads: l - 1 view entries and a fresh self-descriptor
+        # (age 0; a view never holds its owner, so barring it is free).
+        # 3. replies: l entries of the partner's view, initiator barred.
+        subsets(irow, own_ex, l - 1, msg_ids[n_ex:], msg_ages[n_ex:])
+        msg_ids[n_ex:, l - 1] = own_ex
+        subsets(qrow, own_ex, l, msg_ids[:n_ex], msg_ages[:n_ex])
+        sim.meter.charge_descriptors(
+            self.name, int(np.count_nonzero(msg_ids >= 0)), sim.space.dim or 1
+        )
 
-        f_recv = np.concatenate([ex_recv, inc_recv])
-        f_ids = np.concatenate([ex_ids, inc_ids])
-        f_ages = np.concatenate([ex_ages, inc_ages])
-        f_prio = np.concatenate(
-            [np.where(was_sent, 2, 0), np.ones(len(inc_recv), dtype=np.int64)]
-        )
-        f_order = np.concatenate(
-            [ex_slot, np.arange(len(inc_recv), dtype=np.int64)]
-        )
-        sel, slot, age = kernels.dedup_priority_truncate(
-            f_recv, f_ids, f_prio, f_order, f_ages, V
-        )
-        ids[recv_rows] = -1
-        ages[recv_rows] = 0
-        ids[f_recv[sel], slot] = f_ids[sel]
-        ages[f_recv[sel], slot] = age
+        # 4. merges.  One stable radix pass buckets the messages by
+        # receiver (a block's messages are then one contiguous run, in
+        # arrival order: the reply first, then payloads in initiator
+        # order); every receiver is re-packed, even if the filter
+        # below leaves it no incoming entry.
+        msg_recv = np.concatenate([irow, qrow])
+        order = kernels.radix_argsort(msg_recv)
+        msg_recv = msg_recv[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = msg_recv[1:] != msg_recv[:-1]
+        bounds = np.append(np.flatnonzero(first), len(order))
+        # A block is a run of receivers holding at most ``room`` entries
+        # (views plus messages) at fifteen int64 columns an entry: the
+        # five built here and about ten the flat kernel holds in flight.
+        # Cut by entries, not rows: a flooded receiver — in round 0
+        # every view's oldest entry is its largest id — shortens its
+        # block instead of fattening it.
+        room = kernels.block_rows(0, 1, 15)
+        n_recv = len(bounds) - 1
+        ahead = V * np.arange(n_recv + 1) + l * bounds
+        a = 0
+        while a < n_recv:
+            b = int(np.searchsorted(ahead, ahead[a] + room, side="right")) - 1
+            b = max(b, a + 1)
+            lo, hi = bounds[a], bounds[b]
+            rows = msg_recv[bounds[a:b]]
+            src = order[lo:hi]
+            inc_recv = np.repeat(msg_recv[lo:hi], l)
+            inc_ids = msg_ids[src].ravel()
+            keep = inc_ids >= 0
+            keep &= inc_ids != table._nid_of[inc_recv]
+            keep &= ~sim.detected_entry_mask(inc_ids)
+            inc_recv = inc_recv[keep]
+            inc_ids = inc_ids[keep]
+            E_ids = ids[rows]
+            held = E_ids >= 0
+            r, slot_in = np.nonzero(held)  # row-major, like ``[held]``
+            f_recv = np.concatenate([rows[r], inc_recv])
+            f_ids = np.concatenate([E_ids[held], inc_ids])
+            f_ages = np.concatenate([ages[rows][held], msg_ages[src].ravel()[keep]])
+            f_prio = np.concatenate(
+                [
+                    np.where(sent_mask[rows][held], 2, 0),
+                    np.ones(len(inc_ids), dtype=np.int64),
+                ]
+            )
+            f_order = np.concatenate([slot_in, np.arange(len(inc_ids))])
+            if obs_mem.ENABLED:
+                obs_mem.scratch("rps_pads", "rps.merge_block", 5 * f_recv.nbytes)
+            sel, slot, age = kernels.dedup_priority_truncate(
+                f_recv, f_ids, f_prio, f_order, f_ages, V
+            )
+            ids[rows] = -1
+            ages[rows] = 0
+            ids[f_recv[sel], slot] = f_ids[sel]
+            ages[f_recv[sel], slot] = age
+            a = b
 
     # -- canonical-state bridge ---------------------------------------------
 

@@ -26,6 +26,7 @@ from ...errors import ConfigurationError
 from ...obs import mem as _mem
 from ...obs.metrics import timed
 from ...spaces.base import Space
+from . import kernels
 
 VARIANTS = ("basic", "pd", "md", "advanced")
 
@@ -54,9 +55,24 @@ def batch_split(
 ) -> np.ndarray:
     """Side assignment for every pool: ``True`` sends the point to node
     p, ``False`` to node q (positions of invalid padding are arbitrary —
-    mask with ``valid``)."""
+    mask with ``valid``).  Pools split independently, so a wave runs one
+    :func:`~repro.sim.batch.kernels.block_rows` block of pools at a
+    time; a pool holds three ``(P, P)`` float temporaries (the pair
+    matrix, its masked copy, a medoid cost product)."""
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown split function {variant!r}")
+    M, P, _ = coords.shape
+    step = kernels.block_rows(0, P * P, 3)
+    side = np.empty((M, P), dtype=bool)
+    for a in range(0, M, step):
+        blk = slice(a, a + step)
+        side[blk] = _split_block(
+            space, variant, coords[blk], valid[blk], pos_p[blk], pos_q[blk]
+        )
+    return side
+
+
+def _split_block(space, variant, coords, valid, pos_p, pos_q) -> np.ndarray:
     M, P, _ = coords.shape
     # One stacked rank call for both node positions: later migration
     # waves are small, so halving the kernel launches beats the copy.

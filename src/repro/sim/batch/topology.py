@@ -330,10 +330,24 @@ class _BatchTopologyBase:
         order = kernels.radix_argsort(slot)
         slot = slot[order]
         src = kept[order]
+        # The whole-network index arrays die as soon as they are
+        # composed: three entry-length int64 columns and a mask the
+        # block loop below would otherwise carry (51 MB at 51,200 nodes).
+        del inc_rows, keep, kept, order
         inc_ids = inc_ids[src]
         inc_coords = inc_coords[src]
+        del src
         ends = np.cumsum(cnt_in)
         col = C + np.arange(len(slot)) - (ends - cnt_in)[slot]
+        if obs_mem.ENABLED:
+            # What stays whole-network for the block loop: the round's
+            # messages as the caller built them and as bucketed here.
+            obs_mem.scratch(
+                "topology_pads",
+                f"{self.name}.messages",
+                sum(blk.nbytes for blk in (*ids_blocks, *coords_blocks))
+                + inc_ids.nbytes + inc_coords.nbytes + slot.nbytes + col.nbytes,
+            )
 
         stride = 1 + max(
             int(self._ids.max(initial=-1)), int(inc_ids.max(initial=-1))

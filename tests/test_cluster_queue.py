@@ -4,6 +4,7 @@ and the one-scan lease state table they all read.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import socket
@@ -14,8 +15,8 @@ import pytest
 
 from repro.errors import ClusterError
 from repro.experiments.scenario import ScenarioConfig
+from repro.obs.stream import atomic_write
 from repro.runtime.cluster import TaskSpec, WorkQueue, open_queue
-from repro.runtime.cluster.queue import _atomic_write
 from repro.runtime.cluster.merge import merged_records
 from repro.runtime.runner import grid_tasks
 from repro.runtime.store import cell_record, config_hash
@@ -92,13 +93,60 @@ class TestAtomicWrite:
 
         def replace_with_b_in_the_window(src, dst):
             monkeypatch.setattr(os, "replace", real_replace)
-            _atomic_write(target, b"B")
+            atomic_write(target, b"B")
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", replace_with_b_in_the_window)
-        _atomic_write(target, b"A")
+        atomic_write(target, b"A")
         assert target.read_bytes() == b"A"  # last rename wins, whole
         assert os.listdir(tmp_path) == ["spec.json"]  # no temp debris
+
+    @pytest.mark.parametrize("writer", ["checkpoint.save", "mem.write_snapshot"])
+    def test_same_pid_checkpoint_and_ledger_writers_do_not_collide(
+        self, writer, tmp_path, monkeypatch
+    ):
+        """The same window for the other two write-rename publishers —
+        two hosts, one pid, one ``CheckpointCache`` entry / one obs
+        dir: both used a pid-only temp name, so the outer writer's
+        rename found its temp file gone (``CheckpointError`` from
+        ``save``, a silently dropped snapshot from the ledger)."""
+        from repro.obs import mem as obs_mem
+        from repro.runtime import checkpoint
+
+        if writer == "checkpoint.save":
+            target = tmp_path / "entry.ckpt"
+            blob = checkpoint.SimulationCheckpoint(
+                format=2, round=0, seed=0, n_alive=0, n_total=0,
+                layer_names=[], sim=None,
+            )
+            write = functools.partial(checkpoint.save, blob, target)
+        else:
+            target = tmp_path / "mem.json"
+            obs_mem.reset()
+            obs_mem.set_enabled(True)
+            obs_mem.add("node_table", "NodeTable.rows", 64)
+            obs_mem.set_enabled(False)
+            write = functools.partial(obs_mem.write_snapshot, target)
+            # The advisory lock does not reach across the two hosts.
+            monkeypatch.setattr("fcntl.flock", lambda fd, op: None)
+        hosts = iter(["host-a", "host-b"])
+        monkeypatch.setattr(os, "getpid", lambda: 7)
+        monkeypatch.setattr(socket, "gethostname", lambda: next(hosts))
+        real_replace = os.replace
+        outcomes = []
+
+        def replace_with_b_in_the_window(src, dst):
+            monkeypatch.setattr(os, "replace", real_replace)
+            outcomes.append(write())
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_with_b_in_the_window)
+        try:
+            outcomes.append(write())
+        finally:
+            obs_mem.reset()
+        assert len(outcomes) == 2 and all(o is not None for o in outcomes)
+        assert os.listdir(tmp_path) == [target.name]  # no temp debris
 
 
 class TestScan:

@@ -259,6 +259,8 @@ class TestMemLedger:
             "merge_rank_truncate.out",
             "tman.rank_block",
             "tman.exchange_pool",
+            "rps.bootstrap_keys",
+            "rps.merge_block",
         )
 
         def ledger(rows_per_block):
@@ -282,8 +284,18 @@ class TestMemLedger:
             assert blocked[site]["events"] > 4 * whole[site]["events"]
             assert 9 * blocked[site]["peak"] <= whole[site]["peak"]
         for name in sites:
-            family = "topology_pads" if name.startswith("tman.") else "kernel_pads"
+            family = {"tman": "topology_pads", "rps": "rps_pads"}.get(
+                name.split(".")[0], "kernel_pads"
+            )
             assert blocked[name]["family"] == family
+        # The round's messages are what stays whole-network, in both
+        # layers and at any block size; the views are persistent state.
+        for name in ("rps.messages", "tman.messages"):
+            assert blocked[name]["peak"] == whole[name]["peak"] > 0
+            assert blocked[name]["events"] == whole[name]["events"] == 4
+        assert blocked["rps.views"] == whole["rps.views"]
+        assert blocked["rps.views"]["family"] == "rps_views"
+        assert blocked["rps.views"]["cur"] == 2 * 8 * 72 * 20  # ids + ages
         assert blocked["take_rows.index"]["family"] == "kernel_pads"
         # ``take_rows``' flat index is as large as its caller's pick:
         # one block in the topology stages, so the peak falls with the
@@ -349,6 +361,13 @@ class TestMemLedger:
         assert nearest["family"] == "observer_pads"
         assert nearest["peak"] == 8 * rows * n
         assert 4 * nearest["peak"] < 8 * lost * n
+
+        # Peer sampling likewise: 12,800 nodes are hundreds of oracle
+        # blocks and several merge blocks a round, none above the budget.
+        for name, blocks in (("rps.bootstrap_keys", 400), ("rps.merge_block", 9)):
+            assert sites[name]["family"] == "rps_pads"
+            assert sites[name]["events"] >= blocks
+            assert sites[name]["peak"] <= 2 * _SCRATCH_BYTES
 
         pad = sites["proximity.distance_pad"]
         assert pad["family"] == "observer_pads"

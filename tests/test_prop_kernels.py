@@ -347,6 +347,77 @@ def test_dedup_priority_truncate_matches_reference(backend, shape, data):
         np.testing.assert_array_equal(g, w)
 
 
+def _priority_kernels():
+    """The dispatching kernel (per backend), the sort-based reference
+    and the numba wrapper run as plain Python where numba is absent."""
+    from repro.sim.batch import _numba
+
+    def dispatched(backend):
+        def kernel(*args):
+            with kernel_backend.use_backend(backend):
+                return batch_kernels.dedup_priority_truncate(*args)
+
+        return pytest.param(kernel, id=backend)
+
+    return [
+        *map(dispatched, BACKENDS),
+        pytest.param(batch_kernels.dedup_priority_truncate_reference, id="reference"),
+        pytest.param(_numba.dedup_priority_truncate_numba, id="numba-py"),
+    ]
+
+
+@pytest.mark.parametrize("kernel", _priority_kernels())
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_dedup_priority_truncate_ranks_a_receiver_the_same_in_any_batch(kernel, data):
+    """The result for any subset of receivers ≡ the whole-batch result
+    restricted to them — what lets the Cyclon merge feed the kernel one
+    receiver block at a time.  The load is shaped like that caller's:
+    per receiver some held view slots (kept or sent out), then incoming
+    entries whose order is their arrival index in the *whole* batch, so
+    nothing bounds ``order_in`` by the length of a sub-batch."""
+    n_recv = data.draw(st.integers(1, 5))
+    cap = data.draw(st.integers(1, 6))
+    entry = st.tuples(st.integers(0, 9), st.integers(0, 50))  # id, age
+    rows = []  # (recv, id, age, prio, order_in)
+    for r in range(n_recv):
+        slots = data.draw(st.lists(st.integers(0, cap - 1), unique=True))
+        for slot in slots:
+            rows.append((r, *data.draw(entry), data.draw(st.sampled_from([0, 2])), slot))
+    arrivals = data.draw(st.lists(st.integers(0, n_recv - 1), max_size=24))
+    for k, r in enumerate(arrivals):
+        rows.append((r, *data.draw(entry), 1, k))
+    recv, ids, ages, prio, order_in = (
+        np.asarray([row[c] for row in rows], dtype=np.int64) for c in range(5)
+    )
+    chosen = data.draw(st.sets(st.integers(0, n_recv - 1)))
+    member = np.isin(recv, sorted(chosen))
+    whole = kernel(recv, ids, prio, order_in, ages, cap)
+    part = kernel(
+        recv[member], ids[member], prio[member], order_in[member], ages[member], cap
+    )
+    restricted = member[whole[0]]
+    np.testing.assert_array_equal(np.flatnonzero(member)[part[0]], whole[0][restricted])
+    np.testing.assert_array_equal(part[1], whole[1][restricted])
+    np.testing.assert_array_equal(part[2], whole[2][restricted])
+
+
+@pytest.mark.parametrize("kernel", _priority_kernels())
+def test_dedup_priority_truncate_slot_past_the_batch_length(kernel):
+    """A kept entry in view slot 4 and two incoming entries: with the
+    priority key strided by the batch length (3) the first incoming
+    entry (``1 * 3 + 0``) outranked the existing one (``0 * 3 + 4``)
+    whenever this receiver was the whole batch."""
+    recv = np.zeros(3, dtype=np.int64)
+    ids = np.asarray([11, 12, 13])
+    prio = np.asarray([0, 1, 1])
+    order_in = np.asarray([4, 0, 1])
+    ages = np.asarray([5, 0, 0])
+    sel, slot, _ = kernel(recv, ids, prio, order_in, ages, 3)
+    assert ids[sel].tolist() == [11, 12, 13]
+    assert slot.tolist() == [0, 1, 2]
+
+
 def _merge_model(space, pos, ids_pad, coords_pad, valid, cap, ages_pad):
     """Dict-model of the fused padded merge: per row keep the rightmost
     copy of each id, rank by sqrt(rank_sq) with id tie-break, truncate.
@@ -645,6 +716,7 @@ def test_counting_partition_matches_stable_argsort(data):
 # retired alternatives live on here as oracles only: the per-row stable
 # sort dedup, and one whole-network pad handed to a single kernel call.
 
+import contextlib
 from types import SimpleNamespace
 from unittest import mock
 
@@ -828,15 +900,17 @@ def test_blocked_run_matches_unblocked_at_160x80():
         failure_round=2, reinjection_round=None, total_rounds=4,
     )
 
-    def digest_after_run():
+    def digest_after_run(rows_per_block=None):
+        # Prepared at the budget either way: no stage runs before the
+        # first round, and one whole-network block of the bootstrap
+        # oracle would be 12,800 x 12,800 keys (2.6 GB).
         sim, *_ = prepare_scenario(cfg)
-        sim.run(cfg.total_rounds)
+        whole = mock.patch.object(batch_kernels, "block_rows", lambda *_: rows_per_block)
+        with whole if rows_per_block else contextlib.nullcontext():
+            sim.run(cfg.total_rounds)
         return state_digest(sim)
 
-    blocked = digest_after_run()
-    with mock.patch.object(batch_kernels, "block_rows", lambda *_: 1 << 30):
-        unblocked = digest_after_run()
-    assert blocked == unblocked
+    assert digest_after_run() == digest_after_run(1 << 30)
 
 
 # -- blocked nearest-node kernel (the lost-point term of homogeneity) ------
