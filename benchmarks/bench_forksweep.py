@@ -9,9 +9,12 @@ optimisation rests on:
 
 * per-cell results are **byte-identical** between fork and cold mode;
 * the fork sweep is >= 1.5x faster wall-clock at the reduced scale and
-  above (at ``smoke`` scale the 128-node simulations are so cheap that
-  checkpoint restore overhead dominates, so only >= 1.1x is required
-  there).
+  above, and >= 1.25x at ``smoke`` scale.  A fork cycle (one pickle of
+  the prefix, a checksummed read, one unpickle per cell) is ~50 ms of a
+  ~5 s sweep there, so the smoke floor is not about checkpoint
+  overhead: the 10-round prefix is simply a smaller share of each
+  21-31-round cell, and two single-shot ~5 s walls on a shared box
+  read 1.37-1.83x over six runs (median 1.63x).
 
 Both modes run serially (``workers=1``): the speedup measured here is
 algorithmic — Phase-1 rounds not simulated — not pool scheduling.
@@ -91,7 +94,7 @@ def test_fork_vs_cold_split_ablation(benchmark, preset, emit, tmp_path):
         )
 
     speedup = cold_s / fork_s if fork_s else float("inf")
-    floor = 1.5 if preset.n_nodes >= 512 else 1.1
+    floor = 1.5 if preset.n_nodes >= 512 else 1.25
     rows = [
         ["cold", f"{cold_s:.2f}", len(tasks), "-"],
         [

@@ -460,7 +460,7 @@ def build_simulation(
 class ScenarioHandles:
     """The observers a scenario summary needs, kept reachable *from the
     simulation object itself* (``sim.scenario_handles``) so that a
-    checkpoint deep-copy carries them along: after
+    checkpoint (one pickle of the simulation) carries them along: after
     :func:`repro.runtime.checkpoint.restore` the copied handles still
     point at the copied simulation's recorder/probe (one shared object
     graph), and the reliability sample stays reachable even after the
@@ -480,8 +480,8 @@ def prepare_scenario(
     run.  The seam the runtime layer uses to pause/checkpoint/resume a
     scenario mid-flight: step the returned simulation any way you like,
     then hand everything to :func:`summarize_scenario` — or, for a
-    simulation that went through checkpoint restore (which deep-copies
-    and therefore severs the returned handles), just call
+    simulation that went through checkpoint restore (a fresh object
+    graph, which severs the returned handles), just call
     :func:`finish_scenario` on the restored simulation."""
     sim, recorder, snapshotter, points = build_simulation(config)
     probe = ReliabilityProbe(points)

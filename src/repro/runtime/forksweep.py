@@ -10,21 +10,24 @@ This module removes that redundancy:
   projection of the configuration onto the fields that influence rounds
   before ``failure_round`` (see
   :data:`repro.experiments.scenario.DIVERGENT_FIELDS`);
-* each unique prefix is simulated once, snapshotted at the fork round,
-  and stored in a content-addressed on-disk :class:`CheckpointCache`
-  keyed by prefix-config hash + ``state_digest``;
-* every cell then restores the snapshot, re-applies its divergent
-  fields (:func:`repro.experiments.scenario.apply_divergence`), and
-  runs only its continuation under the ordinary
+* each unique prefix is simulated once, snapshotted at the fork round
+  (one pickle of the simulation), and stored in a content-addressed
+  on-disk :class:`CheckpointCache` keyed by prefix-config hash +
+  ``state_digest``;
+* every cell then loads the entry — verified twice over: the file's
+  byte checksum, then the state digest re-derived from its content
+  against the file name — restores it (one unpickle), re-applies its
+  divergent fields (:func:`repro.experiments.scenario.apply_divergence`),
+  and runs only its continuation under the ordinary
   :class:`~repro.runtime.runner.ParallelRunner` (crash isolation,
   progress, result-store persistence, resume).
 
 Fork-mode results are **byte-identical** to cold-start results — the
 grouping is correct by construction (no divergent field is read before
 the fork round) and enforced by tests, not assumed.  Any cache problem
-(missing, truncated, or semantically stale checkpoint) silently falls
-back to a cold ``run_scenario``, never to a crash or a different
-result.
+(missing, truncated, bit-flipped, or semantically stale checkpoint)
+silently falls back to a cold ``run_scenario``, never to a crash or a
+different result.
 
 The cache is persistent, so the savings compound across invocations:
 re-running a sweep with a longer post-failure window, a different
@@ -56,6 +59,7 @@ from ..errors import CheckpointError
 from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
+from ..obs.stream import atomic_write
 from ..sim.engine import semantics_version_for
 from ..experiments.scenario import (
     ScenarioConfig,
@@ -101,9 +105,11 @@ class CheckpointCache:
     the configured engine's semantics version
     (:func:`repro.sim.engine.semantics_version_for`) into the hash, so
     a declared semantic change orphans every old entry) and what it
-    *contains* (the digest of the frozen state).  :meth:`load`
-    re-derives the digest and treats any mismatch — bit rot or a
-    truncated write — as a cache miss, discarding the damaged file.
+    *contains* (the digest of the frozen state).  :meth:`load` checks
+    the file's own byte checksum (bit rot, a truncated write — also in
+    the parts of the state the digest does not cover, such as view
+    coordinates and ages), then re-derives the digest, and treats any
+    mismatch as a cache miss, discarding the damaged file.
     Unintended semantic drift is the golden-digest tests' job
     (``tests/test_golden_digests``); the version bump they prescribe is
     what keeps this cache honest.  A small JSON sidecar per entry
@@ -148,9 +154,9 @@ class CheckpointCache:
         state (the fetch half of the cluster's publish/fetch split: a
         worker asks for the checkpoint the coordinator announced, by
         digest, and treats anything else as a miss).  Corrupt entries
-        (unreadable pickle, or a state digest that no longer matches the
-        file name) are deleted and reported as a miss — the caller
-        recomputes, it never crashes.
+        (a failed byte checksum, an unreadable pickle, or a state digest
+        that no longer matches the file name) are deleted and reported
+        as a miss — the caller recomputes, it never crashes.
         """
         with obs_trace.span("checkpoint.fetch", prefix=prefix_hash):
             return self._load_verified(prefix_hash, digest)
@@ -166,22 +172,20 @@ class CheckpointCache:
         if path is None or not path.exists():
             obs_metrics.count("checkpoint.miss")
             return None
+        expected = path.name[: -len(CHECKPOINT_SUFFIX)].split("-", 1)[1]
         try:
             loaded = ckpt.load(path)
+            problem = (
+                None
+                if ckpt.state_digest(loaded.sim) == expected
+                else "checkpoint.digest_mismatch"
+            )
         except CheckpointError:
+            problem = "checkpoint.corrupt"
+        if problem is not None:
             self._discard(path)
             obs_metrics.count("checkpoint.corrupt")
-            obs_log.warning(
-                "checkpoint.corrupt", prefix=prefix_hash, path=str(path)
-            )
-            return None
-        expected = path.name[: -len(CHECKPOINT_SUFFIX)].split("-", 1)[1]
-        if ckpt.state_digest(loaded.sim) != expected:
-            self._discard(path)
-            obs_metrics.count("checkpoint.corrupt")
-            obs_log.warning(
-                "checkpoint.digest_mismatch", prefix=prefix_hash, path=str(path)
-            )
+            obs_log.warning(problem, prefix=prefix_hash, path=str(path))
             return None
         obs_metrics.count("checkpoint.hit")
         return loaded, expected
@@ -226,10 +230,11 @@ class CheckpointCache:
                 "size_bytes": path.stat().st_size,
                 "config": config_dict(prefix),
             }
-            path.with_suffix(META_SUFFIX).write_text(
-                json.dumps(meta, sort_keys=True, indent=1), encoding="utf8"
+            atomic_write(
+                path.with_suffix(META_SUFFIX),
+                json.dumps(meta, sort_keys=True, indent=1).encode("utf8"),
             )
-            _invalidate_memo(str(self.root), prefix_hash)
+            clear_checkpoint_memo()
             obs_metrics.count("checkpoint.publish")
         obs_log.info(
             "checkpoint.publish",
@@ -239,10 +244,6 @@ class CheckpointCache:
             size_bytes=meta["size_bytes"],
         )
         return digest, path
-
-    #: Backwards-compatible name for :meth:`publish` (the write half of
-    #: the publish/fetch split).
-    store = publish
 
     def digest_of(self, prefix_hash: str) -> Optional[str]:
         """The stored state digest for a prefix (from the file name)."""
@@ -314,13 +315,14 @@ class CheckpointCache:
                 pass
 
 
-# Per-process memo of loaded checkpoints (with their verified digest),
-# so a worker executing several continuations of the same prefix
-# unpickles and digest-verifies it once.  Small and FIFO-bounded: one
-# entry per distinct prefix a worker happens to see.  Misses are NOT
-# memoized — a prefix that appears on disk later (recomputed by another
-# worker or sweep) must be found on the next attempt.
-_MEMO_CAP = 4
+# Per-process memo of the verified checkpoint (with its digest) of the
+# most recently used prefix, so a worker executing several continuations
+# of one prefix back to back reads, checksums and digest-verifies it
+# once.  What it holds is the checkpoint's pickled bytes, never an
+# unpickled simulation: immutable, so a hit needs no defensive copy.
+# Misses are NOT memoized — a prefix that appears on disk later
+# (recomputed by another worker or sweep) must be found on the next
+# attempt.
 _CKPT_MEMO: Dict[Tuple[str, str], Tuple[SimulationCheckpoint, str]] = {}
 
 
@@ -331,27 +333,23 @@ def _load_memoized(
     if key not in _CKPT_MEMO or (
         digest is not None and _CKPT_MEMO[key][1] != digest
     ):
+        _CKPT_MEMO.clear()  # before the read: never two blobs resident
         verified = CheckpointCache(root).load_verified(prefix_hash, digest=digest)
         if verified is None:
             return None
-        while len(_CKPT_MEMO) >= _MEMO_CAP:
-            _CKPT_MEMO.pop(next(iter(_CKPT_MEMO)))
         _CKPT_MEMO[key] = verified
     else:
         obs_metrics.count("checkpoint.memo_hit")
     return _CKPT_MEMO[key]
 
 
-def _invalidate_memo(root: str, prefix_hash: str) -> None:
-    _CKPT_MEMO.pop((root, prefix_hash), None)
-
-
 def clear_checkpoint_memo() -> None:
-    """Drop every memoized checkpoint in this process.
+    """Drop the memoized checkpoint of this process.
 
-    The memo is correctness-neutral (entries are verified on load and
-    invalidated on store), so this only matters for tests that mutate
-    cache files on disk and need the next load to actually hit them.
+    The memo is correctness-neutral (the entry is verified on load and
+    dropped on any publish or failed restore), so beyond those two this
+    only matters for tests that mutate cache files on disk and need the
+    next load to actually hit them.
     """
     _CKPT_MEMO.clear()
 
@@ -370,8 +368,9 @@ class PrefixTask(SweepTask):
     cache_root: str = ""
 
     def run(self) -> None:
-        sim = run_prefix(self.config)
-        CheckpointCache(self.cache_root).store(self.config, ckpt.snapshot(sim))
+        # The live simulation is dropped as soon as it is serialised.
+        frozen = ckpt.snapshot(run_prefix(self.config))
+        CheckpointCache(self.cache_root).publish(self.config, frozen)
         return None
 
 
@@ -405,7 +404,7 @@ class ForkContinuationTask(SweepTask):
                 apply_divergence(sim, self.config)
                 result = finish_scenario(sim)
             except CheckpointError:
-                _invalidate_memo(self.cache_root, self.prefix_hash)
+                clear_checkpoint_memo()
             else:
                 object.__setattr__(self, "forked_from", digest)
                 obs_metrics.count("cells.forked")

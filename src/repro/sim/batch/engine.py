@@ -29,12 +29,12 @@ Where the two engines differ (the documented batch semantics):
 
 Everything *around* the round loop is shared with the event engine:
 scheduled events (failures, reinjection, probes), the failure-detector
-model, checkpoint deep-copy/restore, and the scenario runner seams.
+model, checkpoint snapshot/restore, and the scenario runner seams.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -177,11 +177,12 @@ class BatchSimulation(Simulation):
         attributes the event engine uses (``rps_view`` dicts,
         ``tman_view`` ViewBuffers, ...).
 
-        Pure and idempotent (no RNG draws), so callers may sync at any
-        time: :func:`repro.runtime.checkpoint.state_digest` syncs before
-        fingerprinting, the engine converter before building an event
-        simulation, and the routing layer before walking views.  Repeat
-        syncs with no intervening step are skipped.
+        Idempotent and free of RNG draws, so callers may sync at any
+        time: the engine converter before building an event simulation
+        and the routing layer before walking views.  Repeat syncs with no
+        intervening step are skipped.  The attributes stay attached (and
+        go stale at the next step); state fingerprinting does not sync —
+        it reads :meth:`canonical_view_ids`.
         """
         if self._canonical_synced:
             return
@@ -190,6 +191,35 @@ class BatchSimulation(Simulation):
             if materialize is not None:
                 materialize(self)
         self._canonical_synced = True
+
+    def canonical_view_ids(self) -> Dict[str, List[List[int]]]:
+        """``{attribute: sorted view ids per table row}`` for every layer
+        that states a ``canonical_attr`` — what ``sorted(node.<attribute>)``
+        reads after :meth:`sync_canonical`, taken from the padded id
+        matrices with one sort per layer.
+
+        A pure read, which is what lets
+        :func:`repro.runtime.checkpoint.state_digest` fingerprint a
+        simulation without changing it: nothing is materialised, no
+        layer grows (rows one has not allocated read as empty), and a
+        duplicated id counts once, as a dict key would.
+        """
+        n_rows = self.network.table.n_rows
+        out = {}
+        for layer in self.layers:
+            attr = getattr(layer, "canonical_attr", None)
+            if attr is None:
+                continue
+            ids = np.sort(layer.view_arrays()[0][:n_rows], axis=1)
+            dup = (ids[:, 1:] == ids[:, :-1]) & (ids[:, 1:] >= 0)
+            if dup.any():
+                ids[:, 1:][dup] = -1
+                ids.sort(axis=1)
+            pads = (ids < 0).sum(axis=1).tolist()
+            rows = [row[k:] for row, k in zip(ids.tolist(), pads)]
+            rows.extend([] for _ in range(n_rows - len(rows)))
+            out[attr] = rows
+        return out
 
     def adopt_canonical(self) -> None:
         """Read per-node view attributes into the layers' array state —

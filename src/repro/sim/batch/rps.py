@@ -363,6 +363,10 @@ class BatchPeerSampling:
 
     # -- canonical-state bridge ---------------------------------------------
 
+    #: The per-node attribute :meth:`materialize` writes; its ids are
+    #: read array-natively by :meth:`BatchSimulation.canonical_view_ids`.
+    canonical_attr = "rps_view"
+
     def materialize(self, sim) -> None:
         """Write ``node.rps_view`` dicts from the arrays (all known
         nodes; dead nodes keep their last groomed view, as in the event

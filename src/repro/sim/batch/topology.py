@@ -387,6 +387,10 @@ class _BatchTopologyBase:
 
     # -- canonical-state bridge ---------------------------------------------
 
+    #: The per-node attribute :meth:`materialize` writes (both layers
+    #: share the event engine's ``tman_view`` slot).
+    canonical_attr = "tman_view"
+
     def materialize(self, sim) -> None:
         for node in sim.network.nodes.values():
             node.tman_view = self.view_of(node)

@@ -116,7 +116,7 @@ class TestAtomicWrite:
         if writer == "checkpoint.save":
             target = tmp_path / "entry.ckpt"
             blob = checkpoint.SimulationCheckpoint(
-                format=2, round=0, seed=0, n_alive=0, n_total=0,
+                format=checkpoint.CHECKPOINT_FORMAT, round=0, seed=0, n_alive=0, n_total=0,
                 layer_names=[], sim=None,
             )
             write = functools.partial(checkpoint.save, blob, target)

@@ -1,6 +1,6 @@
 """Checkpoint ↔ engine interactions.
 
-Format-2 snapshots are engine-bearing: a checkpoint freezes whichever
+Snapshots are engine-bearing: a checkpoint freezes whichever
 engine produced it, restores bit-exactly into that engine, and
 *converts* into the other engine on request (``restore(...,
 engine=...)``) — network, protocol state, pending events and the meter
@@ -55,7 +55,7 @@ class TestBatchSnapshotDigestStability:
         sim, *_ = prepare_scenario(config("batch"))
         sim.run(4)
         first = ckpt.state_digest(sim)
-        assert ckpt.state_digest(sim) == first  # sync_canonical is pure
+        assert ckpt.state_digest(sim) == first  # a pure read
 
     def test_snapshot_restore_continues_bit_identically(self):
         sim, *_ = prepare_scenario(config("batch"))
@@ -178,7 +178,7 @@ class TestBatchForkSweep:
         cfg = config("batch")
         prefix = prefix_scenario(cfg)
         cache = CheckpointCache(tmp_path)
-        cache.store(prefix, ckpt.snapshot(run_prefix(cfg)))
+        cache.publish(prefix, ckpt.snapshot(run_prefix(cfg)))
         meta_path = next(tmp_path.glob("*.json"))
         meta = json.loads(meta_path.read_text())
         assert meta["engine"] == "batch"

@@ -122,7 +122,7 @@ class TestDisk:
 
     @pytest.mark.parametrize("engine", ["event", "batch"])
     def test_roundtrip_keeps_the_node_table_sentinel(self, tmp_path, engine):
-        """A format-2 round trip taken after retention pruning (released
+        """A disk round trip taken after retention pruning (released
         ids, rows on the free list) restores a table whose padded reads
         still resolve ``-1`` pads and released ids to "dead, zero" — and
         the resumed run, metrics included, matches the uninterrupted one."""
@@ -268,13 +268,19 @@ class TestDigest:
 
 
 class TestLegacyFormatUpgrade:
-    """The format-1 upgrader is retired: only ``CHECKPOINT_FORMAT``
+    """One format, no legacy reader: only ``CHECKPOINT_FORMAT`` (3)
     loads, and every other format number is rejected by name."""
 
     def test_format_1_rejected_naming_the_format(self, tmp_path):
+        self.assert_rejected_by_number(tmp_path, 1)
+
+    def test_format_2_rejected_naming_the_format(self, tmp_path):
+        self.assert_rejected_by_number(tmp_path, 2)
+
+    def assert_rejected_by_number(self, tmp_path, legacy):
         sim, *_ = prepare_scenario(small_config())
         ck = checkpoint.SimulationCheckpoint(
-            format=1,
+            format=legacy,
             round=sim.round,
             seed=sim.seed,
             n_alive=sim.network.n_alive,
@@ -282,11 +288,21 @@ class TestLegacyFormatUpgrade:
             layer_names=[layer.name for layer in sim.layers],
             sim=sim,
         )
-        path = checkpoint.save(ck, tmp_path / "v1.ckpt")
-        with pytest.raises(CheckpointError, match="format 1 "):
+        path = checkpoint.save(ck, tmp_path / "legacy.ckpt")
+        with pytest.raises(CheckpointError, match=f"format {legacy} "):
             checkpoint.load(path)
-        with pytest.raises(CheckpointError, match="format 1 "):
+        with pytest.raises(CheckpointError, match=f"format {legacy} "):
             checkpoint.restore(ck)
+
+    def test_format_2_file_layout_fails_the_checksum(self, tmp_path):
+        """What format 2 actually wrote — the magic, then one pickle of
+        the checkpoint object — has no header to name a format with."""
+        import pickle
+
+        path = tmp_path / "v2.ckpt"
+        path.write_bytes(b"repro-ckpt" + pickle.dumps({"format": 2}))
+        with pytest.raises(CheckpointError, match="format 3"):
+            checkpoint.load(path)
 
     def test_unknown_future_format_rejected(self, tmp_path):
         config = small_config()

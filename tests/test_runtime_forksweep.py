@@ -227,7 +227,7 @@ class TestCheckpointCache:
         config = small_config()
         prefix = prefix_scenario(config)
         cache = CheckpointCache(tmp_path)
-        digest, path = cache.store(
+        digest, path = cache.publish(
             prefix, checkpoint.snapshot(run_prefix(config))
         )
         assert path.exists()
@@ -239,7 +239,7 @@ class TestCheckpointCache:
     def test_truncated_checkpoint_is_a_miss_not_a_crash(self, tmp_path):
         config = small_config()
         cache = CheckpointCache(tmp_path)
-        _, path = cache.store(
+        _, path = cache.publish(
             prefix_scenario(config), checkpoint.snapshot(run_prefix(config))
         )
         path.write_bytes(path.read_bytes()[:64])
@@ -252,7 +252,7 @@ class TestCheckpointCache:
         recomputed, not trusted."""
         config = small_config()
         cache = CheckpointCache(tmp_path)
-        _, path = cache.store(
+        _, path = cache.publish(
             prefix_scenario(config), checkpoint.snapshot(run_prefix(config))
         )
         lied = path.with_name(
@@ -284,7 +284,7 @@ class TestCheckpointCache:
         cache = CheckpointCache(tmp_path)
         for seed in (1, 2):
             config = small_config(seed=seed)
-            cache.store(
+            cache.publish(
                 prefix_scenario(config),
                 checkpoint.snapshot(run_prefix(config)),
             )
@@ -311,7 +311,7 @@ class TestCheckpointCache:
 
         config = small_config()
         cache = CheckpointCache(tmp_path)
-        digest, path = cache.store(
+        digest, path = cache.publish(
             prefix_scenario(config), checkpoint.snapshot(run_prefix(config))
         )
         meta = json.loads(path.with_suffix(".json").read_text())
@@ -327,7 +327,7 @@ class TestCheckpointCache:
         config = small_config()
         prefix = prefix_scenario(config)
         cache = CheckpointCache(tmp_path)
-        cache.store(prefix, checkpoint.snapshot(run_prefix(config)))
+        cache.publish(prefix, checkpoint.snapshot(run_prefix(config)))
         old_key = cache.key(prefix)
         assert cache.find(old_key) is not None
 
