@@ -181,7 +181,7 @@ def _merge_blocked(kernels, space, pos, ids, coords, ages, cap):
     stride = n
     step = kernels.block_rows(stride, per, coords.shape[2])
     outs = [
-        kernels.merge_rank_truncate_numpy(
+        kernels.merge_rank_truncate(
             space, pos[a : a + step], ids[a : a + step], coords[a : a + step],
             ids[a : a + step] >= 0, cap, stride, ages[a : a + step],
         )

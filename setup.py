@@ -24,12 +24,6 @@ setup(
         "numpy",
     ],
     extras_require={
-        # Optional compiled kernel backend for the batch engine
-        # (REPRO_KERNEL_BACKEND=numba); absent numba silently falls
-        # back to the pure-NumPy kernels with byte-identical results.
-        "compiled": [
-            "numba",
-        ],
         "dev": [
             "pytest",
             "pytest-benchmark",

@@ -40,7 +40,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -122,15 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'batch' (batch-synchronous vectorised, semantics v2 — "
         "statistically equivalent results, several times faster); "
         "with --resume, converts the checkpoint to the chosen engine",
-    )
-    run.add_argument(
-        "--kernel-backend",
-        choices=("numpy", "numba"),
-        default=None,
-        help="kernel backend for the batch engine's hot kernels "
-        "(default: $REPRO_KERNEL_BACKEND or 'numpy'); 'numba' uses the "
-        "optional compiled kernels when installed and silently falls "
-        "back to numpy otherwise — results are byte-identical",
     )
     run.add_argument(
         "--workers",
@@ -229,14 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution engine for every cell (default: event); batch "
         "cells are recorded under engine='batch' configs and never "
         "compare equal to event cells",
-    )
-    sweep.add_argument(
-        "--kernel-backend",
-        choices=("numpy", "numba"),
-        default=None,
-        help="kernel backend for batch-engine cells (byte-identical "
-        "results; exported to worker processes via "
-        "REPRO_KERNEL_BACKEND)",
     )
     fork_group = sweep.add_mutually_exclusive_group()
     fork_group.add_argument(
@@ -812,25 +794,7 @@ def _cmd_resume(args) -> int:
     return 0
 
 
-def _apply_kernel_backend(name: Optional[str]) -> None:
-    """Activate a ``--kernel-backend`` choice process-wide and export it
-    so worker subprocesses inherit it (``config_dict`` strips the knob —
-    the environment is how it crosses process boundaries)."""
-    if name is None:
-        return
-    from .sim.batch import backend as kernel_backend_mod
-
-    os.environ[kernel_backend_mod.ENV_VAR] = name
-    active = kernel_backend_mod.set_active(name)
-    if active.name != name:
-        print(
-            f"kernel backend {name!r} unavailable; using {active.name!r}",
-            file=sys.stderr,
-        )
-
-
 def _cmd_run(args) -> int:
-    _apply_kernel_backend(args.kernel_backend)
     if args.resume is not None:
         return _cmd_resume(args)
     if args.experiment is None:
@@ -858,7 +822,6 @@ def _cmd_sweep(args) -> int:
     from .runtime.store import ResultStore
     from .viz.tables import format_store_cells
 
-    _apply_kernel_backend(args.kernel_backend)
     preset = get_preset(args.scale)
     seeds = args.seeds if args.seeds is not None else preset.repetitions
     splits = [part for part in args.splits.split(",") if part.strip()]
@@ -911,7 +874,6 @@ def _cmd_sweep(args) -> int:
         "reinjection": args.reinjection,
         "fork": args.fork,
         "engine": args.engine or "event",
-        "kernel_backend": args.kernel_backend,
     }
     if args.distributed:
         return _sweep_distributed(args, tasks, store, run_id, metadata)

@@ -98,12 +98,10 @@ class ScenarioConfig:
     #: Same scenario, statistically equivalent metrics, different
     #: trajectories — see README "Execution engines".
     engine: str = "event"
-    #: Kernel backend for the batch engine's hot kernels: ``None``
-    #: defers to the ``REPRO_KERNEL_BACKEND`` environment variable
-    #: (default ``numpy``); ``"numba"`` requests the optional compiled
-    #: kernels and silently falls back to numpy when numba is not
-    #: installed.  A pure execution knob — results are byte-identical
-    #: across backends, so it is excluded from config hashes.
+    #: Vestigial: the batch kernels have one implementation and nothing
+    #: reads this.  Kept, accepting ``None`` or ``"numpy"``, only because
+    #: the frozen ``bench/`` passes ``kernel_backend="numpy"``; excluded
+    #: from config hashes (``store.config_dict``).
     kernel_backend: Optional[str] = None
     # -- protocol under test --------------------------------------------
     protocol: str = "polystyrene"
@@ -154,15 +152,12 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
-        if self.kernel_backend is not None:
-            from ..sim.batch import backend as kernel_backend_mod
-
-            if self.kernel_backend not in kernel_backend_mod.KNOWN_BACKENDS:
-                raise ConfigurationError(
-                    "kernel_backend must be one of "
-                    f"{kernel_backend_mod.KNOWN_BACKENDS}, "
-                    f"got {self.kernel_backend!r}"
-                )
+        if self.kernel_backend not in (None, "numpy"):
+            raise ConfigurationError(
+                "selectable kernel backends were removed (the batch "
+                "kernels have one implementation); kernel_backend must be "
+                f"None or 'numpy', got {self.kernel_backend!r}"
+            )
         if self.retention_rounds is not None and (
             self.retention_rounds < self.detector_delay + 2
         ):
@@ -316,8 +311,6 @@ class SeriesHealthProbe:
     :func:`build_simulation` only when series emission is enabled, so
     unobserved runs pay nothing."""
 
-    _packed = None  # as on MetricsRecorder: older checkpoints lack it
-
     def __init__(
         self, space, points: List[DataPoint], k_proximity: int = 4
     ) -> None:
@@ -390,12 +383,6 @@ def build_simulation(
             BatchTMan,
             BatchVicinity,
         )
-        from ..sim.batch import backend as kernel_backend_mod
-
-        if config.kernel_backend is not None:
-            # Explicit config beats the environment; an unavailable
-            # optional backend silently resolves to numpy.
-            kernel_backend_mod.set_active(config.kernel_backend)
 
         rps_cls, tman_cls, vicinity_cls, poly_cls, sim_cls = (
             BatchPeerSampling,

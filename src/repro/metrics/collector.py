@@ -25,11 +25,6 @@ class MetricsRecorder:
     always recorded.
     """
 
-    #: ``pack_points`` of the run's points.  Class attribute so
-    #: recorders checkpointed before it existed restore cleanly (they
-    #: re-pack every round).
-    _packed = None
-
     def __init__(
         self,
         space: Space,

@@ -49,8 +49,8 @@ STORE_FORMAT = 1
 def config_dict(config: ScenarioConfig) -> Dict[str, Any]:
     """A JSON-safe dict of a scenario configuration."""
     out = dataclasses.asdict(config)
-    # Pure execution knob: backends are bit-identical by contract, so a
-    # run's identity (hashes, checkpoints, dedup) must not depend on it.
+    # Inert field kept for the frozen bench (see ScenarioConfig): a
+    # run's identity (hashes, checkpoints, dedup) never depended on it.
     out.pop("kernel_backend", None)
     for key, value in out.items():
         if isinstance(value, tuple):
@@ -89,8 +89,8 @@ def config_from_dict(data: Dict[str, Any]) -> ScenarioConfig:
     what lets a cluster worker reconstruct a task published by a
     coordinator on another machine:
     ``config_from_dict(config_dict(c)) == c`` for every valid config
-    (modulo ``kernel_backend``, which :func:`config_dict` strips — each
-    worker picks its own backend and computes the same bytes).
+    (modulo the inert ``kernel_backend``, which :func:`config_dict`
+    strips).
     """
     kwargs = {
         key: tuple(value) if isinstance(value, list) else value

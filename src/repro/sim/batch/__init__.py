@@ -1,8 +1,9 @@
 """``repro.sim.batch`` — the batch-synchronous vectorised engine.
 
-A selectable execution backend (``ScenarioConfig.engine = "batch"``)
-that advances the whole network one round at a time with array kernels
-instead of per-node Python control flow.  Ships as simulation-semantics
+The second execution engine (``ScenarioConfig.engine = "batch"``): it
+advances the whole network one round at a time with array kernels
+(:mod:`.kernels` — plain functions, one implementation each) instead of
+per-node Python control flow.  Ships as simulation-semantics
 version 2: trajectories are *statistically* equivalent to the event
 engine (version 1), not bit-identical — see the engine module docstring
 for the exact semantic contract and ``tests/test_engine_equivalence``

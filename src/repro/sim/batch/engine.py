@@ -34,7 +34,7 @@ model, checkpoint snapshot/restore, and the scenario runner seams.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -99,6 +99,8 @@ class BatchSimulation(Simulation):
             for layer in layers
         }
         self._engine_rng = generator_for(self.seed, "engine")
+        self._act_rows: Optional[np.ndarray] = None
+        self._act_rows_key: Optional[tuple] = None
         arrays.reserve_scratch()
 
     def rng_for(self, layer_name: str) -> np.random.Generator:
@@ -137,9 +139,7 @@ class BatchSimulation(Simulation):
         layers, cached per (round, membership) exactly like
         :meth:`detected_mask`.  The returned array is read-only."""
         key = (self.round, self.network.n_alive, self.network.n_total)
-        # ``getattr``: simulations restored from older checkpoints may
-        # lack the cache attributes.
-        if getattr(self, "_act_rows_key", None) != key:
+        if self._act_rows_key != key:
             rows = np.flatnonzero(self.network.table.alive_rows())
             rows.setflags(write=False)
             self._act_rows = rows

@@ -27,13 +27,13 @@ gather.  Callers feed the padded kernels one
 temporary inside the array core's one scratch budget
 (:data:`repro.sim.arrays._SCRATCH_BYTES`, re-exported here).
 
-Every public kernel dispatches through the selectable backend registry
-(:mod:`repro.sim.batch.backend`): the reference NumPy implementations
-below double as the ``numpy`` backend, and the optional ``numba``
-backend substitutes compiled variants with byte-identical outputs.  The
-``*_reference`` functions keep the original global-sort implementations
-for the equivalence suites and the ``perf_smoke.py --kernel-gate``
-micro-benchmark.
+Every kernel is a plain module-level function and *is* its
+implementation — there is one code path.  The layers call them through
+the module attribute (``kernels.merge_rank_truncate(...)``, never a
+``from``-import), which is what lets ``bench/child.py`` time them by
+replacing the module globals.  The ``*_reference`` functions keep the
+original global-sort implementations as the oracles of the equivalence
+suites and the ``perf_smoke.py --kernel-gate`` micro-benchmark.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import numpy as np
 from ...obs import mem as _mem
 from ...obs.metrics import timed
 from ..arrays import _SCRATCH_BYTES, block_rows  # re-exported: the one scratch budget
-from . import backend as _backend
 
 #: Sort sentinel pushing invalid entries past every real key.
 _SENTINEL = np.iinfo(np.int64).max
@@ -227,7 +226,8 @@ def dedup_priority_truncate_reference(
     return sel, slot[fit], min_age[order2][fit]
 
 
-def dedup_priority_truncate_numpy(
+@timed("kernel.dedup_priority_truncate")
+def dedup_priority_truncate(
     recv: np.ndarray,
     ids: np.ndarray,
     prio: np.ndarray,
@@ -235,10 +235,23 @@ def dedup_priority_truncate_numpy(
     ages: np.ndarray,
     cap: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bucketed implementation: one three-key radix grouping pass
-    ``(recv, id, sel_key)`` replaces the pre-sort + composite pair
-    sort; the final per-receiver ordering is two more radix passes on
-    the (much smaller) survivor set."""
+    """Slot-priority merge (the batch Cyclon rule): dedup per
+    ``(recv, id)`` keeping the *lowest* ``(prio, order_in)`` entry with
+    the group-minimum age, then keep the first ``cap`` entries per
+    receiver in ``(prio, order_in)`` order.
+
+    Priority classes encode "existing non-sent entries keep their
+    slots, incoming entries fill the rest, sent-out entries are
+    replaced only when space runs out".
+
+    Returns ``(sel, slot, age)``: flat input indices of the survivors,
+    their slot within the receiver's view, and their merged age.
+
+    Bucketed: one three-key radix grouping pass ``(recv, id, sel_key)``
+    replaces the reference's pre-sort + composite pair sort; the final
+    per-receiver ordering is two more radix passes on the (much
+    smaller) survivor set.
+    """
     empty = np.zeros(0, dtype=np.int64)
     if len(recv) == 0:
         return empty, empty, empty
@@ -263,32 +276,6 @@ def dedup_priority_truncate_numpy(
     fit = slot < cap
     sel = kept[order2][fit]
     return sel, slot[fit], min_age[order2][fit]
-
-
-@timed("kernel.dedup_priority_truncate")
-def dedup_priority_truncate(
-    recv: np.ndarray,
-    ids: np.ndarray,
-    prio: np.ndarray,
-    order_in: np.ndarray,
-    ages: np.ndarray,
-    cap: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slot-priority merge (the batch Cyclon rule): dedup per
-    ``(recv, id)`` keeping the *lowest* ``(prio, order_in)`` entry with
-    the group-minimum age, then keep the first ``cap`` entries per
-    receiver in ``(prio, order_in)`` order.
-
-    Priority classes encode "existing non-sent entries keep their
-    slots, incoming entries fill the rest, sent-out entries are
-    replaced only when space runs out".
-
-    Returns ``(sel, slot, age)``: flat input indices of the survivors,
-    their slot within the receiver's view, and their merged age.
-    """
-    return _backend.active_backend().dedup_priority_truncate(
-        recv, ids, prio, order_in, ages, cap
-    )
 
 
 # -- fused padded merge ---------------------------------------------------
@@ -326,7 +313,8 @@ def keep_last_per_row(
     return keep
 
 
-def merge_rank_truncate_numpy(
+@timed("kernel.merge_rank_truncate")
+def merge_rank_truncate(
     space,
     pos: np.ndarray,
     ids_pad: np.ndarray,
@@ -336,7 +324,26 @@ def merge_rank_truncate_numpy(
     stride: int,
     ages_pad: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, ...]:
-    """Fused padded merge (see :func:`merge_rank_truncate`)."""
+    """The topology merge in fused padded form — the bucketed successor
+    of the flat pipeline :func:`dedup_rank_truncate_reference` keeps.
+
+    ``ids_pad``/``coords_pad`` are ``(rows, width)`` padded blocks whose
+    columns hold each receiver's existing view entries first and the
+    incoming message entries after, in arrival order; ``valid`` masks
+    real entries; ``pos`` is each receiver's own position; ``stride``
+    is any exclusive upper bound on the ids (callers compute the
+    network-wide one once per merge, not per block).  Per row the
+    kernel keeps the last (freshest) copy of every duplicated id, ranks
+    the survivors by canonical-coordinate distance to ``pos`` with id
+    tie-break, truncates to ``cap`` and returns ``(rows, cap)`` blocks
+    padded with ``-1`` ids / zero coords (+ merged ages, incoming
+    entries aging from 0, when ``ages_pad`` is given).
+
+    Output contract: byte-identical to the reference flat pipeline
+    (dedup keep-last, rank by ``space.distance_rows``, id tie-break,
+    truncate) on canonical coordinates — property-tested in
+    ``tests/test_prop_kernels.py``.
+    """
     n_rows, width = ids_pad.shape
     keep = keep_last_per_row(ids_pad, valid, stride)
     dsq = space.rank_sq_rows(pos, coords_pad)
@@ -385,54 +392,14 @@ def merge_rank_truncate_numpy(
     return out_ids, out_coords, out_ages
 
 
-@timed("kernel.merge_rank_truncate")
-def merge_rank_truncate(
-    space,
-    pos: np.ndarray,
-    ids_pad: np.ndarray,
-    coords_pad: np.ndarray,
-    valid: np.ndarray,
-    cap: int,
-    stride: int,
-    ages_pad: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, ...]:
-    """The topology merge in fused padded form — the bucketed successor
-    of the flat pipeline :func:`dedup_rank_truncate_reference` keeps.
-
-    ``ids_pad``/``coords_pad`` are ``(rows, width)`` padded blocks whose
-    columns hold each receiver's existing view entries first and the
-    incoming message entries after, in arrival order; ``valid`` masks
-    real entries; ``pos`` is each receiver's own position; ``stride``
-    is any exclusive upper bound on the ids (callers compute the
-    network-wide one once per merge, not per block).  Per row the
-    kernel keeps the last (freshest) copy of every duplicated id, ranks
-    the survivors by canonical-coordinate distance to ``pos`` with id
-    tie-break, truncates to ``cap`` and returns ``(rows, cap)`` blocks
-    padded with ``-1`` ids / zero coords (+ merged ages, incoming
-    entries aging from 0, when ``ages_pad`` is given).
-
-    Output contract: byte-identical to the reference flat pipeline
-    (dedup keep-last, rank by ``space.distance_rows``, id tie-break,
-    truncate) on canonical coordinates — property-tested per backend in
-    ``tests/test_prop_kernels.py``.
-    """
-    return _backend.active_backend().merge_rank_truncate(
-        space, pos, ids_pad, coords_pad, valid, cap, stride, ages_pad
-    )
-
-
-# -- row-distance dispatch ------------------------------------------------
-
-
-def row_rank_sq_numpy(space, origins: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    return space.rank_sq_rows(origins, blocks)
+# -- row distances --------------------------------------------------------
 
 
 def row_rank_sq(space, origins: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Per-row-origin squared rank distances (``space.rank_sq_rows``)
-    through the kernel backend, so compiled backends can substitute a
-    fused row-distance kernel for the shipped spaces."""
-    return _backend.active_backend().row_rank_sq(space, origins, blocks)
+    """Per-row-origin squared rank distances (``space.rank_sq_rows``):
+    the one name the layers' row-distance passes go through, so
+    ``bench/`` counts and times them like every other kernel."""
+    return space.rank_sq_rows(origins, blocks)
 
 
 @timed("kernel.topk_smallest")

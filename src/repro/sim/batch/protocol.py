@@ -186,10 +186,10 @@ class BatchPolystyrene:
         K = cfg.replication
         coord_dim = self.space.dim
 
-        maybe_short = getattr(self, "_maybe_short", None)
+        maybe_short = self._maybe_short
         if maybe_short is None:
-            # Lazy seed (fresh layer, post-adopt, or restored from an
-            # older checkpoint): everyone is a top-up candidate once.
+            # Lazy seed (fresh layer or post-adopt): everyone is a
+            # top-up candidate once.
             maybe_short = self._maybe_short = set(network.alive_ids())
 
         # Line 1: drop failed backups — only re-scanned when the

@@ -212,9 +212,7 @@ class Simulation:
         long-detected: the table's sentinel row reads detected."""
         table = self.network.table
         key = (self.round, self.network.n_alive, self.network.n_total)
-        # ``getattr``: simulations restored from pre-array checkpoints
-        # may lack the cache attributes.
-        if getattr(self, "_detected_rows_key", None) != key:
+        if self._detected_rows_key != key:
             detected = self.detected_failed()
             self._detected_rows = table.row_flags(
                 table.rows_of(np.fromiter(detected, np.int64, len(detected))),

@@ -230,7 +230,7 @@ class TestMemLedger:
         obs_mem.reset()
         tracemalloc.start()
         try:
-            kernels.merge_rank_truncate_numpy(
+            kernels.merge_rank_truncate(
                 space, pos, ids, coords, valid, cap, n_rows, ages
             )
             _, tm_peak = tracemalloc.get_traced_memory()
@@ -321,7 +321,7 @@ class TestMemLedger:
         ages_pad = rng.integers(0, 9, (n, width))
         obs_mem.reset()
         obs_mem.set_enabled(True)
-        out = kernels.merge_rank_truncate_numpy(
+        out = kernels.merge_rank_truncate(
             FlatTorus(16.0, 8.0), coords_pad[:, 0], np.where(valid, ids_pad, -1),
             coords_pad, valid, cap, width, ages_pad,
         )

@@ -264,19 +264,24 @@ def test_rank_sq_rows_matches_scalar_on_canonical(space, data):
         want = space.rank_sq_block(origins[i], batch[i])
         np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-9)
 
-# -- batch kernel backends: bucketed kernels vs sort-based references ------
+# -- batch kernels: bucketed kernels vs sort-based references --------------
 #
 # The receiver-bucketed merge kernels replaced the global composite-key
 # sorts; the originals are retained as ``*_reference`` and these suites
 # pin exact output equality — same survivors, same slots, same ages,
-# same tie-breaking — for every available backend (numpy always; numba
-# joins when installed, and when it is missing ``available_backends()``
-# simply never lists it, which is itself asserted below).
+# same tie-breaking.
 
-from repro.sim.batch import backend as kernel_backend
 from repro.sim.batch import kernels as batch_kernels
 
-BACKENDS = kernel_backend.available_backends()
+#: The priority merge and its sort-based oracle, and the fused padded
+#: merge.  Each kernel has one implementation; its id stays ``numpy``,
+#: the name the recorded test ids have carried since a compiled variant
+#: sat beside it.
+PRIORITY_KERNELS = [
+    pytest.param(batch_kernels.dedup_priority_truncate, id="numpy"),
+    pytest.param(batch_kernels.dedup_priority_truncate_reference, id="reference"),
+]
+MERGE_KERNELS = [pytest.param(batch_kernels.merge_rank_truncate, id="numpy")]
 
 
 def flat_loads(single_receiver=False, duplicate_ids=False):
@@ -310,19 +315,7 @@ def _unpack_load(draw_pair, data):
     return recv, ids, ages, prio
 
 
-def test_numba_backend_gated_not_installed_means_numpy():
-    """Requesting the optional backend must never fail: without numba
-    installed it resolves to numpy (and the suites below then simply
-    run numpy twice as one available backend)."""
-    resolved = kernel_backend.get_backend("numba")
-    assert resolved.name in ("numba", "numpy")
-    assert "numpy" in BACKENDS
-    with kernel_backend.use_backend("numba"):
-        active = kernel_backend.active_backend()
-        assert active.name in ("numba", "numpy")
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kernel", PRIORITY_KERNELS[:1])  # the oracle is the other side
 @pytest.mark.parametrize(
     "shape",
     [dict(), dict(single_receiver=True), dict(duplicate_ids=True)],
@@ -330,7 +323,7 @@ def test_numba_backend_gated_not_installed_means_numpy():
 )
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_dedup_priority_truncate_matches_reference(backend, shape, data):
+def test_dedup_priority_truncate_matches_reference(kernel, shape, data):
     recv, ids, ages, prio = _unpack_load(
         data.draw(flat_loads(**shape)), data
     )
@@ -339,34 +332,12 @@ def test_dedup_priority_truncate_matches_reference(backend, shape, data):
     want = batch_kernels.dedup_priority_truncate_reference(
         recv, ids, prio, order_in, ages, cap
     )
-    with kernel_backend.use_backend(backend):
-        got = batch_kernels.dedup_priority_truncate(
-            recv, ids, prio, order_in, ages, cap
-        )
+    got = kernel(recv, ids, prio, order_in, ages, cap)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
 
 
-def _priority_kernels():
-    """The dispatching kernel (per backend), the sort-based reference
-    and the numba wrapper run as plain Python where numba is absent."""
-    from repro.sim.batch import _numba
-
-    def dispatched(backend):
-        def kernel(*args):
-            with kernel_backend.use_backend(backend):
-                return batch_kernels.dedup_priority_truncate(*args)
-
-        return pytest.param(kernel, id=backend)
-
-    return [
-        *map(dispatched, BACKENDS),
-        pytest.param(batch_kernels.dedup_priority_truncate_reference, id="reference"),
-        pytest.param(_numba.dedup_priority_truncate_numba, id="numba-py"),
-    ]
-
-
-@pytest.mark.parametrize("kernel", _priority_kernels())
+@pytest.mark.parametrize("kernel", PRIORITY_KERNELS)
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_dedup_priority_truncate_ranks_a_receiver_the_same_in_any_batch(kernel, data):
@@ -402,7 +373,7 @@ def test_dedup_priority_truncate_ranks_a_receiver_the_same_in_any_batch(kernel, 
     np.testing.assert_array_equal(part[2], whole[2][restricted])
 
 
-@pytest.mark.parametrize("kernel", _priority_kernels())
+@pytest.mark.parametrize("kernel", PRIORITY_KERNELS)
 def test_dedup_priority_truncate_slot_past_the_batch_length(kernel):
     """A kept entry in view slot 4 and two incoming entries: with the
     priority key strided by the batch length (3) the first incoming
@@ -446,20 +417,6 @@ def _merge_model(space, pos, ids_pad, coords_pad, valid, cap, ages_pad):
     return out_ids, out_coords, out_ages
 
 
-def _merge_impls():
-    """Every available backend's fused merge, plus the numba wrapper run
-    as the plain Python it degrades to where numba is missing."""
-    impls = [
-        pytest.param(kernel_backend.get_backend(b).merge_rank_truncate, id=b)
-        for b in BACKENDS
-    ]
-    if "numba" not in BACKENDS:
-        from repro.sim.batch import _numba
-
-        impls.append(pytest.param(_numba.merge_rank_truncate_numba, id="numba-py"))
-    return impls
-
-
 #: Coordinate lattices of the merge suite: axis steps per lattice; the
 #: mixed lattice draws whole and half steps entry by entry, like a
 #: reinjected network whose views mix both grids.
@@ -482,7 +439,7 @@ def _lattice_coord(steps):
     return st.tuples(axis(16), axis(8))
 
 
-@pytest.mark.parametrize("impl", _merge_impls())
+@pytest.mark.parametrize("impl", MERGE_KERNELS)
 @pytest.mark.parametrize("lattice", [*LATTICE_STEPS, "float"])
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
@@ -667,16 +624,12 @@ def test_take_rows_matches_take_along_axis_and_row_fancy_indexing(data):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_dedup_kernels_empty_load(backend):
-    """Empty flat loads (no bucket at all) return empty selections on
-    every backend."""
+@pytest.mark.parametrize("kernel", PRIORITY_KERNELS)
+def test_dedup_kernels_empty_load(kernel):
+    """Empty flat loads (no bucket at all) return empty selections."""
     empty = np.zeros(0, dtype=np.int64)
-    with kernel_backend.use_backend(backend):
-        sel, slot, age = batch_kernels.dedup_priority_truncate(
-            empty, empty, empty, empty, empty, 4
-        )
-        assert len(sel) == 0 and len(slot) == 0 and len(age) == 0
+    sel, slot, age = kernel(empty, empty, empty, empty, empty, 4)
+    assert len(sel) == 0 and len(slot) == 0 and len(age) == 0
 
 
 @given(data=st.data())
