@@ -169,7 +169,7 @@ class BatchPolystyrene:
             stale = [
                 q for q in ghosts if q in detected or q not in nodes
             ]
-            for origin in stale:
+            for origin in sorted(stale):
                 state.add_guests(ghosts[origin].values())
                 del ghosts[origin]
             if stale:
@@ -269,7 +269,7 @@ class BatchPolystyrene:
             candidates = set(network.alive_ids())
         pts = 0
         ids_units = 0
-        for nid in candidates:
+        for nid in sorted(candidates):
             if not network.is_alive(nid):
                 self._push_dirty.discard(nid)
                 self._push_pending.discard(nid)
@@ -286,11 +286,7 @@ class BatchPolystyrene:
                     removed = previous - guest_pids
                     if not added and not removed:
                         continue
-                    ghost = target.ghosts.setdefault(nid, {})
-                    for pid in added:
-                        ghost[pid] = state.guests[pid]
-                    for pid in removed:
-                        ghost.pop(pid, None)
+                    target.ghosts[nid] = dict(state.guests)
                     pts += len(added)
                     ids_units += len(removed) + 1
                 else:

@@ -26,12 +26,41 @@ import pytest
 from repro.experiments.presets import SMOKE
 from repro.experiments.scenario import ScenarioConfig, prepare_scenario
 from repro.runtime.checkpoint import state_digest
+from repro.runtime.scenarios import catastrophic, compose, flash_crowd, mass_failure
 from repro.sim.batch import kernels
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "state_digests_batch.json"
 UPDATE_ENV = "REPRO_UPDATE_GOLDEN"
 
+#: ``name -> (config, digest rounds[, churn schedule builder])``.
 GOLDEN_CASES = {
+    # Two failures a few rounds apart, retention pruning, joins into the
+    # reused rows, then a third failure that takes some of the joiners:
+    # the only shape in which one holder activates *several* origins'
+    # copies in one round, and copies that were last pushed as multi-pid
+    # deltas.  The orders involved (push candidates and stale origins in
+    # ascending id, a pushed copy in its origin's guest order) are
+    # defined by the protocol, not inherited from a hash-table layout.
+    "batch-12x6-two-failures-retention": (
+        ScenarioConfig(
+            width=12,
+            height=6,
+            failure_round=None,
+            reinjection_round=None,
+            total_rounds=18,
+            retention_rounds=3,
+            metrics=("homogeneity",),
+            seed=7,
+            engine="batch",
+        ),
+        (7, 12, 18),
+        lambda grid: compose(
+            catastrophic(3, grid.width / 2),
+            mass_failure(6, 0.35),
+            flash_crowd(11, grid.parallel(0.5).generate()[::3]),
+            mass_failure(14, 0.3, seed_key="third-failure"),
+        ),
+    ),
     "batch-mini-8x4-poly-K4-advanced": (
         ScenarioConfig(
             width=8,
@@ -75,8 +104,10 @@ GOLDEN_CASES = {
 
 
 def compute_digests(name: str) -> Dict[str, str]:
-    config, rounds = GOLDEN_CASES[name]
+    config, rounds, *churn = GOLDEN_CASES[name]
     sim, *_ = prepare_scenario(config)
+    for build in churn:
+        build(config.grid).install(sim)
     out: Dict[str, str] = {}
     for rnd in sorted(rounds):
         sim.run(rnd - sim.round)
