@@ -16,7 +16,7 @@ the paper suggests after Algorithm 1.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from ..types import DataPoint, NodeId, PointId
 
@@ -83,3 +83,48 @@ class PolystyreneState:
             f"PolystyreneState(guests={self.n_guests}, ghosts={self.n_ghosts}, "
             f"backups={len(self.backups)})"
         )
+
+
+# -- node-sequence reads ------------------------------------------------------
+#
+# What the metrics need from a sequence of nodes carrying ``poly`` (the
+# event engine, detached test nodes, a synced batch simulation) — the
+# definitions the batch engine's ``PlacementStore`` reads of the same
+# names are tested against.  Nodes without state count as holding
+# nothing.
+
+
+def _states(nodes: Sequence) -> Iterable[Tuple[object, "PolystyreneState"]]:
+    for node in nodes:
+        state = getattr(node, "poly", None)
+        if state is not None:
+            yield node, state
+
+
+def holder_pairs(nodes: Sequence) -> Tuple[List[PointId], List]:
+    """``(pids, holders)`` of every guest entry, flat: the inverse image
+    ``guests⁻¹``, one pair per (point, node holding it as a guest)."""
+    pids: List[PointId] = []
+    holders: List = []
+    for node, state in _states(nodes):
+        pids.extend(state.guests)
+        holders.extend([node] * len(state.guests))
+    return pids, holders
+
+
+def stored_points(nodes: Sequence) -> int:
+    """Guests plus ghost copies stored across ``nodes`` (Fig. 7a)."""
+    return sum(
+        len(state.guests) + sum(map(len, state.ghosts.values()))
+        for _, state in _states(nodes)
+    )
+
+
+def held_point_ids(nodes: Sequence) -> Set[PointId]:
+    """Ids of the points some node of ``nodes`` holds, guest or ghost."""
+    held: Set[PointId] = set()
+    for _, state in _states(nodes):
+        held.update(state.guests)
+        for ghost in state.ghosts.values():
+            held.update(ghost)
+    return held

@@ -28,7 +28,7 @@ from ..gossip.tman import TManLayer
 from ..gossip.vicinity import VicinityLayer
 from ..metrics.collector import ALL_METRICS, MetricsRecorder
 from ..metrics.homogeneity import (
-    holder_index,
+    holder_multiplicity,
     homogeneity,
     pack_points,
     surviving_fraction,
@@ -283,7 +283,11 @@ class ReliabilityProbe:
 
     def __call__(self, sim: Simulation) -> None:
         self.samples.append(
-            surviving_fraction(self.points, sim.network.alive_nodes())
+            surviving_fraction(
+                self.points,
+                sim.network.alive_nodes(),
+                getattr(sim, "placement", None),
+            )
         )
 
 
@@ -325,19 +329,18 @@ class SeriesHealthProbe:
         alive = sim.network.alive_nodes()
         if not alive or not self.points:
             return
+        placement = getattr(sim, "placement", None)
         probes = {
             "homogeneity": float(
-                homogeneity(self.space, self.points, alive, self._packed)
+                homogeneity(self.space, self.points, alive, self._packed, placement)
             ),
             "proximity": float(
                 proximity(self.space, sim, self.k_proximity)
             ),
         }
-        holders = holder_index(alive)
-        if holders:
-            probes["holder_multiplicity"] = sum(
-                len(holding) for holding in holders.values()
-            ) / len(holders)
+        multiplicity = holder_multiplicity(alive, placement)
+        if multiplicity is not None:
+            probes["holder_multiplicity"] = multiplicity
         obs_series.note_probes(probes)
 
 

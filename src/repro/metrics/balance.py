@@ -13,11 +13,16 @@ from typing import Dict, Sequence
 import numpy as np
 
 from ..sim.network import SimNode
+from .homogeneity import node_rows
 
 
-def guest_counts(alive_nodes: Sequence[SimNode]) -> np.ndarray:
-    """Guest-set size per alive node (0 for nodes without state)."""
+def guest_counts(alive_nodes: Sequence[SimNode], placement=None) -> np.ndarray:
+    """Guest-set size per alive node (0 for nodes without state).
+    ``placement`` is the batch engine's array store, read instead of
+    ``node.poly``."""
     n = len(alive_nodes)
+    if placement is not None:
+        return placement.guest_counts(node_rows(alive_nodes)).astype(float)
     return np.fromiter(
         (
             state.n_guests if (state := getattr(node, "poly", None)) is not None else 0
@@ -28,7 +33,7 @@ def guest_counts(alive_nodes: Sequence[SimNode]) -> np.ndarray:
     )
 
 
-def load_balance(alive_nodes: Sequence[SimNode]) -> Dict[str, float]:
+def load_balance(alive_nodes: Sequence[SimNode], placement=None) -> Dict[str, float]:
     """Summary of guest-load distribution.
 
     Returns ``max_over_mean`` (1.0 = perfectly balanced), ``gini``
@@ -37,7 +42,7 @@ def load_balance(alive_nodes: Sequence[SimNode]) -> Dict[str, float]:
     """
     if not alive_nodes:
         raise ValueError("load balance is undefined on an empty network")
-    counts = guest_counts(alive_nodes)
+    counts = guest_counts(alive_nodes, placement)
     mean = float(counts.mean())
     peak = float(counts.max())
     return {

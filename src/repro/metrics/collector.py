@@ -47,17 +47,19 @@ class MetricsRecorder:
 
     def on_round_end(self, sim: Simulation) -> None:
         alive = sim.network.alive_nodes()
+        # A batch simulation's placement is arrays, not ``node.poly``.
+        placement = getattr(sim, "placement", None)
         self.n_alive.append(len(alive))
         if "homogeneity" in self.series:
             self.series["homogeneity"].append(
-                homogeneity(self.space, self.points, alive, self._packed)
+                homogeneity(self.space, self.points, alive, self._packed, placement)
             )
         if "proximity" in self.series:
             self.series["proximity"].append(
                 proximity(self.space, sim, self.k_proximity)
             )
         if "storage" in self.series:
-            self.series["storage"].append(average_storage(alive))
+            self.series["storage"].append(average_storage(alive, placement))
         if "message_cost" in self.series:
             snapshot = sim.meter.history[-1] if sim.meter.history else {}
             self.series["message_cost"].append(

@@ -15,6 +15,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from ..core import state as node_state
 from ..obs import mem as obs_mem
 from ..sim.arrays import block_rows
 from ..sim.network import SimNode
@@ -30,17 +31,28 @@ def pack_points(space: Space, points: Sequence[DataPoint]):
     return pids, space.pack_batch([p.coord for p in points])
 
 
+def node_rows(nodes: Sequence[SimNode]) -> np.ndarray:
+    """The table rows of table-backed ``nodes``."""
+    return np.fromiter((node._row for node in nodes), np.int64, len(nodes))
+
+
 def holder_index(nodes: Sequence[SimNode]) -> Dict[PointId, List[SimNode]]:
     """Map each point id to the alive nodes holding it as a guest
     (the inverse image ``guests⁻¹``)."""
     index: Dict[PointId, List[SimNode]] = {}
-    for node in nodes:
-        state = getattr(node, "poly", None)
-        if state is None:
-            continue
-        for pid in state.guests:
-            index.setdefault(pid, []).append(node)
+    for pid, node in zip(*node_state.holder_pairs(nodes)):
+        index.setdefault(pid, []).append(node)
     return index
+
+
+def holder_multiplicity(nodes: Sequence[SimNode], placement=None):
+    """Mean number of nodes holding a held point as a guest (1.0 in a
+    converged system), or ``None`` when nothing is held."""
+    if placement is not None:
+        pids, _ = placement.holder_pairs(node_rows(nodes))
+    else:
+        pids, _ = node_state.holder_pairs(nodes)
+    return len(pids) / len(set(np.asarray(pids).tolist())) if len(pids) else None
 
 
 def homogeneity(
@@ -48,9 +60,14 @@ def homogeneity(
     points: Sequence[DataPoint],
     alive_nodes: Sequence[SimNode],
     packed=None,
+    placement=None,
 ) -> float:
     """Mean distance from each original data point to its nearest
     primary holder (or nearest node at all, if the point was lost).
+
+    ``placement`` is the batch engine's array store
+    (``BatchSimulation.placement``): the guest entries are then read
+    from it, not from ``node.poly``.
 
     Table-backed networks (every simulation run) take the flat-array
     kernel, :func:`_homogeneity_table`: holder multiplicity via
@@ -71,8 +88,14 @@ def homogeneity(
     if table is not None and table.is_vector and all(
         n._table is table for n in alive_nodes
     ):
+        rows = node_rows(alive_nodes)
+        if placement is not None:
+            hp, hr = placement.holder_pairs(rows)
+        else:
+            pids, holders = node_state.holder_pairs(alive_nodes)
+            hp, hr = np.asarray(pids, dtype=np.int64), node_rows(holders)
         return _homogeneity_table(
-            space, packed or pack_points(space, points), alive_nodes, table
+            space, packed or pack_points(space, points), hp, hr, rows, table
         )
     holders = holder_index(alive_nodes)
     all_positions = space.pack_batch([node.pos for node in alive_nodes])
@@ -108,24 +131,15 @@ def _nearest_node(space: Space, queries: np.ndarray, positions: np.ndarray):
 def _homogeneity_table(
     space: Space,
     packed,
-    alive_nodes: Sequence[SimNode],
+    hp: np.ndarray,
+    hr: np.ndarray,
+    all_rows: np.ndarray,
     table,
 ) -> float:
     """Flat-array :func:`homogeneity` for table-backed nodes (see the
-    docstring there)."""
-    pid_list: list = []
-    row_list: list = []
-    for node in alive_nodes:
-        state = getattr(node, "poly", None)
-        if state is None:
-            continue
-        g = state.guests
-        if g:
-            pid_list.extend(g)
-            row_list.extend([node._row] * len(g))
+    docstring there): ``hp``/``hr`` are the guest entries as (point id,
+    holder row) pairs, ``all_rows`` the rows of all the nodes."""
     pt_pids, pt_coords = packed
-    hp = np.asarray(pid_list, dtype=np.int64)
-    hr = np.asarray(row_list, dtype=np.int64)
     size = int(max(hp.max(initial=-1), pt_pids.max(initial=-1))) + 1
     counts = np.bincount(hp, minlength=size)
     pcount = counts[pt_pids]
@@ -154,11 +168,8 @@ def _homogeneity_table(
         total += float(np.sum(best[pt_pids[multi]]))
     lost = pcount == 0
     if lost.any():
-        node_rows = np.fromiter(
-            (node._row for node in alive_nodes), np.int64, len(alive_nodes)
-        )
         total += float(
-            np.sum(_nearest_node(space, pt_coords[lost], table.coords_at(node_rows)))
+            np.sum(_nearest_node(space, pt_coords[lost], table.coords_at(all_rows)))
         )
     return total / len(pt_pids)
 
@@ -172,7 +183,7 @@ def lost_points(
 
 
 def surviving_fraction(
-    points: Sequence[DataPoint], alive_nodes: Sequence[SimNode]
+    points: Sequence[DataPoint], alive_nodes: Sequence[SimNode], placement=None
 ) -> float:
     """Fraction of data points held (as guest *or* ghost) by at least
     one alive node — the paper's *reliability* (Table II).
@@ -182,12 +193,11 @@ def surviving_fraction(
     """
     if not points:
         return 1.0
-    held: set = set()
-    for node in alive_nodes:
-        state = getattr(node, "poly", None)
-        if state is None:
-            continue
-        held.update(state.guests)
-        for ghost in state.ghosts.values():
-            held.update(ghost)
+    if placement is not None and alive_nodes:
+        pids = np.fromiter((p.pid for p in points), np.int64, len(points))
+        held = placement.held_mask(
+            alive_nodes[0]._table, node_rows(alive_nodes), int(pids.max()) + 1
+        )
+        return int(held[pids].sum()) / len(points)
+    held = node_state.held_point_ids(alive_nodes)
     return sum(1 for point in points if point.pid in held) / len(points)

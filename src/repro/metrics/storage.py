@@ -11,7 +11,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
+from ..core import state as node_state
 from ..sim.network import SimNode
+from .homogeneity import node_rows
 
 
 def node_storage(node: SimNode) -> int:
@@ -22,23 +26,20 @@ def node_storage(node: SimNode) -> int:
     return state.storage_load
 
 
-def average_storage(alive_nodes: Sequence[SimNode]) -> float:
-    """Mean stored points per alive node."""
+def average_storage(alive_nodes: Sequence[SimNode], placement=None) -> float:
+    """Mean stored points per alive node.  ``placement`` is the batch
+    engine's array store, read instead of ``node.poly``."""
     if not alive_nodes:
         return 0.0
-    total = 0
-    for node in alive_nodes:
-        state = getattr(node, "poly", None)
-        if state is not None:  # node_storage inlined: no call chain per node
-            total += len(state.guests) + sum(map(len, state.ghosts.values()))
+    if placement is not None:
+        total = placement.stored_points(alive_nodes[0]._table, node_rows(alive_nodes))
+    else:
+        total = node_state.stored_points(alive_nodes)
     return total / len(alive_nodes)
 
 
-def total_unique_points(alive_nodes: Sequence[SimNode]) -> int:
+def total_unique_points(alive_nodes: Sequence[SimNode], placement=None) -> int:
     """Number of distinct point ids held as guest somewhere."""
-    seen: set = set()
-    for node in alive_nodes:
-        state = getattr(node, "poly", None)
-        if state is not None:
-            seen.update(state.guests)
-    return len(seen)
+    if placement is not None:
+        return len(np.unique(placement.holder_pairs(node_rows(alive_nodes))[0]))
+    return len(set(node_state.holder_pairs(alive_nodes)[0]))

@@ -278,13 +278,26 @@ def load(path: Union[str, Path]) -> SimulationCheckpoint:
 # -- state fingerprinting ---------------------------------------------------
 
 
-def _node_state(node, layer_views) -> tuple:
+def _poly_state(poly) -> tuple:
+    """The sorted placement summary of one ``PolystyreneState`` — the
+    shape ``PlacementStore.canonical`` produces per row from arrays."""
+    return (
+        sorted(poly.guests),
+        sorted((origin, tuple(sorted(pts))) for origin, pts in poly.ghosts.items()),
+        sorted(poly.backups),
+        sorted((nid, tuple(sorted(sent))) for nid, sent in poly.backup_sent.items()),
+    )
+
+
+def _node_state(node, layer_views, placement=None) -> tuple:
     """A canonical, order-stable summary of one node's layer state.
 
     View ids come from the node's ``*_view`` attributes, except those a
     batch layer owns (``layer_views``, ``{attribute: ids per table
     row}``): there the arrays are the state, and an attribute an earlier
-    ``sync_canonical()`` left behind is stale and ignored."""
+    ``sync_canonical()`` left behind is stale and ignored.  The same
+    holds for ``placement`` (summaries per table row) against
+    ``node.poly``."""
     views = {attr: rows[node.row] for attr, rows in layer_views.items()}
     for attr, view in vars(node).items():
         if (
@@ -294,25 +307,10 @@ def _node_state(node, layer_views) -> tuple:
         ):
             views[attr] = sorted(view)
     entries = [("pos", node.pos), *sorted(views.items())]
-    poly = getattr(node, "poly", None)
-    if poly is not None:
-        entries.append(
-            (
-                "poly",
-                (
-                    sorted(poly.guests),
-                    sorted(
-                        (origin, tuple(sorted(pts)))
-                        for origin, pts in poly.ghosts.items()
-                    ),
-                    sorted(poly.backups),
-                    sorted(
-                        (nid, tuple(sorted(sent)))
-                        for nid, sent in poly.backup_sent.items()
-                    ),
-                ),
-            )
-        )
+    if placement is not None:
+        entries.append(("poly", placement[node.row]))
+    elif getattr(node, "poly", None) is not None:
+        entries.append(("poly", _poly_state(node.poly)))
     return tuple(entries)
 
 
@@ -353,13 +351,15 @@ def state_digest(sim: Simulation) -> str:
     (event identity and parameters, not just rounds) — the checkpoint
     round-trip tests assert digest equality between interrupted and
     uninterrupted runs.  A batch-engine simulation's view ids are read
-    from its arrays (``canonical_view_ids``), exactly what
+    and placement state are read from its arrays (``canonical_view_ids``,
+    ``canonical_placement``), exactly what
     ``sync_canonical()`` would have materialised, so the same definition
     covers both engines (their digests never collide: the RNG states
     differ by construction) — and the call is a pure read on either.
     """
     canonical = getattr(sim, "canonical_view_ids", None)
     layer_views = canonical() if canonical is not None else {}
+    placement = getattr(sim, "canonical_placement", lambda: None)()
     h = hashlib.sha256()
 
     def feed(tag: str, value) -> None:
@@ -371,7 +371,10 @@ def state_digest(sim: Simulation) -> str:
     feed("alive", sim.network.alive_ids())
     feed("dead", sim.network.dead_ids())
     for nid in sim.network.alive_ids():
-        feed(f"node:{nid}", _node_state(sim.network.node(nid), layer_views))
+        feed(
+            f"node:{nid}",
+            _node_state(sim.network.node(nid), layer_views, placement),
+        )
     for name in sorted(sim._rngs):
         feed(f"rng:{name}", _rng_state(sim._rngs[name]))
     feed("rng:engine", _rng_state(sim._engine_rng))

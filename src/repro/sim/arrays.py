@@ -271,6 +271,13 @@ class NodeTable:
                 coord = tuple(coord)
         self._pos_cache[row] = coord
 
+    def set_coords(self, rows: np.ndarray, coords: np.ndarray) -> None:
+        """:meth:`set_coord` for many rows at once (vector mode)."""
+        self._coords[rows] = coords
+        cache = self._pos_cache
+        for row, coord in zip(rows.tolist(), coords.tolist()):
+            cache[row] = tuple(coord)
+
     def pos(self, row: int) -> Coord:
         """The canonical coordinate object of a row."""
         return self._pos_cache[row]

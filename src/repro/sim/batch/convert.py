@@ -4,9 +4,12 @@ A format-2 checkpoint freezes one engine's object graph; these
 converters rebuild the *other* engine's layer stack around the same
 network, protocol state, pending events, meter and observers.  What
 carries over verbatim: membership and positions (the node table),
-Polystyrene state (guests/ghosts/backups — canonical in both engines),
 the message-meter history, the event schedule, scenario handles, and
-the retention policy.  What does not: RNG substreams — the two engines
+the retention policy.  Layer state crosses through each batch layer's
+``materialize`` / ``adopt`` pair — views and, since placement became
+arrays, guests / ghosts / backups too (``sync_canonical`` writes the
+per-node objects the event engine runs on, ``adopt_canonical`` reads
+them back).  What does not: RNG substreams — the two engines
 draw through incompatible generators, so fresh substreams are derived
 from ``(seed, layer, "engine-switch", round)``.  A converted
 continuation is therefore a valid, deterministic run of the target

@@ -177,6 +177,7 @@ class BatchSimulation(Simulation):
         attributes the event engine uses (``rps_view`` dicts,
         ``tman_view`` ViewBuffers, ...).
 
+        Likewise ``node.poly``, from the placement arrays.
         Idempotent and free of RNG draws, so callers may sync at any
         time: the engine converter before building an event simulation
         and the routing layer before walking views.  Repeat syncs with no
@@ -220,6 +221,26 @@ class BatchSimulation(Simulation):
             rows.extend([] for _ in range(n_rows - len(rows)))
             out[attr] = rows
         return out
+
+    @property
+    def placement(self):
+        """The protocol layer's array placement store
+        (:class:`~repro.sim.batch.placement.PlacementStore`), or ``None``
+        for a stack that keeps per-node state (the static-holder
+        baseline) — what the round-loop observers read instead of
+        ``node.poly``."""
+        for layer in self.layers:
+            store = getattr(layer, "placement", None)
+            if store is not None:
+                return store
+        return None
+
+    def canonical_placement(self) -> Optional[List[tuple]]:
+        """Per table row, the sorted placement summary ``state_digest``
+        feeds (``PlacementStore.canonical``) — like
+        :meth:`canonical_view_ids`, a pure read of the arrays."""
+        store = self.placement
+        return None if store is None else store.canonical(self.network.table)
 
     def adopt_canonical(self) -> None:
         """Read per-node view attributes into the layers' array state —

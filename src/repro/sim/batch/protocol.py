@@ -1,17 +1,19 @@
 """Batch Polystyrene: the four mechanisms, whole-network per round.
 
-Point placement state (guests/ghosts/backups) stays in the canonical
-per-node :class:`~repro.core.state.PolystyreneState` objects — these are
-dict/set bookkeeping whose cost is driven by *change volume*, and
-keeping them canonical means checkpoints, the reliability probe, the
-storage metric and engine conversion read them with zero translation.
-Everything geometric is vectorised:
+Placement state — guests, backups and the copy last pushed to each
+backup — lives in a :class:`~repro.sim.batch.placement.PlacementStore`
+of row-indexed arrays beside the gossip layers' views (layout there).
+Each mechanism is gather → kernel → scatter over it:
 
-* **recovery** — one cached detector set, scanned only on rounds where
-  something is detected;
-* **backup** — top-ups batch their candidate sampling through the batch
-  RPS layer; pushes short-circuit to zero work for nodes whose guest
-  set did not change since their last push (dirty-set tracking);
+* **recovery** — the rows whose owner is detected (or has left the
+  table) and still have a pushed copy out are found in one mask; their
+  copies are appended to the alive holders' guest rows in one grouped
+  keep-first pass, and the slots are cleared, so an origin is activated
+  once, not rescanned every round;
+* **backup** — failed backups are dropped and free slots topped up
+  slot-wise (candidates for all short nodes sampled in one batch); each
+  dirty row then compares its guest row with the copy in every alive
+  slot once: the delta is metered, the row is copied over;
 * **migration** — partner candidates are the ψ closest alive topology
   entries plus one RPS draw for *all* nodes in one kernel; every alive
   node's proposal then executes in dependency *waves* (each wave a
@@ -19,11 +21,23 @@ Everything geometric is vectorised:
   none remain), so each node initiates exactly one exchange per
   ``migrations_per_round`` — the event engine's rate — while no two
   snapshot-based re-partitions ever touch the same guest set
-  concurrently (points cannot be lost or duplicated).  Every wave's
-  pools are split by the vectorised
-  :func:`~repro.sim.batch.split.batch_split`;
-* **projection** — medoids of every changed guest set in one grouped
-  pairwise kernel, written back to the node table in bulk.
+  concurrently (points cannot be lost or duplicated).  A wave gathers
+  both guest rows of every pair, masks p's points already in q, compacts
+  the pools, splits them with
+  :func:`~repro.sim.batch.split.batch_split` and scatters the two sides
+  back;
+* **projection** — medoids of every changed guest row in one masked
+  grouped pass, written back to the node table in bulk.
+
+Three orders are part of the semantics and are *defined* here rather
+than inherited from a container: stale origins are activated in
+ascending origin id; nodes push in ascending node id; a pushed copy is
+the origin's guest row in its order at push time (an incremental push
+still meters only the delta).  The order-bearing rules on a guest row:
+a pool lists q's guests, then p's not already in q; each side of a
+split keeps pool order; a side whose pid *set* is unchanged keeps its
+old row; recovery appends a copy's new pids in copy order; of two
+points the first is the medoid.
 
 Message metering follows the event engine's unit accounting exactly
 (pulled guest sets, pushed deltas, bare-id confirmations).
@@ -31,20 +45,44 @@ Message metering follows the event engine's unit accounting exactly
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List
 
 import numpy as np
 
 from ...core.config import PolystyreneConfig
-from ...core.state import PolystyreneState
 from ...errors import ConfigurationError
 from ...obs import mem as obs_mem
 from ...obs import metrics as obs_metrics
 from ...spaces.base import Space
 from ...spaces.euclidean import Euclidean
-from ...types import DataPoint, NodeId, PointId
+from ...types import DataPoint, PointId
+from . import kernels
 from . import split as batch_split_mod
+from .placement import PlacementStore
 
+#: Rows of :attr:`BatchPolystyrene._flags`: guest row changed since its
+#: last projection / since its last push; gained a backup this round
+#: (needs a first full push); may be short of backups.
+_CHANGED, _DIRTY, _PENDING, _SHORT = range(4)
+
+
+def _first_k(mask: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``mask`` with only each row's first ``k[row]`` set entries kept."""
+    return mask & (np.cumsum(mask, axis=1) <= k[:, None])
+
+
+def _pack_left(
+    block: np.ndarray, keep: np.ndarray, width: int, fill, counts=None
+) -> np.ndarray:
+    """Each row's kept entries moved to the front in order, the rest
+    ``fill`` — a ``(rows, width)`` stable compaction.  Boolean reads and
+    writes are both row-major, so one flat copy does it.  ``counts`` is
+    ``keep.sum(axis=1)`` when the caller already holds it."""
+    if counts is None:
+        counts = keep.sum(axis=1)
+    out = np.full((len(block), width), fill, dtype=block.dtype)
+    out[np.arange(width) < counts[:, None]] = block[keep]
+    return out
 
 
 class BatchPolystyrene:
@@ -68,22 +106,22 @@ class BatchPolystyrene:
         self.config = config
         self.rps = rps
         self.tman = tman
+        self.placement = PlacementStore(config.replication)
         self._points: Dict[PointId, DataPoint] = {}
         self._point_coords = np.zeros((0, space.dim), dtype=float)
-        #: Nodes whose guest set changed since their last projection.
-        self._changed: Set[NodeId] = set()
-        #: Nodes whose guest set changed since their last backup push.
-        self._push_dirty: Set[NodeId] = set()
-        #: Nodes that gained a backup this round (need a first full push).
-        self._push_pending: Set[NodeId] = set()
+        self._flags = np.zeros((4, 0), dtype=bool)
         self._last_detected: frozenset = frozenset()
-        #: Nodes that may be short of backups (``None`` = everyone,
-        #: pending a lazy re-seed): backup sets only shrink in the
-        #: detected-drop scan below, so between failures the per-round
-        #: top-up scan touches just this set instead of every node.
-        self._maybe_short: Optional[Set[NodeId]] = None
 
     # -- per-node state ----------------------------------------------------
+
+    def _ensure_rows(self, n: int) -> None:
+        self.placement.ensure_rows(n)
+        have, cap = self._flags.shape[1], len(self.placement.guest_n)
+        if cap > have:
+            flags = np.zeros((4, cap), dtype=bool)
+            flags[:, :have] = self._flags
+            flags[_SHORT, have:] = True  # a fresh row has no backups
+            self._flags = flags
 
     def _register_point(self, point: DataPoint) -> None:
         pid = point.pid
@@ -102,95 +140,138 @@ class BatchPolystyrene:
         self._point_coords[pid] = point.coord
 
     def init_node(self, sim, node) -> None:
-        initial = [node.initial_point] if node.initial_point is not None else []
-        node.poly = PolystyreneState(initial)
-        if initial:
-            node.pos = initial[0].coord
-            self._register_point(initial[0])
-        if self._maybe_short is not None:
-            self._maybe_short.add(node.nid)
+        point = node.initial_point
+        self._ensure_rows(node.row + 1)
+        self.placement.reset_row(
+            node.row, node.nid, -1 if point is None else point.pid
+        )
+        self._flags[:, node.row] = (False, False, False, True)
+        if point is not None:
+            node.pos = point.coord
+            self._register_point(point)
 
     def init_network(self, sim) -> None:
-        for node in sim.network.alive_nodes():
-            self.init_node(sim, node)
+        """:meth:`init_node` for the whole network: fresh rows are
+        already empty, so one block write hands them out."""
+        nodes = sim.network.alive_nodes()
+        self._ensure_rows(sim.network.table.n_rows)
+        store = self.placement
+        rows = np.fromiter((node.row for node in nodes), np.int64, len(nodes))
+        store.owner[rows] = [node.nid for node in nodes]
+        for node in nodes:
+            point = node.initial_point
+            if point is not None:
+                node.pos = point.coord
+                self._register_point(point)
+                store.guest_ids[node.row, 0] = point.pid
+        store.guest_n[rows] = store.guest_ids[rows, 0] >= 0
+
+    # -- the per-node-object bridge ------------------------------------------
+
+    def materialize(self, sim) -> None:
+        """Write ``node.poly`` from the arrays (all known nodes)."""
+        self._ensure_rows(sim.network.table.n_rows)
+        self.placement.materialize(sim, self._points)
 
     def adopt(self, sim) -> None:
-        """Register every data point reachable from the canonical
-        per-node state (engine conversion): initial points, guests and
-        ghost copies all index into the shared coordinate table.
+        """Read per-node ``poly`` objects into the arrays (engine
+        conversion) and register every point they reach.
 
-        Nodes whose guest set differs from what they last pushed to any
-        backup are seeded into the push-dirty set — the event engine
-        repairs such drift through its unconditional per-round scan,
-        and a conversion mid-drift (e.g. a checkpoint taken after
-        migration but before the next backup round) must not strand the
-        stale ghost copies forever.
-        """
-        for node in sim.network.nodes.values():
-            if node.initial_point is not None:
-                self._register_point(node.initial_point)
-            state = getattr(node, "poly", None)
-            if state is None:
-                continue
-            for point in state.guests.values():
-                self._register_point(point)
-            for ghost in state.ghosts.values():
-                for point in ghost.values():
-                    self._register_point(point)
-            guest_pids = frozenset(state.guests)
-            if any(
-                state.backup_sent.get(b) != guest_pids
-                for b in state.backups
-            ):
-                self._push_dirty.add(node.nid)
-        self._maybe_short = None
+        Nodes whose guests differ from what some backup was last sent
+        are marked push-dirty — the event engine repairs such drift
+        through its unconditional per-round scan, and a conversion
+        mid-drift (e.g. a checkpoint taken after migration but before
+        the next backup round) must not strand the stale copies."""
+        table = sim.network.table
+        self._ensure_rows(table.n_rows)
+        drifted = self.placement.adopt(sim, self._register_point)
+        self._flags[:] = False
+        self._flags[_SHORT] = True
+        self._flags[_DIRTY, table.rows_of(np.asarray(drifted, np.int64))] = True
 
     # -- one protocol round --------------------------------------------------
 
     def step(self, sim) -> None:
+        self._ensure_rows(sim.network.table.n_rows)
         detected = sim.detected_failed()
         if detected:
-            self._recover(sim, detected)
-        self._backup(sim, detected)
+            with obs_metrics.timer("protocol.recovery"):
+                self._recover(sim)
+        with obs_metrics.timer("protocol.backup"):
+            self._backup(sim, detected)
         for _ in range(self.config.migrations_per_round):
             obs_metrics.count("exchanges.migration", self._migration_round(sim))
-        self._project(sim)
+        self._project(sim, self._take_flagged(_CHANGED))
+
+    def _take_flagged(self, which: int) -> np.ndarray:
+        """The rows flagged ``which``, ascending; clears the flag."""
+        rows = np.flatnonzero(self._flags[which])
+        self._flags[which, rows] = False
+        return rows
 
     # -- step 3: recovery ---------------------------------------------------
 
-    def _recover(self, sim, detected) -> None:
-        network = sim.network
-        nodes = network.nodes
-        for nid in network.alive_ids():
-            state = nodes[nid].poly
-            ghosts = state.ghosts
-            if not ghosts:
-                continue
-            stale = [
-                q for q in ghosts if q in detected or q not in nodes
-            ]
-            for origin in sorted(stale):
-                state.add_guests(ghosts[origin].values())
-                del ghosts[origin]
-            if stale:
-                self._changed.add(nid)
-                self._push_dirty.add(nid)
+    def _recover(self, sim) -> None:
+        store = self.placement
+        table = sim.network.table
+        n = table.n_rows
+        # Origins with a copy out whose owner is detected — or gone: a
+        # released id resolves to the sentinel row, which reads detected.
+        out = (store.sent_n[:n] >= 0).any(axis=1) & (store.owner[:n] >= 0)
+        stale = np.flatnonzero(out)
+        stale = stale[sim.detected_mask(store.owner[stale])]
+        if len(stale) == 0:
+            return
+        # One (origin, slot) run per copy held by an alive node, origins
+        # in ascending id (the defined activation order).
+        stale = stale[np.argsort(store.owner[stale], kind="stable")]
+        targets = table.rows_of(store.backup_ids[stale])
+        live = (store.sent_n[stale] >= 0) & table.alive_at(targets)
+        o_idx, slots = np.nonzero(live)
+        tgt = targets[o_idx, slots]
+        holders = np.unique(tgt)
+        if len(holders):
+            # Per holder: its guest row, then each copy in origin order;
+            # the first occurrence of a pid keeps its place.
+            copy = store.sent_ids[stale[o_idx], slots]
+            have = store.guest_ids[holders]
+            seq_row = np.concatenate(
+                [
+                    np.repeat(holders, store.guest_n[holders]),
+                    np.repeat(tgt, (copy >= 0).sum(axis=1)),
+                ]
+            )
+            seq_pid = np.concatenate([have[have >= 0], copy[copy >= 0]]).astype(
+                np.int64
+            )
+            order = kernels.radix_argsort(seq_row)  # stable: sequence kept
+            seq_row, seq_pid = seq_row[order], seq_pid[order]
+            key = seq_row * len(self._point_coords) + seq_pid
+            by_key = np.argsort(key, kind="stable")
+            first = np.ones(len(key), dtype=bool)
+            first[1:] = key[by_key][1:] != key[by_key][:-1]
+            keep = np.zeros(len(key), dtype=bool)
+            keep[by_key[first]] = True
+            seq_row, seq_pid = seq_row[keep], seq_pid[keep]
+            slot = kernels.cumcount(seq_row)
+            store.ensure_width(int(slot.max()) + 1)
+            store.guest_ids[seq_row, slot] = seq_pid
+            store.guest_n[holders] = np.bincount(seq_row, minlength=n)[holders]
+            self._flags[_CHANGED, holders] = True
+            self._flags[_DIRTY, holders] = True
+        store.sent_n[stale] = -1
+        store.sent_ids[stale] = -1
 
     # -- step 2: backup -----------------------------------------------------
 
     def _backup(self, sim, detected) -> None:
         network = sim.network
         table = network.table
-        nodes = network.nodes
+        store = self.placement
         cfg = self.config
         K = cfg.replication
-        coord_dim = self.space.dim
-
-        maybe_short = self._maybe_short
-        if maybe_short is None:
-            # Lazy seed (fresh layer or post-adopt): everyone is a
-            # top-up candidate once.
-            maybe_short = self._maybe_short = set(network.alive_ids())
+        flags = self._flags
+        act = sim.alive_act_rows()
 
         # Line 1: drop failed backups — only re-scanned when the
         # detector *set* changed (fresh backups are sampled alive, so a
@@ -198,106 +279,104 @@ class BatchPolystyrene:
         # cached frozenset is rebuilt per round, so compare by value.
         if detected and detected != self._last_detected:
             self._last_detected = detected
-            for nid in network.alive_ids():
-                state = nodes[nid].poly
-                dead = [
-                    b
-                    for b in state.backups
-                    if b in detected or b not in nodes
-                ]
-                for b in dead:
-                    state.backups.discard(b)
-                    state.backup_sent.pop(b, None)
-                if dead:
-                    maybe_short.add(nid)
+            rows, slots = np.nonzero(sim.detected_entry_mask(store.backup_ids[act]))
+            rows = act[rows]
+            store.backup_ids[rows, slots] = -1
+            store.sent_n[rows, slots] = -1
+            store.sent_ids[rows, slots] = -1
+            flags[_SHORT, rows] = True
 
         # Line 2: top back up to K backups, sampling candidates for all
-        # short nodes in one batch.  Backup sets shrink only in the
-        # drop scan above (which marks the victims), so nodes outside
-        # ``maybe_short`` cannot be short; the scan keeps
-        # ``alive_ids`` order for the draw alignment below.
-        short: List[NodeId] = []
-        if maybe_short:
-            for nid in network.alive_ids():
-                if nid not in maybe_short:
-                    continue
-                if len(nodes[nid].poly.backups) < K:
-                    short.append(nid)
-                else:
-                    maybe_short.discard(nid)
-        if short:
-            rows = np.asarray([nodes[nid].row for nid in short], dtype=np.int64)
-            width = max(1, max(len(nodes[nid].poly.backups) for nid in short))
-            exclude = np.full((len(short), width), -1, dtype=np.int64)
-            for i, nid in enumerate(short):
-                for j, b in enumerate(nodes[nid].poly.backups):
-                    exclude[i, j] = b
+        # short nodes in one batch.  Backup sets shrink only in the drop
+        # scan above (which flags the victims), so unflagged nodes
+        # cannot be short; ``short`` keeps ``alive_ids`` order for the
+        # draw alignment below.
+        flags[_SHORT, act] &= (store.backup_ids[act] >= 0).sum(axis=1) < K
+        if flags[_SHORT, act].any():
+            rows = table.rows_of(network.alive_ids_array())
+            rows = rows[flags[_SHORT, rows]]
+            own = store.owner[rows]
+            held = store.backup_ids[rows]
+            n_held = (held >= 0).sum(axis=1)
+            missing = K - n_held
+            width = max(1, int(n_held.max()))
             if cfg.backup_placement == "neighbors":
                 cand = self.tman.neighbors_rows(sim, rows, K + width)
             else:
+                exclude = _pack_left(held, held >= 0, width, -1)
                 cand = self.rps.sample_rows(sim, rows, K, exclude=exclude)
-            for i, nid in enumerate(short):
-                state = nodes[nid].poly
-                missing = K - len(state.backups)
-                picked = [
-                    int(b)
-                    for b in cand[i]
-                    if b >= 0 and b not in state.backups and b != nid
-                ][:missing]
-                if len(picked) < missing and cfg.backup_placement == "neighbors":
-                    picked += [
-                        int(b)
-                        for b in self.rps.sample(
-                            sim,
-                            nodes[nid],
-                            missing - len(picked),
-                            exclude=tuple(state.backups) + tuple(picked) + (nid,),
-                        )
-                    ]
-                if picked:
-                    state.backups.update(picked)
-                    self._push_pending.add(nid)
-                if len(state.backups) >= K:
-                    maybe_short.discard(nid)
+            fresh = (
+                (cand >= 0)
+                & (cand != own[:, None])
+                & ~(cand[:, :, None] == held[:, None, :]).any(axis=2)
+            )
+            picked = _pack_left(cand, _first_k(fresh, missing), K, -1)
+            if cfg.backup_placement == "neighbors":
+                # A neighbourhood too small to fill the slots falls back
+                # to peer sampling, node by node (the draws are scalar).
+                n_got = (picked >= 0).sum(axis=1)
+                for i in np.flatnonzero(n_got < missing).tolist():
+                    got = picked[i, : n_got[i]].tolist()
+                    got += self.rps.sample(
+                        sim,
+                        network.nodes[int(own[i])],
+                        int(missing[i]) - len(got),
+                        exclude=(*held[i][held[i] >= 0].tolist(), *got, int(own[i])),
+                    )
+                    picked[i, : len(got)] = got
+            # Picks fill the free slots in slot order.
+            n_new = (picked >= 0).sum(axis=1)
+            held[_first_k(held < 0, n_new)] = picked[picked >= 0]
+            store.backup_ids[rows] = held
+            flags[_PENDING, rows[n_new > 0]] = True
+            flags[_SHORT, rows[n_held + n_new >= K]] = False
 
         # Lines 3-4: push guests to backups.  With incremental deltas a
         # node whose guests did not change and whose backups all hold a
-        # previous copy sends nothing — skip it without touching dicts.
+        # previous copy sends nothing — it is never even gathered.
         if cfg.incremental_backup:
-            candidates = self._push_dirty | self._push_pending
+            todo = (flags[_DIRTY] | flags[_PENDING])[: table.n_rows]
+            rows = np.flatnonzero(todo & table.alive_rows())
         else:
-            candidates = set(network.alive_ids())
-        pts = 0
-        ids_units = 0
-        for nid in sorted(candidates):
-            if not network.is_alive(nid):
-                self._push_dirty.discard(nid)
-                self._push_pending.discard(nid)
-                continue
-            state = nodes[nid].poly
-            guest_pids = frozenset(state.guests)
-            for backup_id in state.backups:
-                if not network.is_alive(backup_id):
-                    continue
-                target = nodes[backup_id].poly
-                previous = state.backup_sent.get(backup_id)
-                if cfg.incremental_backup and previous is not None:
-                    added = guest_pids - previous
-                    removed = previous - guest_pids
-                    if not added and not removed:
-                        continue
-                    target.ghosts[nid] = dict(state.guests)
-                    pts += len(added)
-                    ids_units += len(removed) + 1
-                else:
-                    target.ghosts[nid] = dict(state.guests)
-                    pts += len(guest_pids)
-                    ids_units += 1
-                state.backup_sent[backup_id] = guest_pids
-            self._push_dirty.discard(nid)
-            self._push_pending.discard(nid)
+            rows = act
+        flags[_DIRTY] = False
+        flags[_PENDING] = False
+        if len(rows) == 0:
+            return
+        pts = ids_units = 0
+        g_w = max(1, int(store.guest_n[rows].max()))
+        s_w = max(1, int(store.sent_n[rows].max()))
+        # One row compares its guests with K copies: K * s_w * g_w cells.
+        step = kernels.block_rows(0, K * s_w * g_w, 1)
+        for a in range(0, len(rows), step):
+            blk = rows[a : a + step]
+            n_g = store.guest_n[blk].astype(np.int64)
+            prev_n = store.sent_n[blk].astype(np.int64)
+            push = table.alive_mask(store.backup_ids[blk])
+            first = prev_n < 0
+            if cfg.incremental_backup:
+                mine = store.guest_ids[blk, :g_w]
+                prev = store.sent_ids[blk, :, :s_w]
+                both = prev[:, :, :, None] == mine[:, None, None, :]
+                both &= (prev >= 0)[:, :, :, None]
+                if obs_mem.ENABLED:
+                    obs_mem.scratch(
+                        "protocol_pools", "BatchPolystyrene.push_delta", both.nbytes
+                    )
+                common = both.sum(axis=(2, 3))
+                added = np.where(first, n_g[:, None], n_g[:, None] - common)
+                removed = np.where(first, 0, prev_n - common)
+                push &= first | (added > 0) | (removed > 0)
+            else:
+                added = np.broadcast_to(n_g[:, None], push.shape)
+                removed = np.zeros_like(prev_n)
+            r, s = np.nonzero(push)
+            pts += int(added[push].sum())
+            ids_units += int(removed[push].sum()) + len(r)
+            store.sent_ids[blk[r], s] = store.guest_ids[blk[r]]
+            store.sent_n[blk[r], s] = store.guest_n[blk[r]]
         if pts:
-            sim.meter.charge_points(self.name, pts, coord_dim)
+            sim.meter.charge_points(self.name, pts, self.space.dim)
         if ids_units:
             sim.meter.charge_ids(self.name, ids_units)
 
@@ -313,8 +392,7 @@ class BatchPolystyrene:
         reproducing the event engine's intra-round point transport
         without ever re-partitioning the same guest set twice from one
         snapshot.  Returns the exchange count."""
-        network = sim.network
-        table = network.table
+        table = sim.network.table
         gen = sim.rng_for(self.name)
         act = sim.alive_act_rows()
         if len(act) < 2:
@@ -323,189 +401,187 @@ class BatchPolystyrene:
 
         # Candidates: ψ closest alive topology entries + one RPS draw,
         # selected for all initiators from the round-start snapshot.
-        neigh = self.tman.neighbors_rows(sim, act, psi)
-        own = table._nid_of[act]
-        exclude = np.concatenate([neigh, own[:, None]], axis=1)
-        extra = self.rps.sample_rows(sim, act, 1, exclude=exclude)
-        cand = np.concatenate([neigh, extra], axis=1)
-        valid = cand >= 0
-        run_v = np.cumsum(valid, axis=1)
-        counts = run_v[:, -1]
-        # Counting-based stable partition: valid candidates keep their
-        # order at the front, invalid slots fill the tail — the same
-        # array a stable argsort on ~valid produces, without the sort.
-        col = np.arange(cand.shape[1], dtype=np.int64)
-        dest = np.where(valid, run_v - 1, counts[:, None] + col - run_v)
-        packed = np.empty_like(cand)
-        np.put_along_axis(packed, dest, cand, axis=1)
-        u = gen.random(len(act))
-        j = np.minimum(
-            (u * np.maximum(counts, 1)).astype(np.int64),
-            np.maximum(counts - 1, 0),
-        )
-        partner = np.where(
-            counts > 0, packed[np.arange(len(act)), j], -1
-        )
-
-        prow = table.rows_of(partner)
-        perm = gen.permutation(len(act))
-        act_l = act.tolist()
-        prow_l = prow.tolist()
-        partner_l = partner.tolist()
-        pending = [
-            (act_l[idx], prow_l[idx])
-            for idx in perm.tolist()
-            if partner_l[idx] >= 0
-        ]
+        with obs_metrics.timer("protocol.candidates"):
+            neigh = self.tman.neighbors_rows(sim, act, psi)
+            own = table._nid_of[act]
+            exclude = np.concatenate([neigh, own[:, None]], axis=1)
+            extra = self.rps.sample_rows(sim, act, 1, exclude=exclude)
+            cand = np.concatenate([neigh, extra], axis=1)
+            valid = cand >= 0
+            counts = valid.sum(axis=1)
+            packed = _pack_left(cand, valid, cand.shape[1], -1)
+            u = gen.random(len(act))
+            j = np.minimum(
+                (u * np.maximum(counts, 1)).astype(np.int64),
+                np.maximum(counts - 1, 0),
+            )
+            partner = np.where(counts > 0, packed[np.arange(len(act)), j], -1)
+            prow_l = table.rows_of(partner).tolist()
+            act_l = act.tolist()
+            partner_l = partner.tolist()
+            # (q's row, p's row) per proposal, in activation order.
+            pending = [
+                (prow_l[idx], act_l[idx])
+                for idx in gen.permutation(len(act)).tolist()
+                if partner_l[idx] >= 0
+            ]
         total = 0
+        changed = self._take_flagged(_CHANGED)  # by recovery, this round
         while pending:
-            taken = np.zeros(table.n_rows, dtype=bool)
-            wave: List = []
-            rest: List = []
-            for r, q in pending:
-                if taken[r] or taken[q]:
-                    rest.append((r, q))
-                else:
-                    taken[r] = True
-                    taken[q] = True
-                    wave.append((r, q))
-            total += self._execute_pairs(sim, wave)
-            self._project(sim)
+            with obs_metrics.timer("protocol.wave_schedule"):
+                taken = bytearray(table.n_rows)
+                wave: List = []
+                rest: List = []
+                for pair in pending:
+                    q, p = pair
+                    if taken[p] or taken[q]:
+                        rest.append(pair)
+                    else:
+                        taken[p] = taken[q] = 1
+                        wave.append(pair)
+            moved = self._execute_pairs(sim, np.array(wave, dtype=np.int64).T)
+            self._project(sim, np.concatenate([changed, moved]))
+            changed = moved[:0]
+            total += len(wave)
             pending = rest
+        self._flags[_CHANGED, changed] = True
         return total
 
-    def _execute_pairs(self, sim, pairs: List) -> int:
-        """Pool, split and install one wave of disjoint exchanges."""
-        network = sim.network
-        table = network.table
-        if not pairs:
-            return 0
-
-        # Pools: q's guests first, then p's guests not already present —
-        # the same key order ``dict(sq.guests) | sp.guests`` produces,
-        # built as plain id lists (the split only needs coordinates).
-        nid_of = table._nid_of
-        nodes = network.nodes
-        M = len(pairs)
-        rows_p = np.asarray([r for r, _ in pairs], dtype=np.int64)
-        rows_q = np.asarray([q for _, q in pairs], dtype=np.int64)
-        nids_p = nid_of[rows_p].tolist()
-        nids_q = nid_of[rows_q].tolist()
-        pool_lists: List[List[PointId]] = []
-        states = []
-        nq_list = []
-        disjoint = []
-        for m in range(M):
-            sp = nodes[nids_p[m]].poly
-            sq = nodes[nids_q[m]].poly
-            sqg = sq.guests
-            spg = sp.guests
-            pids = list(sqg)
-            if spg:
-                pids.extend(pid for pid in spg if pid not in sqg)
-            pool_lists.append(pids)
-            states.append((sp, sq))
-            nq_list.append(len(sqg))
-            disjoint.append(len(pids) == len(sqg) + len(spg))
-        P = max(1, max(len(p) for p in pool_lists))
-        pool_pids = np.zeros((M, P), dtype=np.int64)
-        pool_valid = np.zeros((M, P), dtype=bool)
-        for m, pids in enumerate(pool_lists):
-            pool_pids[m, : len(pids)] = pids
-            pool_valid[m, : len(pids)] = True
-        coords = self._point_coords[pool_pids]
-        if obs_mem.ENABLED:
-            obs_mem.scratch(
-                "protocol_pools",
-                "BatchPolystyrene.wave_pool",
-                pool_pids.nbytes + pool_valid.nbytes + coords.nbytes,
-            )
-        pos = table.coords_rows()
+    def _execute_pairs(self, sim, pair_rows: np.ndarray) -> np.ndarray:
+        """Pool, split and install one wave of disjoint exchanges;
+        ``pair_rows`` is ``(2, M)``, q's rows above p's.  Returns the
+        rows whose guest row changed."""
+        store = self.placement
+        M = pair_rows.shape[1]
+        with obs_metrics.timer("protocol.pool_build"):
+            n2 = store.guest_n[pair_rows]
+            nq, n_p = n2
+            g_w = max(1, int(n2.max()))
+            gq, gp = store.guest_ids[pair_rows, :g_w]
+            # Pools: q's guests first, then p's guests not already
+            # present — the key order a dict union of q's then p's
+            # guests has.  A pid sits in both rows only in the rounds
+            # after a failure (several holders activated one copy).
+            raw = np.concatenate([gq, gp], axis=1)
+            keep = raw >= 0
+            # p_in_q / q_in_p: which of p's pids q holds, and the
+            # converse — a pair block at a time (g_w * g_w cells a pair).
+            p_in_q = np.zeros((M, g_w), dtype=bool)
+            q_in_p = np.zeros((M, g_w), dtype=bool)
+            step = kernels.block_rows(0, g_w * g_w, 1)
+            for a in range(0, M, step):
+                blk = slice(a, a + step)
+                same = gp[blk, :, None] == gq[blk, None, :]
+                same &= (gp[blk] >= 0)[:, :, None]
+                p_in_q[blk] = same.any(axis=2)
+                q_in_p[blk] = same.any(axis=1)
+            shared = bool(p_in_q.any())
+            n_pool = nq + n_p
+            if shared:
+                keep[:, g_w:] &= ~p_in_q
+                n_pool = keep.sum(axis=1)
+            P = max(1, int(n_pool.max()))
+            pool = _pack_left(raw, keep, P, 0, n_pool)
+            col = np.arange(P)
+            pool_valid = col < n_pool[:, None]
+            coords = self._point_coords[pool]
+            if obs_mem.ENABLED:
+                obs_mem.scratch(
+                    "protocol_pools",
+                    "BatchPolystyrene.wave_pool",
+                    same.nbytes + 2 * raw.nbytes + pool.nbytes
+                    + pool_valid.nbytes + coords.nbytes,  # ``same``: one block
+                )
+            pos = sim.network.table.coords_rows()
         side_p = batch_split_mod.batch_split(
-            self.space, self.config.split, coords, pool_valid, pos[rows_p], pos[rows_q]
+            self.space, self.config.split, coords, pool_valid,
+            pos[pair_rows[1]], pos[pair_rows[0]],
         )
 
-        # Fast path, whole wave at once: by construction q's guests
-        # occupy the first ``nq`` pool slots and p's the rest, so (for
-        # disjoint pools — a shared pid forces the slow path to resolve
-        # ownership) the split leaves both guest dicts unchanged iff no
-        # q slot maps to p and no p slot maps to q.
-        nq = np.asarray(nq_list, dtype=np.int64)
-        q_slot = np.arange(P, dtype=np.int64)[None, :] < nq[:, None]
-        p_slot = pool_valid & ~q_slot
-        moved = (side_p & q_slot) | (~side_p & p_slot)
-        unchanged = np.asarray(disjoint, dtype=bool) & ~moved.any(axis=1)
+        with obs_metrics.timer("protocol.install"):
+            # q's guests occupy the first ``nq`` pool slots, p's the rest.
+            q_slot = col < nq[:, None]
+            to_q = pool_valid & ~side_p
+            kept_q = (to_q & q_slot).sum(axis=1)
+            n_to_q = to_q.sum(axis=1)
+            n_to_p = n_pool - n_to_q
+            # Metering: every exchange pulls q's guests to p (one id
+            # unit for the request); q gets back the points new to it
+            # and bare-id confirmations for the ones it keeps.
+            kept = int(kept_q.sum())
+            pts = int(nq.sum()) + int(n_to_q.sum()) - kept
+            sim.meter.charge_points(self.name, pts, self.space.dim)
+            sim.meter.charge_ids(self.name, 2 * M + kept)
 
-        # Metering: every exchange pulls q's guests to p (one id unit
-        # for the request); unchanged pairs push back only q's id
-        # confirmations.
-        pts = int(nq.sum())
-        ids_units = M + int(nq[unchanged].sum()) + int(unchanged.sum())
-        points = self._points
-        for m in np.flatnonzero(~unchanged).tolist():
-            sp, sq = states[m]
-            pids = pool_lists[m]
-            mask = side_p[m].tolist()
-            old_q = sq.guests
-            new_p = {}
-            new_q = {}
-            for k, pid in enumerate(pids):
-                if mask[k]:
-                    new_p[pid] = points[pid]
-                else:
-                    new_q[pid] = points[pid]
-            new_to_q = sum(1 for pid in new_q if pid not in old_q)
-            pts += new_to_q
-            ids_units += (len(new_q) - new_to_q) + 1
-            if new_p.keys() != sp.guests.keys():
-                sp.guests = new_p
-                self._changed.add(nids_p[m])
-                self._push_dirty.add(nids_p[m])
-            if new_q.keys() != old_q.keys():
-                sq.guests = new_q
-                self._changed.add(nids_q[m])
-                self._push_dirty.add(nids_q[m])
-        sim.meter.charge_points(self.name, pts, self.space.dim)
-        sim.meter.charge_ids(self.name, ids_units)
-        return M
+            # A side whose pid *set* is unchanged keeps its old row.  q
+            # keeps its set iff it keeps all of its own and gains none;
+            # p iff its size is kept and whatever it takes from q's
+            # slots it already held (nothing, unless pids are shared).
+            q_same = (kept_q == nq) & (n_to_q == nq)
+            taken = side_p & q_slot
+            if shared:
+                taken[:, :g_w] &= ~q_in_p
+            p_same = (n_to_p == n_p) & ~taken.any(axis=1)
+            differs = ~np.concatenate([q_same, p_same])
+            rows = pair_rows.reshape(-1)[differs]
+            if len(rows) == 0:
+                return rows
+            counts = np.concatenate([n_to_q, n_to_p])[differs]
+            store.ensure_width(int(counts.max()))
+            sides = np.concatenate([to_q, side_p & pool_valid])[differs]
+            store.guest_ids[rows] = _pack_left(
+                np.concatenate([pool, pool])[differs], sides, store.width, -1, counts
+            )
+            store.guest_n[rows] = counts
+            self._flags[_DIRTY, rows] = True
+        return rows
 
     # -- step 1: projection --------------------------------------------------
 
-    def _project(self, sim) -> None:
-        if not self._changed:
+    def _project(self, sim, rows: np.ndarray) -> None:
+        """Re-project ``rows`` (the alive ones with a guest; an empty
+        guest row keeps its position)."""
+        if len(rows) == 0:
             return
-        network = sim.network
-        table = network.table
-        nodes = network.nodes
-        by_count: Dict[int, List] = {}
-        for nid in self._changed:
-            if not network.is_alive(nid):
-                continue
-            node = nodes[nid]
-            pids = list(node.poly.guests)
-            if not pids:
-                continue  # empty guest set keeps its position
-            by_count.setdefault(len(pids), []).append((node.row, pids))
-        self._changed.clear()
-        for g, entries in by_count.items():
-            rows = np.asarray([row for row, _ in entries], dtype=np.int64)
-            pid_block = np.asarray([pids for _, pids in entries], dtype=np.int64)
-            coords = self._point_coords[pid_block]  # (k, g, d)
+        with obs_metrics.timer("protocol.projection"):
+            table = sim.network.table
+            cnt = self.placement.guest_n[rows]
+            ok = (cnt > 0) & table.alive_at(rows)
+            rows, cnt = rows[ok], cnt[ok]
+            # A float sum of eight or more terms associates by its
+            # length, so wide rows are grouped by exact count; below
+            # that a zero-padded sum equals the unpadded one bit for bit.
+            wide = cnt >= 8
+            if wide.any():
+                for g in np.unique(cnt[wide]).tolist():
+                    self._project_block(table, rows[cnt == g], g)
+                rows, cnt = rows[~wide], cnt[~wide]
+            if len(rows):
+                self._project_block(table, rows, int(cnt.max()))
+
+    def _project_block(self, table, rows: np.ndarray, g: int) -> None:
+        step = kernels.block_rows(0, g * g, self.space.dim)
+        for a in range(0, len(rows), step):
+            blk = rows[a : a + step]
+            pids = self.placement.guest_ids[blk, :g]
+            valid = pids >= 0
+            coords = self._point_coords[pids]  # (k, g, d); pads read junk
             if self.config.projection == "centroid":
-                new_pos = coords.mean(axis=1)
+                coords[~valid] = 0.0
+                new_pos = coords.sum(axis=1) / valid.sum(axis=1)[:, None]
             elif g <= 2:
                 # One point is its own medoid; of two, the first wins.
                 new_pos = coords[:, 0, :]
             else:
-                k = len(rows)
-                d = coords.shape[2]
-                origins = coords.reshape(k * g, d)
-                blocks = np.broadcast_to(
-                    coords[:, None, :, :], (k, g, g, d)
-                ).reshape(k * g, g, d)
-                pair_sq = self.space.rank_sq_rows(origins, blocks).reshape(k, g, g)
+                k, _, d = coords.shape
+                pair_sq = self.space.rank_sq_rows(
+                    coords.reshape(k * g, d),
+                    np.broadcast_to(coords[:, None, :, :], (k, g, g, d)).reshape(
+                        k * g, g, d
+                    ),
+                ).reshape(k, g, g)
+                pair_sq *= valid[:, None, :]
                 cost = pair_sq.sum(axis=2)
-                best = np.argmin(cost, axis=1)
-                new_pos = coords[np.arange(k), best]
-            for i, row in enumerate(rows):
-                table.set_coord(int(row), tuple(float(c) for c in new_pos[i]))
+                cost[~valid] = np.inf
+                new_pos = coords[np.arange(k), np.argmin(cost, axis=1)]
+            table.set_coords(blk, new_pos)

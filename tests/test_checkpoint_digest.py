@@ -52,7 +52,7 @@ from repro.runtime.runner import ParallelRunner, SweepTask
 from repro.runtime.scenarios import catastrophic, compose, flash_crowd, trickle
 from repro.runtime.store import ResultStore
 from repro.sim.arrays import ViewBuffer
-from repro.sim.batch import BatchPeerSampling, BatchSimulation
+from repro.sim.batch import BatchPeerSampling, BatchPolystyrene, BatchSimulation
 from repro.sim.batch.topology import _BatchTopologyBase
 from repro.sim.engine import Simulation
 
@@ -271,6 +271,7 @@ class TestArrayNativeDigestMatchesOracle:
         monkeypatch.setattr(BatchSimulation, "sync_canonical", forbidden)
         monkeypatch.setattr(BatchPeerSampling, "materialize", forbidden)
         monkeypatch.setattr(_BatchTopologyBase, "materialize", forbidden)
+        monkeypatch.setattr(BatchPolystyrene, "materialize", forbidden)
         checkpoint.state_digest(sim)
 
 
@@ -372,8 +373,10 @@ def fork_cells(base: ScenarioConfig):
 
 def test_fork_cycle_budget(tmp_path, monkeypatch):
     """Publish + three continuations of a 16x8 batch prefix: one pickle
-    of the simulation, no deep copy, no materialised view, <= 3,400
-    checkpoint bytes per node."""
+    of the simulation, no deep copy, no materialised view or placement
+    object, <= 3,375 checkpoint bytes per node (3,065 measured + 10 %;
+    at 80x40 the gossip view arrays are 88 % of a checkpoint and the
+    placement store 3 %)."""
     base = dict(width=16, height=8, failure_round=6, reinjection_round=None, total_rounds=9)
     cells = fork_cells(base)
     prefix = prefix_scenario(cells[0].config)
@@ -397,6 +400,7 @@ def test_fork_cycle_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(BatchSimulation, "sync_canonical", counting_materialize)
     monkeypatch.setattr(BatchPeerSampling, "materialize", counting_materialize)
     monkeypatch.setattr(_BatchTopologyBase, "materialize", counting_materialize)
+    monkeypatch.setattr(BatchPolystyrene, "materialize", counting_materialize)
 
     clear_checkpoint_memo()
     cache = CheckpointCache(tmp_path)
@@ -412,7 +416,7 @@ def test_fork_cycle_budget(tmp_path, monkeypatch):
         task.run()
         assert task.forked_from == entry["state_digest"]
     assert calls == {"deepcopy": 0, "dumps": 1, "materialize": 0}
-    assert entry["size_bytes"] <= 3400 * prefix.n_nodes
+    assert entry["size_bytes"] <= 3375 * prefix.n_nodes
 
 
 def test_memo_holds_bytes_not_a_simulation(tmp_path):

@@ -88,8 +88,13 @@ class TestCrossEngineRestore:
         assert isinstance(batch, BatchSimulation)
         assert batch.round == 4
         assert batch.network.n_alive == sim.network.n_alive
-        # Protocol state carried verbatim.
-        assert average_storage(batch.network.alive_nodes()) == storage_before
+        # Protocol state carried verbatim: read from the arrays, and
+        # through the per-node objects the arrays materialise.
+        alive = batch.network.alive_nodes()
+        assert not any(hasattr(node, "poly") for node in alive)  # adopted
+        assert average_storage(alive, batch.placement) == storage_before
+        batch.sync_canonical()
+        assert average_storage(alive) == storage_before
         # The scheduled failure/reinjection events carried over and the
         # continuation runs to completion under the batch engine.
         result = finish_scenario(batch)
@@ -201,9 +206,13 @@ class TestConversionSeedsBackupDirtySets:
         node.poly.guests[pid] = point
         batch = ckpt.restore(ckpt.snapshot(sim), engine="batch")
         moved = batch.network.node(node.nid)
+        batch.sync_canonical()
         assert moved.poly.backup_sent  # it does have recorded pushes
+        assert any(pid not in sent for sent in moved.poly.backup_sent.values())
         batch.run(1)  # one batch round must push the delta
+        batch.sync_canonical()
         for backup_id, sent in moved.poly.backup_sent.items():
+            assert pid in sent or not batch.network.is_alive(backup_id)
             if batch.network.is_alive(backup_id):
                 target = batch.network.node(backup_id).poly
                 assert pid in target.ghosts.get(node.nid, {}), backup_id

@@ -21,14 +21,21 @@ import pytest
 from repro.cli import build_parser
 from repro.errors import ConfigurationError
 from repro.experiments.scenario import ScenarioConfig, prepare_scenario
+from repro.metrics import collector
 from repro.runtime.store import config_hash
 from repro.sim.batch import kernels, split
 
 SRC = Path(__file__).parent.parent / "src"
 
 #: ``(module, name)`` of every global ``bench/child.py::install_shims``
-#: replaces to count and time the kernels.
+#: replaces to count and time the kernels and the collector's metrics.
 BENCH_SHIMMED = [
+    *((collector, name) for name in (
+        "homogeneity",
+        "proximity",
+        "average_storage",
+        "per_node_cost",
+    )),
     *((kernels, name) for name in (
         "merge_rank_truncate",
         "dedup_priority_truncate",
@@ -58,12 +65,21 @@ def test_layers_reach_every_kernel_through_its_module_global(monkeypatch):
         spies[name] = mock.Mock(wraps=getattr(module, name))
         monkeypatch.setattr(module, name, spies[name])
     config = ScenarioConfig(
-        engine="batch", width=8, height=4, seed=1, metrics=(),
+        engine="batch", width=8, height=4, seed=1, metrics=collector.ALL_METRICS,
         failure_round=2, reinjection_round=None, total_rounds=5,
     )
     sim, *_ = prepare_scenario(config)
     sim.run(config.total_rounds)
     assert all(spy.called for spy in spies.values()), spies
+    # The recorder reads the placement arrays on a batch simulation, and
+    # still through the module globals the bench replaces.
+    assert spies["homogeneity"].call_count == config.total_rounds
+    assert spies["average_storage"].call_count == config.total_rounds
+    assert all(
+        call.args[-1] is sim.placement
+        for name in ("homogeneity", "average_storage")
+        for call in spies[name].call_args_list
+    )
 
 
 def test_one_name_per_kernel():

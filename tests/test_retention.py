@@ -100,6 +100,8 @@ class TestBoundedMemory:
         so zero loss is not the contract; retention must not make the
         loss *worse* than the un-pruned protocol's.)"""
         sim = run_long_trickle(engine, rounds=60)
+        if engine == "batch":
+            sim.sync_canonical()  # placement is arrays: materialise node.poly
         held = set()
         for node in sim.network.alive_nodes():
             state = getattr(node, "poly", None)

@@ -149,6 +149,7 @@ class TestBatchSimulation:
         )
         for _ in range(8):
             sim.step()
+            sim.sync_canonical()  # placement is arrays: materialise node.poly
             held = set()
             for node in sim.network.alive_nodes():
                 held.update(node.poly.guests)
