@@ -22,7 +22,7 @@ def guest_counts(alive_nodes: Sequence[SimNode], placement=None) -> np.ndarray:
     ``node.poly``."""
     n = len(alive_nodes)
     if placement is not None:
-        return placement.guest_counts(node_rows(alive_nodes)).astype(float)
+        return placement.guest_n[node_rows(alive_nodes)].astype(float)
     return np.fromiter(
         (
             state.n_guests if (state := getattr(node, "poly", None)) is not None else 0

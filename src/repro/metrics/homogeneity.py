@@ -52,7 +52,7 @@ def holder_multiplicity(nodes: Sequence[SimNode], placement=None):
         pids, _ = placement.holder_pairs(node_rows(nodes))
     else:
         pids, _ = node_state.holder_pairs(nodes)
-    return len(pids) / len(set(np.asarray(pids).tolist())) if len(pids) else None
+    return len(pids) / len(np.unique(pids)) if len(pids) else None
 
 
 def homogeneity(

@@ -359,7 +359,8 @@ def state_digest(sim: Simulation) -> str:
     """
     canonical = getattr(sim, "canonical_view_ids", None)
     layer_views = canonical() if canonical is not None else {}
-    placement = getattr(sim, "canonical_placement", lambda: None)()
+    canonical = getattr(sim, "canonical_placement", None)
+    placement = canonical() if canonical is not None else None
     h = hashlib.sha256()
 
     def feed(tag: str, value) -> None:

@@ -79,7 +79,7 @@ class PlacementStore:
 
     def _resize(self, rows: int, width: int) -> None:
         before = self.nbytes
-        have, G = self.guest_ids.shape
+        have = len(self.guest_n)
         K = self.replication
 
         def grown(old: np.ndarray, shape, fill) -> np.ndarray:
@@ -139,7 +139,6 @@ class PlacementStore:
 
     def reset_row(self, row: int, nid: int, pid: int = -1) -> None:
         """Hand ``row`` to node ``nid`` holding ``pid`` (or nothing)."""
-        self.ensure_rows(row + 1)
         self.guest_ids[row] = -1
         self.backup_ids[row] = -1
         self.sent_ids[row] = -1
@@ -150,9 +149,6 @@ class PlacementStore:
         self.guest_n[row] = pid >= 0
 
     # -- reads -------------------------------------------------------------
-
-    def guest_counts(self, rows: np.ndarray) -> np.ndarray:
-        return self.guest_n[rows]
 
     def holder_pairs(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(pids, rows)`` of every guest entry of ``rows``, flat: the
@@ -173,25 +169,22 @@ class PlacementStore:
         o_rows, slots = np.nonzero((self.sent_n[:n] >= 0) & mine[:, None])
         return o_rows, slots, table.rows_of(self.backup_ids[o_rows, slots])
 
+    def _copies_on(self, table, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(origin rows, slots)`` of the copies held on ``rows``."""
+        o_rows, slots, targets = self.copies(table)
+        keep = table.row_flags(rows, sentinel=False)[targets]
+        return o_rows[keep], slots[keep]
+
     def stored_points(self, table, rows: np.ndarray) -> int:
         """Guests plus ghost copies stored on ``rows`` (Fig. 7a)."""
-        o_rows, slots, targets = self.copies(table)
-        on = np.zeros(len(table._alive), dtype=bool)
-        on[rows] = True
-        ghosts = self.sent_n[o_rows, slots][on[targets]]
+        ghosts = self.sent_n[self._copies_on(table, rows)]
         return int(self.guest_n[rows].sum()) + int(ghosts.sum())
 
     def held_mask(self, table, rows: np.ndarray, n_points: int) -> np.ndarray:
         """Bool over point ids: held on ``rows`` as guest or ghost."""
         held = np.zeros(n_points, dtype=bool)
-        block = self.guest_ids[rows]
-        held[block[block >= 0]] = True
-        o_rows, slots, targets = self.copies(table)
-        on = np.zeros(len(table._alive), dtype=bool)
-        on[rows] = True
-        keep = on[targets]
-        copy = self.sent_ids[o_rows[keep], slots[keep]]
-        held[copy[copy >= 0]] = True
+        for block in (self.guest_ids[rows], self.sent_ids[self._copies_on(table, rows)]):
+            held[block[block >= 0]] = True
         return held
 
     # -- canonical form ----------------------------------------------------
@@ -236,18 +229,17 @@ class PlacementStore:
     # -- the PolystyreneState bridge ----------------------------------------
 
     def materialize(self, sim, points: Dict[PointId, DataPoint]) -> None:
-        """Write ``node.poly`` for every known node.  Ghost maps list
-        origins, and backup sets are filled, in ascending id."""
+        """Write ``node.poly`` for every known node (the caller has
+        grown the store to the table); ghost maps list origins in
+        ascending id."""
         table = sim.network.table
-        self.ensure_rows(table.n_rows)
         states = {}
         for node in sim.network.nodes.values():
             row = node.row
             state = states[row] = node.poly = PolystyreneState(
                 points[pid] for pid in self.guest_ids[row, : self.guest_n[row]].tolist()
             )
-            for slot in np.argsort(self.backup_ids[row], kind="stable").tolist():
-                b = int(self.backup_ids[row, slot])
+            for slot, b in enumerate(self.backup_ids[row].tolist()):
                 if b < 0:
                     continue
                 state.backups.add(b)
@@ -275,9 +267,9 @@ class PlacementStore:
         — initial, guest or ghost — goes through ``register``.  A copy
         takes its order from the holder's ghost map when the holder
         still has it.  Returns the ids of nodes whose guests differ from
-        what some backup was last sent."""
+        what some backup was last sent.  The caller has grown the store
+        to the table."""
         nodes = sim.network.nodes
-        self.ensure_rows(sim.network.table.n_rows)
         drifted: List[int] = []
         for node in nodes.values():
             if node.initial_point is not None:

@@ -8,8 +8,8 @@ Each mechanism is gather → kernel → scatter over it:
 * **recovery** — the rows whose owner is detected (or has left the
   table) and still have a pushed copy out are found in one mask; their
   copies are appended to the alive holders' guest rows in one grouped
-  keep-first pass, and the slots are cleared, so an origin is activated
-  once, not rescanned every round;
+  keep-first pass, and the slots are cleared: an origin is activated
+  exactly once, on the round it is first detected;
 * **backup** — failed backups are dropped and free slots topped up
   slot-wise (candidates for all short nodes sampled in one batch); each
   dirty row then compares its guest row with the copy in every alive
@@ -248,8 +248,9 @@ class BatchPolystyrene:
             seq_row, seq_pid = seq_row[order], seq_pid[order]
             key = seq_row * len(self._point_coords) + seq_pid
             by_key = np.argsort(key, kind="stable")
+            ranked = key[by_key]
             first = np.ones(len(key), dtype=bool)
-            first[1:] = key[by_key][1:] != key[by_key][:-1]
+            first[1:] = ranked[1:] != ranked[:-1]
             keep = np.zeros(len(key), dtype=bool)
             keep[by_key[first]] = True
             seq_row, seq_pid = seq_row[keep], seq_pid[keep]
@@ -459,9 +460,9 @@ class BatchPolystyrene:
             g_w = max(1, int(n2.max()))
             gq, gp = store.guest_ids[pair_rows, :g_w]
             # Pools: q's guests first, then p's guests not already
-            # present — the key order a dict union of q's then p's
-            # guests has.  A pid sits in both rows only in the rounds
-            # after a failure (several holders activated one copy).
+            # present (the order ``core.migration`` pools them in).  A
+            # pid sits in both rows only in the rounds after a failure,
+            # when several holders have activated copies of one origin.
             raw = np.concatenate([gq, gp], axis=1)
             keep = raw >= 0
             # p_in_q / q_in_p: which of p's pids q holds, and the
@@ -489,8 +490,9 @@ class BatchPolystyrene:
                 obs_mem.scratch(
                     "protocol_pools",
                     "BatchPolystyrene.wave_pool",
-                    same.nbytes + 2 * raw.nbytes + pool.nbytes
-                    + pool_valid.nbytes + coords.nbytes,  # ``same``: one block
+                    same.nbytes  # one pair block of it
+                    + 2 * raw.nbytes + pool.nbytes
+                    + pool_valid.nbytes + coords.nbytes,
                 )
             pos = sim.network.table.coords_rows()
         side_p = batch_split_mod.batch_split(
@@ -501,6 +503,14 @@ class BatchPolystyrene:
         with obs_metrics.timer("protocol.install"):
             # q's guests occupy the first ``nq`` pool slots, p's the rest.
             q_slot = col < nq[:, None]
+            if not shared and not (pool_valid & (side_p == q_slot)).any():
+                # No slot changes sides (two waves in three, once the
+                # shape has settled): q's guests were pulled and
+                # confirmed back by id, nothing else happened.
+                pulled = int(nq.sum())
+                sim.meter.charge_points(self.name, pulled, self.space.dim)
+                sim.meter.charge_ids(self.name, 2 * M + pulled)
+                return pair_rows[0, :0]
             to_q = pool_valid & ~side_p
             kept_q = (to_q & q_slot).sum(axis=1)
             n_to_q = to_q.sum(axis=1)
