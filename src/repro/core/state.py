@@ -16,8 +16,9 @@ the paper suggests after Algorithm 1.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..errors import SimulationError
 from ..types import DataPoint, NodeId, PointId
 
 
@@ -91,12 +92,29 @@ class PolystyreneState:
 # event engine, detached test nodes, a synced batch simulation) — the
 # definitions the batch engine's ``PlacementStore`` reads of the same
 # names are tested against.  Nodes without state count as holding
-# nothing.
+# nothing — unless their table says the state is in arrays, where
+# "nothing" would be a silently wrong answer.
+
+
+def state_of(node) -> Optional["PolystyreneState"]:
+    """``node.poly``, or ``None`` for a node no protocol layer gave
+    placement state.  Raises for a node of a batch simulation that has
+    not been synced: its state is in ``sim.placement``."""
+    state = getattr(node, "poly", None)
+    if state is None and getattr(
+        getattr(node, "_table", None), "placement_in_arrays", False
+    ):
+        raise SimulationError(
+            f"node {node.nid} has no `poly`: this simulation keeps placement "
+            "state in arrays — pass `sim.placement` to the metric, or call "
+            "`sim.sync_canonical()` first"
+        )
+    return state
 
 
 def _states(nodes: Sequence) -> Iterable[Tuple[object, "PolystyreneState"]]:
     for node in nodes:
-        state = getattr(node, "poly", None)
+        state = state_of(node)
         if state is not None:
             yield node, state
 

@@ -12,6 +12,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
+from ..core.state import state_of
 from ..sim.network import SimNode
 from .homogeneity import node_rows
 
@@ -25,7 +26,7 @@ def guest_counts(alive_nodes: Sequence[SimNode], placement=None) -> np.ndarray:
         return placement.guest_n[node_rows(alive_nodes)].astype(float)
     return np.fromiter(
         (
-            state.n_guests if (state := getattr(node, "poly", None)) is not None else 0
+            state.n_guests if (state := state_of(node)) is not None else 0
             for node in alive_nodes
         ),
         dtype=float,

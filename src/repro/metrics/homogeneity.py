@@ -49,10 +49,10 @@ def holder_multiplicity(nodes: Sequence[SimNode], placement=None):
     """Mean number of nodes holding a held point as a guest (1.0 in a
     converged system), or ``None`` when nothing is held."""
     if placement is not None:
-        pids, _ = placement.holder_pairs(node_rows(nodes))
+        pids = placement.holder_pairs(node_rows(nodes))[0].tolist()
     else:
         pids, _ = node_state.holder_pairs(nodes)
-    return len(pids) / len(np.unique(pids)) if len(pids) else None
+    return len(pids) / len(set(pids)) if pids else None
 
 
 def homogeneity(
@@ -175,11 +175,14 @@ def _homogeneity_table(
 
 
 def lost_points(
-    points: Sequence[DataPoint], alive_nodes: Sequence[SimNode]
+    points: Sequence[DataPoint], alive_nodes: Sequence[SimNode], placement=None
 ) -> List[DataPoint]:
     """Points with no alive primary holder."""
-    holders = holder_index(alive_nodes)
-    return [point for point in points if point.pid not in holders]
+    if placement is not None:
+        held = set(placement.holder_pairs(node_rows(alive_nodes))[0].tolist())
+    else:
+        held = set(node_state.holder_pairs(alive_nodes)[0])
+    return [point for point in points if point.pid not in held]
 
 
 def surviving_fraction(

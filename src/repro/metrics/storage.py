@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from ..core import state as node_state
 from ..sim.network import SimNode
 from .homogeneity import node_rows
@@ -20,7 +18,7 @@ from .homogeneity import node_rows
 
 def node_storage(node: SimNode) -> int:
     """Guests + ghosts stored on one node."""
-    state = getattr(node, "poly", None)
+    state = node_state.state_of(node)
     if state is None:
         return 0
     return state.storage_load
@@ -41,5 +39,7 @@ def average_storage(alive_nodes: Sequence[SimNode], placement=None) -> float:
 def total_unique_points(alive_nodes: Sequence[SimNode], placement=None) -> int:
     """Number of distinct point ids held as guest somewhere."""
     if placement is not None:
-        return len(np.unique(placement.holder_pairs(node_rows(alive_nodes))[0]))
-    return len(set(node_state.holder_pairs(alive_nodes)[0]))
+        pids = placement.holder_pairs(node_rows(alive_nodes))[0].tolist()
+    else:
+        pids = node_state.holder_pairs(alive_nodes)[0]
+    return len(set(pids))

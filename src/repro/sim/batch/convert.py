@@ -126,6 +126,7 @@ def to_event(sim: Simulation) -> Simulation:
             "polystyrene/static) only"
         )
     sim.sync_canonical()
+    sim.network.table.placement_in_arrays = False  # ``node.poly`` again
     rps_l, topo_l, top_l = layers
     rps = PeerSamplingLayer(rps_l.view_size, rps_l.shuffle_length)
     rps.bootstrap_fallbacks = rps_l.bootstrap_fallbacks

@@ -181,10 +181,12 @@ class PlacementStore:
         return int(self.guest_n[rows].sum()) + int(ghosts.sum())
 
     def held_mask(self, table, rows: np.ndarray, n_points: int) -> np.ndarray:
-        """Bool over point ids: held on ``rows`` as guest or ghost."""
-        held = np.zeros(n_points, dtype=bool)
-        for block in (self.guest_ids[rows], self.sent_ids[self._copies_on(table, rows)]):
-            held[block[block >= 0]] = True
+        """Bool over point ids (at least ``n_points`` of them): held on
+        ``rows`` as guest or ghost."""
+        blocks = (self.guest_ids[rows], self.sent_ids[self._copies_on(table, rows)])
+        pids = np.concatenate([block[block >= 0] for block in blocks])
+        held = np.zeros(max(n_points, int(pids.max(initial=-1)) + 1), dtype=bool)
+        held[pids] = True
         return held
 
     # -- canonical form ----------------------------------------------------
@@ -265,10 +267,10 @@ class PlacementStore:
         """Read every node's ``poly`` into the arrays and drop the
         attribute (a stale read then fails loudly); every point reached
         — initial, guest or ghost — goes through ``register``.  A copy
-        takes its order from the holder's ghost map when the holder
-        still has it.  Returns the ids of nodes whose guests differ from
-        what some backup was last sent.  The caller has grown the store
-        to the table."""
+        a known holder no longer has (it recovered it) is not adopted;
+        one it has gives the copy its order.  Returns the ids of nodes
+        whose guests differ from what some backup holds of them.  The
+        caller has grown the store to the table."""
         nodes = sim.network.nodes
         drifted: List[int] = []
         for node in nodes.values():
@@ -293,11 +295,16 @@ class PlacementStore:
             for slot, b in enumerate(sorted(state.backups)[: self.replication]):
                 self.backup_ids[row, slot] = b
                 last = state.backup_sent.get(b)
+                holder = getattr(nodes.get(b), "poly", None)
+                held = holder.ghosts.get(node.nid) if holder is not None else None
+                if holder is not None and held is None:
+                    # The holder's ghost map is the truth for what is
+                    # still replicated: event-engine recovery deletes the
+                    # ghost and leaves the dead origin's ``backup_sent``.
+                    last = None
                 in_step &= last == want
                 if last is None:
                     continue
-                holder = getattr(nodes.get(b), "poly", None)
-                held = holder.ghosts.get(node.nid) if holder is not None else None
                 if held is not None and held.keys() == last:
                     copy = list(held)
                 else:

@@ -141,6 +141,7 @@ class BatchPolystyrene:
 
     def init_node(self, sim, node) -> None:
         point = node.initial_point
+        sim.network.table.placement_in_arrays = True
         self._ensure_rows(node.row + 1)
         self.placement.reset_row(
             node.row, node.nid, -1 if point is None else point.pid
@@ -151,20 +152,9 @@ class BatchPolystyrene:
             self._register_point(point)
 
     def init_network(self, sim) -> None:
-        """:meth:`init_node` for the whole network: fresh rows are
-        already empty, so one block write hands them out."""
-        nodes = sim.network.alive_nodes()
-        self._ensure_rows(sim.network.table.n_rows)
-        store = self.placement
-        rows = np.fromiter((node.row for node in nodes), np.int64, len(nodes))
-        store.owner[rows] = [node.nid for node in nodes]
-        for node in nodes:
-            point = node.initial_point
-            if point is not None:
-                node.pos = point.coord
-                self._register_point(point)
-                store.guest_ids[node.row, 0] = point.pid
-        store.guest_n[rows] = store.guest_ids[rows, 0] >= 0
+        self._ensure_rows(sim.network.table.n_rows)  # one allocation
+        for node in sim.network.alive_nodes():
+            self.init_node(sim, node)
 
     # -- the per-node-object bridge ------------------------------------------
 
@@ -183,6 +173,7 @@ class BatchPolystyrene:
         mid-drift (e.g. a checkpoint taken after migration but before
         the next backup round) must not strand the stale copies."""
         table = sim.network.table
+        table.placement_in_arrays = True
         self._ensure_rows(table.n_rows)
         drifted = self.placement.adopt(sim, self._register_point)
         self._flags[:] = False
@@ -229,7 +220,9 @@ class BatchPolystyrene:
         live = (store.sent_n[stale] >= 0) & table.alive_at(targets)
         o_idx, slots = np.nonzero(live)
         tgt = targets[o_idx, slots]
-        holders = np.unique(tgt)
+        holds = np.zeros(n, dtype=bool)
+        holds[tgt] = True
+        holders = np.flatnonzero(holds)
         if len(holders):
             # Per holder: its guest row, then each copy in origin order;
             # the first occurrence of a pid keeps its place.
@@ -563,7 +556,7 @@ class BatchPolystyrene:
             # that a zero-padded sum equals the unpadded one bit for bit.
             wide = cnt >= 8
             if wide.any():
-                for g in np.unique(cnt[wide]).tolist():
+                for g in sorted(set(cnt[wide].tolist())):
                     self._project_block(table, rows[cnt == g], g)
                 rows, cnt = rows[~wide], cnt[~wide]
             if len(rows):

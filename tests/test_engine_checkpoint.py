@@ -101,6 +101,43 @@ class TestCrossEngineRestore:
         assert result.reliability is not None
         assert result.n_alive[-1] > 0
 
+    def test_conversion_after_recovery_brings_no_ghost_back(self):
+        """Event-engine recovery deletes the holder's ghost and leaves
+        the dead origin's ``backup_sent`` frozen; the holder's ghost map
+        is what the conversion goes by."""
+        sim, *_ = prepare_scenario(config("event"))
+        sim.run(9)  # the failure at round 5 is detected and recovered
+        event_alive = sim.network.alive_nodes()
+        assert any(
+            node.poly.backup_sent
+            for node in sim.network.nodes.values()
+            if not sim.network.is_alive(node.nid)
+        )
+        assert not any(
+            sim.detected_failed() & node.poly.ghosts.keys() for node in event_alive
+        )
+        storage = average_storage(event_alive)
+        ghosts = {
+            node.nid: {o: sorted(copy) for o, copy in node.poly.ghosts.items()}
+            for node in event_alive
+        }
+        guests = sum(node.poly.n_guests for node in event_alive)
+
+        batch = ckpt.restore(ckpt.snapshot(sim), engine="batch")
+        alive = batch.network.alive_nodes()
+        assert average_storage(alive, batch.placement) == storage
+        canonical = batch.canonical_placement()
+        assert {
+            node.nid: {o: list(copy) for o, copy in canonical[node.row][1]}
+            for node in alive
+        } == ghosts
+        # ... and the next round has nothing to recover: migration only
+        # ever merges duplicate guests, so the total cannot grow.
+        rows = np.asarray([node.row for node in alive])
+        assert int(batch.placement.guest_n[rows].sum()) == guests
+        batch.run(1)
+        assert int(batch.placement.guest_n[rows].sum()) <= guests
+
     def test_batch_snapshot_restores_into_event(self):
         sim, *_ = prepare_scenario(config("batch"))
         sim.run(4)

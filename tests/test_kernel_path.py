@@ -101,6 +101,28 @@ def test_batch_package_imports_with_numba_blocked_and_needs_only_numpy():
     assert out.returncode == 0, out.stderr
 
 
+def test_a_batch_run_imports_nothing_more_of_numpy():
+    """Some numpy calls pull a subpackage in on first use — plain
+    ``np.unique(x)`` imports ``numpy.ma``, a megabyte that 128-node
+    cells cannot hide.  A run through failure, recovery and every
+    observer loads no numpy module that importing the engine did not."""
+    code = (
+        "import sys\n"
+        "from repro.experiments.scenario import ScenarioConfig, prepare_scenario\n"
+        "from repro.metrics import collector\n"
+        "config = ScenarioConfig(engine='batch', width=8, height=4, seed=1,\n"
+        "                        metrics=collector.ALL_METRICS, failure_round=2,\n"
+        "                        reinjection_round=5, total_rounds=8)\n"
+        "sim, *_ = prepare_scenario(config)\n"
+        "before = set(sys.modules)\n"
+        "sim.run(config.total_rounds)\n"
+        "late = sorted(m for m in set(sys.modules) - before if m.startswith('numpy'))\n"
+        "sys.exit(repr(late) if late else 0)\n"
+    )
+    out = run_python(code)
+    assert out.returncode == 0, out.stderr
+
+
 def test_event_config_with_the_bench_field_leaves_the_batch_engine_unimported():
     """Validating ``kernel_backend`` is a membership test: building an
     event-engine scenario the way ``bench/`` does must not execute

@@ -354,7 +354,8 @@ class TestMemLedger:
         sites = snap["sites"]
 
         n = sim.network.n_alive
-        lost = len(lost_points(points, sim.network.alive_nodes()))
+        lost = len(lost_points(points, sim.network.alive_nodes(), sim.placement))
+        assert lost < len(points) // 2  # the failed half's, not everything
         rows = block_rows(0, n, sim.space.dim)
         assert lost > 4 * rows  # several blocks' worth of lost points
         nearest = sites["homogeneity.nearest"]

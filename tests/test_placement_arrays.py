@@ -23,14 +23,16 @@ from hypothesis import strategies as st
 
 import repro.sim.batch as batch_pkg
 from repro.core import state as node_state
+from repro.errors import SimulationError
 from repro.experiments.scenario import ScenarioConfig, prepare_scenario
-from repro.metrics.balance import guest_counts
+from repro.metrics.balance import guest_counts, load_balance
 from repro.metrics.homogeneity import (
     holder_multiplicity,
     homogeneity,
+    lost_points,
     surviving_fraction,
 )
-from repro.metrics.storage import average_storage, total_unique_points
+from repro.metrics.storage import average_storage, node_storage, total_unique_points
 from repro.runtime import checkpoint
 from repro.runtime.checkpoint import _poly_state, state_digest
 from repro.runtime.scenarios import (
@@ -41,8 +43,9 @@ from repro.runtime.scenarios import (
     mass_failure,
     trickle,
 )
-from repro.sim.batch import BatchPolystyrene
+from repro.sim.batch import BatchPolystyrene, convert
 from repro.sim.batch.placement import PlacementStore
+from repro.sim.network import SimNode
 
 from .placement_oracle import DictPolystyrene
 
@@ -374,9 +377,12 @@ def test_array_readers_equal_node_sequence_definitions(churn):
         sim.step()
         alive = sim.network.alive_nodes()
         store = sim.placement
+        some = points[: len(points) // 3]  # stored pids exceed the asked ones
         got = (
             homogeneity(space, points, alive, placement=store),
             surviving_fraction(points, alive, store),
+            surviving_fraction(some, alive, store),
+            lost_points(points, alive, store),
             average_storage(alive, store),
             total_unique_points(alive, store),
             holder_multiplicity(alive, store),
@@ -386,6 +392,8 @@ def test_array_readers_equal_node_sequence_definitions(churn):
         want = (
             homogeneity(space, points, alive),
             surviving_fraction(points, alive),
+            surviving_fraction(some, alive),
+            lost_points(points, alive),
             average_storage(alive),
             total_unique_points(alive),
             holder_multiplicity(alive),
@@ -395,6 +403,37 @@ def test_array_readers_equal_node_sequence_definitions(churn):
         assert node_state.stored_points(alive) == store.stored_points(
             sim.network.table, np.asarray([n.row for n in alive], dtype=np.int64)
         )
+
+
+def test_unsynced_batch_nodes_refuse_the_node_sequence_readers():
+    """A batch node without ``poly`` does not hold nothing: its state is
+    in the store, and a reader that was not handed it says so."""
+    sim, _, _, points, _ = prepare_scenario(config())
+    sim.run(2)
+    alive = sim.network.alive_nodes()
+    readers = (
+        lambda: homogeneity(sim.space, points, alive),
+        lambda: surviving_fraction(points, alive),
+        lambda: lost_points(points, alive),
+        lambda: average_storage(alive),
+        lambda: node_storage(alive[0]),
+        lambda: total_unique_points(alive),
+        lambda: holder_multiplicity(alive),
+        lambda: load_balance(alive),
+    )
+    for read in readers:
+        with pytest.raises(SimulationError, match="sim.placement"):
+            read()
+    sim.sync_canonical()
+    for read in readers:
+        read()
+    # nodes no layer gave state to still count as holding nothing
+    assert average_storage([SimNode(0, (0.0, 0.0))]) == 0.0
+    # ... and after a conversion ``node.poly`` is the state again
+    event = convert.to_event(sim)
+    assert surviving_fraction(points, event.network.alive_nodes()) == 1.0
+    event.run(1)
+    assert surviving_fraction(points, event.network.alive_nodes()) == 1.0
 
 
 def test_rows_grow_by_the_tables_policy_and_land_on_the_ledger():
