@@ -165,9 +165,13 @@ class PlacementStore:
         whose origin row is still its owner's — ``ghosts``, inverted.
         A target that has left the table reads as the sentinel row."""
         n = min(table.n_rows, len(self.guest_n))
-        mine = table._row_of.take(self.owner[:n]) == np.arange(n)
+        mine = self._owned(table, n)
         o_rows, slots = np.nonzero((self.sent_n[:n] >= 0) & mine[:, None])
         return o_rows, slots, table.rows_of(self.backup_ids[o_rows, slots])
+
+    def _owned(self, table, n: int) -> np.ndarray:
+        """Bool over the first ``n`` rows: still its owner's row."""
+        return table._row_of.take(self.owner[:n]) == np.arange(n)
 
     def _copies_on(self, table, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(origin rows, slots)`` of the copies held on ``rows``."""
@@ -207,20 +211,23 @@ class PlacementStore:
         backups = runs(self.backup_ids[:n])
         sent: List[list] = [[] for _ in range(n)]
         ghosts: List[list] = [[] for _ in range(n)]
-        pushed = self.sent_n[:n] >= 0
-        o_all, s_all = np.nonzero(pushed & (self.backup_ids[:n] >= 0))
-        copies_all = runs(self.sent_ids[o_all, s_all])
-        for o, b, copy in zip(
-            o_all.tolist(), self.backup_ids[o_all, s_all].tolist(), copies_all
+        # Each pushed copy once (it sits in a named slot): what its
+        # origin row last sent and, while that row is still its owner's
+        # and the target is in the table, a ghost on the target's row.
+        o_rows, slots = np.nonzero(self.sent_n[:n] >= 0)
+        named = self.backup_ids[o_rows, slots]
+        targets = np.where(self._owned(table, n)[o_rows], table.rows_of(named), -1)
+        for o, b, t, origin, copy in zip(
+            o_rows.tolist(),
+            named.tolist(),
+            targets.tolist(),
+            self.owner[o_rows].tolist(),
+            runs(self.sent_ids[o_rows, slots]),
         ):
-            sent[o].append((b, tuple(copy)))
-        o_rows, slots, targets = self.copies(table)
-        origin = self.owner[o_rows].tolist()
-        for t, o, copy in zip(
-            targets.tolist(), origin, runs(self.sent_ids[o_rows, slots])
-        ):
+            copy = tuple(copy)
+            sent[o].append((b, copy))
             if 0 <= t < n:
-                ghosts[t].append((o, tuple(copy)))
+                ghosts[t].append((origin, copy))
         out = [
             (guests[r], sorted(ghosts[r]), backups[r], sorted(sent[r]))
             for r in range(n)
