@@ -34,7 +34,10 @@ doubling.  Every block is registered on the memory ledger as family
 simulation only through :meth:`PlacementStore.materialize` (what
 ``sync_canonical()`` and the engine converter call) and are read back by
 :meth:`PlacementStore.adopt`; this is the one module under
-``repro.sim.batch`` that knows the dict layout.
+``repro.sim.batch`` that knows the dict layout.  Between those calls a
+node carries no ``poly``; the layer sets ``NodeTable.placement_in_arrays``
+so a reader of node sequences that was not handed the store raises
+instead of finding every node empty.
 """
 
 from __future__ import annotations
