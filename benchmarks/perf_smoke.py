@@ -175,8 +175,10 @@ def _merge_block(width, height, per, rng, half_step):
 
 
 def _merge_blocked(kernels, space, pos, ids, coords, ages, cap):
-    """``merge_rank_truncate`` over budget-sized row blocks, the way
-    ``_apply_merges`` calls it."""
+    """``merge_rank_truncate`` over budget-sized row blocks, cut the way
+    ``_apply_merges`` cuts them (``block_rows(stride, width, dim)``).
+    There a row is the view block plus whole messages, refused entries
+    left behind as ``-1`` holes; here every column is a live entry."""
     n, per = ids.shape
     stride = n
     step = kernels.block_rows(stride, per, coords.shape[2])

@@ -360,6 +360,7 @@ def build_simulation(
         else PerfectFailureDetector()
     )
     network = Network(detector)
+    network.reserve(len(points))
     for point in points:
         network.add_node(point.coord, point)
 

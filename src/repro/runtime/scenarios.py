@@ -22,7 +22,7 @@ can be checkpointed to disk and fanned out through the parallel runner.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from ..errors import ConfigurationError
 from ..sim.engine import Event, Simulation
@@ -117,13 +117,14 @@ def trickle(
     return schedule
 
 
-def flash_crowd(rnd: int, positions: Sequence[Coord]) -> ChurnSchedule:
+def flash_crowd(rnd: int, positions: Iterable[Coord]) -> ChurnSchedule:
     """A burst of fresh point-less nodes all joining in one round."""
+    event = Reinjection(positions)  # materialises an iterator, once
     schedule = ChurnSchedule(
         name="flash-crowd",
-        description=f"{len(list(positions))} fresh nodes join at round {rnd}",
+        description=f"{len(event.positions)} fresh nodes join at round {rnd}",
     )
-    return schedule.add(rnd, Reinjection(positions))
+    return schedule.add(rnd, event)
 
 
 def mass_failure(

@@ -65,7 +65,8 @@ _MIN_BLOCK_ROWS = 64
 
 #: What :func:`reserve_scratch` allocates and frees: room for a round's
 #: live block temporaries (a handful of :data:`_SCRATCH_BYTES` blocks
-#: plus the round's messages at 3,200 nodes).  A quarter of it leaves
+#: plus the round's stacked messages at 3,200 nodes — 3 MB of T-Man
+#: descriptors and their index columns).  A quarter of it leaves
 #: the trim threshold below that high-water, so the heap top is given
 #: back and re-faulted every round (133k against 7k minor faults in the
 #: 40 rounds of ``repair-batch-80x40``); twice it is past the 32 MiB
@@ -105,9 +106,21 @@ def reserve_scratch() -> None:
 
 
 def _grown(capacity: int, needed: int) -> int:
+    """The one growth rule of every row array under ``repro.sim``:
+    geometric from ``capacity`` (amortised O(1) per join of unknown
+    count).  A caller that knows how many nodes are coming allocates
+    exactly instead (:meth:`NodeTable.reserve`)."""
     new = max(_MIN_CAP, capacity)
     while new < needed:
         new = int(new * _GROW)
+    return new
+
+
+def resized(old: np.ndarray, shape, fill) -> np.ndarray:
+    """``old`` in the leading corner of a fresh ``shape`` array of
+    ``fill`` — how a row array is reallocated, once, to a new capacity."""
+    new = np.full(shape, fill, dtype=old.dtype)
+    new[tuple(slice(0, n) for n in old.shape)] = old
     return new
 
 
@@ -210,38 +223,53 @@ class NodeTable:
             self._dim = OBJECT_DIM
             self._coords = None
 
+    @property
+    def capacity(self) -> int:
+        """Rows the table can hold before it reallocates (the sentinel
+        slot not counted) — what every row-indexed layer array is sized
+        to."""
+        return len(self._alive) - 1
+
+    def _resize(self, row_slots: int, id_slots: int) -> None:
+        """Reallocate the row columns and the id index to the given
+        slot counts (each including its sentinel); never shrinks."""
+        if row_slots > len(self._alive):
+            before = self.nbytes if _mem.ENABLED else 0
+            self._alive = resized(self._alive, (row_slots,), False)
+            self._death = resized(self._death, (row_slots,), -1)
+            self._nid_of = resized(self._nid_of, (row_slots,), -1)
+            if self._coords is not None:
+                self._coords = resized(
+                    self._coords, (row_slots, self._coords.shape[1]), 0.0
+                )
+            if _mem.ENABLED:
+                _mem.add("node_table", "NodeTable.rows", self.nbytes - before)
+        grow = id_slots - len(self._row_of)
+        if grow > 0:
+            self._row_of = resized(self._row_of, (id_slots,), -1)
+            if _mem.ENABLED:
+                _mem.add("node_table", "NodeTable.row_of", grow * 8)
+
     def _grow_rows(self, needed: int) -> None:
         cap = len(self._alive)
-        if needed < cap:  # the last slot stays the sentinel
-            return
-        before = self.nbytes if _mem.ENABLED else 0
-        new_cap = _grown(cap, needed + 1)
-        self._alive = np.concatenate(
-            [self._alive, np.zeros(new_cap - cap, dtype=bool)]
-        )
-        self._death = np.concatenate(
-            [self._death, np.full(new_cap - cap, -1, dtype=np.int64)]
-        )
-        self._nid_of = np.concatenate(
-            [self._nid_of, np.full(new_cap - cap, -1, dtype=np.int64)]
-        )
-        if self._coords is not None:
-            grown = np.zeros((new_cap, self._coords.shape[1]), dtype=float)
-            grown[:cap] = self._coords
-            self._coords = grown
-        if _mem.ENABLED:
-            _mem.add("node_table", "NodeTable.rows", self.nbytes - before)
+        if needed >= cap:  # the last slot stays the sentinel
+            self._resize(_grown(cap, needed + 1), 0)
 
     def _grow_ids(self, nid: NodeId) -> None:
         cap = len(self._row_of)
-        if nid + 1 < cap:  # the last slot stays the sentinel
-            return
-        new_cap = _grown(cap, nid + 2)
-        self._row_of = np.concatenate(
-            [self._row_of, np.full(new_cap - cap, -1, dtype=np.int64)]
-        )
-        if _mem.ENABLED:
-            _mem.add("node_table", "NodeTable.row_of", (new_cap - cap) * 8)
+        if nid + 1 >= cap:  # the last slot stays the sentinel
+            self._resize(0, _grown(cap, nid + 2))
+
+    def reserve(self, extra: int, next_id: NodeId) -> None:
+        """Make room, in one exact allocation, for ``extra`` more nodes
+        with ids from ``next_id`` up — for the callers that know how
+        many are coming (the initial population, a reinjection wave).
+        Freed rows are counted first.  A call that does not fit costs
+        one reallocation, so it is made per membership event, not per
+        node; joins of unknown count need no call — :meth:`add` grows
+        geometrically (:func:`_grown`)."""
+        fresh = max(0, extra - len(self._free))
+        self._resize(self._n_rows + fresh + 1, next_id + extra + 1)
 
     # -- membership ------------------------------------------------------
 

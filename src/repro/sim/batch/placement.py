@@ -26,9 +26,9 @@ a row the table has released (or handed to a later node) is told from
 its former owner without a hook on release.
 
 Point ids are stored as int32 and node ids / counts as the table stores
-them; rows grow by the node table's own policy and the width ``G`` by
-doubling.  Every block is registered on the memory ledger as family
-``protocol_placement``.
+them; rows follow the node table's capacity and the width ``G`` grows
+by the rule the table's rows do (``arrays._grown``).  Every block is
+registered on the memory ledger as family ``protocol_placement``.
 
 :class:`~repro.core.state.PolystyreneState` objects appear in a batch
 simulation only through :meth:`PlacementStore.materialize` (what
@@ -49,7 +49,7 @@ import numpy as np
 from ...core.state import PolystyreneState
 from ...obs import mem as obs_mem
 from ...types import DataPoint, PointId
-from ..arrays import _grown
+from ..arrays import _grown, resized
 
 _MIN_WIDTH = 8
 
@@ -84,19 +84,13 @@ class PlacementStore:
         before = self.nbytes
         have = len(self.guest_n)
         K = self.replication
-
-        def grown(old: np.ndarray, shape, fill) -> np.ndarray:
-            new = np.full(shape, fill, dtype=old.dtype)
-            new[tuple(slice(0, n) for n in old.shape)] = old
-            return new
-
-        self.guest_ids = grown(self.guest_ids, (rows, width), -1)
-        self.sent_ids = grown(self.sent_ids, (rows, K, width), -1)
+        self.guest_ids = resized(self.guest_ids, (rows, width), -1)
+        self.sent_ids = resized(self.sent_ids, (rows, K, width), -1)
         if rows != have:
-            self.guest_n = grown(self.guest_n, (rows,), 0)
-            self.backup_ids = grown(self.backup_ids, (rows, K), -1)
-            self.sent_n = grown(self.sent_n, (rows, K), -1)
-            self.owner = grown(self.owner, (rows,), -1)
+            self.guest_n = resized(self.guest_n, (rows,), 0)
+            self.backup_ids = resized(self.backup_ids, (rows, K), -1)
+            self.sent_n = resized(self.sent_n, (rows, K), -1)
+            self.owner = resized(self.owner, (rows,), -1)
         self.width = width
         if obs_mem.ENABLED:
             obs_mem.add(
@@ -128,17 +122,14 @@ class PlacementStore:
         )
         self.sent_ids[col < self.sent_n[:, :, None]] = sent
 
-    def ensure_rows(self, n: int) -> None:
-        have = len(self.guest_n)
-        if n > have:
-            self._resize(_grown(have, n), self.width)
+    def ensure_rows(self, table) -> None:
+        """Size every block to the node table's capacity."""
+        if table.capacity > len(self.guest_n):
+            self._resize(table.capacity, self.width)
 
     def ensure_width(self, g: int) -> None:
         if g > self.width:
-            width = self.width
-            while width < g:
-                width *= 2
-            self._resize(len(self.guest_n), width)
+            self._resize(len(self.guest_n), _grown(self.width, g))
 
     def reset_row(self, row: int, nid: int, pid: int = -1) -> None:
         """Hand ``row`` to node ``nid`` holding ``pid`` (or nothing)."""

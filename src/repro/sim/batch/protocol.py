@@ -56,6 +56,7 @@ from ...obs import metrics as obs_metrics
 from ...spaces.base import Space
 from ...spaces.euclidean import Euclidean
 from ...types import DataPoint, PointId
+from ..arrays import _grown, resized
 from . import kernels
 from . import split as batch_split_mod
 from .placement import PlacementStore
@@ -114,21 +115,18 @@ class BatchPolystyrene:
 
     # -- per-node state ----------------------------------------------------
 
-    def _ensure_rows(self, n: int) -> None:
-        self.placement.ensure_rows(n)
+    def _ensure_rows(self, table) -> None:
+        self.placement.ensure_rows(table)
         have, cap = self._flags.shape[1], len(self.placement.guest_n)
         if cap > have:
-            flags = np.zeros((4, cap), dtype=bool)
-            flags[:, :have] = self._flags
-            flags[_SHORT, have:] = True  # a fresh row has no backups
-            self._flags = flags
+            self._flags = resized(self._flags, (4, cap), False)
+            self._flags[_SHORT, have:] = True  # a fresh row has no backups
 
     def _register_point(self, point: DataPoint) -> None:
         pid = point.pid
         if pid >= len(self._point_coords):
-            grow = max(pid + 1, len(self._point_coords) * 2, 64)
-            fresh = np.zeros((grow, self.space.dim), dtype=float)
-            fresh[: len(self._point_coords)] = self._point_coords
+            grow = _grown(len(self._point_coords), pid + 1)
+            fresh = resized(self._point_coords, (grow, self.space.dim), 0.0)
             if obs_mem.ENABLED:
                 obs_mem.add(
                     "protocol_points",
@@ -142,7 +140,7 @@ class BatchPolystyrene:
     def init_node(self, sim, node) -> None:
         point = node.initial_point
         sim.network.table.placement_in_arrays = True
-        self._ensure_rows(node.row + 1)
+        self._ensure_rows(sim.network.table)
         self.placement.reset_row(
             node.row, node.nid, -1 if point is None else point.pid
         )
@@ -152,7 +150,7 @@ class BatchPolystyrene:
             self._register_point(point)
 
     def init_network(self, sim) -> None:
-        self._ensure_rows(sim.network.table.n_rows)  # one allocation
+        self._ensure_rows(sim.network.table)
         for node in sim.network.alive_nodes():
             self.init_node(sim, node)
 
@@ -160,7 +158,7 @@ class BatchPolystyrene:
 
     def materialize(self, sim) -> None:
         """Write ``node.poly`` from the arrays (all known nodes)."""
-        self._ensure_rows(sim.network.table.n_rows)
+        self._ensure_rows(sim.network.table)
         self.placement.materialize(sim, self._points)
 
     def adopt(self, sim) -> None:
@@ -174,7 +172,7 @@ class BatchPolystyrene:
         the next backup round) must not strand the stale copies."""
         table = sim.network.table
         table.placement_in_arrays = True
-        self._ensure_rows(table.n_rows)
+        self._ensure_rows(table)
         drifted = self.placement.adopt(sim, self._register_point)
         self._flags[:] = False
         self._flags[_SHORT] = True
@@ -183,7 +181,7 @@ class BatchPolystyrene:
     # -- one protocol round --------------------------------------------------
 
     def step(self, sim) -> None:
-        self._ensure_rows(sim.network.table.n_rows)
+        self._ensure_rows(sim.network.table)
         detected = sim.detected_failed()
         if detected:
             with obs_metrics.timer("protocol.recovery"):

@@ -54,6 +54,7 @@ import numpy as np
 
 from ...obs import mem as obs_mem
 from ...types import NodeId
+from ..arrays import resized
 from . import kernels
 
 
@@ -77,20 +78,18 @@ class BatchPeerSampling:
 
     # -- storage -----------------------------------------------------------
 
-    def _ensure_rows(self, n: int) -> None:
+    def _ensure_rows(self, table) -> None:
+        """Size the view arrays to the node table's capacity (the table
+        owns the growth rule; a layer only follows it)."""
+        rows = table.capacity
         have = len(self._ids)
-        if n <= have:
+        if rows <= have:
             return
-        grow = max(n, have * 2, 8) - have
-        self._ids = np.concatenate(
-            [self._ids, np.full((grow, self.view_size), -1, dtype=np.int64)]
-        )
-        self._ages = np.concatenate(
-            [self._ages, np.zeros((grow, self.view_size), dtype=np.int64)]
-        )
+        self._ids = resized(self._ids, (rows, self.view_size), -1)
+        self._ages = resized(self._ages, (rows, self.view_size), 0)
         if obs_mem.ENABLED:
             # int64 ids and int64 ages per new slot.
-            obs_mem.add("rps_views", "rps.views", 16 * grow * self.view_size)
+            obs_mem.add("rps_views", "rps.views", 16 * (rows - have) * self.view_size)
 
     def view_arrays(self):
         """The raw ``(ids, ages)`` state (rows indexed by table row)."""
@@ -132,13 +131,13 @@ class BatchPeerSampling:
 
     def init_network(self, sim) -> None:
         table = sim.network.table
-        self._ensure_rows(table.n_rows)
+        self._ensure_rows(table)
         rows = np.flatnonzero(table.alive_rows())
         self._ids[rows] = self._bootstrap_rows(sim, rows)
         self._ages[rows] = 0
 
     def init_node(self, sim, node) -> None:
-        self._ensure_rows(node.row + 1)
+        self._ensure_rows(sim.network.table)
         self._ids[node.row] = self._bootstrap_rows(
             sim, np.asarray([node.row], dtype=np.int64)
         )[0]
@@ -161,8 +160,8 @@ class BatchPeerSampling:
         """Up to ``k`` random alive peers per row from each row's view,
         ``(len(rows), k)`` with ``-1`` padding; rows whose view offers no
         alive candidate fall back to the bootstrap oracle (counted)."""
-        self._ensure_rows(int(rows.max(initial=-1)) + 1)
         table = sim.network.table
+        self._ensure_rows(table)
         ids = self._ids[rows]
         cand = sim.alive_entry_mask(ids)
         own = table._nid_of[rows]
@@ -204,7 +203,7 @@ class BatchPeerSampling:
 
     def step(self, sim) -> None:
         table = sim.network.table
-        self._ensure_rows(table.n_rows)
+        self._ensure_rows(table)
         ids = self._ids
         ages = self._ages
         act = sim.alive_act_rows()
@@ -371,7 +370,7 @@ class BatchPeerSampling:
         """Write ``node.rps_view`` dicts from the arrays (all known
         nodes; dead nodes keep their last groomed view, as in the event
         engine)."""
-        self._ensure_rows(sim.network.table.n_rows)
+        self._ensure_rows(sim.network.table)
         for node in sim.network.nodes.values():
             node.rps_view = self.view_of(node)
 
@@ -379,7 +378,7 @@ class BatchPeerSampling:
         """Read per-node ``rps_view`` dicts into the arrays (engine
         conversion), then drop the per-node attribute so stale reads
         fail loudly instead of silently diverging."""
-        self._ensure_rows(sim.network.table.n_rows)
+        self._ensure_rows(sim.network.table)
         self._ids[:] = -1
         self._ages[:] = 0
         for node in sim.network.nodes.values():

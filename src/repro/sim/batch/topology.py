@@ -12,23 +12,32 @@ groomed round-start snapshot:
    closest alive entries; Vicinity: the oldest entry);
 3. build both exchange buffers of every pair — the ``m`` descriptors of
    ``view ∪ {self}`` (Vicinity: ``∪ fresh RPS candidates``) closest to
-   the *other* side's position — from the snapshot;
-4. merge all messages at once (fresher coordinates overwrite, own id
-   and detected peers excluded) and truncate every touched view to the
+   the *other* side's position — from the snapshot, as one stacked
+   message array (payloads above replies) beside its receiver column;
+4. deliver all messages at once: every descriptor is metered, a
+   receiver's own id and detected peers are blanked in place, fresher
+   coordinates overwrite, and every touched view is truncated to the
    ``cap`` entries closest to the receiver's position, stored in ranked
    order.
 
 Every stage runs a *row block* at a time: partner ranking, both
-directions of every exchange (stacked into one list of pool rows) and
-the merge each gather only :func:`~repro.sim.batch.kernels.block_rows`
-rows into padded scratch, so no padded temporary outgrows the
-kernels' scratch budget however large the network is.  Rows rank
-independently and RNG draws are taken for the whole network before a
-block loop starts, so blocking changes no result and no stream.  Step 4
-pads each block of receivers — existing view entries, then incoming
-entries in arrival order — only to its own widest row and runs the
-fused :func:`~repro.sim.batch.kernels.merge_rank_truncate` — no flat
-re-concatenation, no global sort.
+directions of every exchange (one list of pool rows, each pool filled
+in place) and the merge each gather only
+:func:`~repro.sim.batch.kernels.block_rows` rows into padded scratch, so
+no padded temporary outgrows the kernels' scratch budget however large
+the network is.  Rows rank independently and RNG draws are taken for the
+whole network before a block loop starts, so blocking changes no result
+and no stream.  A descriptor moves once: the messages stay stacked as
+step 3 built them, step 4 buckets *messages* (not entries) by receiver —
+one count, one stable radix pass over the receiver column — and a block
+of receivers scatters whole messages behind its view block, padded only
+to its own fullest row, for the fused
+:func:`~repro.sim.batch.kernels.merge_rank_truncate`.  What stays
+whole-network besides the messages is four message-length index columns.
+
+View arrays are sized to the node table's capacity
+(:attr:`~repro.sim.arrays.NodeTable.capacity`): the table owns the one
+growth rule, a layer only follows it.
 
 Batch-vs-event semantic deltas: exchanges are snapshot-based rather
 than sequential, a node reached by several messages merges them in one
@@ -48,7 +57,7 @@ from ...obs import mem as obs_mem
 from ...obs import metrics as obs_metrics
 from ...spaces.base import Space
 from ...types import NodeId
-from ..arrays import ViewBuffer
+from ..arrays import ViewBuffer, resized
 from . import kernels
 
 
@@ -76,30 +85,24 @@ class _BatchTopologyBase:
 
     # -- storage -----------------------------------------------------------
 
-    def _ensure_rows(self, n: int) -> None:
+    def _ensure_rows(self, table) -> None:
+        """Size the view arrays to the node table's capacity (the table
+        owns the growth rule; a layer only follows it)."""
+        rows = table.capacity
         have = len(self._ids)
-        if n <= have:
+        if rows <= have:
             return
-        grow = max(n, have * 2, 8) - have
-        self._ids = np.concatenate(
-            [self._ids, np.full((grow, self.capacity), -1, dtype=np.int64)]
-        )
-        self._coords = np.concatenate(
-            [
-                self._coords,
-                np.zeros((grow, self.capacity, self._coord_dim), dtype=float),
-            ]
-        )
+        C, dim = self.capacity, self._coord_dim
+        self._ids = resized(self._ids, (rows, C), -1)
+        self._coords = resized(self._coords, (rows, C, dim), 0.0)
         if self._ages is not None:
-            self._ages = np.concatenate(
-                [self._ages, np.zeros((grow, self.capacity), dtype=np.int64)]
-            )
+            self._ages = resized(self._ages, (rows, C), 0)
         if obs_mem.ENABLED:
             # int64 ids (+ int64 ages) and float64 coords per new slot.
-            added = 8 * grow * self.capacity * (1 + self._coord_dim)
-            if self._ages is not None:
-                added += 8 * grow * self.capacity
-            obs_mem.add("topology_views", f"{self.name}.views", added)
+            cols = 1 + dim + (self._ages is not None)
+            obs_mem.add(
+                "topology_views", f"{self.name}.views", 8 * (rows - have) * C * cols
+            )
 
     def view_arrays(self):
         """The raw ``(ids, coords)`` state (rows indexed by table row)."""
@@ -124,11 +127,11 @@ class _BatchTopologyBase:
             self._coords[rows, :n_peers] = table.gather(peers)
 
     def init_network(self, sim) -> None:
-        self._ensure_rows(sim.network.table.n_rows)
+        self._ensure_rows(sim.network.table)
         self._bootstrap(sim, sim.alive_act_rows())
 
     def init_node(self, sim, node) -> None:
-        self._ensure_rows(node.row + 1)
+        self._ensure_rows(sim.network.table)
         self._bootstrap(sim, np.asarray([node.row], dtype=np.int64))
 
     # -- queries -----------------------------------------------------------
@@ -153,7 +156,7 @@ class _BatchTopologyBase:
         """``(len(rows), k)`` closest *alive* view entries per row,
         closest first, ``-1`` padded — the vectorised form of
         ``neighbors`` feeding migration."""
-        self._ensure_rows(sim.network.table.n_rows)
+        self._ensure_rows(sim.network.table)
         pos = sim.network.table.coords_rows()
         out = np.empty((len(rows), min(k, self.capacity)), dtype=np.int64)
         step = kernels.block_rows(0, self.capacity, self._coord_dim)
@@ -213,21 +216,20 @@ class _BatchTopologyBase:
         extra_i=None,
         extra_q=None,
     ):
-        """Both directions' ``m``-descriptor buffers of every exchange
-        in one fused selection.
+        """The round's messages, stacked: ``(recv, ids, coords)`` with
+        the payloads (sent by ``irow`` to ``qrow``) above the replies.
 
         Each side's pool is its view entries plus its own fresh
         descriptor (plus optional extra descriptors at current
-        positions); the payload ranks the initiator's pool against the
-        *partner's* position and the reply the partner's pool against
-        the *initiator's*.  Both directions are stacked into one list of
-        pool rows and ranked a row block at a time (every row ranks
+        positions); a message is the ``m`` pool entries closest to the
+        *receiver's* position.  Both directions are one list of pool
+        rows, ranked a row block at a time (every row ranks
         independently), so the gathered pools stay O(block).
         """
         E = len(irow)
         dim = self._coord_dim
         rows = np.concatenate([irow, qrow])
-        toward = np.concatenate([qrow, irow])
+        recv = np.concatenate([qrow, irow])
         if extra_i is None:
             extra = np.empty((2 * E, 0), dtype=np.int64)
         else:
@@ -240,7 +242,7 @@ class _BatchTopologyBase:
         for a in range(0, 2 * E, step):
             blk = slice(a, a + step)
             pool_ids, pool_coords = self._pool_blocks(sim, rows[blk], pos, extra[blk])
-            d = kernels.row_rank_sq(self.space, pos[toward[blk]], pool_coords)
+            d = kernels.row_rank_sq(self.space, pos[recv[blk]], pool_coords)
             d[pool_ids < 0] = np.inf
             if obs_mem.ENABLED:
                 obs_mem.scratch(
@@ -252,119 +254,113 @@ class _BatchTopologyBase:
             kd = kernels.take_rows(d, pick)
             ids[blk] = np.where(np.isfinite(kd), kernels.take_rows(pool_ids, pick), -1)
             coords[blk] = kernels.take_rows(pool_coords, pick)
-        return (ids[:E], coords[:E]), (ids[E:], coords[E:])
+        return recv, ids, coords
 
     def _pool_blocks(self, sim, rows, pos, extra_ids):
-        """One side's padded pool: view entries, own fresh descriptor,
-        extra descriptors (possibly none) at current positions."""
+        """One side's padded pool, filled in place: view entries, own
+        fresh descriptor, extra descriptors (possibly none) at current
+        positions."""
         table = sim.network.table
-        own = table._nid_of[rows]
-        blocks_ids = [self._ids[rows], own[:, None]]
-        blocks_coords = [self._coords[rows], pos[rows][:, None, :]]
-        if extra_ids.shape[1]:
-            blocks_ids.append(extra_ids)
-            blocks_coords.append(table.gather(extra_ids))
-        return (
-            np.concatenate(blocks_ids, axis=1),
-            np.concatenate(blocks_coords, axis=1),
-        )
+        C = self.capacity
+        width = C + 1 + extra_ids.shape[1]
+        pool_ids = np.empty((len(rows), width), dtype=np.int64)
+        pool_coords = np.empty((len(rows), width, self._coord_dim))
+        pool_ids[:, :C] = self._ids[rows]
+        pool_coords[:, :C] = self._coords[rows]
+        pool_ids[:, C] = table._nid_of[rows]
+        pool_coords[:, C] = pos[rows]
+        if width > C + 1:
+            pool_ids[:, C + 1 :] = extra_ids
+            pool_coords[:, C + 1 :] = table.gather(extra_ids)
+        return pool_ids, pool_coords
 
     def _apply_merges(
         self,
         sim,
-        recv_blocks,
-        ids_blocks,
-        coords_blocks,
+        recv: np.ndarray,
+        ids: np.ndarray,
+        coords: np.ndarray,
     ) -> None:
-        """Merge the (receiver, message) blocks into the receivers' views
-        through the fused ranked merge-truncate, one row block at a time.
+        """Deliver the round's stacked messages — message ``j`` is the
+        ``k`` descriptors ``ids[j]`` / ``coords[j]`` for row ``recv[j]``,
+        listed in arrival order — and merge them into the receivers'
+        views through the fused ranked merge-truncate.
 
-        Column order per receiver — existing view entries first, then
-        incoming entries in message-arrival order — reproduces the
-        freshest-copy-wins dedup of the former flat pipeline exactly.
+        Every descriptor sent is metered; what a receiver then refuses
+        (its own id, detected peers) becomes a ``-1`` hole *in place*.
+        Messages, not entries, are bucketed: one count and one stable
+        radix pass over the receiver column (stable = arrival order),
+        and a row block scatters whole ``k``-wide messages behind its
+        view block.  Column order per receiver — view entries, then
+        messages in arrival order, holes masked — is that of a packed
+        entry list, so the freshest-copy-wins dedup is unchanged.
 
-        Receivers are ordered by incoming-entry count and cut into
-        blocks of :func:`~repro.sim.batch.kernels.block_rows` rows, each
-        padded only to its own widest row: a flooded receiver widens
-        one block instead of the whole network, and pad and kernel
-        scratch stay O(block).  The kernel ranks each row independently
-        and blocks are disjoint, so the result is identical to one
+        Receivers are ordered by message count and cut into blocks of
+        :func:`~repro.sim.batch.kernels.block_rows` rows, each padded
+        only to its own fullest row: a flooded receiver widens one
+        block instead of the whole network, and pad and kernel scratch
+        stay O(block).  The kernel ranks each row independently and
+        blocks are disjoint, so the result is identical to one
         whole-network call.
         """
         table = sim.network.table
         pos = table.coords_rows()
         C = self.capacity
         dim = self._coord_dim
+        M, k = ids.shape
 
-        inc_rows = np.concatenate(
-            [np.repeat(rows, blk.shape[1]) for rows, blk in zip(recv_blocks, ids_blocks)]
-        )
-        inc_ids = np.concatenate([blk.ravel() for blk in ids_blocks])
-        inc_coords = np.concatenate([blk.reshape(-1, dim) for blk in coords_blocks])
-        keep = inc_ids >= 0
-        keep &= inc_ids != table._nid_of[inc_rows]
-        keep &= ~sim.detected_entry_mask(inc_ids)
-        kept = np.flatnonzero(keep)
-        inc_rows = inc_rows[kept]
+        sim.meter.charge_descriptors(self.name, int(np.count_nonzero(ids >= 0)), dim)
+        refused = sim.detected_entry_mask(ids)
+        refused |= ids == table._nid_of[recv][:, None]
+        ids[refused] = -1
 
         # Receivers: every row addressed by a message gets re-ranked,
-        # even if all its incoming entries were filtered out above.
-        # Fullest first, so a block's first row is its widest.
-        cnt_in = np.bincount(inc_rows, minlength=len(self._ids))
-        touched = np.zeros(len(self._ids), dtype=bool)
-        touched[np.concatenate(recv_blocks)] = True
-        recv_rows = np.flatnonzero(touched)
-        recv_rows = recv_rows[kernels.radix_argsort(cnt_in[recv_rows])[::-1]]
-        cnt_in = cnt_in[recv_rows]
+        # even if the filter left it nothing.  Fullest first, so a
+        # block's first row is its widest.
+        cnt = np.bincount(recv, minlength=len(self._ids))
+        recv_rows = np.flatnonzero(cnt)
+        recv_rows = recv_rows[kernels.radix_argsort(cnt[recv_rows])[::-1]]
+        cnt = cnt[recv_rows]
         U = len(recv_rows)
         slot_of = np.zeros(len(self._ids), dtype=np.int64)
         slot_of[recv_rows] = np.arange(U)
 
-        # Per-receiver incoming columns in flat arrival order: a stable
-        # radix grouping by receiver slot keeps equal-receiver entries
-        # in input order, so a block's entries are one contiguous run
-        # and the position within a receiver's run is the column offset.
-        # Filter and grouping compose into one index, so the incoming
-        # ids and coordinates move once.
-        slot = slot_of[inc_rows]
+        # A stable radix grouping by receiver slot keeps a receiver's
+        # messages in arrival order, so a block's messages are one
+        # contiguous run of ``order`` and the position within a
+        # receiver's run is the message's place behind the view.
+        slot = slot_of[recv]
         order = kernels.radix_argsort(slot)
         slot = slot[order]
-        src = kept[order]
-        # The whole-network index arrays die as soon as they are
-        # composed: three entry-length int64 columns and a mask the
-        # block loop below would otherwise carry (51 MB at 51,200 nodes).
-        del inc_rows, keep, kept, order
-        inc_ids = inc_ids[src]
-        inc_coords = inc_coords[src]
-        del src
-        ends = np.cumsum(cnt_in)
-        col = C + np.arange(len(slot)) - (ends - cnt_in)[slot]
+        ends = np.cumsum(cnt)
+        nth = np.arange(M) - (ends - cnt)[slot]
         if obs_mem.ENABLED:
             # What stays whole-network for the block loop: the round's
-            # messages as the caller built them and as bucketed here.
+            # messages and four message-length columns.
             obs_mem.scratch(
                 "topology_pads",
                 f"{self.name}.messages",
-                sum(blk.nbytes for blk in (*ids_blocks, *coords_blocks))
-                + inc_ids.nbytes + inc_coords.nbytes + slot.nbytes + col.nbytes,
+                ids.nbytes + coords.nbytes
+                + recv.nbytes + slot.nbytes + order.nbytes + nth.nbytes,
             )
 
-        stride = 1 + max(
-            int(self._ids.max(initial=-1)), int(inc_ids.max(initial=-1))
-        )
+        stride = 1 + max(int(self._ids.max(initial=-1)), int(ids.max(initial=-1)))
         a = 0
         while a < U:
-            width = C + int(cnt_in[a])
+            n_max = int(cnt[a])
+            width = C + n_max * k
             b = min(U, a + kernels.block_rows(stride, width, dim))
             rows = recv_rows[a:b]
-            lo = int(ends[a] - cnt_in[a])
-            hi = int(ends[b - 1])
+            run = slice(int(ends[a] - cnt[a]), int(ends[b - 1]))
+            src = order[run]
+            at = (slot[run] - a, nth[run])
             ids_pad = np.full((b - a, width), -1, dtype=np.int64)
             coords_pad = np.zeros((b - a, width, dim))
             ids_pad[:, :C] = self._ids[rows]
             coords_pad[:, :C] = self._coords[rows]
-            ids_pad[slot[lo:hi] - a, col[lo:hi]] = inc_ids[lo:hi]
-            coords_pad[slot[lo:hi] - a, col[lo:hi]] = inc_coords[lo:hi]
+            # Splitting the tail columns into (message, entry) is a view.
+            ids_pad[:, C:].reshape(b - a, n_max, k)[at] = ids[src]
+            coords_pad[:, C:].reshape(b - a, n_max, k, dim)[at] = coords[src]
             valid = ids_pad >= 0
             ages_pad = None
             if self._ages is not None:
@@ -402,7 +398,7 @@ class _BatchTopologyBase:
                 }
 
     def adopt(self, sim) -> None:
-        self._ensure_rows(sim.network.table.n_rows)
+        self._ensure_rows(sim.network.table)
         self._ids[:] = -1
         self._coords[:] = 0.0
         if self._ages is not None:
@@ -450,7 +446,7 @@ class BatchTMan(_BatchTopologyBase):
 
     def step(self, sim) -> None:
         table = sim.network.table
-        self._ensure_rows(table.n_rows)
+        self._ensure_rows(table)
         act = sim.alive_act_rows()
         if len(act) == 0:
             return
@@ -480,23 +476,9 @@ class BatchTMan(_BatchTopologyBase):
         qrow = table.rows_of(partner[ex])
 
         # Symmetric exchange buffers from the snapshot.
-        (pay_ids, pay_coords), (rep_ids, rep_coords) = self._exchange_buffers(
-            sim,
-            irow,
-            qrow,
-            pos,
-            self.message_size,
-        )
-        n_desc = int((pay_ids >= 0).sum() + (rep_ids >= 0).sum())
-        sim.meter.charge_descriptors(self.name, n_desc, self._coord_dim)
+        messages = self._exchange_buffers(sim, irow, qrow, pos, self.message_size)
         obs_metrics.count("exchanges.tman", len(ex))
-
-        self._apply_merges(
-            sim,
-            recv_blocks=[qrow, irow],
-            ids_blocks=[pay_ids, rep_ids],
-            coords_blocks=[pay_coords, rep_coords],
-        )
+        self._apply_merges(sim, *messages)
 
 
 class BatchVicinity(_BatchTopologyBase):
@@ -529,7 +511,7 @@ class BatchVicinity(_BatchTopologyBase):
 
     def step(self, sim) -> None:
         table = sim.network.table
-        self._ensure_rows(table.n_rows)
+        self._ensure_rows(table)
         act = sim.alive_act_rows()
         if len(act) == 0:
             return
@@ -561,21 +543,7 @@ class BatchVicinity(_BatchTopologyBase):
         # in the layer's RNG stream).
         extra_i = self.rps.sample_rows(sim, irow, self.rps_candidates)
         extra_q = self.rps.sample_rows(sim, qrow, self.rps_candidates)
-        (pay_ids, pay_coords), (rep_ids, rep_coords) = self._exchange_buffers(
-            sim,
-            irow,
-            qrow,
-            pos,
-            self.message_size,
-            extra_i=extra_i,
-            extra_q=extra_q,
+        messages = self._exchange_buffers(
+            sim, irow, qrow, pos, self.message_size, extra_i, extra_q
         )
-        n_desc = int((pay_ids >= 0).sum() + (rep_ids >= 0).sum())
-        sim.meter.charge_descriptors(self.name, n_desc, self._coord_dim)
-
-        self._apply_merges(
-            sim,
-            recv_blocks=[qrow, irow],
-            ids_blocks=[pay_ids, rep_ids],
-            coords_blocks=[pay_coords, rep_coords],
-        )
+        self._apply_merges(sim, *messages)

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import DeadNodeError, UnknownNodeError
 from ..types import Coord, DataPoint, NodeId
-from .arrays import NodeTable
+from .arrays import NodeTable, _grown, resized
 
 
 class SimNode:
@@ -152,6 +152,11 @@ class Network:
 
     # -- membership ------------------------------------------------------
 
+    def reserve(self, extra: int) -> None:
+        """Allocate, once and exactly, for ``extra`` nodes about to be
+        added (:meth:`NodeTable.reserve`); changes no state."""
+        self.table.reserve(extra, self._next_id)
+
     def add_node(
         self, pos: Coord, initial_point: Optional[DataPoint] = None
     ) -> SimNode:
@@ -175,9 +180,7 @@ class Network:
         arr = self._alive_arr
         if arr is not None:
             if n == len(arr):
-                arr = self._alive_arr = np.concatenate(
-                    [arr, np.empty(max(n, 8), dtype=np.int64)]
-                )
+                arr = self._alive_arr = resized(arr, (_grown(n, n + 1),), -1)
             arr[n] = nid
         return node
 

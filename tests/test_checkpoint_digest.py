@@ -88,7 +88,7 @@ def oracle_digest(sim: Simulation) -> str:
         for layer in sim.layers:
             ensure_rows = getattr(layer, "_ensure_rows", None)
             if ensure_rows is not None:
-                ensure_rows(sim.network.table.n_rows)
+                ensure_rows(sim.network.table)
         sim._canonical_synced = False
         sim.sync_canonical()
 

@@ -438,14 +438,13 @@ def test_unsynced_batch_nodes_refuse_the_node_sequence_readers():
 
 def test_rows_grow_by_the_tables_policy_and_land_on_the_ledger():
     from repro.obs import mem as obs_mem
-    from repro.sim.arrays import _grown
 
     obs_mem.reset()
     obs_mem.set_enabled(True)
     try:
         sim, *_ = prepare_scenario(config(width=12, height=6))
         store = sim.placement
-        assert len(store.guest_n) == _grown(0, 72)
+        assert len(store.guest_n) == sim.network.table.capacity == 72
         family = obs_mem.snapshot()["families"]["protocol_placement"]
         assert family["cur"] == store.nbytes
         store.ensure_width(store.width + 1)

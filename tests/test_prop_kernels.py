@@ -670,12 +670,13 @@ def test_counting_partition_matches_stable_argsort(data):
 # sort dedup, and one whole-network pad handed to a single kernel call.
 
 import contextlib
-from types import SimpleNamespace
 from unittest import mock
 
 from repro.experiments.scenario import ScenarioConfig, prepare_scenario
 from repro.runtime import state_digest
 from repro.sim.batch.topology import BatchTMan, BatchVicinity
+
+from .topology_merge_oracle import MergeSim
 
 
 def _keep_last_by_sort(ids_pad, valid):
@@ -714,31 +715,18 @@ def test_keep_last_per_row_matches_sort_oracle(data):
     )
 
 
-class _MergeSim:
-    """The slice of ``BatchSimulation`` that ``_apply_merges`` reads."""
-
-    def __init__(self, nid_of, pos, detected):
-        table = SimpleNamespace(_nid_of=nid_of, coords_rows=lambda: pos)
-        self.network = SimpleNamespace(table=table)
-        self._detected = np.asarray(sorted(detected), dtype=np.int64)
-
-    def detected_entry_mask(self, ids):
-        return np.isin(ids, self._detected)
-
-
-def _whole_network_merge(layer, sim, recv_blocks, ids_blocks, coords_blocks):
+def _whole_network_merge(layer, sim, recv, ids, coords):
     """Expected ``(ids, coords, ages)`` state: every addressed receiver's
     view and filtered incoming entries, in arrival order, in ONE pad
     handed to ONE kernel call."""
     table = sim.network.table
     C, dim = layer.capacity, layer._coord_dim
     incoming = {}
-    for rows, ids, coords in zip(recv_blocks, ids_blocks, coords_blocks):
-        for r, id_row, coord_row in zip(rows.tolist(), ids.tolist(), coords):
-            got = incoming.setdefault(r, [])
-            for nid, coord in zip(id_row, coord_row):
-                if nid >= 0 and nid != table._nid_of[r] and nid not in sim._detected:
-                    got.append((nid, coord))
+    for r, id_row, coord_row in zip(recv.tolist(), ids.tolist(), coords):
+        got = incoming.setdefault(r, [])
+        for nid, coord in zip(id_row, coord_row):
+            if nid >= 0 and nid != table._nid_of[r] and nid not in sim._detected:
+                got.append((nid, coord))
     recv = np.asarray(sorted(incoming), dtype=np.int64)
     width = C + max(len(got) for got in incoming.values())
     ids_pad = np.full((len(recv), width), -1, dtype=np.int64)
@@ -787,7 +775,7 @@ def test_blocked_apply_merges_matches_whole_network_call(with_ages, data):
     detected = set(data.draw(st.lists(st.integers(0, 60), max_size=6)))
     coord = st.tuples(st.integers(0, 15).map(float), st.integers(0, 7).map(float))
     pos = np.asarray([data.draw(coord) for _ in range(n_rows)], dtype=float)
-    sim = _MergeSim(nid_of, pos, detected)
+    sim = MergeSim(nid_of, pos, detected)
     # Ids a view or a message may carry: live nodes, detected peers,
     # strangers — and the empty slot.
     any_id = st.one_of(st.just(-1), st.sampled_from(nid_of.tolist()), st.integers(0, 60))
@@ -801,7 +789,7 @@ def test_blocked_apply_merges_matches_whole_network_call(with_ages, data):
         layer = BatchVicinity(space, rps=None, view_size=cap)
     else:
         layer = BatchTMan(space, rps=None, view_cap=cap)
-    layer._ensure_rows(n_rows)
+    layer._ensure_rows(sim.network.table)
     # Stored views hold each id at most once (every merge dedups).
     for r in range(n_rows):
         held = data.draw(st.lists(st.integers(0, 60), max_size=cap, unique=True))
@@ -825,11 +813,15 @@ def test_blocked_apply_merges_matches_whole_network_call(with_ages, data):
         ids_blocks.append(ids)
         coords_blocks.append(np.asarray(grid(len(rows), m, coord), dtype=float))
 
-    want = _whole_network_merge(layer, sim, recv_blocks, ids_blocks, coords_blocks)
+    # Stacked as the layer stacks them: payloads above replies.
+    recv = np.concatenate(recv_blocks)
+    ids = np.concatenate(ids_blocks)
+    coords = np.concatenate(coords_blocks)
+    want = _whole_network_merge(layer, sim, recv, ids, coords)
     start = [layer._ids.copy(), layer._coords.copy()]
     if with_ages:
         start.append(layer._ages.copy())
-    U = len(set(np.concatenate(recv_blocks).tolist()))
+    U = len(set(recv.tolist()))
     for rows_per_block in sorted({1, 3, max(U - 1, 1), U, U + 7}):
         layer._ids[:], layer._coords[:] = start[0], start[1]
         if with_ages:
@@ -837,7 +829,7 @@ def test_blocked_apply_merges_matches_whole_network_call(with_ages, data):
         with mock.patch.object(
             batch_kernels, "block_rows", lambda *_, n=rows_per_block: n
         ):
-            layer._apply_merges(sim, recv_blocks, ids_blocks, coords_blocks)
+            layer._apply_merges(sim, recv, ids.copy(), coords)
         got = [layer._ids, layer._coords] + ([layer._ages] if with_ages else [])
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)

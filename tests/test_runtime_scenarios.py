@@ -71,6 +71,16 @@ class TestGenerators:
         fresh = [n for n in sim.network.alive_nodes() if n.initial_point is None]
         assert len(fresh) == 3
 
+    def test_flash_crowd_takes_an_iterator(self):
+        """The positions may be a one-shot iterator: it is read once, so
+        the description and the event see the same three nodes."""
+        sim = fresh_sim()
+        schedule = flash_crowd(4, ((x + 0.5, 0.5) for x in range(3)))
+        assert schedule.description.startswith("3 fresh nodes")
+        schedule.install(sim)
+        sim.run(5)
+        assert sim.network.n_total == 32 + 3
+
     def test_mass_failure_fraction(self):
         sim = fresh_sim()
         mass_failure(2, 0.25).install(sim)
