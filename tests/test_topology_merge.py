@@ -186,6 +186,22 @@ def test_fixed_case_keeps_the_last_copy_and_meters_before_filtering():
     assert sim.charged == [("tman", 8, 2)]
 
 
+def test_messages_site_is_the_stacked_messages_and_four_index_columns():
+    from repro.obs import mem as obs_mem
+
+    layer, sim, recv, ids, coords = fixed_case("vicinity")
+    obs_mem.reset()
+    obs_mem.set_enabled(True)
+    try:
+        layer._apply_merges(sim, recv, ids, coords)
+        site = obs_mem.snapshot()["sites"]["vicinity.messages"]
+    finally:
+        obs_mem.set_enabled(False)
+        obs_mem.reset()
+    assert site["peak"] == ids.nbytes + coords.nbytes + 4 * 8 * len(recv)
+    assert site["family"] == "topology_pads" and site["cur"] == 0
+
+
 def _filter_before_metering(layer, sim, recv, ids, coords):
     ids[ids == sim.network.table._nid_of[recv][:, None]] = -1
     ids[sim.detected_entry_mask(ids)] = -1
