@@ -21,7 +21,8 @@ import os
 import time
 
 from repro.experiments.scenario import ScenarioConfig
-from repro.runtime.cluster import diff_stores, open_queue, run_distributed_sweep
+from repro.runtime.cluster import Coordinator, diff_stores
+from repro.runtime.dispatch import run_sweep
 from repro.runtime.runner import ParallelRunner, grid_tasks
 from repro.runtime.store import ResultStore
 from repro.viz.tables import format_table
@@ -60,14 +61,11 @@ def _ablation_tasks(preset):
 
 def _timed_distributed(tasks, queue_path, store, workers):
     t0 = time.perf_counter()
-    run_distributed_sweep(
+    run_sweep(
         tasks,
-        open_queue(queue_path),
-        workers=workers,
-        store=store,
-        lease_s=600.0,
         fork=False,
-        poll_s=0.05,
+        executor=Coordinator(queue_path, workers=workers, lease_s=600.0, poll_s=0.05),
+        store=store,
     )
     return time.perf_counter() - t0
 

@@ -10,6 +10,7 @@ makes the paper-scale sweep tractable.
 import math
 
 from repro.experiments import fig10
+from repro.runtime.dispatch import ExecOptions
 
 
 def test_fig10a_scalability(benchmark, preset, emit, workers, engine):
@@ -19,8 +20,7 @@ def test_fig10a_scalability(benchmark, preset, emit, workers, engine):
         kwargs={
             "repetitions": 1,
             "base_seed": 0,
-            "workers": workers,
-            "engine": engine,
+            "options": ExecOptions(workers=workers, engine=engine),
         },
         rounds=1,
         iterations=1,

@@ -8,13 +8,18 @@ largest swept size: advanced ≤ basic, and basic degrades fastest.
 import math
 
 from repro.experiments import fig10
+from repro.runtime.dispatch import ExecOptions
 
 
 def test_fig10b_split_functions(benchmark, preset, emit, workers):
     result = benchmark.pedantic(
         fig10.run_fig10b,
         args=(preset,),
-        kwargs={"repetitions": 1, "base_seed": 0, "workers": workers},
+        kwargs={
+            "repetitions": 1,
+            "base_seed": 0,
+            "options": ExecOptions(workers=workers),
+        },
         rounds=1,
         iterations=1,
     )

@@ -22,8 +22,9 @@ algorithmic — Phase-1 rounds not simulated — not pool scheduling.
 
 import time
 
-from repro.experiments.scenario import ScenarioConfig
-from repro.runtime.forksweep import CheckpointCache, plan_fork_sweep, run_fork_sweep
+from repro.experiments.scenario import ScenarioConfig, fork_round
+from repro.runtime.dispatch import run_sweep
+from repro.runtime.forksweep import CheckpointCache, plan_fork_sweep
 from repro.runtime.runner import ParallelRunner, grid_tasks
 from repro.runtime.store import summarize_result
 from repro.viz.tables import format_table
@@ -75,9 +76,9 @@ def test_fork_vs_cold_split_ablation(benchmark, preset, emit, tmp_path):
 
     cache = CheckpointCache(tmp_path / "checkpoints")
     forked = benchmark.pedantic(
-        run_fork_sweep,
+        run_sweep,
         args=(tasks,),
-        kwargs={"workers": 1, "cache": cache},
+        kwargs={"fork": True, "executor": ParallelRunner(workers=1), "cache": cache},
         rounds=1,
         iterations=1,
     )
@@ -93,6 +94,10 @@ def test_fork_vs_cold_split_ablation(benchmark, preset, emit, tmp_path):
             fork_cell.result
         )
 
+    rounds_saved = sum(
+        fork_round(group.tasks[0].config) * (len(group.tasks) - 1)
+        for group in plan.groups
+    )
     speedup = cold_s / fork_s if fork_s else float("inf")
     floor = 1.5 if preset.n_nodes >= 512 else 1.25
     rows = [
@@ -101,7 +106,7 @@ def test_fork_vs_cold_split_ablation(benchmark, preset, emit, tmp_path):
             "fork",
             f"{fork_s:.2f}",
             len(tasks),
-            f"{len(plan.groups)} prefixes, {plan.rounds_saved} rounds saved",
+            f"{len(plan.groups)} prefixes, {rounds_saved} rounds saved",
         ],
     ]
     emit(

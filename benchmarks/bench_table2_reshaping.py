@@ -7,6 +7,7 @@ with K (deduplication cost).
 """
 
 from repro.experiments import table2
+from repro.runtime.dispatch import ExecOptions
 
 
 def test_table2_reshaping_and_reliability(benchmark, preset, emit, workers):
@@ -14,7 +15,11 @@ def test_table2_reshaping_and_reliability(benchmark, preset, emit, workers):
     result = benchmark.pedantic(
         table2.run_table2,
         args=(preset,),
-        kwargs={"repetitions": repetitions, "base_seed": 0, "workers": workers},
+        kwargs={
+            "repetitions": repetitions,
+            "base_seed": 0,
+            "options": ExecOptions(workers=workers),
+        },
         rounds=1,
         iterations=1,
     )

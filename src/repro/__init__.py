@@ -63,12 +63,13 @@ from .metrics import (
 from .routing import RouteResult, RoutingQuality, evaluate_routing, greedy_route
 from .runtime import (
     ChurnSchedule,
+    ExecOptions,
     ParallelRunner,
     ResultStore,
     SimulationCheckpoint,
     SweepTask,
+    execute_scenarios,
     restore,
-    run_scenarios,
     snapshot,
 )
 from .shapes import AnnulusShape, DiskShape, LineShape, RingShape, Shape, TorusGrid
@@ -124,7 +125,8 @@ __all__ = [
     "SimulationCheckpoint",
     "snapshot",
     "restore",
-    "run_scenarios",
+    "ExecOptions",
+    "execute_scenarios",
     "ChurnSchedule",
     # metrics
     "MetricsRecorder",

@@ -9,7 +9,7 @@ Examples::
     repro run --resume sweep.ckpt --rounds 20 --save-checkpoint sweep2.ckpt
     repro sweep --scale smoke --ks 2,4 --seeds 3 --workers 4 --store results.jsonl
     repro sweep --scale smoke --fork --failure-fractions 0.25,0.5 --reinjection both
-    repro sweep --scale smoke --distributed --queue /mnt/share/q --store results.jsonl
+    repro sweep --scale smoke --fork --queue /mnt/share/q --store results.jsonl
     repro worker --queue /mnt/share/q --drain
     repro queue status /mnt/share/q
     repro queue merge /mnt/share/q --store results.jsonl
@@ -46,6 +46,7 @@ from typing import List, Optional
 from .errors import ReproError
 from .experiments.presets import PRESETS, get_preset
 from .experiments.registry import DESCRIPTIONS, experiment_names, run_experiment
+from .runtime.dispatch import ExecOptions, run_sweep
 
 
 def _parse_int_list(text: str) -> List[int]:
@@ -92,13 +93,43 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs-dir (default: ./obs/)",
     )
 
+    # How a grid runs — shared by run/sweep/eval, read back with
+    # ExecOptions.from_args.  None of the three changes a result.
+    exec_options = argparse.ArgumentParser(add_help=False)
+    exec_options.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help="fan the grid's independent simulations across N local "
+        "worker processes (identical results to --workers 1)",
+    )
+    exec_options.add_argument(
+        "--fork",
+        action="store_true",
+        help="simulate each shared pre-failure prefix once, checkpoint "
+        "it in the persistent cache, and fork every cell from the "
+        "cached snapshot — locally or on a --queue (byte-identical "
+        "results to cold-starting every cell, the default; see 'repro "
+        "checkpoints')",
+    )
+    exec_options.add_argument(
+        "--queue",
+        metavar="QUEUE",
+        default=None,
+        help="run the grid through this shared work queue (a directory, "
+        "NFS-style share) and help drain it instead of running it "
+        "locally; any 'repro worker --queue' pointed here participates "
+        "(identical results)",
+    )
+
     sub.add_parser("list", help="list available experiments")
 
     run = sub.add_parser(
         "run",
         help="run one experiment and print its report, or resume a "
         "simulation checkpoint",
-        parents=[obs_options],
+        parents=[obs_options, exec_options],
     )
     run.add_argument(
         "experiment",
@@ -123,27 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         "with --resume, converts the checkpoint to the chosen engine",
     )
     run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="fan the experiment's independent simulations across N "
-        "worker processes (identical results to --workers 1)",
-    )
-    run.add_argument(
-        "--fork",
-        action="store_true",
-        help="reuse/populate the persistent Phase-1 checkpoint cache "
-        "(identical results; see 'repro checkpoints')",
-    )
-    run.add_argument(
-        "--queue",
-        metavar="QUEUE",
-        default=None,
-        help="distribute the experiment's simulation grid over this "
-        "shared work queue and help drain it (identical results; any "
-        "'repro worker --queue' pointed here participates)",
-    )
-    run.add_argument(
         "--resume",
         metavar="CHECKPOINT",
         default=None,
@@ -165,9 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="run a (K × split × seed) scenario grid through the "
-        "parallel runner, persisting every cell to a result store",
-        parents=[obs_options],
+        help="run a (K × split × seed) scenario grid — cold or forked "
+        "(--fork), locally (--workers) or through a shared work queue "
+        "(--queue) — persisting every cell to a result store",
+        parents=[obs_options, exec_options],
     )
     sweep.add_argument(
         "--scale",
@@ -211,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep the preset's reinjection phase, drop it, or ablate "
         "both variants as a grid axis (default: on)",
     )
-    sweep.add_argument("--workers", type=int, default=1)
     sweep.add_argument(
         "--engine",
         choices=("event", "batch"),
@@ -220,28 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
         "cells are recorded under engine='batch' configs and never "
         "compare equal to event cells",
     )
-    fork_group = sweep.add_mutually_exclusive_group()
-    fork_group.add_argument(
-        "--fork",
-        action="store_true",
-        dest="fork",
-        help="simulate each shared pre-failure prefix once, checkpoint "
-        "it, and fork every ablation cell from the cached snapshot "
-        "(byte-identical results to --no-fork)",
-    )
-    fork_group.add_argument(
-        "--no-fork",
-        action="store_false",
-        dest="fork",
-        help="cold-start every cell (the default)",
-    )
-    sweep.set_defaults(fork=False)
     sweep.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
         default=None,
-        help="checkpoint cache directory for --fork "
-        "(default: $REPRO_CHECKPOINT_DIR or .repro-checkpoints)",
+        help="checkpoint cache directory for --fork (default: "
+        "$REPRO_CHECKPOINT_DIR or .repro-checkpoints; with --queue, "
+        "checkpoints/ inside the queue)",
     )
     sweep.add_argument(
         "--store",
@@ -261,32 +256,18 @@ def build_parser() -> argparse.ArgumentParser:
         "or --run-id)",
     )
     sweep.add_argument(
-        "--distributed",
-        action="store_true",
-        help="publish the grid to a shared work queue (--queue) instead "
-        "of running it locally; any machine running 'repro worker' "
-        "against the queue helps drain it (results identical to a "
-        "local run)",
-    )
-    sweep.add_argument(
-        "--queue",
-        metavar="QUEUE",
-        default=None,
-        help="shared work queue for --distributed: a directory "
-        "(NFS-style share)",
-    )
-    sweep.add_argument(
         "--no-join",
         action="store_true",
-        help="with --distributed: only publish (grid + prefix "
-        "checkpoints) and exit; do not run local workers or wait",
+        help="with --queue: only publish (the grid and, with --fork, "
+        "its prefix checkpoints) and exit; do not run local workers or "
+        "wait",
     )
     sweep.add_argument(
         "--lease",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="with --distributed: lease duration before a silent "
+        help="with --queue: lease duration before a silent "
         "worker's cell is re-offered (default 120)",
     )
     sweep.add_argument(
@@ -294,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="with --distributed: attempts per cell before it is "
+        help="with --queue: attempts per cell before it is "
         "recorded as an error (default 3)",
     )
 
@@ -435,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         "eval",
         help="the paper-conformance claims gate: run claim cases, score "
         "them against recorded expectations, report, and gate CI",
-        parents=[obs_options],
+        parents=[obs_options, exec_options],
     )
     eval_cmd.add_argument(
         "action",
@@ -508,20 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bands; the gate self-test uses this to prove perturbed "
         "expectations fail)",
     )
-    eval_cmd.add_argument("--workers", type=int, default=1)
-    eval_cmd.add_argument(
-        "--fork",
-        action="store_true",
-        help="execute uncached cells through the Phase-1 checkpoint "
-        "cache (identical results)",
-    )
-    eval_cmd.add_argument(
-        "--queue",
-        metavar="QUEUE",
-        default=None,
-        help="distribute uncached cells over this shared work queue",
-    )
-
     obs_cmd = sub.add_parser(
         "obs",
         help="inspect observability artifacts written by "
@@ -806,10 +773,7 @@ def _cmd_run(args) -> int:
             args.experiment,
             preset=preset,
             seed=args.seed,
-            workers=args.workers,
-            fork=args.fork,
-            queue=args.queue,
-            engine=args.engine,
+            options=ExecOptions.from_args(args),
         )
     )
     return 0
@@ -817,9 +781,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from .experiments.scenario import ScenarioConfig
-    from .runtime.forksweep import CheckpointCache, run_fork_sweep
-    from .runtime.runner import ParallelRunner, grid_tasks
-    from .runtime.store import ResultStore
+    from .runtime.forksweep import CheckpointCache
+    from .runtime.runner import grid_tasks
+    from .runtime.store import ResultStore, cell_record
     from .viz.tables import format_store_cells
 
     preset = get_preset(args.scale)
@@ -865,54 +829,58 @@ def _cmd_sweep(args) -> int:
             file=sys.stderr,
         )
 
-    metadata = {
-        "preset": preset.name,
-        "ks": list(args.ks),
-        "splits": splits,
-        "seeds": seeds,
-        "failure_fractions": args.failure_fractions,
-        "reinjection": args.reinjection,
-        "fork": args.fork,
-        "engine": args.engine or "event",
-    }
-    if args.distributed:
-        return _sweep_distributed(args, tasks, store, run_id, metadata)
-    if args.fork:
-        cache = CheckpointCache(args.checkpoint_dir)
-        cells = run_fork_sweep(
-            tasks,
-            workers=args.workers,
-            cache=cache,
-            store=store,
-            run_id=run_id,
-            metadata=metadata,
-            progress=progress,
+    def queue_status(status) -> None:
+        print(
+            f"[{status.get('done', 0)}/{status.get('total', '?')}] "
+            f"{status.get('leased', 0)} leased, "
+            f"{status.get('pending', 0)} pending",
+            file=sys.stderr,
         )
-    else:
-        runner = ParallelRunner(workers=args.workers, progress=progress)
-        cells = runner.run(tasks, store=store, run_id=run_id, metadata=metadata)
+
+    options = ExecOptions.from_args(args)
+    # What only the queue's coordinator takes; the table below needs the
+    # cells' results back, so a queue run carries payloads.
+    queue_options = {
+        "join": not args.no_join,
+        "payloads": True,
+        "log": lambda message: print(message, file=sys.stderr),
+        "on_status": queue_status,
+    }
+    if args.lease is not None:
+        queue_options["lease_s"] = args.lease
+    if args.max_attempts is not None:
+        queue_options["max_attempts"] = args.max_attempts
+    executor = options.executor(progress, **queue_options)
+    cells = run_sweep(
+        tasks,
+        fork=options.fork,
+        executor=executor,
+        cache=CheckpointCache(args.checkpoint_dir) if args.checkpoint_dir else None,
+        store=store,
+        run_id=run_id,
+        metadata={
+            "preset": preset.name,
+            "ks": list(args.ks),
+            "splits": splits,
+            "seeds": seeds,
+            "failure_fractions": args.failure_fractions,
+            "reinjection": args.reinjection,
+            "fork": options.fork,
+            "engine": args.engine or "event",
+        },
+    )
+    if options.queue is not None and args.no_join and executor.manifest:
+        return _sweep_published(args, executor.manifest)
 
     records = [
-        {
-            "task_id": cell.task_id,
-            "status": cell.status,
-            "seed": cell.seed,
-            "config": {
-                "replication": cell.config.replication,
-                "split": cell.config.split,
-                "width": cell.config.width,
-                "height": cell.config.height,
-            },
-            "summary": (
-                {
-                    "reliability": cell.result.reliability,
-                    "reshaping_time": cell.result.reshaping_time,
-                }
-                if cell.result is not None
-                else None
-            ),
-            "duration_s": cell.duration_s,
-        }
+        cell_record(
+            run_id or "",
+            cell.task_id,
+            cell.config,
+            status=cell.status,
+            result=cell.result,
+            duration_s=cell.duration_s,
+        )
         for cell in cells
     ]
     title = f"sweep over {len(cells)} cells ({preset.name} scale)"
@@ -929,77 +897,19 @@ def _cmd_sweep(args) -> int:
     return 1 if errored else 0
 
 
-def _sweep_distributed(args, tasks, store, run_id, metadata) -> int:
-    from .runtime.cluster import (
-        DEFAULT_LEASE_S,
-        DEFAULT_MAX_ATTEMPTS,
-        run_distributed_sweep,
+def _sweep_published(args, manifest) -> int:
+    """``--queue Q --no-join``: say what was published and how to go on."""
+    print(
+        f"published {manifest['n_tasks']} cells as run "
+        f"{manifest['run_id']} to {args.queue}"
     )
-    from .runtime.forksweep import CheckpointCache
-    from .viz.tables import format_store_cells
-
-    if not args.queue:
-        print("error: --distributed needs --queue", file=sys.stderr)
-        return 2
-    cache = (
-        CheckpointCache(args.checkpoint_dir) if args.checkpoint_dir else None
+    print(
+        f"drain with:   repro worker --queue {args.queue}\n"
+        f"inspect with: repro queue status {args.queue}\n"
+        f"merge with:   repro queue merge {args.queue} --store "
+        f"{args.store or 'results.jsonl'}"
     )
-
-    def log(message: str) -> None:
-        print(message, file=sys.stderr)
-
-    def progress(status) -> None:
-        print(
-            f"[{status.get('done', 0)}/{status.get('total', '?')}] "
-            f"{status.get('leased', 0)} leased, "
-            f"{status.get('pending', 0)} pending",
-            file=sys.stderr,
-        )
-
-    outcome = run_distributed_sweep(
-        tasks,
-        args.queue,
-        workers=args.workers,
-        cache=cache,
-        store=store,
-        run_id=run_id,
-        metadata=metadata,
-        lease_s=args.lease if args.lease is not None else DEFAULT_LEASE_S,
-        max_attempts=(
-            args.max_attempts
-            if args.max_attempts is not None
-            else DEFAULT_MAX_ATTEMPTS
-        ),
-        join=not args.no_join,
-        log=log,
-        progress=progress,
-    )
-    manifest = outcome.manifest
-    if not outcome.joined:
-        print(
-            f"published {manifest['n_tasks']} cells as run "
-            f"{manifest['run_id']} to {args.queue}"
-        )
-        print(
-            f"drain with:   repro worker --queue {args.queue}\n"
-            f"inspect with: repro queue status {args.queue}\n"
-            f"merge with:   repro queue merge {args.queue} --store "
-            f"{args.store or 'results.jsonl'}"
-        )
-        return 0
-    title = (
-        f"distributed sweep over {len(outcome.records)} cells "
-        f"(run {manifest['run_id']})"
-    )
-    print(format_store_cells(outcome.records, title=title))
-    if outcome.merge is not None:
-        print(outcome.merge.describe())
-    errored = sum(
-        1 for record in outcome.records if record.get("status") != "ok"
-    )
-    if errored:
-        print(f"warning: {errored} cells errored", file=sys.stderr)
-    return 1 if errored else 0
+    return 0
 
 
 def _cmd_worker(args) -> int:

@@ -4,8 +4,8 @@ The runner is deliberately thin: it expands the requested cases into
 scenario configurations, drops every configuration whose exact content
 hash already has an ``ok`` cell in the result store (*unchanged cases
 are free on re-run*), executes the rest through
-:func:`repro.runtime.dispatch.execute_scenarios` — so the serial, pool,
-fork-checkpoint, and distributed backends all work unchanged — and
+:func:`repro.runtime.dispatch.execute_scenarios` — so either plan (cold,
+fork) runs on either executor (local, queue) unchanged — and
 appends the fresh cells to the store.  Scoring never touches this
 module's simulations: it reads the store
 (:func:`repro.eval.scorers.group_cells`), which is what makes a gate
@@ -22,7 +22,7 @@ from ..errors import ReproError
 from ..experiments.scenario import ScenarioConfig
 from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
-from ..runtime.dispatch import execute_scenarios
+from ..runtime.dispatch import ExecOptions, execute_scenarios
 from ..runtime.store import ResultStore, cell_record, config_hash
 from .dataset import ClaimCase
 from .scorers import CaseCells, group_cells
@@ -88,13 +88,18 @@ def run_cases(
     cache hits) and return the per-case stored cells.
 
     All execution flows through one :func:`execute_scenarios` call per
-    engine, so ``workers``/``fork``/``queue`` select the same backends
-    a sweep would use.  A backend failure is recorded on
+    engine, so ``workers``/``fork``/``queue`` mean what they mean for a
+    sweep — spelled out here, and only here, because the frozen
+    benchmark calls ``run_cases(cases, store, engine=, fork=)``; they
+    become one :class:`~repro.runtime.dispatch.ExecOptions` at once
+    (``engine`` picks which engines' cases run; each case's
+    configurations already name theirs).  A backend failure is recorded on
     :attr:`EvalRunData.run_errors` and scoring proceeds on whatever
     cells exist — the affected claims fail with a *missing cells*
     diagnosis instead of the gate crashing.
     """
     started = time.perf_counter()
+    options = ExecOptions(workers=workers, fork=fork, queue=queue)
     say = log or (lambda message: None)
     plan = case_plan(cases, engine)
     index = _store_index(store)
@@ -123,9 +128,7 @@ def run_cases(
         obs_log.info("eval.execute", engine=eng, n_configs=len(configs))
         try:
             with obs_metrics.timer("eval.execute"):
-                results = execute_scenarios(
-                    configs, workers=workers, fork=fork, queue=queue
-                )
+                results = execute_scenarios(configs, options)
         except ReproError as exc:
             data.run_errors.append(f"engine {eng}: {exc}")
             obs_log.error("eval.execute_failed", engine=eng, error=str(exc))

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 
 from ..viz.ascii import occupancy_stats, render_density
 from ..viz.tables import format_table
+from ..runtime.dispatch import ExecOptions
 from .presets import ScalePreset, get_preset
 from .scenario import ScenarioConfig, run_scenario
 
@@ -28,8 +29,9 @@ class Fig1Result:
 
 
 def run_fig1(
-    preset: Optional[ScalePreset] = None, seed: int = 0,
-    engine: Optional[str] = None,
+    preset: Optional[ScalePreset] = None,
+    seed: int = 0,
+    options: ExecOptions = ExecOptions(),
 ) -> Fig1Result:
     preset = preset or get_preset()
     fr = preset.failure_round
@@ -41,7 +43,7 @@ def run_fig1(
         total_rounds=total,
         seed=seed,
         snapshot_rounds=(0, fr - 1, total - 1),
-        **({"engine": engine} if engine else {}),
+        **({"engine": options.engine} if options.engine else {}),
     )
     result = run_scenario(config)
     periods = config.grid.periods
@@ -88,7 +90,9 @@ def run_fig1(
 
 
 def report(
-    preset: Optional[ScalePreset] = None, seed: int = 0,
-    engine: Optional[str] = None,
+    preset: Optional[ScalePreset] = None,
+    seed: int = 0,
+    options: ExecOptions = ExecOptions(),
 ) -> str:
-    return run_fig1(preset, seed, engine=engine).report
+    """One simulation: of ``options`` only ``engine`` applies."""
+    return run_fig1(preset, seed, options).report

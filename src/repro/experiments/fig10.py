@@ -19,8 +19,10 @@ from typing import List, Optional, Tuple
 
 from ..analysis.stats import MeanCI, mean_ci
 from ..viz.tables import format_table
+from ..runtime.dispatch import ExecOptions, execute_scenarios
 from .presets import ScalePreset, get_preset
 from .scenario import ScenarioConfig
+from .sweep import aggregate_by_label
 
 FIG10B_SPLITS = ("basic", "md", "pd", "advanced")
 
@@ -53,10 +55,7 @@ def _run_sweep_grid(
     variants: List[Tuple[str, int, str]],
     repetitions: int,
     base_seed: int,
-    workers: int,
-    fork: bool = False,
-    queue: Optional[str] = None,
-    engine: Optional[str] = None,
+    options: ExecOptions,
 ) -> "dict":
     """Run the whole (size × variant × repetition) grid in one fan-out;
     returns ``{(n_nodes, label): (MeanCI, non_converged)}``.
@@ -64,7 +63,10 @@ def _run_sweep_grid(
     The flat grid is what makes ``workers > 1`` effective: every single
     simulation of the sweep is an independent task, so the scalability
     sweep saturates the worker pool instead of parallelising only
-    within one cell.
+    within one cell.  With ``fork`` every cell reuses its cached Phase-1
+    checkpoint — and because the cache is persistent, the 10a K=4
+    column and 10b's ``advanced`` column (identical configurations up
+    to the fork) share prefixes *across* figure invocations.
     """
     keys: List[Tuple[int, str]] = []
     configs: List[ScenarioConfig] = []
@@ -79,28 +81,10 @@ def _run_sweep_grid(
                         base_seed + rep,
                     )
                 )
-    # Phase-fork mode: cells sharing a (size, K/split, seed) prefix
-    # reuse one cached Phase-1 checkpoint — and because the cache is
-    # persistent, the 10a K=4 column and 10b's ``advanced`` column
-    # (identical configurations up to the fork) share prefixes
-    # *across* figure invocations.  A queue distributes the same grid
-    # over every worker that can see it.
-    from ..runtime.dispatch import execute_scenarios
-
-    results = execute_scenarios(
-        configs, workers=workers, fork=fork, queue=queue, engine=engine
-    )
-
-    samples: dict = {key: [] for key in keys}
-    missed: dict = {key: 0 for key in keys}
-    for key, result in zip(keys, results):
-        if result.reshaping_time is None:
-            missed[key] += 1
-        else:
-            samples[key].append(float(result.reshaping_time))
+    outcomes = aggregate_by_label(keys, execute_scenarios(configs, options))
     return {
-        key: (mean_ci(samples[key] or [float("nan")]), missed[key])
-        for key in samples
+        key: (stats.reshaping or mean_ci([float("nan")]), stats.non_converged)
+        for key, stats in outcomes.items()
     }
 
 
@@ -123,16 +107,11 @@ def run_fig10a(
     ks: Tuple[int, ...] = (2, 4, 8),
     repetitions: int = 1,
     base_seed: int = 0,
-    workers: int = 1,
-    fork: bool = False,
-    queue: Optional[str] = None,
-    engine: Optional[str] = None,
+    options: ExecOptions = ExecOptions(),
 ) -> Fig10Result:
     preset = preset or get_preset()
     variants = [(f"K={k}", k, "advanced") for k in ks]
-    grid = _run_sweep_grid(
-        preset, variants, repetitions, base_seed, workers, fork, queue, engine
-    )
+    grid = _run_sweep_grid(preset, variants, repetitions, base_seed, options)
     cells: List[SweepCell] = []
     rows = []
     for width, height in preset.sweep_grids:
@@ -160,16 +139,11 @@ def run_fig10b(
     replication: int = 4,
     repetitions: int = 1,
     base_seed: int = 0,
-    workers: int = 1,
-    fork: bool = False,
-    queue: Optional[str] = None,
-    engine: Optional[str] = None,
+    options: ExecOptions = ExecOptions(),
 ) -> Fig10Result:
     preset = preset or get_preset()
     variants = [(f"split={split}", replication, split) for split in splits]
-    grid = _run_sweep_grid(
-        preset, variants, repetitions, base_seed, workers, fork, queue, engine
-    )
+    grid = _run_sweep_grid(preset, variants, repetitions, base_seed, options)
     cells: List[SweepCell] = []
     rows = []
     for width, height in preset.sweep_grids:
@@ -197,24 +171,19 @@ def report(
     seed: int = 0,
     part: str = "both",
     repetitions: int = 1,
-    workers: int = 1,
-    fork: bool = False,
-    queue: Optional[str] = None,
-    engine: Optional[str] = None,
+    options: ExecOptions = ExecOptions(),
 ) -> str:
     parts = []
     if part in ("a", "both"):
         parts.append(
             run_fig10a(
-                preset, repetitions=repetitions, base_seed=seed,
-                workers=workers, fork=fork, queue=queue, engine=engine,
+                preset, repetitions=repetitions, base_seed=seed, options=options
             ).report
         )
     if part in ("b", "both"):
         parts.append(
             run_fig10b(
-                preset, repetitions=repetitions, base_seed=seed,
-                workers=workers, fork=fork, queue=queue, engine=engine,
+                preset, repetitions=repetitions, base_seed=seed, options=options
             ).report
         )
     return "\n\n".join(parts)

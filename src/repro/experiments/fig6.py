@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..viz.tables import format_table
+from ..runtime.dispatch import ExecOptions
 from .presets import ScalePreset, get_preset
 from .scenario import ScenarioResult
 from .suite import DEFAULT_KS, run_comparison
@@ -49,16 +50,10 @@ def run_fig6(
     preset: Optional[ScalePreset] = None,
     ks: Tuple[int, ...] = DEFAULT_KS,
     seed: int = 0,
-    workers: int = 1,
-    fork: bool = False,
-    queue: Optional[str] = None,
-    engine: Optional[str] = None,
+    options: ExecOptions = ExecOptions(),
 ) -> Fig6Result:
     preset = preset or get_preset()
-    results = run_comparison(
-        preset, ks=ks, seed=seed, workers=workers, fork=fork, queue=queue,
-        engine=engine,
-    )
+    results = run_comparison(preset, ks=ks, seed=seed, options=options)
     every = max(1, preset.total_rounds // 20)
 
     hom_table = _series_table(
@@ -103,14 +98,9 @@ def report(
     preset: Optional[ScalePreset] = None,
     seed: int = 0,
     part: str = "both",
-    workers: int = 1,
-    fork: bool = False,
-    queue: Optional[str] = None,
-    engine: Optional[str] = None,
+    options: ExecOptions = ExecOptions(),
 ) -> str:
-    fig = run_fig6(
-        preset, seed=seed, workers=workers, fork=fork, queue=queue, engine=engine
-    )
+    fig = run_fig6(preset, seed=seed, options=options)
     if part == "a":
         return fig.report_homogeneity
     if part == "b":

@@ -17,6 +17,7 @@ from typing import Dict, Optional, Tuple
 
 from ..metrics.messages import layer_share
 from ..viz.tables import format_table
+from ..runtime.dispatch import ExecOptions
 from .presets import ScalePreset, get_preset
 from .scenario import ScenarioResult
 from .suite import DEFAULT_KS, run_comparison
@@ -35,16 +36,10 @@ def run_fig7(
     preset: Optional[ScalePreset] = None,
     ks: Tuple[int, ...] = DEFAULT_KS,
     seed: int = 0,
-    workers: int = 1,
-    fork: bool = False,
-    queue: Optional[str] = None,
-    engine: Optional[str] = None,
+    options: ExecOptions = ExecOptions(),
 ) -> Fig7Result:
     preset = preset or get_preset()
-    results = run_comparison(
-        preset, ks=ks, seed=seed, workers=workers, fork=fork, queue=queue,
-        engine=engine,
-    )
+    results = run_comparison(preset, ks=ks, seed=seed, options=options)
     every = max(1, preset.total_rounds // 20)
 
     memory_table = _series_table(
@@ -83,14 +78,9 @@ def report(
     preset: Optional[ScalePreset] = None,
     seed: int = 0,
     part: str = "both",
-    workers: int = 1,
-    fork: bool = False,
-    queue: Optional[str] = None,
-    engine: Optional[str] = None,
+    options: ExecOptions = ExecOptions(),
 ) -> str:
-    fig = run_fig7(
-        preset, seed=seed, workers=workers, fork=fork, queue=queue, engine=engine
-    )
+    fig = run_fig7(preset, seed=seed, options=options)
     if part == "a":
         return fig.report_memory
     if part == "b":

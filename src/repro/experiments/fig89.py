@@ -15,6 +15,7 @@ from typing import Dict, Optional
 
 from ..viz.ascii import occupancy_stats, render_density
 from ..viz.tables import format_table
+from ..runtime.dispatch import ExecOptions
 from .presets import ScalePreset, get_preset
 from .suite import run_comparison, scenario_name
 
@@ -29,15 +30,13 @@ class Fig89Result:
 
 
 def run_fig89(
-    preset: Optional[ScalePreset] = None, seed: int = 0, k: int = 4,
-    workers: int = 1, fork: bool = False, queue: Optional[str] = None,
-    engine: Optional[str] = None,
+    preset: Optional[ScalePreset] = None,
+    seed: int = 0,
+    k: int = 4,
+    options: ExecOptions = ExecOptions(),
 ) -> Fig89Result:
     preset = preset or get_preset()
-    results = run_comparison(
-        preset, seed=seed, workers=workers, fork=fork, queue=queue,
-        engine=engine,
-    )
+    results = run_comparison(preset, seed=seed, options=options)
     poly = results[scenario_name("polystyrene", k)]
     tman = results[scenario_name("tman")]
     periods = poly.config.grid.periods
@@ -86,10 +85,8 @@ def run_fig89(
 
 
 def report(
-    preset: Optional[ScalePreset] = None, seed: int = 0, workers: int = 1,
-    fork: bool = False, queue: Optional[str] = None,
-    engine: Optional[str] = None,
+    preset: Optional[ScalePreset] = None,
+    seed: int = 0,
+    options: ExecOptions = ExecOptions(),
 ) -> str:
-    return run_fig89(
-        preset, seed, workers=workers, fork=fork, queue=queue, engine=engine
-    ).report
+    return run_fig89(preset, seed, options=options).report

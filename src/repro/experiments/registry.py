@@ -1,73 +1,34 @@
 """Registry mapping experiment ids to report functions.
 
 Every table and figure of the paper's evaluation has an entry; each
-callable takes ``(preset=None, seed=0)`` (plus experiment-specific
-keywords) and returns a printable text report with the same rows/series
-the paper plots.
+report function takes ``(preset=None, seed=0, options=ExecOptions())``
+(plus experiment-specific keywords) and returns a printable text
+report with the same rows/series the paper plots.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from ..errors import ExperimentNotFoundError
+from ..runtime.dispatch import ExecOptions
 from . import fig1, fig6, fig7, fig89, fig10, table2
 from .presets import ScalePreset
 
 ReportFn = Callable[..., str]
 
-_REGISTRY: Dict[str, ReportFn] = {
-    # ``workers`` fans the underlying simulation grid across processes
-    # via repro.runtime (identical results to the serial path); ``fork``
-    # additionally reuses cached Phase-1 checkpoints across cells and
-    # invocations (also result-identical); ``queue`` distributes the
-    # grid over a shared cluster work queue (repro.runtime.cluster),
-    # drained by every worker pointed at it (also result-identical).
-    # ``engine`` selects the execution backend (event | batch) — the one
-    # knob that changes trajectories (statistically equivalent results;
-    # see README "Execution engines").
-    "fig1": lambda preset=None, seed=0, workers=1, fork=False, queue=None, engine=None: (
-        fig1.report(preset, seed, engine=engine)
-    ),
-    "fig6a": lambda preset=None, seed=0, workers=1, fork=False, queue=None, engine=None: (
-        fig6.report(
-            preset, seed, part="a", workers=workers, fork=fork, queue=queue,
-            engine=engine,
-        )
-    ),
-    "fig6b": lambda preset=None, seed=0, workers=1, fork=False, queue=None, engine=None: (
-        fig6.report(
-            preset, seed, part="b", workers=workers, fork=fork, queue=queue,
-            engine=engine,
-        )
-    ),
-    "fig7a": lambda preset=None, seed=0, workers=1, fork=False, queue=None, engine=None: (
-        fig7.report(
-            preset, seed, part="a", workers=workers, fork=fork, queue=queue,
-            engine=engine,
-        )
-    ),
-    "fig7b": lambda preset=None, seed=0, workers=1, fork=False, queue=None, engine=None: (
-        fig7.report(
-            preset, seed, part="b", workers=workers, fork=fork, queue=queue,
-            engine=engine,
-        )
-    ),
-    "fig8": fig89.report,
-    "fig9": fig89.report,
-    "table2": table2.report,
-    "fig10a": lambda preset=None, seed=0, workers=1, fork=False, queue=None, engine=None: (
-        fig10.report(
-            preset, seed, part="a", workers=workers, fork=fork, queue=queue,
-            engine=engine,
-        )
-    ),
-    "fig10b": lambda preset=None, seed=0, workers=1, fork=False, queue=None, engine=None: (
-        fig10.report(
-            preset, seed, part="b", workers=workers, fork=fork, queue=queue,
-            engine=engine,
-        )
-    ),
+#: experiment id -> (report function, ``part`` of a two-panel figure).
+_REGISTRY: Dict[str, Tuple[ReportFn, Optional[str]]] = {
+    "fig1": (fig1.report, None),
+    "fig6a": (fig6.report, "a"),
+    "fig6b": (fig6.report, "b"),
+    "fig7a": (fig7.report, "a"),
+    "fig7b": (fig7.report, "b"),
+    "fig8": (fig89.report, None),
+    "fig9": (fig89.report, None),
+    "table2": (table2.report, None),
+    "fig10a": (fig10.report, "a"),
+    "fig10b": (fig10.report, "b"),
 }
 
 DESCRIPTIONS: Dict[str, str] = {
@@ -92,33 +53,24 @@ def run_experiment(
     name: str,
     preset: Optional[ScalePreset] = None,
     seed: int = 0,
-    workers: int = 1,
-    fork: bool = False,
-    queue: Optional[str] = None,
-    engine: Optional[str] = None,
+    options: ExecOptions = ExecOptions(),
     **kwargs,
 ) -> str:
     """Run one experiment by id and return its text report.
 
-    ``workers > 1`` parallelises the experiment's independent
-    simulations across processes without changing any result;
-    ``fork=True`` reuses (and populates) the persistent Phase-1
-    checkpoint cache, also without changing any result; ``queue``
-    distributes the experiment's grid over a shared cluster work queue
-    (any machine running ``repro worker`` against it helps), again
-    without changing any result.  ``engine="batch"`` runs the grid
-    under the batch-synchronous vectorised engine — statistically
-    equivalent curves, several times faster per simulation.
+    ``options`` (:class:`~repro.runtime.dispatch.ExecOptions`) says how
+    the experiment's independent simulations execute — worker
+    processes, the persistent Phase-1 checkpoint cache, a shared
+    cluster work queue — none of which changes a result, and under
+    which engine, which does (``engine="batch"``: statistically
+    equivalent curves, several times faster per simulation).
     """
     try:
-        fn = _REGISTRY[name]
+        fn, part = _REGISTRY[name]
     except KeyError:
         raise ExperimentNotFoundError(
             f"unknown experiment {name!r}; available: {experiment_names()}"
         ) from None
-    if engine is not None:
-        kwargs["engine"] = engine
-    return fn(
-        preset=preset, seed=seed, workers=workers, fork=fork, queue=queue,
-        **kwargs,
-    )
+    if part is not None:
+        kwargs["part"] = part
+    return fn(preset=preset, seed=seed, options=options, **kwargs)

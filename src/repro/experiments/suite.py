@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from ..runtime.dispatch import ExecOptions, execute_scenarios
 from .presets import ScalePreset, get_preset
 from .scenario import ScenarioConfig, ScenarioResult
 
@@ -46,28 +47,20 @@ def run_comparison(
     include_tman: bool = True,
     seed: int = 0,
     use_cache: bool = True,
-    workers: int = 1,
-    fork: bool = False,
-    queue: Optional[str] = None,
-    engine: Optional[str] = None,
+    options: ExecOptions = ExecOptions(),
 ) -> Dict[str, ScenarioResult]:
     """Run (or fetch) the full evaluation scenario for every
     configuration; returns ``{name: ScenarioResult}``.
 
-    The configurations are independent simulations, so ``workers > 1``
-    fans them out across processes (identical per-config results —
-    ``workers`` is deliberately *not* part of the cache key).
-    ``fork=True`` additionally checkpoints every configuration's
-    Phase 1 in the persistent
-    :class:`~repro.runtime.forksweep.CheckpointCache`: the four runs
-    here share no prefix with each other (K and the protocol shape
-    Phase 1), but a *second* figure rendered later — even in a fresh
-    process — restores them instead of re-converging.  ``queue``
-    publishes the runs to a shared cluster work queue and drains it
-    cooperatively (``repro.runtime.cluster``).  None of the three knobs
-    changes a result, and none is part of the in-process cache key."""
+    ``options`` says how the (independent) runs execute
+    (:class:`~repro.runtime.dispatch.ExecOptions`).  With ``fork`` the
+    four runs here share no prefix with each other (K and the protocol
+    shape Phase 1), but a *second* figure rendered later — even in a
+    fresh process — restores their Phase 1 from the persistent
+    checkpoint cache instead of re-converging.  Only ``engine`` changes
+    a result, so only it is part of the in-process cache key."""
     preset = preset or get_preset()
-    key = (preset.name, tuple(ks), include_tman, seed, engine or "event")
+    key = (preset.name, tuple(ks), include_tman, seed, options.engine or "event")
     if use_cache and key in _CACHE:
         return _CACHE[key]
 
@@ -91,11 +84,7 @@ def run_comparison(
             )
         )
 
-    from ..runtime.dispatch import execute_scenarios
-
-    runs = execute_scenarios(
-        configs, workers=workers, fork=fork, queue=queue, engine=engine
-    )
+    runs = execute_scenarios(configs, options)
     results: Dict[str, ScenarioResult] = dict(zip(names, runs))
 
     if use_cache:

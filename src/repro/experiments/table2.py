@@ -18,8 +18,10 @@ from typing import List, Optional, Tuple
 from ..analysis.stats import MeanCI, mean_ci
 from ..core.backup import survival_probability
 from ..viz.tables import format_table
+from ..runtime.dispatch import ExecOptions, execute_scenarios
 from .presets import ScalePreset, get_preset
 from .scenario import ScenarioConfig
+from .sweep import aggregate_by_label
 
 DEFAULT_KS = (2, 4, 8)
 
@@ -47,10 +49,7 @@ def run_table2(
     repetitions: Optional[int] = None,
     base_seed: int = 0,
     split: str = "advanced",
-    workers: int = 1,
-    fork: bool = False,
-    queue: Optional[str] = None,
-    engine: Optional[str] = None,
+    options: ExecOptions = ExecOptions(),
 ) -> Table2Result:
     preset = preset or get_preset()
     if repetitions is None:
@@ -75,34 +74,19 @@ def run_table2(
                     metrics=("homogeneity",),
                 )
             )
-    from ..runtime.dispatch import execute_scenarios
-
-    results = execute_scenarios(
-        configs, workers=workers, fork=fork, queue=queue, engine=engine
+    outcomes = aggregate_by_label(
+        keys, execute_scenarios(configs, options), reliability_scale=100.0
     )
-
-    rows: List[Table2Row] = []
-    for k in ks:
-        reshaping_samples: List[float] = []
-        reliability_samples: List[float] = []
-        non_converged = 0
-        for key, result in zip(keys, results):
-            if key != k:
-                continue
-            reliability_samples.append(result.reliability * 100.0)
-            if result.reshaping_time is None:
-                non_converged += 1
-            else:
-                reshaping_samples.append(float(result.reshaping_time))
-        rows.append(
-            Table2Row(
-                replication=k,
-                reshaping=mean_ci(reshaping_samples or [float("nan")]),
-                reliability=mean_ci(reliability_samples),
-                expected_reliability=survival_probability(k, 0.5) * 100.0,
-                non_converged=non_converged,
-            )
+    rows = [
+        Table2Row(
+            replication=k,
+            reshaping=outcomes[k].reshaping or mean_ci([float("nan")]),
+            reliability=outcomes[k].reliability,
+            expected_reliability=survival_probability(k, 0.5) * 100.0,
+            non_converged=outcomes[k].non_converged,
         )
+        for k in ks
+    ]
 
     table_rows = []
     for row in rows:
@@ -137,12 +121,8 @@ def report(
     preset: Optional[ScalePreset] = None,
     seed: int = 0,
     repetitions: Optional[int] = None,
-    workers: int = 1,
-    fork: bool = False,
-    queue: Optional[str] = None,
-    engine: Optional[str] = None,
+    options: ExecOptions = ExecOptions(),
 ) -> str:
     return run_table2(
-        preset, base_seed=seed, repetitions=repetitions, workers=workers,
-        fork=fork, queue=queue, engine=engine,
+        preset, base_seed=seed, repetitions=repetitions, options=options
     ).report

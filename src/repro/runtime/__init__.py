@@ -6,26 +6,37 @@ subsystem is the machinery that runs such grids at production scale:
 
 * :mod:`repro.runtime.checkpoint` — bit-identical snapshot/restore of a
   full :class:`~repro.sim.engine.Simulation` (pause, fork, resume);
-* :mod:`repro.runtime.runner` — :class:`ParallelRunner` fans sweeps
-  across worker processes with crash isolation and progress reporting;
+* :mod:`repro.runtime.runner` — :class:`ParallelRunner`, the local
+  executor: fans sweeps across worker processes with crash isolation
+  and progress reporting;
 * :mod:`repro.runtime.store` — an append-only JSONL result store with
   run metadata (git revision, seeds, config hashes) and query helpers;
 * :mod:`repro.runtime.scenarios` — composable churn schedules
   (catastrophic, correlated-region, trickle, flash crowds) opening
   workloads beyond the paper's fixed failure script;
-* :mod:`repro.runtime.forksweep` — phase-fork sweeps: one Phase-1
+* :mod:`repro.runtime.forksweep` — the fork plan: one Phase-1
   simulation per shared pre-failure prefix, cached on disk
-  (:class:`CheckpointCache`) and forked into every ablation variant,
-  with byte-identical results to cold-start sweeps;
-* :mod:`repro.runtime.cluster` — distributed sweeps: a lease-based
+  (:class:`CheckpointCache`), and :func:`bind_fork_plan` turning a grid
+  into continuation tasks pinned to those checkpoints, with
+  byte-identical results to cold-start sweeps;
+* :mod:`repro.runtime.cluster` — the queue executor: a lease-based
   :class:`~repro.runtime.cluster.WorkQueue` over a shared directory,
-  a coordinator that publishes prefix checkpoints for workers to fetch
-  by digest, worker daemons with heartbeats and bounded retries, and
-  shard merging that is byte-identical to a serial run;
-* :mod:`repro.runtime.dispatch` — :func:`execute_scenarios`, the one
-  front door choosing serial / process-pool / fork / distributed
-  execution.
+  a :class:`Coordinator` that publishes a bound grid and collects it,
+  worker daemons with heartbeats and bounded retries fetching fork
+  points by digest, and shard merging that is byte-identical to a
+  serial run;
+* :mod:`repro.runtime.dispatch` — :func:`run_sweep` (plan × executor,
+  the one way to run a grid), :class:`ExecOptions` and the strict
+  :func:`execute_scenarios` fan-out on top of it.
 """
+
+# ``repro.experiments`` first, and whole: its figure modules import
+# ``repro.runtime.dispatch`` at module top while the modules below import
+# ``repro.experiments.scenario``.  Entered from this side, the cycle only
+# resolves if the experiments package (scenario first, then the figures,
+# which pull dispatch and everything under it in through the partially
+# initialised package) is complete before ``.runner`` asks for it.
+from .. import experiments as _experiments  # noqa: F401  isort: skip
 
 from .checkpoint import (
     CHECKPOINT_FORMAT,
@@ -43,7 +54,6 @@ from .runner import (
     SweepTask,
     default_workers,
     grid_tasks,
-    run_scenarios,
     seed_sweep_tasks,
 )
 from .scenarios import (
@@ -59,10 +69,9 @@ from .forksweep import (
     CheckpointCache,
     ForkGroup,
     ForkPlan,
+    bind_fork_plan,
     default_cache_dir,
-    fork_scenarios,
     plan_fork_sweep,
-    run_fork_sweep,
 )
 from .store import (
     ResultStore,
@@ -78,12 +87,10 @@ from .cluster import (
     Worker,
     WorkQueue,
     diff_stores,
-    distributed_scenarios,
     merge_queue,
     open_queue,
-    run_distributed_sweep,
 )
-from .dispatch import execute_scenarios
+from .dispatch import ExecOptions, execute_scenarios, run_sweep
 
 __all__ = [
     # checkpoint
@@ -99,7 +106,6 @@ __all__ = [
     "ParallelRunner",
     "SweepTask",
     "CellResult",
-    "run_scenarios",
     "seed_sweep_tasks",
     "grid_tasks",
     "default_workers",
@@ -108,9 +114,8 @@ __all__ = [
     "ForkGroup",
     "ForkPlan",
     "default_cache_dir",
-    "fork_scenarios",
     "plan_fork_sweep",
-    "run_fork_sweep",
+    "bind_fork_plan",
     # store
     "ResultStore",
     "config_dict",
@@ -124,11 +129,11 @@ __all__ = [
     "Worker",
     "Coordinator",
     "open_queue",
-    "run_distributed_sweep",
-    "distributed_scenarios",
     "merge_queue",
     "diff_stores",
     # dispatch
+    "ExecOptions",
+    "run_sweep",
     "execute_scenarios",
     # scenarios
     "ChurnSchedule",

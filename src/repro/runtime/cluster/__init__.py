@@ -6,10 +6,11 @@ nothing but a queue directory (an NFS-style share):
 * :mod:`~repro.runtime.cluster.queue` — :class:`WorkQueue` with atomic
   lease-based claims, heartbeats, lease expiry, and bounded retries
   (dead workers lose their cells, not the run);
-* :mod:`~repro.runtime.cluster.coordinator` — plans the grid with the
-  fork-sweep prefix planner, publishes each shared Phase-1 checkpoint
-  once into the shared :class:`~repro.runtime.forksweep.CheckpointCache`
-  (workers fetch by digest), and enqueues every cell;
+* :mod:`~repro.runtime.cluster.coordinator` — the queue executor of
+  :func:`repro.runtime.dispatch.run_sweep`: publishes an already-bound
+  grid (fork cells carry the digest of the checkpoint parked in the
+  shared :class:`~repro.runtime.forksweep.CheckpointCache`; workers
+  fetch by digest), helps drain it, merges and collects the cells;
 * :mod:`~repro.runtime.cluster.worker` — the claim/execute/record drain
   loop (``repro worker``), with graceful drain and heartbeating;
 * :mod:`~repro.runtime.cluster.merge` — folds per-worker shards into
@@ -19,11 +20,9 @@ nothing but a queue directory (an NFS-style share):
 
 from .coordinator import (
     Coordinator,
-    DistributedRun,
     collect_cells,
-    distributed_scenarios,
     drain_queue,
-    run_distributed_sweep,
+    spec_from_task,
     wait_complete,
 )
 from .merge import MergeReport, diff_stores, merge_queue, merged_records
@@ -47,9 +46,7 @@ __all__ = [
     "DEFAULT_MAX_ATTEMPTS",
     # coordinator
     "Coordinator",
-    "DistributedRun",
-    "run_distributed_sweep",
-    "distributed_scenarios",
+    "spec_from_task",
     "drain_queue",
     "wait_complete",
     "collect_cells",

@@ -1,26 +1,29 @@
-"""The coordinator: plan a grid, publish fork points, enqueue cells.
+"""The queue executor: publish a bound grid, drain it, collect cells.
 
-One process (any of the participants — publishing is idempotent) turns
-a sweep grid into a published queue:
+:class:`Coordinator` is one of the two executors
+:func:`repro.runtime.dispatch.run_sweep` hands a grid to (the other is
+the local :class:`~repro.runtime.runner.ParallelRunner`).  It does not
+plan: fork binding — which cells share a Phase 1, which prefixes still
+have to be simulated, which digest each cell must fork from — happened
+before it is called (:func:`repro.runtime.forksweep.bind_fork_plan`,
+with this executor's ``local`` runner and shared ``cache_root``), so
+what arrives is a list of cold tasks and
+:class:`~repro.runtime.forksweep.ForkContinuationTask` objects.  Its
+``run``:
 
-1. the grid is partitioned by shared pre-failure prefix with the same
-   planner fork-mode sweeps use
-   (:func:`repro.runtime.forksweep.plan_fork_sweep`);
-2. every prefix checkpoint missing from the shared
-   :class:`~repro.runtime.forksweep.CheckpointCache` is simulated once
-   (locally, in parallel) and *published* — written atomically under
-   its content-addressed name — so each Phase 1 is computed exactly
-   once for the whole cluster;
-3. each cell is enqueued as a :class:`TaskSpec` carrying the prefix
-   hash and the exact published digest; workers *fetch* the checkpoint
-   by digest and fall back to a cold run on any cache problem, so a
-   lost or corrupted checkpoint costs time, never correctness.
+1. turns each task into a :class:`TaskSpec` — the inverse of
+   :func:`repro.runtime.cluster.worker.task_from_spec` — and publishes
+   the grid (or joins an identical one already published: publishing is
+   idempotent, any participant may do it);
+2. with ``join`` (the default) drains the queue with local workers,
+   while remote ``repro worker`` processes are free to take part, and
+   waits for *every* cell, wherever it ran;
+3. merges the shards into ``store`` when one is given and returns the
+   cells in task order (:func:`collect_cells`).
 
-:func:`run_distributed_sweep` composes the whole lifecycle —
-publish → drain (with local workers, while remote ones are free to
-join) → merge — and :func:`distributed_scenarios` is the
-``run_scenarios``-shaped strict fan-out on top of it, used by the
-experiment registry's ``queue=`` path.
+Workers fetch fork points by digest from the shared cache and fall back
+to a cold run on any cache problem, so a lost or corrupted checkpoint
+costs time, never correctness.
 """
 
 from __future__ import annotations
@@ -28,23 +31,16 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ...errors import ClusterError
-from ...experiments.scenario import ScenarioConfig, ScenarioResult
+from ...experiments.scenario import ScenarioResult
 from ...obs import log as obs_log
 from ...obs import trace as obs_trace
-from ..forksweep import CheckpointCache, PrefixTask, plan_fork_sweep
-from ..runner import (
-    CellResult,
-    ParallelRunner,
-    SweepTask,
-    collect_scenario_results,
-    scenario_tasks,
-)
-from ..store import ResultStore, config_from_dict
-from .merge import MergeReport, merge_queue, merged_records
+from ..forksweep import ForkContinuationTask
+from ..runner import CellResult, ParallelRunner, ProgressFn, SweepTask
+from ..store import ResultStore, config_from_dict, config_hash
+from .merge import merge_queue, merged_records
 from .queue import (
     DEFAULT_LEASE_S,
     DEFAULT_MAX_ATTEMPTS,
@@ -55,142 +51,153 @@ from .queue import (
 from .worker import Worker, run_worker
 
 QueueLike = Union[str, WorkQueue]
+StatusFn = Callable[[Dict[str, Any]], None]
+
+
+def spec_from_task(task: SweepTask, payload: bool = False) -> TaskSpec:
+    """The published form of an executable task — the inverse of
+    :func:`repro.runtime.cluster.worker.task_from_spec`."""
+    if isinstance(task, ForkContinuationTask):
+        return TaskSpec(
+            task_id=task.task_id,
+            config=task.config,
+            kind="fork",
+            prefix_hash=task.prefix_hash,
+            forked_digest=task.expect_digest,
+            payload=payload,
+        )
+    return TaskSpec(task_id=task.task_id, config=task.config, payload=payload)
 
 
 class Coordinator:
-    """Plans and publishes a sweep grid into a shared work queue."""
+    """Runs a sweep grid through a shared work queue.
+
+    ``workers`` local processes help drain (``<= 1``: one worker inline
+    in this process) and simulate missing fork prefixes (``local``);
+    ``progress`` reports those prefix cells, ``on_status`` the queue's
+    progress while waiting.  ``join=False`` only publishes: ``run``
+    returns no cells and ``repro worker`` processes do the work.
+    ``payloads`` asks workers to park full pickled results in the queue
+    so ``run`` can hand them back (summaries always are).
+    """
 
     def __init__(
         self,
         queue: QueueLike,
-        cache: Optional[CheckpointCache] = None,
         workers: Optional[int] = None,
-        progress=None,
-        mp_context: Optional[str] = None,
+        progress: Optional[ProgressFn] = None,
+        *,
+        lease_s: float = DEFAULT_LEASE_S,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+        join: bool = True,
+        payloads: bool = False,
+        poll_s: float = 0.2,
+        log=None,
+        on_status: Optional[StatusFn] = None,
     ) -> None:
         self.queue = open_queue(queue)
-        self.cache = cache
         self.workers = workers
-        self.progress = progress
-        self._mp_context = mp_context
+        self.local = ParallelRunner(workers=workers, progress=progress)
+        self.lease_s = lease_s
+        self.max_attempts = max_attempts
+        self.join = join
+        self.payloads = payloads
+        self.poll_s = poll_s
+        self.log = log
+        self.on_status = on_status
+        #: The manifest of the last ``publish`` (ours, or the joined one).
+        self.manifest: Optional[Dict[str, Any]] = None
 
-    def _resolve_cache(self) -> CheckpointCache:
-        if self.cache is not None:
-            return self.cache
-        return CheckpointCache(self.queue.cache_root())
+    @property
+    def cache_root(self) -> str:
+        """Where this queue's fork points live: the directory every
+        participant derives from the queue (or its manifest's pin)."""
+        return str(self.queue.cache_root())
 
     def publish(
         self,
         tasks: Sequence[SweepTask],
         run_id: Optional[str] = None,
         metadata: Optional[Dict[str, Any]] = None,
-        lease_s: float = DEFAULT_LEASE_S,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        payloads: bool = False,
-        fork: bool = True,
     ) -> Dict[str, Any]:
-        """Publish the grid (computing + publishing missing prefix
-        checkpoints first), or join an identical already-published one.
-
-        Joining skips the prefix work entirely — the original publisher
-        already parked every fork point in the shared cache.
-        """
-        tasks = list(tasks)
+        """Publish the grid, or join an identical already-published one
+        (validated by task id and configuration hash; the first
+        publisher's specs stand)."""
+        specs = [spec_from_task(task, self.payloads) for task in tasks]
+        # Only a non-default cache needs pinning in the manifest; the
+        # default lives at a queue-relative location every participant
+        # derives identically.
+        pinned = {
+            task.cache_root
+            for task in tasks
+            if isinstance(task, ForkContinuationTask)
+        } - {self.cache_root}
+        if len(pinned) > 1:
+            raise ClusterError(
+                f"fork cells of one grid name several caches: {sorted(pinned)}"
+            )
         # The ambient span context (the ``sweep.distributed`` span when
-        # driven by run_distributed_sweep) is what every worker's cell
-        # spans should parent under; it rides in the manifest because
-        # ``repro worker`` daemons share no environment with us.
-        trace_token = obs_trace.context_token()
-        if self.queue.manifest() is not None:
-            # Join path: validate against the existing manifest without
-            # re-planning (spec kinds don't matter for validation).
-            return self.queue.publish(
-                [
-                    TaskSpec(task_id=t.task_id, config=t.config, payload=payloads)
-                    for t in tasks
-                ]
-            )
-
-        cache = self._resolve_cache()
-        by_group: Dict[str, Any] = {}
-        if fork:
-            with obs_trace.span("prefix.plan"):
-                plan = plan_fork_sweep(tasks)
-                missing = [
-                    group
-                    for group in plan.groups
-                    if cache.digest_of(group.prefix_hash) is None
-                ]
-            if missing:
-                # Each missing Phase 1 is simulated once, locally, and
-                # published into the shared cache.  An errored prefix is
-                # tolerated: its cells are enqueued cold.
-                ParallelRunner(
-                    workers=self.workers,
-                    progress=self.progress,
-                    mp_context=self._mp_context,
-                ).run(
-                    [
-                        PrefixTask(
-                            task_id=f"prefix-{group.prefix_hash}",
-                            config=group.prefix,
-                            cache_root=str(cache.root),
-                        )
-                        for group in missing
-                    ]
-                )
-            by_group = {
-                task.task_id: group
-                for group in plan.groups
-                for task in group.tasks
-            }
-
-        specs: List[TaskSpec] = []
-        for task in tasks:
-            group = by_group.get(task.task_id)
-            digest = (
-                cache.digest_of(group.prefix_hash) if group is not None else None
-            )
-            if group is not None and digest:
-                specs.append(
-                    TaskSpec(
-                        task_id=task.task_id,
-                        config=task.config,
-                        kind="fork",
-                        prefix_hash=group.prefix_hash,
-                        forked_digest=digest,
-                        payload=payloads,
-                    )
-                )
-            else:
-                specs.append(
-                    TaskSpec(
-                        task_id=task.task_id, config=task.config, payload=payloads
-                    )
-                )
-        cache_root = None
-        if self.cache is not None:
-            # Only a non-default cache needs pinning in the manifest;
-            # the default lives at a queue-relative location every
-            # participant derives identically.
-            cache_root = str(cache.root)
-        manifest = self.queue.publish(
+        # driven by ``run``) is what every worker's cell spans should
+        # parent under; it rides in the manifest because ``repro
+        # worker`` daemons share no environment with us.
+        self.manifest = self.queue.publish(
             specs,
             run_id=run_id,
             metadata=metadata,
-            lease_s=lease_s,
-            max_attempts=max_attempts,
-            cache_root=cache_root,
-            trace=trace_token,
+            lease_s=self.lease_s,
+            max_attempts=self.max_attempts,
+            cache_root=pinned.pop() if pinned else None,
+            trace=obs_trace.context_token(),
         )
         obs_log.info(
             "coordinator.publish",
             queue=str(self.queue.path),
-            run_id=manifest.get("run_id"),
+            run_id=self.manifest.get("run_id"),
             n_tasks=len(specs),
             n_fork=sum(1 for spec in specs if spec.kind == "fork"),
         )
-        return manifest
+        return self.manifest
+
+    def run(
+        self,
+        tasks: Sequence[SweepTask],
+        store: Optional[ResultStore] = None,
+        run_id: Optional[str] = None,
+        metadata: Optional[Dict[str, Any]] = None,
+    ) -> List[CellResult]:
+        """Publish ``tasks`` and (with ``join``) help drain the queue,
+        merge it into ``store`` and return the cells in task order."""
+        tasks = list(tasks)
+        with obs_trace.span(
+            "sweep.distributed", n_tasks=len(tasks), workers=self.workers or 1
+        ):
+            self.publish(tasks, run_id=run_id, metadata=metadata)
+            cells: List[CellResult] = []
+            if self.join:
+                drain_queue(
+                    self.queue,
+                    workers=self.workers,
+                    poll_s=self.poll_s,
+                    log=self.log,
+                    progress=self.on_status,
+                )
+                if store is not None:
+                    merge = merge_queue(
+                        self.queue, store, run_id=run_id, metadata=metadata
+                    )
+                    obs_log.info(
+                        "coordinator.merge",
+                        queue=str(self.queue.path),
+                        run_id=merge.run_id,
+                        unique_cells=merge.unique_cells,
+                        duplicates=merge.duplicates,
+                        errors=merge.errors,
+                    )
+                cells = collect_cells(
+                    self.queue, tasks, require_results=self.payloads
+                )
+        obs_trace.flush()
+        return cells
 
 
 # -- lifecycle helpers -------------------------------------------------------
@@ -201,9 +208,18 @@ def wait_complete(
     poll_s: float = 0.5,
     timeout_s: Optional[float] = None,
     progress=None,
+    dead_workers: Sequence[int] = (),
 ) -> None:
     """Block until every cell of the queue is done (other machines'
-    workers may be finishing cells this process never touched)."""
+    workers may be finishing cells this process never touched).
+
+    ``dead_workers`` are the non-zero exit codes of local workers that
+    were supposed to drain it: with those, an incomplete queue on which
+    nobody holds a live lease has no one left to finish it, and waiting
+    raises :class:`~repro.errors.ClusterError` instead of polling for
+    ever.  The queue itself is untouched — any ``repro worker`` can
+    still drain it.
+    """
     queue = open_queue(queue)
     started = time.time()
     last_done = -1
@@ -214,9 +230,16 @@ def wait_complete(
                 f"queue {queue.path} did not complete within {timeout_s:.0f}s "
                 f"({status.get('done', 0)}/{status.get('total', '?')} cells)"
             )
-        if progress is not None:
+        if progress is not None or dead_workers:
             status = queue.status()
-            if status.get("done") != last_done:
+            if dead_workers and not status.get("leased") and not status.get("complete"):
+                raise ClusterError(
+                    f"local workers exited with codes {list(dead_workers)} and "
+                    f"nobody holds a lease on queue {queue.path} "
+                    f"({status.get('done', 0)}/{status.get('total', '?')} cells "
+                    f"done); drain it with: repro worker --queue {queue.path}"
+                )
+            if progress is not None and status.get("done") != last_done:
                 last_done = status.get("done")
                 progress(status)
         time.sleep(poll_s)
@@ -234,9 +257,12 @@ def drain_queue(
 
     ``workers <= 1`` runs one worker inline in this process — the
     serial-equivalent path; more spawn that many worker *processes*.
+    Workers that died (non-zero exit code) are reported by
+    :func:`wait_complete` once nobody else holds a lease.
     """
     queue = open_queue(queue)
     n = 1 if workers is None else max(1, int(workers))
+    dead: List[int] = []
     if n <= 1:
         Worker(queue, poll_s=poll_s, log=log).run()
     else:
@@ -253,90 +279,22 @@ def drain_queue(
             proc.start()
         for proc in procs:
             proc.join()
-    wait_complete(queue, poll_s=max(poll_s, 0.2), progress=progress)
-
-
-@dataclass
-class DistributedRun:
-    """Outcome of one ``run_distributed_sweep`` invocation."""
-
-    manifest: Dict[str, Any]
-    joined: bool  # False: only published, workers will drain it
-    records: List[Dict[str, Any]] = field(default_factory=list)
-    merge: Optional[MergeReport] = None
-
-
-def run_distributed_sweep(
-    tasks: Sequence[SweepTask],
-    queue: QueueLike,
-    workers: Optional[int] = None,
-    cache: Optional[CheckpointCache] = None,
-    store: Optional[ResultStore] = None,
-    run_id: Optional[str] = None,
-    metadata: Optional[Dict[str, Any]] = None,
-    lease_s: float = DEFAULT_LEASE_S,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    payloads: bool = False,
-    join: bool = True,
-    fork: bool = True,
-    poll_s: float = 0.2,
-    log=None,
-    progress=None,
-) -> DistributedRun:
-    """Publish a grid to a shared queue and (by default) help drain it.
-
-    With ``join=False`` only the coordinator half runs: the grid and its
-    prefix checkpoints are published and the call returns immediately —
-    start ``repro worker --queue ...`` processes anywhere that sees the
-    share to do the work.  With ``join=True`` the call also runs
-    ``workers`` local worker processes, waits until *every* cell is done
-    (wherever it ran), and — given a ``store`` — merges all shards into
-    one deduplicated run.
-    """
-    queue = open_queue(queue)
-    with obs_trace.span(
-        "sweep.distributed", n_tasks=len(tasks), workers=workers or 1
-    ):
-        coordinator = Coordinator(queue, cache=cache, workers=workers)
-        manifest = coordinator.publish(
-            tasks,
-            run_id=run_id,
-            metadata=metadata,
-            lease_s=lease_s,
-            max_attempts=max_attempts,
-            payloads=payloads,
-            fork=fork,
-        )
-        if not join:
-            out = DistributedRun(manifest=manifest, joined=False)
-        else:
-            drain_queue(
-                queue, workers=workers, poll_s=poll_s, log=log, progress=progress
-            )
-            records = merged_records(queue)
-            merge = None
-            if store is not None:
-                merge = merge_queue(queue, store, run_id=run_id, metadata=metadata)
-                obs_log.info(
-                    "coordinator.merge",
-                    queue=str(queue.path),
-                    run_id=merge.run_id,
-                    unique_cells=merge.unique_cells,
-                    duplicates=merge.duplicates,
-                    errors=merge.errors,
-                )
-            out = DistributedRun(
-                manifest=manifest, joined=True, records=records, merge=merge
-            )
-    obs_trace.flush()
-    return out
+        dead = [proc.exitcode for proc in procs if proc.exitcode]
+    wait_complete(
+        queue, poll_s=max(poll_s, 0.2), progress=progress, dead_workers=dead
+    )
 
 
 def collect_cells(
-    queue: QueueLike, tasks: Sequence[SweepTask]
+    queue: QueueLike, tasks: Sequence[SweepTask], require_results: bool = False
 ) -> List[CellResult]:
     """Reassemble :class:`CellResult` objects (full results included,
-    for payload-carrying grids) from a drained queue, in task order."""
+    for payload-carrying grids) from a drained queue, in task order.
+
+    ``require_results`` refuses a grid whose ok cells carry no payload
+    (someone else published it without them): the summaries are in the
+    queue, the full series are not.
+    """
     queue = open_queue(queue)
     records = merged_records(queue)
     by_id = {record["task_id"]: record for record in records}
@@ -347,8 +305,6 @@ def collect_cells(
         if record is None:
             # Two tasks with identical configs dedupe to one record at
             # merge; the twin's result is the same by determinism.
-            from ..store import config_hash
-
             record = by_hash.get(config_hash(task.config))
         if record is None:
             raise ClusterError(
@@ -373,45 +329,15 @@ def collect_cells(
                 duration_s=record.get("duration_s", 0.0),
                 config=config,
                 forked_from=record.get("forked_from"),
+                metrics=record.get("metrics"),
             )
         )
-    return cells
-
-
-def distributed_scenarios(
-    configs: Sequence[ScenarioConfig],
-    queue: QueueLike,
-    workers: Optional[int] = None,
-    cache: Optional[CheckpointCache] = None,
-    poll_s: float = 0.2,
-) -> List[ScenarioResult]:
-    """Distributed drop-in for
-    :func:`repro.runtime.runner.run_scenarios`: publish the configs to a
-    shared queue, help drain it, and return full results in input order
-    (errors re-raised as :class:`~repro.errors.RunnerError`).  Results
-    are identical per-config to the serial path — the workers run the
-    same deterministic simulations, wherever they are."""
-    tasks = scenario_tasks(configs)
-    queue = open_queue(queue)
-    run_distributed_sweep(
-        tasks,
-        queue,
-        workers=workers,
-        cache=cache,
-        payloads=True,
-        poll_s=poll_s,
-    )
-    cells = collect_cells(queue, tasks)
     payload_less = [cell.task_id for cell in cells if cell.ok and cell.result is None]
-    if payload_less:
-        # Joined a grid someone published without result payloads (e.g.
-        # a CLI sweep): the summaries are in the queue, the full series
-        # are not — refuse rather than hand back Nones.
+    if require_results and payload_less:
         raise ClusterError(
             f"queue {queue.path} was published without result payloads "
             f"({len(payload_less)} ok cells have summaries only, e.g. "
-            f"{payload_less[0]!r}); use a fresh queue for "
-            "distributed_scenarios(), or read the merged summaries with "
-            "merge_queue()/merged_records() instead"
+            f"{payload_less[0]!r}); use a fresh queue, or read the merged "
+            "summaries with merge_queue()/merged_records() instead"
         )
-    return collect_scenario_results(cells)
+    return cells

@@ -14,13 +14,18 @@ This module removes that redundancy:
   (one pickle of the simulation), and stored in a content-addressed
   on-disk :class:`CheckpointCache` keyed by prefix-config hash +
   ``state_digest``;
-* every cell then loads the entry — verified twice over: the file's
+* :func:`bind_fork_plan` does both and hands every cell back as a
+  :class:`ForkContinuationTask` pinned to its prefix's digest — the
+  only caller of the planner and the only constructor of a prefix task;
+  :func:`repro.runtime.dispatch.run_sweep` gives the bound tasks to
+  whichever executor was chosen (the local
+  :class:`~repro.runtime.runner.ParallelRunner` or the cluster's queue);
+* a continuation loads the entry — verified twice over: the file's
   byte checksum, then the state digest re-derived from its content
   against the file name — restores it (one unpickle), re-applies its
   divergent fields (:func:`repro.experiments.scenario.apply_divergence`),
-  and runs only its continuation under the ordinary
-  :class:`~repro.runtime.runner.ParallelRunner` (crash isolation,
-  progress, result-store persistence, resume).
+  and runs only the rest, under the executor's ordinary per-cell
+  machinery (crash isolation, progress, result-store persistence).
 
 Fork-mode results are **byte-identical** to cold-start results — the
 grouping is correct by construction (no divergent field is read before
@@ -66,22 +71,14 @@ from ..experiments.scenario import (
     ScenarioResult,
     apply_divergence,
     finish_scenario,
-    fork_round,
     prefix_scenario,
     run_prefix,
     run_scenario,
 )
 from . import checkpoint as ckpt
 from .checkpoint import SimulationCheckpoint
-from .runner import (
-    CellResult,
-    ParallelRunner,
-    ProgressFn,
-    SweepTask,
-    collect_scenario_results,
-    scenario_tasks,
-)
-from .store import ResultStore, config_dict, config_hash
+from .runner import ParallelRunner, SweepTask
+from .store import config_dict, config_hash
 
 #: Environment variable naming the default checkpoint-cache directory.
 CACHE_ENV = "REPRO_CHECKPOINT_DIR"
@@ -151,9 +148,8 @@ class CheckpointCache:
         """``(checkpoint, state_digest)`` for a prefix, ``None`` on miss.
 
         With ``digest`` the entry must additionally *be* that exact
-        state (the fetch half of the cluster's publish/fetch split: a
-        worker asks for the checkpoint the coordinator announced, by
-        digest, and treats anything else as a miss).  Corrupt entries
+        state (a continuation asks for the checkpoint its plan was
+        bound to, by digest, and treats anything else as a miss).  Corrupt entries
         (a failed byte checksum, an unreadable pickle, or a state digest
         that no longer matches the file name) are deleted and reported
         as a miss — the caller recomputes, it never crashes.
@@ -189,15 +185,6 @@ class CheckpointCache:
             return None
         obs_metrics.count("checkpoint.hit")
         return loaded, expected
-
-    def fetch(
-        self, prefix_hash: str, digest: str
-    ) -> Optional[SimulationCheckpoint]:
-        """The checkpoint *published* for a prefix under an exact state
-        digest, verified, or ``None`` — what a cluster worker calls to
-        pull the fork point its coordinator computed."""
-        verified = self.load_verified(prefix_hash, digest=digest)
-        return verified[0] if verified is not None else None
 
     def publish(
         self, prefix: ScenarioConfig, checkpoint: SimulationCheckpoint
@@ -427,7 +414,6 @@ class ForkGroup:
 
     prefix: ScenarioConfig
     prefix_hash: str
-    fork_round: int
     tasks: List[SweepTask] = field(default_factory=list)
 
 
@@ -439,22 +425,6 @@ class ForkPlan:
     #: Cells with no usable fork point (no failure, or failure at
     #: round 0) — these always run cold.
     cold: List[SweepTask]
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.cold) + sum(len(g.tasks) for g in self.groups)
-
-    @property
-    def rounds_saved(self) -> int:
-        """Simulation rounds the plan avoids versus a cold sweep."""
-        return sum(g.fork_round * (len(g.tasks) - 1) for g in self.groups)
-
-    def describe(self) -> str:
-        return (
-            f"{self.n_cells} cells -> {len(self.groups)} shared "
-            f"prefix(es) + {len(self.cold)} cold, saving "
-            f"{self.rounds_saved} Phase-1 rounds"
-        )
 
 
 def plan_fork_sweep(tasks: Sequence[SweepTask]) -> ForkPlan:
@@ -470,53 +440,41 @@ def plan_fork_sweep(tasks: Sequence[SweepTask]) -> ForkPlan:
         group = groups.get(prefix_hash)
         if group is None:
             group = groups[prefix_hash] = ForkGroup(
-                prefix=prefix,
-                prefix_hash=prefix_hash,
-                fork_round=fork_round(task.config),
+                prefix=prefix, prefix_hash=prefix_hash
             )
         group.tasks.append(task)
     return ForkPlan(groups=list(groups.values()), cold=cold)
 
 
-# -- execution ---------------------------------------------------------------
+# -- binding ----------------------------------------------------------------
 
 
-def run_fork_sweep(
+def bind_fork_plan(
     tasks: Sequence[SweepTask],
-    workers: Optional[int] = None,
-    cache: Optional[CheckpointCache] = None,
-    store: Optional[ResultStore] = None,
-    run_id: Optional[str] = None,
-    metadata: Optional[Dict[str, Any]] = None,
-    progress: Optional[ProgressFn] = None,
-    mp_context: Optional[str] = None,
-) -> List[CellResult]:
-    """Run a sweep grid in fork mode; cells in input order.
+    cache: CheckpointCache,
+    prefix_runner: ParallelRunner,
+) -> List[SweepTask]:
+    """Bind a grid to its fork points; tasks in input order.
 
-    Two pool phases: first every prefix missing from the cache is
-    simulated (in parallel), then every cell runs its continuation from
-    the cached checkpoint — with the same persistence/resume semantics
-    as :meth:`ParallelRunner.run`.  Per-cell results are byte-identical
-    to a cold sweep of the same tasks.
+    Every prefix missing from ``cache`` is simulated once through
+    ``prefix_runner`` — locally, whichever executor then runs the cells
+    — and each cell that has a prefix comes back as a
+    :class:`ForkContinuationTask` pinned to the digest now in the cache;
+    cells without a fork point come back unchanged.  A prefix that
+    errored leaves no entry: its cells are still continuation tasks
+    (with no digest), so the cold fallback and its ``cells.cold`` count
+    stay in the one place that has them.  Per-cell results are
+    byte-identical to running ``tasks`` as given.
     """
-    tasks = list(tasks)
-    cache = cache or CheckpointCache()
-    with obs_trace.span("sweep.fork", n_tasks=len(tasks)):
-        # When resuming a recorded run, plan only over the cells the
-        # runner will actually execute — otherwise a finished sweep
-        # whose cache was gc'ed would re-simulate prefixes nobody needs.
-        with obs_trace.span("prefix.plan"):
-            plan_tasks = tasks
-            if store is not None and run_id is not None and store.has_run(run_id):
-                plan_tasks = store.pending_tasks(run_id, tasks)
-            plan = plan_fork_sweep(plan_tasks)
-            missing = [
-                group
-                for group in plan.groups
-                if cache.find(group.prefix_hash) is None
-            ]
-        if missing:
-            prefix_tasks = [
+    with obs_trace.span("prefix.plan"):
+        plan = plan_fork_sweep(tasks)
+        missing = [
+            group for group in plan.groups if cache.find(group.prefix_hash) is None
+        ]
+    if missing:
+        # No store: prefixes are infrastructure, not sweep cells.
+        prefix_runner.run(
+            [
                 PrefixTask(
                     task_id=f"prefix-{group.prefix_hash}",
                     config=group.prefix,
@@ -524,45 +482,16 @@ def run_fork_sweep(
                 )
                 for group in missing
             ]
-            # No store: prefixes are infrastructure, not sweep cells.  An
-            # errored prefix is tolerated — its cells fall back to cold.
-            ParallelRunner(
-                workers=workers, progress=progress, mp_context=mp_context
-            ).run(prefix_tasks)
-
-        by_group = {
-            task.task_id: group for group in plan.groups for task in group.tasks
-        }
-        run_tasks: List[SweepTask] = []
-        for task in tasks:
-            group = by_group.get(task.task_id)
-            if group is None:
-                run_tasks.append(task)
-            else:
-                run_tasks.append(
-                    ForkContinuationTask(
-                        task_id=task.task_id,
-                        config=task.config,
-                        cache_root=str(cache.root),
-                        prefix_hash=group.prefix_hash,
-                    )
-                )
-        return ParallelRunner(
-            workers=workers, progress=progress, mp_context=mp_context
-        ).run(run_tasks, store=store, run_id=run_id, metadata=metadata)
-
-
-def fork_scenarios(
-    configs: Sequence[ScenarioConfig],
-    workers: int = 1,
-    cache: Optional[CheckpointCache] = None,
-    progress: Optional[ProgressFn] = None,
-) -> List[ScenarioResult]:
-    """Fork-mode drop-in for :func:`repro.runtime.runner.run_scenarios`:
-    results in input order, any errored cell re-raised as
-    :class:`~repro.errors.RunnerError`, per-config results identical to
-    the cold path."""
-    cells = run_fork_sweep(
-        scenario_tasks(configs), workers=workers, cache=cache, progress=progress
-    )
-    return collect_scenario_results(cells)
+        )
+    bound: Dict[str, SweepTask] = {}
+    for group in plan.groups:
+        digest = cache.digest_of(group.prefix_hash) or ""
+        for task in group.tasks:
+            bound[task.task_id] = ForkContinuationTask(
+                task_id=task.task_id,
+                config=task.config,
+                cache_root=str(cache.root),
+                prefix_hash=group.prefix_hash,
+                expect_digest=digest,
+            )
+    return [bound.get(task.task_id, task) for task in tasks]

@@ -156,17 +156,30 @@ class ParallelRunner:
     ``workers <= 1`` runs every task in the calling process through the
     *same* code path, which is what the parallel/serial equivalence
     guarantee rests on.
+
+    One of the two executors :func:`repro.runtime.dispatch.run_sweep`
+    hands a grid to (the other is the cluster's
+    :class:`~repro.runtime.cluster.Coordinator`); both answer ``run``,
+    ``local`` and ``cache_root``.
     """
+
+    #: Where fork points live unless the caller names a cache: ``None``
+    #: is ``$REPRO_CHECKPOINT_DIR`` / ``.repro-checkpoints``.
+    cache_root: Optional[str] = None
 
     def __init__(
         self,
         workers: Optional[int] = None,
         progress: Optional[ProgressFn] = None,
-        mp_context: Optional[str] = None,
     ) -> None:
         self.workers = default_workers() if workers is None else max(1, int(workers))
         self.progress = progress
-        self._mp_context = mp_context
+
+    @property
+    def local(self) -> "ParallelRunner":
+        """The runner that simulates missing fork prefixes on this
+        machine — this one."""
+        return self
 
     # -- execution -------------------------------------------------------
 
@@ -242,8 +255,7 @@ class ParallelRunner:
                 if token is not None:
                     os.environ[obs_trace.ENV_CTX] = token
                 try:
-                    ctx = multiprocessing.get_context(self._mp_context)
-                    with ctx.Pool(min(self.workers, len(tasks))) as pool:
+                    with multiprocessing.Pool(min(self.workers, len(tasks))) as pool:
                         for cell in pool.imap_unordered(_execute_task, tasks):
                             record(cell)
                 finally:
@@ -268,8 +280,8 @@ def collect_scenario_results(
     cells: Sequence[CellResult],
 ) -> List[ScenarioResult]:
     """Results in cell order, any errored cell re-raised as
-    :class:`~repro.errors.RunnerError` (shared by the cold and
-    fork-mode strict fan-outs)."""
+    :class:`~repro.errors.RunnerError` — the strict end of
+    :func:`repro.runtime.dispatch.execute_scenarios`."""
     failed = [cell for cell in cells if not cell.ok]
     if failed:
         first = failed[0]
@@ -278,25 +290,6 @@ def collect_scenario_results(
             f"({first.task_id}, seed={first.seed}):\n{first.error}"
         )
     return [cell.result for cell in cells]
-
-
-def run_scenarios(
-    configs: Sequence[ScenarioConfig],
-    workers: int = 1,
-    progress: Optional[ProgressFn] = None,
-) -> List[ScenarioResult]:
-    """Strict fan-out of plain scenario configs: results in input order,
-    any errored cell re-raised as :class:`~repro.errors.RunnerError`.
-
-    The drop-in parallel replacement for
-    ``[run_scenario(c) for c in configs]`` used by the figure/table
-    modules: per-cell results are identical to the serial path because
-    each simulation is fully determined by its configuration.
-    """
-    cells = ParallelRunner(workers=workers, progress=progress).run(
-        scenario_tasks(configs)
-    )
-    return collect_scenario_results(cells)
 
 
 def seed_sweep_tasks(

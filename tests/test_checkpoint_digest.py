@@ -446,7 +446,7 @@ def test_fork_mode_beats_cold_at_40x20(tmp_path):
     fork mode must take <= 0.9x the cold wall (the deep-copy checkpoint
     path cost more than the prefix it saved).  Best of two alternating
     rounds a side, so one scheduling hiccup cannot decide it."""
-    from repro.runtime.forksweep import run_fork_sweep
+    from repro.runtime.dispatch import run_sweep
 
     cells = fork_cells(
         dict(width=40, height=20, failure_round=10, reinjection_round=None, total_rounds=16)
@@ -458,8 +458,11 @@ def test_fork_mode_beats_cold_at_40x20(tmp_path):
         cold_s.append(time.perf_counter() - start)
         clear_checkpoint_memo()
         start = time.perf_counter()
-        forked = run_fork_sweep(
-            cells, workers=1, cache=CheckpointCache(tmp_path / f"cache-{attempt}")
+        forked = run_sweep(
+            cells,
+            fork=True,
+            executor=ParallelRunner(workers=1),
+            cache=CheckpointCache(tmp_path / f"cache-{attempt}"),
         )
         fork_s.append(time.perf_counter() - start)
         for a, b in zip(cold, forked):

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.cli import build_parser, main
 from repro.runtime.forksweep import (
     CheckpointCache,
@@ -19,7 +21,14 @@ class TestParser:
         parser = build_parser()
         assert parser.parse_args(["sweep"]).fork is False
         assert parser.parse_args(["sweep", "--fork"]).fork is True
-        assert parser.parse_args(["sweep", "--no-fork"]).fork is False
+
+    def test_no_fork_flag_is_gone(self, capsys):
+        """Cold-starting every cell is the default; the flag that said
+        so was removed, not kept as a no-op."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", "--no-fork"])
+        assert exc.value.code == 2
+        assert "--no-fork" in capsys.readouterr().err
 
     def test_sweep_ablation_axes(self):
         args = build_parser().parse_args(

@@ -1,4 +1,4 @@
-"""CLI surface of the cluster subsystem: ``repro sweep --distributed``,
+"""CLI surface of the cluster subsystem: ``repro sweep --queue``,
 ``repro worker``, ``repro queue status/requeue/merge``,
 ``repro results --diff``, ``repro checkpoints gc --queue``."""
 
@@ -18,7 +18,6 @@ class TestParser:
         args = build_parser().parse_args(
             [
                 "sweep",
-                "--distributed",
                 "--queue",
                 "q",
                 "--no-join",
@@ -28,7 +27,7 @@ class TestParser:
                 "5",
             ]
         )
-        assert args.distributed and args.queue == "q" and args.no_join
+        assert args.queue == "q" and args.no_join and not args.fork
         assert args.lease == 45.0 and args.max_attempts == 5
 
     def test_worker_flags(self):
@@ -73,8 +72,7 @@ class TestDistributedSweepFlow:
         queue_path = str(tmp_path / "q")
 
         rc = main(
-            ["sweep", *SWEEP_ARGS, "--distributed", "--queue", queue_path,
-             "--no-join"]
+            ["sweep", *SWEEP_ARGS, "--queue", queue_path, "--no-join"]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -111,21 +109,28 @@ class TestDistributedSweepFlow:
         monkeypatch.setenv("REPRO_SCALE", "smoke")
         store_path = str(tmp_path / "dist.jsonl")
         rc = main(
-            ["sweep", *SWEEP_ARGS, "--distributed",
-             "--queue", str(tmp_path / "q"), "--workers", "1",
-             "--store", store_path]
+            ["sweep", *SWEEP_ARGS, "--queue", str(tmp_path / "q"),
+             "--workers", "1", "--store", store_path]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "distributed sweep over 2 cells" in out
-        assert "merged 2 cells" in out
+        assert "sweep over 2 cells" in out
+        assert "0.8" in out  # the table carries the cells' summaries
         store = ResultStore(store_path)
-        assert len(store.cells(status="ok")) == 2
+        cells = store.cells(status="ok")
+        assert len(cells) == 2
+        # No --fork: cold cells, and the run header says so.
+        assert all(cell["forked_from"] is None for cell in cells)
+        [run] = store.runs()
+        assert run["metadata"]["fork"] is False
 
-    def test_distributed_requires_queue(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(["sweep", *SWEEP_ARGS, "--distributed"]) == 2
-        assert "--queue" in capsys.readouterr().err
+    def test_distributed_flag_is_gone(self, capsys):
+        """``--queue`` alone selects the queue, as on ``run`` and
+        ``eval``; the redundant switch was removed, not kept."""
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *SWEEP_ARGS, "--distributed", "--queue", "q"])
+        assert exc.value.code == 2
+        assert "--distributed" in capsys.readouterr().err
 
     def test_worker_drain_on_empty_queue_exits(self, tmp_path, capsys):
         rc = main(
@@ -154,6 +159,7 @@ class TestCheckpointGcProtection:
     def test_gc_queue_flag_spares_referenced_prefixes(self, tmp_path, capsys):
         from repro.experiments.scenario import ScenarioConfig
         from repro.runtime.cluster import Coordinator
+        from repro.runtime.dispatch import run_sweep
         from repro.runtime.forksweep import CheckpointCache
         from repro.runtime.runner import grid_tasks
 
@@ -163,8 +169,10 @@ class TestCheckpointGcProtection:
         )
         queue_path = tmp_path / "q"
         queue = open_queue(queue_path)
-        Coordinator(queue, workers=1).publish(
-            grid_tasks(config, {"failure_fraction": (0.25, 0.5)})
+        run_sweep(
+            grid_tasks(config, {"failure_fraction": (0.25, 0.5)}),
+            fork=True,
+            executor=Coordinator(queue, workers=1, join=False),
         )
         cache_dir = str(queue.cache_root())
         assert len(CheckpointCache(cache_dir).entries()) == 1

@@ -13,16 +13,19 @@ from repro.runtime.cluster import (
     Worker,
     collect_cells,
     diff_stores,
-    distributed_scenarios,
     merge_queue,
     merged_records,
     open_queue,
-    run_distributed_sweep,
 )
-from repro.runtime.dispatch import execute_scenarios
+from repro.runtime.dispatch import ExecOptions, execute_scenarios, run_sweep
 from repro.runtime.forksweep import CheckpointCache
-from repro.runtime.runner import ParallelRunner, grid_tasks, run_scenarios
-from repro.runtime.store import ResultStore, summary_digest
+from repro.runtime.runner import (
+    ParallelRunner,
+    collect_scenario_results,
+    grid_tasks,
+    scenario_tasks,
+)
+from repro.runtime.store import ResultStore
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -54,6 +57,14 @@ def serial_store(tmp_path, tasks, name="serial.jsonl"):
     return store
 
 
+def publish_forked(queue, tasks, run_id=None, **queue_options):
+    """Bind ``tasks`` to their fork points and publish them, without
+    draining; returns the coordinator (its ``manifest`` is the queue's)."""
+    coordinator = Coordinator(queue, workers=1, join=False, **queue_options)
+    run_sweep(tasks, fork=True, executor=coordinator, run_id=run_id)
+    return coordinator
+
+
 def drain_with(queue, *worker_ids, max_cells=None):
     stats = []
     for i, worker_id in enumerate(worker_ids):
@@ -68,7 +79,7 @@ def drain_with(queue, *worker_ids, max_cells=None):
 class TestCoordinator:
     def test_publish_plans_forks_and_ships_one_prefix(self, tmp_path):
         queue = open_queue(tmp_path / "q")
-        Coordinator(queue, workers=1).publish(ablation_grid())
+        publish_forked(queue, ablation_grid())
         specs = queue.tasks()
         assert {spec.kind for spec in specs} == {"fork"}
         assert len({spec.prefix_hash for spec in specs}) == 1
@@ -84,17 +95,34 @@ class TestCoordinator:
             small_config(failure_round=None, reinjection_round=None),
             {"seed": (0, 1)},
         )
-        Coordinator(queue, workers=1).publish(tasks)
+        publish_forked(queue, tasks)
         assert {spec.kind for spec in queue.tasks()} == {"cold"}
 
     def test_join_skips_prefix_recompute(self, tmp_path):
+        """The coordinator itself never plans: publishing into a queue
+        that already holds the grid is a pure join, whatever became of
+        the cache."""
         queue = open_queue(tmp_path / "q")
-        Coordinator(queue, workers=1).publish(ablation_grid(), run_id="r1")
+        publish_forked(queue, ablation_grid(), run_id="r1")
         cache = CheckpointCache(queue.cache_root())
         cache.gc()  # joiner must not need (or rebuild) the cache
         manifest = Coordinator(queue, workers=1).publish(ablation_grid())
         assert manifest["run_id"] == "r1"
         assert cache.entries() == []  # publish was a pure join
+        assert {spec.kind for spec in queue.tasks()} == {"fork"}
+
+    def test_non_default_cache_is_pinned_in_the_manifest(self, tmp_path):
+        queue = open_queue(tmp_path / "q")
+        cache = CheckpointCache(tmp_path / "elsewhere")
+        run_sweep(
+            ablation_grid(),
+            fork=True,
+            executor=Coordinator(queue, workers=1, join=False),
+            cache=cache,
+        )
+        assert queue.manifest()["cache_root"] == str(cache.root)
+        assert queue.cache_root() == cache.root
+        assert len(cache.entries()) == 1
 
 
 class TestDistributedEqualsSerial:
@@ -105,7 +133,7 @@ class TestDistributedEqualsSerial:
         serial = serial_store(tmp_path, tasks)
 
         queue = open_queue(tmp_path / "q")
-        Coordinator(queue, workers=1).publish(tasks, lease_s=60)
+        publish_forked(queue, tasks, lease_s=60)
         stats = drain_with(queue, "w1", "w2", max_cells=2)
         assert sum(s.cells_ok for s in stats) == 4
         assert all(s.cells_ok > 0 for s in stats)  # both actually worked
@@ -123,7 +151,7 @@ class TestDistributedEqualsSerial:
     def test_merge_is_idempotent(self, tmp_path):
         tasks = ablation_grid()
         queue = open_queue(tmp_path / "q")
-        Coordinator(queue, workers=1).publish(tasks)
+        publish_forked(queue, tasks)
         drain_with(queue, "w1")
         merged = ResultStore(tmp_path / "merged.jsonl")
         first = merge_queue(queue, merged)
@@ -140,7 +168,7 @@ class TestDistributedEqualsSerial:
         tasks = ablation_grid()
         serial = serial_store(tmp_path, tasks)
         queue = open_queue(tmp_path / "q")
-        Coordinator(queue, workers=1).publish(tasks, lease_s=0.01)
+        publish_forked(queue, tasks, lease_s=0.01)
         # Worker A claims and executes a cell whose lease has long
         # expired by the time it finishes; worker B re-executes it.
         drain_with(queue, "wa", "wb")
@@ -158,8 +186,9 @@ class TestRunDistributedSweep:
     def test_publish_only_then_external_drain(self, tmp_path):
         tasks = ablation_grid()
         queue = open_queue(tmp_path / "q")
-        outcome = run_distributed_sweep(tasks, queue, workers=1, join=False)
-        assert not outcome.joined and outcome.records == []
+        coordinator = Coordinator(queue, workers=1, join=False)
+        assert coordinator.run(tasks) == []
+        assert coordinator.manifest["n_tasks"] == 4
         assert not queue.is_complete()
         drain_with(queue, "external")
         assert queue.is_complete()
@@ -167,20 +196,27 @@ class TestRunDistributedSweep:
     def test_join_drains_and_merges(self, tmp_path):
         tasks = ablation_grid()
         store = ResultStore(tmp_path / "merged.jsonl")
-        outcome = run_distributed_sweep(
-            tasks, tmp_path / "q", workers=1, store=store, run_id="dist-run"
+        cells = run_sweep(
+            tasks,
+            fork=True,
+            executor=Coordinator(tmp_path / "q", workers=1),
+            store=store,
+            run_id="dist-run",
         )
-        assert outcome.joined
-        assert len(outcome.records) == 4
-        assert outcome.merge is not None and not outcome.merge.missing
+        assert [cell.task_id for cell in cells] == [t.task_id for t in tasks]
+        assert all(cell.ok and cell.forked_from for cell in cells)
         assert store.completed("dist-run") == {t.task_id for t in tasks}
 
     def test_collect_cells_requires_drained_queue(self, tmp_path):
         tasks = ablation_grid()
         queue = open_queue(tmp_path / "q")
-        run_distributed_sweep(tasks, queue, workers=1, join=False)
+        Coordinator(queue, workers=1, join=False).run(tasks)
         with pytest.raises(ClusterError, match="no record"):
             collect_cells(queue, tasks)
+
+
+def queue_scenarios(configs, queue):
+    return execute_scenarios(configs, ExecOptions(queue=str(queue)))
 
 
 class TestDistributedScenarios:
@@ -190,37 +226,28 @@ class TestDistributedScenarios:
             for seed in (0, 1)
             for fraction in (0.25, 0.5)
         ]
-        results = distributed_scenarios(configs, tmp_path / "q", workers=1)
-        serial = run_scenarios(configs)
+        results = queue_scenarios(configs, tmp_path / "q")
+        serial = execute_scenarios(configs)
         for dist, cold in zip(results, serial):
             assert dist.series == cold.series
             assert dist.reliability == cold.reliability
             assert dist.reshaping_time == cold.reshaping_time
 
-    def test_errored_cell_surfaces_as_runner_error(self, tmp_path, monkeypatch):
-        # An un-runnable cell: sabotage the worker-side execution by
-        # publishing a grid, then failing it via exhaustion (lease 0,
-        # budget 0 is invalid — use a tiny budget and dead claims).
-        configs = [small_config(seed=0)]
+    def test_errored_cell_surfaces_as_runner_error(self, tmp_path):
+        # An un-runnable cell: publish a grid, then fail it via
+        # exhaustion (a tiny lease, one attempt, and a dead claim).
+        import time
+
+        tasks = scenario_tasks([small_config(seed=0)])
         queue = open_queue(tmp_path / "q")
-        from repro.runtime.runner import scenario_tasks
-
-        tasks = scenario_tasks(configs)
-        Coordinator(queue, workers=1).publish(
-            tasks, lease_s=0.01, max_attempts=1, payloads=True
-        )
+        Coordinator(
+            queue, workers=1, lease_s=0.01, max_attempts=1, payloads=True
+        ).publish(tasks)
         queue.claim("zombie")
-        import time as _time
-
-        _time.sleep(0.05)
+        time.sleep(0.05)
         drain_with(queue, "reaper")  # retires the cell as an error
         with pytest.raises(RunnerError, match="sweep cells failed"):
-            from repro.runtime.cluster.coordinator import (
-                collect_cells as collect,
-            )
-            from repro.runtime.runner import collect_scenario_results
-
-            collect_scenario_results(collect(queue, tasks))
+            collect_scenario_results(collect_cells(queue, tasks))
 
 
 class TestDistributedScenariosGuards:
@@ -228,22 +255,19 @@ class TestDistributedScenariosGuards:
         """Two tasks with byte-identical configs dedupe to one merged
         record; both callers still get (the same) result back."""
         config = small_config(seed=0)
-        results = distributed_scenarios([config, config], tmp_path / "q", workers=1)
+        results = queue_scenarios([config, config], tmp_path / "q")
         assert len(results) == 2
         assert results[0].series == results[1].series
 
     def test_joining_payload_less_queue_refused(self, tmp_path):
-        """distributed_scenarios() joining a grid someone published
-        without payloads must refuse, not hand back None results."""
+        """A run that needs full results, joining a grid someone
+        published without payloads, must refuse, not hand back None
+        results."""
         configs = [small_config(seed=0)]
-        from repro.runtime.runner import scenario_tasks
-
         queue = open_queue(tmp_path / "q")
-        run_distributed_sweep(
-            scenario_tasks(configs), queue, workers=1, payloads=False
-        )
+        Coordinator(queue, workers=1, payloads=False).run(scenario_tasks(configs))
         with pytest.raises(ClusterError, match="without result payloads"):
-            distributed_scenarios(configs, queue, workers=1)
+            queue_scenarios(configs, queue.path)
 
 
 class TestDispatch:
@@ -251,7 +275,7 @@ class TestDispatch:
         configs = [small_config(seed=0), small_config(seed=1)]
         serial = execute_scenarios(configs)
         queued = execute_scenarios(
-            configs, workers=1, queue=str(tmp_path / "q")
+            configs, ExecOptions(workers=1, queue=str(tmp_path / "q"))
         )
         assert [r.reliability for r in serial] == [
             r.reliability for r in queued

@@ -27,6 +27,7 @@ from repro.runtime.cluster import (
     merge_queue,
     open_queue,
 )
+from repro.runtime.dispatch import run_sweep
 from repro.runtime.forksweep import CheckpointCache
 from repro.runtime.runner import ParallelRunner, grid_tasks
 from repro.runtime.store import ResultStore
@@ -50,6 +51,16 @@ def ablation_grid():
     return grid_tasks(
         small_config(),
         {"failure_fraction": (0.25, 0.5), "reinjection_round": (12, None)},
+    )
+
+
+def publish_forked(queue, tasks, **queue_options):
+    """Publish ``tasks`` bound to their fork points (prefixes simulated
+    and parked in the queue's cache), without draining."""
+    run_sweep(
+        tasks,
+        fork=True,
+        executor=Coordinator(queue, workers=1, join=False, **queue_options),
     )
 
 
@@ -89,7 +100,7 @@ class TestLeaseRecovery:
         ParallelRunner(workers=1).run(tasks, store=serial, run_id="serial")
 
         queue = open_queue(tmp_path / "q")
-        Coordinator(queue, workers=1).publish(tasks, lease_s=0.2)
+        publish_forked(queue, tasks, lease_s=0.2)
         doomed = queue.claim("dead-worker")
         assert doomed is not None and doomed.attempt == 1
         time.sleep(0.3)  # lease expires, nobody heartbeats
@@ -115,9 +126,7 @@ class TestLeaseRecovery:
         an error with the attempt history, and the queue completes."""
         tasks = ablation_grid()[:1]
         queue = open_queue(tmp_path / "q")
-        Coordinator(queue, workers=1).publish(
-            tasks, lease_s=0.05, max_attempts=3
-        )
+        publish_forked(queue, tasks, lease_s=0.05, max_attempts=3)
         for attempt in range(1, 4):
             lease = queue.claim(f"zombie-{attempt}")
             assert lease is not None and lease.attempt == attempt
@@ -139,7 +148,7 @@ class TestLeaseRecovery:
 
         queue_path = tmp_path / "q"
         queue = open_queue(queue_path)
-        Coordinator(queue, workers=1).publish(tasks, lease_s=0.5)
+        publish_forked(queue, tasks, lease_s=0.5)
 
         proc = worker_process(queue_path, "victim")
         try:
@@ -177,7 +186,7 @@ class TestLeaseRecovery:
 
         queue_path = tmp_path / "q"
         queue = open_queue(queue_path)
-        Coordinator(queue, workers=1).publish(tasks, lease_s=60)
+        publish_forked(queue, tasks, lease_s=60)
         twins = [
             worker_process(queue_path, "twin", "--poll", "0.02")
             for _ in range(2)
@@ -200,7 +209,7 @@ class TestLeaseRecovery:
 
         tasks = ablation_grid()
         queue = open_queue(tmp_path / "q")
-        Coordinator(queue, workers=1).publish(tasks)
+        publish_forked(queue, tasks)
         stop = threading.Event()
         stop.set()  # requested before the loop even starts
         stats = Worker(queue, worker_id="w", poll_s=0.02).run(stop=stop)
@@ -215,7 +224,7 @@ class TestGcProtection:
         fork points a live queue's unfinished cells still need."""
         tasks = ablation_grid()
         queue = open_queue(tmp_path / "q")
-        Coordinator(queue, workers=1).publish(tasks, lease_s=60)
+        publish_forked(queue, tasks, lease_s=60)
         queue.claim("busy-worker")  # live lease on a fork cell
         cache = CheckpointCache(queue.cache_root())
         assert len(cache.entries()) == 1
@@ -255,7 +264,7 @@ class TestCliRequeueFlow:
         tasks = ablation_grid()[:2]
         queue_path = tmp_path / "q"
         queue = open_queue(queue_path)
-        Coordinator(queue, workers=1).publish(tasks, lease_s=3600)
+        publish_forked(queue, tasks, lease_s=3600)
         queue.claim("hung")
         assert main(["queue", "requeue", str(queue_path)]) == 0
         lease = queue.claim("fresh")

@@ -197,13 +197,15 @@ class TestEngineScopedCacheKeys:
 
 class TestBatchForkSweep:
     def test_fork_equals_cold_for_batch_cells(self, tmp_path):
-        from repro.runtime.forksweep import fork_scenarios
+        from repro.runtime.dispatch import ExecOptions, execute_scenarios
 
         configs = [
             config("batch", failure_fraction=f, reinjection_round=None, total_rounds=14)
             for f in (0.25, 0.5)
         ]
-        forked = fork_scenarios(configs, workers=1, cache=CheckpointCache(tmp_path))
+        forked = execute_scenarios(
+            configs, ExecOptions(fork=True), cache=CheckpointCache(tmp_path)
+        )
         from repro.experiments.scenario import run_scenario
 
         cold = [run_scenario(c) for c in configs]

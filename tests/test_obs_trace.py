@@ -23,7 +23,8 @@ from repro.obs import report as obs_report
 from repro.obs import mem as obs_mem
 from repro.obs import series as obs_series
 from repro.obs import trace as obs_trace
-from repro.runtime.cluster import open_queue, run_distributed_sweep
+from repro.runtime.cluster import Coordinator, open_queue
+from repro.runtime.dispatch import run_sweep
 from repro.runtime.runner import ParallelRunner, SweepTask
 
 WORKERS = 2
@@ -386,18 +387,22 @@ class TestDistributedPropagation:
         run_dir = tmp_path / "run"
         obs.configure(dir=run_dir)
         try:
-            run_distributed_sweep(
-                tiny_tasks(), tmp_path / "q", workers=WORKERS, poll_s=0.05
+            run_sweep(
+                tiny_tasks(),
+                fork=True,
+                executor=Coordinator(
+                    tmp_path / "q", workers=WORKERS, poll_s=0.05
+                ),
             )
         finally:
             obs_trace.flush()
         spans = obs_trace.load_spans(run_dir)
         one_trace(spans)
         roots, orphans = obs_trace.build_tree(spans)
-        assert len(roots) == 1 and roots[0].name == "sweep.distributed"
+        assert len(roots) == 1 and roots[0].name == "sweep.fork"
         assert orphans == []
         names = {s["name"] for s in spans}
-        assert {"checkpoint.publish", "cell", "round"} <= names
+        assert {"sweep.distributed", "checkpoint.publish", "cell", "round"} <= names
         cells = [s for s in spans if s["name"] == "cell"]
         workers = {
             c["attrs"].get("worker")
@@ -416,8 +421,10 @@ class TestDistributedPropagation:
         queue_path = tmp_path / "q"
         obs.configure(dir=run_dir)
         try:
-            run_distributed_sweep(
-                tiny_tasks(2), queue_path, workers=1, join=False
+            run_sweep(
+                tiny_tasks(2),
+                fork=True,
+                executor=Coordinator(queue_path, workers=1, join=False),
             )
         finally:
             obs_trace.flush()
@@ -456,7 +463,7 @@ class TestDistributedPropagation:
         spans = obs_trace.load_spans(run_dir)
         one_trace(spans)
         roots, orphans = obs_trace.build_tree(spans)
-        assert len(roots) == 1 and roots[0].name == "sweep.distributed"
+        assert len(roots) == 1 and roots[0].name == "sweep.fork"
         assert orphans == []
         # The grid's cells all ran in the daemon; any other cell spans
         # are the coordinator's local prefix-checkpoint computations.

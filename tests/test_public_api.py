@@ -64,6 +64,40 @@ class TestExports:
             for name in module.__all__:
                 assert hasattr(module, name), (module.__name__, name)
 
+    def test_one_sweep_surface(self):
+        """``run_sweep`` / ``ExecOptions`` are the way to run a grid;
+        the per-mode schedulers they replaced are gone, not aliased."""
+        import repro.runtime
+        import repro.runtime.cluster
+
+        for module in (repro.runtime, repro.runtime.cluster):
+            for name in module.__all__:
+                assert hasattr(module, name), (module.__name__, name)
+        assert {
+            "ExecOptions",
+            "run_sweep",
+            "execute_scenarios",
+            "bind_fork_plan",
+            "plan_fork_sweep",
+            "ParallelRunner",
+            "Coordinator",
+        } <= set(repro.runtime.__all__)
+        assert {"Coordinator", "spec_from_task", "collect_cells"} <= set(
+            repro.runtime.cluster.__all__
+        )
+        assert {"ExecOptions", "execute_scenarios"} <= set(repro.__all__)
+        for module in (repro, repro.runtime, repro.runtime.cluster):
+            for removed in (
+                "run_scenarios",
+                "fork_scenarios",
+                "distributed_scenarios",
+                "run_fork_sweep",
+                "run_distributed_sweep",
+                "DistributedRun",
+            ):
+                assert removed not in module.__all__, (module.__name__, removed)
+                assert not hasattr(module, removed), (module.__name__, removed)
+
     def test_every_public_item_documented(self):
         import inspect
 

@@ -30,10 +30,9 @@ from repro.runtime.forksweep import (
     CheckpointCache,
     ForkContinuationTask,
     clear_checkpoint_memo,
-    fork_scenarios,
     plan_fork_sweep,
-    run_fork_sweep,
 )
+from repro.runtime.dispatch import ExecOptions, execute_scenarios, run_sweep
 from repro.runtime.runner import ParallelRunner, SweepTask, grid_tasks
 from repro.runtime.store import ResultStore, config_hash
 
@@ -62,6 +61,21 @@ def ablation_grid(**base_overrides):
             "total_rounds": (16, 20),
         },
     )
+
+
+def fork_sweep(tasks, workers=1, cache=None, progress=None, **kwargs):
+    """A fork-plan sweep on the local executor."""
+    return run_sweep(
+        tasks,
+        fork=True,
+        executor=ParallelRunner(workers=workers, progress=progress),
+        cache=cache,
+        **kwargs,
+    )
+
+
+def fork_scenarios(configs, cache):
+    return execute_scenarios(configs, ExecOptions(fork=True), cache=cache)
 
 
 def assert_results_identical(a, b, label=""):
@@ -172,7 +186,7 @@ class TestByteIdentity:
         assert len(plan.groups) == 1 and not plan.cold
 
         cold = ParallelRunner(workers=1).run(tasks)
-        forked = run_fork_sweep(
+        forked = fork_sweep(
             tasks, workers=1, cache=CheckpointCache(tmp_path)
         )
         for cold_cell, fork_cell in zip(cold, forked):
@@ -185,7 +199,7 @@ class TestByteIdentity:
     def test_parallel_fork_sweep_identical(self, tmp_path):
         tasks = ablation_grid()
         cold = ParallelRunner(workers=1).run(tasks)
-        forked = run_fork_sweep(
+        forked = fork_sweep(
             tasks, workers=2, cache=CheckpointCache(tmp_path)
         )
         for cold_cell, fork_cell in zip(cold, forked):
@@ -196,7 +210,7 @@ class TestByteIdentity:
             small_config(detector_delay=d, reinjection_round=None)
             for d in (0, 2)
         ]
-        forked = fork_scenarios(configs, cache=CheckpointCache(tmp_path))
+        forked = fork_scenarios(configs, CheckpointCache(tmp_path))
         for config, result in zip(configs, forked):
             assert_results_identical(result, run_scenario(config))
         # The delayed detector must actually change the outcome, or the
@@ -214,7 +228,7 @@ class TestByteIdentity:
         ]
         plan = plan_fork_sweep(tasks)
         assert [t.task_id for t in plan.cold] == ["no-failure"]
-        cells = run_fork_sweep(tasks, workers=1, cache=CheckpointCache(tmp_path))
+        cells = fork_sweep(tasks, workers=1, cache=CheckpointCache(tmp_path))
         assert all(cell.ok for cell in cells)
         assert cells[-1].forked_from is None
         assert_results_identical(
@@ -266,7 +280,7 @@ class TestCheckpointCache:
         tasks = ablation_grid()
         cache = CheckpointCache(tmp_path)
         cold = ParallelRunner(workers=1).run(tasks)
-        run_fork_sweep(tasks, workers=1, cache=cache)  # populate
+        fork_sweep(tasks, workers=1, cache=cache)  # populate
         ckpt_path = Path(cache.entries()[0]["path"])
         ckpt_path.write_bytes(ckpt_path.read_bytes()[:100])
         # A fresh process would read the truncated file from disk; in
@@ -274,7 +288,7 @@ class TestCheckpointCache:
         # copy, so drop it to actually exercise the corruption path.
         clear_checkpoint_memo()
 
-        cells = run_fork_sweep(tasks, workers=1, cache=cache)
+        cells = fork_sweep(tasks, workers=1, cache=cache)
         for cold_cell, cell in zip(cold, cells):
             assert cell.ok
             assert cell.forked_from is None  # cold fallback, recorded as such
@@ -344,11 +358,11 @@ class TestCheckpointCache:
         def progress(done, total, cell):
             seen.append(cell.task_id)
 
-        run_fork_sweep(tasks, workers=1, cache=cache, progress=progress)
+        fork_sweep(tasks, workers=1, cache=cache, progress=progress)
         first = [tid for tid in seen if tid.startswith("prefix-")]
         assert len(first) == 1
         seen.clear()
-        run_fork_sweep(tasks, workers=1, cache=cache, progress=progress)
+        fork_sweep(tasks, workers=1, cache=cache, progress=progress)
         assert not any(tid.startswith("prefix-") for tid in seen)
 
 
@@ -357,7 +371,7 @@ class TestStoreIntegration:
         tasks = ablation_grid()
         store = ResultStore(tmp_path / "results.jsonl")
         cache = CheckpointCache(tmp_path / "ck")
-        run_fork_sweep(tasks, workers=1, cache=cache, store=store, run_id="fork-run")
+        fork_sweep(tasks, workers=1, cache=cache, store=store, run_id="fork-run")
         records = store.cells(run_id="fork-run", status="ok")
         assert len(records) == len(tasks)
         digests = {record["forked_from"] for record in records}
@@ -369,10 +383,10 @@ class TestStoreIntegration:
         tasks = ablation_grid()
         store = ResultStore(tmp_path / "results.jsonl")
         cache = CheckpointCache(tmp_path / "ck")
-        run_fork_sweep(
+        fork_sweep(
             tasks[:3], workers=1, cache=cache, store=store, run_id="resume-me"
         )
-        cells = run_fork_sweep(
+        cells = fork_sweep(
             tasks, workers=1, cache=cache, store=store, run_id="resume-me"
         )
         # Only the missing cells ran; the store now covers the grid.
@@ -385,10 +399,10 @@ class TestStoreIntegration:
         tasks = ablation_grid()
         store = ResultStore(tmp_path / "results.jsonl")
         cache = CheckpointCache(tmp_path / "ck")
-        run_fork_sweep(tasks, workers=1, cache=cache, store=store, run_id="done")
+        fork_sweep(tasks, workers=1, cache=cache, store=store, run_id="done")
         cache.gc()
         seen = []
-        cells = run_fork_sweep(
+        cells = fork_sweep(
             tasks,
             workers=1,
             cache=cache,
@@ -409,7 +423,7 @@ class TestStoreIntegration:
                 ),
             )
         ]
-        run_fork_sweep(
+        fork_sweep(
             tasks,
             workers=1,
             cache=CheckpointCache(tmp_path / "ck"),
@@ -426,7 +440,7 @@ class TestForkScenarios:
             small_config(failure_fraction=f, reinjection_round=None)
             for f in (0.5, 0.25)
         ]
-        results = fork_scenarios(configs, cache=CheckpointCache(tmp_path))
+        results = fork_scenarios(configs, CheckpointCache(tmp_path))
         assert [r.config.failure_fraction for r in results] == [0.5, 0.25]
 
     def test_errors_are_reraised(self, tmp_path, monkeypatch):
@@ -435,13 +449,4 @@ class TestForkScenarios:
 
         monkeypatch.setattr(ForkContinuationTask, "run", boom)
         with pytest.raises(RunnerError, match="exploded"):
-            fork_scenarios(
-                [small_config()], cache=CheckpointCache(tmp_path)
-            )
-
-    def test_plan_describe_mentions_savings(self):
-        plan = plan_fork_sweep(ablation_grid())
-        text = plan.describe()
-        assert "1 shared prefix" in text
-        assert f"{plan.rounds_saved} Phase-1 rounds" in text
-        assert plan.rounds_saved == 5 * (8 - 1)
+            fork_scenarios([small_config()], CheckpointCache(tmp_path))

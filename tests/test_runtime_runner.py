@@ -7,16 +7,21 @@ import pytest
 from repro.errors import RunnerError
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.sweep import run_seed_sweep
+from repro.runtime.dispatch import ExecOptions, execute_scenarios
 from repro.runtime.runner import (
     CellResult,
     ParallelRunner,
     SweepTask,
     grid_tasks,
-    run_scenarios,
     seed_sweep_tasks,
 )
 
 WORKERS = 2
+
+
+def run_scenarios(configs, workers=1):
+    """The strict fan-out on the local executor."""
+    return execute_scenarios(configs, ExecOptions(workers=workers))
 
 
 def tiny_config(**overrides) -> ScenarioConfig:
@@ -56,8 +61,8 @@ class TestEquivalence:
     def test_seed_sweep_parallel_matches_serial(self):
         config = tiny_config()
         seeds = [0, 1, 2]
-        serial = run_seed_sweep(config, seeds, workers=1)
-        parallel = run_seed_sweep(config, seeds, workers=WORKERS)
+        serial = run_seed_sweep(config, seeds)
+        parallel = run_seed_sweep(config, seeds, ExecOptions(workers=WORKERS))
         assert serial.mean_series == parallel.mean_series
         assert serial.reshaping == parallel.reshaping
         assert serial.reliability == parallel.reliability
