@@ -113,11 +113,15 @@ ENGINE_GATE_CELL = dict(
 )
 
 
-def run_cell(engine: str = "event", cell: dict = CELL) -> float:
+def run_cell(engine: str = "event", cell: dict = CELL, watch=None) -> float:
+    """Wall seconds of the cell's rounds; ``watch(sim)``, when given,
+    is called on the prepared simulation before they run."""
     from repro.experiments.scenario import ScenarioConfig, prepare_scenario
 
     config = ScenarioConfig(engine=engine, **cell)
     sim, *_ = prepare_scenario(config)
+    if watch is not None:
+        watch(sim)
     t0 = time.perf_counter()
     sim.run(cell["total_rounds"])
     return time.perf_counter() - t0
@@ -389,7 +393,7 @@ def obs_gate(threshold: float, repeats: int = 5) -> int:
     return 0
 
 
-def _run_with_ledger(cell: dict) -> dict:
+def _run_with_ledger(cell: dict, watch=None) -> dict:
     """Run one batch cell with the memory ledger (and metrics, which
     drive its round stamps) enabled, and return the ledger snapshot."""
     from repro.obs import mem as obs_mem
@@ -400,7 +404,7 @@ def _run_with_ledger(cell: dict) -> dict:
     obs_mem.reset()
     obs_mem.set_enabled(True)
     try:
-        wall = run_cell("batch", cell)
+        wall = run_cell("batch", cell, watch)
         snap = obs_mem.snapshot()
     finally:
         obs_mem.set_enabled(False)
@@ -497,17 +501,76 @@ PAPER_MEM_CELL = dict(
 )
 
 
+def _status_mb():
+    """``(VmRSS, VmHWM)`` of this process in MB, read from
+    ``/proc/self/status``; ``None`` where that file does not exist."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            fields = dict(
+                line.split(":", 1) for line in fh if line.startswith(("VmRSS", "VmHWM"))
+            )
+    except OSError:
+        return None
+    return tuple(int(fields[key].split()[0]) / 1024 for key in ("VmRSS", "VmHWM"))
+
+
+class _HighWater:
+    """Per round: VmRSS and VmHWM at the round's end, and by how much
+    each layer step raised VmHWM.  Layer steps are wrapped on the
+    instance; the round-end read is an observer appended last, so a rise
+    outside every step (events, the other observers) is ``other``."""
+
+    def __init__(self, sim) -> None:
+        self.rounds = []  # (round, VmRSS, VmHWM, [(step, +MB)])
+        self._raised = []
+        self._hwm = _status_mb()[1]
+        for layer in sim.layers:
+            layer.step = self._watch(layer.name, layer.step)
+        sim.observers.append(self)
+
+    def _watch(self, name, step):
+        def call(sim):
+            before = _status_mb()[1]
+            step(sim)
+            rise = _status_mb()[1] - before
+            if rise > 0:
+                self._raised.append((name, rise))
+
+        return call
+
+    def on_round_end(self, sim) -> None:
+        rss, hwm = _status_mb()
+        other = hwm - self._hwm - sum(rise for _, rise in self._raised)
+        if other > 0:
+            self._raised.append(("other", other))
+        self.rounds.append((sim.round, rss, hwm, self._raised))
+        self._raised, self._hwm = [], hwm
+
+
 def mem_profile_paper(record: bool) -> int:
     """Run the 51k-node paper preset once under the batch engine with
     the ledger on and report (optionally record) the per-family peak
-    bytes — the paper-scale memory profile ROADMAP item 1 asks for."""
-    snap = _run_with_ledger(PAPER_MEM_CELL)
+    bytes — the paper-scale memory profile ROADMAP item 1 asks for —
+    and, per round, VmRSS, VmHWM and the layer step that raised it."""
+    watchers = []
+
+    def watch(sim) -> None:
+        watchers.append(_HighWater(sim))
+
+    snap = _run_with_ledger(PAPER_MEM_CELL, watch if _status_mb() else None)
     peak = snap["total"]["peak"]
     print(
         f"paper memory profile (320x160 = 51200 nodes, 30 rounds, batch): "
         f"wall {snap['wall_s']:.1f}s, tracked peak {_fmt_mb(peak)} at round "
         f"{snap['total']['peak_round']}, RSS peak {_fmt_mb(snap['peak_rss_bytes'])}"
     )
+    if watchers:
+        print("  per round: VmRSS / VmHWM (MB), and what raised VmHWM")
+        for rnd, rss, hwm, raised in watchers[0].rounds:
+            by = ", ".join(f"{name} +{rise:.1f}" for name, rise in raised)
+            print(f"    round {rnd:>2}  {rss:7.1f} / {hwm:7.1f}  {by}")
+    else:
+        print("  per round VmRSS / VmHWM: skipped (no /proc/self/status here)")
     for name, fam in sorted(
         snap["families"].items(), key=lambda kv: kv[1]["peak"], reverse=True
     ):
@@ -536,6 +599,15 @@ def mem_profile_paper(record: bool) -> int:
                 name: fam["peak"]
                 for name, fam in sorted(snap["families"].items())
             },
+            "rounds_vm_mb": [
+                {
+                    "round": rnd,
+                    "rss": round(rss, 1),
+                    "hwm": round(hwm, 1),
+                    "raised_by": {name: round(rise, 1) for name, rise in raised},
+                }
+                for rnd, rss, hwm, raised in (watchers[0].rounds if watchers else [])
+            ],
             "top_sites": {
                 name: {
                     "family": site["family"],
@@ -637,7 +709,8 @@ def main(argv=None) -> int:
         action="store_true",
         help="run the 51k-node paper preset (320x160) once under the "
         "batch engine with the memory ledger on and print the "
-        "per-family/per-site peak-byte profile (with --record: save it "
+        "per-family/per-site peak-byte profile and, per round, VmRSS, "
+        "VmHWM and the layer step that raised it (with --record: save it "
         "as 'paper_memory_profile' in the baseline file)",
     )
     args = parser.parse_args(argv)

@@ -113,17 +113,20 @@ def _nearest_node(space: Space, queries: np.ndarray, positions: np.ndarray):
     """Distance from each query point to its nearest node position, one
     :func:`~repro.sim.arrays.block_rows` block of queries at a time: the
     distance block is O(block), not ``len(queries) * len(positions)``.
+    One query row is network-sized, so there is no row floor.
     Float-identical to ``np.min(space.pairwise(queries, positions),
     axis=1)`` on the canonical coordinates a simulation stores."""
     out = np.empty(len(queries))
-    step = block_rows(0, len(positions), space.dim)
+    step = block_rows(0, len(positions), space.dim, 1)
     for a in range(0, len(queries), step):
         out[a : a + step] = space.nearest_canonical(queries[a : a + step], positions)
     if obs_mem.ENABLED:
+        # The torus kernel holds three (rows, n) float blocks at once:
+        # the running sum, one axis' |Δ| and its folded complement.
         obs_mem.scratch(
             "observer_pads",
             "homogeneity.nearest",
-            8 * min(step, len(queries)) * len(positions),
+            3 * 8 * min(step, len(queries)) * len(positions),
         )
     return out
 

@@ -60,8 +60,12 @@ def _view_means(space: Space, table, rows, ids, k: int) -> np.ndarray:
         coords = table.coords_at(entry_rows)
         d = np.sqrt(space.rank_sq_rows(pos[blk], coords))
         if obs_mem.ENABLED:
+            # At the rank: the entries' rows, liveness and coordinates
+            # and three (rows, width) float blocks of the rank kernel.
             obs_mem.scratch(
-                "observer_pads", "proximity.distance_pad", coords.nbytes + d.nbytes
+                "observer_pads",
+                "proximity.distance_pad",
+                entry_rows.nbytes + alive.nbytes + coords.nbytes + 3 * d.nbytes,
             )
         d[~alive] = np.inf
         if kk < width:

@@ -29,8 +29,11 @@ subsystem relies on.
 The module also owns the array core's one scratch budget
 (:data:`_SCRATCH_BYTES`, :func:`block_rows`): every padded kernel — the
 batch peer-sampling and topology stages, the metric observers — works a
-row block of that size at a time, so no temporary scales with the
-network and a batch process's peak footprint is its steady state.
+row block at a time, sized so that everything the block holds at once
+fits in about one L2 cache, so no temporary scales with the network
+and a round's footprint is its persistent state plus one block.  The
+persistent state grows through one function, :func:`resized`, in place
+where nothing else references the array.
 """
 
 from __future__ import annotations
@@ -50,28 +53,64 @@ OBJECT_DIM = "object"
 _GROW = 2.0
 _MIN_CAP = 8
 
-#: Scratch budget of one row block: no single temporary of a block —
-#: the int32 last-writer table of the merge kernels, a padded
-#: coordinate block, a lost-point distance block, a bootstrap key block
-#: — may exceed it.  Blocks this small are recycled from the heap (see
-#: :func:`reserve_scratch`); whole-network temporaries (10-60 MB from
-#: 3,200 nodes up) are mmapped, or trimmed back to the OS, on every
-#: call and page-faulted in afresh by the next.
-_SCRATCH_BYTES = 2 << 20
+#: Scratch budget of one row block, per temporary: :func:`block_rows`
+#: sizes a block so that its largest temporary — the int32 last-writer
+#: table of the merge kernels, a padded coordinate block, a lost-point
+#: distance block, a bootstrap key block — stays within it.  What a
+#: block holds is this times its stage's *co-live factor*: everything
+#: the block has allocated at its high-water point, in budgets
+#: (tracemalloc around single blocks of the 80×40 and 160×80 batch
+#: cells; each stage's ledger site reports the same bytes):
+#:
+#: ==========================================  =======
+#: stage                                       co-live
+#: ==========================================  =======
+#: T-Man groom (ids, their rows, two masks)    2.1
+#: T-Man partner / neighbour ranking           3.0
+#: T-Man exchange pools (pools + rank)         3.0
+#: T-Man merge refusal (ids' rows, masks)      1.1
+#: T-Man merge pad + fused kernel              4.3
+#: Cyclon groom + partner / payload / reply    1.2 / 1.1 / 1.1
+#: Cyclon merge block (sized at 15 columns)    1.5
+#: bootstrap oracle key block                  1.0
+#: lost-point nearest node (torus kernel)      1.5
+#: proximity distance pad                      3.1
+#: ==========================================  =======
+#:
+#: so at 512 KiB no block holds more than ≈ 2.2 MiB, about one L2 (2 MiB
+#: per core on the Xeon these were measured on).  Where one row alone
+#: nears the budget the row floor (:data:`_MIN_BLOCK_ROWS`) wins and a
+#: block is that many rows: the merge block at 12,800 nodes holds a
+#: 3.3 MB last-writer table (7.8 budgets).  The 40 rounds of
+#: ``repair-batch-80x40`` peak at 69.4 / 66.1 / 65.8 MB at a budget of
+#: 1 MiB / 512 KiB / 256 KiB: below 512 KiB a block's Python overhead
+#: grows faster than the footprint falls.
+_SCRATCH_BYTES = 512 << 10
+
+#: The largest co-live factor of the table above, rounded up: no block
+#: may hold more than this many :data:`_SCRATCH_BYTES` at once beyond a
+#: row floor's last-writer table (the bound the memory-ledger and
+#: footprint tests hold every stage to).
+_COLIVE_MAX = 5
 
 #: Floor on block rows, bounding the per-block Python overhead where
 #: one row alone nears the budget (paper scale).
 _MIN_BLOCK_ROWS = 64
 
-#: What :func:`reserve_scratch` allocates and frees: room for a round's
-#: live block temporaries (a handful of :data:`_SCRATCH_BYTES` blocks
-#: plus the round's stacked messages at 3,200 nodes — 3 MB of T-Man
-#: descriptors and their index columns).  A quarter of it leaves
-#: the trim threshold below that high-water, so the heap top is given
-#: back and re-faulted every round (133k against 7k minor faults in the
-#: 40 rounds of ``repair-batch-80x40``); twice it is past the 32 MiB
-#: glibc adapts to and changes nothing (138k).
-_SCRATCH_ARENA_BYTES = 8 * _SCRATCH_BYTES
+#: What :func:`reserve_scratch` allocates and frees, which sets glibc's
+#: ``mmap`` threshold to it and the trim threshold to twice it.  Its job
+#: is the round's stacked messages, the largest temporaries a round
+#: makes: at 3,200 nodes T-Man's message coordinates are 2 MB, so 4 MiB
+#: serves them, one block and the rest of a round from retained heap
+#: (40 rounds of ``repair-batch-80x40``: 3.3k minor faults, against 35k
+#: at 2 MiB and 37k unreserved).  It is also the size above which an
+#: array is ``mmap``ped — the persistent view arrays from 3,200 nodes up
+#: are, so :func:`resized` grows them by ``mremap``; at 6-16 MiB T-Man's
+#: 5 MB coordinate block sits on the heap, its growth copies, and the
+#: peak reads 68.1 MB against 66.4 MB (faults 3.7k).  Networks whose
+#: messages outgrow it raise the threshold themselves: glibc lifts it
+#: to every freed ``mmap`` chunk's size, up to 32 MiB.
+_SCRATCH_ARENA_BYTES = 4 << 20
 
 
 def block_rows(
@@ -79,8 +118,10 @@ def block_rows(
 ) -> int:
     """Rows per row block such that neither a ``rows * id_stride``
     int32 last-writer table nor a ``(rows, width, dim)`` float pad
-    outgrows :data:`_SCRATCH_BYTES`.  ``min_rows`` is 1 where one row
-    is itself network-sized work (the bootstrap oracle), so a block's
+    outgrows :data:`_SCRATCH_BYTES` — and so that the block, holding its
+    stage's co-live factor of such temporaries, stays near one L2.
+    ``min_rows`` is 1 where one row is itself network-sized work (the
+    bootstrap oracle, the lost-point nearest-node scan), so a block's
     fixed cost needs no further rows to amortise it."""
     row_bytes = max(4 * id_stride, 8 * dim * width, 1)
     return max(min_rows, _SCRATCH_BYTES // row_bytes)
@@ -88,19 +129,20 @@ def block_rows(
 
 def reserve_scratch() -> None:
     """Allocate and free one :data:`_SCRATCH_ARENA_BYTES` block, once
-    per batch simulation, so the block temporaries are served from
-    retained heap instead of fresh pages.
+    per batch simulation, so the round's messages and block temporaries
+    are served from retained heap instead of fresh pages.
 
     The rule relied on is glibc malloc's dynamic ``mmap`` threshold:
     requests of 128 KiB and up are served by ``mmap`` — zero pages,
     faulted in on first touch, unmapped on ``free`` — until such a
     chunk is freed, which raises the threshold to that chunk's size (up
     to 32 MiB) and the trim threshold to twice it.  After this call every
-    block temporary comes from the main heap, whose top is returned to
-    the OS only beyond 32 MiB free, so each round reuses the pages the
-    last one touched.  Untouched ``np.empty`` memory costs no RSS; on
-    allocators without the rule the call is a no-op in effect.  The
-    threshold only ever rises within a process.
+    block temporary and message array below the arena comes from the
+    main heap, whose top is returned to the OS only beyond twice the
+    arena free, so each round reuses the pages the last one touched.
+    Untouched ``np.empty`` memory costs no RSS; on allocators without
+    the rule the call is a no-op in effect.  The threshold only ever
+    rises within a process.
     """
     np.empty(_SCRATCH_ARENA_BYTES, dtype=np.uint8)
 
@@ -116,11 +158,38 @@ def _grown(capacity: int, needed: int) -> int:
     return new
 
 
-def resized(old: np.ndarray, shape, fill) -> np.ndarray:
-    """``old`` in the leading corner of a fresh ``shape`` array of
-    ``fill`` — how a row array is reallocated, once, to a new capacity."""
+def resized(owner, name: str, shape, fill) -> np.ndarray:
+    """Grow the array ``owner.<name>`` to ``shape``, new cells ``fill``
+    — the one way a row array is reallocated to a new capacity.
+
+    The owner's attribute is detached first, so that when nothing else
+    references the array a C-contiguous one growing along axis 0 is
+    extended in place by ``ndarray.resize(refcheck=True)``: glibc
+    ``realloc`` ``mremap``s a large block, so the old and the new
+    capacity are never resident at once (a reinjection wave would
+    otherwise hold two copies of every view array).  Whenever NumPy's
+    reference check sees another holder — a view, a caller's local, a
+    test's spy, an unpickled array borrowing its buffer — or the growth
+    is not along rows, the array is copied into the leading corner of a
+    fresh one instead, and the holder keeps reading the old rows.
+    Either way the attribute is set and returned; the two paths give
+    equal contents.
+    """
+    old = getattr(owner, name)
+    setattr(owner, name, None)
+    if old.shape[1:] == tuple(shape[1:]) and old.flags.c_contiguous:
+        n = len(old)
+        try:
+            old.resize(shape, refcheck=True)
+        except ValueError:
+            pass
+        else:
+            old[n:] = fill
+            setattr(owner, name, old)
+            return old
     new = np.full(shape, fill, dtype=old.dtype)
     new[tuple(slice(0, n) for n in old.shape)] = old
+    setattr(owner, name, new)
     return new
 
 
@@ -235,18 +304,16 @@ class NodeTable:
         slot counts (each including its sentinel); never shrinks."""
         if row_slots > len(self._alive):
             before = self.nbytes if _mem.ENABLED else 0
-            self._alive = resized(self._alive, (row_slots,), False)
-            self._death = resized(self._death, (row_slots,), -1)
-            self._nid_of = resized(self._nid_of, (row_slots,), -1)
+            resized(self, "_alive", (row_slots,), False)
+            resized(self, "_death", (row_slots,), -1)
+            resized(self, "_nid_of", (row_slots,), -1)
             if self._coords is not None:
-                self._coords = resized(
-                    self._coords, (row_slots, self._coords.shape[1]), 0.0
-                )
+                resized(self, "_coords", (row_slots, self._coords.shape[1]), 0.0)
             if _mem.ENABLED:
                 _mem.add("node_table", "NodeTable.rows", self.nbytes - before)
         grow = id_slots - len(self._row_of)
         if grow > 0:
-            self._row_of = resized(self._row_of, (id_slots,), -1)
+            resized(self, "_row_of", (id_slots,), -1)
             if _mem.ENABLED:
                 _mem.add("node_table", "NodeTable.row_of", grow * 8)
 

@@ -84,13 +84,13 @@ class PlacementStore:
         before = self.nbytes
         have = len(self.guest_n)
         K = self.replication
-        self.guest_ids = resized(self.guest_ids, (rows, width), -1)
-        self.sent_ids = resized(self.sent_ids, (rows, K, width), -1)
+        resized(self, "guest_ids", (rows, width), -1)
+        resized(self, "sent_ids", (rows, K, width), -1)
         if rows != have:
-            self.guest_n = resized(self.guest_n, (rows,), 0)
-            self.backup_ids = resized(self.backup_ids, (rows, K), -1)
-            self.sent_n = resized(self.sent_n, (rows, K), -1)
-            self.owner = resized(self.owner, (rows,), -1)
+            resized(self, "guest_n", (rows,), 0)
+            resized(self, "backup_ids", (rows, K), -1)
+            resized(self, "sent_n", (rows, K), -1)
+            resized(self, "owner", (rows,), -1)
         self.width = width
         if obs_mem.ENABLED:
             obs_mem.add(

@@ -119,21 +119,21 @@ class BatchPolystyrene:
         self.placement.ensure_rows(table)
         have, cap = self._flags.shape[1], len(self.placement.guest_n)
         if cap > have:
-            self._flags = resized(self._flags, (4, cap), False)
+            resized(self, "_flags", (4, cap), False)
             self._flags[_SHORT, have:] = True  # a fresh row has no backups
 
     def _register_point(self, point: DataPoint) -> None:
         pid = point.pid
         if pid >= len(self._point_coords):
+            before = self._point_coords.nbytes
             grow = _grown(len(self._point_coords), pid + 1)
-            fresh = resized(self._point_coords, (grow, self.space.dim), 0.0)
+            resized(self, "_point_coords", (grow, self.space.dim), 0.0)
             if obs_mem.ENABLED:
                 obs_mem.add(
                     "protocol_points",
                     "BatchPolystyrene.point_coords",
-                    fresh.nbytes - self._point_coords.nbytes,
+                    self._point_coords.nbytes - before,
                 )
-            self._point_coords = fresh
         self._points[pid] = point
         self._point_coords[pid] = point.coord
 

@@ -85,8 +85,8 @@ class BatchPeerSampling:
         have = len(self._ids)
         if rows <= have:
             return
-        self._ids = resized(self._ids, (rows, self.view_size), -1)
-        self._ages = resized(self._ages, (rows, self.view_size), 0)
+        resized(self, "_ids", (rows, self.view_size), -1)
+        resized(self, "_ages", (rows, self.view_size), 0)
         if obs_mem.ENABLED:
             # int64 ids and int64 ages per new slot.
             obs_mem.add("rps_views", "rps.views", 16 * (rows - have) * self.view_size)
@@ -315,7 +315,9 @@ class BatchPeerSampling:
         bounds = np.append(np.flatnonzero(first), len(order))
         # A block is a run of receivers holding at most ``room`` entries
         # (views plus messages) at fifteen int64 columns an entry: the
-        # five built here and about ten the flat kernel holds in flight.
+        # five built here and about ten the flat kernel holds in flight
+        # (tracemalloc reads a block at 15 columns in the median, 23 at
+        # most, where view holes pad the gathers).
         # Cut by entries, not rows: a flooded receiver — in round 0
         # every view's oldest entry is its largest id — shortens its
         # block instead of fattening it.
@@ -350,7 +352,8 @@ class BatchPeerSampling:
             )
             f_order = np.concatenate([slot_in, np.arange(len(inc_ids))])
             if obs_mem.ENABLED:
-                obs_mem.scratch("rps_pads", "rps.merge_block", 5 * f_recv.nbytes)
+                # The block's co-live columns, as sized above.
+                obs_mem.scratch("rps_pads", "rps.merge_block", 15 * f_recv.nbytes)
             sel, slot, age = kernels.dedup_priority_truncate(
                 f_recv, f_ids, f_prio, f_order, f_ages, V
             )

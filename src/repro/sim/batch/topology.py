@@ -20,13 +20,16 @@ groomed round-start snapshot:
    ``cap`` entries closest to the receiver's position, stored in ranked
    order.
 
-Every stage runs a *row block* at a time: partner ranking, both
-directions of every exchange (one list of pool rows, each pool filled
-in place) and the merge each gather only
+Every stage runs a *row block* at a time: the groom (evicting and
+ageing in place, then one bootstrap call over every block's empty rows
+in row order), partner ranking, both directions of every exchange (one
+list of pool rows, each pool filled in place), the receivers' refusal
+filter and the merge each gather only
 :func:`~repro.sim.batch.kernels.block_rows` rows into padded scratch, so
-no padded temporary outgrows the kernels' scratch budget however large
-the network is.  Rows rank independently and RNG draws are taken for the
-whole network before a block loop starts, so blocking changes no result
+no block outgrows the scratch budget however large the network is and
+a step holds the views, the round's messages and one block.  Rows rank
+independently and RNG draws are taken for the whole network before (or,
+for the bootstrap, after) a block loop, so blocking changes no result
 and no stream.  A descriptor moves once: the messages stay stacked as
 step 3 built them, step 4 buckets *messages* (not entries) by receiver —
 one count, one stable radix pass over the receiver column — and a block
@@ -37,7 +40,9 @@ whole-network besides the messages is four message-length index columns.
 
 View arrays are sized to the node table's capacity
 (:attr:`~repro.sim.arrays.NodeTable.capacity`): the table owns the one
-growth rule, a layer only follows it.
+growth rule, a layer only follows it, through
+:func:`~repro.sim.arrays.resized` (in place unless something else holds
+the array).
 
 Batch-vs-event semantic deltas: exchanges are snapshot-based rather
 than sequential, a node reached by several messages merges them in one
@@ -93,10 +98,10 @@ class _BatchTopologyBase:
         if rows <= have:
             return
         C, dim = self.capacity, self._coord_dim
-        self._ids = resized(self._ids, (rows, C), -1)
-        self._coords = resized(self._coords, (rows, C, dim), 0.0)
+        resized(self, "_ids", (rows, C), -1)
+        resized(self, "_coords", (rows, C, dim), 0.0)
         if self._ages is not None:
-            self._ages = resized(self._ages, (rows, C), 0)
+            resized(self, "_ages", (rows, C), 0)
         if obs_mem.ENABLED:
             # int64 ids (+ int64 ages) and float64 coords per new slot.
             cols = 1 + dim + (self._ages is not None)
@@ -144,8 +149,12 @@ class _BatchTopologyBase:
         d = kernels.row_rank_sq(self.space, pos[rows], self._coords[rows])
         d[~sim.alive_entry_mask(ids)] = np.inf
         if obs_mem.ENABLED:
+            # At the rank: the id and coordinate gathers and the three
+            # (rows, C) float blocks the rank kernel holds at once.
             obs_mem.scratch(
-                "topology_pads", f"{self.name}.rank_block", ids.nbytes + d.nbytes
+                "topology_pads",
+                f"{self.name}.rank_block",
+                ids.nbytes * (1 + self._coord_dim) + 3 * d.nbytes,
             )
         pick = kernels.topk_smallest(d, k)
         kd = kernels.take_rows(d, pick)
@@ -188,23 +197,37 @@ class _BatchTopologyBase:
     # -- shared step pieces ------------------------------------------------
 
     def _groom(self, sim, act: np.ndarray) -> None:
-        """Evict detected peers and re-bootstrap empty views in place."""
-        ids_act = self._ids[act]
-        evict = sim.detected_entry_mask(ids_act)
-        if evict.any():
-            ids_act[evict] = -1
-            self._ids[act] = ids_act
+        """Evict detected peers, age the held entries (Vicinity) and
+        re-bootstrap empty views — evicting and ageing one row block at
+        a time in place, then one bootstrap call over every block's
+        empty rows in ``act`` order, so the RNG stream is that of one
+        whole-network pass."""
+        empty = []
+        step = kernels.block_rows(0, self.capacity, 1)
+        for a in range(0, len(act), step):
+            rows = act[a : a + step]
+            ids = self._ids[rows]
+            evict = sim.detected_entry_mask(ids)
+            held = ids >= 0
+            if obs_mem.ENABLED:
+                # The id block and its row index (detected_entry_mask's
+                # gather), two masks.
+                obs_mem.scratch(
+                    "topology_pads",
+                    f"{self.name}.groom",
+                    2 * ids.nbytes + evict.nbytes + held.nbytes,
+                )
+            if evict.any():
+                ids[evict] = -1
+                held &= ~evict
+                self._ids[rows] = ids
             if self._ages is not None:
-                ages = self._ages[act]
+                ages = self._ages[rows]
                 ages[evict] = 0
-                self._ages[act] = ages
-        if self._ages is not None:
-            ages = self._ages[act]
-            ages[ids_act >= 0] += 1
-            self._ages[act] = ages
-        empty = ~(ids_act >= 0).any(axis=1)
-        if empty.any():
-            self._bootstrap(sim, act[empty])
+                ages[held] += 1
+                self._ages[rows] = ages
+            empty.append(rows[~held.any(axis=1)])
+        self._bootstrap(sim, np.concatenate(empty))
 
     def _exchange_buffers(
         self,
@@ -245,10 +268,12 @@ class _BatchTopologyBase:
             d = kernels.row_rank_sq(self.space, pos[recv[blk]], pool_coords)
             d[pool_ids < 0] = np.inf
             if obs_mem.ENABLED:
+                # At the rank: both pools and three (rows, width) float
+                # blocks of the rank kernel.
                 obs_mem.scratch(
                     "topology_pads",
                     f"{self.name}.exchange_pool",
-                    pool_ids.nbytes + pool_coords.nbytes + d.nbytes,
+                    pool_ids.nbytes + pool_coords.nbytes + 3 * d.nbytes,
                 )
             pick = kernels.topk_smallest(d, m)
             kd = kernels.take_rows(d, pick)
@@ -309,10 +334,17 @@ class _BatchTopologyBase:
         dim = self._coord_dim
         M, k = ids.shape
 
-        sim.meter.charge_descriptors(self.name, int(np.count_nonzero(ids >= 0)), dim)
-        refused = sim.detected_entry_mask(ids)
-        refused |= ids == table._nid_of[recv][:, None]
-        ids[refused] = -1
+        # Metering and refusal, a block of messages at a time: the
+        # detector's row gather is as large as the messages' ids.
+        sent = 0
+        step = kernels.block_rows(0, k, 1)
+        for a in range(0, M, step):
+            blk = ids[a : a + step]
+            sent += int(np.count_nonzero(blk >= 0))
+            refused = sim.detected_entry_mask(blk)
+            refused |= blk == table._nid_of[recv[a : a + step]][:, None]
+            blk[refused] = -1
+        sim.meter.charge_descriptors(self.name, sent, dim)
 
         # Receivers: every row addressed by a message gets re-ranked,
         # even if the filter left it nothing.  Fullest first, so a
@@ -368,10 +400,17 @@ class _BatchTopologyBase:
                 ages_pad = np.zeros((b - a, width), dtype=np.int64)
                 ages_pad[:, :C] = self._ages[rows]
             if obs_mem.ENABLED:
+                # The pads, and what the fused kernel holds beside them:
+                # its int32 last-writer table and about three (rows,
+                # width) int64 columns in flight (index, key, order).
                 pad_bytes = ids_pad.nbytes + coords_pad.nbytes + valid.nbytes
                 if ages_pad is not None:
                     pad_bytes += ages_pad.nbytes
-                obs_mem.scratch("topology_pads", f"{self.name}.merge_pad", pad_bytes)
+                obs_mem.scratch(
+                    "topology_pads",
+                    f"{self.name}.merge_pad",
+                    pad_bytes + 4 * (b - a) * stride + 3 * ids_pad.nbytes,
+                )
             out = kernels.merge_rank_truncate(
                 self.space, pos[rows], ids_pad, coords_pad, valid, C, stride, ages_pad
             )

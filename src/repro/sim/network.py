@@ -177,11 +177,10 @@ class Network:
         # reinjection wave reads them once per spawned node.
         if self._alive_cache is not None:
             self._alive_cache.append(nid)
-        arr = self._alive_arr
-        if arr is not None:
-            if n == len(arr):
-                arr = self._alive_arr = resized(arr, (_grown(n, n + 1),), -1)
-            arr[n] = nid
+        if self._alive_arr is not None:
+            if n == len(self._alive_arr):
+                resized(self, "_alive_arr", (_grown(n, n + 1),), -1)
+            self._alive_arr[n] = nid
         return node
 
     def __getstate__(self):

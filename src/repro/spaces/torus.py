@@ -17,14 +17,19 @@ import numpy as np
 from ..types import Coord
 from .base import Batch, VectorSpace
 
-#: Row-wise dot product for the ranking kernels: ``np.vecdot`` (NumPy
-#: >= 2.0) saves one dispatch layer over ``einsum``.  Ranking consumers
-#: only compare the values, and on canonical grid coordinates (exact
-#: integer squares) both forms are bit-identical; the fallback keeps
-#: older NumPy working.
-_row_dot = getattr(np, "vecdot", None) or (
-    lambda a, b: np.einsum("...j,...j->...", a, b)
-)
+
+def _sum_sq(diff: np.ndarray) -> np.ndarray:
+    """``Σ diff²`` over the last (axis) dimension: ``diff`` is squared in
+    place and its axis columns added left to right — the order of
+    :meth:`FlatTorus.rank_sq_rows`, so every rank kernel rounds each
+    square before the sum and ranks alike.  (A fused row dot such as
+    ``np.vecdot`` may not round the square: on fractional coordinates it
+    then ranks two points the other way round.)"""
+    diff *= diff
+    total = diff[..., 0].copy()
+    for d in range(1, diff.shape[-1]):
+        total += diff[..., d]
+    return total
 
 
 class FlatTorus(VectorSpace):
@@ -106,7 +111,7 @@ class FlatTorus(VectorSpace):
         diff = np.subtract(batch, origin)
         np.abs(diff, out=diff)
         np.minimum(diff, periods - diff, out=diff)
-        return _row_dot(diff, diff)
+        return _sum_sq(diff)
 
     def distance_rows(self, batch_a: Batch, batch_b: Batch) -> np.ndarray:
         batch_a = np.asarray(batch_a, dtype=float)
@@ -164,7 +169,7 @@ class FlatTorus(VectorSpace):
         diff = np.subtract(batch[:, None, :], other[None, :, :])
         np.abs(diff, out=diff)
         np.minimum(diff, periods - diff, out=diff)
-        return _row_dot(diff, diff)
+        return _sum_sq(diff)
 
     def pairwise_canonical(self, batch: Batch, other: Optional[Batch] = None) -> np.ndarray:
         """All-pairs distances for canonical coordinates: ``|Δ|`` is

@@ -245,8 +245,8 @@ class TestMemLedger:
     def test_merge_scratch_sites_report_one_block_not_the_network(self):
         """The merge pad and kernel scratch (``tman.merge_pad``,
         ``keep_last_per_row.dense``, ``merge_rank_truncate.out``) and
-        the partner-ranking and exchange-pool blocks account each row
-        block on its own: the site peak is the largest block, and
+        the groom, partner-ranking and exchange-pool blocks account each
+        row block on its own: the site peak is the largest block, and
         shrinking the blocks shrinks it while the event count grows."""
         from unittest import mock
 
@@ -259,6 +259,7 @@ class TestMemLedger:
             "merge_rank_truncate.out",
             "tman.rank_block",
             "tman.exchange_pool",
+            "tman.groom",
             "rps.bootstrap_keys",
             "rps.merge_block",
         )
@@ -332,13 +333,21 @@ class TestMemLedger:
         assert sites["take_rows.index"]["peak"] == 8 * n * cap
 
     def test_observer_pads_report_one_block_not_lost_times_network(self):
-        """The observers' scratch is on the ledger, and row-blocked: on
-        a 160x80 batch cell the lost-point distance block of
-        ``homogeneity`` peaks at one ``block_rows`` block, not at
-        ``lost x n``; the proximity pad likewise stays a block."""
+        """Every blocked stage's site records its block's co-live bytes,
+        and on a 160x80 batch cell none exceeds ``_COLIVE_MAX`` scratch
+        budgets — the lost-point distance block of ``homogeneity`` is
+        one ``block_rows`` block, not ``lost x n``; the topology, peer
+        sampling and proximity blocks likewise.  The merge pad alone may
+        add the last-writer table of its row floor (one row of it is
+        network-sized)."""
         from repro.experiments.scenario import prepare_scenario
         from repro.metrics.homogeneity import lost_points
-        from repro.sim.arrays import _SCRATCH_BYTES, block_rows
+        from repro.sim.arrays import (
+            _COLIVE_MAX,
+            _MIN_BLOCK_ROWS,
+            _SCRATCH_BYTES,
+            block_rows,
+        )
 
         obs_mem.reset()
         obs_mem.set_enabled(True)
@@ -356,24 +365,41 @@ class TestMemLedger:
         n = sim.network.n_alive
         lost = len(lost_points(points, sim.network.alive_nodes(), sim.placement))
         assert lost < len(points) // 2  # the failed half's, not everything
-        rows = block_rows(0, n, sim.space.dim)
+        rows = block_rows(0, n, sim.space.dim, 1)
         assert lost > 4 * rows  # several blocks' worth of lost points
         nearest = sites["homogeneity.nearest"]
         assert nearest["family"] == "observer_pads"
-        assert nearest["peak"] == 8 * rows * n
+        # The torus kernel holds three (rows, n) float blocks at once.
+        assert nearest["peak"] == 3 * 8 * rows * n
         assert 4 * nearest["peak"] < 8 * lost * n
 
-        # Peer sampling likewise: 12,800 nodes are hundreds of oracle
-        # blocks and several merge blocks a round, none above the budget.
-        for name, blocks in (("rps.bootstrap_keys", 400), ("rps.merge_block", 9)):
+        budget = _COLIVE_MAX * _SCRATCH_BYTES
+        # Peer sampling: 12,800 nodes are thousands of oracle blocks and
+        # dozens of merge blocks a round.
+        for name, blocks in (("rps.bootstrap_keys", 400), ("rps.merge_block", 90)):
             assert sites[name]["family"] == "rps_pads"
             assert sites[name]["events"] >= blocks
-            assert sites[name]["peak"] <= 2 * _SCRATCH_BYTES
+        # Topology: the groom, partner ranking and exchange pools are
+        # blocks of alive rows; the merge pad a block of receivers.
+        for name, blocks in (
+            ("tman.groom", 15), ("tman.rank_block", 45), ("tman.exchange_pool", 90),
+        ):
+            assert sites[name]["family"] == "topology_pads"
+            assert sites[name]["events"] >= blocks
+        stride = 1 + max(sim.network.nodes)
+        stages = [
+            name for name, site in sites.items()
+            if site["family"] in ("topology_pads", "rps_pads", "observer_pads")
+            and not name.endswith(".messages")
+        ]
+        assert len(stages) == 8
+        for name in stages:
+            floor = 4 * _MIN_BLOCK_ROWS * stride if name == "tman.merge_pad" else 0
+            assert sites[name]["peak"] <= budget + floor, name
 
         pad = sites["proximity.distance_pad"]
         assert pad["family"] == "observer_pads"
         assert pad["events"] > config.total_rounds  # several blocks a round
-        assert pad["peak"] <= 2 * _SCRATCH_BYTES
         assert snap["families"]["observer_pads"]["peak"] == max(
             nearest["peak"], pad["peak"]
         )
@@ -455,6 +481,29 @@ class TestMemGate:
         assert not obs_mem.ENABLED
         assert not obs_metrics.ENABLED
         assert obs_mem.is_empty()
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc")
+    def test_paper_profile_names_the_step_that_set_the_high_water(
+        self, smoke, monkeypatch, capsys
+    ):
+        tiny = dict(smoke.PAPER_MEM_CELL, width=8, height=4, failure_round=3, total_rounds=6)
+        monkeypatch.setattr(smoke, "PAPER_MEM_CELL", tiny)
+        assert smoke.mem_profile_paper(record=True) == 0
+        out = capsys.readouterr().out
+        assert "per round: VmRSS / VmHWM" in out and "round  5" in out
+        rounds = json.loads(smoke.BASELINE_PATH.read_text())["paper_memory_profile"][
+            "rounds_vm_mb"
+        ]
+        assert [r["round"] for r in rounds] == list(range(6))
+        assert all(0 < r["rss"] <= r["hwm"] for r in rounds)
+        hwm = [r["hwm"] for r in rounds]
+        assert hwm == sorted(hwm)  # a high-water mark only rises
+        names = {"rps", "tman", "polystyrene", "other"}
+        assert all(set(r["raised_by"]) <= names for r in rounds)
+
+        monkeypatch.setattr(smoke, "_status_mb", lambda: None)
+        assert smoke.mem_profile_paper(record=False) == 0
+        assert "skipped (no /proc/self/status here)" in capsys.readouterr().out
 
 
 class TestWatch:

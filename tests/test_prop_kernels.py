@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.network import Network
 from repro.spaces import Euclidean, FlatTorus, JaccardSpace, Ring
@@ -93,15 +93,18 @@ def _wrap_all(space, coords):
 
 
 @pytest.mark.parametrize("space", [FlatTorus(80.0, 40.0), FlatTorus(3.0, 5.0)], ids=repr)
-@given(data=st.data())
+@given(coords=coords_2d(max_size=10), origin=st.tuples(finite, finite))
+# A fused row dot (``np.vecdot``) skipped rounding one square here and
+# ranked the two points the other way round from every other kernel.
+@example(coords=[(0.0, 0.0), (0.0, 2.220446049250313e-16)], origin=(1.5, 1.5))
 @settings(max_examples=60, deadline=None)
-def test_torus_rank_kernels_on_canonical_coords(space, data):
+def test_torus_rank_kernels_on_canonical_coords(space, coords, origin):
     """On wrapped (canonical) coordinates the rank kernels agree with
-    the general squared kernels to the last units in the last place
-    (the row-dot may fuse multiply-adds) and produce the *identical
-    ranking* — the precondition the simulator relies on."""
-    coords = _wrap_all(space, data.draw(coords_2d(max_size=10)))
-    origin = space.wrap(data.draw(st.tuples(finite, finite)))
+    the general squared kernels to the last units in the last place and
+    produce the *identical ranking* — the precondition the simulator
+    relies on."""
+    coords = _wrap_all(space, coords)
+    origin = space.wrap(origin)
     batch = space.pack_batch(coords)
     rank_sq = space.rank_sq_block(origin, batch)
     general_sq = space.distance_sq_block(origin, batch)
