@@ -17,18 +17,19 @@ and asserts:
   slice of the full equivalence suite in
   ``tests/test_engine_equivalence.py``.
 
-An extra untimed K=4 batch run with the obs metrics enabled snapshots
-the per-kernel wall-time histograms (``kernel.*``) into the emitted
-record, so BENCH_core.json carries the kernel-level perf trajectory
-alongside the engine walls.
+An extra untimed K=4 batch run with span tracing enabled records the
+per-kernel calls and seconds (the ``kernel.*`` span totals) into the
+emitted record, so BENCH_core.json carries the kernel-level perf
+trajectory alongside the engine walls.
 """
 
 from __future__ import annotations
 
+import os
 import time
 
 from repro.experiments.scenario import ScenarioConfig, run_scenario
-from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 
 #: Regression floor asserted here; the measured numbers land in
 #: benchmarks/results/engines.json and BENCH_core.json.
@@ -54,26 +55,24 @@ def _run(engine: str, replication: int):
     return time.perf_counter() - t0, result
 
 
-def _kernel_histograms(replication: int = 4):
-    """Per-kernel wall-time histograms of one batch cell: an untimed
-    extra run with the metrics registry switched on (the timed runs
-    above stay uninstrumented), filtered to the ``kernel.*`` timers."""
-    registry = obs_metrics.registry()
-    saved = registry.snapshot()
-    registry.reset()
-    obs_metrics.set_enabled(True)
+def _kernel_totals(replication: int = 4):
+    """Per-kernel calls and seconds of one batch cell: an untimed extra
+    run with span tracing switched on (the timed runs above stay
+    uninstrumented; the spans themselves go to the null device)."""
+    obs_trace.reset_totals()
+    obs_trace.set_spans_path(os.devnull)
+    obs_trace.set_enabled(True)
     try:
         _run("batch", replication)
-        snap = registry.snapshot()
+        totals = obs_trace.totals()
     finally:
-        obs_metrics.set_enabled(False)
-        registry.reset()
-        registry.merge_snapshot(saved)
+        obs_trace.set_enabled(False)
+        obs_trace.flush()
+        obs_trace.set_spans_path(None)
+        obs_trace.reset_totals()
     return {
-        # Drop the raw reservoir ("res"): the summary stats are what
-        # the perf trajectory tracks, and BENCH_core.json stays small.
-        name: {k: v for k, v in hist.items() if k != "res"}
-        for name, hist in snap["hists"].items()
+        name: {"calls": calls, "s": secs}
+        for name, (calls, secs) in totals.items()
         if name.startswith("kernel.")
     }
 
@@ -99,7 +98,7 @@ def test_batch_vs_event_largest_fig10a_cell(benchmark, emit):
         return cells
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
-    kernel_hists = _kernel_histograms()
+    kernel_totals = _kernel_totals()
 
     lines = [
         "Engine comparison — largest reduced fig10a cell "
@@ -114,14 +113,11 @@ def test_batch_vs_event_largest_fig10a_cell(benchmark, emit):
             f"{cell['event_reliability']:.3f} vs "
             f"{cell['batch_reliability']:.3f})"
         )
-    if kernel_hists:
-        lines.append("  per-kernel wall (K=4 batch cell, obs-enabled run):")
-        for name in sorted(kernel_hists):
-            h = kernel_hists[name]
-            lines.append(
-                f"    {name}: {h['count']:.0f} calls, "
-                f"sum {h['sum']:.3f}s, p95 {h['p95'] * 1e3:.2f}ms"
-            )
+    if kernel_totals:
+        lines.append("  per-kernel wall (K=4 batch cell, traced run):")
+        for name in sorted(kernel_totals):
+            k = kernel_totals[name]
+            lines.append(f"    {name}: {k['calls']} calls, {k['s']:.3f}s")
     report = "\n".join(lines)
     emit(
         "engines",
@@ -129,7 +125,7 @@ def test_batch_vs_event_largest_fig10a_cell(benchmark, emit):
         data={
             "cells": cells,
             "min_speedup": MIN_SPEEDUP,
-            "kernel_hists": kernel_hists,
+            "kernel_totals": kernel_totals,
         },
         engine="mixed",
     )

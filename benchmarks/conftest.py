@@ -169,10 +169,10 @@ def _benchmark_timings(session) -> list:
 
 
 def _timings_metrics_record(timings: list) -> dict:
-    """The benchmark timings as one obs metrics record: ``bench.<name>``
-    histograms in the same snapshot schema the instrumented runtime
-    flushes, so ``repro obs report BENCH_core.json`` renders the
-    Benchmarks section next to any run's per-phase breakdown."""
+    """The benchmark timings as one obs metrics record carrying a stored
+    ``hists`` section of ``bench.<name>`` summaries, which ``repro obs
+    report BENCH_core.json`` renders as given in its Benchmarks
+    section."""
     from repro.obs.metrics import metrics_record
 
     hists = {}
@@ -190,14 +190,16 @@ def _timings_metrics_record(timings: list) -> dict:
             "max": mean if hi is None else hi,
             "mean": mean,
         }
-    return metrics_record(
+    record = metrics_record(
         ctx={
             "source": "benchmarks",
             "scale": get_preset().name,
             "engine": session_engine(),
         },
-        snapshot={"counters": {}, "gauges": {}, "hists": hists},
+        snapshot={"counters": {}},
     )
+    record["hists"] = hists
+    return record
 
 
 def pytest_sessionfinish(session, exitstatus):

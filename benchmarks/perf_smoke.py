@@ -345,10 +345,10 @@ def obs_gate(threshold: float, repeats: int = 5) -> int:
     they are one global-check function call per exchange.
 
     The instrumented side carries *both* disabled fast paths: the
-    metrics checks and the span-tracing checks (``obs.trace.ENABLED``
-    in ``Simulation.step``, per layer, and inside every ``@timed``
-    kernel wrapper), so this single budget covers the whole
-    observability surface.
+    counter checks and the span-tracing checks (``obs.trace.ENABLED``
+    in ``Simulation.step``, per layer, around the observers and inside
+    every ``@timed`` kernel wrapper), so this single budget covers the
+    whole observability surface.
     """
     from repro.obs import metrics as obs_metrics
     from repro.obs import trace as obs_trace
@@ -394,13 +394,10 @@ def obs_gate(threshold: float, repeats: int = 5) -> int:
 
 
 def _run_with_ledger(cell: dict, watch=None) -> dict:
-    """Run one batch cell with the memory ledger (and metrics, which
-    drive its round stamps) enabled, and return the ledger snapshot."""
+    """Run one batch cell with the memory ledger enabled, and return the
+    ledger snapshot."""
     from repro.obs import mem as obs_mem
-    from repro.obs import metrics as obs_metrics
 
-    was_metrics = obs_metrics.ENABLED
-    obs_metrics.set_enabled(True)
     obs_mem.reset()
     obs_mem.set_enabled(True)
     try:
@@ -409,8 +406,6 @@ def _run_with_ledger(cell: dict, watch=None) -> dict:
     finally:
         obs_mem.set_enabled(False)
         obs_mem.reset()
-        obs_metrics.set_enabled(was_metrics)
-        obs_metrics.registry().reset()
     snap["wall_s"] = wall
     return snap
 

@@ -82,15 +82,15 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="run directory for observability artifacts "
-        "(obs/events.jsonl, obs/metrics.jsonl, obs/profile.json); "
-        "setting it enables metrics collection",
+        "(obs/events.jsonl, metrics.jsonl, spans.jsonl, series.jsonl, "
+        "mem.json, profile.json); setting it enables every stream",
     )
     obs_options.add_argument(
         "--profile",
         action="store_true",
-        help="profile the run (cProfile + per-round phase timing + peak "
-        "RSS / ledger-tracked bytes) and write obs/profile.json under "
-        "--obs-dir (default: ./obs/)",
+        help="profile the run (cProfile + peak RSS / ledger-tracked "
+        "bytes + counters) and write obs/profile.json under --obs-dir "
+        "(default: ./obs/)",
     )
 
     # How a grid runs — shared by run/sweep/eval, read back with
@@ -536,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs_report = obs_sub.add_parser(
         "report",
-        help="aggregate per-phase/per-kernel timings (with percentile "
-        "columns), counters, and gauges",
+        help="one timing row per span name (exact percentiles over "
+        "every duration) and the run's counters",
     )
     obs_report.add_argument("target", help=target_help)
     obs_report.add_argument(
@@ -545,8 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="fmt",
         choices=("table", "json"),
         default="table",
-        help="table: aligned text tables (default); json: the merged "
-        "snapshot as one machine-readable JSON object",
+        help="table: aligned text tables (default); json: the counters "
+        "and timing rows as one machine-readable JSON object",
     )
 
     obs_series = obs_sub.add_parser(
@@ -665,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs_diff = obs_sub.add_parser(
         "diff",
-        help="compare two runs' timing histograms (metrics + spans) "
+        help="compare two runs' per-span-name timings (exact mean/p95) "
         "with noise floors",
     )
     obs_diff.add_argument("baseline", help=f"baseline run: {target_help}")
@@ -673,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_diff.add_argument(
         "--gate",
         action="store_true",
-        help="exit nonzero when any histogram regresses past the "
+        help="exit nonzero when any timing row regresses past the "
         "threshold (CI regression gate)",
     )
     obs_diff.add_argument(
@@ -689,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="S",
-        help="ignore histograms whose baseline total is under this "
+        help="ignore timing rows whose baseline total is under this "
         "many seconds (default 0.02)",
     )
     return parser

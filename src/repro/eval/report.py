@@ -3,7 +3,7 @@
 :func:`score_run` turns an :class:`~repro.eval.runner.EvalRunData` into
 :class:`ClaimScore` verdicts; :func:`build_report` packages them — with
 run provenance (git revision, cache hits, wall clock) and the run's
-observability snapshot (the same counters/histograms schema
+observability counters (the same snapshot schema
 ``repro obs report`` aggregates) — into a machine-readable dict written
 as JSON; :func:`format_report` renders the human table; and
 :func:`gate_exit` is the CI contract: 0 only when no claim failed.
@@ -92,9 +92,8 @@ def build_report(
         },
         "claims": [score.to_dict() for score in scores],
     }
-    # The run's metrics snapshot rides along in the repro.obs schema
-    # (counters/gauges/histograms), so `repro obs report` tooling and
-    # the eval report agree on what timings mean.
+    # The run's counters ride along in the repro.obs snapshot schema,
+    # so `repro obs report` renders the eval report's section as is.
     snapshot = obs_metrics.registry().snapshot()
     if snapshot:
         report["metrics"] = snapshot

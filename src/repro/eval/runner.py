@@ -22,6 +22,7 @@ from ..errors import ReproError
 from ..experiments.scenario import ScenarioConfig
 from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
+from ..obs import trace as obs_trace
 from ..runtime.dispatch import ExecOptions, execute_scenarios
 from ..runtime.store import ResultStore, cell_record, config_hash
 from .dataset import ClaimCase
@@ -99,70 +100,70 @@ def run_cases(
     diagnosis instead of the gate crashing.
     """
     started = time.perf_counter()
-    options = ExecOptions(workers=workers, fork=fork, queue=queue)
-    say = log or (lambda message: None)
-    plan = case_plan(cases, engine)
-    index = _store_index(store)
+    with obs_trace.span("eval.run"):
+        options = ExecOptions(workers=workers, fork=fork, queue=queue)
+        say = log or (lambda message: None)
+        plan = case_plan(cases, engine)
+        index = _store_index(store)
 
-    # One deduped work list per engine: cases share configurations
-    # (Table II's K=4 column *is* the Fig. 6 scenario), and a config
-    # already in the store is a cache hit.
-    todo: Dict[str, Dict[str, ScenarioConfig]] = {}
-    cached = 0
-    for case, eng in plan:
-        for _, config in case.configs(eng):
-            chash = config_hash(config)
-            if chash in index:
-                cached += 1
-            else:
-                todo.setdefault(eng, {})[chash] = config
-    data = EvalRunData(run_id=None, cached=cached)
+        # One deduped work list per engine: cases share configurations
+        # (Table II's K=4 column *is* the Fig. 6 scenario), and a config
+        # already in the store is a cache hit.
+        todo: Dict[str, Dict[str, ScenarioConfig]] = {}
+        cached = 0
+        for case, eng in plan:
+            for _, config in case.configs(eng):
+                chash = config_hash(config)
+                if chash in index:
+                    cached += 1
+                else:
+                    todo.setdefault(eng, {})[chash] = config
+        data = EvalRunData(run_id=None, cached=cached)
 
-    run_id: Optional[str] = None
-    for eng in sorted(todo):
-        configs = list(todo[eng].values())
-        say(
-            f"engine {eng}: executing {len(configs)} uncached "
-            f"configuration(s)"
-        )
-        obs_log.info("eval.execute", engine=eng, n_configs=len(configs))
-        try:
-            with obs_metrics.timer("eval.execute"):
-                results = execute_scenarios(configs, options)
-        except ReproError as exc:
-            data.run_errors.append(f"engine {eng}: {exc}")
-            obs_log.error("eval.execute_failed", engine=eng, error=str(exc))
-            say(f"engine {eng}: execution failed: {exc}")
-            continue
-        if run_id is None and results:
-            run_id = store.open_run(
-                metadata=dict(metadata or {}, kind="eval")
+        run_id: Optional[str] = None
+        for eng in sorted(todo):
+            configs = list(todo[eng].values())
+            say(
+                f"engine {eng}: executing {len(configs)} uncached "
+                f"configuration(s)"
             )
-        for config, result in zip(configs, results):
-            chash = config_hash(config)
-            record = cell_record(
-                run_id,
-                f"eval/{chash[:12]}",
-                config,
-                status="ok",
-                result=result,
-            )
-            store.append_record(record)
-            index[chash] = record
-            data.executed += 1
-        obs_metrics.count("eval.cells_executed", len(results))
+            obs_log.info("eval.execute", engine=eng, n_configs=len(configs))
+            try:
+                with obs_trace.span("eval.execute", engine=eng):
+                    results = execute_scenarios(configs, options)
+            except ReproError as exc:
+                data.run_errors.append(f"engine {eng}: {exc}")
+                obs_log.error("eval.execute_failed", engine=eng, error=str(exc))
+                say(f"engine {eng}: execution failed: {exc}")
+                continue
+            if run_id is None and results:
+                run_id = store.open_run(
+                    metadata=dict(metadata or {}, kind="eval")
+                )
+            for config, result in zip(configs, results):
+                chash = config_hash(config)
+                record = cell_record(
+                    run_id,
+                    f"eval/{chash[:12]}",
+                    config,
+                    status="ok",
+                    result=result,
+                )
+                store.append_record(record)
+                index[chash] = record
+                data.executed += 1
+            obs_metrics.count("eval.cells_executed", len(results))
 
-    data.run_id = run_id
-    # Hand each (case, engine) its stored cells, content-addressed.
-    for case, eng in plan:
-        records = [
-            index[config_hash(config)]
-            for _, config in case.configs(eng)
-            if config_hash(config) in index
-        ]
-        data.cells[(case.case_id, eng)] = group_cells(case, eng, records)
+        data.run_id = run_id
+        # Hand each (case, engine) its stored cells, content-addressed.
+        for case, eng in plan:
+            records = [
+                index[config_hash(config)]
+                for _, config in case.configs(eng)
+                if config_hash(config) in index
+            ]
+            data.cells[(case.case_id, eng)] = group_cells(case, eng, records)
     data.duration_s = time.perf_counter() - started
-    obs_metrics.observe("eval.run.wall", data.duration_s)
     return data
 
 

@@ -307,7 +307,7 @@ def _reinjection_positions(config: ScenarioConfig, count: int) -> List[Coord]:
 class SeriesHealthProbe:
     """Observer computing the domain health probes — homogeneity,
     proximity, holder multiplicity — every
-    :func:`repro.obs.series.probe_every` rounds and staging them for
+    :data:`repro.obs.series.PROBE_EVERY` rounds and staging them for
     that round's series record (:func:`repro.obs.series.note_probes`).
 
     Pure reads, no RNG draws, observers are outside ``state_digest`` —
@@ -324,7 +324,7 @@ class SeriesHealthProbe:
         self.k_proximity = k_proximity
 
     def on_round_end(self, sim) -> None:
-        if not obs_series.ENABLED or sim.round % obs_series.probe_every():
+        if not obs_series.ENABLED or sim.round % obs_series.PROBE_EVERY:
             return
         alive = sim.network.alive_nodes()
         if not alive or not self.points:

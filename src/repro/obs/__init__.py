@@ -7,19 +7,19 @@ Cooperating pieces, all stdlib-only:
   rule, failure policy, the ``<run>/obs/<name>`` convention).
 * :mod:`repro.obs.log` — structured JSONL event logging with bound
   run/worker/cell context (``obs.log.info("queue.claim", task=...)``).
-* :mod:`repro.obs.metrics` — a process-wide registry of counters,
-  gauges, and histograms with timer context managers, instrumented at
-  the hot seams of both engines and the cluster runtime, flushed as
-  JSONL lines.
+* :mod:`repro.obs.metrics` — a process-wide registry of counters
+  (rounds, messages, exchanges, cache hits, queue claims), flushed as
+  one JSONL line per cell.
 * :mod:`repro.obs.profiling` — ``--profile`` support: cProfile + peak
   RSS + the ledger's peak tracked bytes → ``obs/profile.json``.
-* :mod:`repro.obs.trace` — causal spans with cross-process parent
-  propagation, emitted to ``obs/spans.jsonl``; the ``repro obs trace``
-  / ``export`` / ``diff`` analysis surfaces read them back.
+* :mod:`repro.obs.trace` — the one timing record: causal spans with
+  cross-process parent propagation, emitted to ``obs/spans.jsonl``
+  (``@timed`` kernels included); ``repro obs trace`` / ``report`` /
+  ``export`` / ``diff`` read them back and compute exact percentiles.
 * :mod:`repro.obs.series` — one compact record per simulation round
-  (wall/layer/kernel time, message/exchange/SPLIT counts, node counts,
-  periodic health probes) in ``obs/series.jsonl``; ``repro obs
-  series`` / ``watch`` read it back.
+  (the round's span walls, kernel seconds, message/exchange counts,
+  node counts, health probes every 10 rounds) in
+  ``obs/series.jsonl``; ``repro obs series`` / ``watch`` read it back.
 * :mod:`repro.obs.mem` — a byte ledger at the allocation chokepoints
   (table/view growth, padded kernel buffers, checkpoint blobs) feeding
   per-family bytes into the series and a peak-attribution snapshot
@@ -34,18 +34,14 @@ processes — under fork *or* spawn — and cluster workers inherit it:
                           ``error`` (unset/``off`` = silent)
 ``REPRO_OBS_DIR``         run directory; artifacts land in ``<dir>/obs/``
                           (``events.jsonl``, ``metrics.jsonl``,
-                          ``profile.json``).  Setting it enables metrics.
-``REPRO_OBS``             ``1`` forces metrics collection on even with no
-                          obs dir (snapshots only, nothing written)
+                          ``spans.jsonl``, ``series.jsonl``, ``mem.json``,
+                          ``profile.json``).  Setting it enables every
+                          stream.
 ``REPRO_PROFILE``         ``1`` arms the profiler (cProfile + peak memory)
-                          in every process of the run
+                          in every process of the run; counters follow it
 ``REPRO_TRACE_CTX``       ``<trace_id>:<span_id>`` — the parent span a
                           child process's spans attach under, so a
                           distributed sweep stitches into one trace tree
-``REPRO_OBS_RESERVOIR``   histogram percentile reservoir size (default
-                          64; must be >= 1)
-``REPRO_OBS_SERIES_EVERY``  rounds between domain health probes in the
-                          per-round series (default 10; must be >= 1)
 ========================  ====================================================
 
 Everything is off by default: no files are written, and the
@@ -65,7 +61,6 @@ from . import log, mem, metrics, profiling, series, stream, trace
 
 ENV_LOG = "REPRO_LOG"
 ENV_OBS_DIR = "REPRO_OBS_DIR"
-ENV_OBS = "REPRO_OBS"
 ENV_PROFILE = "REPRO_PROFILE"
 
 #: The configured run directory (``None`` = no artifacts).
@@ -88,7 +83,6 @@ def configure(
     log_level: Optional[str] = None,
     dir: Optional[Union[str, Path]] = None,
     profile: Optional[bool] = None,
-    enable_metrics: Optional[bool] = None,
     export_env: bool = True,
 ) -> None:
     """Apply observability settings for this process (and, via env vars,
@@ -116,13 +110,9 @@ def configure(
         profiling.set_active(bool(profile))
         if export_env:
             os.environ[ENV_PROFILE] = "1" if profile else ""
-    if enable_metrics is not None:
-        metrics.set_enabled(bool(enable_metrics))
-        if export_env:
-            os.environ[ENV_OBS] = "1" if enable_metrics else ""
-    # Metrics collection follows any sink or profiler unless explicitly
-    # forced: an obs dir or an armed profiler needs numbers to report.
-    if enable_metrics is None and (_RUN_DIR is not None or profiling.ACTIVE):
+    # Counting follows any sink or profiler: an obs dir or an armed
+    # profiler needs numbers to report.
+    if _RUN_DIR is not None or profiling.ACTIVE:
         metrics.set_enabled(True)
 
 
@@ -135,12 +125,10 @@ def configure_from_env(environ: Optional[Dict[str, str]] = None) -> None:
     level = env.get(ENV_LOG)
     dir_ = env.get(ENV_OBS_DIR)
     profile = env.get(ENV_PROFILE)
-    force = env.get(ENV_OBS)
     configure(
         log_level=level if level else None,
         dir=dir_ if dir_ else None,
         profile=bool(profile) if profile else None,
-        enable_metrics=True if force else None,
         export_env=False,
     )
     # Spawn-mode children re-join the parent's trace through the
@@ -152,10 +140,11 @@ def configure_from_env(environ: Optional[Dict[str, str]] = None) -> None:
 
 def reset_for_cell(**ctx: Any):
     """Start a fresh per-cell metrics scope in a worker process: clears
-    the registry, series delta baselines, and memory ledger, and binds
-    the cell's identity into the log context.  Returns the
-    (token-restoring) log binding."""
+    the registry, the kernel-span totals, series delta baselines, and
+    memory ledger, and binds the cell's identity into the log context.
+    Returns the (token-restoring) log binding."""
     metrics.registry().reset()
+    trace.reset_totals()
     series.reset_cell()
     mem.reset()
     return log.bind(**ctx)

@@ -3,8 +3,10 @@
 ``--profile`` (or ``REPRO_PROFILE=1``) arms a :class:`Profiler` around a
 run: the whole run executes under :mod:`cProfile`, and at the end
 everything — hot functions, peak RSS, the byte ledger's peak tracked
-bytes (:mod:`repro.obs.mem`), and the metrics registry's
-per-phase/per-kernel histograms — lands in one ``obs/profile.json``.
+bytes (:mod:`repro.obs.mem`), and the metrics registry's counters —
+lands in one ``obs/profile.json``.  Timings are not repeated here: the
+run's spans (``obs/spans.jsonl``, written whenever an obs dir is set,
+as ``--profile`` always arranges) are its one timing record.
 
 Profiling is read-only: it draws no RNG and mutates no state, so a
 profiled run's trajectory and golden digests are bit-identical to an
@@ -23,7 +25,7 @@ from typing import Any, Dict, Optional, Union
 from . import mem, metrics
 
 #: Whether a profiler is armed for this process (set by
-#: :func:`repro.obs.configure`, which turns metrics collection on with it).
+#: :func:`repro.obs.configure`, which turns counting on with it).
 ACTIVE = False
 
 
@@ -75,8 +77,7 @@ class Profiler:
         wall_s: Optional[float] = None,
     ) -> Dict[str, Any]:
         """Stop (if still running) and write ``profile.json``: context,
-        wall time, peak memory, hot functions, and the full metrics
-        snapshot (per-phase/per-kernel histograms included)."""
+        wall time, peak memory, hot functions, and the counters."""
         if self._t0 is not None and wall_s is None:
             wall_s = self.stop()
         snap = metrics.registry().snapshot()

@@ -1,16 +1,17 @@
 """Reading and rendering observability artifacts.
 
-``repro obs report <run-dir>`` aggregates every metrics line a run
+``repro obs report <run-dir>`` adds up every metrics line a run
 flushed (sequential runs flush once, parallel/distributed runs flush
-one line per cell per worker) into one registry, then renders the
-per-phase / per-kernel / counter breakdown as aligned text tables.
-``repro obs tail`` pretty-prints the last N lines of an
-``events.jsonl`` / ``metrics.jsonl`` / ``spans.jsonl`` stream, and
-``--follow`` turns that into a poll-based tail -f
-(:func:`follow_stream`).  ``repro obs diff A B`` compares two runs'
-aggregated timing histograms — metrics and per-span-name durations —
-with noise floors, and with ``--gate`` turns regressions into a
-nonzero exit (:func:`diff_runs`).
+one line per cell per worker) and renders the counters next to one
+timing row per span name — count, total, mean, p50/p95, min, max,
+computed exactly from every duration in ``spans.jsonl``
+(:func:`timing_rows`); a stored ``hists`` section (``BENCH_core.json``'s
+``bench.*`` rows) is rendered as given.  ``repro obs export --format
+prometheus`` exposes the same rows, and ``repro obs diff A B`` compares
+them across two runs with noise floors, turning regressions into a
+nonzero exit with ``--gate`` (:func:`diff_runs`).  ``repro obs tail``
+pretty-prints the last N records of a stream, and ``--follow`` turns
+that into a poll-based tail -f (:func:`follow_stream`).
 
 Streams are found and read through :mod:`repro.obs.stream` (its
 torn-tail rule: a line that does not parse is skipped, never an error).
@@ -19,7 +20,9 @@ torn-tail rule: a line that does not parse is skipped, never an error).
 from __future__ import annotations
 
 import json
+import math
 import time
+from collections import deque
 from pathlib import Path
 from typing import (
     Any,
@@ -33,32 +36,17 @@ from typing import (
 )
 
 from ..viz.tables import format_table
-from . import series as _series
 from . import stream as _stream
 from . import trace as _trace
-from .metrics import MetricsRegistry, _percentile
+from .metrics import MetricsRegistry
 
-#: Histogram-name prefixes rendered as their own report sections, in
-#: display order.  Everything instrumented in-tree uses one of these.
+#: Timing-row name prefixes rendered as their own report sections, in
+#: display order; a row matching none lands under "Other distributions".
 SECTIONS = (
-    ("round.", "Per-round phases"),
-    ("kernel.", "Kernels"),
-    ("queue.", "Queue operations"),
-    ("cell.", "Cells"),
+    ("span.kernel.", "Kernels"),
+    ("span.", "Spans"),
     ("bench.", "Benchmarks"),
 )
-
-
-def resolve_metrics_path(target: Union[str, Path]) -> Optional[Path]:
-    return _stream.resolve(target, "metrics.jsonl")
-
-
-def resolve_events_path(target: Union[str, Path]) -> Optional[Path]:
-    return _stream.resolve(target, "events.jsonl")
-
-
-def load_jsonl(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    return list(_stream.read(path))
 
 
 def load_metrics_records(target: Union[str, Path]) -> List[Dict[str, Any]]:
@@ -80,20 +68,52 @@ def load_metrics_records(target: Union[str, Path]) -> List[Dict[str, Any]]:
     return out
 
 
-def aggregate(records: Iterable[Dict[str, Any]]) -> MetricsRegistry:
-    """Fold many metrics records into one registry (counters add,
-    gauges keep the max, histograms merge)."""
+def aggregate(records: Iterable[Dict[str, Any]]) -> Dict[str, float]:
+    """The counters of many metrics records, added up."""
     registry = MetricsRegistry()
     for record in records:
         registry.merge_snapshot(record)
-    return registry
+    return registry.snapshot()["counters"]
+
+
+def _percentile(sorted_values: List[float], q: float) -> float:
+    """Nearest-rank percentile of an ascending-sorted sample."""
+    rank = int(math.ceil(q * len(sorted_values)))
+    return sorted_values[min(len(sorted_values), max(1, rank)) - 1]
+
+
+def _exact_hist(values: List[float]) -> Dict[str, float]:
+    """Summary stats with exact percentiles from a full sample list."""
+    sample = sorted(values)
+    return {
+        "count": len(values),
+        "sum": sum(values),
+        "mean": sum(values) / len(values),
+        "min": sample[0],
+        "max": sample[-1],
+        "p50": _percentile(sample, 0.50),
+        "p95": _percentile(sample, 0.95),
+        "p99": _percentile(sample, 0.99),
+    }
+
+
+def timing_rows(
+    target: Union[str, Path], records: Iterable[Dict[str, Any]] = ()
+) -> Dict[str, Dict[str, float]]:
+    """A run's timing rows: :func:`_exact_hist` of every duration of
+    each span name (``span.<name>``), plus any stored ``hists`` section
+    the metrics ``records`` carry, as given."""
+    hists: Dict[str, Dict[str, float]] = {}
+    for record in records:
+        hists.update(record.get("hists") or {})
+    for name, durs in _trace.span_histograms(target).items():
+        hists[name] = _exact_hist(durs)
+    return hists
 
 
 def _hist_rows(hists: Dict[str, Dict[str, float]], prefix: str) -> List[List]:
     rows = []
     for name in sorted(hists):
-        if not name.startswith(prefix):
-            continue
         h = hists[name]
         rows.append(
             [
@@ -113,68 +133,51 @@ def _hist_rows(hists: Dict[str, Dict[str, float]], prefix: str) -> List[List]:
 
 
 def build_report(target: Union[str, Path]) -> Dict[str, Any]:
-    """The aggregated report as data: one merged metrics snapshot over
-    every record the run flushed, plus the record count — the machine
-    half of ``repro obs report`` (``--format json`` emits this)."""
+    """The report as data: the counters of every metrics record the run
+    flushed, added up, the record count, and the run's timing rows
+    (:func:`timing_rows`) — the machine half of ``repro obs report``
+    (``--format json`` emits this)."""
     records = load_metrics_records(target)
-    snap = aggregate(records).snapshot()
     return {
         "kind": "report",
         "target": str(target),
         "records": len(records),
-        "counters": snap["counters"],
-        "gauges": snap["gauges"],
-        "hists": snap["hists"],
+        "counters": aggregate(records),
+        "hists": timing_rows(target, records),
     }
 
 
 def format_report(target: Union[str, Path]) -> str:
-    """The full per-phase/per-kernel breakdown for a run directory."""
-    records = load_metrics_records(target)
-    if not records:
+    """The report as aligned text tables: the timing rows by section
+    (largest total first), then the counters."""
+    report = build_report(target)
+    if not report["records"]:
         return f"no metrics records found under {target}"
-    snap = aggregate(records).snapshot()
-    hists = snap["hists"]
-    chunks: List[str] = [f"observability report: {target} ({len(records)} metrics record(s))"]
-    claimed = set()
-    for prefix, title in SECTIONS:
-        rows = _hist_rows(hists, prefix)
-        if not rows:
+    chunks: List[str] = [
+        f"observability report: {target} ({report['records']} metrics record(s))"
+    ]
+    rest = report["hists"]
+    for prefix, title in SECTIONS + (("", "Other distributions"),):
+        section = {n: h for n, h in rest.items() if n.startswith(prefix)}
+        if not section:
             continue
-        claimed.update(n for n in hists if n.startswith(prefix))
+        rest = {n: h for n, h in rest.items() if n not in section}
+        unit = "_s" if prefix else ""
         chunks.append(
             format_table(
-                [
-                    "name", "count", "total_s", "mean_s",
-                    "p50_s", "p95_s", "min_s", "max_s",
-                ],
-                rows,
+                ["name", "count"]
+                + [f"{col}{unit}" for col in ("total", "mean", "p50", "p95", "min", "max")],
+                _hist_rows(section, prefix),
                 title=title,
             )
         )
-    other = {n: h for n, h in hists.items() if n not in claimed}
-    if other:
-        chunks.append(
-            format_table(
-                ["name", "count", "total", "mean", "p50", "p95", "min", "max"],
-                _hist_rows(other, ""),
-                title="Other distributions",
-            )
-        )
-    if snap["counters"]:
+    counters = report["counters"]
+    if counters:
         chunks.append(
             format_table(
                 ["counter", "value"],
-                [[name, snap["counters"][name]] for name in sorted(snap["counters"])],
+                [[name, counters[name]] for name in sorted(counters)],
                 title="Counters",
-            )
-        )
-    if snap["gauges"]:
-        chunks.append(
-            format_table(
-                ["gauge", "value"],
-                [[name, snap["gauges"][name]] for name in sorted(snap["gauges"])],
-                title="Gauges",
             )
         )
     return "\n\n".join(chunks)
@@ -189,8 +192,7 @@ def format_record(record: Dict[str, Any]) -> str:
         ctx_str = " ".join(f"{k}={v}" for k, v in sorted(ctx.items()))
         return (
             f"{ts} metrics {ctx_str} "
-            f"({len(record.get('counters') or {})} counters, "
-            f"{len(record.get('hists') or {})} hists)"
+            f"({len(record.get('counters') or {})} counters)"
         )
     if record.get("kind") == "series":
         nodes = record.get("nodes") or {}
@@ -199,8 +201,9 @@ def format_record(record: Dict[str, Any]) -> str:
             extras.append(f"live={nodes['live']}")
         if nodes.get("pruned"):
             extras.append(f"pruned={nodes['pruned']}")
-        if record.get("splits"):
-            extras.append(f"splits={record['splits']}")
+        migration = (record.get("exchanges") or {}).get("migration")
+        if migration:
+            extras.append(f"migration={migration:g}")
         for name, value in sorted((record.get("probes") or {}).items()):
             extras.append(f"{name}={value:.4g}")
         ctx = record.get("ctx") or {}
@@ -234,11 +237,11 @@ def format_tail(
     target: Union[str, Path], lines: int = 20, stream: str = "events"
 ) -> str:
     """The last ``lines`` records of a run's event/metrics/span stream,
-    one compact line each."""
+    one compact line each (only those records are ever held)."""
     path = _stream.resolve(target, f"{stream}.jsonl")
     if path is None:
         return f"no {stream} stream found under {target}"
-    records = list(_stream.read(path))[-max(1, lines):]
+    records = deque(_stream.read(path), maxlen=max(1, lines))
     if not records:
         return f"{path}: empty"
     out = [f"{path} (last {len(records)} of stream)"]
@@ -306,36 +309,14 @@ DIFF_MIN_TOTAL_S = 0.02
 
 
 def _diff_hists(target: Union[str, Path]) -> Dict[str, Dict[str, float]]:
-    """A run's diffable timing histograms: every aggregated metrics
-    histogram, plus one ``span.<name>`` histogram per span name (exact
-    percentiles — computed from the full duration list, not a
-    reservoir).  Either source may be absent; both absent is an error.
-    """
-    hists: Dict[str, Dict[str, float]] = {}
-    found = False
+    """A run's diffable timing rows (:func:`timing_rows`); raises when
+    the run has neither metrics nor spans."""
     try:
         records = load_metrics_records(target)
     except FileNotFoundError:
         records = []
-    if records:
-        found = True
-        hists.update(aggregate(records).snapshot()["hists"])
-    span_durs = _trace.span_histograms(target)
-    if span_durs:
-        found = True
-    for name, durs in span_durs.items():
-        hists[name] = _exact_hist(durs)
-    # Series-derived per-round wall time: exact (every round sampled,
-    # not a reservoir).  Only diffed when BOTH runs carry series —
-    # diff_runs drops and footnotes the one-sided case.
-    try:
-        walls = _series.round_wall_values(target)
-    except FileNotFoundError:
-        walls = []
-    if walls:
-        found = True
-        hists["series.round_wall"] = _exact_hist(walls)
-    if not found:
+    hists = timing_rows(target, records)
+    if not records and not hists:
         raise FileNotFoundError(
             f"no obs data found under {target} "
             "(expected obs/metrics.jsonl and/or obs/spans.jsonl)"
@@ -343,26 +324,12 @@ def _diff_hists(target: Union[str, Path]) -> Dict[str, Dict[str, float]]:
     return hists
 
 
-def _exact_hist(values: List[float]) -> Dict[str, float]:
-    """Summary stats with exact percentiles from a full sample list."""
-    sample = sorted(values)
-    return {
-        "count": len(values),
-        "sum": sum(values),
-        "mean": sum(values) / len(values),
-        "min": sample[0],
-        "max": sample[-1],
-        "p50": _percentile(sample, 0.50),
-        "p95": _percentile(sample, 0.95),
-    }
-
-
 def _diff_counters(target: Union[str, Path]) -> Dict[str, float]:
     try:
         records = load_metrics_records(target)
     except FileNotFoundError:
         return {}
-    return aggregate(records).snapshot()["counters"]
+    return aggregate(records)
 
 
 def diff_runs(
@@ -373,26 +340,17 @@ def diff_runs(
 ) -> Dict[str, Any]:
     """Compare run ``b`` (candidate) against run ``a`` (baseline).
 
-    For every timing histogram present in both runs, the relative mean
-    and p95 deltas are computed; a histogram *regresses* when either
-    grows by more than ``threshold`` **and** its baseline total clears
-    the ``min_total_s`` noise floor.  Percentile deltas only count when
-    both sides actually have a percentile estimate (older baselines
-    don't).  Counter differences are reported but never gated — counts
-    like ``checkpoint.hit``/``miss`` legitimately differ between cold
-    and warm runs.
+    For every timing row present in both runs (one per span name), the
+    relative mean and p95 deltas are computed; a row *regresses* when
+    either grows by more than ``threshold`` **and** its baseline total
+    clears the ``min_total_s`` noise floor.  Percentile deltas only
+    count when both sides actually have a percentile (stored benchmark
+    rows don't).  Counter differences are reported but never gated —
+    counts like ``checkpoint.hit``/``miss`` legitimately differ between
+    cold and warm runs.
     """
     hists_a = _diff_hists(a)
     hists_b = _diff_hists(b)
-    notes: List[str] = []
-    if ("series.round_wall" in hists_a) != ("series.round_wall" in hists_b):
-        side = "baseline" if "series.round_wall" in hists_a else "candidate"
-        notes.append(
-            f"series.jsonl present only in the {side} run — series-derived "
-            "per-round wall time not diffed (informational)"
-        )
-        hists_a.pop("series.round_wall", None)
-        hists_b.pop("series.round_wall", None)
     rows: List[Dict[str, Any]] = []
     for name in sorted(set(hists_a) & set(hists_b)):
         ha, hb = hists_a[name], hists_b[name]
@@ -436,7 +394,6 @@ def diff_runs(
         "regressions": [r for r in rows if r["regressed"]],
         "improvements": [r for r in rows if r["improved"]],
         "counters": counter_rows,
-        "notes": notes,
     }
 
 
@@ -449,7 +406,6 @@ def format_diff(diff: Dict[str, Any]) -> str:
     ]
     rows = diff["rows"]
     if not rows:
-        out.extend(f"note: {n}" for n in diff.get("notes") or [])
         out.append("no timing histograms shared by both runs")
         return "\n".join(out)
     table = [
@@ -484,8 +440,6 @@ def format_diff(diff: Dict[str, Any]) -> str:
                 title="Counter differences (informational, never gated)",
             )
         )
-    for note in diff.get("notes") or []:
-        out.append(f"note: {note}")
     n_reg = len(diff["regressions"])
     out.append(
         f"{n_reg} regression(s), {len(diff['improvements'])} improvement(s) "
@@ -497,46 +451,21 @@ def format_diff(diff: Dict[str, Any]) -> str:
 def write_scaled_copy(
     src: Union[str, Path], dst: Union[str, Path], factor: float
 ) -> Path:
-    """Write a copy of a run's obs data with every timing scaled by
-    ``factor`` — the synthetic-regression fixture the CI diff leg (and
-    the tests) check the ``--gate`` path against.  Returns the new run
-    directory."""
+    """Write a copy of the two streams ``repro obs diff`` reads — the
+    metrics lines as they are, every span duration scaled by ``factor``
+    — the synthetic-regression fixture the CI diff leg (and the tests)
+    check the ``--gate`` path against.  Returns the new run directory."""
     dst = Path(dst)
     obs_dst = dst / "obs"
     obs_dst.mkdir(parents=True, exist_ok=True)
-
-    def scale_metrics(record: Dict[str, Any]) -> None:
-        for hist in (record.get("hists") or {}).values():
-            for key in ("sum", "min", "max", "mean", "p50", "p95", "p99"):
-                if key in hist:
-                    hist[key] = float(hist[key]) * factor
-            if hist.get("res"):
-                hist["res"] = [float(v) * factor for v in hist["res"]]
-
-    def scale_span(record: Dict[str, Any]) -> None:
-        if "dur" in record:
-            record["dur"] = float(record["dur"]) * factor
-
-    def scale_series(record: Dict[str, Any]) -> None:
-        if "wall_s" in record:
-            record["wall_s"] = float(record["wall_s"]) * factor
-        for section in ("layers", "kernels"):
-            if isinstance(record.get(section), dict):
-                record[section] = {
-                    k: float(v) * factor for k, v in record[section].items()
-                }
-
-    for name, scale in (
-        ("metrics.jsonl", scale_metrics),
-        ("spans.jsonl", scale_span),
-        ("series.jsonl", scale_series),
-    ):
+    for name in ("metrics.jsonl", "spans.jsonl"):
         path = _stream.resolve(src, name)
         if path is None or path.suffix == ".json":
             continue
         lines = []
         for record in _stream.read(path):
-            scale(record)
+            if "dur" in record:
+                record["dur"] = float(record["dur"]) * factor
             lines.append(_stream.encode(record))
         (obs_dst / name).write_text(
             "\n".join(lines) + "\n" if lines else "", encoding="utf8"
@@ -553,37 +482,38 @@ def _prom_name(name: str) -> str:
     return f"_{out}" if out and out[0].isdigit() else out
 
 
-#: Histogram percentile field → Prometheus quantile label value.
+#: Timing-row percentile field → Prometheus quantile label value.
 _PROM_QUANTILES = (("p50", "0.5"), ("p95", "0.95"), ("p99", "0.99"))
 
 
+def _prom_value(value: float) -> str:
+    """A sample value, exactly: integral values without a fraction,
+    others as their round-tripping repr."""
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
+
+
 def format_prometheus(target: Union[str, Path]) -> str:
-    """The run's aggregated metrics in Prometheus text exposition
-    format (0.0.4): counters as ``repro_<name>_total``, gauges as
-    ``repro_<name>``, histograms as summaries (quantile series plus
+    """The run's counters and timing rows in Prometheus text exposition
+    format (0.0.4): counters as ``repro_<name>_total``, timing rows
+    (:func:`timing_rows`) as summaries (quantile series plus
     ``_count``/``_sum``).  ``repro obs export --format prometheus``
     writes this — drop it in a node_exporter textfile-collector
     directory and it scrapes as-is."""
-    records = load_metrics_records(target)
-    snap = aggregate(records).snapshot()
+    report = build_report(target)
     lines: List[str] = []
-    for name in sorted(snap["counters"]):
+    for name, value in sorted(report["counters"].items()):
         metric = f"repro_{_prom_name(name)}_total"
         lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {float(snap['counters'][name]):g}")
-    for name in sorted(snap["gauges"]):
-        metric = f"repro_{_prom_name(name)}"
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {float(snap['gauges'][name]):g}")
-    for name in sorted(snap["hists"]):
-        hist = snap["hists"][name]
+        lines.append(f"{metric} {_prom_value(value)}")
+    for name, hist in sorted(report["hists"].items()):
         metric = f"repro_{_prom_name(name)}"
         lines.append(f"# TYPE {metric} summary")
         for field, quantile in _PROM_QUANTILES:
             if field in hist:
                 lines.append(
-                    f'{metric}{{quantile="{quantile}"}} {float(hist[field]):g}'
+                    f'{metric}{{quantile="{quantile}"}} {_prom_value(hist[field])}'
                 )
         lines.append(f"{metric}_count {int(hist.get('count', 0))}")
-        lines.append(f"{metric}_sum {float(hist.get('sum', 0.0)):g}")
+        lines.append(f"{metric}_sum {_prom_value(hist.get('sum', 0.0))}")
     return "\n".join(lines) + "\n" if lines else ""

@@ -1,8 +1,8 @@
 """Per-round time-series telemetry: one compact record per round.
 
-Aggregate metrics (PR 6) hide *when* inside a run the cost happened —
+A per-cell total hides *when* inside a run the cost happened —
 Polystyrene's repair waves after a catastrophic failure are bursty by
-design, so a per-cell histogram averages away exactly the rounds that
+design, so a run-wide average smooths away exactly the rounds that
 matter.  ``repro.obs.series`` fixes that: both engines flush one JSONL
 record per simulation round to ``obs/series.jsonl``::
 
@@ -10,19 +10,21 @@ record per simulation round to ``obs/series.jsonl``::
      "wall_s": ..., "layers": {layer: seconds},
      "kernels": {kernel: seconds}, "messages": {layer: units},
      "nodes": {"live": ..., "dead": ..., "pruned": ...},
-     "exchanges": {"tman": ..., "migration": ...}, "splits": ...,
+     "exchanges": {"tman": ..., "migration": ...},
      "mem": {family: {"cur": bytes, "peak": bytes}},   # ledger on
      "probes": {"homogeneity": ..., "proximity": ...,
-                "holder_multiplicity": ...}}           # every N rounds
+                "holder_multiplicity": ...}}           # every 10 rounds
 
-Per-kernel seconds, exchange counts and SPLIT counts are *deltas* of
-the metrics registry's cumulative histograms/counters against the
-previous round — no second instrumentation seam in the kernels.  The
-domain health probes (homogeneity, proximity, holder multiplicity) are
-computed by an observer at a configurable cadence
-(``REPRO_OBS_SERIES_EVERY``, default every 10 rounds) and staged here
-via :func:`note_probes`; ``emit_round`` folds them into that round's
-record.
+A record times nothing itself: ``wall_s`` and ``layers`` are the
+durations of that round's ``round`` and ``layer.*`` spans, and
+``kernels`` is the delta of the per-name kernel-span totals
+(:func:`repro.obs.trace.totals`) against the previous round.
+``exchanges`` is the delta of the registry's ``exchanges.*`` counters;
+``exchanges.migration`` is the round's SPLIT count (one SPLIT per
+migration exchange).  The domain health probes (homogeneity,
+proximity, holder multiplicity) are computed by an observer every
+:data:`PROBE_EVERY` rounds and staged here via :func:`note_probes`;
+``emit_round`` folds them into that round's record.
 
 Emission rides the engine's existing per-round seam behind the same
 one-branch ``ENABLED`` fast path as metrics and spans, with records
@@ -38,7 +40,6 @@ sparklines), and ``repro obs watch`` follows the live stream through
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -46,34 +47,23 @@ from . import log
 from . import mem as _mem
 from . import metrics as _metrics
 from . import stream
+from . import trace as _trace
 
 #: The one global switch the engine's per-round seam checks.
 ENABLED = False
 
-#: Probe cadence environment knob (rounds between health probes).
-ENV_SERIES_EVERY = "REPRO_OBS_SERIES_EVERY"
+#: Rounds between domain health probes.
+PROBE_EVERY = 10
 
 #: The buffered ``series.jsonl`` sink (no path: records go nowhere).
 _STREAM = stream.BufferedStream()
 
-#: Cumulative registry totals at the previous emit, for per-round deltas.
-_LAST_HIST: Dict[str, Tuple[int, float]] = {}
+#: Cumulative totals at the previous emit, for per-round deltas.
+_LAST_KERNELS: Dict[str, float] = {}
 _LAST_COUNTERS: Dict[str, float] = {}
 
 #: Probe values staged by the health-probe observer for the next emit.
 _PENDING_PROBES: Optional[Dict[str, float]] = None
-
-_PROBE_EVERY = 10
-
-#: Split-kernel histogram names whose per-round call-count delta is the
-#: series SPLIT count (the histogram count doubles as the call counter).
-_SPLIT_HISTS = (
-    "kernel.batch_split",
-    "kernel.split.basic",
-    "kernel.split.advanced",
-    "kernel.split.pd",
-    "kernel.split.md",
-)
 
 
 def set_enabled(on: bool) -> None:
@@ -81,54 +71,16 @@ def set_enabled(on: bool) -> None:
     ENABLED = bool(on)
 
 
-def enabled() -> bool:
-    return ENABLED
-
-
 set_series_path = _STREAM.set_path
 flush = _STREAM.flush
 
 
-def set_probe_every(every: int) -> None:
-    """Set the health-probe cadence (rounds between probes)."""
-    global _PROBE_EVERY
-    every = int(every)
-    if every < 1:
-        raise ValueError(
-            f"series probe cadence must be >= 1 round, got {every} "
-            f"(check {ENV_SERIES_EVERY})"
-        )
-    _PROBE_EVERY = every
-
-
-def probe_every() -> int:
-    return _PROBE_EVERY
-
-
-def _probe_every_from_env(environ: Optional[Dict[str, str]] = None) -> int:
-    """``REPRO_OBS_SERIES_EVERY`` → cadence (default 10), validated."""
-    env = os.environ if environ is None else environ
-    raw = env.get(ENV_SERIES_EVERY)
-    if not raw:
-        return 10
-    try:
-        every = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_SERIES_EVERY} must be an integer >= 1, got {raw!r}"
-        ) from None
-    if every < 1:
-        raise ValueError(
-            f"{ENV_SERIES_EVERY} must be an integer >= 1, got {raw!r}"
-        )
-    return every
-
-
 def reset_cell() -> None:
     """Start a fresh per-cell series scope: clear the delta baselines
-    and any staged probes (the registry itself was just reset)."""
+    and any staged probes (the registry and the kernel totals were just
+    reset)."""
     global _PENDING_PROBES
-    _LAST_HIST.clear()
+    _LAST_KERNELS.clear()
     _LAST_COUNTERS.clear()
     _PENDING_PROBES = None
 
@@ -154,9 +106,9 @@ def emit_round(
     """Build and buffer one series record for the just-completed round.
 
     Called from ``Simulation.step`` (both engines go through it) after
-    the observers ran, so staged probe values belong to this round."""
+    the round span closed, so staged probe values belong to this round
+    and ``wall_s`` / ``layer_walls`` are its span durations."""
     global _PENDING_PROBES
-    reg = _metrics.registry()
     record: Dict[str, Any] = {
         "kind": "series",
         "ctx": dict(log.context()),
@@ -173,25 +125,19 @@ def emit_round(
             "dead": network.n_total - network.n_alive,
             "pruned": pruned,
         }
-    # Per-round kernel seconds + SPLIT counts: deltas of the cumulative
-    # kernel histograms (one locked prefix scan per round).
-    totals = reg.hist_totals("kernel.")
+    # Per-round kernel seconds: deltas of the kernel-span totals.
     kernels: Dict[str, float] = {}
-    splits = 0
-    for name, (cnt, total_s) in totals.items():
-        last_cnt, last_s = _LAST_HIST.get(name, (0, 0.0))
-        _LAST_HIST[name] = (cnt, total_s)
-        d_s = total_s - last_s
+    for name, (_, secs) in _trace.totals().items():
+        d_s = secs - _LAST_KERNELS.get(name, 0.0)
+        _LAST_KERNELS[name] = secs
         if d_s > 0:
-            kernels[name[len("kernel."):]] = round(d_s, 9)
-        if name in _SPLIT_HISTS:
-            splits += cnt - last_cnt
+            kernels[name.removeprefix("kernel.")] = round(d_s, 9)
     if kernels:
         record["kernels"] = kernels
-    record["splits"] = splits
-    # Per-round exchange counts: counter deltas under the same prefix.
+    # Per-round exchange counts: counter deltas under one prefix.
     exchanges: Dict[str, float] = {}
-    for name, value in reg.counters_prefixed("exchanges.").items():
+    counters = _metrics.registry().counters_prefixed("exchanges.")
+    for name, value in counters.items():
         last = _LAST_COUNTERS.get(name, 0.0)
         _LAST_COUNTERS[name] = value
         d = value - last
@@ -212,12 +158,10 @@ def emit_round(
 # -- reading back ------------------------------------------------------------
 
 
-def resolve_series_path(target: Union[str, Path]) -> Path:
-    return stream.resolve(target, "series.jsonl", what="series stream")
-
-
 def load_series(target: Union[str, Path]) -> List[Dict[str, Any]]:
-    return list(stream.read(resolve_series_path(target)))
+    return list(
+        stream.read(stream.resolve(target, "series.jsonl", what="series stream"))
+    )
 
 
 def flatten_columns(record: Dict[str, Any]) -> Dict[str, float]:
@@ -355,18 +299,3 @@ def format_series(
             f"{max(vals):>12.6g} {vals[-1]:>12.6g}  {sparkline(vals)}"
         )
     return "\n".join(out)
-
-
-def round_wall_values(target: Union[str, Path]) -> List[float]:
-    """Every record's ``wall_s`` — the exact per-round wall sample
-    ``repro obs diff`` compares when both runs carry series."""
-    return [
-        float(rec["wall_s"])
-        for rec in load_series(target)
-        if isinstance(rec.get("wall_s"), (int, float))
-    ]
-
-
-# Cadence is adopted from the environment at import so child processes
-# (fork or spawn) inherit the parent's setting without replumbing.
-set_probe_every(_probe_every_from_env())

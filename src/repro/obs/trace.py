@@ -2,7 +2,10 @@
 
 A *span* is one timed unit of work with a causal parent: a sweep, a
 prefix plan, a checkpoint publish, a cell, a round, a layer step, a
-kernel call.  Spans form a tree via ``(trace_id, span_id, parent_id)``,
+kernel call.  Spans are the one timing record: every duration the
+runtime measures is exactly one span, and ``repro obs report`` /
+``diff`` / ``export`` compute their percentiles exactly from them.
+Spans form a tree via ``(trace_id, span_id, parent_id)``,
 and because the parent context propagates across every process boundary
 the runtime owns — pool children in
 :class:`~repro.runtime.runner.ParallelRunner` (fork *and* spawn, via
@@ -13,11 +16,14 @@ sweep reconstructs into **one** tree:
     sweep → prefix plan → checkpoint publish/fetch → cell → round →
     layer → kernel
 
-Emission mirrors :mod:`repro.obs.metrics`: everything is off by
-default, and the instrumented seams cost one module-global check
-(``perf_smoke.py --obs-gate`` covers this fast path).  When an obs dir
-is configured, finished spans are buffered per process in a
-:class:`repro.obs.stream.BufferedStream` over ``obs/spans.jsonl``.
+Everything is off by default, and the instrumented seams cost one
+module-global check (``perf_smoke.py --obs-gate`` covers this fast
+path).  When an obs dir is configured, finished spans are buffered per
+process in a :class:`repro.obs.stream.BufferedStream` over
+``obs/spans.jsonl``.  Kernels are timed by :func:`timed`: one leaf span
+per call through :func:`record`, which also keeps per-name calls /
+seconds totals — the per-round ``kernels`` column of
+:mod:`repro.obs.series` is their delta.
 
 Span record schema (one line)::
 
@@ -40,6 +46,7 @@ import contextvars
 import json
 import os
 import time
+from functools import wraps
 from pathlib import Path
 from typing import (
     Any,
@@ -75,13 +82,16 @@ _CTX: contextvars.ContextVar[Optional[Tuple[str, str]]] = contextvars.ContextVar
     "repro_obs_trace_ctx", default=None
 )
 
+#: ``{name: [calls, seconds]}`` over every leaf span :func:`record`
+#: wrote since :func:`reset_totals` (per cell, by
+#: :func:`repro.obs.reset_for_cell`).  Unlocked: only ``@timed``
+#: kernels record leaf spans, on the thread running the simulation.
+_TOTALS: Dict[str, List] = {}
+
+
 def set_enabled(on: bool) -> None:
     global ENABLED
     ENABLED = bool(on)
-
-
-def enabled() -> bool:
-    return ENABLED
 
 
 set_spans_path = _STREAM.set_path
@@ -158,7 +168,14 @@ def record(
     attrs: Optional[Dict[str, Any]] = None,
 ) -> None:
     """Record one already-timed *leaf* span under the current context —
-    the cheap path ``@timed`` kernels use (no contextvar churn)."""
+    the cheap path ``@timed`` kernels use (no contextvar churn) — and
+    add it to the per-name totals."""
+    total = _TOTALS.get(name)
+    if total is None:
+        _TOTALS[name] = [1, dur]
+    else:
+        total[0] += 1
+        total[1] += dur
     ctx = _CTX.get()
     if ctx is None:
         trace_id, parent = new_id(), None
@@ -179,10 +196,45 @@ def record(
     _STREAM.add(rec)
 
 
+def totals() -> Dict[str, Tuple[int, float]]:
+    """``{name: (calls, seconds)}`` of the leaf spans recorded so far."""
+    return {name: (calls, secs) for name, (calls, secs) in _TOTALS.items()}
+
+
+def reset_totals() -> None:
+    _TOTALS.clear()
+
+
+def timed(name: str) -> Callable:
+    """Decorator recording every call of a kernel as one leaf span
+    ``name`` (:func:`record`).  Disabled path: one global check per
+    call; the original function stays on ``__wrapped__`` for the perf
+    gate's vanilla baseline."""
+
+    def decorate(fn: Callable) -> Callable:
+        @wraps(fn)
+        def wrapper(*args, **kwargs):
+            if not ENABLED:
+                return fn(*args, **kwargs)
+            start = _time()
+            t0 = _perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                record(name, start, _perf_counter() - t0)
+
+        wrapper.__obs_timed__ = name
+        return wrapper
+
+    return decorate
+
+
 class Span:
     """One open span: a context manager that times its block, makes
     itself the current parent for anything opened inside it (same
-    thread, forked children), and records itself on exit."""
+    thread, forked children), and records itself on exit — keeping its
+    duration on ``dur`` for a caller that reports it elsewhere (the
+    engine's per-round series record)."""
 
     __slots__ = (
         "name",
@@ -190,6 +242,7 @@ class Span:
         "span_id",
         "parent_id",
         "attrs",
+        "dur",
         "_t0",
         "_start",
         "_token",
@@ -204,6 +257,7 @@ class Span:
         else:
             self.trace_id, self.parent_id = ctx
         self.span_id = new_id()
+        self.dur = 0.0
         self._t0 = 0.0
         self._start = 0.0
         self._token = None
@@ -215,7 +269,7 @@ class Span:
         return self
 
     def __exit__(self, exc_type, *exc) -> bool:
-        dur = _perf_counter() - self._t0
+        self.dur = dur = _perf_counter() - self._t0
         _CTX.reset(self._token)
         if exc_type is not None:
             self.attrs = dict(self.attrs)
@@ -257,26 +311,6 @@ def span(name: str, **attrs: Any):
     if not ENABLED:
         return NULL_SPAN
     return Span(name, attrs)
-
-
-def traced(name: str) -> Callable:
-    """Decorator tracing every call of a function as a span ``name``.
-    Disabled path: one global check per call; the original stays on
-    ``__wrapped__`` (same contract as ``obs.metrics.timed``)."""
-    from functools import wraps
-
-    def decorate(fn: Callable) -> Callable:
-        @wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not ENABLED:
-                return fn(*args, **kwargs)
-            with Span(name, {}):
-                return fn(*args, **kwargs)
-
-        wrapper.__obs_traced__ = name
-        return wrapper
-
-    return decorate
 
 
 # -- reading -----------------------------------------------------------------
@@ -601,8 +635,8 @@ def write_chrome_trace(
 
 def span_histograms(target: Union[str, Path]) -> Dict[str, List[float]]:
     """Per-name span durations of a run (``{"span.round": [...]}``) —
-    what ``repro obs diff`` folds next to the metrics histograms.
-    Returns ``{}`` when the run recorded no spans."""
+    the timing rows ``repro obs report`` / ``diff`` / ``export``
+    summarise.  Returns ``{}`` when the run recorded no spans."""
     try:
         spans = load_spans(target)
     except FileNotFoundError:

@@ -40,6 +40,7 @@ from typing import Optional, Union
 from ..errors import CheckpointError
 from ..obs import mem as obs_mem
 from ..obs import metrics as obs_metrics
+from ..obs import trace as obs_trace
 from ..obs.stream import atomic_write
 from ..sim.arrays import ViewBuffer
 from ..sim.engine import Simulation
@@ -222,7 +223,7 @@ def _encode(checkpoint: SimulationCheckpoint) -> bytes:
 def save(checkpoint: SimulationCheckpoint, path: Union[str, Path]) -> Path:
     """Persist a checkpoint to ``path`` (atomic: write then rename)."""
     path = Path(path)
-    with obs_metrics.timer("checkpoint.save"):
+    with obs_trace.span("checkpoint.save"):
         data = _encode(checkpoint)
         # Two workers publishing the same content-addressed cache entry
         # concurrently must not truncate each other's half-written
@@ -234,7 +235,7 @@ def save(checkpoint: SimulationCheckpoint, path: Union[str, Path]) -> Path:
             raise CheckpointError(
                 f"cannot write checkpoint {path}: {exc}"
             ) from exc
-        obs_metrics.observe("checkpoint.bytes", float(len(data)))
+        obs_metrics.count("checkpoint.bytes", len(data))
         if obs_mem.ENABLED:
             obs_mem.scratch("checkpoint", "checkpoint.save.blob", len(data))
     return path
@@ -250,7 +251,7 @@ def load(path: Union[str, Path]) -> SimulationCheckpoint:
     The state itself stays serialised until :func:`restore`.
     """
     path = Path(path)
-    with obs_metrics.timer("checkpoint.load"):
+    with obs_trace.span("checkpoint.load"):
         try:
             raw = path.read_bytes()
         except OSError as exc:

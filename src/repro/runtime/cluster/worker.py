@@ -32,7 +32,6 @@ from typing import Callable, Optional, Union
 
 from ... import obs
 from ...obs import log as obs_log
-from ...obs import metrics as obs_metrics
 from ...obs import trace as obs_trace
 from ..forksweep import ForkContinuationTask
 from ..runner import SweepTask, _execute_task
@@ -168,7 +167,7 @@ class Worker:
         hb_stop = threading.Event()
         hb = threading.Thread(
             target=self._heartbeat_loop,
-            args=(lease, interval, hb_stop),
+            args=(lease, interval, hb_stop, manifest.get("trace")),
             daemon=True,
         )
         hb.start()
@@ -216,14 +215,21 @@ class Worker:
         )
 
     def _heartbeat_loop(
-        self, lease: Lease, interval: float, hb_stop: threading.Event
+        self,
+        lease: Lease,
+        interval: float,
+        hb_stop: threading.Event,
+        trace_token: Optional[str],
     ) -> None:
-        while not hb_stop.wait(interval):
-            with obs_metrics.timer("queue.heartbeat"):
-                alive = self.queue.heartbeat(lease)
-            if not alive:
-                obs_log.warning("worker.lease_lost", task=lease.task.task_id)
-                return  # lease lost; nothing further to extend
+        # A new thread starts with an empty context: adopt the manifest's
+        # token so heartbeat spans join the sweep's trace, not new roots.
+        with obs_trace.adopt_token(trace_token):
+            while not hb_stop.wait(interval):
+                with obs_trace.span("queue.heartbeat"):
+                    alive = self.queue.heartbeat(lease)
+                if not alive:
+                    obs_log.warning("worker.lease_lost", task=lease.task.task_id)
+                    return  # lease lost; nothing further to extend
 
     def _register(self, stats: WorkerStats) -> None:
         self.queue.register_worker(

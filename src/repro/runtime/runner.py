@@ -32,7 +32,6 @@ from .. import obs
 from ..errors import RunnerError
 from ..experiments.scenario import ScenarioConfig, ScenarioResult, run_scenario
 from ..obs import log as obs_log
-from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .store import ResultStore
 
@@ -64,8 +63,8 @@ class CellResult:
     #: State digest of the prefix checkpoint this cell continued from
     #: (fork-mode sweeps), ``None`` for a cold run.
     forked_from: Optional[str] = None
-    #: Per-cell metrics snapshot (counters/gauges/histograms recorded
-    #: while this cell executed), ``None`` when observability is off.
+    #: Per-cell metrics snapshot (the counters recorded while this cell
+    #: executed), ``None`` when observability is off.
     metrics: Optional[dict] = None
 
     @property
@@ -101,7 +100,6 @@ def _execute_task(task: SweepTask) -> CellResult:
             result = task.run()
         except Exception:
             duration = time.perf_counter() - start
-            obs_metrics.observe("cell.wall", duration)
             obs_log.error("cell.error", duration_s=round(duration, 3))
             cell = CellResult(
                 task_id=task.task_id,
@@ -115,7 +113,6 @@ def _execute_task(task: SweepTask) -> CellResult:
             )
         else:
             duration = time.perf_counter() - start
-            obs_metrics.observe("cell.wall", duration)
             obs_log.debug("cell.done", duration_s=round(duration, 3))
             cell = CellResult(
                 task_id=task.task_id,

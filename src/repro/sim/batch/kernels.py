@@ -43,7 +43,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ...obs import mem as _mem
-from ...obs.metrics import timed
+from ...obs.trace import timed
 from ..arrays import _SCRATCH_BYTES, block_rows  # re-exported: the one scratch budget
 
 #: Sort sentinel pushing invalid entries past every real key.

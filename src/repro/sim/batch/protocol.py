@@ -53,6 +53,7 @@ from ...core.config import PolystyreneConfig
 from ...errors import ConfigurationError
 from ...obs import mem as obs_mem
 from ...obs import metrics as obs_metrics
+from ...obs import trace as obs_trace
 from ...spaces.base import Space
 from ...spaces.euclidean import Euclidean
 from ...types import DataPoint, PointId
@@ -184,9 +185,9 @@ class BatchPolystyrene:
         self._ensure_rows(sim.network.table)
         detected = sim.detected_failed()
         if detected:
-            with obs_metrics.timer("protocol.recovery"):
+            with obs_trace.span("protocol.recovery"):
                 self._recover(sim)
-        with obs_metrics.timer("protocol.backup"):
+        with obs_trace.span("protocol.backup"):
             self._backup(sim, detected)
         for _ in range(self.config.migrations_per_round):
             obs_metrics.count("exchanges.migration", self._migration_round(sim))
@@ -393,7 +394,7 @@ class BatchPolystyrene:
 
         # Candidates: ψ closest alive topology entries + one RPS draw,
         # selected for all initiators from the round-start snapshot.
-        with obs_metrics.timer("protocol.candidates"):
+        with obs_trace.span("protocol.candidates"):
             neigh = self.tman.neighbors_rows(sim, act, psi)
             own = table._nid_of[act]
             exclude = np.concatenate([neigh, own[:, None]], axis=1)
@@ -420,7 +421,7 @@ class BatchPolystyrene:
         total = 0
         changed = self._take_flagged(_CHANGED)  # by recovery, this round
         while pending:
-            with obs_metrics.timer("protocol.wave_schedule"):
+            with obs_trace.span("protocol.wave_schedule"):
                 taken = bytearray(table.n_rows)
                 wave: List = []
                 rest: List = []
@@ -445,7 +446,7 @@ class BatchPolystyrene:
         rows whose guest row changed."""
         store = self.placement
         M = pair_rows.shape[1]
-        with obs_metrics.timer("protocol.pool_build"):
+        with obs_trace.span("protocol.pool_build"):
             n2 = store.guest_n[pair_rows]
             nq, n_p = n2
             g_w = max(1, int(n2.max()))
@@ -491,7 +492,7 @@ class BatchPolystyrene:
             pos[pair_rows[1]], pos[pair_rows[0]],
         )
 
-        with obs_metrics.timer("protocol.install"):
+        with obs_trace.span("protocol.install"):
             # q's guests occupy the first ``nq`` pool slots, p's the rest.
             q_slot = col < nq[:, None]
             if not shared and not (pool_valid & (side_p == q_slot)).any():
@@ -544,7 +545,7 @@ class BatchPolystyrene:
         guest row keeps its position)."""
         if len(rows) == 0:
             return
-        with obs_metrics.timer("protocol.projection"):
+        with obs_trace.span("protocol.projection"):
             table = sim.network.table
             cnt = self.placement.guest_n[rows]
             ok = (cnt > 0) & table.alive_at(rows)

@@ -24,7 +24,7 @@ import numpy as np
 
 from ...errors import ConfigurationError
 from ...obs import mem as _mem
-from ...obs.metrics import timed
+from ...obs.trace import timed
 from ...spaces.base import Space
 from . import kernels
 

@@ -29,8 +29,6 @@ from .arrays import view_ids
 from .network import Network, SimNode
 from .transport import MessageMeter
 
-_perf_counter = obs_metrics._perf_counter
-
 Event = Callable[["Simulation"], None]
 
 #: Version of the *simulation semantics*: bump it in the same change
@@ -245,62 +243,54 @@ class Simulation:
     def step(self) -> int:
         """Run one full round; returns the index of the completed round.
 
-        Instrumentation (per-round and per-layer wall time, the meter's
-        per-layer message costs) is read-only and gated on one
-        module-global check per round, so the disabled path stays within
-        the perf-smoke overhead budget and trajectories are identical
-        with observability on or off.
+        Instrumentation is read-only and gated on module-global checks,
+        so the disabled path stays within the perf-smoke overhead budget
+        and trajectories are identical with observability on or off.
+        With tracing on, the round, each layer step and the observers
+        are one span each, and the round's series record reads its wall
+        times off those spans; the registry counts rounds and the
+        meter's per-layer message units.
         """
-        enabled = obs_metrics.ENABLED
         tracing = obs_trace.ENABLED
-        series_on = enabled and obs_series.ENABLED
-        layer_walls: Dict[str, float] = {}
+        if obs_mem.ENABLED:
+            obs_mem.set_round(self.round)
         round_span = (
             obs_trace.Span("round", {"round": self.round})
             if tracing
             else obs_trace.NULL_SPAN
         )
+        layer_spans: Dict[str, obs_trace.Span] = {}
         with round_span:
-            t_round = _perf_counter() if enabled else 0.0
-            if enabled and obs_mem.ENABLED:
-                obs_mem.set_round(self.round)
             for event in self._events.pop(self.round, []):
                 event(self)
             for layer in self.layers:
-                t_layer = _perf_counter() if enabled else 0.0
                 if tracing:
-                    with obs_trace.Span(f"layer.{layer.name}", {}):
+                    span = obs_trace.Span(f"layer.{layer.name}", {})
+                    layer_spans[layer.name] = span
+                    with span:
                         layer.step(self)
                 else:
                     layer.step(self)
-                if enabled:
-                    dur = _perf_counter() - t_layer
-                    obs_metrics.observe(f"round.layer.{layer.name}", dur)
-                    if series_on:
-                        layer_walls[layer.name] = dur
             completed = self.round
             layer_costs = self.meter.end_round()
-            t_obs = _perf_counter() if enabled else 0.0
-            for observer in self.observers:
-                observer.on_round_end(self)
-            if enabled:
-                obs_metrics.observe("round.observers", _perf_counter() - t_obs)
+            with obs_trace.span("observers"):
+                for observer in self.observers:
+                    observer.on_round_end(self)
             pruned = 0
             if self.retention_rounds is not None:
                 pruned = len(
                     self.network.prune_dead(completed - self.retention_rounds)
                 )
             self.round += 1
-            if enabled:
-                obs_metrics.count("rounds", 1)
-                for layer_name, units in layer_costs.items():
-                    obs_metrics.count(f"messages.{layer_name}", units)
-                wall = _perf_counter() - t_round
-                obs_metrics.observe("round.wall", wall)
-                if series_on:
-                    obs_series.emit_round(
-                        self, completed, wall, layer_walls, layer_costs, pruned
-                    )
+        if obs_metrics.ENABLED:
+            obs_metrics.count("rounds", 1)
+            for layer_name, units in layer_costs.items():
+                obs_metrics.count(f"messages.{layer_name}", units)
+        if tracing and obs_series.ENABLED:
+            layer_walls = {name: span.dur for name, span in layer_spans.items()}
+            obs_series.emit_round(
+                self, completed, round_span.dur, layer_walls, layer_costs, pruned
+            )
         return completed
 
     def run(self, rounds: int) -> None:

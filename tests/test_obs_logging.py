@@ -10,14 +10,10 @@ import pytest
 from repro import obs
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
-from repro.obs.report import (
-    format_report,
-    format_tail,
-    load_jsonl,
-    load_metrics_records,
-    resolve_events_path,
-    resolve_metrics_path,
-)
+from repro.obs import report as obs_report
+from repro.obs import stream as obs_stream
+from repro.obs import trace as obs_trace
+from repro.obs.report import format_report, format_tail, load_metrics_records
 
 
 @pytest.fixture(autouse=True)
@@ -35,7 +31,10 @@ def obs_clean():
     obs.series.reset_cell()
     obs.mem.set_enabled(False)
     obs.mem.reset()
-    for var in (obs.ENV_LOG, obs.ENV_OBS_DIR, obs.ENV_OBS, obs.ENV_PROFILE):
+    obs_trace.set_enabled(False)
+    obs_trace.set_spans_path(None)
+    obs_trace._STREAM.clear()
+    for var in (obs.ENV_LOG, obs.ENV_OBS_DIR, obs.ENV_PROFILE):
         os.environ.pop(var, None)
 
 
@@ -115,25 +114,6 @@ class TestFileSink:
 
 
 class TestReaders:
-    def test_load_jsonl_skips_torn_lines(self, tmp_path):
-        path = tmp_path / "stream.jsonl"
-        path.write_text('{"a": 1}\n{"broken...\n{"b": 2}\n{"torn tail')
-        records = load_jsonl(path)
-        assert records == [{"a": 1}, {"b": 2}]
-
-    def test_resolvers_accept_run_dir_obs_dir_and_file(self, tmp_path):
-        obs_dir = tmp_path / "obs"
-        obs_dir.mkdir()
-        events = obs_dir / "events.jsonl"
-        metrics = obs_dir / "metrics.jsonl"
-        events.write_text("{}\n")
-        metrics.write_text("{}\n")
-        assert resolve_events_path(tmp_path) == events
-        assert resolve_events_path(obs_dir) == events
-        assert resolve_events_path(events) == events
-        assert resolve_metrics_path(tmp_path) == metrics
-        assert resolve_events_path(tmp_path / "nowhere") is None
-
     def test_format_tail_renders_events_and_metrics(self, tmp_path):
         obs.configure(dir=tmp_path, log_level="debug", export_env=False)
         obs_log.info("hello.world", n=1)
@@ -147,40 +127,75 @@ class TestReaders:
     def test_format_tail_missing_stream(self, tmp_path):
         assert "no events stream" in format_tail(tmp_path / "void")
 
+    def test_format_tail_holds_only_the_last_n_records(self, tmp_path, monkeypatch):
+        """Tailing a 100k-line stream keeps N records, never the whole
+        stream: at most N (+ the one being read) are alive at once."""
+        path = tmp_path / "events.jsonl"
+        path.write_text(
+            "".join(
+                f'{{"kind":"event","level":"info","event":"e","i":{i}}}\n'
+                for i in range(100_000)
+            )
+        )
+        live = {"now": 0, "peak": 0}
+
+        class Tracked(dict):
+            def __init__(self, record):
+                super().__init__(record)
+                live["now"] += 1
+                live["peak"] = max(live["peak"], live["now"])
+
+            def __del__(self):
+                live["now"] -= 1
+
+        real_read = obs_stream.read
+        monkeypatch.setattr(
+            obs_report._stream, "read", lambda p: map(Tracked, real_read(p))
+        )
+        tail = format_tail(tmp_path, lines=5)
+        assert "(last 5 of stream)" in tail and "i=99999" in tail
+        assert live["peak"] <= 5 + 1
+
     def test_format_report_sections_and_aggregation(self, tmp_path):
-        """Two flushed cell lines aggregate: counters add, histogram
-        counts add, and names land in their prefix sections."""
+        """Two flushed cell lines aggregate: counters add, each span name
+        is one exact row (counts add across cells), and names land in
+        their prefix sections; a stored summary outside every section is
+        rendered as given."""
         obs.configure(dir=tmp_path, export_env=False)
         for _ in range(2):
             obs_metrics.registry().reset()
             obs_metrics.count("rounds", 10)
-            obs_metrics.observe("round.wall", 0.5)
-            obs_metrics.observe("kernel.split.basic", 0.001)
-            obs_metrics.observe("unprefixed.thing", 1.0)
+            with obs_trace.span("round"):
+                obs_trace.record("kernel.split.basic", 0.0, 0.001)
             obs.flush_cell_metrics()
+        obs_stream.append(
+            obs.metrics_path(),
+            [json.dumps({"kind": "metrics", "counters": {},
+                         "hists": {"unprefixed.thing": {"count": 1, "sum": 1.0}}})],
+        )
         report = format_report(tmp_path)
-        assert "Per-round phases" in report
+        assert "Spans" in report
         assert "Kernels" in report
         assert "Other distributions" in report
-        assert "rounds" in report
-        # Aggregated across both lines: round.wall count is 2.
-        wall_row = next(
-            l for l in report.splitlines() if l.startswith("wall")
+        assert "rounds" in report and "| 20 " in report
+        # Aggregated across both cells: the round row counts 2.
+        round_row = next(
+            l for l in report.splitlines() if l.startswith("round ")
         )
-        assert "| 2 " in wall_row
+        assert "| 2 " in round_row
 
     def test_format_report_reads_profile_json(self, tmp_path):
         from repro.obs.profiling import Profiler
 
         obs_metrics.set_enabled(True)
         obs_metrics.registry().reset()
-        obs_metrics.observe("round.wall", 0.25)
+        obs_metrics.count("checkpoint.hit", 3)
         prof = Profiler(top=5)
         prof.start()
         sum(range(1000))
         prof.write(tmp_path / "profile.json")
         report = format_report(tmp_path / "profile.json")
-        assert "Per-round phases" in report
+        assert "Counters" in report and "checkpoint.hit" in report
         data = json.loads((tmp_path / "profile.json").read_text())
         assert data["kind"] == "profile"
         assert data["peak_rss_bytes"] > 0

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, histograms, timers, flushing."""
+"""Metrics registry (counters), flushing, per-cell scope and\nconfiguration; the ``@timed`` kernel spans; exact timing rows."""
 
 from __future__ import annotations
 
@@ -14,8 +14,10 @@ from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs import mem as obs_mem
 from repro.obs import series as obs_series
+from repro.obs import report as obs_report
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import Histogram, MetricsRegistry, timed
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import timed
 
 
 @pytest.fixture(autouse=True)
@@ -32,6 +34,7 @@ def obs_clean():
     obs_trace.set_spans_path(None)
     obs_trace._STREAM.clear()
     obs_trace._CTX.set(None)
+    obs_trace.reset_totals()
     obs_series.set_enabled(False)
     obs_series.set_series_path(None)
     obs_series._STREAM.clear()
@@ -41,7 +44,6 @@ def obs_clean():
     for var in (
         obs.ENV_LOG,
         obs.ENV_OBS_DIR,
-        obs.ENV_OBS,
         obs.ENV_PROFILE,
         obs_trace.ENV_CTX,
     ):
@@ -49,76 +51,40 @@ def obs_clean():
 
 
 class TestHistogram:
+    """A timing row (``report._exact_hist``): the exact summary of every
+    duration one span name recorded."""
+
     def test_five_number_summary(self):
-        h = Histogram()
-        for v in (3.0, 1.0, 2.0):
-            h.observe(v)
-        snap = h.snapshot()
+        snap = obs_report._exact_hist([3.0, 1.0, 2.0])
         assert snap["count"] == 3
         assert snap["sum"] == pytest.approx(6.0)
         assert snap["min"] == 1.0
         assert snap["max"] == 3.0
         assert snap["mean"] == pytest.approx(2.0)
 
-    def test_empty_snapshot_has_finite_bounds(self):
-        snap = Histogram().snapshot()
-        assert snap == {
-            "count": 0,
-            "sum": 0.0,
-            "min": 0.0,
-            "max": 0.0,
-            "mean": 0.0,
-            "p50": 0.0,
-            "p95": 0.0,
-            "p99": 0.0,
-            "res": [],
-        }
-
-    def test_merge_is_exact(self):
-        """Merging per-process snapshots equals observing everything in
-        one histogram — exactly for count/sum/min/max/mean (the
-        property the obs report's aggregation rests on); the percentile
-        reservoirs carry the same sample here (both under cap) merely
-        in a different order."""
-        a, b, whole = Histogram(), Histogram(), Histogram()
-        for i, v in enumerate([0.5, 4.0, 1.5, 2.5, 0.1]):
-            (a if i % 2 else b).observe(v)
-            whole.observe(v)
-        merged = Histogram()
-        merged.merge_snapshot(a.snapshot())
-        merged.merge_snapshot(b.snapshot())
-        got, want = merged.snapshot(), whole.snapshot()
-        for key in ("count", "sum", "min", "max", "mean", "p50", "p95", "p99"):
-            assert got[key] == want[key], key
-        assert sorted(got["res"]) == sorted(want["res"])
-
-    def test_percentiles_from_reservoir(self):
-        h = Histogram()
-        for v in range(1, 101):  # 1..100, fewer than fits exactly? no: cap 64
-            h.observe(float(v))
-        snap = h.snapshot()
-        # Reservoir is an unbiased sample; with values spanning 1..100
-        # the estimates must land inside the observed range and be
-        # ordered.
-        assert snap["min"] == 1.0 and snap["max"] == 100.0
-        assert 1.0 <= snap["p50"] <= snap["p95"] <= snap["p99"] <= 100.0
-        assert len(snap["res"]) == obs_metrics.RESERVOIR_CAP
+    def test_merge_is_exact(self, tmp_path):
+        """Spans of one name from several processes pool into one row
+        equal to summarising every duration at once — percentiles
+        included, since nothing is sampled."""
+        path = tmp_path / "spans.jsonl"
+        durs = [0.5, 4.0, 1.5, 2.5, 0.1]
+        path.write_text(
+            "".join(
+                json.dumps(
+                    {"kind": "span", "span": f"s{i}", "parent": None,
+                     "name": "round", "dur": dur, "pid": 100 + i % 2}
+                ) + "\n"
+                for i, dur in enumerate(durs)
+            )
+        )
+        rows = obs_report.timing_rows(path)
+        assert rows == {"span.round": obs_report._exact_hist(durs)}
 
     def test_percentiles_exact_when_under_cap(self):
-        h = Histogram()
-        for v in range(1, 21):  # 20 values, cap is 64 -> exact sample
-            h.observe(float(v))
-        snap = h.snapshot()
+        snap = obs_report._exact_hist([float(v) for v in range(1, 21)])
         assert snap["p50"] == 10.0
         assert snap["p95"] == 19.0
         assert snap["p99"] == 20.0
-
-    def test_merging_empty_snapshot_is_noop(self):
-        h = Histogram()
-        h.observe(1.0)
-        before = h.snapshot()
-        h.merge_snapshot(Histogram().snapshot())
-        assert h.snapshot() == before
 
 
 class TestRegistry:
@@ -129,66 +95,32 @@ class TestRegistry:
         assert reg.counter_value("x") == 5
         assert reg.counter_value("absent") == 0
 
-    def test_gauge_last_wins_gauge_max_keeps_peak(self):
-        reg = MetricsRegistry()
-        reg.gauge("g", 10.0)
-        reg.gauge("g", 3.0)
-        reg.gauge_max("peak", 10.0)
-        reg.gauge_max("peak", 3.0)
-        snap = reg.snapshot()
-        assert snap["gauges"]["g"] == 3.0
-        assert snap["gauges"]["peak"] == 10.0
-
-    def test_timer_records_elapsed(self):
-        reg = MetricsRegistry()
-        with reg.timer("t"):
-            pass
-        h = reg.hist("t")
-        assert h["count"] == 1
-        assert h["min"] >= 0.0
-
-    def test_timer_nesting_same_name_is_independent(self):
-        """Nested timings of one name are separate observations with
-        the outer >= the inner (each ``timer`` call returns a fresh
-        instance)."""
-        reg = MetricsRegistry()
-        with reg.timer("t"):
-            with reg.timer("t"):
-                pass
-        h = reg.hist("t")
-        assert h["count"] == 2
-        assert h["max"] >= h["min"]
-
     def test_reset_and_is_empty(self):
         reg = MetricsRegistry()
         assert reg.is_empty()
         reg.count("x")
-        reg.observe("h", 1.0)
-        reg.gauge("g", 1.0)
         assert not reg.is_empty()
         reg.reset()
         assert reg.is_empty()
 
     def test_merge_snapshot_counters_add_gauges_max(self):
+        """Merging adds counters; a snapshot's other sections (a stored
+        ``hists`` summary) are not the registry's to keep."""
         reg = MetricsRegistry()
         reg.count("c", 2)
-        reg.gauge("g", 5.0)
-        reg.merge_snapshot({"counters": {"c": 3}, "gauges": {"g": 1.0}})
-        snap = reg.snapshot()
-        assert snap["counters"]["c"] == 5
-        assert snap["gauges"]["g"] == 5.0
+        reg.merge_snapshot({"counters": {"c": 3, "d": 1}, "hists": {"h": {}}})
+        assert reg.snapshot() == {"counters": {"c": 5, "d": 1}}
 
     def test_thread_safety_under_contention(self):
-        """Concurrent counting/observing from many threads loses no
-        updates (the worker heartbeat thread shares the registry with
-        the drain loop)."""
+        """Concurrent counting from many threads loses no updates (the
+        worker heartbeat thread shares the registry with the drain
+        loop)."""
         reg = MetricsRegistry()
         n_threads, per_thread = 8, 500
 
         def pound():
             for _ in range(per_thread):
                 reg.count("c")
-                reg.observe("h", 1.0)
 
         threads = [threading.Thread(target=pound) for _ in range(n_threads)]
         for t in threads:
@@ -196,7 +128,6 @@ class TestRegistry:
         for t in threads:
             t.join()
         assert reg.counter_value("c") == n_threads * per_thread
-        assert reg.hist("h")["count"] == n_threads * per_thread
 
 
 class TestModuleFastPath:
@@ -204,25 +135,13 @@ class TestModuleFastPath:
         obs_metrics.registry().reset()
         obs_metrics.set_enabled(False)
         obs_metrics.count("x")
-        obs_metrics.observe("h", 1.0)
-        obs_metrics.gauge("g", 1.0)
-        with obs_metrics.timer("t"):
-            pass
         assert obs_metrics.registry().is_empty()
-
-    def test_disabled_timer_is_the_null_singleton(self):
-        obs_metrics.set_enabled(False)
-        assert obs_metrics.timer("t") is obs_metrics.NULL_TIMER
 
     def test_enabled_records(self):
         obs_metrics.registry().reset()
         obs_metrics.set_enabled(True)
         obs_metrics.count("x", 2)
-        with obs_metrics.timer("t"):
-            pass
-        reg = obs_metrics.registry()
-        assert reg.counter_value("x") == 2
-        assert reg.hist("t")["count"] == 1
+        assert obs_metrics.registry().counter_value("x") == 2
 
 
 class TestTimedDecorator:
@@ -236,30 +155,54 @@ class TestTimedDecorator:
         assert add.__wrapped__(3, 4) == 7
         assert add.__name__ == "add"
 
-    def test_times_only_when_enabled(self):
+    def test_times_only_when_enabled(self, tmp_path):
         @timed("kernel.probe2")
         def work():
             return 42
 
-        obs_metrics.registry().reset()
-        obs_metrics.set_enabled(False)
+        obs_trace.set_spans_path(tmp_path / "spans.jsonl")
         work()
-        assert obs_metrics.registry().hist("kernel.probe2") is None
-        obs_metrics.set_enabled(True)
+        assert "kernel.probe2" not in obs_trace.totals()
+        obs_trace.set_enabled(True)
         work()
         work()
-        assert obs_metrics.registry().hist("kernel.probe2")["count"] == 2
+        assert obs_trace.totals()["kernel.probe2"][0] == 2
+        obs_trace.flush()
+        spans = obs_trace.load_spans(tmp_path)
+        assert [s["name"] for s in spans] == ["kernel.probe2"] * 2
+        # Stream durations are rounded to the nanosecond.
+        assert obs_trace.totals()["kernel.probe2"][1] == pytest.approx(
+            sum(s["dur"] for s in spans), abs=1e-8
+        )
 
     def test_records_even_when_the_kernel_raises(self):
         @timed("kernel.boom")
         def boom():
             raise ValueError("x")
 
-        obs_metrics.registry().reset()
-        obs_metrics.set_enabled(True)
+        obs_trace.set_enabled(True)
         with pytest.raises(ValueError):
             boom()
-        assert obs_metrics.registry().hist("kernel.boom")["count"] == 1
+        assert obs_trace.totals()["kernel.boom"][0] == 1
+
+    @pytest.mark.parametrize("which", ["advanced", "pd", "md"])
+    @pytest.mark.parametrize(
+        "coords", [[(1.0, 1.0)], [(2.0, 2.0)] * 3], ids=["one-point", "degenerate"]
+    )
+    def test_one_split_is_one_timed_call(self, which, coords):
+        """A SPLIT that falls back on the basic rule (a pool under two
+        points, all points identical, or MD's basic partition) is still
+        one timed call: no nested ``kernel.split.basic`` span."""
+        from repro.core.split import make_split
+        from repro.spaces import Euclidean
+        from repro.types import DataPoint
+
+        points = [DataPoint(i, c) for i, c in enumerate(coords)]
+        obs_trace.set_enabled(True)
+        make_split(which)(Euclidean(2), points, (0.0, 0.0), (4.0, 0.0))
+        assert {n: c for n, (c, _) in obs_trace.totals().items()} == {
+            f"kernel.split.{which}": 1
+        }
 
     def test_shipped_kernels_are_wrapped(self):
         from repro.core import split as core_split
@@ -278,7 +221,6 @@ def _flush_lines(path, worker):
     reg = MetricsRegistry()
     for i in range(50):
         reg.count("cells", 1)
-        reg.observe("h", float(i))
         obs_metrics.flush(path, ctx={"worker": worker}, snapshot=reg.snapshot())
 
 
@@ -294,6 +236,26 @@ class TestFlush:
         parsed = json.loads(lines[0])
         assert parsed["ctx"] == {"task": "t1"}
         assert parsed["counters"] == {"c": 1}
+
+    def test_metrics_line_carries_counters_only(self, tmp_path):
+        """An instrumented cell's metrics line is its counters: every
+        duration it measured is a span, not a registry entry."""
+        from repro.experiments.scenario import ScenarioConfig, prepare_scenario
+
+        obs.configure(dir=tmp_path, export_env=False)
+        config = ScenarioConfig(
+            width=6, height=3, failure_round=3, reinjection_round=None,
+            total_rounds=4, metrics=("homogeneity",), seed=0,
+        )
+        sim, *_ = prepare_scenario(config)
+        sim.run(config.total_rounds)
+        snap = obs.flush_cell_metrics({"task_id": "c"})
+        assert set(snap) == {"counters"}
+        assert snap["counters"]["rounds"] == 4
+        [line] = (tmp_path / "obs" / "metrics.jsonl").read_text().splitlines()
+        assert set(json.loads(line)) == {"kind", "ts", "ctx", "counters"}
+        names = {s["name"] for s in obs_trace.load_spans(tmp_path)}
+        assert {"round", "observers", "layer.tman"} <= names
 
     def test_concurrent_flushers_interleave_whole_lines(self, tmp_path):
         """O_APPEND single-write flushing: many processes appending to
@@ -356,7 +318,6 @@ class TestConfigure:
         env = {
             obs.ENV_LOG: "warning",
             obs.ENV_OBS_DIR: str(tmp_path),
-            obs.ENV_OBS: "1",
         }
         obs.configure_from_env(env)
         assert obs_log.LEVEL == obs_log.WARNING

@@ -47,7 +47,6 @@ def obs_clean():
     for var in (
         obs.ENV_LOG,
         obs.ENV_OBS_DIR,
-        obs.ENV_OBS,
         obs.ENV_PROFILE,
         obs_trace.ENV_CTX,
     ):
@@ -121,8 +120,8 @@ class TestCellMetricsPropagation:
         assert len(cells) == 3
         for cell in cells:
             assert cell.metrics is not None
+            assert cell.metrics == {"counters": cell.metrics["counters"]}
             assert cell.metrics["counters"]["rounds"] == 8
-            assert "round.wall" in cell.metrics["hists"]
         lines = [
             json.loads(l)
             for l in (tmp_path / "obs" / "metrics.jsonl")
@@ -252,7 +251,7 @@ class TestObsCLI:
         run_dir = self._instrumented_run(tmp_path)
         assert cli_main(["obs", "report", str(run_dir)]) == 0
         out = capsys.readouterr().out
-        assert "Per-round phases" in out
+        assert "Spans" in out and "Kernels" in out
         assert "Counters" in out
 
     def test_obs_tail_renders_both_streams(self, tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Per-round series telemetry and the memory ledger: schema stability,
-round monotonicity per cell, ledger-vs-tracemalloc cross-checks, live
-watch over a writing process, the mem gate, Prometheus export, the
-JSON report, series-aware diffing, and the reservoir env knob."""
+round monotonicity per cell, the SPLIT column against executed
+exchanges, ledger-vs-tracemalloc cross-checks, live watch over a
+writing process, the mem gate, Prometheus export, the JSON report, and
+span-based diffing (one row per quantity)."""
 
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ WORKERS = 2
 #: Top-level keys every series record must carry, and the full set a
 #: record may carry — the schema-stability contract external tooling
 #: (the CI parse checks, dashboards) relies on.
-SERIES_REQUIRED = {"kind", "ctx", "round", "wall_s", "layers", "splits"}
+SERIES_REQUIRED = {"kind", "ctx", "round", "wall_s", "layers"}
 SERIES_ALLOWED = SERIES_REQUIRED | {
     "messages",
     "nodes",
@@ -59,18 +60,14 @@ def obs_clean():
     obs_series.set_series_path(None)
     obs_series._STREAM.clear()
     obs_series.reset_cell()
-    obs_series.set_probe_every(10)
+    obs_trace.reset_totals()
     obs_mem.set_enabled(False)
     obs_mem.reset()
-    obs_metrics.set_reservoir_cap(64)
     for var in (
         obs.ENV_LOG,
         obs.ENV_OBS_DIR,
-        obs.ENV_OBS,
         obs.ENV_PROFILE,
         obs_trace.ENV_CTX,
-        obs_series.ENV_SERIES_EVERY,
-        obs_metrics.ENV_RESERVOIR,
     ):
         os.environ.pop(var, None)
 
@@ -138,14 +135,14 @@ class TestSeriesSchema:
         assert any(v["peak"] > 0 for v in fam.values())
 
     def test_probes_at_cadence(self, tmp_path):
-        obs_series.set_probe_every(4)
-        _run_cells(tmp_path, n=1)
+        _run_cells(tmp_path, n=1, total_rounds=12)
         records = obs_series.load_series(tmp_path)
         probed = {r["round"] for r in records if "probes" in r}
-        # Observer fires when sim.round % every == 0; round 0's probe is
-        # staged before any record exists, so rounds 4 (and 0) carry it.
-        assert 4 in probed
-        rec = next(r for r in records if r["round"] == 4)
+        # The observer fires when sim.round % PROBE_EVERY == 0, which
+        # rounds 0 and 10 carry.
+        assert obs_series.PROBE_EVERY == 10
+        assert probed == {0, 10}
+        rec = next(r for r in records if r["round"] == 10)
         assert {"homogeneity", "proximity", "holder_multiplicity"} <= set(
             rec["probes"]
         )
@@ -156,6 +153,51 @@ class TestSeriesSchema:
         dead = {r["round"]: r["nodes"]["dead"] for r in records}
         assert dead[2] == 0
         assert dead[3] > 0  # the catastrophic failure at round 3
+
+    @pytest.mark.parametrize("engine", ["event", "batch"])
+    def test_migration_column_counts_every_split(
+        self, tmp_path, engine, monkeypatch
+    ):
+        """The per-round SPLIT count (``exchanges.migration``) equals a
+        spy's count of executed migration exchanges — one SPLIT each —
+        on both engines; on the event engine every SPLIT is also exactly
+        one ``kernel.split.*`` span (the fallbacks to the basic rule are
+        not a second one)."""
+        from repro.core.migration import MigrationManager
+        from repro.sim.batch.protocol import BatchPolystyrene
+
+        executed: dict = {}
+        if engine == "event":
+            real = MigrationManager.exchange
+
+            def spy(self, sim, node, partner):
+                executed[sim.round] = executed.get(sim.round, 0) + 1
+                return real(self, sim, node, partner)
+
+            monkeypatch.setattr(MigrationManager, "exchange", spy)
+        else:
+            real = BatchPolystyrene._execute_pairs
+
+            def spy(self, sim, pair_rows):
+                n = pair_rows.shape[1]
+                executed[sim.round] = executed.get(sim.round, 0) + n
+                return real(self, sim, pair_rows)
+
+            monkeypatch.setattr(BatchPolystyrene, "_execute_pairs", spy)
+        _run_cells(tmp_path, n=1, engine=engine, split="advanced")
+        records = obs_series.load_series(tmp_path)
+        assert sum(executed.values()) > 0
+        assert {
+            r["round"]: r.get("exchanges", {}).get("migration", 0) for r in records
+        } == {r["round"]: executed.get(r["round"], 0) for r in records}
+        busy = next(r for r in records if executed.get(r["round"]))
+        assert f"migration={executed[busy['round']]}" in obs_report.format_record(busy)
+        if engine == "event":
+            splits = [
+                s for s in obs_trace.load_spans(tmp_path)
+                if s["name"].startswith("kernel.split.")
+            ]
+            assert len(splits) == sum(executed.values())
 
     def test_series_cli_table_and_filters(self, tmp_path, capsys):
         _run_cells(tmp_path, n=2, engine="batch")
@@ -419,6 +461,36 @@ class TestMemLedger:
         assert snap["sites"]["site.a"]["peak_round"] == 7
         assert snap["sites"]["site.a"]["events"] == 3
 
+    def test_peak_rounds_stamped_with_the_ledger_alone(self):
+        """The ledger stamps rounds whenever it is on: a 16x8 batch cell
+        with the ledger alone attributes every family's peak to the same
+        round as a run with counting on too (not all to round 0)."""
+        from repro.experiments.scenario import prepare_scenario
+
+        config = tiny_config(
+            width=16, height=8, engine="batch", failure_round=4,
+            reinjection_round=8, total_rounds=14,
+        )
+
+        def peak_rounds(counting):
+            obs_mem.reset()
+            obs_mem.set_enabled(True)
+            obs_metrics.set_enabled(counting)
+            try:
+                sim, *_ = prepare_scenario(config)
+                sim.run(config.total_rounds)
+            finally:
+                obs_mem.set_enabled(False)
+                obs_metrics.set_enabled(False)
+            return {
+                name: fam["peak_round"]
+                for name, fam in obs_mem.snapshot()["families"].items()
+            }
+
+        alone = peak_rounds(False)
+        assert alone == peak_rounds(True)
+        assert max(alone.values()) > 0
+
     def test_mem_json_merges_across_cells_and_cli_renders(
         self, tmp_path, capsys
     ):
@@ -522,7 +594,6 @@ class TestWatch:
                     "round": rnd,
                     "wall_s": 0.001 * (rnd + 1),
                     "layers": {},
-                    "splits": 0,
                 }
             )
             obs_series.flush()
@@ -613,6 +684,29 @@ class TestPrometheusExport:
         assert any(n.endswith("_count") for n in sample_names)
         assert any(n.endswith("_sum") for n in sample_names)
 
+    def test_quantiles_are_exact_over_the_spans(self, tmp_path):
+        """Every summary's quantiles, count and sum are those of
+        ``_exact_hist`` over the span name's durations, printed so they
+        parse back to the same floats."""
+        _run_cells(tmp_path, n=1, engine="batch")
+        lines = obs_report.format_prometheus(tmp_path).splitlines()
+        durs: dict = {}
+        for rec in obs_trace.load_spans(tmp_path):
+            durs.setdefault(rec["name"], []).append(rec["dur"])
+        assert {"round", "observers", "protocol.backup"} <= set(durs)
+        for name, values in durs.items():
+            want = obs_report._exact_hist(values)
+            metric = "repro_span_" + name.replace(".", "_")
+            got = {
+                line.rpartition(" ")[0]: float(line.rpartition(" ")[2])
+                for line in lines
+                if line.startswith(metric + "{") or line.startswith(metric + "_")
+            }
+            for field, quantile in (("p50", "0.5"), ("p95", "0.95"), ("p99", "0.99")):
+                assert got[f'{metric}{{quantile="{quantile}"}}'] == want[field]
+            assert got[f"{metric}_count"] == want["count"]
+            assert got[f"{metric}_sum"] == want["sum"]
+
     def test_export_cli_writes_prom_file_and_stdout(self, tmp_path, capsys):
         _run_cells(tmp_path, n=1)
         assert (
@@ -648,86 +742,48 @@ class TestReportJson:
         assert doc["kind"] == "report"
         assert doc["records"] == 2
         assert doc["counters"]["rounds"] == 16
-        assert "round.wall" in doc["hists"]
-        assert doc["hists"]["round.wall"]["count"] == 16
+        rounds = [
+            s["dur"] for s in obs_trace.load_spans(tmp_path) if s["name"] == "round"
+        ]
+        assert len(rounds) == 16
+        assert doc["hists"]["span.round"] == obs_report._exact_hist(rounds)
+        assert all(name.startswith("span.") for name in doc["hists"])
 
 
 class TestSeriesDiff:
-    def test_series_round_wall_diffed_when_both_have_series(self, tmp_path):
-        _run_cells(tmp_path / "a", n=1)
-        obs._RUN_DIR = None
-        _run_cells(tmp_path / "b", n=1)
-        diff = obs_report.diff_runs(tmp_path / "a", tmp_path / "b")
-        names = {r["name"] for r in diff["rows"]}
-        assert "series.round_wall" in names
-        assert diff["notes"] == []
-        row = next(
-            r for r in diff["rows"] if r["name"] == "series.round_wall"
-        )
-        assert row["count_a"] == row["count_b"] == 8
+    def test_one_row_per_quantity(self, tmp_path):
+        """Diffing a batch run against a copy of itself lists each span
+        name exactly once — no registry twin of a span (``round.*``,
+        ``cell.wall``, ``kernel.*``, ``protocol.*``) and no
+        ``series.round_wall`` beside ``span.round``."""
+        _run_cells(tmp_path / "a", n=1, engine="batch")
+        same = obs_report.write_scaled_copy(tmp_path / "a", tmp_path / "same", 1.0)
+        diff = obs_report.diff_runs(tmp_path / "a", same)
+        names = [r["name"] for r in diff["rows"]]
+        spans = {s["name"] for s in obs_trace.load_spans(tmp_path / "a")}
+        assert sorted(names) == sorted(f"span.{n}" for n in spans)
+        assert {"span.round", "span.observers", "span.protocol.install"} <= set(names)
+        assert diff["regressions"] == [] and diff["counters"] == []
 
     def test_one_sided_series_is_informational(self, tmp_path):
+        """The series is not a timing source of the diff: a candidate
+        without ``series.jsonl`` diffs exactly as one with it."""
         _run_cells(tmp_path / "a", n=1)
         obs._RUN_DIR = None
         _run_cells(tmp_path / "b", n=1)
-        (
-            obs_series.resolve_series_path(tmp_path / "b")
-        ).unlink()
-        diff = obs_report.diff_runs(tmp_path / "a", tmp_path / "b")
-        names = {r["name"] for r in diff["rows"]}
-        assert "series.round_wall" not in names
-        assert len(diff["notes"]) == 1
-        assert "only in the baseline run" in diff["notes"][0]
-        rendered = obs_report.format_diff(diff)
-        assert "note:" in rendered
+        with_series = obs_report.diff_runs(tmp_path / "a", tmp_path / "b")
+        (tmp_path / "b" / "obs" / "series.jsonl").unlink()
+        without = obs_report.diff_runs(tmp_path / "a", tmp_path / "b")
+        assert without == with_series
+        assert "series.round_wall" not in {r["name"] for r in without["rows"]}
 
     def test_scaled_copy_regresses_series_wall(self, tmp_path):
+        """The per-round wall is ``span.round``: a slowed copy regresses
+        it."""
         _run_cells(tmp_path / "a", n=1)
         obs_report.write_scaled_copy(tmp_path / "a", tmp_path / "slow", 8.0)
         diff = obs_report.diff_runs(
             tmp_path / "a", tmp_path / "slow", min_total_s=0.0
         )
         reg = {r["name"] for r in diff["regressions"]}
-        assert "series.round_wall" in reg
-
-
-class TestReservoirEnvKnob:
-    def test_default_and_valid(self):
-        assert obs_metrics._reservoir_cap_from_env({}) == 64
-        assert obs_metrics._reservoir_cap_from_env(
-            {"REPRO_OBS_RESERVOIR": "128"}
-        ) == 128
-
-    @pytest.mark.parametrize("raw", ["0", "-3", "many", "1.5"])
-    def test_invalid_values_raise_with_clear_message(self, raw):
-        with pytest.raises(ValueError) as err:
-            obs_metrics._reservoir_cap_from_env({"REPRO_OBS_RESERVOIR": raw})
-        assert "REPRO_OBS_RESERVOIR" in str(err.value)
-        assert repr(raw) in str(err.value)
-
-    def test_cap_applies_to_new_observations(self):
-        obs_metrics.set_reservoir_cap(8)
-        h = obs_metrics.Histogram()
-        for i in range(100):
-            h.observe(float(i))
-        assert len(h.res) <= 8
-        assert h.count == 100
-
-    def test_set_reservoir_cap_validates(self):
-        with pytest.raises(ValueError):
-            obs_metrics.set_reservoir_cap(0)
-
-    def test_series_every_env_validation(self):
-        assert obs_series._probe_every_from_env({}) == 10
-        assert (
-            obs_series._probe_every_from_env(
-                {"REPRO_OBS_SERIES_EVERY": "25"}
-            )
-            == 25
-        )
-        for raw in ("0", "x"):
-            with pytest.raises(ValueError) as err:
-                obs_series._probe_every_from_env(
-                    {"REPRO_OBS_SERIES_EVERY": raw}
-                )
-            assert "REPRO_OBS_SERIES_EVERY" in str(err.value)
+        assert "span.round" in reg

@@ -41,6 +41,7 @@ def _reset_obs() -> None:
     obs_trace.set_spans_path(None)
     obs_trace._STREAM.clear()
     obs_trace._CTX.set(None)
+    obs_trace.reset_totals()
     obs_series.set_enabled(False)
     obs_series.set_series_path(None)
     obs_series._STREAM.clear()
@@ -50,7 +51,6 @@ def _reset_obs() -> None:
     for var in (
         obs.ENV_LOG,
         obs.ENV_OBS_DIR,
-        obs.ENV_OBS,
         obs.ENV_PROFILE,
         obs_trace.ENV_CTX,
     ):
@@ -161,22 +161,6 @@ class TestSpanEmission:
         [span] = obs_trace.load_spans(path)
         assert span["attrs"]["error"] == "ValueError"
 
-    def test_traced_decorator(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        obs_trace.set_spans_path(path)
-
-        @obs_trace.traced("work.unit")
-        def work(x):
-            return x + 1
-
-        assert work.__obs_traced__ == "work.unit"
-        assert work(1) == 2  # disabled: plain call, nothing recorded
-        obs_trace.set_enabled(True)
-        assert work(2) == 3
-        obs_trace.flush()
-        [span] = obs_trace.load_spans(path)
-        assert span["name"] == "work.unit"
-
     def test_record_leaf_under_current_span(self, tmp_path):
         path = tmp_path / "spans.jsonl"
         obs_trace.set_spans_path(path)
@@ -201,9 +185,8 @@ class TestSpanEmission:
         path = tmp_path / "spans.jsonl"
         obs_trace.set_spans_path(path)
         obs_trace.set_enabled(True)
-        obs_metrics.set_enabled(True)
 
-        @obs_metrics.timed("kernel.test_leaf")
+        @obs_trace.timed("kernel.test_leaf")
         def kernel():
             return 42
 
@@ -411,6 +394,37 @@ class TestDistributedPropagation:
         }
         assert workers, "no cell carries a worker identity"
 
+    def test_heartbeat_spans_join_the_manifest_trace(self, tmp_path):
+        """The heartbeat thread starts with an empty context; it adopts
+        the token the worker read from the queue manifest, so its
+        ``queue.heartbeat`` spans hang under the sweep, never new roots."""
+        import threading
+
+        from repro.runtime.cluster.queue import TaskSpec
+        from repro.runtime.cluster.worker import Worker
+
+        path = tmp_path / "spans.jsonl"
+        obs_trace.set_spans_path(path)
+        obs_trace.set_enabled(True)
+        queue = open_queue(tmp_path / "q")
+        queue.publish([TaskSpec(task_id="cell-0", config=tiny_config())])
+        lease = queue.claim("w1")
+        stop = threading.Event()
+        beat = threading.Thread(
+            target=Worker(queue, worker_id="w1")._heartbeat_loop,
+            args=(lease, 0.01, stop, "tid0:sid0"),
+        )
+        beat.start()
+        time.sleep(0.2)
+        stop.set()
+        beat.join()
+        obs_trace.flush()
+        beats = [
+            s for s in obs_trace.load_spans(path) if s["name"] == "queue.heartbeat"
+        ]
+        assert beats
+        assert {(s["trace"], s["parent"]) for s in beats} == {("tid0", "sid0")}
+
     def test_spawned_worker_daemon_joins_trace_via_env_and_manifest(
         self, tmp_path
     ):
@@ -439,7 +453,6 @@ class TestDistributedPropagation:
             else src
         )
         env[obs.ENV_OBS_DIR] = str(run_dir)
-        env[obs.ENV_OBS] = "1"
         subprocess.run(
             [
                 sys.executable,
