@@ -19,8 +19,8 @@ and asserts:
 
 An extra untimed K=4 batch run with span tracing enabled records the
 per-kernel calls and seconds (the ``kernel.*`` span totals) into the
-emitted record, so BENCH_core.json carries the kernel-level perf
-trajectory alongside the engine walls.
+emitted record, so the session summary carries the kernel-level perf
+numbers alongside the engine walls.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.obs import trace as obs_trace
 
 #: Regression floor asserted here; the measured numbers land in
-#: benchmarks/results/engines.json and BENCH_core.json.
+#: benchmarks/results/engines.json and benchmarks/results/session.json.
 MIN_SPEEDUP = 4.0
 
 CELL = dict(

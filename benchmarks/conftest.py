@@ -9,12 +9,12 @@ readable), and to ``benchmarks/results/<id>.json`` (machine readable:
 the report text plus the structured cells/series when the benchmark
 passes them).
 
-At the end of a benchmark session a ``BENCH_core.json`` summary is
-written at the repository root: one entry per emitted experiment plus
-the pytest-benchmark wall-clock stats per benchmark — the file that
-seeds and extends the project's performance trajectory (compare against
-``benchmarks/baseline_core.json``, the recorded pre-array-core seed
-numbers).
+At the end of a benchmark session a summary is written to
+``benchmarks/results/session.json``: one entry per emitted experiment
+plus the pytest-benchmark wall-clock stats per benchmark (compare
+against ``benchmarks/baseline_core.json``, the recorded pre-array-core
+seed numbers).  No benchmark writes the repository-root
+``BENCH_core.json``: its ``memory`` section is recorded by hand.
 
 Scale is controlled by ``REPRO_SCALE`` (smoke / reduced / paper);
 benchmarks default to the *reduced* preset, which preserves the shape
@@ -39,15 +39,16 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Execution engine benchmarks run under — ``REPRO_ENGINE=batch``
 #: switches the whole benchmark session to the batch engine (recorded
-#: in every results JSON and in BENCH_core.json, so numbers from the
+#: in every results JSON and in the session summary, so numbers from the
 #: two engines are never conflated).
 ENGINE_ENV = "REPRO_ENGINE"
 
 
 def session_engine() -> str:
     return os.environ.get(ENGINE_ENV, "event")
-REPO_ROOT = pathlib.Path(__file__).parent.parent
-SUMMARY_PATH = REPO_ROOT / "BENCH_core.json"
+
+
+SUMMARY_PATH = RESULTS_DIR / "session.json"
 
 
 def _jsonable(value):
@@ -171,8 +172,8 @@ def _benchmark_timings(session) -> list:
 def _timings_metrics_record(timings: list) -> dict:
     """The benchmark timings as one obs metrics record carrying a stored
     ``hists`` section of ``bench.<name>`` summaries, which ``repro obs
-    report BENCH_core.json`` renders as given in its Benchmarks
-    section."""
+    report benchmarks/results/session.json`` renders as given in its
+    Benchmarks section."""
     from repro.obs.metrics import metrics_record
 
     hists = {}
@@ -203,7 +204,7 @@ def _timings_metrics_record(timings: list) -> dict:
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Write the machine-readable BENCH_core.json summary."""
+    """Write the machine-readable session summary (``SUMMARY_PATH``)."""
     emitted = _session_emitted(session.config)
     if not emitted:
         return
@@ -232,4 +233,5 @@ def pytest_sessionfinish(session, exitstatus):
         summary["environment"]["numpy"] = numpy.__version__
     except Exception:  # pragma: no cover - numpy is a hard dependency
         pass
+    SUMMARY_PATH.parent.mkdir(exist_ok=True)
     SUMMARY_PATH.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

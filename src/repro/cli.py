@@ -150,8 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="execution engine: 'event' (per-node, semantics v1) or "
         "'batch' (batch-synchronous vectorised, semantics v2 — "
-        "statistically equivalent results, several times faster); "
-        "with --resume, converts the checkpoint to the chosen engine",
+        "statistically equivalent results, several times faster)",
     )
     run.add_argument(
         "--resume",
@@ -741,13 +740,20 @@ def _cmd_list() -> int:
 
 
 def _cmd_resume(args) -> int:
+    if args.engine is not None:
+        print(
+            "error: a checkpoint continues under the engine that wrote it",
+            file=sys.stderr,
+        )
+        return 2
     from .runtime import checkpoint as ckpt
+    from .sim.batch import BatchSimulation
 
     loaded = ckpt.load(args.resume)
     print(f"loaded {loaded.describe()} from {args.resume}")
-    sim = ckpt.restore(loaded, engine=args.engine)
-    if args.engine:
-        print(f"running under the {args.engine} engine")
+    sim = ckpt.restore(loaded)
+    engine = "batch" if isinstance(sim, BatchSimulation) else "event"
+    print(f"running under the {engine} engine")
     if args.rounds > 0:
         sim.run(args.rounds)
         print(

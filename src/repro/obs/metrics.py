@@ -28,8 +28,9 @@ Snapshot schema (one flushed line)::
 
 The per-cell ``metrics`` section of result-store cell records and
 ``obs/profile.json`` carry the same ``counters`` map, so ``repro obs
-report`` renders any of them; ``BENCH_core.json`` adds a stored
-``hists`` section of benchmark summaries, rendered as given.
+report`` renders any of them; a benchmark session summary
+(``benchmarks/results/session.json``) adds a stored ``hists`` section
+of benchmark summaries, rendered as given.
 """
 
 from __future__ import annotations

@@ -5,9 +5,10 @@ flushed (sequential runs flush once, parallel/distributed runs flush
 one line per cell per worker) and renders the counters next to one
 timing row per span name — count, total, mean, p50/p95, min, max,
 computed exactly from every duration in ``spans.jsonl``
-(:func:`timing_rows`); a stored ``hists`` section (``BENCH_core.json``'s
-``bench.*`` rows) is rendered as given.  ``repro obs export --format
-prometheus`` exposes the same rows, and ``repro obs diff A B`` compares
+(:func:`timing_rows`); a stored ``hists`` section (the ``bench.*`` rows
+of ``benchmarks/results/session.json``) is rendered as given.
+``repro obs export --format prometheus`` exposes the same rows, and
+``repro obs diff A B`` compares
 them across two runs with noise floors, turning regressions into a
 nonzero exit with ``--gate`` (:func:`diff_runs`).  ``repro obs tail``
 pretty-prints the last N records of a stream, and ``--follow`` turns

@@ -154,22 +154,11 @@ def snapshot(sim: Simulation) -> SimulationCheckpoint:
     )
 
 
-def restore(
-    checkpoint: SimulationCheckpoint, engine: Optional[str] = None
-) -> Simulation:
+def restore(checkpoint: SimulationCheckpoint) -> Simulation:
     """A fresh simulation continuing exactly from the checkpointed
-    round.  Each call returns an independent copy, so one checkpoint can
-    fork many divergent futures.
-
-    ``engine`` requests a specific execution engine (``"event"`` or
-    ``"batch"``): a snapshot taken under the other engine is *converted*
-    where semantics allow (network, per-node protocol state, pending
-    events and the meter carry over verbatim; RNG substreams are
-    re-derived at the switch boundary, so the continuation is a valid
-    run of the target engine, not a bit-level extension of the source
-    trajectory).  Conversion raises :class:`CheckpointError` when the
-    snapshot cannot run under the target engine (non-vector space, or a
-    layer stack the converter does not recognise).
+    round, under the engine that wrote it (the pickled class is the
+    engine).  Each call returns an independent copy, so one checkpoint
+    can fork many divergent futures.
     """
     if checkpoint.format != CHECKPOINT_FORMAT:
         raise CheckpointError(
@@ -179,27 +168,7 @@ def restore(
     sim = checkpoint.sim  # one ``pickle.loads`` of the blob ...
     if checkpoint.blob is None:  # ... or the held closure-event object
         sim = copy.deepcopy(sim)
-    if engine is not None:
-        sim = convert_engine(sim, engine)
     return sim
-
-
-def convert_engine(sim: Simulation, engine: str) -> Simulation:
-    """Convert a live simulation to the requested execution engine
-    (no-op when it already runs under it); see :func:`restore`."""
-    from ..errors import ConfigurationError
-    from ..sim.batch.convert import to_batch, to_event
-
-    try:
-        if engine == "batch":
-            return to_batch(sim)
-        if engine == "event":
-            return to_event(sim)
-    except ConfigurationError as exc:
-        raise CheckpointError(
-            f"checkpoint cannot run under the {engine!r} engine: {exc}"
-        ) from exc
-    raise CheckpointError(f"unknown execution engine {engine!r}")
 
 
 def _encode(checkpoint: SimulationCheckpoint) -> bytes:

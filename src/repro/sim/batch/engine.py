@@ -178,9 +178,10 @@ class BatchSimulation(Simulation):
         ``tman_view`` ViewBuffers, ...).
 
         Likewise ``node.poly``, from the placement arrays.
-        Idempotent and free of RNG draws, so callers may sync at any
-        time: the engine converter before building an event simulation
-        and the routing layer before walking views.  Repeat syncs with no
+        A one-way bridge: nothing reads the attributes back into the
+        arrays.  Idempotent and free of RNG draws, so callers may sync at
+        any time — the routing probe before walking views, a test oracle
+        before reading ``node.poly``.  Repeat syncs with no
         intervening step are skipped.  The attributes stay attached (and
         go stale at the next step); state fingerprinting does not sync —
         it reads :meth:`canonical_view_ids`.
@@ -241,13 +242,3 @@ class BatchSimulation(Simulation):
         :meth:`canonical_view_ids`, a pure read of the arrays."""
         store = self.placement
         return None if store is None else store.canonical(self.network.table)
-
-    def adopt_canonical(self) -> None:
-        """Read per-node view attributes into the layers' array state —
-        the inverse of :meth:`sync_canonical`, used when an event-engine
-        simulation is converted to this engine."""
-        self._canonical_synced = False
-        for layer in self.layers:
-            adopt = getattr(layer, "adopt", None)
-            if adopt is not None:
-                adopt(self)

@@ -32,17 +32,16 @@ registered on the memory ledger as family ``protocol_placement``.
 
 :class:`~repro.core.state.PolystyreneState` objects appear in a batch
 simulation only through :meth:`PlacementStore.materialize` (what
-``sync_canonical()`` and the engine converter call) and are read back by
-:meth:`PlacementStore.adopt`; this is the one module under
-``repro.sim.batch`` that knows the dict layout.  Between those calls a
-node carries no ``poly``; the layer sets ``NodeTable.placement_in_arrays``
-so a reader of node sequences that was not handed the store raises
-instead of finding every node empty.
+``sync_canonical()`` calls), a one-way write that is never read back;
+this is the one module under ``repro.sim.batch`` that knows the dict
+layout.  Otherwise a node carries no ``poly``; the layer sets
+``NodeTable.placement_in_arrays`` so a reader of node sequences that was
+not handed the store raises instead of finding every node empty.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -263,58 +262,3 @@ class PlacementStore:
                 states[t].ghosts[int(self.owner[o])] = {
                     pid: points[pid] for pid in copy
                 }
-
-    def adopt(self, sim, register: Callable[[DataPoint], None]) -> List[int]:
-        """Read every node's ``poly`` into the arrays and drop the
-        attribute (a stale read then fails loudly); every point reached
-        — initial, guest or ghost — goes through ``register``.  A copy
-        a known holder no longer has (it recovered it) is not adopted;
-        one it has gives the copy its order.  Returns the ids of nodes
-        whose guests differ from what some backup holds of them.  The
-        caller has grown the store to the table."""
-        nodes = sim.network.nodes
-        drifted: List[int] = []
-        for node in nodes.values():
-            if node.initial_point is not None:
-                register(node.initial_point)
-            state = getattr(node, "poly", None)
-            row = node.row
-            self.reset_row(row, node.nid)
-            if state is None:
-                continue
-            for point in state.guests.values():
-                register(point)
-            for ghost in state.ghosts.values():
-                for point in ghost.values():
-                    register(point)
-            pids = list(state.guests)
-            self.ensure_width(len(pids))
-            self.guest_ids[row, : len(pids)] = pids
-            self.guest_n[row] = len(pids)
-            want = frozenset(pids)
-            in_step = True
-            for slot, b in enumerate(sorted(state.backups)[: self.replication]):
-                self.backup_ids[row, slot] = b
-                last = state.backup_sent.get(b)
-                holder = getattr(nodes.get(b), "poly", None)
-                held = holder.ghosts.get(node.nid) if holder is not None else None
-                if holder is not None and held is None:
-                    # The holder's ghost map is the truth for what is
-                    # still replicated: event-engine recovery deletes the
-                    # ghost and leaves the dead origin's ``backup_sent``.
-                    last = None
-                in_step &= last == want
-                if last is None:
-                    continue
-                if held is not None and held.keys() == last:
-                    copy = list(held)
-                else:
-                    copy = sorted(last)
-                self.ensure_width(len(copy))
-                self.sent_ids[row, slot, : len(copy)] = copy
-                self.sent_n[row, slot] = len(copy)
-            if not in_step:
-                drifted.append(node.nid)
-        for node in nodes.values():  # holders were read above: drop last
-            node.__dict__.pop("poly", None)
-        return drifted

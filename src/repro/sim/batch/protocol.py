@@ -162,23 +162,6 @@ class BatchPolystyrene:
         self._ensure_rows(sim.network.table)
         self.placement.materialize(sim, self._points)
 
-    def adopt(self, sim) -> None:
-        """Read per-node ``poly`` objects into the arrays (engine
-        conversion) and register every point they reach.
-
-        Nodes whose guests differ from what some backup was last sent
-        are marked push-dirty — the event engine repairs such drift
-        through its unconditional per-round scan, and a conversion
-        mid-drift (e.g. a checkpoint taken after migration but before
-        the next backup round) must not strand the stale copies."""
-        table = sim.network.table
-        table.placement_in_arrays = True
-        self._ensure_rows(table)
-        drifted = self.placement.adopt(sim, self._register_point)
-        self._flags[:] = False
-        self._flags[_SHORT] = True
-        self._flags[_DIRTY, table.rows_of(np.asarray(drifted, np.int64))] = True
-
     # -- one protocol round --------------------------------------------------
 
     def step(self, sim) -> None:

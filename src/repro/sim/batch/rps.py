@@ -376,21 +376,3 @@ class BatchPeerSampling:
         self._ensure_rows(sim.network.table)
         for node in sim.network.nodes.values():
             node.rps_view = self.view_of(node)
-
-    def adopt(self, sim) -> None:
-        """Read per-node ``rps_view`` dicts into the arrays (engine
-        conversion), then drop the per-node attribute so stale reads
-        fail loudly instead of silently diverging."""
-        self._ensure_rows(sim.network.table)
-        self._ids[:] = -1
-        self._ages[:] = 0
-        for node in sim.network.nodes.values():
-            view = getattr(node, "rps_view", None)
-            if view is None:
-                continue
-            entries = list(view.items())[: self.view_size]
-            for j, (nid, age) in enumerate(entries):
-                self._ids[node.row, j] = nid
-                self._ages[node.row, j] = age
-            if hasattr(node, "rps_view"):
-                del node.rps_view

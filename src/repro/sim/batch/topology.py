@@ -436,26 +436,6 @@ class _BatchTopologyBase:
                     int(i): int(a) for i, a in zip(ids, ages) if i >= 0
                 }
 
-    def adopt(self, sim) -> None:
-        self._ensure_rows(sim.network.table)
-        self._ids[:] = -1
-        self._coords[:] = 0.0
-        if self._ages is not None:
-            self._ages[:] = 0
-        for node in sim.network.nodes.values():
-            view = getattr(node, "tman_view", None)
-            if view is None:
-                continue
-            ages = getattr(node, "vicinity_age", {})
-            for j, (nid, coord) in enumerate(list(view.items())[: self.capacity]):
-                self._ids[node.row, j] = nid
-                self._coords[node.row, j] = coord
-                if self._ages is not None:
-                    self._ages[node.row, j] = ages.get(nid, 0)
-            del node.tman_view
-            if hasattr(node, "vicinity_age"):
-                del node.vicinity_age
-
 
 class BatchTMan(_BatchTopologyBase):
     """Whole-network T-Man gossip (batch form of

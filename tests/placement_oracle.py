@@ -98,37 +98,6 @@ class DictPolystyrene:
         for node in sim.network.alive_nodes():
             self.init_node(sim, node)
 
-    def adopt(self, sim) -> None:
-        """Register every data point reachable from the canonical
-        per-node state (engine conversion): initial points, guests and
-        ghost copies all index into the shared coordinate table.
-
-        Nodes whose guest set differs from what they last pushed to any
-        backup are seeded into the push-dirty set — the event engine
-        repairs such drift through its unconditional per-round scan,
-        and a conversion mid-drift (e.g. a checkpoint taken after
-        migration but before the next backup round) must not strand the
-        stale ghost copies forever.
-        """
-        for node in sim.network.nodes.values():
-            if node.initial_point is not None:
-                self._register_point(node.initial_point)
-            state = getattr(node, "poly", None)
-            if state is None:
-                continue
-            for point in state.guests.values():
-                self._register_point(point)
-            for ghost in state.ghosts.values():
-                for point in ghost.values():
-                    self._register_point(point)
-            guest_pids = frozenset(state.guests)
-            if any(
-                state.backup_sent.get(b) != guest_pids
-                for b in state.backups
-            ):
-                self._push_dirty.add(node.nid)
-        self._maybe_short = None
-
     # -- one protocol round --------------------------------------------------
 
     def step(self, sim) -> None:
@@ -172,8 +141,8 @@ class DictPolystyrene:
 
         maybe_short = self._maybe_short
         if maybe_short is None:
-            # Lazy seed (fresh layer or post-adopt): everyone is a
-            # top-up candidate once.
+            # Lazy seed (fresh layer): everyone is a top-up candidate
+            # once.
             maybe_short = self._maybe_short = set(network.alive_ids())
 
         # Line 1: drop failed backups — only re-scanned when the

@@ -6,8 +6,9 @@
   digest (placement, positions, RNG streams, meter units), recorded
   series, reliability sample;
 * the store's invariants, each one vector compare, every round;
-* ``adopt(materialize(x))`` is the identity; fingerprinting and
-  stepping leave no per-node placement object behind;
+* ``materialize`` writes exactly the canonical placement and changes
+  nothing else; fingerprinting and stepping leave no per-node placement
+  object behind;
 * the array readers the observers use equal the node-sequence
   definitions in ``repro.core.state`` on the materialised objects.
 """
@@ -43,7 +44,7 @@ from repro.runtime.scenarios import (
     mass_failure,
     trickle,
 )
-from repro.sim.batch import BatchPolystyrene, convert
+from repro.sim.batch import BatchPolystyrene
 from repro.sim.batch.placement import PlacementStore
 from repro.sim.network import SimNode
 
@@ -288,7 +289,7 @@ def test_no_wave_loses_or_duplicates_a_point(monkeypatch):
     assert len(waves) > ROUNDS  # several waves a round
 
 
-# -- materialize / adopt; purity ----------------------------------------------
+# -- materialize; purity -----------------------------------------------------
 
 
 def store_arrays(store: PlacementStore):
@@ -299,24 +300,23 @@ def store_arrays(store: PlacementStore):
 
 
 @pytest.mark.parametrize("churn", ["none", "everything"])
-def test_adopt_of_materialize_is_the_identity(churn):
+def test_materialize_matches_canonical_placement(churn):
     cfg = config(seed=4, retention_rounds=4)
     sim, *_ = prepare_scenario(cfg)
     CHURN[churn](cfg).install(sim)
     sim.run(9)
-    layer = sim.layers[2]
+    store = sim.layers[2].placement
     digest = state_digest(sim)
     canonical = sim.canonical_placement()
-    guests = store_arrays(layer.placement)["guest_ids"]
+    before = store_arrays(store)
     sim.sync_canonical()
-    layer.adopt(sim)
-    assert not any(hasattr(node, "poly") for node in sim.network.nodes.values())
-    assert sim.canonical_placement() == canonical
+    for node in sim.network.nodes.values():
+        assert _poly_state(node.poly) == canonical[node.row], node.nid
+    # a one-way write: the arrays, and so the digest, are untouched
+    after = store_arrays(store)
+    assert all(np.array_equal(before[name], after[name]) for name in before)
     assert state_digest(sim) == digest
-    # guest *order* survives the trip (it decides the next projection)
-    alive = np.flatnonzero(sim.network.table.alive_rows())
-    assert (layer.placement.guest_ids[alive] == guests[alive]).all()
-    # ... and so does the run: the twin that never made the trip agrees
+    # ... and so is the run: the twin that never synced agrees
     twin, *_ = prepare_scenario(cfg)
     CHURN[churn](cfg).install(twin)
     twin.run(9)
@@ -429,11 +429,6 @@ def test_unsynced_batch_nodes_refuse_the_node_sequence_readers():
         read()
     # nodes no layer gave state to still count as holding nothing
     assert average_storage([SimNode(0, (0.0, 0.0))]) == 0.0
-    # ... and after a conversion ``node.poly`` is the state again
-    event = convert.to_event(sim)
-    assert surviving_fraction(points, event.network.alive_nodes()) == 1.0
-    event.run(1)
-    assert surviving_fraction(points, event.network.alive_nodes()) == 1.0
 
 
 def test_rows_grow_by_the_tables_policy_and_land_on_the_ledger():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cli import build_parser, main
 from repro.experiments.scenario import ScenarioConfig, prepare_scenario
 from repro.runtime import checkpoint
@@ -88,6 +90,43 @@ class TestCommands:
         assert checkpoint.state_digest(loaded) == checkpoint.state_digest(
             straight
         )
+
+    def test_resume_refuses_an_engine(self, tmp_path, capsys):
+        # The file does not exist: exit 2, not 1, shows the refusal
+        # comes before the checkpoint is read.
+        path = tmp_path / "run.ckpt"
+        for engine in ("event", "batch"):
+            code = main(["run", "--resume", str(path), "--engine", engine])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert "a checkpoint continues under the engine that wrote it" in err
+
+    @pytest.mark.parametrize("engine", ["event", "batch"])
+    def test_resume_names_the_engine_it_continues_under(
+        self, engine, tmp_path, capsys
+    ):
+        config = ScenarioConfig(
+            width=6,
+            height=3,
+            failure_round=None,
+            reinjection_round=None,
+            total_rounds=4,
+            metrics=("homogeneity",),
+            engine=engine,
+        )
+        sim, *_ = prepare_scenario(config)
+        sim.run(1)
+        path = checkpoint.save(checkpoint.snapshot(sim), tmp_path / "run.ckpt")
+        assert main(["run", "--resume", str(path), "--rounds", "1"]) == 0
+        assert f"running under the {engine} engine" in capsys.readouterr().out
+
+    def test_engine_help_no_longer_mentions_conversion(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        out = capsys.readouterr().out
+        assert "--engine" in out
+        assert "convert" not in out
 
     def test_resume_missing_checkpoint_errors(self, tmp_path, capsys):
         code = main(["run", "--resume", str(tmp_path / "absent.ckpt")])
