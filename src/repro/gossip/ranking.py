@@ -1,10 +1,12 @@
 """Distance-ranking helpers shared by the gossip layers.
 
 Two input shapes are supported everywhere: plain ``{id: coord}`` dicts
-(tests, ad-hoc probes, the routing layer) and the array-backed
+(tests, ad-hoc probes, the routing layer) and the
 :class:`~repro.sim.arrays.ViewBuffer` view slots the layers use on the
-hot path.  The ViewBuffer path ranks straight off the buffer's packed
-id/coordinate arrays — no per-call list building or ``np.asarray``.
+hot path.  A ViewBuffer *is* an id column and a coordinate batch, so
+its rankings read the view's state itself — no per-call list building
+or ``np.asarray``.  :func:`rank_order` is the one kernel: it returns
+positions, so a caller can take the ranked rows of both arrays.
 
 Rankings sort by *squared* distance: ``sqrt`` is strictly increasing,
 so the order (including the id tie-break) is the order true distances
@@ -17,11 +19,25 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..sim.arrays import ViewBuffer
+from ..sim.arrays import ViewBuffer, take_coords
 from ..spaces.base import Space
 from ..types import Coord, NodeId
 
 Entries = Union[Dict[NodeId, Coord], ViewBuffer]
+
+
+def rank_order(
+    space: Space,
+    origin: Coord,
+    ids,
+    coords,
+    limit: Optional[int] = None,
+) -> np.ndarray:
+    """Positions of pre-packed (ids, coords) arrays by distance to
+    ``origin``, closest first, ties broken by id.  (Empty input ranks to
+    an empty order through the same code path — no special case.)"""
+    order = np.lexsort((ids, space.rank_sq_block(origin, coords)))
+    return order if limit is None else order[:limit]
 
 
 def rank_ids(
@@ -31,14 +47,8 @@ def rank_ids(
     coords,
     limit: Optional[int] = None,
 ) -> List[NodeId]:
-    """Rank pre-packed (ids, coords) arrays by distance to ``origin``,
-    closest first, ties broken by id.  The low-level kernel under
-    :func:`rank_entries`.  (Empty input ranks to an empty list through
-    the same code path — no special case needed.)"""
-    dists = space.rank_sq_block(origin, coords)
-    order = np.lexsort((ids, dists))  # distance first, id as tie-break
-    if limit is not None:
-        order = order[:limit]
+    """The ids of :func:`rank_order`, as a list."""
+    order = rank_order(space, origin, ids, coords, limit)
     if isinstance(ids, np.ndarray):
         return ids[order].tolist()
     return [ids[i] for i in order]
@@ -73,20 +83,12 @@ def rank_alive(
     limit: Optional[int] = None,
 ) -> List[NodeId]:
     """Rank only the view entries whose mask position is True (the
-    alive-filtered ranking of ``neighbors()``), reading the packed id
-    and coordinate arrays in place."""
+    alive-filtered ranking of ``neighbors()``), off the view's arrays."""
     ids, coords = view.arrays()
     if not alive_mask.all():
         ids = ids[alive_mask]
-        if isinstance(coords, list):
-            coords = [c for c, keep in zip(coords, alive_mask) if keep]
-        else:
-            coords = coords[alive_mask]
-    dists = space.rank_sq_block(origin, coords)
-    order = np.lexsort((ids, dists))
-    if limit is not None:
-        order = order[:limit]
-    return ids[order].tolist()
+        coords = take_coords(coords, alive_mask)
+    return ids[rank_order(space, origin, ids, coords, limit)].tolist()
 
 
 def closest_entries(

@@ -10,11 +10,11 @@ Parameters follow the paper's setup (Sec. IV-A): views initialised with
 10 random peers from RPS, views capped at 100 (unlike the unbounded
 original), m = 20 descriptors per message, ψ = 5.
 
-Views are :class:`~repro.sim.arrays.ViewBuffer` slots: descriptor
-merges run at dict speed, while the three rankings of a gossip exchange
-(partner selection and the two message buffers) and the liveness scans
-read the lazily packed id/coordinate arrays — one pack per mutated
-view instead of one list → ``np.asarray`` conversion per ranking.
+Views are :class:`~repro.sim.arrays.ViewBuffer` slots, an id column and
+a coordinate block: the three rankings of a gossip exchange (partner
+selection and the two message buffers) and the liveness scans read
+them as they stand, a message is the ranked ``(ids, coords)`` rows of
+its sender's view, and a merge overwrites or appends those rows.
 Iteration order, RNG draws and ranking tie-breaks are identical to the
 historical dict-based views.
 
@@ -25,17 +25,17 @@ T-Man dominates the message budget in Fig. 7b.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..obs import metrics as obs_metrics
-from ..sim.arrays import OBJECT_DIM, ViewBuffer
+from ..sim.arrays import OBJECT_DIM, ViewBuffer, join_coords, take_coords
 from ..sim.engine import Simulation
 from ..sim.network import SimNode
 from ..spaces.base import Space
 from ..types import Coord, NodeId
-from .ranking import rank_alive, rank_entries, rank_ids
+from .ranking import rank_alive, rank_order
 from .rps import PeerSamplingLayer
 
 
@@ -130,14 +130,13 @@ class TManLayer:
         view = self._ensure_view(node)
         # Evict detectably-failed peers; the boundary nodes of Fig. 1c do
         # exactly this, then re-link with the closest survivors.  The
-        # scan is one gather over the packed id column (which partner
-        # selection needs packed right after anyway).
+        # scan is one gather over the view's id column.
         detected = sim.detected_failed()
         if detected:
             ids, _ = view.arrays()
             stale = sim.detected_mask(ids)
             if stale.any():
-                view.evict_ids(ids[stale].tolist())
+                view.evict_ids(ids[stale])
         if not view:
             self.init_node(sim, node)
             view = node.tman_view
@@ -151,8 +150,8 @@ class TManLayer:
         # to the *other* side, always including its own fresh descriptor.
         payload = self._build_buffer(node, target_pos=partner.pos_array)
         reply = self._build_buffer(partner, target_pos=node.pos_array)
-        sim.meter.charge_descriptors(self.name, len(payload), self._coord_dim)
-        sim.meter.charge_descriptors(self.name, len(reply), self._coord_dim)
+        sim.meter.charge_descriptors(self.name, len(payload[0]), self._coord_dim)
+        sim.meter.charge_descriptors(self.name, len(reply[0]), self._coord_dim)
         obs_metrics.count("exchanges.tman")
         self._merge(sim, partner, payload, detected)
         self._merge(sim, node, reply, detected)
@@ -173,39 +172,25 @@ class TManLayer:
             )
         return rng.choice(candidates)
 
-    def _build_buffer(self, node: SimNode, target_pos: Coord) -> Dict[NodeId, Coord]:
+    def _build_buffer(self, node: SimNode, target_pos: Coord) -> Tuple[np.ndarray, object]:
         """The ``m`` descriptors from ``node``'s view ∪ {node itself}
-        closest to ``target_pos``."""
-        view = self._ensure_view(node)
-        own = node.nid
-        own_pos = node.pos
-        ids, coords = view.arrays()
-        n = len(ids)
-        pool_ids = np.empty(n + 1, dtype=np.int64)
-        pool_ids[:n] = ids
-        pool_ids[n] = own
-        if isinstance(coords, list):
-            pool_coords: object = coords + [own_pos]
-        else:
-            pool_coords = np.empty((n + 1, coords.shape[1]), dtype=float)
-            pool_coords[:n] = coords
-            pool_coords[n] = own_pos
-        keep = rank_ids(
+        closest to ``target_pos``: the ranked ``(ids, coords)`` rows."""
+        ids, coords = self._ensure_view(node).arrays()
+        pool_ids = np.append(ids, np.int64(node.nid))
+        pool_coords = join_coords(coords, [node.pos])
+        order = rank_order(
             self.space, target_pos, pool_ids, pool_coords, self.message_size
         )
-        entries = view.coords
-        return {
-            nid: (own_pos if nid == own else entries[nid]) for nid in keep
-        }
+        return pool_ids[order], take_coords(pool_coords, order)
 
     def _merge(
         self,
         sim: Simulation,
         node: SimNode,
-        incoming: Dict[NodeId, Coord],
+        incoming: Tuple[np.ndarray, object],
         detected=None,
     ) -> None:
-        """Merge incoming descriptors, keep the ``cap`` closest entries.
+        """Merge an incoming message, keep the ``cap`` closest entries.
 
         Incoming coordinates overwrite stored ones: a descriptor that
         arrives now reflects a fresher position than whatever the view
@@ -214,15 +199,8 @@ class TManLayer:
         view = self._ensure_view(node)
         if detected is None:
             detected = sim.detected_failed()
-        view.merge_coords(incoming, node.nid, detected)
+        view.merge(*incoming, node.nid, detected)
         if len(view) > self.view_cap:
             ids, coords = view.arrays()
-            if isinstance(coords, list):
-                keep = rank_entries(
-                    self.space, node.pos_array, view, self.view_cap
-                )
-                view.keep_ranked(keep, ranked_for=node.pos)
-            else:
-                dists = self.space.rank_sq_block(node.pos_array, coords)
-                order = np.lexsort((ids, dists))[: self.view_cap]
-                view.set_ranked(ids[order], coords[order], ranked_for=node.pos)
+            order = rank_order(self.space, node.pos_array, ids, coords, self.view_cap)
+            view.set_ranked(ids[order], take_coords(coords, order), ranked_for=node.pos)

@@ -28,14 +28,16 @@ topology view".
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List, Tuple
 
-from ..sim.arrays import ViewBuffer
+import numpy as np
+
+from ..sim.arrays import ViewBuffer, join_coords, take_coords
 from ..sim.engine import Simulation
 from ..sim.network import SimNode
 from ..spaces.base import Space
 from ..types import Coord, NodeId
-from .ranking import rank_alive, rank_entries, rank_ids
+from .ranking import rank_alive, rank_order
 from .rps import PeerSamplingLayer
 from .tman import view_dim
 
@@ -120,12 +122,14 @@ class VicinityLayer:
         # Evict detectably-failed peers (ids pruned by the retention
         # policy count as long-detected).
         gone = sim.departed()
-        for peer in list(view):
+        stale = []
+        for peer in view:
             if gone(peer):
-                del view[peer]
+                stale.append(peer)
                 ages.pop(peer, None)
             else:
                 ages[peer] = ages.get(peer, 0) + 1
+        view.evict_ids(stale)
         if not view:
             self.init_node(sim, node)
             view, ages = node.tman_view, node.vicinity_age
@@ -137,44 +141,43 @@ class VicinityLayer:
 
         payload = self._build_buffer(sim, node, target_pos=partner.pos_array)
         reply = self._build_buffer(sim, partner, target_pos=node.pos_array)
-        sim.meter.charge_descriptors(self.name, len(payload), self._coord_dim)
-        sim.meter.charge_descriptors(self.name, len(reply), self._coord_dim)
+        sim.meter.charge_descriptors(self.name, len(payload[0]), self._coord_dim)
+        sim.meter.charge_descriptors(self.name, len(reply[0]), self._coord_dim)
         self._merge(sim, partner, payload)
         self._merge(sim, node, reply)
 
     def _build_buffer(
         self, sim: Simulation, node: SimNode, target_pos: Coord
-    ) -> Dict[NodeId, Coord]:
+    ) -> Tuple[np.ndarray, object]:
         """The ``message_size`` descriptors most relevant to the target,
-        drawn from the node's view ∪ itself ∪ fresh RPS candidates."""
-        view = self._ensure_view(node)
-        pool: Dict[NodeId, Coord] = dict(view.items())
-        pool[node.nid] = node.pos
+        drawn from the node's view ∪ itself ∪ fresh RPS candidates: the
+        ranked ``(ids, coords)`` rows."""
+        ids, coords = self._ensure_view(node).arrays()
+        extra = [node.nid]
+        seen = set(ids.tolist())
+        seen.add(node.nid)
         for nid in self.rps.sample(sim, node, self.rps_candidates):
-            pool.setdefault(nid, sim.network.node(nid).pos)
-        ids = list(pool.keys())
-        keep = rank_ids(
-            self.space,
-            target_pos,
-            ids,
-            self.space.pack_batch([pool[nid] for nid in ids]),
-            self.message_size,
+            if nid not in seen:
+                seen.add(nid)
+                extra.append(nid)
+        pool_ids = np.append(ids, np.asarray(extra, dtype=np.int64))
+        pool_coords = join_coords(
+            coords, [node.pos] + [sim.network.node(nid).pos for nid in extra[1:]]
         )
-        return {nid: pool[nid] for nid in keep}
+        order = rank_order(
+            self.space, target_pos, pool_ids, pool_coords, self.message_size
+        )
+        return pool_ids[order], take_coords(pool_coords, order)
 
     def _merge(
-        self, sim: Simulation, node: SimNode, incoming: Dict[NodeId, Coord]
+        self, sim: Simulation, node: SimNode, incoming: Tuple[np.ndarray, object]
     ) -> None:
         view = self._ensure_view(node)
         ages = node.vicinity_age
-        detected = sim.detected_failed()
-        own = node.nid
-        for nid, coord in incoming.items():
-            if nid == own or nid in detected:
-                continue
-            view[nid] = coord
+        for nid in view.merge(*incoming, node.nid, sim.detected_failed()):
             ages[nid] = 0  # freshly heard of
         if len(view) > self.view_size:
-            keep = rank_entries(self.space, node.pos_array, view, self.view_size)
-            view.keep_ranked(keep)
-            node.vicinity_age = {nid: ages.get(nid, 0) for nid in keep}
+            ids, coords = view.arrays()
+            order = rank_order(self.space, node.pos_array, ids, coords, self.view_size)
+            view.set_ranked(ids[order], take_coords(coords, order))
+            node.vicinity_age = {nid: ages.get(nid, 0) for nid in view}

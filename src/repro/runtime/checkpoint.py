@@ -48,10 +48,12 @@ from ..sim.engine import Simulation
 #: On-disk checkpoint format: ``_MAGIC``, the SHA-256 (hex) of everything
 #: after its line, one JSON line of metadata, then the pickled
 #: simulation.  Format 2 was one pickle of the whole checkpoint object
-#: with no checksum; :func:`load` and :func:`restore` reject every
-#: format but this one (cached entries are disposable: one format, no
-#: legacy reader).
-CHECKPOINT_FORMAT = 3
+#: with no checksum; format 3 pickled event-engine topology views as a
+#: dict plus a lazily packed array copy, where format 4 pickles the two
+#: arrays that are a view's whole state.  :func:`load` and
+#: :func:`restore` reject every format but this one (cached entries are
+#: disposable: one format, no legacy reader).
+CHECKPOINT_FORMAT = 4
 
 _MAGIC = b"repro-ckpt"
 #: Offset of the checksummed body: magic, 64 hex digits, a newline.

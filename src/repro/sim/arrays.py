@@ -15,13 +15,13 @@ and friends):
   without bound.
 
 * :class:`ViewBuffer` — the per-layer topology *view slot*: an
-  insertion-ordered id → coordinate map whose packed id/coordinate
-  arrays are rebuilt lazily after mutations.  It reproduces ``dict``
-  semantics exactly — iteration order is insertion order, updating an
-  existing key keeps its position, re-inserting a removed key appends —
-  so the gossip layers draw the same RNG sequences they drew over plain
-  dicts, while every ranking between two mutations reads the same
-  packed arrays instead of re-converting the view entry by entry.
+  insertion-ordered id → coordinate map that *is* two arrays, an int64
+  id column and the coordinates of those ids in the same order.  Its
+  mutations keep ``dict`` semantics exactly — iteration order is
+  insertion order, updating an existing key keeps its position,
+  re-inserting a removed key appends — so the gossip layers draw the
+  same RNG sequences they drew over plain dicts, and every ranking
+  reads the arrays as they stand: there is no second copy to rebuild.
 
 Both containers deep-copy and pickle cleanly, which the checkpoint
 subsystem relies on.
@@ -38,7 +38,7 @@ where nothing else references the array.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -469,37 +469,64 @@ class NodeTable:
         return [self._pos_cache[r] for r in rows]
 
 
+#: The memory ledger site of every view's arrays (family ``view_buffer``).
+_VIEW_SITE = "ViewBuffer.state"
+
+
+def take_coords(coords, idx: np.ndarray):
+    """Rows ``idx`` (an index array or a bool mask) of a coordinate
+    batch: a float block, or a list of coordinate objects
+    (:data:`OBJECT_DIM`).  The result is a new batch either way."""
+    if isinstance(coords, np.ndarray):
+        return coords[idx]
+    if idx.dtype == bool:
+        idx = np.flatnonzero(idx)
+    return [coords[i] for i in idx.tolist()]
+
+
+def join_coords(coords, extra):
+    """A new coordinate batch: ``coords`` followed by ``extra`` (a batch
+    of the same kind, or a sequence of coordinate objects)."""
+    if isinstance(coords, list):
+        return coords + list(extra)
+    extra = np.asarray(extra, dtype=float).reshape(-1, coords.shape[1])
+    return np.concatenate((coords, extra))
+
+
 class ViewBuffer:
-    """Insertion-ordered id → coordinate map with a packed array cache.
+    """Insertion-ordered id → coordinate map held as two arrays.
 
-    The gossip layers' views are mutation-heavy (every exchange merges
-    ~20 descriptors) *and* rank-heavy (every exchange ranks the view
-    several times).  The buffer therefore keeps a plain dict as the
-    source of truth — mutations run at C dict speed and iteration order
-    is exactly the historical dict order, so RNG draw sequences are
-    unchanged — and lazily packs the ids and coordinates into
-    contiguous arrays the first time a ranking kernel asks after a
-    mutation.  A view that is ranked several times between mutations
-    (partner selection, the two exchange buffers) pays for one pack.
+    The whole state is an int64 id column and the coordinates of those
+    ids, row for row: an ``(n, dim)`` float block, or a list of
+    coordinate objects where the space's coordinates are not float
+    vectors (:data:`OBJECT_DIM`).  Ranking kernels read the pair as it
+    stands (:meth:`arrays`).  The bulk calls the gossip layers make —
+    :meth:`merge`, :meth:`evict_ids`, :meth:`set_ranked` — overwrite
+    rows in place or install new arrays the view alone holds, with
+    ``dict`` semantics exactly, so iteration order and hence every RNG
+    draw are those of the historical dict-based views.
 
-    The mapping protocol mirrors ``dict`` (tests and the routing layer
-    treat views as mappings); bulk helpers cover the layers' hot
-    mutation patterns so the per-descriptor work stays inside one
-    method call.
+    The mapping protocol (``in``, ``[]``, ``items()``) reads the arrays
+    for the routing layer and tests; a single-id lookup scans the id
+    column.  Every change of the arrays' size is booked in the memory
+    ledger (family ``view_buffer``), so its current bytes are what the
+    views hold.
     """
 
-    __slots__ = ("coords", "_dim", "_ids_arr", "_coords_arr", "_dirty", "_ranked_pos")
+    __slots__ = ("_dim", "_ids", "_coords", "_ranked_pos")
 
     def __init__(
         self,
         dim: Union[int, str],
         entries: Iterable[Tuple[NodeId, Coord]] = (),
     ) -> None:
+        entries = dict(entries)
         self._dim = dim
-        self.coords: Dict[NodeId, Coord] = dict(entries)
-        self._ids_arr: Optional[np.ndarray] = None
-        self._coords_arr = None
-        self._dirty = True
+        self._ids = np.fromiter(entries, dtype=np.int64, count=len(entries))
+        coords = list(entries.values())
+        if isinstance(dim, int):
+            coords = np.asarray(coords, dtype=float).reshape(len(coords), dim)
+        self._coords = coords
         #: The origin object this view is currently *sorted for* (set by
         #: the ranked truncations, compared by identity).  While it is
         #: the node's live position object, ranked prefixes of the view
@@ -507,6 +534,39 @@ class ViewBuffer:
         #: break the sort order clears it (order-preserving evictions
         #: keep it).
         self._ranked_pos = None
+        if _mem.ENABLED:
+            _mem.add("view_buffer", _VIEW_SITE, self.nbytes)
+
+    def _install(self, ids: np.ndarray, coords) -> None:
+        """Make ``(ids, coords)`` the view's state, booking the change
+        of its bytes."""
+        before = self.nbytes if _mem.ENABLED else 0
+        self._ids = ids
+        self._coords = coords
+        if _mem.ENABLED:
+            _mem.add("view_buffer", _VIEW_SITE, self.nbytes - before)
+
+    def _find(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(slots, held)``: where each of ``ids`` sits in the id column
+        (a sorted search) and whether it is there at all; a slot is
+        meaningful only where ``held``."""
+        col = self._ids
+        if not len(col):
+            return np.zeros(len(ids), dtype=np.intp), np.zeros(len(ids), dtype=bool)
+        order = np.argsort(col)
+        slots = order.take(np.searchsorted(col, ids, sorter=order), mode="clip")
+        return slots, col[slots] == ids
+
+    def _slot(self, nid) -> int:
+        hit = np.flatnonzero(self._ids == nid)
+        if not len(hit):
+            raise KeyError(nid)
+        return int(hit[0])
+
+    def _coord(self, slot: int) -> Coord:
+        if isinstance(self._coords, np.ndarray):
+            return tuple(self._coords[slot].tolist())
+        return self._coords[slot]
 
     @property
     def dim(self) -> Union[int, str]:
@@ -519,144 +579,139 @@ class ViewBuffer:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the packed array cache (the memory-profiler's
-        accounting hook; the source-of-truth dict is not counted)."""
-        total = 0
-        if self._ids_arr is not None:
-            total += self._ids_arr.nbytes
-        if isinstance(self._coords_arr, np.ndarray):
-            total += self._coords_arr.nbytes
+        """Bytes held by the id column and a float coordinate block (the
+        memory ledger's accounting hook)."""
+        total = self._ids.nbytes
+        if isinstance(self._coords, np.ndarray):
+            total += self._coords.nbytes
         return total
 
-    # -- mapping protocol (dict-compatible) ------------------------------
+    # -- mapping protocol (dict-compatible reads of the arrays) ----------
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return len(self._ids)
 
     def __bool__(self) -> bool:
-        return bool(self.coords)
+        return len(self._ids) > 0
 
     def __iter__(self):
-        return iter(self.coords)
+        return iter(self._ids.tolist())
 
     def __contains__(self, nid) -> bool:
-        return nid in self.coords
+        return bool(np.any(self._ids == nid))
 
     def __getitem__(self, nid) -> Coord:
-        return self.coords[nid]
+        return self._coord(self._slot(nid))
 
     def __setitem__(self, nid: NodeId, coord: Coord) -> None:
-        self.coords[nid] = coord
-        self._dirty = True
+        hit = np.flatnonzero(self._ids == nid)
+        if len(hit):
+            self._coords[hit[0]] = coord
+        else:
+            self._install(
+                np.append(self._ids, np.int64(nid)), join_coords(self._coords, [coord])
+            )
         self._ranked_pos = None
 
     def __delitem__(self, nid: NodeId) -> None:
-        del self.coords[nid]
-        self._dirty = True
+        if nid not in self:
+            raise KeyError(nid)
+        self.evict_ids([nid])
 
     def get(self, nid, default=None):
-        return self.coords.get(nid, default)
+        return self[nid] if nid in self else default
 
-    def keys(self):
-        return self.coords.keys()
+    def keys(self) -> List[NodeId]:
+        return self._ids.tolist()
 
-    def values(self):
-        return self.coords.values()
+    def values(self) -> List[Coord]:
+        if isinstance(self._coords, np.ndarray):
+            return list(map(tuple, self._coords.tolist()))
+        return list(self._coords)
 
-    def items(self):
-        return self.coords.items()
+    def items(self) -> List[Tuple[NodeId, Coord]]:
+        return list(zip(self.keys(), self.values()))
 
-    def ids_list(self) -> List[NodeId]:
-        return list(self.coords)
-
-    # -- packed arrays (the ranking hot path) ----------------------------
+    # -- the arrays (the ranking hot path) --------------------------------
 
     def arrays(self):
-        """``(ids, coords)`` in insertion order: an int64 array and a
-        packed coordinate batch ((n, dim) float array in vector mode, a
-        list of coordinate objects otherwise).  Rebuilt lazily after
-        mutations; do not mutate the returned arrays."""
-        if self._dirty:
-            before = self.nbytes if _mem.ENABLED else 0
-            n = len(self.coords)
-            self._ids_arr = np.fromiter(
-                self.coords.keys(), dtype=np.int64, count=n
-            )
-            if isinstance(self._dim, int):
-                self._coords_arr = np.asarray(
-                    list(self.coords.values()), dtype=float
-                ).reshape(n, self._dim)
+        """``(ids, coords)`` in insertion order: the int64 id column and
+        the coordinate batch ((n, dim) float array in vector mode, a
+        list of coordinate objects otherwise) — the view's own state,
+        not a copy; do not mutate them."""
+        return self._ids, self._coords
+
+    # -- bulk mutations (one method call per hot pattern) ----------------
+
+    def evict_ids(self, stale) -> None:
+        """Drop the given ids (the caller computed the stale set, e.g.
+        from a vectorised liveness mask); the order of the rest, and so
+        the ranked marker, is kept."""
+        if len(stale):
+            keep = ~np.isin(self._ids, stale)
+            self._install(self._ids[keep], take_coords(self._coords, keep))
+
+    def merge(self, ids: np.ndarray, coords, own: NodeId, detected) -> List[NodeId]:
+        """The topology merge rule over one message ``(ids, coords)``:
+        adopt every descriptor except ``own`` and ids in ``detected`` (a
+        set).  A known id's row is overwritten where it stands — a
+        descriptor that arrives now is fresher than the stored one — and
+        unknown ids are appended in message order.  Returns the adopted
+        ids, in message order."""
+        incoming = ids.tolist()
+        pick = [
+            i for i, nid in enumerate(incoming) if nid != own and nid not in detected
+        ]
+        if not pick:
+            return []
+        if len(pick) < len(incoming):
+            idx = np.asarray(pick)
+            ids, coords = ids[idx], take_coords(coords, idx)
+            incoming = [incoming[i] for i in pick]
+        self._ranked_pos = None
+        slots, held = self._find(ids)
+        if held.any():
+            if isinstance(self._coords, np.ndarray):
+                self._coords[slots[held]] = coords[held]
             else:
-                self._coords_arr = list(self.coords.values())
-            self._dirty = False
-            if _mem.ENABLED:
-                _mem.add("view_buffer", "ViewBuffer.pack", self.nbytes - before)
-        return self._ids_arr, self._coords_arr
+                for slot, coord in zip(slots[held].tolist(), take_coords(coords, held)):
+                    self._coords[slot] = coord
+        if not held.all():
+            new = ~held
+            self._install(
+                np.concatenate((self._ids, ids[new])),
+                join_coords(self._coords, take_coords(coords, new)),
+            )
+        return incoming
 
-    # -- bulk mutation helpers (one method call per hot pattern) ---------
-
-    def evict(self, detected) -> None:
-        """Drop every entry whose id is in ``detected`` (a set)."""
-        coords = self.coords
-        stale = [nid for nid in coords if nid in detected]
-        if stale:
-            for nid in stale:
-                del coords[nid]
-            self._dirty = True
-
-    def evict_ids(self, stale: Sequence[NodeId]) -> None:
-        """Drop the given entries (caller already computed the stale
-        set, e.g. from a vectorised liveness mask)."""
-        if stale:
-            coords = self.coords
-            for nid in stale:
-                del coords[nid]
-            self._dirty = True
-
-    def merge_coords(self, incoming: Dict[NodeId, Coord], own: NodeId, detected) -> None:
-        """The T-Man merge rule: adopt every incoming descriptor except
-        our own id and detected-failed peers; fresher coordinates
-        overwrite stored ones."""
-        coords = self.coords
-        changed = False
-        for nid, coord in incoming.items():
-            if nid == own or nid in detected:
-                continue
-            coords[nid] = coord
-            changed = True
-        if changed:
-            self._dirty = True
-            self._ranked_pos = None
+    def set_ranked(self, keep_ids: np.ndarray, coords, ranked_for=None) -> None:
+        """Install ``(keep_ids, coords)`` — arrays the caller hands over,
+        typically a ranking's rows of this view — as the whole view.
+        ``ranked_for`` records the origin object the order was computed
+        against (T-Man's bounded-view truncation)."""
+        self._install(keep_ids, coords)
+        self._ranked_pos = ranked_for
 
     def keep_ranked(self, keep: Sequence[NodeId], ranked_for=None) -> None:
-        """Rebuild holding exactly ``keep``, in that order — the array
-        form of ``{nid: view[nid] for nid in keep}`` (T-Man's bounded-
-        view truncation).  ``ranked_for`` records the origin object the
-        order was computed against."""
-        coords = self.coords
-        self.coords = {nid: coords[nid] for nid in keep}
-        self._dirty = True
-        self._ranked_pos = ranked_for
-
-    def set_ranked(self, keep_ids: np.ndarray, coords_arr, ranked_for=None) -> None:
-        """:meth:`keep_ranked` for a caller that already holds the
-        kept ids and their packed coordinate rows (a ranking it just
-        computed): the packed cache is installed directly instead of
-        being rebuilt on the next ranking."""
-        old = self.coords
-        self.coords = {nid: old[nid] for nid in keep_ids.tolist()}
-        self._ids_arr = keep_ids
-        self._coords_arr = coords_arr
-        self._dirty = False
-        self._ranked_pos = ranked_for
-
-    def replace(self, entries: Dict[NodeId, Coord]) -> None:
-        self.coords = dict(entries)
-        self._dirty = True
-        self._ranked_pos = None
+        """:meth:`set_ranked` by id: hold exactly ``keep``, in that
+        order — the array form of ``{nid: view[nid] for nid in keep}``."""
+        keep = np.asarray(keep, dtype=np.int64).reshape(-1)
+        slots, held = self._find(keep)
+        if not held.all():
+            raise KeyError(keep[~held][0].item())
+        self.set_ranked(keep, take_coords(self._coords, slots), ranked_for)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ViewBuffer(n={len(self.coords)}, dim={self._dim})"
+        return f"ViewBuffer(n={len(self._ids)}, dim={self._dim})"
+
+
+def release_views(holder) -> None:
+    """Book in the memory ledger the release of every view slot an
+    object holds — a node the network forgets drops its views."""
+    if _mem.ENABLED:
+        for slot in vars(holder).values():
+            if isinstance(slot, ViewBuffer):
+                _mem.add("view_buffer", _VIEW_SITE, -slot.nbytes)
 
 
 def view_ids(view) -> np.ndarray:

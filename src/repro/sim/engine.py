@@ -223,19 +223,16 @@ class Simulation:
         """The topology views as one padded id matrix, ``(rows, ids)``:
         ``ids`` is indexed by table row (``-1`` pads) and ``rows`` are
         the alive nodes' rows, in :meth:`Network.alive_ids` order — what
-        the proximity metric scores.  Packed here from the per-node
-        ``tman_view`` slots; the batch engine's layers already hold it."""
+        the proximity metric scores.  Filled row by row from the
+        per-node ``tman_view`` id columns; the batch engine's layers
+        already hold it."""
         nodes = self.network.alive_nodes()
         rows = np.fromiter((node.row for node in nodes), np.int64, len(nodes))
-        packed = [view_ids(getattr(node, "tman_view", None)) for node in nodes]
-        lens = np.fromiter(map(len, packed), np.int64, len(packed))
-        total = int(lens.sum())
-        ids = np.full(
-            (self.network.table.n_rows, int(lens.max(initial=0))), -1, np.int64
-        )
-        if total:
-            col = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-            ids[np.repeat(rows, lens), col] = np.concatenate(packed)
+        columns = [view_ids(getattr(node, "tman_view", None)) for node in nodes]
+        width = max(map(len, columns), default=0)
+        ids = np.full((self.network.table.n_rows, width), -1, np.int64)
+        for row, column in zip(rows.tolist(), columns):
+            ids[row, : len(column)] = column
         return rows, ids
 
     # -- main loop ---------------------------------------------------------

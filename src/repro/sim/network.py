@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import DeadNodeError, UnknownNodeError
 from ..types import Coord, DataPoint, NodeId
-from .arrays import NodeTable, _grown, resized
+from .arrays import NodeTable, _grown, release_views, resized
 
 
 class SimNode:
@@ -206,12 +206,15 @@ class Network:
         Long-churn runs with reinjection call this once no view can
         still reference the id; the freed row is reused by the next
         node added (free-list reuse), bounding table growth by the
-        peak population instead of the total churn volume.
+        peak population instead of the total churn volume.  The node's
+        own view slots go with it (booked as released in the memory
+        ledger).
         """
         node = self.node(nid)
         if nid in self._alive:
             raise DeadNodeError(f"cannot remove alive node {nid}")
         self.table.release(nid)
+        release_views(node)
         node._table = None
         node._poscache = [None]
         node._row = 0

@@ -150,7 +150,7 @@ def test_reserve_is_invisible_to_digest_and_survives_a_checkpoint(engine):
     assert ckpt.state_digest(sim) == ckpt.state_digest(twin)
 
     checkpoint = ckpt.snapshot(sim)
-    assert ckpt.CHECKPOINT_FORMAT == 3 and checkpoint.blob is not None
+    assert ckpt.CHECKPOINT_FORMAT == 4 and checkpoint.blob is not None
     restored = ckpt.restore(checkpoint)
     assert restored.network.table.capacity == 72 + 50
     for name, want in vars(sim.network.table).items():

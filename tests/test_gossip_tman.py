@@ -169,3 +169,26 @@ class TestTraffic:
             if other.tman_view.get(0) == (3.3, 3.3)
         )
         assert learned > 0
+
+
+def test_views_are_their_two_arrays_after_an_event_run():
+    """After failure, repair and reinjection on the event engine, a view
+    holds its id column and coordinate block and nothing else: no dict,
+    no second copy of either array."""
+    from repro.experiments.scenario import ScenarioConfig, prepare_scenario
+    from repro.sim.arrays import ViewBuffer
+
+    config = ScenarioConfig(
+        width=32, height=16, failure_round=3, reinjection_round=6,
+        total_rounds=9, metrics=(), seed=2,
+    )
+    sim, *_ = prepare_scenario(config)
+    sim.run(config.total_rounds)
+    dim = sim.space.dim
+    for node in sim.network.alive_nodes():
+        view = node.tman_view
+        assert type(view) is ViewBuffer and not hasattr(view, "__dict__")
+        assert not any(isinstance(getattr(view, slot), dict) for slot in ViewBuffer.__slots__)
+        assert view.nbytes == len(view) * 8 * (1 + dim)
+        ids, coords = view.arrays()
+        assert ids.base is None and coords.base is None

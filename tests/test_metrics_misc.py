@@ -10,6 +10,7 @@ from repro.metrics.messages import layer_share, per_node_cost, per_node_series
 from repro.metrics.proximity import node_proximity, proximity
 from repro.metrics.reshaping import reference_homogeneity, reshaping_time
 from repro.metrics.storage import average_storage, node_storage, total_unique_points
+from repro.sim.arrays import view_ids
 from repro.sim.engine import Simulation
 from repro.sim.network import Network, SimNode
 from repro.spaces import FlatTorus
@@ -72,6 +73,28 @@ def oracle_proximity(space, sim, k, nodes=None):
     values = [node_proximity(space, sim, n, k) for n in nodes]
     values = [v for v in values if not math.isnan(v)]
     return float(np.mean(values)) if values else float("nan")
+
+
+def concatenated_view_matrix(sim):
+    """The padded view matrix built from one concatenated copy of every
+    view's ids (the event engine's construction before it filled rows
+    in place)."""
+    nodes = sim.network.alive_nodes()
+    rows = np.fromiter((node.row for node in nodes), np.int64, len(nodes))
+    packed = [view_ids(getattr(node, "tman_view", None)) for node in nodes]
+    lens = np.fromiter(map(len, packed), np.int64, len(packed))
+    total = int(lens.sum())
+    ids = np.full((sim.network.table.n_rows, int(lens.max(initial=0))), -1, np.int64)
+    if total:
+        col = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
+        ids[np.repeat(rows, lens), col] = np.concatenate(packed)
+    return rows, ids
+
+
+def assert_same_matrix(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
 
 
 class TestProximityKernelMatchesScalarDefinition:
@@ -139,6 +162,27 @@ class TestProximityKernelMatchesScalarDefinition:
                 sim.space, sim, config.k_proximity, nodes
             )
         assert sim.network.table._has_released
+
+    @pytest.mark.parametrize("topology", ["tman", "vicinity"])
+    def test_view_matrix_fills_rows_like_the_concatenated_pack(self, topology):
+        """``Simulation.view_matrix`` fills the padded matrix row by row
+        from the view id columns; the one-copy construction it replaced
+        is the oracle, on hand-made views and through a run."""
+        from repro.experiments.scenario import ScenarioConfig, prepare_scenario
+
+        positions = {n: (float(n), 1.0) for n in range(5)}
+        sim = sim_with_views({0: [1, 2], 2: [], 3: [0, 1, 2, 4]}, positions)
+        sim.network.fail([4], rnd=0)
+        assert_same_matrix(sim.view_matrix(), concatenated_view_matrix(sim))
+        config = ScenarioConfig(
+            width=8, height=4, failure_round=3, reinjection_round=9,
+            total_rounds=14, retention_rounds=3, seed=5, topology=topology,
+            metrics=("proximity",),
+        )
+        sim, *_ = prepare_scenario(config)
+        for _ in range(config.total_rounds):
+            sim.step()
+            assert_same_matrix(sim.view_matrix(), concatenated_view_matrix(sim))
 
     def test_fractional_positions_agree_to_the_last_digits(self):
         from hypothesis import given, settings, strategies as st

@@ -252,6 +252,27 @@ class TestMemLedger:
         tracked = snap["families"]["node_table"]["cur"]
         assert tracked == table.nbytes - before
 
+    def test_view_buffer_family_is_what_the_views_hold(self):
+        """Every view state change books its byte delta and a pruned
+        node's view is booked as released: through failure, retention
+        pruning and reinjection the family's current bytes stay the
+        bytes the known nodes' views hold."""
+        from repro.experiments.scenario import prepare_scenario
+
+        obs_mem.set_enabled(True)
+        obs_mem.reset()
+        sim, *_ = prepare_scenario(
+            tiny_config(
+                width=16, height=8, failure_round=3, reinjection_round=9,
+                total_rounds=14, retention_rounds=3, metrics=("proximity",),
+            )
+        )
+        for _ in range(14):
+            sim.step()
+            held = sum(node.tman_view.nbytes for node in sim.network.nodes.values())
+            assert obs_mem.snapshot()["families"]["view_buffer"]["cur"] == held
+        assert sim.network.table._has_released
+
     def test_ledger_scratch_within_tracemalloc_envelope(self):
         """The padded-kernel scratch accounting agrees with what the
         allocator actually hands out: for a synthetic merge block the

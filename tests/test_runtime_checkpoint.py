@@ -268,7 +268,7 @@ class TestDigest:
 
 
 class TestLegacyFormatUpgrade:
-    """One format, no legacy reader: only ``CHECKPOINT_FORMAT`` (3)
+    """One format, no legacy reader: only ``CHECKPOINT_FORMAT`` (4)
     loads, and every other format number is rejected by name."""
 
     def test_format_1_rejected_naming_the_format(self, tmp_path):
@@ -277,7 +277,13 @@ class TestLegacyFormatUpgrade:
     def test_format_2_rejected_naming_the_format(self, tmp_path):
         self.assert_rejected_by_number(tmp_path, 2)
 
-    def assert_rejected_by_number(self, tmp_path, legacy):
+    def test_format_3_rejected_before_unpickling(self, tmp_path):
+        """Format 3 pickled event views in a layout this build no longer
+        has: the header refuses the file as an unsupported format before
+        anything is unpickled."""
+        self.assert_rejected_by_number(tmp_path, 3, "unsupported checkpoint format 3 ")
+
+    def assert_rejected_by_number(self, tmp_path, legacy, message=None):
         sim, *_ = prepare_scenario(small_config())
         ck = checkpoint.SimulationCheckpoint(
             format=legacy,
@@ -289,9 +295,10 @@ class TestLegacyFormatUpgrade:
             sim=sim,
         )
         path = checkpoint.save(ck, tmp_path / "legacy.ckpt")
-        with pytest.raises(CheckpointError, match=f"format {legacy} "):
+        message = message or f"format {legacy} "
+        with pytest.raises(CheckpointError, match=message):
             checkpoint.load(path)
-        with pytest.raises(CheckpointError, match=f"format {legacy} "):
+        with pytest.raises(CheckpointError, match=message):
             checkpoint.restore(ck)
 
     def test_format_2_file_layout_fails_the_checksum(self, tmp_path):
@@ -301,7 +308,7 @@ class TestLegacyFormatUpgrade:
 
         path = tmp_path / "v2.ckpt"
         path.write_bytes(b"repro-ckpt" + pickle.dumps({"format": 2}))
-        with pytest.raises(CheckpointError, match="format 3"):
+        with pytest.raises(CheckpointError, match="format 4"):
             checkpoint.load(path)
 
     def test_unknown_future_format_rejected(self, tmp_path):

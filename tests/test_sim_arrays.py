@@ -8,9 +8,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.arrays import OBJECT_DIM, NodeTable, ViewBuffer
+from repro.sim.arrays import OBJECT_DIM, NodeTable, ViewBuffer, take_coords
 from repro.sim.network import Network
 
 
@@ -235,7 +236,10 @@ def _apply(model, buf, op, key, coord):
         incoming = {key: coord, key + 1: coord}
         for nid, c in incoming.items():
             model[nid] = c
-        buf.merge_coords(incoming, own=-1, detected=frozenset())
+        buf.merge(
+            np.array(list(incoming)), np.array(list(incoming.values())),
+            own=-1, detected=frozenset(),
+        )
     elif op == "keep":
         keep = sorted(model)[: max(1, len(model) // 2)]
         for nid in list(model):
@@ -302,7 +306,7 @@ class TestViewBuffer:
         assert buf.ranked_pos is pos
         assert list(buf) == [3, 0]
         # ... but any merge clears it.
-        buf.merge_coords({9: (9.0, 9.0)}, own=-1, detected=frozenset())
+        buf.merge(np.array([9]), np.array([[9.0, 9.0]]), own=-1, detected=frozenset())
         assert buf.ranked_pos is None
 
     def test_object_coords_mode(self):
@@ -315,7 +319,7 @@ class TestViewBuffer:
 
     def test_evict(self):
         buf = ViewBuffer(2, [(i, (float(i), 0.0)) for i in range(6)])
-        buf.evict(frozenset({1, 4}))
+        buf.evict_ids([1, 4])
         assert list(buf) == [0, 2, 3, 5]
 
     def test_pickle_and_deepcopy_roundtrip(self):
@@ -332,3 +336,88 @@ class TestViewBuffer:
         assert not buf and len(buf) == 0
         ids, coords = buf.arrays()
         assert len(ids) == 0 and coords.shape == (0, 2)
+
+
+#: One mutation of the model test: an op name plus the raw draws it
+#: reads (ids, a coordinate seed, a subset / order of the held ids).
+_OPS = st.tuples(
+    st.sampled_from(
+        ["merge", "evict", "set_ranked", "keep_ranked", "set", "del", "pickle"]
+    ),
+    st.lists(st.integers(0, 24), max_size=8, unique=True),
+    st.integers(0, 9),
+    st.randoms(use_true_random=False),
+)
+
+
+def _coord(dim, nid, seed):
+    if dim == OBJECT_DIM:
+        return frozenset({nid % 5, seed})
+    return (float(seed), float(nid) / 4.0)
+
+
+def _step(buf, model, dim, op, ids, seed, rng):
+    """Apply one mutation to the buffer and its plain-dict model."""
+    held = list(model)
+    if op == "merge":
+        own, detected = seed, frozenset(ids[::3])
+        coords = [_coord(dim, nid, seed) for nid in ids]
+        batch = coords if dim == OBJECT_DIM else np.array(coords).reshape(-1, dim)
+        adopted = buf.merge(np.array(ids, dtype=np.int64), batch, own, detected)
+        want = [nid for nid in ids if nid != own and nid not in detected]
+        assert adopted == want
+        assert buf.ranked_pos is None or not want
+        for nid, coord in zip(ids, coords):
+            if nid in want:
+                model[nid] = coord
+    elif op == "evict":
+        stale = [nid for nid in held if rng.random() < 0.4]
+        buf.evict_ids(stale)
+        for nid in stale:
+            del model[nid]
+    elif op in ("set_ranked", "keep_ranked"):
+        keep = rng.sample(held, rng.randint(0, len(held)))
+        if op == "keep_ranked":
+            buf.keep_ranked(keep, ranked_for=seed)
+        else:
+            slots = np.array([held.index(nid) for nid in keep], dtype=np.intp)
+            got_ids, got_coords = buf.arrays()
+            buf.set_ranked(got_ids[slots], take_coords(got_coords, slots), seed)
+        assert buf.ranked_pos == seed
+        kept = {nid: model[nid] for nid in keep}
+        model.clear()
+        model.update(kept)
+    elif op == "set":
+        for nid in ids[:2]:
+            buf[nid] = model[nid] = _coord(dim, nid, seed)
+            assert buf.ranked_pos is None
+    elif op == "del":
+        for nid in [nid for nid in ids if nid in model]:
+            del buf[nid]
+            del model[nid]
+    else:
+        buf = pickle.loads(pickle.dumps(buf))
+    return buf
+
+
+@pytest.mark.parametrize("dim", [2, OBJECT_DIM])
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(_OPS, max_size=25))
+def test_view_buffer_matches_a_dict_model(dim, ops):
+    """Random sequences of every mutation the layers and tests make: after
+    each step order, values and ``arrays()`` are the dict model's, and a
+    vector view holds exactly its ids and coordinates."""
+    buf, model = ViewBuffer(dim), {}
+    for op, ids, seed, rng in ops:
+        buf = _step(buf, model, dim, op, ids, seed, rng)
+        assert list(buf) == list(model) and len(buf) == len(model)
+        assert buf.items() == list(model.items())
+        assert all(nid in buf for nid in model) and 25 not in buf
+        got_ids, got_coords = buf.arrays()
+        assert got_ids.dtype == np.int64 and got_ids.tolist() == list(model)
+        if dim == OBJECT_DIM:
+            assert got_coords == list(model.values())
+        else:
+            assert got_coords.shape == (len(model), dim)
+            assert [tuple(row) for row in got_coords.tolist()] == list(model.values())
+            assert buf.nbytes == len(model) * 8 * (1 + dim)
