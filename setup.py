@@ -26,7 +26,6 @@ setup(
     extras_require={
         "dev": [
             "pytest",
-            "pytest-benchmark",
             "pytest-cov",
             "hypothesis",
             "scipy",

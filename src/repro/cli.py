@@ -24,7 +24,6 @@ Examples::
     repro obs tail runs/r1 --stream spans --follow
     repro obs series runs/r1 --column wall_s
     repro obs series runs/r1 --cell k4 --round-range 20:60
-    repro obs watch runs/r1
     repro obs mem runs/r1 --top 10
     repro obs trace tree runs/r1
     repro obs trace critical-path runs/r1
@@ -575,32 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LO:HI",
         help="inclusive round range, either end optional (e.g. 10:80, "
         ":40, 60:)",
-    )
-
-    obs_watch = obs_sub.add_parser(
-        "watch",
-        help="live-follow a running simulation's series stream "
-        "(one line per completed round; Ctrl-C to stop)",
-    )
-    obs_watch.add_argument("target", help=target_help)
-    obs_watch.add_argument(
-        "--stream",
-        choices=("series", "events", "metrics", "spans"),
-        default="series",
-        help="which stream to watch (default series)",
-    )
-    obs_watch.add_argument(
-        "--poll",
-        type=float,
-        default=0.5,
-        metavar="S",
-        help="poll interval in seconds (default 0.5)",
-    )
-    obs_watch.add_argument(
-        "--from-start",
-        action="store_true",
-        help="replay the stream from its first record before following "
-        "(default: only new records)",
     )
 
     obs_mem = obs_sub.add_parser(
@@ -1322,18 +1295,6 @@ def _cmd_obs(args) -> int:
                 )
             )
             return 0
-        if args.obs_action == "watch":
-            try:
-                for line in obs_report.follow_stream(
-                    args.target,
-                    stream=args.stream,
-                    poll_s=args.poll,
-                    from_start=args.from_start,
-                ):
-                    print(line, flush=True)
-            except KeyboardInterrupt:
-                pass
-            return 0
         if args.obs_action == "mem":
             from .obs import mem as obs_mem
 
@@ -1358,6 +1319,10 @@ def _cmd_obs(args) -> int:
                 out.parent.mkdir(parents=True, exist_ok=True)
                 out.write_text(text, encoding="utf8")
                 print(f"prometheus metrics written to {out}")
+                return 0
+            if out == "-":
+                trace = obs_trace.chrome_trace(obs_trace.load_spans(args.target))
+                print(json.dumps(trace, sort_keys=True))
                 return 0
             if out is None:
                 out = base / "trace_chrome.json"

@@ -45,13 +45,6 @@ class EvalRunData:
     #: Execution-level failures (a backend raising), per engine.
     run_errors: List[str] = field(default_factory=list)
 
-    @property
-    def engines_of(self) -> Dict[str, List[str]]:
-        out: Dict[str, List[str]] = {}
-        for case_id, engine in self.cells:
-            out.setdefault(case_id, []).append(engine)
-        return out
-
 
 def case_plan(
     cases: Sequence[ClaimCase], engine: Optional[str] = None

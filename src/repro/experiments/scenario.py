@@ -267,9 +267,6 @@ class ScenarioResult:
     def final(self, metric: str) -> float:
         return self.series[metric][-1]
 
-    def at_round(self, metric: str, rnd: int) -> float:
-        return self.series[metric][rnd]
-
 
 class ReliabilityProbe:
     """Scheduled right after the failure event in the same round, so it

@@ -41,9 +41,6 @@ class SweepResult(OutcomeStats):
     #: Round-wise mean of every recorded metric.
     mean_series: Dict[str, List[float]]
 
-    def series_at(self, metric: str, rnd: int) -> float:
-        return self.mean_series[metric][rnd]
-
 
 def aggregate_outcomes(
     runs: Sequence[ScenarioResult], reliability_scale: float = 1.0

@@ -46,9 +46,6 @@ class AggregationLayer:
     def init_node(self, sim: Simulation, node: SimNode) -> None:
         node.agg_value = self.initial_value
 
-    def value_of(self, node: SimNode) -> float:
-        return node.agg_value
-
     def set_value(self, node: SimNode, value: float) -> None:
         node.agg_value = float(value)
 

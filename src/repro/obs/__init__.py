@@ -19,7 +19,7 @@ Cooperating pieces, all stdlib-only:
 * :mod:`repro.obs.series` — one compact record per simulation round
   (the round's span walls, kernel seconds, message/exchange counts,
   node counts, health probes every 10 rounds) in
-  ``obs/series.jsonl``; ``repro obs series`` / ``watch`` read it back.
+  ``obs/series.jsonl``; ``repro obs series`` / ``tail --follow`` read it back.
 * :mod:`repro.obs.mem` — a byte ledger at the allocation chokepoints
   (table/view growth, padded kernel buffers, checkpoint blobs) feeding
   per-family bytes into the series and a peak-attribution snapshot

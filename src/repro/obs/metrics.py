@@ -28,9 +28,7 @@ Snapshot schema (one flushed line)::
 
 The per-cell ``metrics`` section of result-store cell records and
 ``obs/profile.json`` carry the same ``counters`` map, so ``repro obs
-report`` renders any of them; a benchmark session summary
-(``benchmarks/results/session.json``) adds a stored ``hists`` section
-of benchmark summaries, rendered as given.
+report`` renders any of them.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ flushed (sequential runs flush once, parallel/distributed runs flush
 one line per cell per worker) and renders the counters next to one
 timing row per span name — count, total, mean, p50/p95, min, max,
 computed exactly from every duration in ``spans.jsonl``
-(:func:`timing_rows`); a stored ``hists`` section (the ``bench.*`` rows
-of ``benchmarks/results/session.json``) is rendered as given.
+(:func:`timing_rows`).
 ``repro obs export --format prometheus`` exposes the same rows, and
 ``repro obs diff A B`` compares
 them across two runs with noise floors, turning regressions into a
@@ -42,11 +41,10 @@ from . import trace as _trace
 from .metrics import MetricsRegistry
 
 #: Timing-row name prefixes rendered as their own report sections, in
-#: display order; a row matching none lands under "Other distributions".
+#: display order (every timing row is a ``span.*`` row).
 SECTIONS = (
     ("span.kernel.", "Kernels"),
     ("span.", "Spans"),
-    ("bench.", "Benchmarks"),
 )
 
 
@@ -61,7 +59,7 @@ def load_metrics_records(target: Union[str, Path]) -> List[Dict[str, Any]]:
         return [snap]
     out = []
     for record in _stream.read(path):
-        if record.get("kind") == "metrics" or "hists" in record or "counters" in record:
+        if record.get("kind") == "metrics" or "counters" in record:
             out.append(record)
         elif "metrics" in record and isinstance(record["metrics"], dict):
             # A result-store cell record carrying a metrics section.
@@ -98,36 +96,21 @@ def _exact_hist(values: List[float]) -> Dict[str, float]:
     }
 
 
-def timing_rows(
-    target: Union[str, Path], records: Iterable[Dict[str, Any]] = ()
-) -> Dict[str, Dict[str, float]]:
+def timing_rows(target: Union[str, Path]) -> Dict[str, Dict[str, float]]:
     """A run's timing rows: :func:`_exact_hist` of every duration of
-    each span name (``span.<name>``), plus any stored ``hists`` section
-    the metrics ``records`` carry, as given."""
-    hists: Dict[str, Dict[str, float]] = {}
-    for record in records:
-        hists.update(record.get("hists") or {})
-    for name, durs in _trace.span_histograms(target).items():
-        hists[name] = _exact_hist(durs)
-    return hists
+    each span name (``span.<name>``)."""
+    return {
+        name: _exact_hist(durs)
+        for name, durs in _trace.span_histograms(target).items()
+    }
 
 
 def _hist_rows(hists: Dict[str, Dict[str, float]], prefix: str) -> List[List]:
-    rows = []
-    for name in sorted(hists):
-        h = hists[name]
-        rows.append(
-            [
-                name[len(prefix):],
-                int(h.get("count", 0)),
-                h.get("sum", 0.0),
-                h.get("mean", 0.0),
-                h.get("p50", 0.0),
-                h.get("p95", 0.0),
-                h.get("min", 0.0),
-                h.get("max", 0.0),
-            ]
-        )
+    rows = [
+        [name[len(prefix):]]
+        + [h[col] for col in ("count", "sum", "mean", "p50", "p95", "min", "max")]
+        for name, h in sorted(hists.items())
+    ]
     # Largest total first: the report answers "where does the time go".
     rows.sort(key=lambda r: r[2], reverse=True)
     return rows
@@ -144,7 +127,7 @@ def build_report(target: Union[str, Path]) -> Dict[str, Any]:
         "target": str(target),
         "records": len(records),
         "counters": aggregate(records),
-        "hists": timing_rows(target, records),
+        "hists": timing_rows(target),
     }
 
 
@@ -158,16 +141,15 @@ def format_report(target: Union[str, Path]) -> str:
         f"observability report: {target} ({report['records']} metrics record(s))"
     ]
     rest = report["hists"]
-    for prefix, title in SECTIONS + (("", "Other distributions"),):
+    for prefix, title in SECTIONS:
         section = {n: h for n, h in rest.items() if n.startswith(prefix)}
         if not section:
             continue
         rest = {n: h for n, h in rest.items() if n not in section}
-        unit = "_s" if prefix else ""
         chunks.append(
             format_table(
                 ["name", "count"]
-                + [f"{col}{unit}" for col in ("total", "mean", "p50", "p95", "min", "max")],
+                + [f"{col}_s" for col in ("total", "mean", "p50", "p95", "min", "max")],
                 _hist_rows(section, prefix),
                 title=title,
             )
@@ -316,7 +298,7 @@ def _diff_hists(target: Union[str, Path]) -> Dict[str, Dict[str, float]]:
         records = load_metrics_records(target)
     except FileNotFoundError:
         records = []
-    hists = timing_rows(target, records)
+    hists = timing_rows(target)
     if not records and not hists:
         raise FileNotFoundError(
             f"no obs data found under {target} "
@@ -344,28 +326,26 @@ def diff_runs(
     For every timing row present in both runs (one per span name), the
     relative mean and p95 deltas are computed; a row *regresses* when
     either grows by more than ``threshold`` **and** its baseline total
-    clears the ``min_total_s`` noise floor.  Percentile deltas only
-    count when both sides actually have a percentile (stored benchmark
-    rows don't).  Counter differences are reported but never gated —
-    counts like ``checkpoint.hit``/``miss`` legitimately differ between
-    cold and warm runs.
+    clears the ``min_total_s`` noise floor.  Counter differences are
+    reported but never gated — counts like ``checkpoint.hit``/``miss``
+    legitimately differ between cold and warm runs.
     """
     hists_a = _diff_hists(a)
     hists_b = _diff_hists(b)
     rows: List[Dict[str, Any]] = []
     for name in sorted(set(hists_a) & set(hists_b)):
         ha, hb = hists_a[name], hists_b[name]
-        mean_a, mean_b = float(ha.get("mean", 0.0)), float(hb.get("mean", 0.0))
-        p95_a, p95_b = float(ha.get("p95", 0.0)), float(hb.get("p95", 0.0))
+        mean_a, mean_b = ha["mean"], hb["mean"]
+        p95_a, p95_b = ha["p95"], hb["p95"]
         d_mean = (mean_b - mean_a) / mean_a if mean_a > 0 else 0.0
         d_p95 = (p95_b - p95_a) / p95_a if p95_a > 0 else 0.0
-        above_floor = float(ha.get("sum", 0.0)) >= min_total_s
+        above_floor = ha["sum"] >= min_total_s
         regressed = above_floor and (d_mean > threshold or d_p95 > threshold)
         rows.append(
             {
                 "name": name,
-                "count_a": int(ha.get("count", 0)),
-                "count_b": int(hb.get("count", 0)),
+                "count_a": ha["count"],
+                "count_b": hb["count"],
                 "mean_a": mean_a,
                 "mean_b": mean_b,
                 "d_mean": d_mean,
@@ -511,10 +491,9 @@ def format_prometheus(target: Union[str, Path]) -> str:
         metric = f"repro_{_prom_name(name)}"
         lines.append(f"# TYPE {metric} summary")
         for field, quantile in _PROM_QUANTILES:
-            if field in hist:
-                lines.append(
-                    f'{metric}{{quantile="{quantile}"}} {_prom_value(hist[field])}'
-                )
-        lines.append(f"{metric}_count {int(hist.get('count', 0))}")
-        lines.append(f"{metric}_sum {_prom_value(hist.get('sum', 0.0))}")
+            lines.append(
+                f'{metric}{{quantile="{quantile}"}} {_prom_value(hist[field])}'
+            )
+        lines.append(f"{metric}_count {hist['count']}")
+        lines.append(f"{metric}_sum {_prom_value(hist['sum'])}")
     return "\n".join(lines) + "\n" if lines else ""

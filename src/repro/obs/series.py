@@ -34,8 +34,8 @@ golden digests are bit-identical with series on or off.
 
 Reading back: :func:`load_series`,
 :func:`format_series` (the ``repro obs series`` table + unicode
-sparklines), and ``repro obs watch`` follows the live stream through
-:func:`repro.obs.report.follow_stream`.
+sparklines), and ``repro obs tail --stream series --follow`` follows
+the live stream through :func:`repro.obs.report.follow_stream`.
 """
 
 from __future__ import annotations

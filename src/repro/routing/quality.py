@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..sim.engine import Simulation
 from ..spaces.base import Space
@@ -26,14 +26,6 @@ class RoutingQuality:
     mean_hops_delivered: float
     local_minimum_rate: float
     n_routes: int
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "delivery_rate": self.delivery_rate,
-            "mean_hops_delivered": self.mean_hops_delivered,
-            "local_minimum_rate": self.local_minimum_rate,
-            "n_routes": float(self.n_routes),
-        }
 
 
 def evaluate_routing(

@@ -363,6 +363,5 @@ def state_digest(sim: Simulation) -> str:
 
 
 def checkpoint_size(checkpoint: SimulationCheckpoint) -> int:
-    """The size in bytes of the file :func:`save` would write (for the
-    micro-benchmarks tracking snapshot overhead)."""
+    """The size in bytes of the file :func:`save` would write."""
     return len(_encode(checkpoint))

@@ -449,9 +449,6 @@ class NodeTable:
         """Bool column over allocated rows (do not mutate)."""
         return self._alive[: self._n_rows]
 
-    def death_rounds(self) -> np.ndarray:
-        return self._death[: self._n_rows]
-
     def coords_rows(self) -> Optional[np.ndarray]:
         """The raw coordinate block over allocated rows (vector mode
         only; do not mutate)."""

@@ -159,8 +159,7 @@ class TestReaders:
     def test_format_report_sections_and_aggregation(self, tmp_path):
         """Two flushed cell lines aggregate: counters add, each span name
         is one exact row (counts add across cells), and names land in
-        their prefix sections; a stored summary outside every section is
-        rendered as given."""
+        their prefix sections."""
         obs.configure(dir=tmp_path, export_env=False)
         for _ in range(2):
             obs_metrics.registry().reset()
@@ -168,15 +167,9 @@ class TestReaders:
             with obs_trace.span("round"):
                 obs_trace.record("kernel.split.basic", 0.0, 0.001)
             obs.flush_cell_metrics()
-        obs_stream.append(
-            obs.metrics_path(),
-            [json.dumps({"kind": "metrics", "counters": {},
-                         "hists": {"unprefixed.thing": {"count": 1, "sum": 1.0}}})],
-        )
         report = format_report(tmp_path)
         assert "Spans" in report
         assert "Kernels" in report
-        assert "Other distributions" in report
         assert "rounds" in report and "| 20 " in report
         # Aggregated across both cells: the round row counts 2.
         round_row = next(

@@ -104,8 +104,8 @@ class TestRegistry:
         assert reg.is_empty()
 
     def test_merge_snapshot_counters_add_gauges_max(self):
-        """Merging adds counters; a snapshot's other sections (a stored
-        ``hists`` summary) are not the registry's to keep."""
+        """Merging adds counters; a snapshot's other sections are not
+        the registry's to keep."""
         reg = MetricsRegistry()
         reg.count("c", 2)
         reg.merge_snapshot({"counters": {"c": 3, "d": 1}, "hists": {"h": {}}})

@@ -601,7 +601,7 @@ class TestMemGate:
 
 class TestWatch:
     def test_follow_stream_over_live_series_writer(self, tmp_path):
-        """`repro obs watch` semantics: a reader polling series.jsonl
+        """`repro obs tail --follow` semantics: a reader polling series.jsonl
         sees every record a concurrently flushing writer appends,
         including ones written after the reader started."""
         path = tmp_path / "obs" / "series.jsonl"

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro import obs
+from repro.cli import build_parser
 from repro.cli import main as cli_main
 from repro.experiments.scenario import ScenarioConfig
 from repro.obs import log as obs_log
@@ -601,6 +602,25 @@ class TestCli:
         trace = json.loads(out_path.read_text())
         assert trace["traceEvents"]
         assert "perfetto" in capsys.readouterr().out
+
+    def test_export_chrome_to_stdout(self, pool_run, tmp_path, capsys, monkeypatch):
+        """``--out -`` means stdout for the chrome format as for
+        prometheus: the trace is printed, no file named ``-`` appears."""
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(
+            ["obs", "export", str(pool_run), "--format", "chrome", "--out", "-"]
+        ) == 0
+        trace = json.loads(capsys.readouterr().out)
+        assert trace["traceEvents"]
+        assert not (tmp_path / "-").exists()
+
+    def test_watch_is_tail_follow(self):
+        """Following a stream is ``obs tail --follow``; there is no
+        second subcommand for it."""
+        args = build_parser().parse_args(["obs", "tail", "r", "--follow"])
+        assert args.follow
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["obs", "watch", "r"])
 
     def test_tail_spans_stream(self, pool_run, capsys):
         assert cli_main(
