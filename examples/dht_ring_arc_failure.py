@@ -62,15 +62,15 @@ def main():
         sim.step()
         if rnd % 5 == 0 or rnd in (FAILURE_ROUND, FAILURE_ROUND + 1):
             alive = sim.network.alive_nodes()
-            gap = homogeneity(space, keys, alive)
-            surv = surviving_fraction(keys, alive)
+            gap = homogeneity(space, keys, alive, sim.placement)
+            surv = surviving_fraction(keys, alive, sim.placement)
             print(
                 f"{rnd:5d}  {sim.network.n_alive:5d}  {gap:16.3f}  {surv:14.1%}"
             )
 
     alive = sim.network.alive_nodes()
     h_ref = shape.reference_homogeneity(sim.network.n_alive)
-    final_gap = homogeneity(space, keys, alive)
+    final_gap = homogeneity(space, keys, alive, sim.placement)
     relocated = sum(1 for n in alive if n.pos[0] < cut)
     print()
     print(f"reference homogeneity for {sim.network.n_alive} nodes: {h_ref:.3f}")

@@ -65,7 +65,7 @@ def main():
     def inject(s):
         hosts = s.network.alive_nodes()[:4]
         for i, coord in enumerate(right_injected):
-            hosts[i % len(hosts)].poly.add_guests([factory.create(coord)])
+            poly.add_guests(hosts[i % len(hosts)], [factory.create(coord)])
 
     sim.schedule(INJECT_ROUND, inject)
 
@@ -74,15 +74,15 @@ def main():
         sim.step()
         if rnd % 6 == 0 or rnd in (GROW_ROUND, INJECT_ROUND, TOTAL - 1):
             alive = sim.network.alive_nodes()
-            hom = homogeneity(space, factory.all_points, alive)
-            balance = load_balance(alive)
+            hom = homogeneity(space, factory.all_points, alive, sim.placement)
+            balance = load_balance(alive, sim.placement)
             print(
                 f"{rnd:5d}  {len(factory):6d}  {hom:15.3f}  "
                 f"{balance['max_over_mean']:12.2f}"
             )
 
     alive = sim.network.alive_nodes()
-    final = homogeneity(space, factory.all_points, alive)
+    final = homogeneity(space, factory.all_points, alive, sim.placement)
     grid = TorusGrid(WIDTH, HEIGHT)
     h_ref = grid.reference_homogeneity(sim.network.n_alive)
     print(f"\nfinal homogeneity over the grown shape: {final:.3f} "

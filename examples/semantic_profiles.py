@@ -83,7 +83,7 @@ def main():
     sim.run(TOTAL_ROUNDS)
 
     alive = sim.network.alive_nodes()
-    survival = surviving_fraction(points, alive)
+    survival = surviving_fraction(points, alive, sim.placement)
     print(f"datacenter of community {FAILED_COMMUNITY!r} crashed at "
           f"round {FAILURE_ROUND}: {len(failed_nodes)} nodes lost")
     print(f"profile points surviving: {survival:.1%}")
@@ -92,7 +92,7 @@ def main():
     # guest profiles)?
     represented = Counter()
     for node in alive:
-        for point in node.poly.guest_points():
+        for point in poly.guest_points(node):
             represented[community_of(point.coord)] += 1
     print("guest profiles per community after repair:")
     for name in COMMUNITIES:

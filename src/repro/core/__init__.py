@@ -20,13 +20,11 @@ from .split import (
     split_md,
     split_pd,
 )
-from .state import PolystyreneState
 
 __all__ = [
     "PolystyreneConfig",
     "PolystyreneLayer",
     "StaticHolderLayer",
-    "PolystyreneState",
     "PointFactory",
     "BackupManager",
     "MigrationManager",

@@ -19,10 +19,12 @@ the two.
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import Dict, List
 
 from ..sim.engine import Simulation
 from ..sim.network import SimNode
+from ..sim.placement import PlacementStore
+from ..types import NodeId
 from .config import PolystyreneConfig
 
 
@@ -54,25 +56,40 @@ def survival_probability(K: int, pf: float) -> float:
 
 
 class BackupManager:
-    """Executes Algorithm 1 for one node per round."""
+    """Executes Algorithm 1 for one node per round, on the rows of a
+    :class:`~repro.sim.placement.PlacementStore`.
 
-    def __init__(self, config: PolystyreneConfig, layer_name: str = "polystyrene") -> None:
+    ``pushed_by`` maps a target row to the origins whose copies it
+    holds, in first-push order (the key order of the paper's
+    ``ghosts``), each to the origin's row: a first push to a slot
+    records its origin there, and recovery activates the copies in that
+    order.
+    """
+
+    def __init__(
+        self,
+        config: PolystyreneConfig,
+        store: PlacementStore,
+        pushed_by: Dict[int, Dict[NodeId, int]],
+        layer_name: str = "polystyrene",
+    ) -> None:
         self.config = config
+        self.store = store
+        self.pushed_by = pushed_by
         self.layer_name = layer_name
 
     # -- backup-node selection --------------------------------------------
 
     def _pick_new_backups(
-        self, sim: Simulation, node: SimNode, count: int, rps, tman
+        self, sim: Simulation, node: SimNode, held: List[int], count: int, rps, tman
     ) -> List[int]:
-        state = node.poly
-        exclude = tuple(state.backups) + (node.nid,)
+        exclude = tuple(held) + (node.nid,)
         if self.config.backup_placement == "neighbors" and tman is not None:
             # Localized placement: prefer the closest topology neighbours.
             candidates = [
                 nid
-                for nid in tman.neighbors(sim, node, count + len(state.backups))
-                if nid not in state.backups
+                for nid in tman.neighbors(sim, node, count + len(held))
+                if nid not in held
             ]
             picked = candidates[:count]
             if len(picked) < count:
@@ -86,43 +103,56 @@ class BackupManager:
     # -- one round of Algorithm 1 -------------------------------------------
 
     def step_node(self, sim: Simulation, node: SimNode, rps, tman=None) -> None:
-        state = node.poly
+        store = self.store
+        row = node.row
+        network = sim.network
         coord_dim = sim.space.dim if sim.space.dim is not None else 1
         # Line 1: drop failed backup nodes (one cached detector set for
         # the whole scan; ids pruned by the retention policy count as
         # long-detected).
         gone = sim.departed()
-        for failed in [b for b in state.backups if gone(b)]:
-            state.backups.discard(failed)
-            state.backup_sent.pop(failed, None)
-        # Line 2: top back up to K backup nodes.
-        missing = self.config.replication - len(state.backups)
+        slots = store.backup_ids[row].tolist()
+        for slot, b in enumerate(slots):
+            if b >= 0 and gone(b):
+                slots[slot] = -1
+                store.backup_ids[row, slot] = -1
+                store.drop_copy(row, slot)
+        # Line 2: top back up to K backup nodes, into the free slots.
+        held = [b for b in slots if b >= 0]
+        missing = self.config.replication - len(held)
         if missing > 0:
-            for nid in self._pick_new_backups(sim, node, missing, rps, tman):
-                state.backups.add(nid)
-        # Lines 3-4: push guests to every backup.
-        guest_pids = frozenset(state.guests)
-        for backup_id in state.backups:
-            if not sim.network.is_alive(backup_id):
+            free = [slot for slot, b in enumerate(slots) if b < 0]
+            picked = self._pick_new_backups(sim, node, held, missing, rps, tman)
+            for slot, nid in zip(free, picked):
+                slots[slot] = nid
+            store.backup_ids[row] = slots
+        # Lines 3-4: push guests to every backup.  The id set is built
+        # from a dict, as a guest dict's keys would be: the iteration
+        # order of an incremental ``added`` set follows its layout.
+        guests = store.guests(row)
+        guest_pids = frozenset(dict.fromkeys(guests))
+        for slot, backup_id in enumerate(slots):
+            if backup_id < 0 or not network.is_alive(backup_id):
                 continue
-            target = sim.network.node(backup_id).poly
-            previous = state.backup_sent.get(backup_id)
+            previous = store.copy(row, slot)
             if self.config.incremental_backup and previous is not None:
-                added = guest_pids - previous
-                removed = previous - guest_pids
+                sent = frozenset(previous)
+                added = guest_pids - sent
+                removed = sent - guest_pids
                 if not added and not removed:
                     continue  # nothing changed: no message at all
-                ghost = target.ghosts.setdefault(node.nid, {})
-                for pid in added:
-                    ghost[pid] = state.guests[pid]
-                for pid in removed:
-                    ghost.pop(pid, None)
+                # The target drops the removed ids and appends the new.
+                store.set_copy(
+                    row, slot, [pid for pid in previous if pid not in removed] + list(added)
+                )
                 # Delta message: new points travel with coordinates,
                 # removals as bare ids, plus the sender id.
                 sim.meter.charge_points(self.layer_name, len(added), coord_dim)
                 sim.meter.charge_ids(self.layer_name, len(removed) + 1)
             else:
-                target.ghosts[node.nid] = dict(state.guests)
+                if previous is None:
+                    target_row = network.node(backup_id).row
+                    self.pushed_by.setdefault(target_row, {})[node.nid] = row
+                store.set_copy(row, slot, guests)
                 sim.meter.charge_points(self.layer_name, len(guest_pids), coord_dim)
                 sim.meter.charge_ids(self.layer_name, 1)
-            state.backup_sent[backup_id] = guest_pids

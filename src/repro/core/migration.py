@@ -17,27 +17,34 @@ Each direction carries one sender id.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, Optional
 
 from ..obs import metrics as obs_metrics
 from ..sim.engine import Simulation
 from ..sim.network import SimNode
-from ..types import DataPoint, NodeId
+from ..sim.placement import PlacementStore
+from ..types import DataPoint, NodeId, PointId
 from .config import PolystyreneConfig
 from .split import SplitFunction
 
 
 class MigrationManager:
-    """Executes Algorithm 3 for one initiating node."""
+    """Executes Algorithm 3 for one initiating node, on the guest rows of
+    a :class:`~repro.sim.placement.PlacementStore`; ``points`` resolves
+    the ids the rows hold to the points SPLIT partitions."""
 
     def __init__(
         self,
         config: PolystyreneConfig,
         split: SplitFunction,
+        store: PlacementStore,
+        points: Dict[PointId, DataPoint],
         layer_name: str = "polystyrene",
     ) -> None:
         self.config = config
         self.split = split
+        self.store = store
+        self.points = points
         self.layer_name = layer_name
 
     def select_partner(
@@ -56,23 +63,25 @@ class MigrationManager:
 
     def exchange(self, sim: Simulation, node: SimNode, partner: SimNode) -> None:
         """Lines 4-7: pull-push exchange and split."""
-        state_p = node.poly
-        state_q = partner.poly
+        store = self.store
+        guests_p = store.guests(node.row)
+        guests_q = store.guests(partner.row)
         coord_dim = sim.space.dim if sim.space.dim is not None else 1
         # Line 4 (pull): q ships its guests to p.
-        sim.meter.charge_points(self.layer_name, len(state_q.guests), coord_dim)
+        sim.meter.charge_points(self.layer_name, len(guests_q), coord_dim)
         sim.meter.charge_ids(self.layer_name, 1)
-        pool: dict = dict(state_q.guests)
-        pool.update(state_p.guests)  # union keyed on pid de-duplicates
-        all_points: List[DataPoint] = list(pool.values())
+        # The pool lists q's guests, then p's not already in it: the
+        # union keyed on pid de-duplicates.
+        points = self.points
+        pool = [points[pid] for pid in dict.fromkeys(guests_q + guests_p)]
         # Line 5: SPLIT.
-        points_p, points_q = self.split(sim.space, all_points, node.pos, partner.pos)
+        points_p, points_q = self.split(sim.space, pool, node.pos, partner.pos)
         # Lines 6-7: install the new partition.
-        old_q_pids = set(state_q.guests)
-        state_p.set_guests(points_p)
-        state_q.set_guests(points_q)
+        store.set_guests(node.row, [point.pid for point in points_p])
+        store.set_guests(partner.row, [point.pid for point in points_q])
         # Push: only points q did not already hold travel with
         # coordinates; retained points are confirmed by bare id.
+        old_q_pids = set(guests_q)
         new_to_q = sum(1 for point in points_q if point.pid not in old_q_pids)
         kept_by_q = len(points_q) - new_to_q
         sim.meter.charge_points(self.layer_name, new_to_q, coord_dim)

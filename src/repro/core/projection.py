@@ -14,49 +14,27 @@ through migration.
 
 from __future__ import annotations
 
+from typing import Sequence
 
 from ..errors import ConfigurationError
 from ..spaces.base import Space
 from ..spaces.euclidean import Euclidean
 from ..spaces.medoid import medoid
-from ..types import Coord
-from .state import PolystyreneState
-
-
-def _cache_hit(state: PolystyreneState, points) -> bool:
-    """Whether the memoised projection is for exactly these points.
-
-    Compared by object identity in order: points are immutable and
-    migration/recovery shuffle the *same* objects around, so an
-    identical ordered list means an identical projection input — the
-    cache can never change a result, only skip recomputing it.
-    """
-    cached = getattr(state, "_proj_points", None)
-    if cached is None or len(cached) != len(points):
-        return False
-    for a, b in zip(cached, points):
-        if a is not b:
-            return False
-    return True
+from ..types import Coord, DataPoint
 
 
 def project_medoid(
-    space: Space, state: PolystyreneState, current_pos: Coord
+    space: Space, points: Sequence[DataPoint], current_pos: Coord
 ) -> Coord:
-    """The paper's projection: the medoid of the guest points."""
-    points = state.guest_points()
+    """The paper's projection: the medoid of the guest points, in
+    guest order (ties go to the earlier point)."""
     if not points:
         return current_pos
-    if _cache_hit(state, points):
-        return state._proj_pos
-    pos = medoid(space, [p.coord for p in points])
-    state._proj_points = points
-    state._proj_pos = pos
-    return pos
+    return medoid(space, [p.coord for p in points])
 
 
 def project_centroid(
-    space: Space, state: PolystyreneState, current_pos: Coord
+    space: Space, points: Sequence[DataPoint], current_pos: Coord
 ) -> Coord:
     """Ablation projection: the arithmetic mean of the guests.
 
@@ -68,15 +46,9 @@ def project_centroid(
             "centroid projection requires a Euclidean space; "
             f"got {type(space).__name__}"
         )
-    points = state.guest_points()
     if not points:
         return current_pos
-    if _cache_hit(state, points):
-        return state._proj_pos
-    pos = space.centroid([p.coord for p in points])
-    state._proj_points = points
-    state._proj_pos = pos
-    return pos
+    return space.centroid([p.coord for p in points])
 
 
 _PROJECTIONS = {

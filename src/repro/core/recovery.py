@@ -10,25 +10,38 @@ them (copies share point ids).
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Optional
 
 from ..sim.engine import Simulation
 from ..sim.network import SimNode
+from ..sim.placement import PlacementStore
 from ..types import NodeId
 
 
-def recover_node(sim: Simulation, node: SimNode) -> List[NodeId]:
-    """Run Algorithm 2 on one node; returns the origins recovered."""
-    state = node.poly
-    ghosts = state.ghosts
-    if not ghosts:
+def recover_node(
+    sim: Simulation,
+    node: SimNode,
+    store: PlacementStore,
+    pushed_by: Optional[Dict[NodeId, int]],
+) -> List[NodeId]:
+    """Run Algorithm 2 on one node; returns the origins recovered.
+
+    ``pushed_by`` is ``{origin: origin row}`` for the copies the node
+    holds, in first-push order (the key order of the paper's
+    ``ghosts``): the order their points are appended to the guest row
+    in."""
+    if not pushed_by:
         return []
     # Under the retention policy a long-dead origin may already be
-    # pruned from the network entirely; its ghosts still reactivate.
+    # pruned from the network entirely; its copy still reactivates.
     gone = sim.departed()
-    recovered: List[NodeId] = []
-    for origin in [q for q in ghosts if gone(q)]:
-        state.add_guests(ghosts[origin].values())  # line 2
-        del ghosts[origin]  # line 3
-        recovered.append(origin)
+    recovered = [q for q in pushed_by if gone(q)]
+    if recovered:
+        guests = dict.fromkeys(store.guests(node.row))
+        for origin in recovered:
+            o_row = pushed_by.pop(origin)
+            slot = store.backup_ids[o_row].tolist().index(node.nid)
+            guests.update(dict.fromkeys(store.copy(o_row, slot)))  # line 2
+            store.drop_copy(o_row, slot)  # line 3
+        store.set_guests(node.row, list(guests))
     return recovered

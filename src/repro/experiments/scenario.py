@@ -281,9 +281,7 @@ class ReliabilityProbe:
     def __call__(self, sim: Simulation) -> None:
         self.samples.append(
             surviving_fraction(
-                self.points,
-                sim.network.alive_nodes(),
-                getattr(sim, "placement", None),
+                self.points, sim.network.alive_nodes(), sim.placement
             )
         )
 
@@ -326,10 +324,12 @@ class SeriesHealthProbe:
         alive = sim.network.alive_nodes()
         if not alive or not self.points:
             return
-        placement = getattr(sim, "placement", None)
+        placement = sim.placement
         probes = {
             "homogeneity": float(
-                homogeneity(self.space, self.points, alive, self._packed, placement)
+                homogeneity(
+                    self.space, self.points, alive, placement, packed=self._packed
+                )
             ),
             "proximity": float(
                 proximity(self.space, sim, self.k_proximity)

@@ -12,29 +12,17 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from ..core.state import state_of
 from ..sim.network import SimNode
 from .homogeneity import node_rows
 
 
-def guest_counts(alive_nodes: Sequence[SimNode], placement=None) -> np.ndarray:
-    """Guest-set size per alive node (0 for nodes without state).
-    ``placement`` is the batch engine's array store, read instead of
-    ``node.poly``."""
-    n = len(alive_nodes)
-    if placement is not None:
-        return placement.guest_n[node_rows(alive_nodes)].astype(float)
-    return np.fromiter(
-        (
-            state.n_guests if (state := state_of(node)) is not None else 0
-            for node in alive_nodes
-        ),
-        dtype=float,
-        count=n,
-    )
+def guest_counts(alive_nodes: Sequence[SimNode], placement) -> np.ndarray:
+    """Guest-set size per alive node (``placement`` is the simulation's
+    :class:`~repro.sim.placement.PlacementStore`)."""
+    return placement.guest_n[node_rows(alive_nodes)].astype(float)
 
 
-def load_balance(alive_nodes: Sequence[SimNode], placement=None) -> Dict[str, float]:
+def load_balance(alive_nodes: Sequence[SimNode], placement) -> Dict[str, float]:
     """Summary of guest-load distribution.
 
     Returns ``max_over_mean`` (1.0 = perfectly balanced), ``gini``

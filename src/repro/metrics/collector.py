@@ -47,12 +47,13 @@ class MetricsRecorder:
 
     def on_round_end(self, sim: Simulation) -> None:
         alive = sim.network.alive_nodes()
-        # A batch simulation's placement is arrays, not ``node.poly``.
-        placement = getattr(sim, "placement", None)
+        placement = sim.placement
         self.n_alive.append(len(alive))
         if "homogeneity" in self.series:
             self.series["homogeneity"].append(
-                homogeneity(self.space, self.points, alive, self._packed, placement)
+                homogeneity(
+                    self.space, self.points, alive, placement, packed=self._packed
+                )
             )
         if "proximity" in self.series:
             self.series["proximity"].append(

@@ -15,7 +15,6 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..core import state as node_state
 from ..obs import mem as obs_mem
 from ..sim.arrays import block_rows
 from ..sim.network import SimNode
@@ -36,22 +35,21 @@ def node_rows(nodes: Sequence[SimNode]) -> np.ndarray:
     return np.fromiter((node._row for node in nodes), np.int64, len(nodes))
 
 
-def holder_index(nodes: Sequence[SimNode]) -> Dict[PointId, List[SimNode]]:
+def holder_index(nodes: Sequence[SimNode], placement) -> Dict[PointId, List[SimNode]]:
     """Map each point id to the alive nodes holding it as a guest
     (the inverse image ``guests⁻¹``)."""
+    by_row = {node.row: node for node in nodes}
     index: Dict[PointId, List[SimNode]] = {}
-    for pid, node in zip(*node_state.holder_pairs(nodes)):
-        index.setdefault(pid, []).append(node)
+    pids, rows = placement.holder_pairs(node_rows(nodes))
+    for pid, row in zip(pids.tolist(), rows.tolist()):
+        index.setdefault(pid, []).append(by_row[row])
     return index
 
 
-def holder_multiplicity(nodes: Sequence[SimNode], placement=None):
+def holder_multiplicity(nodes: Sequence[SimNode], placement):
     """Mean number of nodes holding a held point as a guest (1.0 in a
     converged system), or ``None`` when nothing is held."""
-    if placement is not None:
-        pids = placement.holder_pairs(node_rows(nodes))[0].tolist()
-    else:
-        pids, _ = node_state.holder_pairs(nodes)
+    pids = placement.holder_pairs(node_rows(nodes))[0].tolist()
     return len(pids) / len(set(pids)) if pids else None
 
 
@@ -59,24 +57,22 @@ def homogeneity(
     space: Space,
     points: Sequence[DataPoint],
     alive_nodes: Sequence[SimNode],
+    placement,
     packed=None,
-    placement=None,
 ) -> float:
     """Mean distance from each original data point to its nearest
     primary holder (or nearest node at all, if the point was lost).
 
-    ``placement`` is the batch engine's array store
-    (``BatchSimulation.placement``): the guest entries are then read
-    from it, not from ``node.poly``.
-
-    Table-backed networks (every simulation run) take the flat-array
-    kernel, :func:`_homogeneity_table`: holder multiplicity via
-    ``bincount``, positions read straight off the coordinate column,
-    one row-paired :meth:`~repro.spaces.base.Space.distance_rows` call
-    for the single-holder points (every point of a converged system),
-    lost points through the row-blocked nearest-node kernel.  Detached
-    nodes and object-coordinate spaces take the per-point loop below —
-    the definition, and the oracle the kernel is tested against
+    ``placement`` is the simulation's
+    :class:`~repro.sim.placement.PlacementStore`, where the guest
+    entries are read.  Vector spaces take the flat-array kernel,
+    :func:`_homogeneity_table`: holder multiplicity via ``bincount``,
+    positions read straight off the coordinate column, one row-paired
+    :meth:`~repro.spaces.base.Space.distance_rows` call for the
+    single-holder points (every point of a converged system), lost
+    points through the row-blocked nearest-node kernel.
+    Object-coordinate spaces take the per-point loop below — the
+    definition, and the oracle the kernel is tested against
     (``tests/test_metrics_homogeneity``).  ``packed`` is
     ``pack_points(space, points)`` when the caller already holds it.
     """
@@ -85,19 +81,13 @@ def homogeneity(
     if not alive_nodes:
         raise ValueError("homogeneity is undefined on an empty network")
     table = alive_nodes[0]._table
-    if table is not None and table.is_vector and all(
-        n._table is table for n in alive_nodes
-    ):
+    if table.is_vector:
         rows = node_rows(alive_nodes)
-        if placement is not None:
-            hp, hr = placement.holder_pairs(rows)
-        else:
-            pids, holders = node_state.holder_pairs(alive_nodes)
-            hp, hr = np.asarray(pids, dtype=np.int64), node_rows(holders)
+        hp, hr = placement.holder_pairs(rows)
         return _homogeneity_table(
             space, packed or pack_points(space, points), hp, hr, rows, table
         )
-    holders = holder_index(alive_nodes)
+    holders = holder_index(alive_nodes, placement)
     all_positions = space.pack_batch([node.pos for node in alive_nodes])
     total = 0.0
     for point in points:
@@ -178,18 +168,15 @@ def _homogeneity_table(
 
 
 def lost_points(
-    points: Sequence[DataPoint], alive_nodes: Sequence[SimNode], placement=None
+    points: Sequence[DataPoint], alive_nodes: Sequence[SimNode], placement
 ) -> List[DataPoint]:
     """Points with no alive primary holder."""
-    if placement is not None:
-        held = set(placement.holder_pairs(node_rows(alive_nodes))[0].tolist())
-    else:
-        held = set(node_state.holder_pairs(alive_nodes)[0])
+    held = set(placement.holder_pairs(node_rows(alive_nodes))[0].tolist())
     return [point for point in points if point.pid not in held]
 
 
 def surviving_fraction(
-    points: Sequence[DataPoint], alive_nodes: Sequence[SimNode], placement=None
+    points: Sequence[DataPoint], alive_nodes: Sequence[SimNode], placement
 ) -> float:
     """Fraction of data points held (as guest *or* ghost) by at least
     one alive node — the paper's *reliability* (Table II).
@@ -199,11 +186,10 @@ def surviving_fraction(
     """
     if not points:
         return 1.0
-    if placement is not None and alive_nodes:
-        pids = np.fromiter((p.pid for p in points), np.int64, len(points))
-        held = placement.held_mask(
-            alive_nodes[0]._table, node_rows(alive_nodes), int(pids.max()) + 1
-        )
-        return int(held[pids].sum()) / len(points)
-    held = node_state.held_point_ids(alive_nodes)
-    return sum(1 for point in points if point.pid in held) / len(points)
+    if not alive_nodes:
+        return 0.0
+    pids = np.fromiter((p.pid for p in points), np.int64, len(points))
+    held = placement.held_mask(
+        alive_nodes[0]._table, node_rows(alive_nodes), int(pids.max()) + 1
+    )
+    return int(held[pids].sum()) / len(points)

@@ -52,7 +52,6 @@ from .runner import (
     CellResult,
     ParallelRunner,
     SweepTask,
-    default_workers,
     grid_tasks,
     seed_sweep_tasks,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "CellResult",
     "seed_sweep_tasks",
     "grid_tasks",
-    "default_workers",
     # forksweep
     "CheckpointCache",
     "ForkGroup",

@@ -50,10 +50,12 @@ from ..sim.engine import Simulation
 #: simulation.  Format 2 was one pickle of the whole checkpoint object
 #: with no checksum; format 3 pickled event-engine topology views as a
 #: dict plus a lazily packed array copy, where format 4 pickles the two
-#: arrays that are a view's whole state.  :func:`load` and
+#: arrays that are a view's whole state; format 4 kept event-engine
+#: placement in per-node dicts, where format 5 keeps it in the
+#: ``PlacementStore`` both engines share.  :func:`load` and
 #: :func:`restore` reject every format but this one (cached entries are
 #: disposable: one format, no legacy reader).
-CHECKPOINT_FORMAT = 4
+CHECKPOINT_FORMAT = 5
 
 _MAGIC = b"repro-ckpt"
 #: Offset of the checksummed body: magic, 64 hex digits, a newline.
@@ -250,26 +252,15 @@ def load(path: Union[str, Path]) -> SimulationCheckpoint:
 # -- state fingerprinting ---------------------------------------------------
 
 
-def _poly_state(poly) -> tuple:
-    """The sorted placement summary of one ``PolystyreneState`` — the
-    shape ``PlacementStore.canonical`` produces per row from arrays."""
-    return (
-        sorted(poly.guests),
-        sorted((origin, tuple(sorted(pts))) for origin, pts in poly.ghosts.items()),
-        sorted(poly.backups),
-        sorted((nid, tuple(sorted(sent))) for nid, sent in poly.backup_sent.items()),
-    )
-
-
-def _node_state(node, layer_views, placement=None) -> tuple:
+def _node_state(node, layer_views, placement) -> tuple:
     """A canonical, order-stable summary of one node's layer state.
 
     View ids come from the node's ``*_view`` attributes, except those a
     batch layer owns (``layer_views``, ``{attribute: ids per table
     row}``): there the arrays are the state, and an attribute an earlier
-    ``sync_canonical()`` left behind is stale and ignored.  The same
-    holds for ``placement`` (summaries per table row) against
-    ``node.poly``."""
+    ``sync_canonical()`` left behind is stale and ignored.  Placement is
+    ``placement`` (``PlacementStore.canonical``, summaries per table
+    row; empty for a stack without a placement store)."""
     views = {attr: rows[node.row] for attr, rows in layer_views.items()}
     for attr, view in vars(node).items():
         if (
@@ -279,10 +270,8 @@ def _node_state(node, layer_views, placement=None) -> tuple:
         ):
             views[attr] = sorted(view)
     entries = [("pos", node.pos), *sorted(views.items())]
-    if placement is not None:
+    if placement:
         entries.append(("poly", placement[node.row]))
-    elif getattr(node, "poly", None) is not None:
-        entries.append(("poly", _poly_state(node.poly)))
     return tuple(entries)
 
 
@@ -322,17 +311,18 @@ def state_digest(sim: Simulation) -> str:
     substream, message-meter history, and the pending event schedule
     (event identity and parameters, not just rounds) — the checkpoint
     round-trip tests assert digest equality between interrupted and
-    uninterrupted runs.  A batch-engine simulation's view ids are read
-    and placement state are read from its arrays (``canonical_view_ids``,
-    ``canonical_placement``), exactly what
-    ``sync_canonical()`` would have materialised, so the same definition
-    covers both engines (their digests never collide: the RNG states
-    differ by construction) — and the call is a pure read on either.
+    uninterrupted runs.  Placement is read from the placement store both
+    engines keep (``PlacementStore.canonical``); a batch-engine
+    simulation's view ids are read from its arrays
+    (``canonical_view_ids``), exactly what ``sync_canonical()`` would
+    have materialised, so the same definition covers both engines (their
+    digests never collide: the RNG states differ by construction) — and
+    the call is a pure read on either.
     """
     canonical = getattr(sim, "canonical_view_ids", None)
     layer_views = canonical() if canonical is not None else {}
-    canonical = getattr(sim, "canonical_placement", None)
-    placement = canonical() if canonical is not None else None
+    store = sim.placement
+    placement = [] if store is None else store.canonical(sim.network.table)
     h = hashlib.sha256()
 
     def feed(tag: str, value) -> None:

@@ -84,7 +84,7 @@ class Coordinator:
     def __init__(
         self,
         queue: QueueLike,
-        workers: Optional[int] = None,
+        workers: int = 1,
         progress: Optional[ProgressFn] = None,
         *,
         lease_s: float = DEFAULT_LEASE_S,
@@ -169,7 +169,7 @@ class Coordinator:
         merge it into ``store`` and return the cells in task order."""
         tasks = list(tasks)
         with obs_trace.span(
-            "sweep.distributed", n_tasks=len(tasks), workers=self.workers or 1
+            "sweep.distributed", n_tasks=len(tasks), workers=self.workers
         ):
             self.publish(tasks, run_id=run_id, metadata=metadata)
             cells: List[CellResult] = []
@@ -247,7 +247,7 @@ def wait_complete(
 
 def drain_queue(
     queue: QueueLike,
-    workers: Optional[int] = None,
+    workers: int = 1,
     poll_s: float = 0.2,
     log=None,
     progress=None,
@@ -261,7 +261,7 @@ def drain_queue(
     :func:`wait_complete` once nobody else holds a lease.
     """
     queue = open_queue(queue)
-    n = 1 if workers is None else max(1, int(workers))
+    n = max(1, int(workers))
     dead: List[int] = []
     if n <= 1:
         Worker(queue, poll_s=poll_s, log=log).run()

@@ -136,17 +136,6 @@ def _execute_task(task: SweepTask) -> CellResult:
     return cell
 
 
-def default_workers() -> int:
-    """Worker count from ``REPRO_WORKERS`` or the CPU count."""
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 class ParallelRunner:
     """Executes sweep tasks across processes (or serially in-process).
 
@@ -166,10 +155,10 @@ class ParallelRunner:
 
     def __init__(
         self,
-        workers: Optional[int] = None,
+        workers: int = 1,
         progress: Optional[ProgressFn] = None,
     ) -> None:
-        self.workers = default_workers() if workers is None else max(1, int(workers))
+        self.workers = max(1, int(workers))
         self.progress = progress
 
     @property

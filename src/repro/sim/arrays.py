@@ -212,12 +212,6 @@ class NodeTable:
     scatter.  Growth appends fresh slots, which *are* sentinel values.
     """
 
-    #: Set by a layer that keeps the nodes' placement state (guests,
-    #: ghosts, backups) in row-indexed arrays rather than on
-    #: ``node.poly``: a reader that finds no ``poly`` on such a node must
-    #: not take it for "holds nothing" (:func:`repro.core.state.state_of`).
-    placement_in_arrays = False
-
     def __init__(self) -> None:
         self._dim: Optional[Union[int, str]] = None
         self._coords: Optional[np.ndarray] = None  # (cap, dim) in vector mode

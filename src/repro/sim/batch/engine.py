@@ -173,16 +173,15 @@ class BatchSimulation(Simulation):
     # -- canonical-state bridge -------------------------------------------
 
     def sync_canonical(self) -> None:
-        """Write every layer's array state back onto the per-node
+        """Write every gossip layer's view arrays back onto the per-node
         attributes the event engine uses (``rps_view`` dicts,
-        ``tman_view`` ViewBuffers, ...).
+        ``tman_view`` ViewBuffers, ...).  Placement needs no bridge: both
+        engines keep it in :attr:`placement`.
 
-        Likewise ``node.poly``, from the placement arrays.
         A one-way bridge: nothing reads the attributes back into the
         arrays.  Idempotent and free of RNG draws, so callers may sync at
-        any time — the routing probe before walking views, a test oracle
-        before reading ``node.poly``.  Repeat syncs with no
-        intervening step are skipped.  The attributes stay attached (and
+        any time — the routing probe before walking views.  Repeat syncs
+        with no intervening step are skipped.  The attributes stay attached (and
         go stale at the next step); state fingerprinting does not sync —
         it reads :meth:`canonical_view_ids`.
         """
@@ -222,23 +221,3 @@ class BatchSimulation(Simulation):
             rows.extend([] for _ in range(n_rows - len(rows)))
             out[attr] = rows
         return out
-
-    @property
-    def placement(self):
-        """The protocol layer's array placement store
-        (:class:`~repro.sim.batch.placement.PlacementStore`), or ``None``
-        for a stack that keeps per-node state (the static-holder
-        baseline) — what the round-loop observers read instead of
-        ``node.poly``."""
-        for layer in self.layers:
-            store = getattr(layer, "placement", None)
-            if store is not None:
-                return store
-        return None
-
-    def canonical_placement(self) -> Optional[List[tuple]]:
-        """Per table row, the sorted placement summary ``state_digest``
-        feeds (``PlacementStore.canonical``) — like
-        :meth:`canonical_view_ids`, a pure read of the arrays."""
-        store = self.placement
-        return None if store is None else store.canonical(self.network.table)

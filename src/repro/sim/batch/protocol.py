@@ -1,8 +1,9 @@
 """Batch Polystyrene: the four mechanisms, whole-network per round.
 
 Placement state — guests, backups and the copy last pushed to each
-backup — lives in a :class:`~repro.sim.batch.placement.PlacementStore`
-of row-indexed arrays beside the gossip layers' views (layout there).
+backup — lives in a :class:`~repro.sim.placement.PlacementStore` of
+row-indexed arrays beside the gossip layers' views (layout there; the
+event engine keeps the same store).
 Each mechanism is gather → kernel → scatter over it:
 
 * **recovery** — the rows whose owner is detected (or has left the
@@ -45,7 +46,7 @@ Message metering follows the event engine's unit accounting exactly
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -56,11 +57,11 @@ from ...obs import metrics as obs_metrics
 from ...obs import trace as obs_trace
 from ...spaces.base import Space
 from ...spaces.euclidean import Euclidean
-from ...types import DataPoint, PointId
+from ...types import DataPoint
 from ..arrays import _grown, resized
+from ..placement import PlacementStore
 from . import kernels
 from . import split as batch_split_mod
-from .placement import PlacementStore
 
 #: Rows of :attr:`BatchPolystyrene._flags`: guest row changed since its
 #: last projection / since its last push; gained a backup this round
@@ -109,7 +110,6 @@ class BatchPolystyrene:
         self.rps = rps
         self.tman = tman
         self.placement = PlacementStore(config.replication)
-        self._points: Dict[PointId, DataPoint] = {}
         self._point_coords = np.zeros((0, space.dim), dtype=float)
         self._flags = np.zeros((4, 0), dtype=bool)
         self._last_detected: frozenset = frozenset()
@@ -135,12 +135,10 @@ class BatchPolystyrene:
                     "BatchPolystyrene.point_coords",
                     self._point_coords.nbytes - before,
                 )
-        self._points[pid] = point
         self._point_coords[pid] = point.coord
 
     def init_node(self, sim, node) -> None:
         point = node.initial_point
-        sim.network.table.placement_in_arrays = True
         self._ensure_rows(sim.network.table)
         self.placement.reset_row(
             node.row, node.nid, -1 if point is None else point.pid
@@ -154,13 +152,6 @@ class BatchPolystyrene:
         self._ensure_rows(sim.network.table)
         for node in sim.network.alive_nodes():
             self.init_node(sim, node)
-
-    # -- the per-node-object bridge ------------------------------------------
-
-    def materialize(self, sim) -> None:
-        """Write ``node.poly`` from the arrays (all known nodes)."""
-        self._ensure_rows(sim.network.table)
-        self.placement.materialize(sim, self._points)
 
     # -- one protocol round --------------------------------------------------
 

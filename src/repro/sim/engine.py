@@ -235,6 +235,18 @@ class Simulation:
             ids[row, : len(column)] = column
         return rows, ids
 
+    @property
+    def placement(self):
+        """The protocol layer's placement store
+        (:class:`~repro.sim.placement.PlacementStore`: guests, ghosts and
+        backups of every node, by table row), or ``None`` for a stack
+        without one — what the metrics and the state digest read."""
+        for layer in self.layers:
+            store = getattr(layer, "placement", None)
+            if store is not None:
+                return store
+        return None
+
     # -- main loop ---------------------------------------------------------
 
     def step(self) -> int:

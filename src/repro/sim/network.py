@@ -31,9 +31,10 @@ from .arrays import NodeTable, _grown, release_views, resized
 class SimNode:
     """A simulated physical node — a view over one :class:`NodeTable` row.
 
-    Protocol layers attach their per-node state as attributes
-    (``rps_view``, ``tman_view``, ``poly``), mirroring PeerSim's
-    protocol-slot design without the indirection.
+    Gossip layers attach their per-node state as attributes
+    (``rps_view``, ``tman_view``), mirroring PeerSim's protocol-slot
+    design without the indirection; placement lives in the row-indexed
+    :class:`~repro.sim.placement.PlacementStore` instead.
 
     ``pos`` is the node's *advertised* position — the value the topology
     construction layer sees.  For plain T-Man it is the node's fixed

@@ -1,10 +1,11 @@
-"""Placement state of the batch engine, as row-indexed arrays.
+"""Placement state of both engines, as row-indexed arrays.
 
 Table I of the paper gives every node ``guests``, ``ghosts`` and
-``backups`` (``pos`` lives in the node table).  The event engine keeps
-them in one :class:`~repro.core.state.PolystyreneState` of dicts per
-node; here they are four padded blocks indexed by node-table row,
-beside the gossip layers' view arrays:
+``backups`` (``pos`` lives in the node table).  Both engines keep them
+here, in four padded blocks indexed by node-table row: the batch engine
+gathers and scatters whole blocks, the event engine reads and writes one
+row at a time (:meth:`PlacementStore.guests`, :meth:`PlacementStore.copy`
+and their setters).
 
 * ``guest_ids`` ``(rows, G)`` + ``guest_n`` — the point ids a node is
   primary holder of, **in insertion order** (``-1`` pads).  The order is
@@ -13,8 +14,11 @@ beside the gossip layers' view arrays:
   copy's order;
 * ``backup_ids`` ``(rows, K)`` — the node *ids* a node replicates to, one
   per slot (``-1`` = free slot; slot order carries no meaning);
-* ``sent_ids`` ``(rows, K, G)`` + ``sent_n`` — the copy last pushed through
-  each backup slot, in the origin's guest order at push time;
+* ``sent_ids`` ``(rows, K, G)`` + ``sent_n`` — the copy pushed through
+  each backup slot, in the order its target holds it: a full push is
+  the origin's guest row; the event engine applies an incremental push
+  in place (the old copy minus the removed ids, then the added ones),
+  where the batch engine copies the guest row over (semantics v2).
   ``sent_n == -1`` means nothing was ever pushed (an *empty* copy,
   ``sent_n == 0``, is a real push: it was metered and it is a ghost
   entry).  This block is ``backup_sent`` read by origin and ``ghosts``
@@ -29,26 +33,16 @@ Point ids are stored as int32 and node ids / counts as the table stores
 them; rows follow the node table's capacity and the width ``G`` grows
 by the rule the table's rows do (``arrays._grown``).  Every block is
 registered on the memory ledger as family ``protocol_placement``.
-
-:class:`~repro.core.state.PolystyreneState` objects appear in a batch
-simulation only through :meth:`PlacementStore.materialize` (what
-``sync_canonical()`` calls), a one-way write that is never read back;
-this is the one module under ``repro.sim.batch`` that knows the dict
-layout.  Otherwise a node carries no ``poly``; the layer sets
-``NodeTable.placement_in_arrays`` so a reader of node sequences that was
-not handed the store raises instead of finding every node empty.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...core.state import PolystyreneState
-from ...obs import mem as obs_mem
-from ...types import DataPoint, PointId
-from ..arrays import _grown, resized
+from ..obs import mem as obs_mem
+from .arrays import _grown, resized
 
 _MIN_WIDTH = 8
 
@@ -141,6 +135,36 @@ class PlacementStore:
             self.guest_ids[row, 0] = pid
         self.guest_n[row] = pid >= 0
 
+    # -- one row at a time ---------------------------------------------------
+
+    def guests(self, row: int) -> List[int]:
+        """Row ``row``'s guest ids, in order."""
+        return self.guest_ids[row, : self.guest_n[row]].tolist()
+
+    def set_guests(self, row: int, pids: Sequence[int]) -> None:
+        n = len(pids)
+        self.ensure_width(n)
+        self.guest_ids[row, :n] = pids
+        self.guest_ids[row, n:] = -1
+        self.guest_n[row] = n
+
+    def copy(self, row: int, slot: int) -> Optional[List[int]]:
+        """The copy pushed through ``slot`` of ``row``, in its target's
+        order, or ``None`` when nothing was pushed there."""
+        n = self.sent_n[row, slot]
+        return None if n < 0 else self.sent_ids[row, slot, :n].tolist()
+
+    def set_copy(self, row: int, slot: int, pids: Sequence[int]) -> None:
+        n = len(pids)
+        self.ensure_width(n)
+        self.sent_ids[row, slot, :n] = pids
+        self.sent_ids[row, slot, n:] = -1
+        self.sent_n[row, slot] = n
+
+    def drop_copy(self, row: int, slot: int) -> None:
+        self.sent_ids[row, slot] = -1
+        self.sent_n[row, slot] = -1
+
     # -- reads -------------------------------------------------------------
 
     def holder_pairs(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -189,10 +213,11 @@ class PlacementStore:
     # -- canonical form ----------------------------------------------------
 
     def canonical(self, table) -> List[tuple]:
-        """Per table row, what :func:`repro.runtime.checkpoint._node_state`
-        reads off a ``PolystyreneState``: ``(sorted guests, sorted
-        (origin, sorted copy), sorted backups, sorted (backup, sorted
-        copy))`` — a pure read; rows past the allocation read empty."""
+        """Per table row, the placement summary
+        :func:`repro.runtime.checkpoint.state_digest` feeds: ``(sorted
+        guests, sorted (origin, sorted copy), sorted backups, sorted
+        (backup, sorted copy))`` — a pure read; rows past the allocation
+        read empty."""
         n = min(table.n_rows, len(self.guest_n))
 
         def runs(block: np.ndarray) -> List[list]:
@@ -227,38 +252,3 @@ class PlacementStore:
         ]
         out.extend(([], [], [], []) for _ in range(table.n_rows - n))
         return out
-
-    # -- the PolystyreneState bridge ----------------------------------------
-
-    def materialize(self, sim, points: Dict[PointId, DataPoint]) -> None:
-        """Write ``node.poly`` for every known node (the caller has
-        grown the store to the table); ghost maps list origins in
-        ascending id."""
-        table = sim.network.table
-        states = {}
-        for node in sim.network.nodes.values():
-            row = node.row
-            state = states[row] = node.poly = PolystyreneState(
-                points[pid] for pid in self.guest_ids[row, : self.guest_n[row]].tolist()
-            )
-            for slot, b in enumerate(self.backup_ids[row].tolist()):
-                if b < 0:
-                    continue
-                state.backups.add(b)
-                n = int(self.sent_n[row, slot])
-                if n >= 0:
-                    state.backup_sent[b] = frozenset(
-                        self.sent_ids[row, slot, :n].tolist()
-                    )
-        o_rows, slots, targets = self.copies(table)
-        by_origin = np.argsort(self.owner[o_rows], kind="stable")
-        for o, s, t in zip(
-            o_rows[by_origin].tolist(),
-            slots[by_origin].tolist(),
-            targets[by_origin].tolist(),
-        ):
-            if t in states:
-                copy = self.sent_ids[o, s, : self.sent_n[o, s]].tolist()
-                states[t].ghosts[int(self.owner[o])] = {
-                    pid: points[pid] for pid in copy
-                }

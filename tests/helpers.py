@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.points import PointFactory
 from repro.sim.engine import Simulation
 from repro.sim.network import Network, SimNode
+from repro.sim.placement import PlacementStore
 from repro.spaces.base import Space
 from repro.types import Coord
 
@@ -103,3 +104,53 @@ def grid_coords(width: int, height: int, step: float = 1.0):
     return [
         (x * step, y * step) for x in range(width) for y in range(height)
     ]
+
+
+# -- placement reads and hand-built stores -----------------------------------
+
+
+def guests_of(sim: Simulation, node: SimNode) -> List[int]:
+    """``node``'s guest ids, in order."""
+    return sim.placement.guests(node.row)
+
+
+def backups_of(sim: Simulation, node: SimNode) -> Set[int]:
+    ids = sim.placement.backup_ids[node.row]
+    return set(ids[ids >= 0].tolist())
+
+
+def ghosts_of(sim: Simulation, node: SimNode) -> Dict[int, List[int]]:
+    """``{origin id: copy}`` of the copies ``node`` holds (ascending
+    origin row)."""
+    store = sim.placement
+    o_rows, slots, targets = store.copies(sim.network.table)
+    return {
+        int(store.owner[o]): store.copy(o, s)
+        for o, s, t in zip(o_rows.tolist(), slots.tolist(), targets.tolist())
+        if t == node.row
+    }
+
+
+def placed_nodes(
+    coords: Sequence[Coord],
+    guests: Sequence[Sequence[int]] = (),
+    copies: Sequence[Tuple[int, int, Sequence[int]]] = (),
+    network: Optional[Network] = None,
+):
+    """``(nodes, store)``: table-backed nodes at ``coords`` (added to
+    ``network``, a fresh one by default) and the placement store the
+    metrics read, node ``i`` holding the guest ids ``guests[i]``; each
+    ``(origin, holder, pids)`` of ``copies`` is a copy node ``origin``
+    pushed to node ``holder`` (indices)."""
+    network = Network() if network is None else network
+    nodes = [network.add_node(coord) for coord in coords]
+    store = PlacementStore(max(1, len(copies)))
+    store.ensure_rows(network.table)
+    for node in nodes:
+        store.reset_row(node.row, node.nid)
+    for node, pids in zip(nodes, guests):
+        store.set_guests(node.row, list(pids))
+    for slot, (origin, holder, pids) in enumerate(copies):
+        store.backup_ids[nodes[origin].row, slot] = nodes[holder].nid
+        store.set_copy(nodes[origin].row, slot, list(pids))
+    return nodes, store

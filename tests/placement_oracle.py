@@ -1,13 +1,16 @@
 """The dict walk, kept as the oracle of the array placement store.
 
 This is ``repro.sim.batch.protocol.BatchPolystyrene`` as it stood on
-per-node :class:`~repro.core.state.PolystyreneState` dicts, with the
-three orders a container would otherwise decide made explicit (push
-candidates and stale origins in ascending id; a pushed copy in its
-origin's guest order).  It is a drop-in layer for a
+per-node dicts (:class:`DictState`, Table I's variables as the paper
+writes them), with the three orders a container would otherwise decide
+made explicit (push candidates and stale origins in ascending id; a
+pushed copy in its origin's guest order).  It is a drop-in layer for a
 :class:`~repro.sim.batch.BatchSimulation`: same constructor, same RNG
 draws, same metering — so a simulation built on it and one built on the
 array layer must agree on every round (``tests/test_placement_arrays``).
+Its ``placement`` (:class:`DictPlacement`) answers the reads the metrics
+and the state digest make of a ``PlacementStore`` by their dict
+definitions.
 
 Not shipped: placement state has one implementation under ``src/``.
 """
@@ -20,7 +23,6 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from repro.core.config import PolystyreneConfig
-from repro.core.state import PolystyreneState
 from repro.errors import ConfigurationError
 from repro.obs import mem as obs_mem
 from repro.obs import metrics as obs_metrics
@@ -29,6 +31,83 @@ from repro.spaces.euclidean import Euclidean
 from repro.types import DataPoint, NodeId, PointId
 from repro.sim.batch import split as batch_split_mod
 
+
+
+class DictState:
+    """Table I of the paper for one node: ``guests`` (pid → point, in
+    insertion order), ``ghosts`` (origin → the copy it pushed here),
+    ``backups`` and ``backup_sent`` (backup → the pid set last pushed)."""
+
+    def __init__(self, initial=()) -> None:
+        self.guests: Dict[PointId, DataPoint] = {p.pid: p for p in initial}
+        self.ghosts: Dict[NodeId, Dict[PointId, DataPoint]] = {}
+        self.backups: Set[NodeId] = set()
+        self.backup_sent: Dict[NodeId, frozenset] = {}
+
+    def add_guests(self, points) -> None:
+        for point in points:
+            self.guests[point.pid] = point
+
+
+def summary(state: DictState) -> tuple:
+    """The sorted placement summary of one node — what
+    ``PlacementStore.canonical`` gives per row."""
+    return (
+        sorted(state.guests),
+        sorted((origin, tuple(sorted(pts))) for origin, pts in state.ghosts.items()),
+        sorted(state.backups),
+        sorted((nid, tuple(sorted(sent))) for nid, sent in state.backup_sent.items()),
+    )
+
+
+class DictPlacement:
+    """The ``PlacementStore`` reads, defined on the nodes' dicts: a
+    node's state is ``node.poly``, a row reads its owner's."""
+
+    network = None
+
+    def _states(self, table, rows):
+        nodes = self.network.nodes
+        for nid in table._nid_of[rows].tolist():
+            yield nodes[nid].poly
+
+    def holder_pairs(self, rows: np.ndarray):
+        table = self.network.table
+        pids: List[int] = []
+        holders: List[int] = []
+        for row, state in zip(rows.tolist(), self._states(table, rows)):
+            pids.extend(state.guests)
+            holders.extend([row] * len(state.guests))
+        return np.asarray(pids, dtype=np.int64), np.asarray(holders, dtype=np.int64)
+
+    @property
+    def guest_n(self) -> np.ndarray:
+        counts = np.zeros(self.network.table.n_rows, dtype=np.int64)
+        for node in self.network.nodes.values():
+            counts[node.row] = len(node.poly.guests)
+        return counts
+
+    def stored_points(self, table, rows: np.ndarray) -> int:
+        return sum(
+            len(state.guests) + sum(map(len, state.ghosts.values()))
+            for state in self._states(table, rows)
+        )
+
+    def held_mask(self, table, rows: np.ndarray, n_points: int) -> np.ndarray:
+        held: Set[int] = set()
+        for state in self._states(table, rows):
+            held.update(state.guests)
+            for ghost in state.ghosts.values():
+                held.update(ghost)
+        mask = np.zeros(max(n_points, max(held, default=-1) + 1), dtype=bool)
+        mask[list(held)] = True
+        return mask
+
+    def canonical(self, table) -> List[tuple]:
+        out = [([], [], [], [])] * table.n_rows
+        for node in self.network.nodes.values():
+            out[node.row] = summary(node.poly)
+        return out
 
 
 class DictPolystyrene:
@@ -52,6 +131,7 @@ class DictPolystyrene:
         self.config = config
         self.rps = rps
         self.tman = tman
+        self.placement = DictPlacement()
         self._points: Dict[PointId, DataPoint] = {}
         self._point_coords = np.zeros((0, space.dim), dtype=float)
         #: Nodes whose guest set changed since their last projection.
@@ -87,7 +167,8 @@ class DictPolystyrene:
 
     def init_node(self, sim, node) -> None:
         initial = [node.initial_point] if node.initial_point is not None else []
-        node.poly = PolystyreneState(initial)
+        self.placement.network = sim.network
+        node.poly = DictState(initial)
         if initial:
             node.pos = initial[0].coord
             self._register_point(initial[0])

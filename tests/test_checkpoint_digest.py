@@ -52,11 +52,11 @@ from repro.runtime.runner import ParallelRunner, SweepTask
 from repro.runtime.scenarios import catastrophic, compose, flash_crowd, trickle
 from repro.runtime.store import ResultStore
 from repro.sim.arrays import ViewBuffer
-from repro.sim.batch import BatchPeerSampling, BatchPolystyrene, BatchSimulation
+from repro.sim.batch import BatchPeerSampling, BatchSimulation
 from repro.sim.batch.topology import _BatchTopologyBase
 from repro.sim.engine import Simulation
 
-from .helpers import NullLayer, grid_coords, make_sim
+from .helpers import NullLayer, backups_of, ghosts_of, grid_coords, make_sim
 from repro.spaces import Euclidean
 
 
@@ -99,21 +99,29 @@ def oracle_digest(sim: Simulation) -> str:
                 view = getattr(node, attr)
                 if isinstance(view, (dict, ViewBuffer)):
                     entries.append((attr, sorted(view)))
-        poly = getattr(node, "poly", None)
-        if poly is not None:
+        store = sim.placement
+        if store is not None:
+            # Read row by row, not through ``PlacementStore.canonical``.
+            row = node.row
+            sent = [
+                (b, store.copy(row, slot))
+                for slot, b in enumerate(store.backup_ids[row].tolist())
+                if b >= 0
+            ]
             entries.append(
                 (
                     "poly",
                     (
-                        sorted(poly.guests),
+                        sorted(store.guests(row)),
                         sorted(
                             (origin, tuple(sorted(pts)))
-                            for origin, pts in poly.ghosts.items()
+                            for origin, pts in ghosts_of(sim, node).items()
                         ),
-                        sorted(poly.backups),
+                        sorted(backups_of(sim, node)),
                         sorted(
-                            (nid, tuple(sorted(sent)))
-                            for nid, sent in poly.backup_sent.items()
+                            (nid, tuple(sorted(copy)))
+                            for nid, copy in sent
+                            if copy is not None
                         ),
                     ),
                 )
@@ -271,7 +279,6 @@ class TestArrayNativeDigestMatchesOracle:
         monkeypatch.setattr(BatchSimulation, "sync_canonical", forbidden)
         monkeypatch.setattr(BatchPeerSampling, "materialize", forbidden)
         monkeypatch.setattr(_BatchTopologyBase, "materialize", forbidden)
-        monkeypatch.setattr(BatchPolystyrene, "materialize", forbidden)
         checkpoint.state_digest(sim)
 
 
@@ -400,7 +407,6 @@ def test_fork_cycle_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(BatchSimulation, "sync_canonical", counting_materialize)
     monkeypatch.setattr(BatchPeerSampling, "materialize", counting_materialize)
     monkeypatch.setattr(_BatchTopologyBase, "materialize", counting_materialize)
-    monkeypatch.setattr(BatchPolystyrene, "materialize", counting_materialize)
 
     clear_checkpoint_memo()
     cache = CheckpointCache(tmp_path)

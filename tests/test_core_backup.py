@@ -11,7 +11,7 @@ from repro.core.config import PolystyreneConfig
 from repro.core.protocol import PolystyreneLayer
 from repro.spaces import FlatTorus
 
-from .helpers import StubRPS, StubTMan, grid_coords, make_sim
+from .helpers import StubRPS, StubTMan, backups_of, ghosts_of, grid_coords, guests_of, make_sim
 
 TORUS = FlatTorus(8.0, 4.0)
 
@@ -23,9 +23,10 @@ def build(n=8, K=2, **config_kwargs):
     )
     config = PolystyreneConfig(replication=K, **config_kwargs)
     poly = PolystyreneLayer(TORUS, config, rps, tman)
+    sim.layers.append(poly)  # ``sim.placement`` is its store
     for node in sim.network.alive_nodes():
         poly.init_node(sim, node)
-    manager = BackupManager(config)
+    manager = BackupManager(config, poly.placement, poly.pushed_by)
     return sim, manager, rps, tman
 
 
@@ -62,32 +63,32 @@ class TestBackupRound:
         sim, manager, rps, tman = build(K=3)
         node = sim.network.node(0)
         manager.step_node(sim, node, rps, tman)
-        assert len(node.poly.backups) == 3
-        assert node.nid not in node.poly.backups
+        assert len(backups_of(sim, node)) == 3
+        assert node.nid not in backups_of(sim, node)
 
     def test_ghosts_installed_at_backups(self):
         sim, manager, rps, tman = build(K=2)
         node = sim.network.node(0)
         manager.step_node(sim, node, rps, tman)
-        for backup_id in node.poly.backups:
-            ghost = sim.network.node(backup_id).poly.ghosts[node.nid]
-            assert set(ghost) == set(node.poly.guests)
+        for backup_id in backups_of(sim, node):
+            ghost = ghosts_of(sim, sim.network.node(backup_id))[node.nid]
+            assert set(ghost) == set(guests_of(sim, node))
 
     def test_failed_backup_replaced(self):
         sim, manager, rps, tman = build(K=2)
         node = sim.network.node(0)
         manager.step_node(sim, node, rps, tman)
-        victim = min(node.poly.backups)
+        victim = min(backups_of(sim, node))
         sim.network.fail([victim], rnd=0)
         manager.step_node(sim, node, rps, tman)
-        assert len(node.poly.backups) == 2
-        assert victim not in node.poly.backups
+        assert len(backups_of(sim, node)) == 2
+        assert victim not in backups_of(sim, node)
 
     def test_k_zero_no_backups(self):
         sim, manager, rps, tman = build(K=0)
         node = sim.network.node(0)
         manager.step_node(sim, node, rps, tman)
-        assert node.poly.backups == set()
+        assert backups_of(sim, node) == set()
 
     def test_charges_polystyrene_traffic(self):
         sim, manager, rps, tman = build(K=2)
@@ -110,21 +111,21 @@ class TestIncrementalDeltas:
         manager.step_node(sim, node, rps, tman)
         # Node acquires a new guest point and drops nothing.
         extra = sim.network.node(3).initial_point
-        node.poly.add_guests([extra])
+        sim.placement.set_guests(node.row, guests_of(sim, node) + [extra.pid])
         manager.step_node(sim, node, rps, tman)
-        backup_id = next(iter(node.poly.backups))
-        ghost = sim.network.node(backup_id).poly.ghosts[node.nid]
+        backup_id = next(iter(backups_of(sim, node)))
+        ghost = ghosts_of(sim, sim.network.node(backup_id))[node.nid]
         assert extra.pid in ghost
 
     def test_removal_propagates(self):
         sim, manager, rps, tman = build(K=1, incremental_backup=True)
         node = sim.network.node(0)
         manager.step_node(sim, node, rps, tman)
-        node.poly.set_guests([])
+        sim.placement.set_guests(node.row, [])
         manager.step_node(sim, node, rps, tman)
-        backup_id = next(iter(node.poly.backups))
-        ghost = sim.network.node(backup_id).poly.ghosts[node.nid]
-        assert ghost == {}
+        backup_id = next(iter(backups_of(sim, node)))
+        ghost = ghosts_of(sim, sim.network.node(backup_id))[node.nid]
+        assert ghost == []
 
     def test_incremental_cheaper_than_full(self):
         sim_inc, mgr_inc, rps_i, tman_i = build(K=2, incremental_backup=True)
@@ -147,11 +148,11 @@ class TestPlacement:
         node = sim.network.node(0)
         manager.step_node(sim, node, rps, tman)
         closest = set(tman.neighbors(sim, node, 2))
-        assert node.poly.backups == closest
+        assert backups_of(sim, node) == closest
 
     def test_random_placement_uses_rps(self):
         sim, manager, rps, tman = build(K=2, backup_placement="random")
         node = sim.network.node(0)
         manager.step_node(sim, node, rps, tman)
         # StubRPS hands out the lowest non-self ids deterministically.
-        assert node.poly.backups == {1, 2}
+        assert backups_of(sim, node) == {1, 2}

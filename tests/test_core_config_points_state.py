@@ -1,12 +1,16 @@
 """Tests for Polystyrene configuration, point factory, and node state."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import PolystyreneConfig
 from repro.core.points import PointFactory
-from repro.core.state import PolystyreneState
 from repro.errors import ConfigurationError
-from repro.types import DataPoint
+from repro.sim.engine import Simulation
+from repro.sim.network import Network
+from repro.spaces import FlatTorus
+
+from .helpers import placed_nodes
 
 
 class TestConfig:
@@ -72,38 +76,57 @@ class TestPointFactory:
 
 
 class TestState:
+    """A node's placement state is its row of the placement store."""
+
     def test_initial_guests(self):
-        point = DataPoint(0, (0.0, 0.0))
-        state = PolystyreneState([point])
-        assert state.n_guests == 1
-        assert state.guests[0] is point
+        nodes, store = placed_nodes([(0.0, 0.0)])
+        store.reset_row(nodes[0].row, nodes[0].nid, 7)
+        assert store.guests(nodes[0].row) == [7]
+        assert store.owner[nodes[0].row] == nodes[0].nid
 
     def test_empty_state(self):
-        state = PolystyreneState()
-        assert state.n_guests == 0
-        assert state.n_ghosts == 0
-        assert state.storage_load == 0
-        assert state.backups == set()
+        nodes, store = placed_nodes([(0.0, 0.0)])
+        row = nodes[0].row
+        assert store.guests(row) == []
+        assert store.stored_points(nodes[0]._table, np.array([row])) == 0
+        assert (store.backup_ids[row] == -1).all()
+        assert store.copy(row, 0) is None
 
     def test_add_guests_dedups_by_pid(self):
-        state = PolystyreneState()
-        state.add_guests([DataPoint(1, (0.0,)), DataPoint(1, (0.0,))])
-        assert state.n_guests == 1
+        # Recovery appends a copy's ids the node does not hold yet.
+        from repro.core.recovery import recover_node
+
+        network = Network()
+        nodes, store = placed_nodes(
+            [(0.0, 0.0), (1.0, 0.0)], [[1], []], [(1, 0, [1, 2, 1])], network
+        )
+        sim = Simulation(FlatTorus(4.0, 4.0), network, [])
+        sim.network.fail([nodes[1].nid], rnd=0)
+        recovered = recover_node(sim, nodes[0], store, {nodes[1].nid: nodes[1].row})
+        assert recovered == [nodes[1].nid]
+        assert store.guests(nodes[0].row) == [1, 2]
 
     def test_set_guests_replaces(self):
-        state = PolystyreneState([DataPoint(1, (0.0,))])
-        state.set_guests([DataPoint(2, (1.0,)), DataPoint(3, (2.0,))])
-        assert sorted(state.guests) == [2, 3]
+        nodes, store = placed_nodes([(0.0, 0.0)], [[1]])
+        store.set_guests(nodes[0].row, [2, 3] * 5)  # grows the width
+        assert store.guests(nodes[0].row) == [2, 3] * 5
+        store.set_guests(nodes[0].row, [4])
+        assert store.guests(nodes[0].row) == [4]
+        assert (store.guest_ids[nodes[0].row, 1:] == -1).all()
 
     def test_storage_counts_ghosts(self):
-        state = PolystyreneState([DataPoint(1, (0.0,))])
-        state.ghosts[7] = {2: DataPoint(2, (1.0,)), 3: DataPoint(3, (2.0,))}
-        state.ghosts[9] = {4: DataPoint(4, (3.0,))}
-        assert state.n_ghosts == 3
-        assert state.storage_load == 4
+        nodes, store = placed_nodes(
+            [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],
+            [[1], [], []],
+            copies=[(1, 0, [2, 3]), (2, 0, [4])],
+        )
+        table = nodes[0]._table
+        assert store.stored_points(table, np.array([nodes[0].row])) == 4
 
     def test_ghost_origins(self):
-        state = PolystyreneState()
-        state.ghosts[5] = {}
-        state.ghosts[2] = {}
-        assert sorted(state.ghost_origins()) == [2, 5]
+        nodes, store = placed_nodes(
+            [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], copies=[(2, 0, []), (1, 0, [])]
+        )
+        o_rows, _, targets = store.copies(nodes[0]._table)
+        assert sorted(store.owner[o_rows].tolist()) == [1, 2]
+        assert (targets == nodes[0].row).all()

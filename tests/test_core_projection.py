@@ -7,7 +7,6 @@ from repro.core.projection import (
     project_centroid,
     project_medoid,
 )
-from repro.core.state import PolystyreneState
 from repro.errors import ConfigurationError
 from repro.spaces import Euclidean, FlatTorus
 from repro.types import DataPoint
@@ -17,9 +16,8 @@ TORUS = FlatTorus(16.0, 16.0)
 
 
 def state_with(coords):
-    return PolystyreneState(
-        [DataPoint(i, tuple(c)) for i, c in enumerate(coords)]
-    )
+    """Guest points at ``coords``, in order."""
+    return [DataPoint(i, tuple(c)) for i, c in enumerate(coords)]
 
 
 class TestMedoidProjection:
@@ -28,7 +26,7 @@ class TestMedoidProjection:
         assert project_medoid(PLANE, state, (0.0, 0.0)) == (3.0, 4.0)
 
     def test_empty_guests_keep_current(self):
-        state = PolystyreneState()
+        state = []
         assert project_medoid(PLANE, state, (9.0, 9.0)) == (9.0, 9.0)
 
     def test_medoid_is_a_guest(self):
@@ -52,7 +50,7 @@ class TestCentroidProjection:
         )
 
     def test_empty_guests_keep_current(self):
-        state = PolystyreneState()
+        state = []
         assert project_centroid(PLANE, state, (5.0, 5.0)) == (5.0, 5.0)
 
     def test_rejected_outside_euclidean(self):

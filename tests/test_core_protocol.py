@@ -12,6 +12,9 @@ from repro.sim.network import Network
 from repro.spaces import FlatTorus
 
 from repro.core.points import PointFactory
+from repro.metrics.storage import average_storage
+
+from .helpers import backups_of, ghosts_of, guests_of
 
 
 def build_stack(width=8, height=4, K=2, seed=0, **config_kwargs):
@@ -37,13 +40,14 @@ class TestInit:
     def test_node_starts_with_own_point(self):
         sim, poly, points, space = build_stack()
         node = sim.network.node(0)
-        assert list(node.poly.guests.values()) == [points[0]]
+        assert guests_of(sim, node) == [points[0].pid]
+        assert poly.points[points[0].pid] is points[0]
         assert node.pos == points[0].coord
 
     def test_fresh_node_starts_empty(self):
         sim, poly, points, space = build_stack()
         fresh = sim.spawn_node((0.5, 0.5))
-        assert fresh.poly.n_guests == 0
+        assert guests_of(sim, fresh) == []
         assert fresh.pos == (0.5, 0.5)
 
 
@@ -52,26 +56,26 @@ class TestSteadyState:
         sim, poly, points, space = build_stack(K=3)
         sim.run(1)
         for node in sim.network.alive_nodes():
-            assert len(node.poly.backups) == 3
+            assert len(backups_of(sim, node)) == 3
 
     def test_storage_reaches_one_plus_k(self):
         sim, poly, points, space = build_stack(K=2)
         sim.run(3)
-        total = sum(n.poly.storage_load for n in sim.network.alive_nodes())
-        assert total / sim.network.n_alive == pytest.approx(3.0, abs=0.25)
+        storage = average_storage(sim.network.alive_nodes(), sim.placement)
+        assert storage == pytest.approx(3.0, abs=0.25)
 
     def test_no_point_lost_without_failures(self):
         sim, poly, points, space = build_stack()
         sim.run(10)
         held = set()
         for node in sim.network.alive_nodes():
-            held.update(node.poly.guests)
+            held.update(guests_of(sim, node))
         assert held == {p.pid for p in points}
 
     def test_homogeneity_stays_near_zero(self):
         sim, poly, points, space = build_stack()
         sim.run(10)
-        assert homogeneity(space, points, sim.network.alive_nodes()) < 0.5
+        assert homogeneity(space, points, sim.network.alive_nodes(), sim.placement) < 0.5
 
 
 class TestFailureRecovery:
@@ -87,7 +91,7 @@ class TestFailureRecovery:
         sim.run(1)  # recovery fires
         held = set()
         for node in sim.network.alive_nodes():
-            held.update(node.poly.guests)
+            held.update(guests_of(sim, node))
         # K=4 gives ~97% survival; on 32 points that is >= 26 w.h.p.
         assert len(held) >= 26
 
@@ -117,9 +121,9 @@ class TestFailureRecovery:
         ]
         sim.network.fail(victims, rnd=sim.round)
         sim.run(1)
-        spiked = homogeneity(space, points, sim.network.alive_nodes())
+        spiked = homogeneity(space, points, sim.network.alive_nodes(), sim.placement)
         sim.run(20)
-        settled = homogeneity(space, points, sim.network.alive_nodes())
+        settled = homogeneity(space, points, sim.network.alive_nodes(), sim.placement)
         assert settled < spiked
 
     def test_ghost_duplicates_deduplicated_over_time(self):
@@ -135,7 +139,7 @@ class TestFailureRecovery:
         def duplicate_count():
             seen = {}
             for node in sim.network.alive_nodes():
-                for pid in node.poly.guests:
+                for pid in guests_of(sim, node):
                     seen[pid] = seen.get(pid, 0) + 1
             return sum(c - 1 for c in seen.values() if c > 1)
         early = duplicate_count()
@@ -157,8 +161,8 @@ class TestStaticHolder:
         sim.run(5)
         node = network.node(0)
         assert node.pos == (1.0, 1.0)
-        assert list(node.poly.guests) == [point.pid]
-        assert node.poly.n_ghosts == 0
+        assert guests_of(sim, node) == [point.pid]
+        assert ghosts_of(sim, node) == {}
 
     def test_reliability_without_replication(self):
         # Under the static baseline a failed node's point is simply lost.
@@ -175,4 +179,4 @@ class TestStaticHolder:
         sim = Simulation(space, network, [layer], seed=0)
         sim.init_all_nodes()
         network.fail([0, 1, 2, 3], rnd=0)
-        assert surviving_fraction(points, network.alive_nodes()) == 0.5
+        assert surviving_fraction(points, network.alive_nodes(), sim.placement) == 0.5

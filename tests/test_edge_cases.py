@@ -13,7 +13,7 @@ from repro.sim.engine import Simulation
 from repro.sim.network import DelayedFailureDetector, Network
 from repro.spaces import FlatTorus
 
-from .helpers import NullLayer, StubRPS, StubTMan, grid_coords, make_sim
+from .helpers import NullLayer, StubRPS, StubTMan, backups_of, grid_coords, guests_of, make_sim
 
 TORUS = FlatTorus(8.0, 4.0)
 
@@ -48,26 +48,29 @@ class TestMigrationCorners:
     def _manager(self, sim):
         config = PolystyreneConfig(replication=1)
         poly = PolystyreneLayer(TORUS, config, StubRPS(), StubTMan(TORUS))
+        sim.layers.append(poly)  # ``sim.placement`` is its store
         for node in sim.network.alive_nodes():
             poly.init_node(sim, node)
-        return MigrationManager(config, make_split("advanced"))
+        return MigrationManager(
+            config, make_split("advanced"), poly.placement, poly.points
+        )
 
     def test_both_pools_empty(self):
         sim, _, _ = make_sim(TORUS, grid_coords(2, 2), with_points=False)
         manager = self._manager(sim)
         a, b = sim.network.node(0), sim.network.node(1)
         manager.exchange(sim, a, b)
-        assert a.poly.n_guests == 0
-        assert b.poly.n_guests == 0
+        assert guests_of(sim, a) == []
+        assert guests_of(sim, b) == []
 
     def test_exchange_is_idempotent_when_already_optimal(self):
         sim, _, points = make_sim(TORUS, grid_coords(2, 2))
         manager = self._manager(sim)
         a, b = sim.network.node(0), sim.network.node(3)
         manager.exchange(sim, a, b)
-        guests_a = set(a.poly.guests)
+        guests_a = set(guests_of(sim, a))
         manager.exchange(sim, a, b)
-        assert set(a.poly.guests) == guests_a
+        assert set(guests_of(sim, a)) == guests_a
 
 
 class TestBackupCorners:
@@ -78,23 +81,25 @@ class TestBackupCorners:
         sim, _, _ = make_sim(TORUS, grid_coords(2, 1), layers=[rps, tman])
         config = PolystyreneConfig(replication=5)
         poly = PolystyreneLayer(TORUS, config, rps, tman)
+        sim.layers.append(poly)  # ``sim.placement`` is its store
         for node in sim.network.alive_nodes():
             poly.init_node(sim, node)
-        manager = BackupManager(config)
+        manager = BackupManager(config, poly.placement, poly.pushed_by)
         node = sim.network.node(0)
         manager.step_node(sim, node, rps, tman)
-        assert node.poly.backups == {1}
+        assert backups_of(sim, node) == {1}
 
     def test_sole_survivor_keeps_running(self):
         rps, tman = StubRPS(), StubTMan(TORUS)
         sim, _, _ = make_sim(TORUS, grid_coords(2, 2), layers=[rps, tman])
         config = PolystyreneConfig(replication=2)
         poly = PolystyreneLayer(TORUS, config, rps, tman)
+        sim.layers.append(poly)  # ``sim.placement`` is its store
         for node in sim.network.alive_nodes():
             poly.init_node(sim, node)
         sim.network.fail([1, 2, 3], rnd=0)
         poly.step(sim)  # must not raise with nobody to talk to
-        assert sim.network.node(0).poly.n_guests >= 1
+        assert len(guests_of(sim, sim.network.node(0))) >= 1
 
 
 class TestScenarioCorners:

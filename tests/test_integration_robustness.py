@@ -34,7 +34,7 @@ class TestChurn:
         # pushes before Algorithm 3 migrates).  Continuous churn
         # exercises that window, so survival sits below the one-shot
         # 1-0.5^(K+1) bound; it must still stay high.
-        assert surviving_fraction(points, alive) > 0.88
+        assert surviving_fraction(points, alive, sim.placement) > 0.88
 
     def test_shape_tracked_under_churn(self):
         config = ScenarioConfig(
@@ -109,7 +109,7 @@ class TestRepeatedFailures:
         sim.run(60)
         alive = sim.network.alive_nodes()
         assert sim.network.n_alive > 0
-        assert surviving_fraction(points, alive) > 0.9
+        assert surviving_fraction(points, alive, sim.placement) > 0.9
         h_ref = config.grid.reference_homogeneity(sim.network.n_alive)
         assert recorder.series["homogeneity"][-1] < 2.0 * h_ref
 

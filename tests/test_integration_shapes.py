@@ -48,9 +48,9 @@ class TestRingDeployment:
         sim.network.fail(victims, rnd=sim.round)
         sim.run(25)
         alive = sim.network.alive_nodes()
-        assert surviving_fraction(points, alive) > 0.9
+        assert surviving_fraction(points, alive, sim.placement) > 0.9
         h_ref = shape.reference_homogeneity(sim.network.n_alive)
-        assert homogeneity(space, points, alive) < 2.0 * h_ref
+        assert homogeneity(space, points, alive, sim.placement) < 2.0 * h_ref
 
     def test_survivors_spread_over_dead_arc(self):
         shape = RingShape(96)
@@ -84,7 +84,7 @@ class TestEuclideanDisk:
         sim.network.fail(victims, rnd=sim.round)
         sim.run(25)
         alive = sim.network.alive_nodes()
-        assert surviving_fraction(points, alive) > 0.85
+        assert surviving_fraction(points, alive, sim.placement) > 0.85
         # Survivors must re-cover the left half of the disk.
         relocated = sum(1 for n in alive if n.pos[0] < 8.0)
         assert relocated >= 5
@@ -104,4 +104,4 @@ class TestEuclideanDisk:
         sim = Simulation(space, network, [rps, tman, poly], seed=4)
         sim.init_all_nodes()
         sim.run(10)
-        assert homogeneity(space, points, sim.network.alive_nodes()) < 1.5
+        assert homogeneity(space, points, sim.network.alive_nodes(), sim.placement) < 1.5

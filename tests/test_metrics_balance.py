@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core.state import PolystyreneState
 from repro.metrics.balance import gini, guest_counts, load_balance
-from repro.sim.network import SimNode
-from repro.types import DataPoint
+
+from .helpers import placed_nodes
 
 
-def node_with_guests(nid, n):
-    node = SimNode(nid, (0.0, 0.0))
-    node.poly = PolystyreneState(
-        [DataPoint(nid * 100 + i, (0.0, 0.0)) for i in range(n)]
+def nodes_with_guests(*counts):
+    """Nodes holding ``counts[i]`` guests each, and their store."""
+    return placed_nodes(
+        [(0.0, 0.0)] * len(counts),
+        [[i * 100 + k for k in range(n)] for i, n in enumerate(counts)],
     )
-    return node
 
 
 class TestGini:
@@ -44,25 +43,22 @@ class TestGini:
 
 class TestLoadBalance:
     def test_uniform(self):
-        nodes = [node_with_guests(i, 2) for i in range(4)]
-        out = load_balance(nodes)
+        out = load_balance(*nodes_with_guests(2, 2, 2, 2))
         assert out["max_over_mean"] == pytest.approx(1.0)
         assert out["gini"] == pytest.approx(0.0)
 
     def test_skewed(self):
-        nodes = [node_with_guests(0, 7), node_with_guests(1, 1)]
-        out = load_balance(nodes)
+        out = load_balance(*nodes_with_guests(7, 1))
         assert out["max"] == 7
         assert out["mean"] == 4.0
         assert out["max_over_mean"] == pytest.approx(1.75)
 
     def test_empty_network_rejected(self):
         with pytest.raises(ValueError):
-            load_balance([])
+            load_balance([], nodes_with_guests()[1])
 
     def test_guest_counts_handles_missing_state(self):
-        bare = SimNode(0, (0.0, 0.0))
-        counts = guest_counts([bare, node_with_guests(1, 3)])
+        counts = guest_counts(*nodes_with_guests(0, 3))
         assert list(counts) == [0.0, 3.0]
 
 
@@ -87,7 +83,7 @@ class TestBalanceAfterRepair:
 
         sim.schedule(8, half_space_failure(0, 6.0))
         sim.run(40)
-        out = load_balance(sim.network.alive_nodes())
+        out = load_balance(sim.network.alive_nodes(), sim.placement)
         # ~2 points per survivor on average; no node should hold an
         # order of magnitude more than the mean once converged.
         assert out["mean"] == pytest.approx(2.0, abs=0.4)

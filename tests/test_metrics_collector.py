@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from repro.core.protocol import StaticHolderLayer
 from repro.metrics.collector import MetricsRecorder
 from repro.spaces import FlatTorus
 
@@ -13,7 +14,10 @@ TORUS = FlatTorus(4.0, 2.0)
 
 
 def recorded_sim(metrics=("homogeneity", "storage", "message_cost")):
-    sim, factory, points = make_sim(TORUS, grid_coords(4, 2))
+    # The static holder gives the nodes the placement the metrics read.
+    sim, factory, points = make_sim(
+        TORUS, grid_coords(4, 2), layers=[StaticHolderLayer()]
+    )
     recorder = MetricsRecorder(TORUS, points, metrics=metrics)
     sim.observers.append(recorder)
     return sim, recorder

@@ -5,18 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.state import PolystyreneState
 from repro.metrics.messages import layer_share, per_node_cost, per_node_series
 from repro.metrics.proximity import node_proximity, proximity
 from repro.metrics.reshaping import reference_homogeneity, reshaping_time
 from repro.metrics.storage import average_storage, node_storage, total_unique_points
 from repro.sim.arrays import view_ids
 from repro.sim.engine import Simulation
-from repro.sim.network import Network, SimNode
+from repro.sim.network import Network
 from repro.spaces import FlatTorus
-from repro.types import DataPoint
 
-from .helpers import NullLayer
+from .helpers import NullLayer, placed_nodes
 
 TORUS = FlatTorus(8.0, 4.0)
 
@@ -244,34 +242,27 @@ class TestReshaping:
 
 class TestStorage:
     def test_node_storage(self):
-        node = SimNode(0, (0.0, 0.0))
-        node.poly = PolystyreneState([DataPoint(0, (0.0, 0.0))])
-        node.poly.ghosts[4] = {1: DataPoint(1, (1.0, 0.0))}
-        assert node_storage(node) == 2
+        # Node 0 holds point 0 and a copy of point 1 from node 1.
+        nodes, store = placed_nodes(
+            [(0.0, 0.0), (1.0, 0.0)], [[0], []], copies=[(1, 0, [1])]
+        )
+        assert node_storage(nodes[0], store) == 2
+        assert node_storage(nodes[1], store) == 0
 
     def test_node_without_state(self):
-        assert node_storage(SimNode(0, (0.0, 0.0))) == 0
+        nodes, store = placed_nodes([(0.0, 0.0)])
+        assert node_storage(nodes[0], store) == 0
 
     def test_average(self):
-        nodes = []
-        for i in range(2):
-            node = SimNode(i, (0.0, 0.0))
-            node.poly = PolystyreneState(
-                [DataPoint(j, (0.0, 0.0)) for j in range(i + 1)]
-            )
-            nodes.append(node)
-        assert average_storage(nodes) == pytest.approx(1.5)
+        nodes, store = placed_nodes([(0.0, 0.0)] * 2, [[0], [0, 1]])
+        assert average_storage(nodes, store) == pytest.approx(1.5)
 
     def test_average_empty(self):
-        assert average_storage([]) == 0.0
+        assert average_storage([], placed_nodes([])[1]) == 0.0
 
     def test_total_unique(self):
-        shared = DataPoint(0, (0.0, 0.0))
-        a = SimNode(0, (0.0, 0.0))
-        a.poly = PolystyreneState([shared])
-        b = SimNode(1, (0.0, 0.0))
-        b.poly = PolystyreneState([shared, DataPoint(1, (1.0, 0.0))])
-        assert total_unique_points([a, b]) == 2
+        nodes, store = placed_nodes([(0.0, 0.0)] * 2, [[0], [0, 1]])
+        assert total_unique_points(nodes, store) == 2
 
 
 class TestMessages:

@@ -1,16 +1,16 @@
-"""Placement state as arrays (``repro.sim.batch.placement``).
+"""Placement state as arrays (``repro.sim.placement``).
 
 * array ≡ dict oracle: a batch simulation on the array layer and its
   twin on ``tests/placement_oracle.DictPolystyrene`` (the dict walk the
   arrays replaced) agree on every round of any churn schedule — state
   digest (placement, positions, RNG streams, meter units), recorded
   series, reliability sample;
-* the store's invariants, each one vector compare, every round;
-* ``materialize`` writes exactly the canonical placement and changes
-  nothing else; fingerprinting and stepping leave no per-node placement
+* the store's invariants, each one vector compare, every round, on
+  both engines;
+* fingerprinting, stepping and syncing leave no per-node placement
   object behind;
-* the array readers the observers use equal the node-sequence
-  definitions in ``repro.core.state`` on the materialised objects.
+* the array readers the observers use equal their dict definitions
+  (``placement_oracle.DictPlacement``) on the oracle twin.
 """
 
 from __future__ import annotations
@@ -23,19 +23,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sim.batch as batch_pkg
-from repro.core import state as node_state
-from repro.errors import SimulationError
 from repro.experiments.scenario import ScenarioConfig, prepare_scenario
-from repro.metrics.balance import guest_counts, load_balance
+from repro.metrics.balance import guest_counts
 from repro.metrics.homogeneity import (
     holder_multiplicity,
     homogeneity,
     lost_points,
     surviving_fraction,
 )
-from repro.metrics.storage import average_storage, node_storage, total_unique_points
+from repro.metrics.storage import average_storage, total_unique_points
 from repro.runtime import checkpoint
-from repro.runtime.checkpoint import _poly_state, state_digest
+from repro.runtime.checkpoint import state_digest
 from repro.runtime.scenarios import (
     catastrophic,
     compose,
@@ -45,10 +43,9 @@ from repro.runtime.scenarios import (
     trickle,
 )
 from repro.sim.batch import BatchPolystyrene
-from repro.sim.batch.placement import PlacementStore
-from repro.sim.network import SimNode
+from repro.sim.placement import PlacementStore
 
-from .placement_oracle import DictPolystyrene
+from .placement_oracle import DictPlacement, DictPolystyrene, summary
 
 ROUNDS = 14
 
@@ -99,7 +96,7 @@ def twins(cfg: ScenarioConfig, churn: str, monkeypatch):
         oracle = prepare_scenario(cfg)
     assert isinstance(arrays[0].layers[2], BatchPolystyrene)
     assert isinstance(oracle[0].layers[2], DictPolystyrene)
-    assert oracle[0].placement is None
+    assert isinstance(oracle[0].placement, DictPlacement)
     for sim, *_ in (arrays, oracle):
         CHURN[churn](cfg).install(sim)
     return arrays, oracle
@@ -110,11 +107,11 @@ def assert_same_state(arrays, oracle, where: str) -> None:
     sim_o, rec_o, _, _, probe_o = oracle
     if state_digest(sim_a) != state_digest(sim_o):
         # Name the first difference instead of two hashes.
-        rows = sim_a.canonical_placement()
+        rows = sim_a.placement.canonical(sim_a.network.table)
         for nid in sim_a.network.alive_ids():
             a, o = sim_a.network.node(nid), sim_o.network.node(nid)
             assert a.pos == o.pos, f"{where}: node {nid} position"
-            assert rows[a.row] == _poly_state(o.poly), f"{where}: node {nid} placement"
+            assert rows[a.row] == summary(o.poly), f"{where}: node {nid} placement"
         assert sim_a.meter.history == sim_o.meter.history, f"{where}: meter units"
         pytest.fail(f"{where}: digests differ outside placement/positions/meter")
     assert rec_a.series == rec_o.series, where
@@ -196,8 +193,7 @@ def test_centroid_projection_equals_dict_oracle(monkeypatch):
 
 
 def check_invariants(sim, points, lost_before: set) -> set:
-    layer = sim.layers[2]
-    store: PlacementStore = layer.placement
+    store: PlacementStore = sim.placement
     table = sim.network.table
     n = table.n_rows
     act = np.flatnonzero(table.alive_rows())
@@ -221,12 +217,13 @@ def check_invariants(sim, points, lost_before: set) -> set:
     assert not (held == store.owner[act, None]).any()
     ordered = np.sort(held, axis=1)
     assert not ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any()
-    assert not sim.detected_entry_mask(held).any()
+    assert not (sim.detected_mask(held) & (held >= 0)).any()
     assert (store.owner[act] == table._nid_of[act]).all()
 
     # the guest block and its inverse agree both ways
     pids, rows = store.holder_pairs(act)
-    holder = np.full(len(layer._point_coords), -1, dtype=np.int64)
+    size = max(int(pids.max(initial=-1)), max(p.pid for p in points)) + 1
+    holder = np.full(size, -1, dtype=np.int64)
     holder[pids] = rows  # some holder of each held pid
     assert (store.guest_ids[holder[pids]] == pids[:, None]).any(axis=1).all()
     back = store.guest_ids[act]
@@ -235,23 +232,24 @@ def check_invariants(sim, points, lost_before: set) -> set:
     # every pid has >= 1 live holder, or a live ghost copy pending
     # activation, or is lost — and once lost it never comes back
     all_pids = np.fromiter((p.pid for p in points), np.int64, len(points))
-    guest = np.zeros(len(layer._point_coords), dtype=bool)
+    guest = np.zeros(size, dtype=bool)
     guest[pids] = True
-    anywhere = store.held_mask(table, act, len(layer._point_coords))
+    anywhere = store.held_mask(table, act, size)
     assert (anywhere | ~guest).all()  # a guest is held
     lost = set(all_pids[~anywhere[all_pids]].tolist())
     assert lost_before <= lost, "a lost point reappeared"
     return lost
 
 
+@pytest.mark.parametrize("engine", ["batch", "event"])
 @given(
     churn=st.sampled_from(sorted(CHURN)),
     retention=st.sampled_from([None, 4]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 @settings(max_examples=15, deadline=None)
-def test_store_invariants_hold_every_round(churn, retention, seed):
-    cfg = config(seed=seed, retention_rounds=retention, metrics=())
+def test_store_invariants_hold_every_round(engine, churn, retention, seed):
+    cfg = config(seed=seed, retention_rounds=retention, metrics=(), engine=engine)
     sim, _, _, points, _ = prepare_scenario(cfg)
     CHURN[churn](cfg).install(sim)
     lost: set = set()
@@ -289,7 +287,7 @@ def test_no_wave_loses_or_duplicates_a_point(monkeypatch):
     assert len(waves) > ROUNDS  # several waves a round
 
 
-# -- materialize; purity -----------------------------------------------------
+# -- purity -------------------------------------------------------------------
 
 
 def store_arrays(store: PlacementStore):
@@ -297,32 +295,6 @@ def store_arrays(store: PlacementStore):
         name: getattr(store, name).copy()
         for name in ("guest_ids", "guest_n", "backup_ids", "sent_ids", "sent_n", "owner")
     }
-
-
-@pytest.mark.parametrize("churn", ["none", "everything"])
-def test_materialize_matches_canonical_placement(churn):
-    cfg = config(seed=4, retention_rounds=4)
-    sim, *_ = prepare_scenario(cfg)
-    CHURN[churn](cfg).install(sim)
-    sim.run(9)
-    store = sim.layers[2].placement
-    digest = state_digest(sim)
-    canonical = sim.canonical_placement()
-    before = store_arrays(store)
-    sim.sync_canonical()
-    for node in sim.network.nodes.values():
-        assert _poly_state(node.poly) == canonical[node.row], node.nid
-    # a one-way write: the arrays, and so the digest, are untouched
-    after = store_arrays(store)
-    assert all(np.array_equal(before[name], after[name]) for name in before)
-    assert state_digest(sim) == digest
-    # ... and so is the run: the twin that never synced agrees
-    twin, *_ = prepare_scenario(cfg)
-    CHURN[churn](cfg).install(twin)
-    twin.run(9)
-    sim.run(ROUNDS - 9)
-    twin.run(ROUNDS - 9)
-    assert state_digest(sim) == state_digest(twin)
 
 
 def test_no_placement_object_exists_between_rounds():
@@ -336,20 +308,17 @@ def test_no_placement_object_exists_between_rounds():
     state_digest(sim)
     assert [dict(vars(n)) for n in sim.network.nodes.values()] == before_vars
     assert len(pickle.dumps(sim)) == before_size
-    sim.sync_canonical()  # the one way to get them
-    assert all("poly" in vars(node) for node in sim.network.nodes.values())
+    sim.sync_canonical()  # views only: placement has no bridge
+    assert not any("poly" in vars(node) for node in sim.network.nodes.values())
 
 
-def test_digest_never_materialises_placement(monkeypatch):
+def test_digest_never_materialises_placement():
     sim, *_ = prepare_scenario(config())
     sim.run(3)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("state_digest must not materialise placement")
-
-    monkeypatch.setattr(PlacementStore, "materialize", forbidden)
-    monkeypatch.setattr(BatchPolystyrene, "materialize", forbidden)
+    before = store_arrays(sim.placement)
     state_digest(sim)
+    after = store_arrays(sim.placement)
+    assert all(np.array_equal(before[name], after[name]) for name in before)
 
 
 def test_stale_materialised_placement_is_ignored():
@@ -364,22 +333,21 @@ def test_stale_materialised_placement_is_ignored():
     assert state_digest(synced) == state_digest(twin)
 
 
-# -- the observers' array reads ≡ the node-sequence definitions ---------------
+# -- the observers' array reads ≡ their dict definitions ------------------------
 
 
 @pytest.mark.parametrize("churn", sorted(CHURN))
-def test_array_readers_equal_node_sequence_definitions(churn):
+def test_array_readers_equal_node_sequence_definitions(churn, monkeypatch):
     cfg = config(seed=6, retention_rounds=4)
-    sim, recorder, _, points, _ = prepare_scenario(cfg)
-    CHURN[churn](cfg).install(sim)
-    space = sim.space
-    for _ in range(ROUNDS):
-        sim.step()
+    arrays, oracle = twins(cfg, churn, monkeypatch)
+    points = arrays[3]
+    some = points[: len(points) // 3]  # stored pids exceed the asked ones
+
+    def reads(sim):
         alive = sim.network.alive_nodes()
         store = sim.placement
-        some = points[: len(points) // 3]  # stored pids exceed the asked ones
-        got = (
-            homogeneity(space, points, alive, placement=store),
+        return (
+            homogeneity(sim.space, points, alive, store),
             surviving_fraction(points, alive, store),
             surviving_fraction(some, alive, store),
             lost_points(points, alive, store),
@@ -388,47 +356,11 @@ def test_array_readers_equal_node_sequence_definitions(churn):
             holder_multiplicity(alive, store),
             guest_counts(alive, store).tolist(),
         )
-        sim.sync_canonical()
-        want = (
-            homogeneity(space, points, alive),
-            surviving_fraction(points, alive),
-            surviving_fraction(some, alive),
-            lost_points(points, alive),
-            average_storage(alive),
-            total_unique_points(alive),
-            holder_multiplicity(alive),
-            guest_counts(alive).tolist(),
-        )
-        assert got == want
-        assert node_state.stored_points(alive) == store.stored_points(
-            sim.network.table, np.asarray([n.row for n in alive], dtype=np.int64)
-        )
 
-
-def test_unsynced_batch_nodes_refuse_the_node_sequence_readers():
-    """A batch node without ``poly`` does not hold nothing: its state is
-    in the store, and a reader that was not handed it says so."""
-    sim, _, _, points, _ = prepare_scenario(config())
-    sim.run(2)
-    alive = sim.network.alive_nodes()
-    readers = (
-        lambda: homogeneity(sim.space, points, alive),
-        lambda: surviving_fraction(points, alive),
-        lambda: lost_points(points, alive),
-        lambda: average_storage(alive),
-        lambda: node_storage(alive[0]),
-        lambda: total_unique_points(alive),
-        lambda: holder_multiplicity(alive),
-        lambda: load_balance(alive),
-    )
-    for read in readers:
-        with pytest.raises(SimulationError, match="sim.placement"):
-            read()
-    sim.sync_canonical()
-    for read in readers:
-        read()
-    # nodes no layer gave state to still count as holding nothing
-    assert average_storage([SimNode(0, (0.0, 0.0))]) == 0.0
+    for _ in range(ROUNDS):
+        arrays[0].step()
+        oracle[0].step()
+        assert reads(arrays[0]) == reads(oracle[0])
 
 
 def test_rows_grow_by_the_tables_policy_and_land_on_the_ledger():

@@ -16,7 +16,7 @@ from repro.core.recovery import recover_node
 from repro.core.split import make_split
 from repro.spaces import FlatTorus
 
-from .helpers import StubRPS, StubTMan, grid_coords, make_sim
+from .helpers import StubRPS, StubTMan, ghosts_of, grid_coords, guests_of, make_sim
 
 TORUS = FlatTorus(8.0, 4.0)
 
@@ -26,22 +26,23 @@ def build(K=2, split="advanced"):
     sim, factory, points = make_sim(TORUS, grid_coords(4, 2), layers=[rps, tman])
     config = PolystyreneConfig(replication=K, split=split)
     poly = PolystyreneLayer(TORUS, config, rps, tman)
+    sim.layers.append(poly)  # ``sim.placement`` is its store
     for node in sim.network.alive_nodes():
         poly.init_node(sim, node)
-    return sim, config, rps, tman, points
+    return sim, poly, rps, tman, points
 
 
 def held_guests(sim):
     held = set()
     for node in sim.network.alive_nodes():
-        held.update(node.poly.guests)
+        held.update(guests_of(sim, node))
     return held
 
 
 def held_anywhere(sim):
     held = set(held_guests(sim))
     for node in sim.network.alive_nodes():
-        for ghost in node.poly.ghosts.values():
+        for ghost in ghosts_of(sim, node).values():
             held.update(ghost)
     return held
 
@@ -56,8 +57,10 @@ def held_anywhere(sim):
 )
 def test_migrations_conserve_points(pairs):
     """Any sequence of pairwise exchanges is loss- and dup-free."""
-    sim, config, rps, tman, points = build()
-    manager = MigrationManager(config, make_split("advanced"))
+    sim, poly, rps, tman, points = build()
+    manager = MigrationManager(
+        poly.config, make_split("advanced"), poly.placement, poly.points
+    )
     for a, b in pairs:
         if a == b:
             continue
@@ -65,7 +68,7 @@ def test_migrations_conserve_points(pairs):
         # No duplicates: every pid held exactly once.
         seen = {}
         for node in sim.network.alive_nodes():
-            for pid in node.poly.guests:
+            for pid in guests_of(sim, node):
                 seen[pid] = seen.get(pid, 0) + 1
         assert all(count == 1 for count in seen.values())
     assert held_guests(sim) == {p.pid for p in points}
@@ -80,8 +83,8 @@ def test_random_failures_never_lose_backed_up_points(data, K):
     """After full replication, kill random subsets round by round and
     run recovery: every point with at least one surviving copy-holder
     must remain held somewhere."""
-    sim, config, rps, tman, points = build(K=K)
-    backup = BackupManager(config)
+    sim, poly, rps, tman, points = build(K=K)
+    backup = BackupManager(poly.config, poly.placement, poly.pushed_by)
     for node in sim.network.alive_nodes():
         backup.step_node(sim, node, rps, tman)
 
@@ -96,7 +99,7 @@ def test_random_failures_never_lose_backed_up_points(data, K):
         sim.network.fail(victims, sim.round)
         survivors_hold = held_anywhere(sim)
         for node in sim.network.alive_nodes():
-            recover_node(sim, node)
+            recover_node(sim, node, poly.placement, poly.pushed_by.get(node.row))
         after = held_guests(sim)
         # Everything that still had a copy on a survivor is now an
         # active guest again.
@@ -116,6 +119,7 @@ def test_full_round_interleaving_conserves_points(seed):
     )
     config = PolystyreneConfig(replication=2)
     poly = PolystyreneLayer(TORUS, config, rps, tman)
+    sim.layers.append(poly)  # ``sim.placement`` is its store
     for node in sim.network.alive_nodes():
         poly.init_node(sim, node)
     for _ in range(4):
@@ -123,7 +127,7 @@ def test_full_round_interleaving_conserves_points(seed):
         sim.round += 1
     seen = {}
     for node in sim.network.alive_nodes():
-        for pid in node.poly.guests:
+        for pid in guests_of(sim, node):
             seen[pid] = seen.get(pid, 0) + 1
     assert set(seen) == {p.pid for p in points}
     assert all(count == 1 for count in seen.values())

@@ -100,13 +100,9 @@ class TestBoundedMemory:
         so zero loss is not the contract; retention must not make the
         loss *worse* than the un-pruned protocol's.)"""
         sim = run_long_trickle(engine, rounds=60)
-        if engine == "batch":
-            sim.sync_canonical()  # placement is arrays: materialise node.poly
         held = set()
         for node in sim.network.alive_nodes():
-            state = getattr(node, "poly", None)
-            if state is not None:
-                held.update(state.guests)
+            held.update(sim.placement.guests(node.row))
         assert len(held) >= 24  # 32 points, ~2x-population churn
 
     def test_checkpoint_roundtrip_with_pruned_nodes(self, engine):

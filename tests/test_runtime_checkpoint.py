@@ -268,7 +268,7 @@ class TestDigest:
 
 
 class TestLegacyFormatUpgrade:
-    """One format, no legacy reader: only ``CHECKPOINT_FORMAT`` (4)
+    """One format, no legacy reader: only ``CHECKPOINT_FORMAT`` (5)
     loads, and every other format number is rejected by name."""
 
     def test_format_1_rejected_naming_the_format(self, tmp_path):
@@ -282,6 +282,12 @@ class TestLegacyFormatUpgrade:
         has: the header refuses the file as an unsupported format before
         anything is unpickled."""
         self.assert_rejected_by_number(tmp_path, 3, "unsupported checkpoint format 3 ")
+
+    def test_format_4_rejected_before_unpickling(self, tmp_path):
+        """Format 4 pickled event-engine placement as per-node dicts, a
+        layout this build no longer has (format 5 keeps it in the
+        placement store both engines share)."""
+        self.assert_rejected_by_number(tmp_path, 4, "unsupported checkpoint format 4 ")
 
     def assert_rejected_by_number(self, tmp_path, legacy, message=None):
         sim, *_ = prepare_scenario(small_config())
@@ -308,7 +314,7 @@ class TestLegacyFormatUpgrade:
 
         path = tmp_path / "v2.ckpt"
         path.write_bytes(b"repro-ckpt" + pickle.dumps({"format": 2}))
-        with pytest.raises(CheckpointError, match="format 4"):
+        with pytest.raises(CheckpointError, match="format 5"):
             checkpoint.load(path)
 
     def test_unknown_future_format_rejected(self, tmp_path):

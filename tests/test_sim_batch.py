@@ -149,10 +149,9 @@ class TestBatchSimulation:
         )
         for _ in range(8):
             sim.step()
-            sim.sync_canonical()  # placement is arrays: materialise node.poly
             held = set()
             for node in sim.network.alive_nodes():
-                held.update(node.poly.guests)
+                held.update(sim.placement.guests(node.row))
             assert held == {p.pid for p in points}  # no loss, full cover
 
     def test_view_invariants_after_rounds(self):

@@ -87,7 +87,9 @@ def run(config, rows_per_block=None, only_rps=False):
     and the oracle's own chunking has its own test below."""
     sim, *_ = prepare_scenario(config)
     if only_rps:
-        sim.layers = sim.layers[:1]
+        # Drop the topology layer; the static holder does nothing per
+        # round but holds the placement the reliability probe reads.
+        del sim.layers[1]
     with block_size(rows_per_block) if rows_per_block else contextlib.nullcontext():
         sim.run(config.total_rounds)
     rps = sim.layers[0]
