@@ -115,9 +115,9 @@ class BackupManager:
         for slot, b in enumerate(slots):
             if b >= 0 and gone(b):
                 slots[slot] = -1
-                store.backup_ids[row, slot] = -1
                 store.drop_copy(row, slot)
-        # Line 2: top back up to K backup nodes, into the free slots.
+        # Line 2: top back up to K backup nodes, into the free slots (a
+        # drop above always leaves some to fill).
         held = [b for b in slots if b >= 0]
         missing = self.config.replication - len(held)
         if missing > 0:
@@ -136,15 +136,16 @@ class BackupManager:
                 continue
             previous = store.copy(row, slot)
             if self.config.incremental_backup and previous is not None:
+                if previous == guests:
+                    continue  # nothing changed: no message at all
                 sent = frozenset(previous)
                 added = guest_pids - sent
                 removed = sent - guest_pids
                 if not added and not removed:
                     continue  # nothing changed: no message at all
                 # The target drops the removed ids and appends the new.
-                store.set_copy(
-                    row, slot, [pid for pid in previous if pid not in removed] + list(added)
-                )
+                kept = [pid for pid in previous if pid not in removed]
+                store.set_copy(row, slot, kept + list(added))
                 # Delta message: new points travel with coordinates,
                 # removals as bare ids, plus the sender id.
                 sim.meter.charge_points(self.layer_name, len(added), coord_dim)

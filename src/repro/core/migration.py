@@ -76,9 +76,15 @@ class MigrationManager:
         pool = [points[pid] for pid in dict.fromkeys(guests_q + guests_p)]
         # Line 5: SPLIT.
         points_p, points_q = self.split(sim.space, pool, node.pos, partner.pos)
-        # Lines 6-7: install the new partition.
-        store.set_guests(node.row, [point.pid for point in points_p])
-        store.set_guests(partner.row, [point.pid for point in points_q])
+        # Lines 6-7: install the new partition (a row the split left as
+        # it was is not rewritten).
+        for row, before, after in (
+            (node.row, guests_p, points_p),
+            (partner.row, guests_q, points_q),
+        ):
+            pids = [point.pid for point in after]
+            if pids != before:
+                store.set_guests(row, pids)
         # Push: only points q did not already hold travel with
         # coordinates; retained points are confirmed by bare id.
         old_q_pids = set(guests_q)
