@@ -133,6 +133,21 @@ def _assign_min_displacement(
         return ([], full)
     m_a = medoid(space, [p.coord for p in cluster_a], batch=batch_a)
     m_b = medoid(space, [p.coord for p in cluster_b], batch=batch_b)
+    return _assign_by_medoids(space, cluster_a, cluster_b, m_a, m_b, pos_p, pos_q)
+
+
+def _assign_by_medoids(
+    space: Space,
+    cluster_a: List[DataPoint],
+    cluster_b: List[DataPoint],
+    m_a: Coord,
+    m_b: Coord,
+    pos_p: Coord,
+    pos_q: Coord,
+) -> SplitResult:
+    """MD's comparison: ``(cluster_a, cluster_b)`` when giving p the
+    cluster of medoid ``m_a`` displaces the two nodes strictly less in
+    total, else ``(cluster_b, cluster_a)``."""
     delta_ab = space.distance(m_a, pos_p) + space.distance(m_b, pos_q)
     delta_ba = space.distance(m_b, pos_p) + space.distance(m_a, pos_q)
     if delta_ab < delta_ba:
@@ -151,8 +166,18 @@ def split_advanced(
 
     The pooled coordinates are packed exactly once; the diameter
     search, the endpoint partition and both cluster medoids all read
-    rows of that one batch."""
+    rows of that one batch.
+
+    Two points are their own diameter: unless they coincide (then the
+    basic rule applies, as for any degenerate pool) each is its own
+    cluster and medoid, and only MD's comparison runs — a scalar body,
+    which on two points beats the batched kernels it skips."""
     if len(points) < 2:
+        return _split_basic(space, points, pos_p, pos_q)
+    if len(points) == 2:
+        a, b = points
+        if space.distance_sq(b.coord, a.coord) > 0.0:
+            return _assign_by_medoids(space, [a], [b], a.coord, b.coord, pos_p, pos_q)
         return _split_basic(space, points, pos_p, pos_q)
     coords = [p.coord for p in points]
     batch = space.pack_batch(coords)

@@ -11,12 +11,18 @@ Parameters follow the paper's setup (Sec. IV-A): views initialised with
 original), m = 20 descriptors per message, ψ = 5.
 
 Views are :class:`~repro.sim.arrays.ViewBuffer` slots, an id column and
-a coordinate block: the three rankings of a gossip exchange (partner
-selection and the two message buffers) and the liveness scans read
-them as they stand, a message is the ranked ``(ids, coords)`` rows of
-its sender's view, and a merge overwrites or appends those rows.
-Iteration order, RNG draws and ranking tie-breaks are identical to the
-historical dict-based views.
+a coordinate block, kept *ranked for their owner*: rows in order of
+(squared distance to the position the owner advertised, id), cut to
+``view_cap``.  A merge is one ranked merge — incoming rows replace the
+stored copies of their ids and the union is ranked once — so it holds
+exactly the entries the unbounded-then-truncated dict merge held.
+Partner selection and :meth:`TManLayer.neighbors` read the alive
+prefix, re-ranking only when the owner has moved since (a new position
+object; ``ViewBuffer.ranked_pos`` names the one the view was ranked
+for).  A message is the ranked ``(ids, coords)`` rows of its sender's
+view ∪ {sender}.  Every ranking breaks ties by id, so RNG draws and
+results do not depend on storage order; only the order itself differs
+from the historical insertion-ordered dict views.
 
 Because Polystyrene moves nodes, every exchange refreshes the positions
 recorded for the two participants; this position-update traffic is why
@@ -35,7 +41,7 @@ from ..sim.engine import Simulation
 from ..sim.network import SimNode
 from ..spaces.base import Space
 from ..types import Coord, NodeId
-from .ranking import rank_alive, rank_order
+from .ranking import rank_order
 from .rps import PeerSamplingLayer
 
 
@@ -105,17 +111,20 @@ class TManLayer:
         view = self._ensure_view(node)
         if not view:
             return []
-        ids, _ = view.arrays()
-        mask = sim.network.alive_mask(ids)
-        if not mask.any():
-            return []
-        if view.ranked_pos is node.pos:
-            # The view is already sorted by distance to this exact
-            # position (the last bounded-view truncation ranked it, and
-            # the projection memo has kept the position object stable
-            # since): the k closest alive entries are a prefix scan.
-            return ids[mask][:k].tolist()
-        return rank_alive(self.space, node.pos_array, view, mask, k)
+        ids = self._ranked_ids(node, view)
+        return ids[sim.network.alive_mask(ids)][:k].tolist()
+
+    def _ranked_ids(self, node: SimNode, view: ViewBuffer) -> np.ndarray:
+        """The view's id column in (distance to the node, id) order.
+        Merges leave the view ranked for the position object the node
+        advertised then; only a node that has moved since (or a view
+        that was never merged into) is re-ranked, and the order is
+        installed so the next reader scans a prefix again."""
+        if view.ranked_pos is not node.pos:
+            ids, coords = view.arrays()
+            order = rank_order(self.space, node.pos_array, ids, coords)
+            view.set_ranked(ids[order], take_coords(coords, order), ranked_for=node.pos)
+        return view.arrays()[0]
 
     # -- one gossip cycle ----------------------------------------------------
 
@@ -160,24 +169,27 @@ class TManLayer:
         self, sim: Simulation, rng, node: SimNode, view: ViewBuffer
     ) -> Optional[NodeId]:
         """Random choice among the ψ closest alive view entries."""
-        ids, _ = view.arrays()
-        mask = sim.network.alive_mask(ids)
-        if not mask.any():
+        ids = self._ranked_ids(node, view)
+        candidates = ids[sim.network.alive_mask(ids)][: self.psi].tolist()
+        if not candidates:
             return None
-        if view.ranked_pos is node.pos:
-            candidates = ids[mask][: self.psi].tolist()
-        else:
-            candidates = rank_alive(
-                self.space, node.pos_array, view, mask, self.psi
-            )
         return rng.choice(candidates)
 
     def _build_buffer(self, node: SimNode, target_pos: Coord) -> Tuple[np.ndarray, object]:
         """The ``m`` descriptors from ``node``'s view ∪ {node itself}
-        closest to ``target_pos``: the ranked ``(ids, coords)`` rows."""
+        closest to ``target_pos``: the ranked ``(ids, coords)`` rows of
+        one pool holding the view's rows and the node's own."""
         ids, coords = self._ensure_view(node).arrays()
-        pool_ids = np.append(ids, np.int64(node.nid))
-        pool_coords = join_coords(coords, [node.pos])
+        n = len(ids)
+        pool_ids = np.empty(n + 1, dtype=np.int64)
+        pool_ids[:n] = ids
+        pool_ids[n] = node.nid
+        if isinstance(coords, np.ndarray):
+            pool_coords = np.empty((n + 1, coords.shape[1]))
+            pool_coords[:n] = coords
+            pool_coords[n] = node.pos_array
+        else:
+            pool_coords = coords + [node.pos]
         order = rank_order(
             self.space, target_pos, pool_ids, pool_coords, self.message_size
         )
@@ -190,17 +202,27 @@ class TManLayer:
         incoming: Tuple[np.ndarray, object],
         detected=None,
     ) -> None:
-        """Merge an incoming message, keep the ``cap`` closest entries.
+        """Merge an incoming message into the node's ranked view.
 
-        Incoming coordinates overwrite stored ones: a descriptor that
-        arrives now reflects a fresher position than whatever the view
-        remembered (nodes move under Polystyrene).
+        Every descriptor except the node's own and detected-failed ids
+        is adopted; its coordinates replace the stored copy of its id (a
+        descriptor that arrives now reflects a fresher position than
+        whatever the view remembered — nodes move under Polystyrene).
+        The union is ranked for the node's position and cut to the
+        ``cap`` closest entries.
         """
         view = self._ensure_view(node)
         if detected is None:
             detected = sim.detected_failed()
-        view.merge(*incoming, node.nid, detected)
-        if len(view) > self.view_cap:
-            ids, coords = view.arrays()
-            order = rank_order(self.space, node.pos_array, ids, coords, self.view_cap)
-            view.set_ranked(ids[order], take_coords(coords, order), ranked_for=node.pos)
+        in_ids, in_coords = incoming
+        adopt = [nid != node.nid and nid not in detected for nid in in_ids.tolist()]
+        if not all(adopt):
+            adopt = np.array(adopt)
+            in_ids, in_coords = in_ids[adopt], take_coords(in_coords, adopt)
+        ids, coords = view.arrays()
+        kept = ~sim.network.table.id_flags(in_ids).take(ids)
+        ids, coords = ids[kept], take_coords(coords, kept)
+        ids = np.concatenate((ids, in_ids))
+        coords = join_coords(coords, in_coords)
+        order = rank_order(self.space, node.pos_array, ids, coords, self.view_cap)
+        view.set_ranked(ids[order], take_coords(coords, order), ranked_for=node.pos)

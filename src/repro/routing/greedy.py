@@ -47,7 +47,9 @@ def greedy_route(
     """Route greedily from ``start`` towards ``target``.
 
     At each hop the message moves to the alive view neighbour strictly
-    closer to the target than the current node; it stops with success
+    closer to the target than the current node — the closest one, ties
+    to the lowest id, so the route does not depend on the order a view
+    stores its entries in; it stops with success
     as soon as some node within ``tolerance`` of the target is reached,
     and with failure on a local minimum (no closer neighbour) or after
     ``max_hops`` hops (default: network size, i.e. effectively
@@ -74,7 +76,9 @@ def greedy_route(
             if nid not in alive:
                 continue
             dist = space.distance(sim.network.node(nid).pos, target)
-            if dist < best_dist:
+            if dist < best_dist or (
+                dist == best_dist and best_id is not None and nid < best_id
+            ):
                 best_dist = dist
                 best_id = nid
         if best_id is None:

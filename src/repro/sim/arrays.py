@@ -14,14 +14,14 @@ and friends):
   long-churn runs with reinjection reuse slots instead of growing
   without bound.
 
-* :class:`ViewBuffer` — the per-layer topology *view slot*: an
-  insertion-ordered id → coordinate map that *is* two arrays, an int64
-  id column and the coordinates of those ids in the same order.  Its
-  mutations keep ``dict`` semantics exactly — iteration order is
-  insertion order, updating an existing key keeps its position,
-  re-inserting a removed key appends — so the gossip layers draw the
-  same RNG sequences they drew over plain dicts, and every ranking
-  reads the arrays as they stand: there is no second copy to rebuild.
+* :class:`ViewBuffer` — the per-layer topology *view slot*: an id →
+  coordinate map that *is* two arrays, an int64 id column and the
+  coordinates of those ids in the same order.  :meth:`ViewBuffer.merge`
+  keeps ``dict`` semantics exactly — updating an existing key keeps its
+  position, new keys append — so Vicinity draws the same RNG sequences
+  it drew over plain dicts; T-Man keeps its views *ranked* for their
+  owner instead (:meth:`ViewBuffer.set_ranked`).  Every ranking reads
+  the arrays as they stand: there is no second copy to rebuild.
 
 Both containers deep-copy and pickle cleanly, which the checkpoint
 subsystem relies on.
@@ -422,6 +422,14 @@ class NodeTable:
         flags[-1] = sentinel
         return flags
 
+    def id_flags(self, ids: np.ndarray) -> np.ndarray:
+        """A bool column over every id slot, set at ``ids`` — a set of
+        registered (or released) ids that other id arrays test
+        membership in with one ``take``."""
+        flags = np.zeros(len(self._row_of), dtype=bool)
+        flags[ids] = True
+        return flags
+
     def coords_at(self, rows: np.ndarray) -> np.ndarray:
         """Current coordinates of the given rows (of :meth:`rows_of`),
         ``rows.shape + (dim,)``; vector mode only."""
@@ -469,7 +477,11 @@ def take_coords(coords, idx: np.ndarray):
     batch: a float block, or a list of coordinate objects
     (:data:`OBJECT_DIM`).  The result is a new batch either way."""
     if isinstance(coords, np.ndarray):
-        return coords[idx]
+        # ``take`` / ``compress`` rather than ``coords[idx]``: the same
+        # rows at a fraction of fancy indexing's per-call cost.
+        if idx.dtype == bool:
+            return coords.compress(idx, axis=0)
+        return coords.take(idx, axis=0)
     if idx.dtype == bool:
         idx = np.flatnonzero(idx)
     return [coords[i] for i in idx.tolist()]
@@ -485,7 +497,7 @@ def join_coords(coords, extra):
 
 
 class ViewBuffer:
-    """Insertion-ordered id → coordinate map held as two arrays.
+    """An id → coordinate map held as two arrays.
 
     The whole state is an int64 id column and the coordinates of those
     ids, row for row: an ``(n, dim)`` float block, or a list of
@@ -493,9 +505,13 @@ class ViewBuffer:
     vectors (:data:`OBJECT_DIM`).  Ranking kernels read the pair as it
     stands (:meth:`arrays`).  The bulk calls the gossip layers make —
     :meth:`merge`, :meth:`evict_ids`, :meth:`set_ranked` — overwrite
-    rows in place or install new arrays the view alone holds, with
-    ``dict`` semantics exactly, so iteration order and hence every RNG
-    draw are those of the historical dict-based views.
+    rows in place or install new arrays the view alone holds.
+    :meth:`merge` keeps ``dict`` semantics exactly, so Vicinity's views
+    (merged, then truncated by rank only when over their size) iterate
+    and hence draw RNG as the historical dict-based views did.  T-Man's
+    views are *ranked* instead: every merge installs the (distance to
+    the owner, id) order through :meth:`set_ranked`, and
+    :attr:`ranked_pos` names the position it was ranked for.
 
     The mapping protocol (``in``, ``[]``, ``items()``) reads the arrays
     for the routing layer and tests; a single-id lookup scans the id

@@ -46,10 +46,10 @@ the array).
 
 Batch-vs-event semantic deltas: exchanges are snapshot-based rather
 than sequential, a node reached by several messages merges them in one
-ranked truncation (the event engine truncates only on overflow and
-keeps insertion order below the cap), and ranking ties behind the
-partner choice break by slot rather than by id.  The constructed
-overlay is statistically the same.
+ranked truncation (the event engine merges one message at a time: its
+T-Man ranks and cuts each merge, its Vicinity truncates only on
+overflow and keeps insertion order below the size), and ranking ties
+behind the partner choice break by slot rather than by id.  The constructed overlay is statistically the same.
 """
 
 from __future__ import annotations

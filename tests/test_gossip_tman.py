@@ -1,10 +1,15 @@
 """Tests for the T-Man topology construction layer."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.gossip.ranking import rank_order, truncate_closest
 from repro.gossip.rps import PeerSamplingLayer
 from repro.gossip.tman import TManLayer
 from repro.metrics.proximity import proximity
+from repro.sim.arrays import ViewBuffer
 from repro.sim.engine import Simulation
 from repro.sim.network import Network
 from repro.spaces import FlatTorus
@@ -192,3 +197,61 @@ def test_views_are_their_two_arrays_after_an_event_run():
         assert view.nbytes == len(view) * 8 * (1 + dim)
         ids, coords = view.arrays()
         assert ids.base is None and coords.base is None
+
+
+# -- the ranked merge ---------------------------------------------------------
+
+#: Half-step lattice coordinates on the 8x8 torus of :func:`build`, so
+#: equal distances (and so the id tie-break) are common.
+lattice = st.tuples(
+    st.integers(0, 15).map(lambda x: x / 2), st.integers(0, 15).map(lambda y: y / 2)
+)
+
+
+@st.composite
+def merge_cases(draw):
+    """A view (under or over the cap, ranked for its owner or not) and
+    a message holding the owner's id, detected ids, held ids with new
+    coordinates and unknown ids."""
+    owner = draw(st.integers(0, 63))
+    others = [nid for nid in range(64) if nid != owner]
+    cap = draw(st.integers(1, 12))
+    held = draw(st.lists(st.sampled_from(others), unique=True, max_size=2 * cap))
+    view = [(nid, draw(lattice)) for nid in held]
+    sent = draw(st.lists(st.sampled_from(range(64)), unique=True, max_size=10))
+    if draw(st.booleans()) and owner not in sent:
+        sent.append(owner)
+    message = [(nid, draw(lattice)) for nid in sent]
+    detected = frozenset(draw(st.lists(st.sampled_from(others), max_size=6)))
+    return owner, cap, view, draw(st.booleans()), message, detected
+
+
+@given(merge_cases())
+@settings(max_examples=200, deadline=None)
+def test_ranked_merge_holds_what_merge_then_cap_holds(case):
+    """T-Man's ranked merge keeps exactly the id -> coordinate map of
+    ``ViewBuffer.merge`` followed by the bounded-view rule (the ``cap``
+    closest to the owner when over it), rows in (distance, id) order and
+    the view marked ranked for the owner's position."""
+    owner, cap, view, ranked, message, detected = case
+    sim, _ = build()
+    tman = TManLayer(sim.space, sim.layers[0], view_cap=cap)
+    node = sim.network.node(owner)
+    node.tman_view = ViewBuffer(2, view)
+    if ranked:
+        ids, coords = node.tman_view.arrays()
+        order = rank_order(sim.space, node.pos, ids, coords)
+        node.tman_view.set_ranked(ids[order], coords[order], ranked_for=node.pos)
+    msg_ids = np.array([nid for nid, _ in message], dtype=np.int64)
+    msg_coords = np.array([c for _, c in message], dtype=float).reshape(-1, 2)
+
+    oracle = ViewBuffer(2, view)
+    oracle.merge(msg_ids, msg_coords, owner, detected)
+    expected = truncate_closest(sim.space, node.pos, dict(oracle.items()), cap)
+
+    tman._merge(sim, node, (msg_ids, msg_coords), detected)
+    merged = node.tman_view
+    assert dict(merged.items()) == dict(expected)
+    ids, coords = merged.arrays()
+    assert rank_order(sim.space, node.pos, ids, coords).tolist() == list(range(len(ids)))
+    assert merged.ranked_pos is node.pos

@@ -6,7 +6,7 @@
   digest (placement, positions, RNG streams, meter units), recorded
   series, reliability sample;
 * the store's invariants, each one vector compare, every round, on
-  both engines;
+  both engines (and the event engine's T-Man view invariants);
 * fingerprinting, stepping and syncing leave no per-node placement
   object behind;
 * the array readers the observers use equal their dict definitions
@@ -241,21 +241,44 @@ def check_invariants(sim, points, lost_before: set) -> set:
     return lost
 
 
+def check_views(sim, cap: int) -> None:
+    """Every event-engine T-Man view holds at most ``cap`` unique ids,
+    never its owner's, in (distance, id) order wherever it is marked
+    ranked for its owner's live position."""
+    for node in sim.network.nodes.values():
+        view = node.tman_view
+        ids, coords = view.arrays()
+        assert len(ids) <= cap and len(np.unique(ids)) == len(ids)
+        assert node.nid not in ids
+        if view.ranked_pos is node.pos:
+            dsq = sim.space.rank_sq_block(node.pos_array, coords)
+            assert (np.lexsort((ids, dsq)) == np.arange(len(ids))).all()
+
+
 @pytest.mark.parametrize("engine", ["batch", "event"])
 @given(
     churn=st.sampled_from(sorted(CHURN)),
     retention=st.sampled_from([None, 4]),
+    view_cap=st.sampled_from([12, 100]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 @settings(max_examples=15, deadline=None)
-def test_store_invariants_hold_every_round(engine, churn, retention, seed):
-    cfg = config(seed=seed, retention_rounds=retention, metrics=(), engine=engine)
+def test_store_invariants_hold_every_round(engine, churn, retention, view_cap, seed):
+    cfg = config(
+        seed=seed,
+        retention_rounds=retention,
+        tman_view_cap=view_cap,
+        metrics=(),
+        engine=engine,
+    )
     sim, _, _, points, _ = prepare_scenario(cfg)
     CHURN[churn](cfg).install(sim)
     lost: set = set()
     for _ in range(ROUNDS):
         sim.step()
         lost = check_invariants(sim, points, lost)
+        if engine == "event":
+            check_views(sim, view_cap)
 
 
 def test_no_wave_loses_or_duplicates_a_point(monkeypatch):

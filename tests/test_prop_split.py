@@ -80,3 +80,63 @@ def test_advanced_never_worse_displacement_than_swapped(coords, pos_p, pos_q):
     chosen = PLANE.distance(m_left, pos_p) + PLANE.distance(m_right, pos_q)
     swapped = PLANE.distance(m_right, pos_p) + PLANE.distance(m_left, pos_q)
     assert chosen <= swapped + 1e-9
+
+
+def algorithm5_on_two(space, a, b, pos_p, pos_q):
+    """Algorithm 5 on a two-point pool, from ``space.distance``: the pair
+    is the diameter, each point is strictly closer to itself than to the
+    other endpoint (a singleton cluster, its own medoid), and MD gives p
+    the first cluster only when that displaces strictly less; two
+    coincident points have no diameter to split along, and the basic
+    rule decides."""
+    if space.distance(a.coord, b.coord) == 0.0:
+        return split_basic(space, [a, b], pos_p, pos_q)
+    delta_ab = space.distance(a.coord, pos_p) + space.distance(b.coord, pos_q)
+    delta_ba = space.distance(b.coord, pos_p) + space.distance(a.coord, pos_q)
+    if delta_ab < delta_ba:
+        return [a], [b]
+    return [b], [a]
+
+
+@st.composite
+def two_point_pools(draw):
+    """Two points and two node positions: independent points, coincident
+    points (also across the torus seam), half-period offsets; positions
+    that tie MD (p = q) or sit on the points themselves."""
+    periods = (20.0, 10.0)
+    first = draw(coord)
+    kind = draw(st.sampled_from(["free", "same", "seam", "half"]))
+    if kind == "free":
+        second = draw(coord)
+    elif kind == "same":
+        second = first
+    elif kind == "seam":  # the far edge of a period is its origin again
+        second = (20.0 if first[0] == 0.0 else first[0], first[1])
+        first = (0.0, first[1])
+    else:
+        axis = draw(st.integers(0, 1))
+        shifted = list(first)
+        shifted[axis] = (shifted[axis] + periods[axis] / 2) % periods[axis]
+        second = tuple(shifted)
+    pos_p = draw(coord)
+    place = draw(st.sampled_from(["free", "tie", "on_points"]))
+    if place == "tie":
+        pos_q = pos_p
+    elif place == "on_points":
+        pos_p, pos_q = first, second
+        if draw(st.booleans()):
+            pos_p, pos_q = pos_q, pos_p
+    else:
+        pos_q = draw(coord)
+    return DataPoint(0, first), DataPoint(1, second), pos_p, pos_q
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_advanced_split_of_two_points_is_algorithm5(data):
+    for space in (PLANE, TORUS):
+        a, b, pos_p, pos_q = data.draw(two_point_pools())
+        left, right = split_advanced(space, [a, b], pos_p, pos_q)
+        want_left, want_right = algorithm5_on_two(space, a, b, pos_p, pos_q)
+        assert [p.pid for p in left] == [p.pid for p in want_left]
+        assert [p.pid for p in right] == [p.pid for p in want_right]

@@ -75,6 +75,22 @@ class TestGreedyRoute:
         assert not result.success  # only path went through node 1
 
 
+    @pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+    def test_equidistant_hops_break_ties_by_id(self, order):
+        """Two neighbours equally close to the target: the lower id is
+        the next hop whatever order the view stores them in."""
+        network = Network()
+        for coord in [(0.0, 0.0), (1.0, 1.0), (1.0, -1.0), (2.0, 0.0)]:
+            network.add_node(coord)
+        network.node(0).tman_view = {nid: network.node(nid).pos for nid in order}
+        network.node(1).tman_view = {3: (2.0, 0.0)}
+        network.node(2).tman_view = {3: (2.0, 0.0)}
+        sim = Simulation(PLANE, network, [NullLayer()], seed=0)
+        result = greedy_route(sim, PLANE, network.node(0), (2.0, 0.0), tolerance=0.1)
+        assert result.success
+        assert result.path == [0, 1, 3]
+
+
 class TestEvaluateRouting:
     def test_full_chain_delivers(self):
         sim = chain_sim()
