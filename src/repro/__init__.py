@@ -33,112 +33,55 @@ The package is organised as:
 * :mod:`repro.analysis`, :mod:`repro.viz` — statistics and text output.
 """
 
-from .core import (
-    PolystyreneConfig,
-    PolystyreneLayer,
-    StaticHolderLayer,
-    PointFactory,
-    required_replication,
-    survival_probability,
-)
-from .errors import ReproError
-from .experiments import (
-    ScalePreset,
-    ScenarioConfig,
-    ScenarioResult,
-    get_preset,
-    run_comparison,
-    run_experiment,
-    run_scenario,
-)
-from .gossip import PeerSamplingLayer, TManLayer
-from .metrics import (
-    MetricsRecorder,
-    homogeneity,
-    proximity,
-    reference_homogeneity,
-    reshaping_time,
-    surviving_fraction,
-)
-from .routing import RouteResult, RoutingQuality, evaluate_routing, greedy_route
-from .runtime import (
-    ChurnSchedule,
-    ExecOptions,
-    ParallelRunner,
-    ResultStore,
-    SimulationCheckpoint,
-    SweepTask,
-    execute_scenarios,
-    restore,
-    snapshot,
-)
-from .shapes import AnnulusShape, DiskShape, LineShape, RingShape, Shape, TorusGrid
-from .sim import Network, Simulation
-from .spaces import Euclidean, FlatTorus, JaccardSpace, Ring, Space
-from .types import Coord, DataPoint, NodeId, PointId
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "PolystyreneConfig",
-    "PolystyreneLayer",
-    "StaticHolderLayer",
-    "PointFactory",
-    "required_replication",
-    "survival_probability",
-    # experiments
-    "ScenarioConfig",
-    "ScenarioResult",
-    "ScalePreset",
-    "get_preset",
-    "run_scenario",
-    "run_comparison",
-    "run_experiment",
-    # substrates
-    "PeerSamplingLayer",
-    "TManLayer",
-    "Network",
-    "Simulation",
-    # spaces & shapes
-    "Space",
-    "Euclidean",
-    "FlatTorus",
-    "Ring",
-    "JaccardSpace",
-    "Shape",
-    "TorusGrid",
-    "RingShape",
-    "LineShape",
-    "DiskShape",
-    "AnnulusShape",
-    # routing
-    "greedy_route",
-    "RouteResult",
-    "evaluate_routing",
-    "RoutingQuality",
-    # runtime
-    "ParallelRunner",
-    "SweepTask",
-    "ResultStore",
-    "SimulationCheckpoint",
-    "snapshot",
-    "restore",
-    "ExecOptions",
-    "execute_scenarios",
-    "ChurnSchedule",
-    # metrics
-    "MetricsRecorder",
-    "homogeneity",
-    "proximity",
-    "reference_homogeneity",
-    "reshaping_time",
-    "surviving_fraction",
-    # types & errors
-    "Coord",
-    "DataPoint",
-    "NodeId",
-    "PointId",
-    "ReproError",
-]
+# Public name -> defining submodule, imported on first access (PEP 562):
+# ``import repro.sim`` does not pay for the runtime, the claims gate or
+# the figure registry.
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".core": (
+            "PolystyreneConfig",
+            "PolystyreneLayer",
+            "StaticHolderLayer",
+            "PointFactory",
+            "required_replication",
+            "survival_probability",
+        ),
+        ".experiments.scenario": ("ScenarioConfig", "ScenarioResult", "run_scenario"),
+        ".experiments.presets": ("ScalePreset", "get_preset"),
+        ".experiments.suite": ("run_comparison",),
+        ".experiments.registry": ("run_experiment",),
+        ".gossip": ("PeerSamplingLayer", "TManLayer"),
+        ".sim": ("Network", "Simulation"),
+        ".spaces": ("Space", "Euclidean", "FlatTorus", "Ring", "JaccardSpace"),
+        ".shapes": (
+            "Shape",
+            "TorusGrid",
+            "RingShape",
+            "LineShape",
+            "DiskShape",
+            "AnnulusShape",
+        ),
+        ".routing": ("greedy_route", "RouteResult", "evaluate_routing", "RoutingQuality"),
+        ".runtime.runner": ("ParallelRunner", "SweepTask"),
+        ".runtime.store": ("ResultStore",),
+        ".runtime.checkpoint": ("SimulationCheckpoint", "snapshot", "restore"),
+        ".runtime.dispatch": ("ExecOptions", "execute_scenarios"),
+        ".runtime.scenarios": ("ChurnSchedule",),
+        ".metrics": (
+            "MetricsRecorder",
+            "homogeneity",
+            "proximity",
+            "reference_homogeneity",
+            "reshaping_time",
+            "surviving_fraction",
+        ),
+        ".types": ("Coord", "DataPoint", "NodeId", "PointId"),
+        ".errors": ("ReproError",),
+    },
+)
+__all__.insert(0, "__version__")

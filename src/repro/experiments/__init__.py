@@ -2,42 +2,30 @@
 
 Run any experiment by id via :func:`run_experiment`, or use the
 figure modules directly for structured results.
+
+The names below resolve on first access: ``import
+repro.experiments.scenario`` (what one simulation needs) loads neither
+the figure registry nor the sweep helpers, which pull in
+:mod:`repro.runtime`.
 """
 
-from .presets import PAPER, PRESETS, REDUCED, SMOKE, ScalePreset, get_preset
-from .registry import DESCRIPTIONS, experiment_names, run_experiment
-from .scenario import (
-    PROTOCOLS,
-    ScenarioConfig,
-    ScenarioResult,
-    build_simulation,
-    finish_scenario,
-    prepare_scenario,
-    run_scenario,
-)
-from .suite import run_comparison, scenario_name, snapshot_rounds_for
-from .sweep import SweepResult, run_seed_sweep
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ScalePreset",
-    "PRESETS",
-    "SMOKE",
-    "REDUCED",
-    "PAPER",
-    "get_preset",
-    "ScenarioConfig",
-    "ScenarioResult",
-    "PROTOCOLS",
-    "run_scenario",
-    "prepare_scenario",
-    "finish_scenario",
-    "build_simulation",
-    "run_comparison",
-    "scenario_name",
-    "snapshot_rounds_for",
-    "run_experiment",
-    "experiment_names",
-    "DESCRIPTIONS",
-    "run_seed_sweep",
-    "SweepResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".presets": ("ScalePreset", "PRESETS", "SMOKE", "REDUCED", "PAPER", "get_preset"),
+        ".scenario": (
+            "ScenarioConfig",
+            "ScenarioResult",
+            "PROTOCOLS",
+            "run_scenario",
+            "prepare_scenario",
+            "finish_scenario",
+            "build_simulation",
+        ),
+        ".suite": ("run_comparison", "scenario_name", "snapshot_rounds_for"),
+        ".registry": ("run_experiment", "experiment_names", "DESCRIPTIONS"),
+        ".sweep": ("run_seed_sweep", "SweepResult"),
+    },
+)

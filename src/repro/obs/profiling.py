@@ -15,9 +15,7 @@ unprofiled one.
 
 from __future__ import annotations
 
-import cProfile
 import json
-import pstats
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
@@ -38,6 +36,8 @@ class Profiler:
     """One profiled run: ``start()`` ... work ... ``write(path)``."""
 
     def __init__(self, top: int = 40) -> None:
+        import cProfile
+
         self.top = top
         self._profile = cProfile.Profile()
         self._t0: Optional[float] = None
@@ -52,6 +52,8 @@ class Profiler:
 
     def hot_functions(self) -> list:
         """Top functions by cumulative time, as JSON-ready dicts."""
+        import pstats
+
         stats = pstats.Stats(self._profile)
         rows = []
         entries = sorted(

@@ -30,7 +30,6 @@ from __future__ import annotations
 import atexit
 import json
 import os
-import socket
 import threading
 import warnings
 from pathlib import Path
@@ -69,7 +68,7 @@ def atomic_write(path: PathLike, data: bytes) -> None:
     (containers especially) routinely share low pids."""
     path = Path(path)
     tmp = path.with_name(
-        f"{path.name}.{socket.gethostname()}-{os.getpid()}.tmp"
+        f"{path.name}.{os.uname().nodename}-{os.getpid()}.tmp"
     )
     tmp.write_bytes(data)
     os.replace(tmp, path)

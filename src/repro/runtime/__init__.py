@@ -28,117 +28,64 @@ subsystem is the machinery that runs such grids at production scale:
 * :mod:`repro.runtime.dispatch` — :func:`run_sweep` (plan × executor,
   the one way to run a grid), :class:`ExecOptions` and the strict
   :func:`execute_scenarios` fan-out on top of it.
+
+Every name below resolves on first access, so a process imports only
+the executor it runs: the inline sweep never loads the process pool or
+the cluster package.  The runtime depends on
+:mod:`repro.experiments.scenario`, never on the experiments package
+whole.
 """
 
-# ``repro.experiments`` first, and whole: its figure modules import
-# ``repro.runtime.dispatch`` at module top while the modules below import
-# ``repro.experiments.scenario``.  Entered from this side, the cycle only
-# resolves if the experiments package (scenario first, then the figures,
-# which pull dispatch and everything under it in through the partially
-# initialised package) is complete before ``.runner`` asks for it.
-from .. import experiments as _experiments  # noqa: F401  isort: skip
+from .._lazy import lazy_exports
 
-from .checkpoint import (
-    CHECKPOINT_FORMAT,
-    SimulationCheckpoint,
-    checkpoint_size,
-    load,
-    restore,
-    save,
-    snapshot,
-    state_digest,
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".checkpoint": (
+            "CHECKPOINT_FORMAT",
+            "SimulationCheckpoint",
+            "snapshot",
+            "restore",
+            "save",
+            "load",
+            "state_digest",
+            "checkpoint_size",
+        ),
+        ".runner": ("ParallelRunner", "SweepTask", "CellResult", "seed_sweep_tasks", "grid_tasks"),
+        ".forksweep": (
+            "CheckpointCache",
+            "ForkGroup",
+            "ForkPlan",
+            "default_cache_dir",
+            "plan_fork_sweep",
+            "bind_fork_plan",
+        ),
+        ".store": (
+            "ResultStore",
+            "config_dict",
+            "config_from_dict",
+            "config_hash",
+            "git_revision",
+            "summary_digest",
+        ),
+        ".cluster": (
+            "WorkQueue",
+            "TaskSpec",
+            "Worker",
+            "Coordinator",
+            "open_queue",
+            "merge_queue",
+            "diff_stores",
+        ),
+        ".dispatch": ("ExecOptions", "run_sweep", "execute_scenarios"),
+        ".scenarios": (
+            "ChurnSchedule",
+            "catastrophic",
+            "correlated_region",
+            "trickle",
+            "flash_crowd",
+            "mass_failure",
+            "compose",
+        ),
+    },
 )
-from .runner import (
-    CellResult,
-    ParallelRunner,
-    SweepTask,
-    grid_tasks,
-    seed_sweep_tasks,
-)
-from .scenarios import (
-    ChurnSchedule,
-    catastrophic,
-    compose,
-    correlated_region,
-    flash_crowd,
-    mass_failure,
-    trickle,
-)
-from .forksweep import (
-    CheckpointCache,
-    ForkGroup,
-    ForkPlan,
-    bind_fork_plan,
-    default_cache_dir,
-    plan_fork_sweep,
-)
-from .store import (
-    ResultStore,
-    config_dict,
-    config_from_dict,
-    config_hash,
-    git_revision,
-    summary_digest,
-)
-from .cluster import (
-    Coordinator,
-    TaskSpec,
-    Worker,
-    WorkQueue,
-    diff_stores,
-    merge_queue,
-    open_queue,
-)
-from .dispatch import ExecOptions, execute_scenarios, run_sweep
-
-__all__ = [
-    # checkpoint
-    "CHECKPOINT_FORMAT",
-    "SimulationCheckpoint",
-    "snapshot",
-    "restore",
-    "save",
-    "load",
-    "state_digest",
-    "checkpoint_size",
-    # runner
-    "ParallelRunner",
-    "SweepTask",
-    "CellResult",
-    "seed_sweep_tasks",
-    "grid_tasks",
-    # forksweep
-    "CheckpointCache",
-    "ForkGroup",
-    "ForkPlan",
-    "default_cache_dir",
-    "plan_fork_sweep",
-    "bind_fork_plan",
-    # store
-    "ResultStore",
-    "config_dict",
-    "config_from_dict",
-    "config_hash",
-    "git_revision",
-    "summary_digest",
-    # cluster
-    "WorkQueue",
-    "TaskSpec",
-    "Worker",
-    "Coordinator",
-    "open_queue",
-    "merge_queue",
-    "diff_stores",
-    # dispatch
-    "ExecOptions",
-    "run_sweep",
-    "execute_scenarios",
-    # scenarios
-    "ChurnSchedule",
-    "catastrophic",
-    "correlated_region",
-    "trickle",
-    "flash_crowd",
-    "mass_failure",
-    "compose",
-]

@@ -30,12 +30,11 @@ where the work happens differ.  Errors surface as
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
 from ..experiments.scenario import ScenarioConfig, ScenarioResult
 from ..obs import log as obs_log
 from ..obs import trace as obs_trace
-from .cluster import Coordinator
 from .forksweep import CheckpointCache, bind_fork_plan
 from .runner import (
     CellResult,
@@ -47,7 +46,10 @@ from .runner import (
 )
 from .store import ResultStore
 
-Executor = Union[ParallelRunner, Coordinator]
+if TYPE_CHECKING:
+    from .cluster import Coordinator
+
+Executor = Union[ParallelRunner, "Coordinator"]
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,8 @@ class ExecOptions:
         join, payloads, … — and mean nothing without a queue) or the
         local runner."""
         if self.queue is not None:
+            from .cluster import Coordinator
+
             return Coordinator(
                 self.queue, workers=self.workers, progress=progress, **queue_options
             )

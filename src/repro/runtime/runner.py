@@ -20,7 +20,6 @@ list of :class:`SweepTask` across a ``multiprocessing`` pool with:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import traceback
@@ -230,6 +229,8 @@ class ParallelRunner:
                 for task in tasks:
                     record(_execute_task(task))
             else:
+                import multiprocessing
+
                 # Children must parent their spans under this sweep:
                 # fork-mode pool workers inherit the context variable,
                 # spawn-mode workers adopt the token exported here

@@ -34,7 +34,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import subprocess
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Union
@@ -66,6 +65,8 @@ def config_hash(config: ScenarioConfig) -> str:
 
 def git_revision(cwd: Optional[Union[str, Path]] = None) -> str:
     """The current git commit hash, or ``"unknown"`` outside a repo."""
+    import subprocess
+
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

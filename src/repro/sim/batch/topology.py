@@ -49,7 +49,13 @@ than sequential, a node reached by several messages merges them in one
 ranked truncation (the event engine merges one message at a time: its
 T-Man ranks and cuts each merge, its Vicinity truncates only on
 overflow and keeps insertion order below the size), and ranking ties
-behind the partner choice break by slot rather than by id.  The constructed overlay is statistically the same.
+behind the partner choice (and ``neighbors_rows``) break by neither
+slot nor id: :meth:`_closest_alive` picks the ``k`` closest with
+:func:`~repro.sim.batch.kernels.topk_smallest` (``argpartition``) and
+stable-sorts only the picked distances, so which of the entries tied
+at the ``k`` boundary are picked, and in what order tied picks come
+out, is whatever numpy's introselect leaves — batch digests depend on
+it.  The constructed overlay is statistically the same.
 """
 
 from __future__ import annotations
@@ -127,7 +133,25 @@ class _BatchTopologyBase:
         if self._ages is not None:
             self._ages[rows] = 0
         n_peers = peers.shape[1]
-        if n_peers:
+        if n_peers > self.capacity:
+            # A draw wider than the view keeps the ``capacity`` peers
+            # closest to the node: T-Man's bounded-view rule, which the
+            # event engine applies at its first merge.
+            pos = table.coords_rows()
+            stride = 1 + int(peers.max(initial=-1))
+            step = kernels.block_rows(stride, n_peers, self._coord_dim)
+            for a in range(0, len(rows), step):
+                blk, got = rows[a : a + step], peers[a : a + step]
+                self._ids[blk], self._coords[blk] = kernels.merge_rank_truncate(
+                    self.space,
+                    pos[blk],
+                    got,
+                    table.gather(got),
+                    got >= 0,
+                    self.capacity,
+                    stride,
+                )
+        elif n_peers:
             self._ids[rows, :n_peers] = peers
             self._coords[rows, :n_peers] = table.gather(peers)
 

@@ -7,8 +7,8 @@ from __future__ import annotations
 import functools
 import json
 import os
-import socket
 import time
+from types import SimpleNamespace
 from urllib.parse import quote
 
 import pytest
@@ -88,7 +88,7 @@ class TestAtomicWrite:
         target = tmp_path / "spec.json"
         hosts = iter(["host-a", "host-b"])
         monkeypatch.setattr(os, "getpid", lambda: 7)
-        monkeypatch.setattr(socket, "gethostname", lambda: next(hosts))
+        monkeypatch.setattr(os, "uname", lambda: SimpleNamespace(nodename=next(hosts)))
         real_replace = os.replace
 
         def replace_with_b_in_the_window(src, dst):
@@ -131,7 +131,7 @@ class TestAtomicWrite:
             monkeypatch.setattr("fcntl.flock", lambda fd, op: None)
         hosts = iter(["host-a", "host-b"])
         monkeypatch.setattr(os, "getpid", lambda: 7)
-        monkeypatch.setattr(socket, "gethostname", lambda: next(hosts))
+        monkeypatch.setattr(os, "uname", lambda: SimpleNamespace(nodename=next(hosts)))
         real_replace = os.replace
         outcomes = []
 

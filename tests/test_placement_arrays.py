@@ -242,11 +242,12 @@ def check_invariants(sim, points, lost_before: set) -> set:
 
 
 def check_views(sim, cap: int) -> None:
-    """Every event-engine T-Man view holds at most ``cap`` unique ids,
-    never its owner's, in (distance, id) order wherever it is marked
-    ranked for its owner's live position."""
+    """Every T-Man view holds at most ``cap`` unique ids, never its
+    owner's; an event-engine view is in (distance, id) order wherever it
+    is marked ranked for its owner's live position."""
+    tman = sim.layers[1]
     for node in sim.network.nodes.values():
-        view = node.tman_view
+        view = tman.view_of(node)
         ids, coords = view.arrays()
         assert len(ids) <= cap and len(np.unique(ids)) == len(ids)
         assert node.nid not in ids
@@ -256,10 +257,25 @@ def check_views(sim, cap: int) -> None:
 
 
 @pytest.mark.parametrize("engine", ["batch", "event"])
+def test_a_view_cap_below_the_bootstrap_draw_holds_from_round_one(engine):
+    """Cap 8 under the default bootstrap draw of 10: the batch engine
+    wrote the 10-wide draw into 8-wide rows (a shape mismatch); both
+    engines now keep the closest ``cap`` peers."""
+    cfg = ScenarioConfig(
+        engine=engine, width=8, height=4, tman_view_cap=8, tman_bootstrap=10,
+        failure_round=3, reinjection_round=None, total_rounds=6,
+    )
+    sim, *_ = prepare_scenario(cfg)
+    for _ in range(cfg.total_rounds):
+        sim.step()
+        check_views(sim, 8)
+
+
+@pytest.mark.parametrize("engine", ["batch", "event"])
 @given(
     churn=st.sampled_from(sorted(CHURN)),
     retention=st.sampled_from([None, 4]),
-    view_cap=st.sampled_from([12, 100]),
+    view_cap=st.sampled_from([8, 12, 100]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 @settings(max_examples=15, deadline=None)
@@ -277,8 +293,7 @@ def test_store_invariants_hold_every_round(engine, churn, retention, view_cap, s
     for _ in range(ROUNDS):
         sim.step()
         lost = check_invariants(sim, points, lost)
-        if engine == "event":
-            check_views(sim, view_cap)
+        check_views(sim, view_cap)
 
 
 def test_no_wave_loses_or_duplicates_a_point(monkeypatch):

@@ -433,26 +433,105 @@ def test_cli_sweep_picks_no_runner_itself():
     assert "ParallelRunner" not in body and "Coordinator" not in body
 
 
-@pytest.mark.parametrize(
-    "module",
-    (
-        "repro.runtime.dispatch",
-        "repro.runtime.cluster.worker",
-        "repro.experiments.scenario",
-        "repro.experiments.suite",
-        "repro.eval.runner",
-    ),
+#: What one simulation needs is the engine, its layers and the scenario
+#: builder; it never loads an executor, the claims gate, the CLI or the
+#: figure registry, nor the standard-library modules only they use.
+SIM_NEVER_LOADS = (
+    "multiprocessing",
+    "subprocess",
+    "socket",
+    "cProfile",
+    "repro.runtime.cluster",
+    "repro.runtime.runner",
+    "repro.eval",
+    "repro.experiments.registry",
+    "repro.cli",
 )
-def test_import_cycle_resolves_from_every_entry_point(module):
-    """``experiments`` imports ``runtime.dispatch`` at module top and
-    ``runtime`` imports ``experiments.scenario``: whichever side a fresh
-    interpreter enters through, the import must complete."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+#: Entry point -> modules (and their submodules) it must not load.
+ENTRY_POINTS = {
+    "repro.runtime.dispatch": (),
+    "repro.runtime.cluster.worker": (),
+    "repro.experiments.scenario": SIM_NEVER_LOADS,
+    "repro.experiments.suite": (),
+    "repro.sim.engine": SIM_NEVER_LOADS,
+    "repro.eval": ("multiprocessing", "socket", "repro.runtime.cluster"),
+    "repro.eval.runner": (),
+}
+
+
+def fresh_interpreter_modules(code: str) -> set:
+    """Run ``code`` in a fresh interpreter; the module names its last
+    output line lists."""
     done = subprocess.run(
-        [sys.executable, "-c", f"import {module}"],
-        env=env,
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def loaded_under(modules: set, roots) -> list:
+    return sorted(m for m in modules for root in roots if m == root or m.startswith(root + "."))
+
+
+@pytest.mark.parametrize("module", ENTRY_POINTS)
+def test_import_cycle_resolves_from_every_entry_point(module):
+    """Whichever side a fresh interpreter enters through, the import
+    completes, and it loads only what that entry runs: the experiments
+    package reaches the runtime only through its figure modules, and
+    the runtime imports ``experiments.scenario``, never the package
+    whole."""
+    modules = fresh_interpreter_modules(
+        f"import sys, {module}; print(' '.join(sys.modules))"
+    )
+    assert loaded_under(modules, ENTRY_POINTS[module]) == []
+
+
+def test_a_gate_cell_imports_no_repro_module_after_the_gate_entry():
+    """The gate's cold pass is timed: a deferred import that lands in it
+    would show as gate time.  After ``import repro.eval`` (plus the
+    engine package the cell runs on, which ``build_simulation`` picks
+    per configuration) a one-cell fork-mode ``run_cases`` adds no
+    ``repro`` module."""
+    code = """
+import dataclasses, os, sys, tempfile
+import repro.eval, repro.sim.batch
+from repro.eval import claim_cases, run_cases
+from repro.runtime.store import ResultStore
+case = claim_cases("smoke", include_equivalence=False)[0]
+case = dataclasses.replace(case, seeds=case.seeds[:1], variants=case.variants[:1])
+with tempfile.TemporaryDirectory() as tmp:
+    os.environ["REPRO_CHECKPOINT_DIR"] = os.path.join(tmp, "checkpoints")
+    before = set(sys.modules)
+    data = run_cases([case], ResultStore(os.path.join(tmp, "s.jsonl")), engine="batch", fork=True)
+    assert data.executed == 1 and not data.run_errors, data
+print(" ".join(set(sys.modules) - before))
+"""
+    assert loaded_under(fresh_interpreter_modules(code), ["repro"]) == []
+
+
+@pytest.mark.parametrize("package", ("repro", "repro.experiments", "repro.runtime"))
+def test_lazy_exports_are_the_defining_modules_objects(package):
+    """Each re-exported name is the object its defining module holds,
+    is listed in ``__all__`` and shows in ``dir()``."""
+    import importlib
+
+    pkg = importlib.import_module(package)
+    call = next(
+        node
+        for node in ast.walk(ast.parse(inspect.getsource(pkg)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lazy_exports"
+    )
+    table = [
+        (module, name)
+        for module, names in ast.literal_eval(call.args[1]).items()
+        for name in names
+    ]
+    assert sorted(set(pkg.__all__) - {"__version__"}) == sorted(name for _, name in table)
+    for module, name in table:
+        assert getattr(pkg, name) is getattr(importlib.import_module(module, package), name)
+        assert name in dir(pkg)
