@@ -37,9 +37,9 @@ from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-# Public name -> defining submodule, imported on first access (PEP 562):
-# ``import repro.sim`` does not pay for the runtime, the claims gate or
-# the figure registry.
+# Public names by the submodule they come from, imported on first
+# access (PEP 562): ``import repro.sim`` does not pay for the runtime,
+# the claims gate or the figure registry.
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {

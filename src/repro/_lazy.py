@@ -14,7 +14,7 @@ def lazy_exports(
     ``globals()`` is ``namespace``.
 
     ``groups`` maps a relative submodule (``".scenario"``) to the public
-    names it defines.  The first read of a name imports its submodule
+    names read from it.  The first read of a name imports its submodule
     and caches the object in ``namespace``, so later reads, ``from
     package import Name`` included, cost a dict lookup.
     """
