@@ -43,8 +43,6 @@ class PolystyreneConfig:
         incremental_backup: send only guest-set deltas to known backup
             nodes instead of full copies (the optimisation suggested
             after Algorithm 1).
-        migrations_per_round: how many pairwise exchanges each node
-            initiates per round (1 in the paper).
     """
 
     replication: int = 4
@@ -53,7 +51,6 @@ class PolystyreneConfig:
     projection: str = "medoid"
     backup_placement: str = "random"
     incremental_backup: bool = True
-    migrations_per_round: int = 1
 
     def __post_init__(self) -> None:
         if self.replication < 0:
@@ -74,5 +71,3 @@ class PolystyreneConfig:
                 f"backup_placement must be one of {BACKUP_PLACEMENT_CHOICES}, "
                 f"got {self.backup_placement!r}"
             )
-        if self.migrations_per_round < 0:
-            raise ConfigurationError("migrations_per_round cannot be negative")

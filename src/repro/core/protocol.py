@@ -146,20 +146,19 @@ class PolystyreneLayer:
                 )
         # Step 4 — pairwise migration; both participants re-project
         # immediately so later exchanges this round see fresh positions.
-        for _ in range(self.config.migrations_per_round):
-            for nid in sim.shuffled_alive(self.name):
-                if not network.is_alive(nid):
-                    continue
-                node = network.node(nid)
-                partner_id = self.migration_manager.select_partner(
-                    sim, node, self.rps, self.tman
-                )
-                if partner_id is None:
-                    continue
-                partner = network.node(partner_id)
-                self.migration_manager.exchange(sim, node, partner)
-                node.pos = self._project(node)
-                partner.pos = self._project(partner)
+        for nid in sim.shuffled_alive(self.name):
+            if not network.is_alive(nid):
+                continue
+            node = network.node(nid)
+            partner_id = self.migration_manager.select_partner(
+                sim, node, self.rps, self.tman
+            )
+            if partner_id is None:
+                continue
+            partner = network.node(partner_id)
+            self.migration_manager.exchange(sim, node, partner)
+            node.pos = self._project(node)
+            partner.pos = self._project(partner)
         # Step 1 — final projection pass (covers nodes whose guests
         # changed through recovery only).
         for node in network.alive_nodes():

@@ -38,40 +38,21 @@ SplitResult = Tuple[List[DataPoint], List[DataPoint]]
 SplitFunction = Callable[[Space, Sequence[DataPoint], Coord, Coord], SplitResult]
 
 
-def _partition_by_anchors(
-    space: Space,
-    points: Sequence[DataPoint],
-    anchor_a: Coord,
-    anchor_b: Coord,
-    batch=None,
-) -> SplitResult:
-    """Assign each point to the strictly-closer anchor, ties to the
-    second — the shared kernel of Algorithms 4 and 5, run as two
-    batched squared-distance blocks over the pooled coordinates instead
-    of two scalar distance calls per point (squares compare exactly as
-    the distances do)."""
-    if batch is None:
-        batch = space.pack_batch([p.coord for p in points])
-    side_a, side_b, _, _ = _partition_with_batches(
-        space, points, anchor_a, anchor_b, batch
-    )
-    return side_a, side_b
+def _closer_to_first(space: Space, anchor_a, anchor_b, batch) -> np.ndarray:
+    """Which packed points are strictly closer to ``anchor_a`` than to
+    ``anchor_b`` (ties to the second) — the shared rule of Algorithms 4
+    and 5, as two batched squared-distance blocks (squares compare
+    exactly as the distances do)."""
+    return space.rank_sq_block(anchor_a, batch) < space.rank_sq_block(anchor_b, batch)
 
 
-def _partition_with_batches(space, points, anchor_a, anchor_b, batch):
-    """`_partition_by_anchors` that also returns the two sides' packed
-    coordinate rows (sliced from the shared batch), so downstream medoid
-    calls skip re-packing."""
-    closer_a = space.rank_sq_block(anchor_a, batch) < space.rank_sq_block(
-        anchor_b, batch
-    )
+def _sides(points: Sequence[DataPoint], to_a: np.ndarray) -> SplitResult:
+    """``points`` split by the mask ``to_a``, each side in input order."""
     side_a: List[DataPoint] = []
     side_b: List[DataPoint] = []
-    for point, to_a in zip(points, closer_a):
-        (side_a if to_a else side_b).append(point)
-    if isinstance(batch, np.ndarray):
-        return side_a, side_b, batch[closer_a], batch[~closer_a]
-    return side_a, side_b, None, None
+    for point, a in zip(points, to_a):
+        (side_a if a else side_b).append(point)
+    return side_a, side_b
 
 
 @timed("kernel.split.basic")
@@ -85,7 +66,8 @@ def split_basic(
     ties go to q (the paper uses ``<`` for p and ``<=`` for q)."""
     if not points:
         return [], []
-    return _partition_by_anchors(space, points, pos_p, pos_q)
+    batch = space.pack_batch([p.coord for p in points])
+    return _sides(points, _closer_to_first(space, pos_p, pos_q, batch))
 
 
 #: The undecorated basic body the other SPLITs fall back on, so one
@@ -93,23 +75,15 @@ def split_basic(
 _split_basic = split_basic.__wrapped__
 
 
-def _partition_along_diameter(
-    space: Space, points: Sequence[DataPoint]
-) -> Tuple[List[DataPoint], List[DataPoint]]:
-    """PD heuristic: split the points by which diameter endpoint they
-    are closer to (ties to the second endpoint, as in Algorithm 5).
-
-    The pooled coordinates are packed once and shared by the diameter
-    search and the endpoint partition (array rows serve as the anchor
-    origins — zero further conversion)."""
-    coords = [p.coord for p in points]
-    batch = space.pack_batch(coords)
-    i, j = diameter(space, coords, batch=batch)
-    if isinstance(batch, np.ndarray):
-        u, v = batch[i], batch[j]
-    else:
-        u, v = coords[i], coords[j]
-    return _partition_by_anchors(space, points, u, v, batch=batch)
+def _along_diameter(space: Space, points: Sequence[DataPoint]):
+    """The PD heuristic's pack → diameter → partition steps: the pooled
+    coordinates packed once, and the mask of the points strictly closer
+    to the first endpoint of a diameter than to the second (ties to the
+    second, as in Algorithm 5).  The diameter search and the partition
+    read the one batch; its rows serve as the endpoint origins."""
+    batch = space.pack_batch([p.coord for p in points])
+    i, j = diameter(space, batch)
+    return batch, _closer_to_first(space, batch[i], batch[j], batch)
 
 
 def _assign_min_displacement(
@@ -122,15 +96,9 @@ def _assign_min_displacement(
     batch_b=None,
 ) -> SplitResult:
     """MD heuristic: give each node the cluster whose medoid it is
-    closer to, minimising the total displacement of p and q."""
-    if not cluster_a or not cluster_b:
-        # One side empty: nothing to choose; hand the non-empty side to
-        # whichever node is closer to its medoid.
-        full = cluster_a or cluster_b
-        m = medoid(space, [p.coord for p in full])
-        if space.distance(m, pos_p) <= space.distance(m, pos_q):
-            return (full, [])
-        return ([], full)
+    closer to, minimising the total displacement of p and q.  Both
+    clusters are non-empty: every caller returns before on a one-sided
+    pool."""
     m_a = medoid(space, [p.coord for p in cluster_a], batch=batch_a)
     m_b = medoid(space, [p.coord for p in cluster_b], batch=batch_b)
     return _assign_by_medoids(space, cluster_a, cluster_b, m_a, m_b, pos_p, pos_q)
@@ -179,21 +147,13 @@ def split_advanced(
         if space.distance_sq(b.coord, a.coord) > 0.0:
             return _assign_by_medoids(space, [a], [b], a.coord, b.coord, pos_p, pos_q)
         return _split_basic(space, points, pos_p, pos_q)
-    coords = [p.coord for p in points]
-    batch = space.pack_batch(coords)
-    i, j = diameter(space, coords, batch=batch)
-    if isinstance(batch, np.ndarray):
-        u, v = batch[i], batch[j]
-    else:
-        u, v = coords[i], coords[j]
-    cluster_u, cluster_v, batch_u, batch_v = _partition_with_batches(
-        space, points, u, v, batch
-    )
-    if not cluster_u or not cluster_v:
+    batch, to_u = _along_diameter(space, points)
+    if to_u.all() or not to_u.any():
         # Degenerate (all points identical): fall back to the basic rule.
         return _split_basic(space, points, pos_p, pos_q)
+    cluster_u, cluster_v = _sides(points, to_u)
     return _assign_min_displacement(
-        space, cluster_u, cluster_v, pos_p, pos_q, batch_u, batch_v
+        space, cluster_u, cluster_v, pos_p, pos_q, batch[to_u], batch[~to_u]
     )
 
 
@@ -208,10 +168,10 @@ def split_pd(
     assignment — isolates the partitioning heuristic (Fig. 10b)."""
     if len(points) < 2:
         return _split_basic(space, points, pos_p, pos_q)
-    cluster_u, cluster_v = _partition_along_diameter(space, points)
-    if not cluster_u or not cluster_v:
+    _, to_u = _along_diameter(space, points)
+    if to_u.all() or not to_u.any():
         return _split_basic(space, points, pos_p, pos_q)
-    return (cluster_u, cluster_v)
+    return _sides(points, to_u)
 
 
 @timed("kernel.split.md")

@@ -109,7 +109,7 @@ def _nearest_node(space: Space, queries: np.ndarray, positions: np.ndarray):
     out = np.empty(len(queries))
     step = block_rows(0, len(positions), space.dim, 1)
     for a in range(0, len(queries), step):
-        out[a : a + step] = space.nearest_canonical(queries[a : a + step], positions)
+        out[a : a + step] = space.nearest_distance(queries[a : a + step], positions)
     if obs_mem.ENABLED:
         # The torus kernel holds three (rows, n) float blocks at once:
         # the running sum, one axis' |Δ| and its folded complement.

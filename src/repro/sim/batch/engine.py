@@ -19,13 +19,12 @@ Where the two engines differ (the documented batch semantics):
   round are computed from the groomed round-start state; merges land
   afterwards.  In the event engine exchanges are sequential within a
   round.
-* **Migration** — every alive node still initiates one exchange per
-  configured ``migrations_per_round`` (the event engine's rate), but
-  the proposals execute in dependency *waves*: each wave is a
-  conflict-free matching of the pending proposals (drained until none
-  remain), so simultaneous snapshot-based re-partitions can never lose
-  or duplicate points while chained intra-round point transport is
-  preserved.
+* **Migration** — every alive node still initiates one exchange a
+  round (the event engine's rate), but the proposals execute in
+  dependency *waves*: each wave is a conflict-free matching of the
+  pending proposals (drained until none remain), so simultaneous
+  snapshot-based re-partitions can never lose or duplicate points while
+  chained intra-round point transport is preserved.
 
 Everything *around* the round loop is shared with the event engine:
 scheduled events (failures, reinjection, probes), the failure-detector

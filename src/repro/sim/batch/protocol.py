@@ -19,10 +19,10 @@ Each mechanism is gather → kernel → scatter over it:
   entries plus one RPS draw for *all* nodes in one kernel; every alive
   node's proposal then executes in dependency *waves* (each wave a
   conflict-free matching of the still-pending proposals, drained until
-  none remain), so each node initiates exactly one exchange per
-  ``migrations_per_round`` — the event engine's rate — while no two
-  snapshot-based re-partitions ever touch the same guest set
-  concurrently (points cannot be lost or duplicated).  A wave gathers
+  none remain), so each node initiates exactly one exchange a round —
+  the event engine's rate — while no two snapshot-based re-partitions
+  ever touch the same guest set concurrently (points cannot be lost or
+  duplicated).  A wave gathers
   both guest rows of every pair, masks p's points already in q, compacts
   the pools, splits them with
   :func:`~repro.sim.batch.split.batch_split` and scatters the two sides
@@ -163,8 +163,7 @@ class BatchPolystyrene:
                 self._recover(sim)
         with obs_trace.span("protocol.backup"):
             self._backup(sim, detected)
-        for _ in range(self.config.migrations_per_round):
-            obs_metrics.count("exchanges.migration", self._migration_round(sim))
+        obs_metrics.count("exchanges.migration", self._migration_round(sim))
         self._project(sim, self._take_flagged(_CHANGED))
 
     def _take_flagged(self, which: int) -> np.ndarray:

@@ -2,14 +2,15 @@
 
 The PD heuristic of SPLIT_ADVANCED partitions the union of two guest
 sets along one of its *diameters* — a pair ``(u, v)`` maximising
-``d(u, v)`` (Sec. III-F).  Exact search is O(n^2) pairs; the paper notes
-that for unions over ~30 points a sampled approximation is fine, which
-:func:`diameter_sampled` provides.
+``d(u, v)`` (Sec. III-F).  The search is exact, O(n^2) pairs over one
+all-pairs matrix.  The paper suggests sampling unions over about 30
+points, purely to save cost; pools stay small, so both engines search
+exactly at every size and pick the same pair.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -17,80 +18,23 @@ from ..errors import EmptySelectionError
 from ..types import Coord
 from .base import Space
 
-#: Point-set size above which :func:`diameter` switches to sampling.
-EXACT_THRESHOLD = 30
 
-
-def diameter_exact(
-    space: Space, coords: Sequence[Coord], batch=None
-) -> Tuple[int, int]:
-    """Indices ``(i, j)`` of an exact farthest pair (i < j).
-
-    One batched all-pairs kernel call; the row-by-row argmax and
-    strict-> update replicate the scalar scan, so the selected pair is
-    identical.  Pass a pre-packed ``batch`` to reuse the caller's pack.
-    """
-    n = len(coords)
+def diameter(space: Space, coords: Sequence[Coord]) -> Tuple[int, int]:
+    """Indices ``(i, j)``, ``i < j``, of the first farthest pair in
+    row-major order.  ``coords`` may be a packed batch (it is used
+    as-is).  Squared distances select the same pair, without the n^2
+    square roots."""
+    batch = space.pack_batch(coords)
+    n = len(batch)
     if n < 2:
         raise EmptySelectionError("a diameter needs at least two points")
-    # Squared distances: argmax/comparisons select the same pair, the
-    # n^2 square roots are skipped.
-    if batch is None:
-        batch = space.pack_batch(coords)
-    pair_dists = space.pairwise_rank_sq(batch)
+    pair_sq = space.pairwise_rank_sq(batch)
     best = (0, 1)
     best_dist = -1.0
     for i in range(n - 1):
-        dists = pair_dists[i, i + 1 :]
+        dists = pair_sq[i, i + 1 :]
         j_rel = int(np.argmax(dists))
         if dists[j_rel] > best_dist:
             best_dist = float(dists[j_rel])
             best = (i, i + 1 + j_rel)
     return best
-
-
-def diameter_sampled(
-    space: Space,
-    coords: Sequence[Coord],
-    rng: Optional[np.random.Generator] = None,
-    iterations: int = 3,
-) -> Tuple[int, int]:
-    """Approximate farthest pair by iterated farthest-point hops.
-
-    Start from a point, jump to the point farthest from it, and repeat;
-    each hop can only increase the spanned distance.  This classic
-    2-approximation costs O(iterations * n) distance evaluations and is
-    exact on most well-spread sets.
-    """
-    n = len(coords)
-    if n < 2:
-        raise EmptySelectionError("a diameter needs at least two points")
-    if rng is None:
-        i = 0
-    else:
-        i = int(rng.integers(n))
-    batch = space.pack_batch(coords)
-    best = (0, 1)
-    best_dist = -1.0
-    for _ in range(max(1, iterations)):
-        dists = space.rank_sq_block(coords[i], batch)
-        j = int(np.argmax(dists))
-        if dists[j] > best_dist:
-            best_dist = float(dists[j])
-            best = (min(i, j), max(i, j))
-        if j == i:
-            break
-        i = j
-    return best
-
-
-def diameter(
-    space: Space,
-    coords: Sequence[Coord],
-    rng: Optional[np.random.Generator] = None,
-    batch=None,
-) -> Tuple[int, int]:
-    """Farthest-pair indices: exact for small sets, sampled for large."""
-    if len(coords) > EXACT_THRESHOLD:
-        return diameter_sampled(space, coords, rng=rng)
-    return diameter_exact(space, coords, batch=batch)

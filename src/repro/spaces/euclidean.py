@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,43 +33,21 @@ class Euclidean(VectorSpace):
             total += diff * diff
         return total
 
-    def distance_block(self, origin: Coord, batch: Batch) -> np.ndarray:
-        if not isinstance(origin, np.ndarray):
-            origin = np.asarray(origin, dtype=float)
-        diff = batch - origin
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-    def distance_sq_block(self, origin: Coord, batch: Batch) -> np.ndarray:
-        if not isinstance(origin, np.ndarray):
-            origin = np.asarray(origin, dtype=float)
-        diff = batch - origin
-        return np.einsum("ij,ij->i", diff, diff)
-
-    def pairwise_sq(self, batch: Batch, other: Optional[Batch] = None) -> np.ndarray:
-        if other is None:
-            other = batch
-        diff = batch[:, None, :] - other[None, :, :]
-        return np.einsum("ijk,ijk->ij", diff, diff)
-
-    def pairwise(self, batch: Batch, other: Optional[Batch] = None) -> np.ndarray:
-        if other is None:
-            other = batch
-        diff = batch[:, None, :] - other[None, :, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-    def distance_rows(self, batch_a: Batch, batch_b: Batch) -> np.ndarray:
-        diff = np.asarray(batch_a, dtype=float) - np.asarray(batch_b, dtype=float)
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-    def rank_sq_rows(self, origins: Batch, batch: np.ndarray) -> np.ndarray:
-        diff = batch - np.asarray(origins, dtype=float)[:, None, :]
-        return np.einsum("ijk,ijk->ij", diff, diff)
+    def _sq(self, a: Batch, b: Batch) -> np.ndarray:
+        """Squared L2 distances: no fold, the squares summed axis by
+        axis in the scalar's order."""
+        total = None
+        for d in range(self.dim):
+            diff = a[..., d] - b[..., d]
+            diff *= diff
+            total = diff if total is None else np.add(total, diff, out=total)
+        return total
 
     def centroid(self, coords: Sequence[Coord]) -> Coord:
         """Arithmetic mean of the coordinates (well defined in R^d)."""
         if not coords:
             raise ValueError("centroid of an empty set is undefined")
-        arr = self.pack(coords)
+        arr = self.pack_batch(coords)
         return tuple(float(c) for c in arr.mean(axis=0))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -9,11 +9,10 @@ Unlike a centroid it is always one of the input points, so it stays
 meaningful in modular and non-vector spaces where division (and hence a
 mean) is ill defined.
 
-Exact computation is O(|S|^2) distance evaluations.  Guest sets in
-Polystyrene stay small (about ``(K+1) / survival-ratio`` points), so the
-exact form is the default; :func:`medoid_sampled` implements the paper's
-suggested approximation for large sets (Sec. III-F mentions sampling for
-sets over ~30 points).
+The computation is exact: one all-pairs matrix, O(|S|^2) distances.
+The paper suggests sampling above about 30 points, purely to save cost
+(Sec. III-F); guest sets stay small (about ``(K+1) / survival-ratio``
+points), so both engines compute the exact medoid at every size.
 
 Ties are broken deterministically by input order so that repeated runs
 with the same seed are bit-for-bit reproducible.
@@ -21,7 +20,7 @@ with the same seed are bit-for-bit reproducible.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,93 +28,24 @@ from ..errors import EmptySelectionError
 from ..types import Coord
 from .base import Space
 
-#: Above this many points, :func:`medoid` transparently switches to the
-#: sampled approximation (same threshold the paper suggests for the
-#: diameter computation).
-EXACT_THRESHOLD = 30
 
-
-def sum_sq_distances(space: Space, origin: Coord, coords: Sequence[Coord]) -> float:
-    """Sum of squared distances from ``origin`` to every coordinate."""
-    dists = space.distance_many(origin, coords)
-    return float(np.dot(dists, dists))
-
-
-def medoid_exact(space: Space, coords: Sequence[Coord], batch=None) -> int:
-    """Index of the exact medoid of ``coords``.
-
-    One batched all-pairs kernel call replaces the n separate
-    ``distance_many`` scans (and their n coordinate packs); the
-    per-candidate cost and the strict-< first-winner selection are
-    unchanged, so the chosen index is identical to the scalar loop.
-    Pass a pre-packed ``batch`` to reuse the caller's pack.
+def medoid_index(space: Space, coords: Sequence[Coord], batch=None) -> int:
+    """Index of the medoid of ``coords``: the first point of least cost
+    (the strict-< scan over the rows of one all-pairs matrix).  Pass a
+    pre-packed ``batch`` to reuse the caller's pack.
 
     Raises :class:`EmptySelectionError` on an empty input.
     """
-    if not coords:
+    if len(coords) == 0:
         raise EmptySelectionError("medoid of an empty set is undefined")
     if len(coords) <= 2:
         # One point is its own medoid; of two points both costs are the
-        # same single squared distance, so the first wins the strict-<
-        # scan exactly as it would in the full loop.
+        # same single squared distance, so the first wins.
         return 0
-    if batch is None:
-        batch = space.pack_batch(coords)
-    dists = space.pairwise_canonical(batch)
-    best_idx = 0
-    best_cost = float("inf")
-    for i in range(len(coords)):
-        row = dists[i]
-        cost = np.dot(row, row)
-        if cost < best_cost:
-            best_cost = cost
-            best_idx = i
-    return best_idx
+    dists = space.pairwise(space.pack_batch(coords) if batch is None else batch)
+    return int(np.argmin([np.dot(row, row) for row in dists]))
 
 
-def medoid_sampled(
-    space: Space,
-    coords: Sequence[Coord],
-    sample_size: int = EXACT_THRESHOLD,
-    rng: Optional[np.random.Generator] = None,
-) -> int:
-    """Approximate medoid: score every point against a random sample.
-
-    Each candidate's cost is estimated on ``sample_size`` reference
-    points instead of the full set, dropping the complexity from
-    O(n^2) to O(n * sample_size).  With ``rng=None`` the first
-    ``sample_size`` points are used, keeping the function deterministic.
-    """
-    if not coords:
-        raise EmptySelectionError("medoid of an empty set is undefined")
-    n = len(coords)
-    if n <= sample_size:
-        return medoid_exact(space, coords)
-    if rng is None:
-        sample_idx: List[int] = list(range(sample_size))
-    else:
-        sample_idx = list(rng.choice(n, size=sample_size, replace=False))
-    sample = [coords[i] for i in sample_idx]
-    dists = space.pairwise_canonical(space.pack_batch(coords), space.pack_batch(sample))
-    best_idx = 0
-    best_cost = float("inf")
-    for i in range(n):
-        row = dists[i]
-        cost = float(np.dot(row, row))
-        if cost < best_cost:
-            best_cost = cost
-            best_idx = i
-    return best_idx
-
-
-def medoid(
-    space: Space,
-    coords: Sequence[Coord],
-    rng: Optional[np.random.Generator] = None,
-    batch=None,
-) -> Coord:
-    """The medoid coordinate of ``coords`` (exact below
-    :data:`EXACT_THRESHOLD` points, sampled above)."""
-    if len(coords) > EXACT_THRESHOLD:
-        return coords[medoid_sampled(space, coords, rng=rng)]
-    return coords[medoid_exact(space, coords, batch=batch)]
+def medoid(space: Space, coords: Sequence[Coord], batch=None) -> Coord:
+    """The medoid coordinate of ``coords``."""
+    return coords[medoid_index(space, coords, batch=batch)]

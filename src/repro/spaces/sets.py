@@ -9,27 +9,22 @@ is the Jaccard distance, a proper metric on finite sets.
 There is no meaningful arithmetic mean of sets, so this space is the
 second motivating example (after the torus) for the medoid projection.
 
-Unlike the vector spaces, set coordinates cannot be packed into a float
-matrix, so the batched kernels here work on plain sequences of
-frozensets: the intersection/union sizes are integers, computed with C
-set operations, and the float division happens once over the whole
-batch — float-identical to the scalar ``1 - |A∩B| / |A∪B|`` while
-avoiding a Python-level distance call per pair.
+Set coordinates cannot be packed into a float matrix; a batch is an
+object array of frozensets.  The kernel counts intersection and union
+sizes as integers with C set operations and runs the float arithmetic
+once over the whole broadcast — float-identical to the scalar
+``1 - |A∩B| / |A∪B|`` without a Python-level distance call per pair.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Iterable, List, Optional, Sequence
+from typing import FrozenSet, Hashable, Iterable
 
 import numpy as np
 
 from .base import Batch, Space
 
 SetCoord = FrozenSet[Hashable]
-
-
-def _as_sets(batch: Sequence[SetCoord]) -> List[SetCoord]:
-    return batch if isinstance(batch, list) else list(batch)
 
 
 class JaccardSpace(Space):
@@ -44,57 +39,24 @@ class JaccardSpace(Space):
         union = len(a) + len(b) - inter
         return 1.0 - inter / union
 
-    def distance_sq(self, a: SetCoord, b: SetCoord) -> float:  # type: ignore[override]
-        """Squared Jaccard distance, computed from the set sizes
-        directly (the base-class fallback would square a float that was
-        itself derived from the same integers — identical value, one
-        call less)."""
-        if not a and not b:
-            return 0.0
-        inter = len(a & b)
-        union = len(a) + len(b) - inter
-        d = 1.0 - inter / union
-        return d * d
-
-    # -- batched kernels ---------------------------------------------------
-
-    def pack_batch(self, coords: Sequence[SetCoord]) -> List[SetCoord]:
-        return _as_sets(coords)
-
-    def distance_block(self, origin: SetCoord, batch: Batch) -> np.ndarray:
-        """Jaccard distances from one set to a batch of sets.
-
-        The per-pair work (two ``len`` calls and one C-level set
-        intersection) is collected into integer arrays; the float
-        arithmetic runs once, vectorised, and matches the scalar
-        formula bit for bit (same integers, same division).
-        """
-        sets = _as_sets(batch)
-        n = len(sets)
-        if n == 0:
-            return np.empty(0, dtype=float)
+    def _sq(self, a: Batch, b: Batch) -> np.ndarray:
+        """Squared Jaccard distances from the integer counts: the same
+        integers and the same division as the scalar, so the same
+        floats (two empty sets are at distance 0)."""
+        a, b = np.broadcast_arrays(a, b)
+        n = a.size
         inter = np.fromiter(
-            (len(origin & s) for s in sets), dtype=np.int64, count=n
+            (len(x & y) for x, y in zip(a.flat, b.flat)), dtype=np.int64, count=n
         )
-        sizes = np.fromiter((len(s) for s in sets), dtype=np.int64, count=n)
-        union = len(origin) + sizes - inter
-        out = np.ones(n, dtype=float)
+        union = np.fromiter(
+            (len(x) + len(y) for x, y in zip(a.flat, b.flat)), dtype=np.int64, count=n
+        )
+        union -= inter
+        d = np.zeros(n)
         nonempty = union > 0
-        out[nonempty] = 1.0 - inter[nonempty] / union[nonempty]
-        out[~nonempty] = 0.0  # both sets empty -> distance 0
-        return out
-
-    def distance_sq_block(self, origin: SetCoord, batch: Batch) -> np.ndarray:
-        d = self.distance_block(origin, batch)
-        return d * d
-
-    def pairwise(self, batch: Batch, other: Optional[Batch] = None) -> np.ndarray:
-        rows = _as_sets(batch)
-        cols = rows if other is None else _as_sets(other)
-        out = np.empty((len(rows), len(cols)), dtype=float)
-        for i, origin in enumerate(rows):
-            out[i] = self.distance_block(origin, cols)
-        return out
+        d[nonempty] = 1.0 - inter[nonempty] / union[nonempty]
+        d *= d
+        return d.reshape(a.shape)
 
     @staticmethod
     def coord(items: Iterable[Hashable]) -> SetCoord:

@@ -12,6 +12,13 @@ from repro.spaces.base import Space
 from repro.types import Coord
 
 
+def sum_sq_distances(space: Space, origin: Coord, coords: Sequence[Coord]) -> float:
+    """The medoid oracle's cost: the sum of squared scalar distances
+    from ``origin`` to every coordinate (``medoid_index`` must pick a
+    point of least cost)."""
+    return float(sum(space.distance(origin, c) ** 2 for c in coords))
+
+
 class NullLayer:
     """A layer that does nothing (placeholder in layer stacks)."""
 
@@ -70,7 +77,9 @@ class StubTMan:
         others = [n for n in sim.network.alive_nodes() if n.nid != node.nid]
         if not others:
             return []
-        dists = self.space.distance_many(node.pos, [n.pos for n in others])
+        dists = self.space.distance_block(
+            node.pos, self.space.pack_batch([n.pos for n in others])
+        )
         order = sorted(range(len(others)), key=lambda i: (dists[i], others[i].nid))
         return [others[i].nid for i in order[:k]]
 

@@ -186,8 +186,7 @@ class DictPolystyrene:
         if detected:
             self._recover(sim, detected)
         self._backup(sim, detected)
-        for _ in range(self.config.migrations_per_round):
-            obs_metrics.count("exchanges.migration", self._migration_round(sim))
+        obs_metrics.count("exchanges.migration", self._migration_round(sim))
         self._project(sim)
 
     # -- step 3: recovery ---------------------------------------------------

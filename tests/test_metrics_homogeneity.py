@@ -126,7 +126,7 @@ class TestVectorisedEquivalence:
                 )
             else:
                 total += float(
-                    np.min(space.distance_many(point.coord, all_pos))
+                    np.min(space.distance_block(point.coord, space.pack_batch(all_pos)))
                 )
         return total / len(points)
 

@@ -238,7 +238,24 @@ def check_invariants(sim, points, lost_before: set) -> set:
     assert (anywhere | ~guest).all()  # a guest is held
     lost = set(all_pids[~anywhere[all_pids]].tolist())
     assert lost_before <= lost, "a lost point reappeared"
+
+    # every node position and every stored point coordinate is canonical
+    # for the space — the precondition of the batched distance kernel
+    layer = sim.layers[2]
+    stored = getattr(layer, "_point_coords", None)
+    if stored is None:
+        stored = np.array([p.coord for p in layer.points.values()])
+    assert_canonical(sim.space, table.coords_rows()[act])
+    assert_canonical(sim.space, stored)
     return lost
+
+
+def assert_canonical(space, coords: np.ndarray) -> None:
+    """``coords`` are finite and, on a torus, inside ``[0, period)``."""
+    assert np.isfinite(coords).all()
+    periods = getattr(space, "periods", None)
+    if periods is not None:
+        assert ((coords >= 0) & (coords < periods)).all(), "a coordinate left its cell"
 
 
 def check_views(sim, cap: int) -> None:

@@ -1,14 +1,15 @@
-"""Property tests: batched space kernels ≡ the scalar reference.
+"""Property tests: batched space queries ≡ the scalar reference.
 
-The array core routes every hot-path distance through the batched
-kernels (``distance_block``, ``distance_sq_block``, ``pairwise``,
-``knn_indices`` and the canonical-coordinate ``rank_*`` variants).
-These tests pin the contract for every shipped space: per-row float
-equality with the scalar ``distance``/``distance_sq`` calls (exact for
-the shipped implementations — they run the same operation sequence),
-identical rankings, and sensible behaviour on the edge cases the
-simulator produces (torus wraparound, a single node, an all-dead
-network).
+Each space states its metric once as the scalar ``distance`` /
+``distance_sq`` and once as one batched kernel; :class:`Space` derives
+every batched query from the kernel (``distance_block``,
+``rank_sq_block``, ``rank_sq_rows``, ``rank_sq_pools``,
+``pairwise_rank_sq``, ``pairwise``, ``distance_rows``,
+``nearest_distance``).  These tests pin the contract for every shipped
+space: on canonical coordinates every query equals the scalar calls bit
+for bit (the kernel runs the scalar's operations in the scalar's
+order), rankings are identical, and the edge cases the simulator
+produces (torus wraparound, a single node, an all-dead network) behave.
 """
 
 from __future__ import annotations
@@ -25,8 +26,18 @@ finite = st.floats(
 )
 
 
-def coords_2d(min_size=1, max_size=12):
-    return st.lists(st.tuples(finite, finite), min_size=min_size, max_size=max_size)
+def canonical_2d(space):
+    """One canonical coordinate of a 2-axis ``space``: inside the period
+    cell on the torus, any finite pair in the plane."""
+    if isinstance(space, FlatTorus):
+        return st.tuples(
+            *(st.floats(0, p, exclude_max=True, allow_nan=False) for p in space.periods)
+        )
+    return st.tuples(finite, finite)
+
+
+def coords_2d(space, min_size=1, max_size=12):
+    return st.lists(canonical_2d(space), min_size=min_size, max_size=max_size)
 
 
 def sets_coords(min_size=1, max_size=10):
@@ -43,98 +54,82 @@ VECTOR_SPACES = [Euclidean(2), FlatTorus(80.0, 40.0), FlatTorus(1.5, 7.25)]
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_distance_block_matches_scalar(space, data):
-    coords = data.draw(coords_2d())
-    origin = data.draw(st.tuples(finite, finite))
+    coords = data.draw(coords_2d(space))
+    origin = data.draw(canonical_2d(space))
     batch = space.pack_batch(coords)
     block = space.distance_block(origin, batch)
-    sq_block = space.distance_sq_block(origin, batch)
-    scalar = np.array([space.distance(origin, c) for c in coords])
-    scalar_sq = np.array([space.distance_sq(origin, c) for c in coords])
-    np.testing.assert_allclose(block, scalar, rtol=1e-12, atol=1e-9)
-    np.testing.assert_allclose(sq_block, scalar_sq, rtol=1e-12, atol=1e-9)
-    # Between block and sq-block the relation is exact squaring up to
-    # the sqrt rounding.
-    np.testing.assert_allclose(block * block, sq_block, rtol=1e-12, atol=1e-9)
+    sq_block = space.rank_sq_block(origin, batch)
+    scalar = [space.distance(origin, c) for c in coords]
+    scalar_sq = [space.distance_sq(origin, c) for c in coords]
+    assert block.tolist() == scalar
+    assert sq_block.tolist() == scalar_sq
 
 
 @pytest.mark.parametrize("space", VECTOR_SPACES, ids=repr)
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_pairwise_matches_distance_block_rows(space, data):
-    coords = data.draw(coords_2d(min_size=2, max_size=8))
+    coords = data.draw(coords_2d(space, min_size=2, max_size=8))
     batch = space.pack_batch(coords)
     matrix = space.pairwise(batch)
-    matrix_sq = space.pairwise_sq(batch)
+    matrix_sq = space.pairwise_rank_sq(batch)
     for i in range(len(coords)):
         np.testing.assert_array_equal(matrix[i], space.distance_block(batch[i], batch))
-        np.testing.assert_array_equal(
-            matrix_sq[i], space.distance_sq_block(batch[i], batch)
-        )
-    # Symmetry and zero diagonal (up to float noise from the fold).
-    np.testing.assert_allclose(matrix, matrix.T, rtol=1e-12, atol=1e-9)
-    np.testing.assert_allclose(np.diag(matrix), 0.0, atol=1e-9)
-
-
-@pytest.mark.parametrize("space", VECTOR_SPACES, ids=repr)
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_knn_indices_matches_scalar_ranking(space, data):
-    coords = data.draw(coords_2d(min_size=1, max_size=10))
-    origin = data.draw(st.tuples(finite, finite))
-    k = data.draw(st.integers(min_value=0, max_value=len(coords) + 2))
-    got = space.knn_indices(origin, space.pack_batch(coords), k).tolist()
-    dists = space.distance_block(origin, space.pack_batch(coords))
-    want = sorted(range(len(coords)), key=lambda i: (dists[i], i))[:k]
-    assert got == want
-
-
-def _wrap_all(space, coords):
-    return [space.wrap(c) for c in coords]
+        np.testing.assert_array_equal(matrix_sq[i], space.rank_sq_block(batch[i], batch))
+    # Within a pool, and across pools of a padded block, the same matrix.
+    np.testing.assert_array_equal(space.rank_sq_pools(batch[None])[0], matrix_sq)
+    np.testing.assert_array_equal(
+        space.rank_sq_pools(np.stack([batch, batch[::-1]]))[1],
+        matrix_sq[::-1, ::-1],
+    )
+    # Symmetry and zero diagonal are exact: |Δ| ignores orientation.
+    np.testing.assert_array_equal(matrix, matrix.T)
+    assert not np.diag(matrix).any()
 
 
 @pytest.mark.parametrize("space", [FlatTorus(80.0, 40.0), FlatTorus(3.0, 5.0)], ids=repr)
-@given(coords=coords_2d(max_size=10), origin=st.tuples(finite, finite))
+@given(
+    coords=st.lists(st.tuples(finite, finite), min_size=1, max_size=10),
+    origin=st.tuples(finite, finite),
+)
 # A fused row dot (``np.vecdot``) skipped rounding one square here and
-# ranked the two points the other way round from every other kernel.
+# ranked the two points the other way round from the scalar reference.
 @example(coords=[(0.0, 0.0), (0.0, 2.220446049250313e-16)], origin=(1.5, 1.5))
 @settings(max_examples=60, deadline=None)
 def test_torus_rank_kernels_on_canonical_coords(space, coords, origin):
-    """On wrapped (canonical) coordinates the rank kernels agree with
-    the general squared kernels to the last units in the last place and
-    produce the *identical ranking* — the precondition the simulator
-    relies on."""
-    coords = _wrap_all(space, coords)
+    """On wrapped (canonical) coordinates the rank queries equal the
+    scalar squared distances bit for bit and so produce the scalar's
+    *identical ranking* — the precondition the simulator relies on."""
+    coords = [space.wrap(c) for c in coords]
     origin = space.wrap(origin)
     batch = space.pack_batch(coords)
     rank_sq = space.rank_sq_block(origin, batch)
-    general_sq = space.distance_sq_block(origin, batch)
-    np.testing.assert_allclose(rank_sq, general_sq, rtol=1e-12, atol=1e-9)
-    np.testing.assert_allclose(
-        space.pairwise_rank_sq(batch), space.pairwise_sq(batch),
-        rtol=1e-12, atol=1e-9,
-    )
+    scalar_sq = np.array([space.distance_sq(origin, c) for c in coords])
+    np.testing.assert_array_equal(rank_sq, scalar_sq)
     np.testing.assert_array_equal(
-        space.pairwise_canonical(batch), space.pairwise(batch)
+        space.pairwise_rank_sq(batch),
+        [[space.distance_sq(a, b) for b in coords] for a in coords],
     )
     ids = np.arange(len(coords))
-    assert np.lexsort((ids, rank_sq)).tolist() == np.lexsort((ids, general_sq)).tolist()
+    assert np.lexsort((ids, rank_sq)).tolist() == np.lexsort((ids, scalar_sq)).tolist()
 
 
 def test_torus_rank_kernels_bit_exact_on_grid():
     """On integer grid coordinates (the evaluation scenarios) squared
-    distances are exactly representable, so the rank kernels are
-    bit-identical to the general ones — this is what keeps the golden
-    digests unchanged."""
+    distances are exactly representable: every query equals the scalar
+    reference bit for bit, whatever the summation order — this is what
+    keeps the golden digests unchanged."""
     space = FlatTorus(8.0, 4.0)
     coords = [(float(x), float(y)) for x in range(8) for y in range(4)]
     batch = space.pack_batch(coords)
     for origin in [(0.0, 0.0), (7.0, 3.0), (4.0, 2.0)]:
         np.testing.assert_array_equal(
             space.rank_sq_block(origin, batch),
-            space.distance_sq_block(origin, batch),
+            [space.distance_sq(origin, c) for c in coords],
         )
     np.testing.assert_array_equal(
-        space.pairwise_rank_sq(batch), space.pairwise_sq(batch)
+        space.pairwise(batch),
+        [[space.distance(a, b) for b in coords] for a in coords],
     )
 
 
@@ -167,7 +162,7 @@ class TestJaccardKernels:
         origin = data.draw(st.frozensets(st.integers(0, 20), max_size=6))
         batch = self.space.pack_batch(coords)
         block = self.space.distance_block(origin, batch)
-        sq_block = self.space.distance_sq_block(origin, batch)
+        sq_block = self.space.rank_sq_block(origin, batch)
         for i, coord in enumerate(coords):
             assert block[i] == self.space.distance(origin, coord)
             assert sq_block[i] == self.space.distance_sq(origin, coord)
@@ -195,7 +190,7 @@ class TestJaccardKernels:
     def test_distance_many_vectorised(self):
         coords = [frozenset({1, 2}), frozenset({3}), frozenset()]
         origin = frozenset({1})
-        got = self.space.distance_many(origin, coords)
+        got = self.space.distance_block(origin, coords)
         want = [self.space.distance(origin, c) for c in coords]
         assert got.tolist() == want
 
@@ -222,21 +217,20 @@ class TestSimulatorEdgeCases:
         space = FlatTorus(8.0, 4.0)
         batch = space.pack_batch([])
         assert space.distance_block((0.0, 0.0), batch).shape == (0,)
-        assert space.knn_indices((0.0, 0.0), batch, 3).shape == (0,)
+        assert space.pairwise_rank_sq(batch).shape == (0, 0)
 
 
 @pytest.mark.parametrize("space", VECTOR_SPACES, ids=repr)
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_distance_rows_matches_scalar(space, data):
-    """Row-paired kernel (homogeneity's single-holder scan, the batch
-    merge rankings) ≡ the scalar distance per row."""
+    """Row-paired query (homogeneity's single-holder scan, MD's
+    displacement legs) ≡ the scalar distance per row, bit for bit."""
     n = data.draw(st.integers(min_value=1, max_value=10))
-    a = data.draw(st.lists(st.tuples(finite, finite), min_size=n, max_size=n))
-    b = data.draw(st.lists(st.tuples(finite, finite), min_size=n, max_size=n))
+    a = data.draw(coords_2d(space, min_size=n, max_size=n))
+    b = data.draw(coords_2d(space, min_size=n, max_size=n))
     rows = space.distance_rows(space.pack_batch(a), space.pack_batch(b))
-    scalar = np.array([space.distance(x, y) for x, y in zip(a, b)])
-    np.testing.assert_allclose(rows, scalar, rtol=1e-12, atol=1e-9)
+    assert rows.tolist() == [space.distance(x, y) for x, y in zip(a, b)]
 
 
 @pytest.mark.parametrize(
@@ -245,27 +239,17 @@ def test_distance_rows_matches_scalar(space, data):
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_rank_sq_rows_matches_scalar_on_canonical(space, data):
-    """Per-row-origin rank kernel (the batch engine's workhorse) ≡ the
-    scalar rank_sq_block per row, on canonical coordinates."""
-    def canonical(draw_n):
-        if isinstance(space, FlatTorus):
-            xs = st.tuples(
-                st.floats(min_value=0, max_value=79.99, allow_nan=False),
-                st.floats(min_value=0, max_value=39.99, allow_nan=False),
-            )
-        else:
-            xs = st.tuples(finite, finite)
-        return st.lists(xs, min_size=draw_n, max_size=draw_n)
-
+    """Per-row-origin rank query (the batch engine's workhorse) ≡ the
+    scalar squared distance per entry, on canonical coordinates."""
     n = data.draw(st.integers(min_value=1, max_value=6))
     m = data.draw(st.integers(min_value=1, max_value=8))
-    origins = data.draw(canonical(n))
-    blocks = [data.draw(canonical(m)) for _ in range(n)]
-    batch = np.asarray(blocks, dtype=float)
-    got = space.rank_sq_rows(space.pack_batch(origins), batch)
-    for i in range(n):
-        want = space.rank_sq_block(origins[i], batch[i])
-        np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-9)
+    origins = data.draw(coords_2d(space, min_size=n, max_size=n))
+    blocks = [data.draw(coords_2d(space, min_size=m, max_size=m)) for _ in range(n)]
+    got = space.rank_sq_rows(space.pack_batch(origins), np.asarray(blocks, dtype=float))
+    assert got.tolist() == [
+        [space.distance_sq(o, c) for c in block] for o, block in zip(origins, blocks)
+    ]
+
 
 # -- batch kernels: bucketed kernels vs sort-based references --------------
 #

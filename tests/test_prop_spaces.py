@@ -5,14 +5,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spaces import (
-    Euclidean,
-    FlatTorus,
-    JaccardSpace,
-    diameter_exact,
-    medoid_exact,
-    sum_sq_distances,
-)
+from repro.spaces import Euclidean, FlatTorus, JaccardSpace, diameter, medoid_index
+
+from .helpers import sum_sq_distances
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -103,7 +98,7 @@ class TestJaccardAxioms:
 class TestMedoidProperties:
     @given(st.lists(coord2, min_size=1, max_size=12))
     def test_medoid_is_member_and_argmin(self, coords):
-        idx = medoid_exact(PLANE, coords)
+        idx = medoid_index(PLANE, coords)
         assert 0 <= idx < len(coords)
         best = min(sum_sq_distances(PLANE, c, coords) for c in coords)
         assert math.isclose(
@@ -115,7 +110,7 @@ class TestMedoidProperties:
 
     @given(st.lists(torus_coord, min_size=1, max_size=10))
     def test_medoid_on_torus(self, coords):
-        idx = medoid_exact(TORUS, coords)
+        idx = medoid_index(TORUS, coords)
         best = min(sum_sq_distances(TORUS, c, coords) for c in coords)
         assert sum_sq_distances(TORUS, coords[idx], coords) <= best + 1e-9
 
@@ -123,7 +118,7 @@ class TestMedoidProperties:
 class TestDiameterProperties:
     @given(st.lists(coord2, min_size=2, max_size=12))
     def test_diameter_is_max_pair(self, coords):
-        i, j = diameter_exact(PLANE, coords)
+        i, j = diameter(PLANE, coords)
         span = PLANE.distance(coords[i], coords[j])
         for a in coords:
             for b in coords:
@@ -131,7 +126,7 @@ class TestDiameterProperties:
 
     @given(st.lists(torus_coord, min_size=2, max_size=10))
     def test_diameter_on_torus(self, coords):
-        i, j = diameter_exact(TORUS, coords)
+        i, j = diameter(TORUS, coords)
         span = TORUS.distance(coords[i], coords[j])
         for a in coords:
             for b in coords:

@@ -99,9 +99,13 @@ class TestKernels:
 
         space = FlatTorus(16.0, 8.0)
         rng = np.random.default_rng(7)
+        # Small pools, and pools of 31-40 points: the paper suggests
+        # sampling the diameter and medoid above 30 (Sec. III-F), and
+        # both engines must stay exact there.
+        sizes = [(2, 9)] * 20 + [(31, 41)] * 20
         for variant in ("basic", "pd", "md", "advanced"):
-            for trial in range(20):
-                n = int(rng.integers(2, 9))
+            for trial, (low, high) in enumerate(sizes):
+                n = int(rng.integers(low, high))
                 coords = np.floor(rng.random((n, 2)) * [16, 8])
                 points = [
                     DataPoint(i, tuple(float(c) for c in coords[i]))

@@ -4,26 +4,26 @@ import numpy as np
 import pytest
 
 from repro.errors import EmptySelectionError
-from repro.spaces import FlatTorus, diameter, diameter_exact, diameter_sampled
+from repro.spaces import FlatTorus, diameter
 
 
 class TestExact:
     def test_needs_two_points(self, plane):
         with pytest.raises(EmptySelectionError):
-            diameter_exact(plane, [(0, 0)])
+            diameter(plane, [(0, 0)])
 
     def test_two_points(self, plane):
-        assert diameter_exact(plane, [(0, 0), (1, 1)]) == (0, 1)
+        assert diameter(plane, [(0, 0), (1, 1)]) == (0, 1)
 
     def test_finds_extremes(self, plane):
         coords = [(5, 5), (0, 0), (10, 10), (6, 6)]
-        i, j = diameter_exact(plane, coords)
+        i, j = diameter(plane, coords)
         assert {coords[i], coords[j]} == {(0, 0), (10, 10)}
 
     def test_matches_bruteforce(self, plane):
         rng = np.random.default_rng(6)
         coords = [tuple(rng.uniform(0, 10, 2)) for _ in range(15)]
-        i, j = diameter_exact(plane, coords)
+        i, j = diameter(plane, coords)
         best = max(
             plane.distance(a, b) for n, a in enumerate(coords) for b in coords[n:]
         )
@@ -34,34 +34,13 @@ class TestExact:
         # On the ring, 15 and 1 are close (2 apart); 4 and 12 are the
         # true farthest pair (8 apart, the half-period).
         coords = [(15.0,), (1.0,), (4.0,), (12.0,)]
-        i, j = diameter_exact(torus, coords)
+        i, j = diameter(torus, coords)
         assert {coords[i], coords[j]} == {(4.0,), (12.0,)}
 
-
-class TestSampled:
-    def test_needs_two_points(self, plane):
-        with pytest.raises(EmptySelectionError):
-            diameter_sampled(plane, [(1, 1)])
-
-    def test_reasonable_approximation(self, plane):
-        rng = np.random.default_rng(7)
-        coords = [tuple(rng.uniform(0, 100, 2)) for _ in range(200)]
-        i, j = diameter_sampled(plane, coords)
-        approx = plane.distance(coords[i], coords[j])
-        exact_i, exact_j = diameter_exact(plane, coords)
-        exact = plane.distance(coords[exact_i], coords[exact_j])
-        # Farthest-point iteration is a 1/2-approximation in any metric
-        # space; in practice on random data it is near-exact.
-        assert approx >= 0.5 * exact
-
-    def test_deterministic_without_rng(self, plane):
-        coords = [(float(i) ** 1.1, 0.0) for i in range(60)]
-        assert diameter_sampled(plane, coords) == diameter_sampled(plane, coords)
-
-    def test_identical_points(self, plane):
+    def test_identical_points(self):
         coords = [(1.0, 1.0)] * 40
-        i, j = diameter_sampled(plane, coords)
-        assert 0 <= i < 40 and 0 <= j < 40
+        torus = FlatTorus(16.0, 8.0)
+        assert diameter(torus, coords) == (0, 1)
 
 
 class TestDispatch:
@@ -70,7 +49,8 @@ class TestDispatch:
         i, j = diameter(plane, coords)
         assert {coords[i], coords[j]} == {(0, 0), (9, 0)}
 
-    def test_large_sampled_valid(self, plane):
+    def test_large_input_is_exact(self, plane):
+        """Far above the 30 points where the paper suggests sampling
+        (Sec. III-F) the pair is the first farthest pair."""
         coords = [(float(i), float(i % 3)) for i in range(100)]
-        i, j = diameter(plane, coords)
-        assert 0 <= i < 100 and 0 <= j < 100 and i != j
+        assert diameter(plane, coords) == (0, 99)

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import SpaceMismatchError
 from repro.spaces import Euclidean
 
 
@@ -37,40 +36,24 @@ class TestDistanceMany:
     def test_matches_scalar(self, plane):
         origin = (0.5, -1.0)
         coords = [(0, 0), (1, 1), (-2, 3), (0.5, -1.0)]
-        vec = plane.distance_many(origin, coords)
+        vec = plane.distance_block(origin, plane.pack_batch(coords))
         scalars = [plane.distance(origin, c) for c in coords]
         assert np.allclose(vec, scalars)
 
     def test_empty_ok(self, plane):
-        out = plane.distance_many((0, 0), [])
+        out = plane.distance_block((0, 0), plane.pack_batch([]))
         assert len(out) == 0
 
 
 class TestHelpers:
     def test_nearest(self, plane):
-        coords = [(10, 10), (1, 1), (5, 5)]
-        assert plane.nearest((0, 0), coords) == 1
+        coords = plane.pack_batch([(10, 10), (1, 1), (5, 5)])
+        got = plane.nearest_distance(plane.pack_batch([(0, 0), (6, 5)]), coords)
+        assert got.tolist() == [math.sqrt(2.0), 1.0]
 
     def test_nearest_empty_raises(self, plane):
         with pytest.raises(ValueError):
-            plane.nearest((0, 0), [])
-
-    def test_k_nearest_order(self, plane):
-        coords = [(3, 0), (1, 0), (2, 0), (4, 0)]
-        assert plane.k_nearest((0, 0), coords, 2) == [1, 2]
-
-    def test_k_nearest_k_exceeds(self, plane):
-        coords = [(1, 0), (2, 0)]
-        assert plane.k_nearest((0, 0), coords, 10) == [0, 1]
-
-    def test_k_nearest_zero(self, plane):
-        assert plane.k_nearest((0, 0), [(1, 0)], 0) == []
-
-    def test_mean_distance(self, plane):
-        assert plane.mean_distance((0, 0), [(1, 0), (3, 0)]) == pytest.approx(2.0)
-
-    def test_mean_distance_empty(self, plane):
-        assert plane.mean_distance((0, 0), []) == 0.0
+            plane.nearest_distance(plane.pack_batch([(0, 0)]), plane.pack_batch([]))
 
     def test_centroid(self, plane):
         assert plane.centroid([(0, 0), (2, 0), (1, 3)]) == pytest.approx((1.0, 1.0))
@@ -78,10 +61,3 @@ class TestHelpers:
     def test_centroid_empty_raises(self, plane):
         with pytest.raises(ValueError):
             plane.centroid([])
-
-    def test_check_coord_wrong_dim(self, plane):
-        with pytest.raises(SpaceMismatchError):
-            plane.check_coord((1.0, 2.0, 3.0))
-
-    def test_check_coord_ok(self, plane):
-        assert plane.check_coord((1.0, 2.0)) == (1.0, 2.0)

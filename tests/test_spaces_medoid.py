@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import EmptySelectionError
-from repro.spaces import (
-    Euclidean,
-    FlatTorus,
-    medoid,
-    medoid_exact,
-    medoid_sampled,
-    sum_sq_distances,
-)
+from repro.spaces import FlatTorus, medoid, medoid_index
+
+from .helpers import sum_sq_distances
 
 
 class TestSumSq:
@@ -26,69 +21,35 @@ class TestSumSq:
 class TestMedoidExact:
     def test_empty_raises(self, plane):
         with pytest.raises(EmptySelectionError):
-            medoid_exact(plane, [])
+            medoid_index(plane, [])
 
     def test_singleton(self, plane):
-        assert medoid_exact(plane, [(3, 3)]) == 0
+        assert medoid_index(plane, [(3, 3)]) == 0
 
     def test_outlier_pulls_medoid(self, plane):
         coords = [(0, 0), (1, 0), (2, 0), (3, 0), (10, 0)]
         # Squared distances make the outlier at x=10 pull the medoid to
         # (3,0): cost 63 there vs 70 at (2,0).
-        idx = medoid_exact(plane, coords)
+        idx = medoid_index(plane, coords)
         assert coords[idx] == (3, 0)
 
     def test_is_argmin_of_cost(self, plane):
         rng = np.random.default_rng(3)
         coords = [tuple(rng.uniform(0, 10, 2)) for _ in range(12)]
-        idx = medoid_exact(plane, coords)
+        idx = medoid_index(plane, coords)
         costs = [sum_sq_distances(plane, c, coords) for c in coords]
         assert costs[idx] == pytest.approx(min(costs))
 
     def test_tie_breaks_by_first_index(self, plane):
         coords = [(0, 0), (0, 0), (0, 0)]
-        assert medoid_exact(plane, coords) == 0
+        assert medoid_index(plane, coords) == 0
 
     def test_modular_space(self):
         torus = FlatTorus(16.0)
         # Around the seam: 15, 0, 1 — the middle element is 0.
         coords = [(15.0,), (0.0,), (1.0,)]
-        idx = medoid_exact(torus, coords)
+        idx = medoid_index(torus, coords)
         assert coords[idx] == (0.0,)
-
-
-class TestMedoidSampled:
-    def test_small_set_delegates_to_exact(self, plane):
-        coords = [(0, 0), (1, 0), (5, 5)]
-        assert medoid_sampled(plane, coords) == medoid_exact(plane, coords)
-
-    def test_large_set_returns_valid_index(self, plane):
-        rng = np.random.default_rng(4)
-        coords = [tuple(rng.uniform(0, 10, 2)) for _ in range(100)]
-        idx = medoid_sampled(plane, coords, sample_size=20)
-        assert 0 <= idx < 100
-
-    def test_large_set_near_optimal_on_cluster(self, plane):
-        # Tight cluster + one far outlier: any sensible approximation
-        # must not return the outlier.
-        coords = [(float(i % 7) / 10, float(i % 5) / 10) for i in range(60)]
-        coords.append((100.0, 100.0))
-        idx = medoid_sampled(plane, coords, sample_size=15)
-        assert coords[idx] != (100.0, 100.0)
-
-    def test_deterministic_without_rng(self, plane):
-        coords = [(float(i), 0.0) for i in range(50)]
-        assert medoid_sampled(plane, coords) == medoid_sampled(plane, coords)
-
-    def test_with_rng(self, plane):
-        coords = [(float(i), 0.0) for i in range(50)]
-        rng = np.random.default_rng(5)
-        idx = medoid_sampled(plane, coords, rng=rng)
-        assert 0 <= idx < 50
-
-    def test_empty_raises(self, plane):
-        with pytest.raises(EmptySelectionError):
-            medoid_sampled(plane, [])
 
 
 class TestMedoidDispatch:
@@ -96,7 +57,11 @@ class TestMedoidDispatch:
         coords = [(0, 0), (4, 4), (2, 2)]
         assert medoid(plane, coords) in coords
 
-    def test_large_input_uses_sampling(self, plane):
-        coords = [(float(i), 0.0) for i in range(200)]
-        result = medoid(plane, coords)
-        assert result in coords
+    def test_large_input_is_exact(self, plane):
+        """Far above the 30 points where the paper suggests sampling
+        (Sec. III-F) the medoid is the exact argmin of the cost."""
+        rng = np.random.default_rng(4)
+        coords = [tuple(rng.uniform(0, 10, 2)) for _ in range(100)]
+        coords.append((100.0, 100.0))
+        costs = [sum_sq_distances(plane, c, coords) for c in coords]
+        assert medoid(plane, coords) == coords[int(np.argmin(costs))]

@@ -73,6 +73,6 @@ class TestJaccard:
     def test_distance_many_fallback(self):
         space = JaccardSpace()
         origin = frozenset({1, 2})
-        out = space.distance_many(origin, [frozenset({1, 2}), frozenset({3})])
+        out = space.distance_block(origin, [frozenset({1, 2}), frozenset({3})])
         assert out[0] == 0.0
         assert out[1] == 1.0

@@ -62,7 +62,7 @@ class TestVectorised:
         rng = np.random.default_rng(1)
         origin = (15.5, 7.5)
         coords = [tuple(rng.uniform(0, p) for p in torus.periods) for _ in range(50)]
-        vec = torus.distance_many(origin, coords)
+        vec = torus.distance_block(origin, torus.pack_batch(coords))
         scalars = [torus.distance(origin, c) for c in coords]
         assert np.allclose(vec, scalars)
 
