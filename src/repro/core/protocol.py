@@ -36,11 +36,14 @@ from .recovery import recover_node
 from .split import make_split
 
 
-def _hold_initial_point(store: PlacementStore, sim: Simulation, node: SimNode) -> None:
-    """Hand ``node`` its store row, holding its initial point if any."""
+def _hold_initial_point(store: PlacementStore, sim: Simulation, node: SimNode):
+    """Hand ``node`` its store row, holding its initial point if any;
+    returns the remap of a row renumbering the store followed on the
+    way (:meth:`PlacementStore.ensure_rows`), or ``None``."""
     point = node.initial_point
-    store.ensure_rows(sim.network.table)
+    remap = store.ensure_rows(sim.network.table)
     store.reset_row(node.row, node.nid, -1 if point is None else point.pid)
+    return remap
 
 
 class PolystyreneLayer:
@@ -93,13 +96,33 @@ class PolystyreneLayer:
     # -- per-node state ----------------------------------------------------
 
     def init_node(self, sim: Simulation, node: SimNode) -> None:
-        _hold_initial_point(self.placement, sim, node)
+        remap = _hold_initial_point(self.placement, sim, node)
+        if remap is not None:
+            self._renumber(remap.tolist())
         self.pushed_by.pop(node.row, None)
         self._projected.pop(node.row, None)
         point = node.initial_point
         if point is not None:
             self.points[point.pid] = point
             node.pos = point.coord
+
+    def _renumber(self, new: List[int]) -> None:
+        """Follow a renumbering of table rows (``new[old row]``, ``-1``
+        for a reclaimed row): the rows :attr:`pushed_by` and the
+        projection memo are keyed by, and the origin rows
+        :attr:`pushed_by` holds; entries on reclaimed rows go with them.
+        ``pushed_by`` is shared with the backup manager, so it changes in
+        place."""
+        pushed_by = {
+            new[target]: {o: new[r] for o, r in origins.items() if new[r] >= 0}
+            for target, origins in self.pushed_by.items()
+            if new[target] >= 0
+        }
+        self.pushed_by.clear()
+        self.pushed_by.update(pushed_by)
+        self._projected = {
+            new[row]: memo for row, memo in self._projected.items() if new[row] >= 0
+        }
 
     # -- the data a node holds ------------------------------------------------
 

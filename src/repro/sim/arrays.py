@@ -10,9 +10,10 @@ and friends):
   over one row; batch consumers (ranking, metrics) read whole columns
   without touching Python objects.  Rows of nodes that have been
   *removed* (crash-stop nodes pruned after every reference to them has
-  aged out) go onto a free list and are reused by the next node added —
-  long-churn runs with reinjection reuse slots instead of growing
-  without bound.
+  aged out) go onto a free list and are reused by the next node added;
+  rows of dead nodes nothing reads any more are *reclaimed* before the
+  table grows (:meth:`NodeTable.reclaim`), so the rows in use are
+  bounded by the live population.
 
 * :class:`ViewBuffer` — the per-layer topology *view slot*: an id →
   coordinate map that *is* two arrays, an int64 id column and the
@@ -25,6 +26,11 @@ and friends):
 
 Both containers deep-copy and pickle cleanly, which the checkpoint
 subsystem relies on.
+
+The node table is the one place rows are numbered: a reclaim renumbers
+the kept rows in order, and every row-indexed array elsewhere follows
+the table — its capacity and its renumberings — through one function,
+:func:`follow`.
 
 The module also owns the array core's one scratch budget
 (:data:`_SCRATCH_BYTES`, :func:`block_rows`): every padded kernel — the
@@ -158,6 +164,20 @@ def _grown(capacity: int, needed: int) -> int:
     return new
 
 
+def _compact(arr: np.ndarray, keep: np.ndarray, n: int, fill) -> None:
+    """Move rows ``keep`` (ascending) of ``arr`` to its leading rows, in
+    order and in place, and reset the rest of the first ``n`` rows to
+    ``fill``.  ``keep[i] >= i``, so a block of destinations never
+    overwrites a source a later block reads; each block's gather is the
+    only temporary, held to :data:`_SCRATCH_BYTES`."""
+    k = len(keep)
+    step = max(1, _SCRATCH_BYTES // max(arr[:1].nbytes, 1))
+    for a in range(0, k, step):
+        b = min(a + step, k)
+        arr[a:b] = arr[keep[a:b]]
+    arr[k:n] = fill
+
+
 def resized(owner, name: str, shape, fill) -> np.ndarray:
     """Grow the array ``owner.<name>`` to ``shape``, new cells ``fill``
     — the one way a row array is reallocated to a new capacity.
@@ -210,7 +230,21 @@ class NodeTable:
     :meth:`coords_at` resolve a padded id block of any shape to "dead,
     zero" in plain ``take`` calls — no validity mask, no compress and
     scatter.  Growth appends fresh slots, which *are* sentinel values.
+
+    Rows are renumbered in one place, :meth:`reclaim`, which keeps every
+    kept row's relative order; :attr:`_layout` counts the reclaims and
+    :attr:`_remap` holds the last one's for the row arrays that
+    :func:`follow` the table.
     """
+
+    #: The row columns and the value of a fresh (sentinel) row in each.
+    _ROWS = (("_alive", False), ("_death", -1), ("_nid_of", -1), ("_coords", 0.0))
+
+    #: Reclaims so far, and the last one's remap (old row → new row,
+    #: ``-1`` reclaimed).  Class defaults: a table pickled before
+    #: reclaims existed has had none.
+    _layout = 0
+    _remap: Optional[np.ndarray] = None
 
     def __init__(self) -> None:
         self._dim: Optional[Union[int, str]] = None
@@ -293,16 +327,23 @@ class NodeTable:
         to."""
         return len(self._alive) - 1
 
+    @property
+    def spare_rows(self) -> int:
+        """Nodes the table can add before it grows: free rows plus
+        unused capacity."""
+        return len(self._free) + self.capacity - self._n_rows
+
     def _resize(self, row_slots: int, id_slots: int) -> None:
         """Reallocate the row columns and the id index to the given
         slot counts (each including its sentinel); never shrinks."""
         if row_slots > len(self._alive):
             before = self.nbytes if _mem.ENABLED else 0
-            resized(self, "_alive", (row_slots,), False)
-            resized(self, "_death", (row_slots,), -1)
-            resized(self, "_nid_of", (row_slots,), -1)
-            if self._coords is not None:
-                resized(self, "_coords", (row_slots, self._coords.shape[1]), 0.0)
+            for name, fill in self._ROWS:
+                # Only the shape is kept: a held reference would make
+                # ``resized`` copy instead of growing in place.
+                shape = getattr(getattr(self, name), "shape", None)
+                if shape is not None:
+                    resized(self, name, (row_slots,) + shape[1:], fill)
             if _mem.ENABLED:
                 _mem.add("node_table", "NodeTable.rows", self.nbytes - before)
         grow = id_slots - len(self._row_of)
@@ -382,24 +423,66 @@ class NodeTable:
         self._death[row] = rnd
 
     def release(self, nid: NodeId) -> int:
-        """Forget a *dead* node entirely and recycle its row.
+        """Forget a *dead* node entirely and recycle its row; returns
+        the row, or ``-1`` for a node whose row :meth:`reclaim` took
+        already (there is none left to recycle).
 
         The caller is responsible for making sure no view still
         references the id; the freed row is handed to the next
         :meth:`add` (reinjection reuse).
         """
         row = int(self._row_of[nid])
-        if row < 0:
-            raise SimulationError(f"unknown node id {nid}")
-        if self._alive[row]:
-            raise SimulationError(f"cannot release alive node {nid}")
-        self._row_of[nid] = -1
-        self._nid_of[row] = -1
-        self._death[row] = -1
-        self._pos_cache[row] = None
-        self._free.append(row)
+        if row >= 0:
+            if self._alive[row]:
+                raise SimulationError(f"cannot release alive node {nid}")
+            self._row_of[nid] = -1
+            self._nid_of[row] = -1
+            self._death[row] = -1
+            self._pos_cache[row] = None
+            self._free.append(row)
         self._has_released = True
         return row
+
+    def reclaim(self, rows: np.ndarray) -> np.ndarray:
+        """Take ``rows`` — rows of dead nodes that nothing reads any
+        more — out of the table, and return the remap, old row → new row
+        (``-1`` for a reclaimed one).
+
+        Every other row moves down in place, keeping its relative order:
+        alive rows, dead rows still readable and free-list rows alike,
+        so any order taken over rows (the alive pack, a bucket by row)
+        is the same after it.  The ids of ``rows`` resolve to the
+        sentinel row from now on — dead, zero, no row — like released
+        ids, though they are not released: :meth:`release` of one later
+        only records the release.  The canonical-coordinate list is
+        compacted in place (nodes share it).  The table's capacity does
+        not change; row arrays elsewhere follow through :func:`follow`.
+        """
+        n = self._n_rows
+        rows = np.asarray(rows, dtype=np.int64)
+        if self._alive[rows].any() or (self._nid_of[rows] < 0).any():
+            raise SimulationError("only dead nodes' rows can be reclaimed")
+        drop = np.zeros(n, dtype=bool)
+        drop[rows] = True
+        keep = np.flatnonzero(~drop)
+        k = len(keep)
+        remap = np.full(n, -1, dtype=np.int64)
+        remap[keep] = np.arange(k)
+        self._row_of[self._nid_of[rows]] = -1
+        for name, fill in self._ROWS:
+            col = getattr(self, name)
+            if col is not None:
+                _compact(col, keep, n, fill)
+        held = np.flatnonzero(self._nid_of[:k] >= 0)
+        self._row_of[self._nid_of[held]] = held
+        self._free = remap[np.asarray(self._free, dtype=np.int64)].tolist()
+        cache = self._pos_cache
+        cache[:k] = [cache[r] for r in keep.tolist()]
+        del cache[k:]
+        self._n_rows = k
+        self._layout += 1
+        self._remap = remap
+        return remap
 
     # -- batch reads -----------------------------------------------------
 
@@ -466,6 +549,42 @@ class NodeTable:
         if self._coords is not None:
             return self._coords.take(rows, axis=0)
         return [self._pos_cache[r] for r in rows]
+
+
+def follow(owner, table: NodeTable, fills) -> Optional[np.ndarray]:
+    """Bring ``owner``'s row arrays in line with ``table`` — the one way
+    a row-indexed array outside the table follows it.
+
+    ``fills`` maps each array attribute (rows on axis 0; a ``None``
+    attribute is skipped) to the value of a fresh row.  The arrays grow
+    to :attr:`NodeTable.capacity` (:func:`resized`); if the table has
+    reclaimed rows since the owner last followed it
+    (:meth:`NodeTable.reclaim`), their rows are renumbered the same way,
+    in place.  Returns that reclaim's remap (old row → new row, ``-1``
+    reclaimed) for the row numbers the owner keeps outside its arrays,
+    else ``None``.  An owner is called between two reclaims — a join
+    initialises every layer — so one behind is as far as it can be.
+    """
+    named = [(name, fill) for name, fill in fills.items() if getattr(owner, name) is not None]
+    had_rows = len(getattr(owner, named[0][0])) > 0
+    cap = table.capacity
+    for name, fill in named:
+        shape = getattr(owner, name).shape  # no reference held: in place
+        if shape[0] < cap:
+            resized(owner, name, (cap,) + shape[1:], fill)
+    behind = table._layout - getattr(owner, "_table_layout", 0)
+    owner._table_layout = table._layout
+    if not (behind and had_rows):
+        return None
+    if behind > 1:
+        raise SimulationError(
+            f"{type(owner).__name__} missed {behind - 1} renumbering(s) of the node table"
+        )
+    remap = table._remap
+    keep = np.flatnonzero(remap >= 0)
+    for name, fill in named:
+        _compact(getattr(owner, name), keep, len(remap), fill)
+    return remap
 
 
 #: The memory ledger site of every view's arrays (family ``view_buffer``).

@@ -135,11 +135,12 @@ class BatchSimulation(Simulation):
         pack every batch layer grooms and exchanges over.  Liveness only
         changes between rounds (scheduled events run before the first
         layer), so the pack is computed once per round and shared by all
-        layers, cached per (round, membership) exactly like
-        :meth:`detected_mask`.  The returned array is read-only."""
-        key = (self.round, self.network.n_alive, self.network.n_total)
+        layers, cached per (round, membership, row numbering) exactly
+        like :meth:`detected_mask`.  The returned array is read-only."""
+        table = self.network.table
+        key = (self.round, self.network.n_alive, self.network.n_total, table._layout)
         if self._act_rows_key != key:
-            rows = np.flatnonzero(self.network.table.alive_rows())
+            rows = np.flatnonzero(table.alive_rows())
             rows.setflags(write=False)
             self._act_rows = rows
             self._act_rows_key = key

@@ -58,15 +58,19 @@ from ...obs import trace as obs_trace
 from ...spaces.base import Space
 from ...spaces.euclidean import Euclidean
 from ...types import DataPoint
-from ..arrays import _grown, resized
+from ..arrays import _grown, follow, resized
 from ..placement import PlacementStore
 from . import kernels
 from . import split as batch_split_mod
 
-#: Rows of :attr:`BatchPolystyrene._flags`: guest row changed since its
-#: last projection / since its last push; gained a backup this round
-#: (needs a first full push); may be short of backups.
+#: Columns of :attr:`BatchPolystyrene._flags` (one row per table row):
+#: guest row changed since its last projection / since its last push;
+#: gained a backup this round (needs a first full push); may be short of
+#: backups.
 _CHANGED, _DIRTY, _PENDING, _SHORT = range(4)
+
+#: The flags of a fresh row: it has no backups yet.
+_FRESH = (False, False, False, True)
 
 
 def _first_k(mask: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -111,17 +115,14 @@ class BatchPolystyrene:
         self.tman = tman
         self.placement = PlacementStore(config.replication)
         self._point_coords = np.zeros((0, space.dim), dtype=float)
-        self._flags = np.zeros((4, 0), dtype=bool)
+        self._flags = np.zeros((0, 4), dtype=bool)
         self._last_detected: frozenset = frozenset()
 
     # -- per-node state ----------------------------------------------------
 
     def _ensure_rows(self, table) -> None:
         self.placement.ensure_rows(table)
-        have, cap = self._flags.shape[1], len(self.placement.guest_n)
-        if cap > have:
-            resized(self, "_flags", (4, cap), False)
-            self._flags[_SHORT, have:] = True  # a fresh row has no backups
+        follow(self, table, {"_flags": _FRESH})
 
     def _register_point(self, point: DataPoint) -> None:
         pid = point.pid
@@ -143,7 +144,7 @@ class BatchPolystyrene:
         self.placement.reset_row(
             node.row, node.nid, -1 if point is None else point.pid
         )
-        self._flags[:, node.row] = (False, False, False, True)
+        self._flags[node.row] = _FRESH
         if point is not None:
             node.pos = point.coord
             self._register_point(point)
@@ -168,8 +169,8 @@ class BatchPolystyrene:
 
     def _take_flagged(self, which: int) -> np.ndarray:
         """The rows flagged ``which``, ascending; clears the flag."""
-        rows = np.flatnonzero(self._flags[which])
-        self._flags[which, rows] = False
+        rows = np.flatnonzero(self._flags[:, which])
+        self._flags[rows, which] = False
         return rows
 
     # -- step 3: recovery ---------------------------------------------------
@@ -223,8 +224,8 @@ class BatchPolystyrene:
             store.ensure_width(int(slot.max()) + 1)
             store.guest_ids[seq_row, slot] = seq_pid
             store.guest_n[holders] = np.bincount(seq_row, minlength=n)[holders]
-            self._flags[_CHANGED, holders] = True
-            self._flags[_DIRTY, holders] = True
+            self._flags[holders, _CHANGED] = True
+            self._flags[holders, _DIRTY] = True
         store.sent_n[stale] = -1
         store.sent_ids[stale] = -1
 
@@ -250,17 +251,17 @@ class BatchPolystyrene:
             store.backup_ids[rows, slots] = -1
             store.sent_n[rows, slots] = -1
             store.sent_ids[rows, slots] = -1
-            flags[_SHORT, rows] = True
+            flags[rows, _SHORT] = True
 
         # Line 2: top back up to K backups, sampling candidates for all
         # short nodes in one batch.  Backup sets shrink only in the drop
         # scan above (which flags the victims), so unflagged nodes
         # cannot be short; ``short`` keeps ``alive_ids`` order for the
         # draw alignment below.
-        flags[_SHORT, act] &= (store.backup_ids[act] >= 0).sum(axis=1) < K
-        if flags[_SHORT, act].any():
+        flags[act, _SHORT] &= (store.backup_ids[act] >= 0).sum(axis=1) < K
+        if flags[act, _SHORT].any():
             rows = table.rows_of(network.alive_ids_array())
-            rows = rows[flags[_SHORT, rows]]
+            rows = rows[flags[rows, _SHORT]]
             own = store.owner[rows]
             held = store.backup_ids[rows]
             n_held = (held >= 0).sum(axis=1)
@@ -294,19 +295,19 @@ class BatchPolystyrene:
             n_new = (picked >= 0).sum(axis=1)
             held[_first_k(held < 0, n_new)] = picked[picked >= 0]
             store.backup_ids[rows] = held
-            flags[_PENDING, rows[n_new > 0]] = True
-            flags[_SHORT, rows[n_held + n_new >= K]] = False
+            flags[rows[n_new > 0], _PENDING] = True
+            flags[rows[n_held + n_new >= K], _SHORT] = False
 
         # Lines 3-4: push guests to backups.  With incremental deltas a
         # node whose guests did not change and whose backups all hold a
         # previous copy sends nothing — it is never even gathered.
         if cfg.incremental_backup:
-            todo = (flags[_DIRTY] | flags[_PENDING])[: table.n_rows]
+            todo = (flags[:, _DIRTY] | flags[:, _PENDING])[: table.n_rows]
             rows = np.flatnonzero(todo & table.alive_rows())
         else:
             rows = act
-        flags[_DIRTY] = False
-        flags[_PENDING] = False
+        flags[:, _DIRTY] = False
+        flags[:, _PENDING] = False
         if len(rows) == 0:
             return
         pts = ids_units = 0
@@ -410,7 +411,7 @@ class BatchPolystyrene:
             changed = moved[:0]
             total += len(wave)
             pending = rest
-        self._flags[_CHANGED, changed] = True
+        self._flags[changed, _CHANGED] = True
         return total
 
     def _execute_pairs(self, sim, pair_rows: np.ndarray) -> np.ndarray:
@@ -508,7 +509,7 @@ class BatchPolystyrene:
                 np.concatenate([pool, pool])[differs], sides, store.width, -1, counts
             )
             store.guest_n[rows] = counts
-            self._flags[_DIRTY, rows] = True
+            self._flags[rows, _DIRTY] = True
         return rows
 
     # -- step 1: projection --------------------------------------------------

@@ -54,7 +54,7 @@ import numpy as np
 
 from ...obs import mem as obs_mem
 from ...types import NodeId
-from ..arrays import resized
+from ..arrays import follow
 from . import kernels
 
 
@@ -79,17 +79,15 @@ class BatchPeerSampling:
     # -- storage -----------------------------------------------------------
 
     def _ensure_rows(self, table) -> None:
-        """Size the view arrays to the node table's capacity (the table
-        owns the growth rule; a layer only follows it)."""
-        rows = table.capacity
+        """Follow the node table (its capacity and row numbering: the
+        table owns both; a layer only follows them)."""
         have = len(self._ids)
-        if rows <= have:
-            return
-        resized(self, "_ids", (rows, self.view_size), -1)
-        resized(self, "_ages", (rows, self.view_size), 0)
-        if obs_mem.ENABLED:
+        follow(self, table, {"_ids": -1, "_ages": 0})
+        if obs_mem.ENABLED and len(self._ids) > have:
             # int64 ids and int64 ages per new slot.
-            obs_mem.add("rps_views", "rps.views", 16 * (rows - have) * self.view_size)
+            obs_mem.add(
+                "rps_views", "rps.views", 16 * (len(self._ids) - have) * self.view_size
+            )
 
     def view_arrays(self):
         """The raw ``(ids, ages)`` state (rows indexed by table row)."""
@@ -144,6 +142,8 @@ class BatchPeerSampling:
         self._ages[node.row] = 0
 
     def view_of(self, node) -> Dict[NodeId, int]:
+        if node.row < 0:  # a reclaimed row: nothing to read
+            return {}
         ids = self._ids[node.row]
         ages = self._ages[node.row]
         return {int(i): int(a) for i, a in zip(ids, ages) if i >= 0}
@@ -371,8 +371,9 @@ class BatchPeerSampling:
 
     def materialize(self, sim) -> None:
         """Write ``node.rps_view`` dicts from the arrays (all known
-        nodes; dead nodes keep their last groomed view, as in the event
-        engine)."""
+        nodes with a row; dead nodes keep their last groomed view, as in
+        the event engine)."""
         self._ensure_rows(sim.network.table)
         for node in sim.network.nodes.values():
-            node.rps_view = self.view_of(node)
+            if node.row >= 0:
+                node.rps_view = self.view_of(node)

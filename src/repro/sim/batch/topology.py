@@ -39,10 +39,10 @@ to its own fullest row, for the fused
 whole-network besides the messages is four message-length index columns.
 
 View arrays are sized to the node table's capacity
-(:attr:`~repro.sim.arrays.NodeTable.capacity`): the table owns the one
-growth rule, a layer only follows it, through
-:func:`~repro.sim.arrays.resized` (in place unless something else holds
-the array).
+(:attr:`~repro.sim.arrays.NodeTable.capacity`) and numbered as its rows
+are: the table owns the one growth rule and the one renumbering, a
+layer only follows them, through :func:`~repro.sim.arrays.follow` (in
+place unless something else holds the array).
 
 Batch-vs-event semantic deltas: exchanges are snapshot-based rather
 than sequential, a node reached by several messages merges them in one
@@ -68,7 +68,7 @@ from ...obs import mem as obs_mem
 from ...obs import metrics as obs_metrics
 from ...spaces.base import Space
 from ...types import NodeId
-from ..arrays import ViewBuffer, resized
+from ..arrays import ViewBuffer, follow
 from . import kernels
 
 
@@ -97,22 +97,17 @@ class _BatchTopologyBase:
     # -- storage -----------------------------------------------------------
 
     def _ensure_rows(self, table) -> None:
-        """Size the view arrays to the node table's capacity (the table
-        owns the growth rule; a layer only follows it)."""
-        rows = table.capacity
+        """Follow the node table (its capacity and row numbering: the
+        table owns both; a layer only follows them)."""
         have = len(self._ids)
-        if rows <= have:
-            return
-        C, dim = self.capacity, self._coord_dim
-        resized(self, "_ids", (rows, C), -1)
-        resized(self, "_coords", (rows, C, dim), 0.0)
-        if self._ages is not None:
-            resized(self, "_ages", (rows, C), 0)
-        if obs_mem.ENABLED:
+        follow(self, table, {"_ids": -1, "_coords": 0.0, "_ages": 0})
+        if obs_mem.ENABLED and len(self._ids) > have:
             # int64 ids (+ int64 ages) and float64 coords per new slot.
-            cols = 1 + dim + (self._ages is not None)
+            cols = 1 + self._coord_dim + (self._ages is not None)
             obs_mem.add(
-                "topology_views", f"{self.name}.views", 8 * (rows - have) * C * cols
+                "topology_views",
+                f"{self.name}.views",
+                8 * (len(self._ids) - have) * self.capacity * cols,
             )
 
     def view_arrays(self):
@@ -207,6 +202,8 @@ class _BatchTopologyBase:
         return [int(nid) for nid in got[0] if nid >= 0]
 
     def view_of(self, node) -> ViewBuffer:
+        if node.row < 0:  # a reclaimed row: nothing to read
+            return ViewBuffer(self._coord_dim)
         ids = self._ids[node.row]
         coords = self._coords[node.row]
         return ViewBuffer(
@@ -452,6 +449,8 @@ class _BatchTopologyBase:
 
     def materialize(self, sim) -> None:
         for node in sim.network.nodes.values():
+            if node.row < 0:  # a reclaimed row: the node keeps what it had
+                continue
             node.tman_view = self.view_of(node)
             if self._ages is not None:
                 ids = self._ids[node.row]

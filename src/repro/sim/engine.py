@@ -87,12 +87,14 @@ class Simulation:
     #: Retention policy for crashed nodes: when set, a node that has
     #: been dead (and therefore detector-visible) for this many rounds
     #: is forgotten entirely at the end of the round —
-    #: :meth:`~repro.sim.network.Network.remove_node` recycles its table
-    #: row, so perpetual-churn runs hold peak-population state instead
-    #: of total-churn state.  Must exceed the failure-detection delay by
-    #: at least two rounds so every ghost recovery has already fired
-    #: (the scenario config validates this).  Class attribute so
-    #: checkpoints taken before the policy existed restore cleanly.
+    #: :meth:`~repro.sim.network.Network.remove_node` drops its id and
+    #: recycles its table row, so perpetual-churn runs hold
+    #: peak-population ids instead of total-churn ids (rows are bounded
+    #: without it: :meth:`reclaimable_rows`).  Must exceed the
+    #: failure-detection delay by at least two rounds so every ghost
+    #: recovery has already fired (the scenario config validates this).
+    #: Class attribute so checkpoints taken before the policy existed
+    #: restore cleanly.
     retention_rounds: Optional[int] = None
 
     def __init__(
@@ -141,15 +143,55 @@ class Simulation:
             for node in self.network.alive_nodes():
                 layer.init_node(self, node)
 
+    def reserve(self, extra: int) -> None:
+        """Make room, once and exactly, for ``extra`` nodes about to
+        join (a reinjection wave): :meth:`Network.reserve
+        <repro.sim.network.Network.reserve>`, after :meth:`_make_room`."""
+        self._make_room(extra)
+        self.network.reserve(extra)
+
     def spawn_node(
         self, pos: Coord, initial_point: Optional[DataPoint] = None
     ) -> SimNode:
         """Add a fresh node mid-run and initialise it in every layer —
         the reinjection primitive (Sec. IV-A, Phase 3)."""
+        self._make_room(1)
         node = self.network.add_node(pos, initial_point)
         for layer in self.layers:
             layer.init_node(self, node)
         return node
+
+    def _make_room(self, extra: int) -> None:
+        """Before ``extra`` joins would grow the node table — no free
+        row, no spare capacity — reclaim the rows nothing can read any
+        more (:meth:`reclaimable_rows`,
+        :meth:`~repro.sim.network.Network.reclaim`), so the rows in use
+        are bounded by the live population.  Kept rows keep their order:
+        no draw, bucket or digest sees the renumbering."""
+        if self.network.table.spare_rows < extra:
+            rows = self.reclaimable_rows()
+            if len(rows):
+                self.network.reclaim(rows)
+
+    def reclaimable_rows(self) -> np.ndarray:
+        """Table rows of dead nodes that nothing can read any more:
+        detected two rounds ago, so every recovery of them has fired
+        (``death + detector delay + 2 <= round``, the bound retention is
+        validated against), and holding no pushed copy whose target is
+        alive — a ghost its holder still carries."""
+        network, table = self.network, self.network.table
+        death = table._death[: table.n_rows]
+        then = self.round - 2
+        rows = np.flatnonzero((death >= 0) & (death <= then))
+        owners = table._nid_of[rows].tolist()
+        detected = [network.detector.detects(network, nid, then) for nid in owners]
+        rows = rows[np.asarray(detected, dtype=bool)]
+        store = self.placement
+        if store is not None and len(rows):
+            origins, _, targets = store.copies(table)
+            pinned = table.row_flags(origins[table.alive_at(targets)], sentinel=False)
+            rows = rows[~pinned[rows]]
+        return rows
 
     def schedule(self, rnd: int, event: Event) -> None:
         """Register ``event`` to fire at the start of round ``rnd``."""
@@ -209,7 +251,7 @@ class Simulation:
         the gossip layers.  Released (pruned) ids have no row and are
         long-detected: the table's sentinel row reads detected."""
         table = self.network.table
-        key = (self.round, self.network.n_alive, self.network.n_total)
+        key = (self.round, self.network.n_alive, self.network.n_total, table._layout)
         if self._detected_rows_key != key:
             detected = self.detected_failed()
             self._detected_rows = table.row_flags(

@@ -93,6 +93,13 @@ class SimNode:
             return table._coords[self._row]
         return self._poscache[self._row]
 
+    def _detach(self) -> None:
+        """Stop being a view over a table row — the node was removed,
+        or its row reclaimed — keeping its last position."""
+        self._poscache = [self.pos]
+        self._table = None
+        self._row = 0
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimNode({self.nid}, pos={self.pos})"
 
@@ -155,7 +162,11 @@ class Network:
 
     def reserve(self, extra: int) -> None:
         """Allocate, once and exactly, for ``extra`` nodes about to be
-        added (:meth:`NodeTable.reserve`); changes no state."""
+        added (:meth:`NodeTable.reserve`).  A running simulation
+        reserves through :meth:`Simulation.reserve
+        <repro.sim.engine.Simulation.reserve>`, which first reclaims the
+        rows of long-detected dead nodes when the table would grow
+        (:meth:`reclaim`): that renumbers rows, which no digest sees."""
         self.table.reserve(extra, self._next_id)
 
     def add_node(
@@ -214,14 +225,29 @@ class Network:
         node = self.node(nid)
         if nid in self._alive:
             raise DeadNodeError(f"cannot remove alive node {nid}")
-        self.table.release(nid)
+        self.table.release(nid)  # -1: a reclaim took the row already
         release_views(node)
-        node._table = None
-        node._poscache = [None]
-        node._row = 0
+        node._detach()
         del self.nodes[nid]
         self._death_round.pop(nid, None)
         self._dead.remove(nid)
+
+    def reclaim(self, rows: np.ndarray) -> None:
+        """Give back the table rows of dead nodes that nothing reads any
+        more (:meth:`Simulation.reclaimable_rows
+        <repro.sim.engine.Simulation.reclaimable_rows>`): the table
+        renumbers the kept rows in order (:meth:`NodeTable.reclaim`) and
+        every node's row follows.  A reclaimed node stays a known dead
+        id — in :meth:`dead_ids`, its death round kept for the detector
+        — read like a released one: no row, so the sentinel's liveness
+        and detection."""
+        table, nodes = self.table, self.nodes
+        for nid in table._nid_of[rows].tolist():
+            nodes[nid]._detach()
+        table.reclaim(rows)
+        for row, nid in enumerate(table._nid_of[: table.n_rows].tolist()):
+            if nid >= 0:
+                nodes[nid]._row = row
 
     def prune_dead(self, before_round: int) -> List[NodeId]:
         """Forget every crashed node whose death round is at most

@@ -30,8 +30,9 @@ a row the table has released (or handed to a later node) is told from
 its former owner without a hook on release.
 
 Point ids are stored as int32 and node ids / counts as the table stores
-them; rows follow the node table's capacity and the width ``G`` grows
-by the rule the table's rows do (``arrays._grown``).  Every block is
+them; rows follow the node table — its capacity and its renumbering
+(``arrays.follow``) — and the width ``G`` grows by the rule the table's
+rows do (``arrays._grown``).  Every block is
 registered on the memory ledger as family ``protocol_placement``.
 """
 
@@ -42,13 +43,23 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import mem as obs_mem
-from .arrays import _grown, resized
+from .arrays import _grown, follow, resized
 
 _MIN_WIDTH = 8
 
 
 class PlacementStore:
     """Guests, backups and pushed copies of every node, by table row."""
+
+    #: The row blocks and the value of a fresh row in each.
+    _ROWS = {
+        "guest_ids": -1,
+        "guest_n": 0,
+        "backup_ids": -1,
+        "sent_ids": -1,
+        "sent_n": -1,
+        "owner": -1,
+    }
 
     def __init__(self, replication: int) -> None:
         self.replication = K = int(replication)
@@ -73,19 +84,9 @@ class PlacementStore:
             + self.owner.nbytes
         )
 
-    def _resize(self, rows: int, width: int) -> None:
-        before = self.nbytes
-        have = len(self.guest_n)
-        K = self.replication
-        resized(self, "guest_ids", (rows, width), -1)
-        resized(self, "sent_ids", (rows, K, width), -1)
-        if rows != have:
-            resized(self, "guest_n", (rows,), 0)
-            resized(self, "backup_ids", (rows, K), -1)
-            resized(self, "sent_n", (rows, K), -1)
-            resized(self, "owner", (rows,), -1)
-        self.width = width
-        if obs_mem.ENABLED:
+    def _booked(self, before: int) -> None:
+        """Book the blocks' growth since they held ``before`` bytes."""
+        if obs_mem.ENABLED and self.nbytes != before:
             obs_mem.add(
                 "protocol_placement", "PlacementStore.blocks", self.nbytes - before
             )
@@ -115,14 +116,22 @@ class PlacementStore:
         )
         self.sent_ids[col < self.sent_n[:, :, None]] = sent
 
-    def ensure_rows(self, table) -> None:
-        """Size every block to the node table's capacity."""
-        if table.capacity > len(self.guest_n):
-            self._resize(table.capacity, self.width)
+    def ensure_rows(self, table) -> Optional[np.ndarray]:
+        """Follow the node table: every block sized to its capacity and
+        numbered as its rows are (:func:`~repro.sim.arrays.follow`,
+        whose remap it returns)."""
+        before = self.nbytes
+        remap = follow(self, table, self._ROWS)
+        self._booked(before)
+        return remap
 
     def ensure_width(self, g: int) -> None:
         if g > self.width:
-            self._resize(len(self.guest_n), _grown(self.width, g))
+            before, rows = self.nbytes, len(self.guest_n)
+            self.width = width = _grown(self.width, g)
+            resized(self, "guest_ids", (rows, width), -1)
+            resized(self, "sent_ids", (rows, self.replication, width), -1)
+            self._booked(before)
 
     def reset_row(self, row: int, nid: int, pid: int = -1) -> None:
         """Hand ``row`` to node ``nid`` holding ``pid`` (or nothing)."""

@@ -20,11 +20,12 @@ from .network import SimNode
 def spawn_fresh_nodes(sim: Simulation, positions: Iterable[Coord]) -> List[SimNode]:
     """Immediately spawn one fresh point-less node per position.
 
-    The count is known, so capacity is reserved once and exactly; the
-    nodes still join one at a time (every layer's ``init_node`` draws
-    from its own stream per node)."""
+    The count is known, so room is made once and exactly
+    (:meth:`Simulation.reserve`: reclaimed rows of long-detected dead
+    nodes first, then capacity); the nodes still join one at a time
+    (every layer's ``init_node`` draws from its own stream per node)."""
     positions = [tuple(p) for p in positions]
-    sim.network.reserve(len(positions))
+    sim.reserve(len(positions))
     return [sim.spawn_node(pos, initial_point=None) for pos in positions]
 
 

@@ -80,12 +80,32 @@ class DictPlacement:
             holders.extend([row] * len(state.guests))
         return np.asarray(pids, dtype=np.int64), np.asarray(holders, dtype=np.int64)
 
+    def _rowed(self):
+        """``(row, state)`` of every node that has a row (a reclaimed
+        one has none)."""
+        for node in self.network.nodes.values():
+            if node.row >= 0:
+                yield node.row, node.poly
+
     @property
     def guest_n(self) -> np.ndarray:
         counts = np.zeros(self.network.table.n_rows, dtype=np.int64)
-        for node in self.network.nodes.values():
-            counts[node.row] = len(node.poly.guests)
+        for row, state in self._rowed():
+            counts[row] = len(state.guests)
         return counts
+
+    def copies(self, table):
+        """``(origin rows, slots, target rows)`` of every ghost held on a
+        row whose origin still has one (slots all 0: a dict has none)."""
+        o_rows: List[int] = []
+        t_rows: List[int] = []
+        for row, state in self._rowed():
+            for origin in state.ghosts:
+                if table.row(origin) >= 0:
+                    o_rows.append(table.row(origin))
+                    t_rows.append(row)
+        o_rows = np.asarray(o_rows, dtype=np.int64)
+        return o_rows, np.zeros_like(o_rows), np.asarray(t_rows, dtype=np.int64)
 
     def stored_points(self, table, rows: np.ndarray) -> int:
         return sum(
@@ -105,8 +125,8 @@ class DictPlacement:
 
     def canonical(self, table) -> List[tuple]:
         out = [([], [], [], [])] * table.n_rows
-        for node in self.network.nodes.values():
-            out[node.row] = summary(node.poly)
+        for row, state in self._rowed():
+            out[row] = summary(state)
         return out
 
 

@@ -1,13 +1,21 @@
 """Capacity follows membership.
 
 ``arrays._grown`` is the one growth rule under ``repro.sim`` and the node
-table is its one owner: every row-indexed array of the batch layers (RPS
+table is its one owner: every row-indexed array of the layers (RPS
 views, topology views, placement blocks) is sized to the table's
 capacity.  A caller that knows how many nodes are coming — the initial
 population, a reinjection wave — reserves exactly (``Network.reserve``),
 so after it the arrays hold the rows in use and nothing else; joins of
-unknown count keep amortised geometric growth.  ``reserve`` is an
-allocation, not a state change: digests and checkpoints do not see it.
+unknown count keep amortised geometric growth.
+
+Before the table grows, a running simulation reclaims the rows of dead
+nodes that nothing reads any more — detected for two rounds, holding no
+copy an alive node carries (``Simulation.reclaimable_rows``) — and every
+row array follows the table's order-preserving renumbering
+(``arrays.follow``).  So a reinjection wave after the detection window
+reuses the failed nodes' rows, and one inside it grows the table as
+before.  Neither a reserve nor a reclaim is a state change: digests and
+checkpoints do not see them.
 """
 
 from __future__ import annotations
@@ -20,6 +28,8 @@ import pytest
 from repro.experiments.scenario import ScenarioConfig, prepare_scenario
 from repro.runtime import checkpoint as ckpt
 from repro.sim.arrays import NodeTable
+from repro.sim.batch import BatchSimulation
+from repro.sim.engine import Simulation
 from repro.sim.reinjection import Reinjection
 
 
@@ -39,15 +49,18 @@ def config(engine="batch", **overrides) -> ScenarioConfig:
 
 
 def row_arrays(sim) -> dict:
-    """Every row-indexed layer array of a batch simulation, by name."""
+    """Every row-indexed layer array of a simulation, by name (the event
+    engine keeps only placement in rows)."""
     rps, tman, poly = sim.layers[:3]
-    arrays = {
-        "rps.ids": rps._ids,
-        "rps.ages": rps._ages,
-        "tman.ids": tman._ids,
-        "tman.coords": tman._coords,
-        "flags": poly._flags.T,
-    }
+    arrays = {}
+    if isinstance(sim, BatchSimulation):
+        arrays = {
+            "rps.ids": rps._ids,
+            "rps.ages": rps._ages,
+            "tman.ids": tman._ids,
+            "tman.coords": tman._coords,
+            "flags": poly._flags,
+        }
     store = sim.placement
     for name in ("guest_ids", "guest_n", "backup_ids", "sent_ids", "sent_n", "owner"):
         arrays[f"placement.{name}"] = getattr(store, name)
@@ -61,7 +74,7 @@ def assert_sized_to_membership(sim) -> None:
 
 
 def _owner(arr: np.ndarray) -> np.ndarray:
-    """The array that owns ``arr``'s memory (``flags`` is a transposed view)."""
+    """The array that owns ``arr``'s memory."""
     return arr if arr.base is None else arr.base
 
 
@@ -186,3 +199,54 @@ def test_table_reserve_is_exact_counts_free_rows_and_never_shrinks():
     for nid in range(21, 24):  # past the reservation: geometric again
         table.add(nid, (float(nid), 0.0))
     assert table.n_rows == 23 and table.capacity == 2 * 23 - 1
+
+
+def half_failed(engine: str, **overrides):
+    """A 12x6 run whose right half (36 nodes) fails at round 2."""
+    cfg = config(engine, failure_round=2, **overrides)
+    return prepare_scenario(cfg)[0], cfg.grid.parallel(0.5).generate()[:36]
+
+
+@pytest.mark.parametrize("engine", ["event", "batch"])
+def test_reinjection_after_the_detection_window_reuses_the_dead_rows(engine, monkeypatch):
+    sim, wave = half_failed(engine)
+    twin, _ = half_failed(engine)
+    sim.run(5)  # death 2 + delay 0 + 2 <= round 5: every failed row is reclaimable
+    twin.run(5)
+    assert sim.network.table.n_rows == 72 and sim.network.n_alive == 36
+    with monkeypatch.context() as patch:  # the twin grows, as without reclaims
+        nothing = lambda self: np.zeros(0, np.int64)  # noqa: E731
+        patch.setattr(Simulation, "reclaimable_rows", nothing, raising=False)
+        Reinjection(wave)(twin)
+    Reinjection(wave)(sim)
+    table = sim.network.table
+    assert table.capacity == 72 == sim.network.n_alive  # the peak live population
+    assert_sized_to_membership(sim)
+    assert twin.network.table.capacity == 108
+    # The failed nodes are known dead ids without a row.
+    dead = sim.network.dead_ids()
+    assert len(dead) == 36 and dead == twin.network.dead_ids()
+    assert (table.rows_of(np.asarray(dead)) == -1).all()
+    assert all(sim.network.node(nid).row == -1 for nid in dead)
+    assert ckpt.state_digest(sim) == ckpt.state_digest(twin)
+
+    restored = ckpt.restore(ckpt.snapshot(sim))
+    assert ckpt.state_digest(restored) == ckpt.state_digest(sim)
+    for each in (sim, twin, restored):
+        each.run(3)
+    assert ckpt.state_digest(sim) == ckpt.state_digest(twin) == ckpt.state_digest(restored)
+    assert_sized_to_membership(restored)
+
+
+@pytest.mark.parametrize("engine", ["event", "batch"])
+def test_reinjection_inside_the_detection_window_grows_as_before(engine):
+    sim, wave = half_failed(engine, detector_delay=2)
+    sim.run(5)  # death 2 + delay 2 + 2 > round 5: nothing is reclaimable yet
+    spy = Reallocations(sim) if engine == "batch" else None
+    Reinjection(wave)(sim)
+    assert sim.network.table.n_rows == 72 + 36
+    assert_sized_to_membership(sim)
+    if spy is not None:
+        assert set(spy.counts.values()) == {1}
+    sim.run(2)
+    assert sim.network.table.n_rows == 72 + 36

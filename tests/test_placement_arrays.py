@@ -6,7 +6,8 @@
   digest (placement, positions, RNG streams, meter units), recorded
   series, reliability sample;
 * the store's invariants, each one vector compare, every round, on
-  both engines (and the event engine's T-Man view invariants);
+  both engines (and the node table's id ↔ row map, and the event
+  engine's T-Man view invariants);
 * fingerprinting, stepping and syncing leave no per-node placement
   object behind;
 * the array readers the observers use equal their dict definitions
@@ -192,7 +193,35 @@ def test_centroid_projection_equals_dict_oracle(monkeypatch):
 # -- invariants, one vector compare each --------------------------------------
 
 
+def check_row_map(sim) -> None:
+    """The node table's id ↔ row map and every row number held outside
+    it — what a reclaim renumbers."""
+    network, table = sim.network, sim.network.table
+    n = table.n_rows
+    nid_of, row_of = table._nid_of, table._row_of
+    # _row_of and _nid_of are inverse bijections over the occupied rows
+    occupied = np.flatnonzero(nid_of[:n] >= 0)
+    assert (row_of[nid_of[occupied]] == occupied).all()
+    held = np.flatnonzero(row_of >= 0)
+    assert len(held) == len(occupied) and (nid_of[row_of[held]] == held).all()
+    assert (nid_of[n:] == -1).all()
+    # every node's row is the table's row of its id (-1: reclaimed), and
+    # an alive node's row resolves to its own id
+    assert all(node.row == table.row(nid) for nid, node in network.nodes.items())
+    assert all(nid_of[node.row] == node.nid for node in network.alive_nodes())
+    assert network.alive_ids_array().tolist() == network.alive_ids()
+    # the event layer's pushed_by: keyed by rows their owners hold (or
+    # free ones), naming origin rows their origins hold (or forgotten ids)
+    pushed_by = getattr(sim.layers[2], "pushed_by", None)
+    free = set(table.free_rows)
+    for target, origins in (pushed_by or {}).items():
+        assert 0 <= target < n and (nid_of[target] >= 0 or target in free)
+        for origin, row in origins.items():
+            assert row_of[origin] == row or origin not in network.nodes
+
+
 def check_invariants(sim, points, lost_before: set) -> set:
+    check_row_map(sim)
     store: PlacementStore = sim.placement
     table = sim.network.table
     n = table.n_rows

@@ -1,11 +1,17 @@
-"""Retention policy: perpetual churn in bounded memory.
+"""Retention policy: perpetual churn with a bounded set of known ids.
 
-``ScenarioConfig.retention_rounds`` (→ ``Simulation.retention_rounds``)
-prunes crashed nodes once they have been detector-visible for N rounds:
-:meth:`Network.remove_node` recycles the table row, so a long-trickle
-run with replacement joins holds peak-population state instead of
-total-churn state.  Stale references to a pruned id must everywhere
-resolve to "dead and long-detected", never crash or alias a live node.
+Table rows are bounded without it: before the table grows, the rows of
+nodes dead and detected for two rounds are reclaimed
+(``Simulation.reclaimable_rows``), so rows hold the alive nodes and the
+ones that died within the detection window.  What is left to retention
+is forgetting ids: ``ScenarioConfig.retention_rounds`` (→
+``Simulation.retention_rounds``) prunes crashed nodes once they have
+been detector-visible for N rounds, and :meth:`Network.remove_node`
+drops the id (recycling the row if a reclaim has not taken it), so a
+long-trickle run with replacement joins knows peak-population ids
+instead of total-churn ids.  Stale references to a pruned id must
+everywhere resolve to "dead and long-detected", never crash or alias a
+live node.
 """
 
 from __future__ import annotations
@@ -79,18 +85,26 @@ class TestBoundedMemory:
         assert sim.network._next_id >= population + churn
 
     def test_unbounded_without_retention(self, engine):
-        sim, *_ = prepare_scenario(
-            trickle_config(engine, retention_rounds=None)
-        )
+        """Without retention every id ever created stays known, but the
+        rows do not grow with churn: a join that finds no room reclaims
+        the rows of the nodes whose death is detector-visible for two
+        rounds, so rows hold at most the alive nodes plus those that
+        died in the last ``detector_delay + 2`` rounds."""
+        cfg = trickle_config(engine, retention_rounds=None)
+        sim, *_ = prepare_scenario(cfg)
+        network = sim.network
         rng = spawn(99, "trickle-test")
-        grid = trickle_config(engine).grid
-        positions = grid.parallel(0.5).generate()
+        positions = cfg.grid.parallel(0.5).generate()
         for _ in range(30):
-            victims = rng.sample(sim.network.alive_ids(), 1)
-            sim.network.fail(victims, sim.round)
+            victims = rng.sample(network.alive_ids(), 1)
+            network.fail(victims, sim.round)
             spawn_fresh_nodes(sim, [positions[0]])
             sim.step()
-        assert sim.network.table.n_rows == 32 + 30  # grows with churn
+            window = sim.round - (cfg.detector_delay + 2)
+            recent = [nid for nid in network.dead_ids() if network.death_round(nid) >= window]
+            assert network.table.n_rows <= network.n_alive + len(recent)
+        assert network.n_total == 32 + 30  # every id is still known
+        assert len(network.dead_ids()) == 30
 
     def test_trickle_keeps_most_points_alive(self, engine):
         """Replication keeps the vast majority of points alive through

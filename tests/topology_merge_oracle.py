@@ -26,12 +26,13 @@ from repro.sim.batch import kernels
 
 class MergeSim:
     """The slice of ``BatchSimulation`` that ``_apply_merges`` reads: a
-    node table (``_nid_of``, positions, capacity), the detector's mask,
-    and a meter that records what it was charged."""
+    node table (``_nid_of``, positions, capacity, and ``_layout``: no
+    row was ever reclaimed), the detector's mask, and a meter that
+    records what it was charged."""
 
     def __init__(self, nid_of, pos, detected):
         table = SimpleNamespace(
-            _nid_of=nid_of, coords_rows=lambda: pos, capacity=len(nid_of)
+            _nid_of=nid_of, coords_rows=lambda: pos, capacity=len(nid_of), _layout=0
         )
         self.network = SimpleNamespace(table=table)
         self._detected = np.asarray(sorted(detected), dtype=np.int64)
