@@ -565,16 +565,18 @@ def follow(owner, table: NodeTable, fills) -> Optional[np.ndarray]:
     else ``None``.  An owner is called between two reclaims — a join
     initialises every layer — so one behind is as far as it can be.
     """
-    named = [(name, fill) for name, fill in fills.items() if getattr(owner, name) is not None]
-    had_rows = len(getattr(owner, named[0][0])) > 0
     cap = table.capacity
+    have = len(getattr(owner, next(iter(fills))))
+    if have >= cap and getattr(owner, "_table_layout", 0) == table._layout:
+        return None  # in line already: what nearly every call finds
+    named = [(name, fill) for name, fill in fills.items() if getattr(owner, name) is not None]
     for name, fill in named:
         shape = getattr(owner, name).shape  # no reference held: in place
         if shape[0] < cap:
             resized(owner, name, (cap,) + shape[1:], fill)
     behind = table._layout - getattr(owner, "_table_layout", 0)
     owner._table_layout = table._layout
-    if not (behind and had_rows):
+    if not (behind and have):
         return None
     if behind > 1:
         raise SimulationError(

@@ -120,7 +120,7 @@ class PlacementStore:
         """Follow the node table: every block sized to its capacity and
         numbered as its rows are (:func:`~repro.sim.arrays.follow`,
         whose remap it returns)."""
-        before = self.nbytes
+        before = self.nbytes if obs_mem.ENABLED else 0
         remap = follow(self, table, self._ROWS)
         self._booked(before)
         return remap

@@ -125,3 +125,24 @@ class TestBoundedMemory:
         restored = ckpt.restore(ckpt.snapshot(sim))
         assert ckpt.state_digest(restored) == digest
         restored.run(3)  # keeps running after the trip
+
+    def test_prune_after_reclaim_forgets_the_id(self, engine):
+        """A wave larger than the free list reclaims the rows of nodes
+        dead for two rounds; retention later forgets those ids, with no
+        row left to recycle."""
+        cfg = trickle_config(engine, retention_rounds=6)
+        sim, *_ = prepare_scenario(cfg)
+        network = sim.network
+        victims = network.alive_ids()[:10]
+        network.fail(victims, sim.round)
+        sim.run(3)
+        spawn_fresh_nodes(sim, cfg.grid.parallel(0.5).generate()[:10])
+        assert network.table.n_rows == 32 and network.table.free_rows == []
+        assert [network.node(nid).row for nid in victims] == [-1] * 10
+        assert network.dead_ids() == victims
+        sim.run(4)  # past retention: the ten ids are forgotten
+        assert not set(victims) & set(network.nodes) and network.dead_ids() == []
+        assert network.table._has_released and network.table.n_rows == 32
+        restored = ckpt.restore(ckpt.snapshot(sim))
+        assert ckpt.state_digest(restored) == ckpt.state_digest(sim)
+        restored.run(2)
