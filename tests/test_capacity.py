@@ -215,7 +215,7 @@ def test_reinjection_after_the_detection_window_reuses_the_dead_rows(engine, mon
     twin.run(5)
     assert sim.network.table.n_rows == 72 and sim.network.n_alive == 36
     with monkeypatch.context() as patch:  # the twin grows, as without reclaims
-        nothing = lambda self: np.zeros(0, np.int64)  # noqa: E731
+        nothing = lambda self: np.zeros(0, np.int64)
         patch.setattr(Simulation, "reclaimable_rows", nothing, raising=False)
         Reinjection(wave)(twin)
     Reinjection(wave)(sim)
@@ -242,11 +242,10 @@ def test_reinjection_after_the_detection_window_reuses_the_dead_rows(engine, mon
 def test_reinjection_inside_the_detection_window_grows_as_before(engine):
     sim, wave = half_failed(engine, detector_delay=2)
     sim.run(5)  # death 2 + delay 2 + 2 > round 5: nothing is reclaimable yet
-    spy = Reallocations(sim) if engine == "batch" else None
+    spy = Reallocations(sim)
     Reinjection(wave)(sim)
     assert sim.network.table.n_rows == 72 + 36
     assert_sized_to_membership(sim)
-    if spy is not None:
-        assert set(spy.counts.values()) == {1}
+    assert set(spy.counts.values()) == {1}
     sim.run(2)
     assert sim.network.table.n_rows == 72 + 36
