@@ -21,7 +21,7 @@ Quick start::
 The package is organised as:
 
 * :mod:`repro.spaces` — metric spaces (torus, Euclidean, ring, Jaccard)
-  plus medoid/diameter utilities;
+  plus the medoid;
 * :mod:`repro.shapes` — target shape samplers;
 * :mod:`repro.sim` — the cycle-driven simulator (PeerSim substitute);
 * :mod:`repro.gossip` — peer sampling (Cyclon) and T-Man;

@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("event", "batch"),
         default=None,
-        help="execution engine: 'event' (per-node, semantics v1) or "
+        help="execution engine: 'event' (per-node, semantics v3) or "
         "'batch' (batch-synchronous vectorised, semantics v2 — "
         "statistically equivalent results, several times faster)",
     )

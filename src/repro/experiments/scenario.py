@@ -92,7 +92,7 @@ class ScenarioConfig:
     step: float = 1.0
     # -- execution engine ------------------------------------------------
     #: ``"event"`` — the round-by-round per-node engine
-    #: (:class:`repro.sim.engine.Simulation`, semantics version 1);
+    #: (:class:`repro.sim.engine.Simulation`, semantics version 3);
     #: ``"batch"`` — the batch-synchronous vectorised engine
     #: (:class:`repro.sim.batch.BatchSimulation`, semantics version 2).
     #: Same scenario, statistically equivalent metrics, different

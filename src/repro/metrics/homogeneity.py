@@ -104,8 +104,8 @@ def _nearest_node(space: Space, queries: np.ndarray, positions: np.ndarray):
     :func:`~repro.sim.arrays.block_rows` block of queries at a time: the
     distance block is O(block), not ``len(queries) * len(positions)``.
     One query row is network-sized, so there is no row floor.
-    Float-identical to ``np.min(space.pairwise(queries, positions),
-    axis=1)`` on the canonical coordinates a simulation stores."""
+    Float-identical to the least of each query's ``space.distance`` to
+    the positions, on the canonical coordinates a simulation stores."""
     out = np.empty(len(queries))
     step = block_rows(0, len(positions), space.dim, 1)
     for a in range(0, len(queries), step):

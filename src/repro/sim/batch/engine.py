@@ -46,7 +46,7 @@ from ..rng import derive_seed
 from .topology import _BatchTopologyBase
 
 #: Version of the *batch* simulation semantics (the event engine is
-#: version 1 — :data:`repro.sim.engine.SEMANTICS_VERSION`).  Bump in the
+#: version 3 — :data:`repro.sim.engine.SEMANTICS_VERSION`).  Bump in the
 #: same change that alters any batch-mode trajectory; it keys the
 #: phase-fork checkpoint cache for ``engine="batch"`` configurations and
 #: the batch golden digests.

@@ -57,6 +57,7 @@ from ...obs import metrics as obs_metrics
 from ...obs import trace as obs_trace
 from ...spaces.base import Space
 from ...spaces.euclidean import Euclidean
+from ...spaces.medoid import medoid_rows
 from ...types import DataPoint
 from ..arrays import _grown, follow, resized
 from ..placement import PlacementStore
@@ -549,15 +550,6 @@ class BatchPolystyrene:
                 # One point is its own medoid; of two, the first wins.
                 new_pos = coords[:, 0, :]
             else:
-                k, _, d = coords.shape
-                pair_sq = self.space.rank_sq_rows(
-                    coords.reshape(k * g, d),
-                    np.broadcast_to(coords[:, None, :, :], (k, g, g, d)).reshape(
-                        k * g, g, d
-                    ),
-                ).reshape(k, g, g)
-                pair_sq *= valid[:, None, :]
-                cost = pair_sq.sum(axis=2)
-                cost[~valid] = np.inf
-                new_pos = coords[np.arange(k), np.argmin(cost, axis=1)]
+                pair_sq = self.space.rank_sq_pools(coords)
+                new_pos = coords[np.arange(len(blk)), medoid_rows(pair_sq, valid)]
             table.set_coords(blk, new_pos)

@@ -39,7 +39,10 @@ Event = Callable[["Simulation"], None]
 #: invalidates every phase-fork checkpoint cache
 #: (:class:`repro.runtime.forksweep.CheckpointCache` keys on it), so
 #: stale pre-change prefixes are recomputed instead of silently forked.
-SEMANTICS_VERSION = 1
+#: Version 3 (never 2, the batch engine's number): the medoid sums the
+#: exact squared distances and SPLIT is the batch kernel's one-pool
+#: call, so exact ties go to the first point instead of to rounding.
+SEMANTICS_VERSION = 3
 
 
 def semantics_version_for(engine: str = "event") -> int:

@@ -20,7 +20,7 @@ against a block (:meth:`~Space.rank_sq_block`,
 :meth:`~Space.distance_block`), one origin per row
 (:meth:`~Space.rank_sq_rows`), all pairs within each pool
 (:meth:`~Space.rank_sq_pools`), all pairs of two batches
-(:meth:`~Space.pairwise_rank_sq`, :meth:`~Space.pairwise`), paired rows
+(:meth:`~Space.pairwise_rank_sq`), paired rows
 (:meth:`~Space.distance_rows`) and each row's nearest
 (:meth:`~Space.nearest_distance`).  A distance value is the ``sqrt`` of
 its square.
@@ -119,7 +119,8 @@ class Space(ABC):
     def rank_sq_pools(self, pools: Batch) -> np.ndarray:
         """All-pairs squared distances *within* each pool of a padded
         ``(n, m, dim)`` block: ``out[i, j, k]`` between ``pools[i, j]``
-        and ``pools[i, k]`` (the batch SPLIT's pair matrices)."""
+        and ``pools[i, k]`` (the SPLIT kernel's and the medoids' pair
+        matrices)."""
         pools = self.pack_batch(pools)
         return self._sq(pools[:, :, None], pools[:, None])
 
@@ -129,12 +130,6 @@ class Space(ABC):
         batch = self.pack_batch(batch)
         other = batch if other is None else self.pack_batch(other)
         return self._sq(batch[:, None], other[None])
-
-    def pairwise(self, batch: Batch, other: Optional[Batch] = None) -> np.ndarray:
-        """All-pairs distance matrix; row ``i`` equals
-        ``distance_block(batch[i], other)``."""
-        out = self.pairwise_rank_sq(batch, other)
-        return np.sqrt(out, out=out)
 
     def distance_rows(self, batch_a: Batch, batch_b: Batch) -> np.ndarray:
         """Paired rows: ``out[i] = distance(batch_a[i], batch_b[i])`` —
@@ -146,7 +141,7 @@ class Space(ABC):
         """Distance from each ``batch`` row to its nearest ``other`` row
         (the lost-point term of homogeneity): the ``min`` of the squares,
         then one ``sqrt`` — monotone and correctly rounded, so equal to
-        ``np.min(pairwise(batch, other), axis=1)``.  The working set is
+        the least of each row's distances.  The working set is
         ``len(batch) * len(other)`` squares: callers bound
         ``len(batch)``.  Raises ``ValueError`` when ``other`` is empty."""
         return np.sqrt(self.pairwise_rank_sq(batch, other).min(axis=1))

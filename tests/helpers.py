@@ -13,10 +13,10 @@ from repro.types import Coord
 
 
 def sum_sq_distances(space: Space, origin: Coord, coords: Sequence[Coord]) -> float:
-    """The medoid oracle's cost: the sum of squared scalar distances
-    from ``origin`` to every coordinate (``medoid_index`` must pick a
-    point of least cost)."""
-    return float(sum(space.distance(origin, c) ** 2 for c in coords))
+    """The medoid oracle's cost: the sum of the scalar squared
+    distances from ``origin`` to every coordinate (``medoid_index`` must
+    pick a point of least cost)."""
+    return float(sum(space.distance_sq(origin, c) for c in coords))
 
 
 class NullLayer:

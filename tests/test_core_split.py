@@ -69,6 +69,19 @@ class TestAdvanced:
         assert all(p.coord[0] > 5 for p in left)
         assert all(p.coord[0] < 5 for p in right)
 
+    def test_md_reads_exact_medoids(self):
+        """The diameter ((15,14), (9,2)) cuts off (9,2) alone; the other
+        cluster's medoid is (15,15), in an exact tie with (14,0) that
+        goes to the first point.  Giving p the cluster displaces the
+        nodes by sqrt(2) + sqrt(45) ≈ 8.12, the swap by sqrt(29) + 0 ≈
+        5.39, so p gets (9,2).  With (14,0) as the medoid the comparison
+        reads 6.71 against 6.80 and p would keep the cluster."""
+        torus = FlatTorus(32.0, 16.0)
+        points = pts((15, 15), (15, 1), (15, 14), (14, 0), (11, 13), (9, 2))
+        left, right = split_advanced(torus, points, (14.0, 0.0), (15.0, 15.0))
+        assert [p.coord for p in left] == [(9, 2)]
+        assert [p.pid for p in right] == [0, 1, 2, 3, 4]
+
     def test_degenerate_identical_points(self):
         points = pts((1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
         left, right = split_advanced(PLANE, points, (0.0, 0.0), (2.0, 2.0))

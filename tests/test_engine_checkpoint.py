@@ -98,7 +98,7 @@ class TestEngineScopedCacheKeys:
         assert CheckpointCache.key(batch_prefix) != batch_key
 
     def test_semantics_versions_are_distinct(self):
-        assert semantics_version_for("event") == 1
+        assert semantics_version_for("event") == 3
         assert semantics_version_for("batch") == 2
         with pytest.raises(ValueError):
             semantics_version_for("turbo")

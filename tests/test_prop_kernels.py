@@ -4,7 +4,7 @@ Each space states its metric once as the scalar ``distance`` /
 ``distance_sq`` and once as one batched kernel; :class:`Space` derives
 every batched query from the kernel (``distance_block``,
 ``rank_sq_block``, ``rank_sq_rows``, ``rank_sq_pools``,
-``pairwise_rank_sq``, ``pairwise``, ``distance_rows``,
+``pairwise_rank_sq``, ``distance_rows``,
 ``nearest_distance``).  These tests pin the contract for every shipped
 space: on canonical coordinates every query equals the scalar calls bit
 for bit (the kernel runs the scalar's operations in the scalar's
@@ -71,10 +71,11 @@ def test_distance_block_matches_scalar(space, data):
 def test_pairwise_matches_distance_block_rows(space, data):
     coords = data.draw(coords_2d(space, min_size=2, max_size=8))
     batch = space.pack_batch(coords)
-    matrix = space.pairwise(batch)
     matrix_sq = space.pairwise_rank_sq(batch)
     for i in range(len(coords)):
-        np.testing.assert_array_equal(matrix[i], space.distance_block(batch[i], batch))
+        np.testing.assert_array_equal(
+            np.sqrt(matrix_sq[i]), space.distance_block(batch[i], batch)
+        )
         np.testing.assert_array_equal(matrix_sq[i], space.rank_sq_block(batch[i], batch))
     # Within a pool, and across pools of a padded block, the same matrix.
     np.testing.assert_array_equal(space.rank_sq_pools(batch[None])[0], matrix_sq)
@@ -83,8 +84,8 @@ def test_pairwise_matches_distance_block_rows(space, data):
         matrix_sq[::-1, ::-1],
     )
     # Symmetry and zero diagonal are exact: |Δ| ignores orientation.
-    np.testing.assert_array_equal(matrix, matrix.T)
-    assert not np.diag(matrix).any()
+    np.testing.assert_array_equal(matrix_sq, matrix_sq.T)
+    assert not np.diag(matrix_sq).any()
 
 
 @pytest.mark.parametrize("space", [FlatTorus(80.0, 40.0), FlatTorus(3.0, 5.0)], ids=repr)
@@ -128,7 +129,7 @@ def test_torus_rank_kernels_bit_exact_on_grid():
             [space.distance_sq(origin, c) for c in coords],
         )
     np.testing.assert_array_equal(
-        space.pairwise(batch),
+        np.sqrt(space.pairwise_rank_sq(batch)),
         [[space.distance(a, b) for b in coords] for a in coords],
     )
 
@@ -183,7 +184,7 @@ class TestJaccardKernels:
     @settings(max_examples=30, deadline=None)
     def test_pairwise_symmetric(self, data):
         coords = data.draw(sets_coords(min_size=2, max_size=6))
-        matrix = self.space.pairwise(self.space.pack_batch(coords))
+        matrix = self.space.pairwise_rank_sq(self.space.pack_batch(coords))
         np.testing.assert_array_equal(matrix, matrix.T)
         assert np.all(np.diag(matrix) == 0.0)
 
@@ -860,7 +861,7 @@ NEAREST_SPACES = [
     FlatTorus(1.5, 7.25),
     Ring(12.5),
     # Three axes: ``einsum`` sums the squares in another order than the
-    # axis loop, so this torus keeps the (row-blocked) ``pairwise``.
+    # axis loop, so this torus checks that order.
     FlatTorus(4.0, 5.0, 6.0),
 ]
 
@@ -885,12 +886,12 @@ def _canonical_coords(data, space, n, grid):
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_blocked_nearest_node_matches_pairwise_min(space, grid, data):
-    """``_nearest_node`` ≡ ``np.min(space.pairwise(a, b), axis=1)`` bit
-    for bit, whatever the block size."""
+    """``_nearest_node`` ≡ the least of each query's distances to the
+    positions, bit for bit, whatever the block size."""
     n = data.draw(st.integers(1, 9))
     queries = _canonical_coords(data, space, n, grid)
     positions = _canonical_coords(data, space, data.draw(st.integers(1, 12)), grid)
-    want = np.min(space.pairwise(queries, positions), axis=1)
+    want = np.asarray([space.distance_block(q, positions).min() for q in queries])
     for step in sorted({1, max(n - 1, 1), n, n + 5}):
         with mock.patch.object(homogeneity_mod, "block_rows", lambda *_, s=step: s):
             got = homogeneity_mod._nearest_node(space, queries, positions)

@@ -1,11 +1,14 @@
-"""Property-based tests (hypothesis) for spaces, medoids and diameters."""
+"""Property-based tests (hypothesis) for spaces, medoids and the
+diameter PD splits along."""
 
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spaces import Euclidean, FlatTorus, JaccardSpace, diameter, medoid_index
+from repro.core.split import split_pd
+from repro.spaces import Euclidean, FlatTorus, JaccardSpace, medoid_index
+from repro.types import DataPoint
 
 from .helpers import sum_sq_distances
 
@@ -115,19 +118,25 @@ class TestMedoidProperties:
         assert sum_sq_distances(TORUS, coords[idx], coords) <= best + 1e-9
 
 
+def diameter_across_pd(space, coords):
+    """The largest distance between PD's two sides, and the largest
+    distance of the pool: equal when PD splits along a farthest pair
+    (its first endpoint goes to p, the second to q)."""
+    points = [DataPoint(i, c) for i, c in enumerate(coords)]
+    left, right = split_pd(space, points, coords[0], coords[0])
+    span = max(space.distance(a, b) for a in coords for b in coords)
+    if span == 0.0:  # identical points: no diameter, nothing to split
+        return span, span
+    return max(space.distance(a.coord, b.coord) for a in left for b in right), span
+
+
 class TestDiameterProperties:
     @given(st.lists(coord2, min_size=2, max_size=12))
     def test_diameter_is_max_pair(self, coords):
-        i, j = diameter(PLANE, coords)
-        span = PLANE.distance(coords[i], coords[j])
-        for a in coords:
-            for b in coords:
-                assert PLANE.distance(a, b) <= span + 1e-9
+        across, span = diameter_across_pd(PLANE, coords)
+        assert across >= span - 1e-9 * max(1.0, span)
 
     @given(st.lists(torus_coord, min_size=2, max_size=10))
     def test_diameter_on_torus(self, coords):
-        i, j = diameter(TORUS, coords)
-        span = TORUS.distance(coords[i], coords[j])
-        for a in coords:
-            for b in coords:
-                assert TORUS.distance(a, b) <= span + 1e-9
+        across, span = diameter_across_pd(TORUS, coords)
+        assert across >= span - 1e-9

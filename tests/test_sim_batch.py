@@ -94,43 +94,66 @@ class TestKernels:
             assert side.dtype == bool
 
     def test_batch_split_matches_scalar_split(self):
+        """The padded kernel and the event engine's one-pool SPLITs
+        against the plain-Python oracle (``tests/split_oracle.py``), on
+        every variant: tie-heavy pools on a small torus, pools of 31-40
+        points (the paper suggests sampling the diameter and medoid above
+        30, Sec. III-F; both engines stay exact there), and item sets
+        under the Jaccard distance.  The pools of each case are padded
+        into one block, so every pool also shares it with others."""
         from repro.core.split import make_split
         from repro.types import DataPoint
 
-        space = FlatTorus(16.0, 8.0)
-        rng = np.random.default_rng(7)
-        # Small pools, and pools of 31-40 points: the paper suggests
-        # sampling the diameter and medoid above 30 (Sec. III-F), and
-        # both engines must stay exact there.
-        sizes = [(2, 9)] * 20 + [(31, 41)] * 20
-        for variant in ("basic", "pd", "md", "advanced"):
-            for trial, (low, high) in enumerate(sizes):
-                n = int(rng.integers(low, high))
-                coords = np.floor(rng.random((n, 2)) * [16, 8])
-                points = [
-                    DataPoint(i, tuple(float(c) for c in coords[i]))
-                    for i in range(n)
-                ]
-                pos_p = tuple(float(c) for c in np.floor(rng.random(2) * [16, 8]))
-                pos_q = tuple(float(c) for c in np.floor(rng.random(2) * [16, 8]))
-                side_p, side_q = make_split(variant)(space, points, pos_p, pos_q)
-                got = batch_split(
-                    space,
-                    variant,
-                    coords[None, :, :],
-                    np.ones((1, n), dtype=bool),
-                    np.asarray([pos_p]),
-                    np.asarray([pos_q]),
-                )[0]
-                want = {p.pid for p in side_p}
-                assert {i for i in range(n) if got[i]} == want, (
-                    variant,
-                    trial,
-                    points,
-                    pos_p,
-                    pos_q,
-                )
+        from .split_oracle import split as oracle_split
 
+        rng = np.random.default_rng(7)
+        tiny = FlatTorus(6.0, 4.0)
+        grid = FlatTorus(16.0, 8.0)
+
+        def torus_coord(space):
+            return tuple(float(rng.integers(0, p)) for p in space.periods)
+
+        def item_set():
+            return frozenset(rng.choice(6, size=int(rng.integers(0, 4)), replace=False).tolist())
+
+        cases = [
+            (tiny, 200, (2, 9), lambda: torus_coord(tiny)),
+            (grid, 40, (2, 9), lambda: torus_coord(grid)),
+            (grid, 20, (31, 41), lambda: torus_coord(grid)),
+            # Fewer than eight points: a medoid cost is a sum in pool
+            # order, as the oracle's, and Jaccard costs are not integers.
+            (JaccardSpace(), 60, (2, 8), item_set),
+        ]
+        for space, n_pools, (low, high), draw in cases:
+            pools = []
+            for _ in range(n_pools):
+                n = int(rng.integers(low, high))
+                points = [DataPoint(i, draw()) for i in range(n)]
+                pools.append((points, draw(), draw()))
+            M, P = len(pools), max(len(points) for points, _, _ in pools)
+            if space.dim is None:
+                coords = np.empty((M, P), dtype=object)
+                coords[...] = frozenset()
+                pos_p = np.empty(M, dtype=object)
+                pos_q = np.empty(M, dtype=object)
+            else:
+                coords = np.zeros((M, P, space.dim))
+                pos_p = np.zeros((M, space.dim))
+                pos_q = np.zeros((M, space.dim))
+            valid = np.zeros((M, P), dtype=bool)
+            for m, (points, p, q) in enumerate(pools):
+                for i, point in enumerate(points):
+                    coords[m, i] = point.coord
+                valid[m, : len(points)] = True
+                pos_p[m], pos_q[m] = p, q
+            for variant in ("basic", "pd", "md", "advanced"):
+                side = batch_split(space, variant, coords, valid, pos_p, pos_q)
+                for m, (points, p, q) in enumerate(pools):
+                    want = oracle_split(variant, space, points, p, q)
+                    got = [i for i in range(len(points)) if side[m, i]]
+                    assert got == want[0], (space, variant, points, p, q)
+                    side_p, side_q = make_split(variant)(space, points, p, q)
+                    assert ([x.pid for x in side_p], [x.pid for x in side_q]) == want
 
 class TestBatchSimulation:
     def test_rejects_object_coordinate_spaces(self):

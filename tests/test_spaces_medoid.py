@@ -44,6 +44,16 @@ class TestMedoidExact:
         coords = [(0, 0), (0, 0), (0, 0)]
         assert medoid_index(plane, coords) == 0
 
+    def test_exact_tie_goes_to_the_first_point(self):
+        """Points 0 and 3 both cost exactly 27 (the others 47, 32, 87):
+        the cost sums squared distances as they are, so the tie is exact
+        and the first point wins.  Summing square roots squared again
+        rounds point 0's cost above point 3's."""
+        torus = FlatTorus(32.0, 16.0)
+        coords = [(15.0, 15.0), (15.0, 1.0), (15.0, 14.0), (14.0, 0.0), (11.0, 13.0)]
+        assert [sum_sq_distances(torus, c, coords) for c in coords] == [27, 47, 32, 27, 87]
+        assert medoid_index(torus, coords) == 0
+
     def test_modular_space(self):
         torus = FlatTorus(16.0)
         # Around the seam: 15, 0, 1 — the middle element is 0.
