@@ -220,12 +220,10 @@ def split_advanced(
     if len(points) == 2:
         a, b = points
         if space.distance_sq(b.coord, a.coord) > 0.0:
-            dist = space.distance
-            if dist(a.coord, pos_p) + dist(b.coord, pos_q) < dist(
-                b.coord, pos_p
-            ) + dist(a.coord, pos_q):
-                return [a], [b]
-            return [b], [a]
+            d = space.distance
+            delta_ab = d(a.coord, pos_p) + d(b.coord, pos_q)
+            delta_ba = d(b.coord, pos_p) + d(a.coord, pos_q)
+            return ([a], [b]) if delta_ab < delta_ba else ([b], [a])
     return _one_pool(space, "advanced", points, pos_p, pos_q)
 
 

@@ -133,7 +133,7 @@ class Space(ABC):
 
     def distance_rows(self, batch_a: Batch, batch_b: Batch) -> np.ndarray:
         """Paired rows: ``out[i] = distance(batch_a[i], batch_b[i])`` —
-        homogeneity's single-holder scan and MD's displacement legs."""
+        homogeneity's holder scans."""
         out = self._sq(self.pack_batch(batch_a), self.pack_batch(batch_b))
         return np.sqrt(out, out=out)
 

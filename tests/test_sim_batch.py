@@ -114,7 +114,8 @@ class TestKernels:
             return tuple(float(rng.integers(0, p)) for p in space.periods)
 
         def item_set():
-            return frozenset(rng.choice(6, size=int(rng.integers(0, 4)), replace=False).tolist())
+            size = int(rng.integers(0, 4))
+            return frozenset(rng.choice(6, size=size, replace=False).tolist())
 
         cases = [
             (tiny, 200, (2, 9), lambda: torus_coord(tiny)),
@@ -154,6 +155,7 @@ class TestKernels:
                     assert got == want[0], (space, variant, points, p, q)
                     side_p, side_q = make_split(variant)(space, points, p, q)
                     assert ([x.pid for x in side_p], [x.pid for x in side_q]) == want
+
 
 class TestBatchSimulation:
     def test_rejects_object_coordinate_spaces(self):
