@@ -195,18 +195,31 @@ def _merge_blocked(kernels, space, pos, ids, coords, ages, cap):
     """``merge_rank_truncate`` over budget-sized row blocks, cut the way
     ``_apply_merges`` cuts them (``block_rows(stride, width, dim)``).
     There a row is the view block plus whole messages, refused entries
-    left behind as ``-1`` holes; here every column is a live entry."""
+    left behind as ``-1`` holes; here every column is a live entry, its
+    version its flat index.  Returns the kept ``(versions, ages)``."""
     n, per = ids.shape
     stride = n
+    vers = np.arange(n * per, dtype=np.int32).reshape(n, per)
     step = kernels.block_rows(stride, per, coords.shape[2])
     outs = [
         kernels.merge_rank_truncate(
             space, pos[a : a + step], ids[a : a + step], coords[a : a + step],
-            ids[a : a + step] >= 0, cap, stride, ages[a : a + step],
+            vers[a : a + step], ids[a : a + step] >= 0, cap, stride,
+            ages[a : a + step],
         )
         for a in range(0, n, step)
     ]
     return tuple(np.concatenate(part) for part in zip(*outs))
+
+
+def _resolve_versions(ids, coords, vers):
+    """``(ids, coords)`` of the flat-index versions ``vers`` of a merge
+    block (``-1``: an empty slot, ``-1`` / zeros)."""
+    flat_ids = np.append(ids.ravel(), -1)
+    flat_coords = np.concatenate(
+        [coords.reshape(-1, coords.shape[2]), np.zeros((1, coords.shape[2]))]
+    )
+    return flat_ids[vers], flat_coords[vers]
 
 
 def _merge_flat_reference(kernels, space, pos, ids, coords, ages, cap):
@@ -262,7 +275,8 @@ def kernel_gate(threshold: float, repeats: int = 5) -> int:
             t_ref, out_ref = best_of(
                 _merge_flat_reference, kernels, space, *block, cap
             )
-            t_new, out_new = best_of(_merge_blocked, kernels, space, *block, cap)
+            t_new, (vers, ages) = best_of(_merge_blocked, kernels, space, *block, cap)
+            out_new = (*_resolve_versions(block[1], block[2], vers), ages)
             if not all(np.array_equal(a, b) for a, b in zip(out_ref, out_new)):
                 print(
                     f"FAIL: {label} ({lattice}): merge_rank_truncate output "

@@ -52,10 +52,13 @@ from ..sim.engine import Simulation
 #: dict plus a lazily packed array copy, where format 4 pickles the two
 #: arrays that are a view's whole state; format 4 kept event-engine
 #: placement in per-node dicts, where format 5 keeps it in the
-#: ``PlacementStore`` both engines share.  :func:`load` and
-#: :func:`restore` reject every format but this one (cached entries are
-#: disposable: one format, no legacy reader).
-CHECKPOINT_FORMAT = 5
+#: ``PlacementStore`` both engines share; format 5 pickled batch
+#: topology views as an id and a coordinate per slot, where format 6
+#: pickles an int32 descriptor version per slot and one descriptor table
+#: per layer.  :func:`load` and :func:`restore` reject every format but
+#: this one (cached entries are disposable: one format, no legacy
+#: reader).
+CHECKPOINT_FORMAT = 6
 
 _MAGIC = b"repro-ckpt"
 #: Offset of the checksummed body: magic, 64 hex digits, a newline.

@@ -43,7 +43,7 @@ from .. import arrays
 from ..engine import Layer, Observer, Simulation
 from ..network import Network
 from ..rng import derive_seed
-from .topology import _BatchTopologyBase
+from .topology import ViewIdMatrix, _BatchTopologyBase
 
 #: Version of the *batch* simulation semantics (the event engine is
 #: version 3 — :data:`repro.sim.engine.SEMANTICS_VERSION`).  Bump in the
@@ -160,15 +160,16 @@ class BatchSimulation(Simulation):
         return self.network.alive_mask(ids)
 
     def view_matrix(self):
-        """``(rows, ids)`` of :meth:`Simulation.view_matrix`, straight
-        from the topology layer's padded state (no copy)."""
+        """``(rows, ids)`` of :meth:`Simulation.view_matrix`, with
+        ``ids`` the topology layer's views read a row block at a time
+        (:class:`~repro.sim.batch.topology.ViewIdMatrix`)."""
         topo = next(
             (layer for layer in self.layers if isinstance(layer, _BatchTopologyBase)),
             None,
         )
         if topo is None:
             return super().view_matrix()
-        return self.alive_act_rows(), topo.view_arrays()[0]
+        return self.alive_act_rows(), ViewIdMatrix(topo)
 
     # -- canonical-state bridge -------------------------------------------
 
@@ -196,8 +197,8 @@ class BatchSimulation(Simulation):
     def canonical_view_ids(self) -> Dict[str, List[List[int]]]:
         """``{attribute: sorted view ids per table row}`` for every layer
         that states a ``canonical_attr`` — what ``sorted(node.<attribute>)``
-        reads after :meth:`sync_canonical`, taken from the padded id
-        matrices with one sort per layer.
+        reads after :meth:`sync_canonical`, taken from each layer's
+        padded ids (``ids_rows``) and sorted a row block at a time.
 
         A pure read, which is what lets
         :func:`repro.runtime.checkpoint.state_digest` fingerprint a
@@ -211,13 +212,17 @@ class BatchSimulation(Simulation):
             attr = getattr(layer, "canonical_attr", None)
             if attr is None:
                 continue
-            ids = np.sort(layer.view_arrays()[0][:n_rows], axis=1)
-            dup = (ids[:, 1:] == ids[:, :-1]) & (ids[:, 1:] >= 0)
-            if dup.any():
-                ids[:, 1:][dup] = -1
-                ids.sort(axis=1)
-            pads = (ids < 0).sum(axis=1).tolist()
-            rows = [row[k:] for row, k in zip(ids.tolist(), pads)]
+            rows = []
+            step = arrays.block_rows(0, layer.ids_rows(slice(0)).shape[1], 1)
+            for a in range(0, n_rows, step):
+                # Rows past the layer's allocation slice away: empty views.
+                ids = np.sort(layer.ids_rows(slice(a, min(a + step, n_rows))), axis=1)
+                dup = (ids[:, 1:] == ids[:, :-1]) & (ids[:, 1:] >= 0)
+                if dup.any():
+                    ids[:, 1:][dup] = -1
+                    ids.sort(axis=1)
+                pads = (ids < 0).sum(axis=1).tolist()
+                rows.extend(row[k:] for row, k in zip(ids.tolist(), pads))
             rows.extend([] for _ in range(n_rows - len(rows)))
             out[attr] = rows
         return out

@@ -89,9 +89,10 @@ class BatchPeerSampling:
                 "rps_views", "rps.views", 16 * (len(self._ids) - have) * self.view_size
             )
 
-    def view_arrays(self):
-        """The raw ``(ids, ages)`` state (rows indexed by table row)."""
-        return self._ids, self._ages
+    def ids_rows(self, rows) -> np.ndarray:
+        """The view ids of table ``rows`` (an index array or a slice),
+        ``-1`` padded."""
+        return self._ids[rows]
 
     # -- bootstrap oracle --------------------------------------------------
 
@@ -108,7 +109,11 @@ class BatchPeerSampling:
         if n == 0 or len(rows) == 0:
             return out
         gen = sim.rng_for(self.name)
-        own = table._nid_of[rows]
+        # Each row's own column among the alive peers (-1: not alive),
+        # through an id-indexed lookup rather than a rows x n compare.
+        col_of = np.full(len(table._row_of), -1, dtype=np.int64)
+        col_of[alive_ids] = np.arange(n)
+        own = col_of[table._nid_of[rows]]
         # A float64 key and an int64 partition cell per alive peer: a
         # row is network-sized, hence no row floor.  Row-major fill
         # makes the draws independent of the block size.
@@ -116,7 +121,8 @@ class BatchPeerSampling:
         for lo in range(0, len(rows), step):
             hi = min(lo + step, len(rows))
             keys = gen.random((hi - lo, n))
-            keys[alive_ids[None, :] == own[lo:hi, None]] = np.inf
+            hit = np.flatnonzero(own[lo:hi] >= 0)
+            keys[hit, own[lo + hit]] = np.inf
             pick = kernels.topk_smallest(keys, k)
             if obs_mem.ENABLED:
                 obs_mem.scratch("rps_pads", "rps.bootstrap_keys", 2 * keys.nbytes)

@@ -1,10 +1,25 @@
 """Batch topology construction: whole-network T-Man and Vicinity.
 
-View state lives in padded arrays indexed by node-table row: ``ids``
-``(R, C)`` with ``-1`` empty slots, ``coords`` ``(R, C, d)`` holding the
-*advertised* positions the descriptors carried (Vicinity adds ``ages``
-``(R, C)``).  One ``step`` runs the round for every alive node from the
-groomed round-start snapshot:
+A view slot holds a *descriptor*: a peer's id plus the position that
+peer advertised when the descriptor was sent (Sec. IV-A).  Many slots
+hold the same descriptor — at 80×40 the 320k filled slots of T-Man's
+views hold 3–10k distinct ones — so each is stored once, in a per-layer
+*descriptor table* (an int64 id and a float64 coordinate per
+*version*), and view state is padded arrays indexed by node-table row:
+int32 versions ``(R, C)`` with ``-1`` empty slots (Vicinity adds
+``ages`` ``(R, C)``).  The table's last slot is a sentinel — id ``-1``,
+zero coordinates — so a ``-1`` pad resolves through plain ``take``
+calls, as :class:`~repro.sim.arrays.NodeTable`'s does.  A node's fresh
+descriptor (its id at its current position: its own entry in an
+exchange pool, a bootstrap peer, a Vicinity RPS candidate) reuses its
+current version while its table coordinate is bitwise the one that
+version recorded, and is issued a new version otherwise, so a stored
+descriptor stays exactly as stale as the one it was copied from.  A
+full table compacts: the versions a view slot or a current-version
+column references are kept, renumbered in order.
+
+One ``step`` runs the round for every alive node from the groomed
+round-start snapshot:
 
 1. evict detectably-failed peers, re-bootstrap empty views from the
    peer-sampling layer;
@@ -13,10 +28,11 @@ groomed round-start snapshot:
 3. build both exchange buffers of every pair — the ``m`` descriptors of
    ``view ∪ {self}`` (Vicinity: ``∪ fresh RPS candidates``) closest to
    the *other* side's position — from the snapshot, as one stacked
-   message array (payloads above replies) beside its receiver column;
+   array of message versions (payloads above replies) beside its
+   receiver column;
 4. deliver all messages at once: every descriptor is metered, a
    receiver's own id and detected peers are blanked in place, fresher
-   coordinates overwrite, and every touched view is truncated to the
+   descriptors overwrite, and every touched view is truncated to the
    ``cap`` entries closest to the receiver's position, stored in ranked
    order.
 
@@ -24,25 +40,30 @@ Every stage runs a *row block* at a time: the groom (evicting and
 ageing in place, then one bootstrap call over every block's empty rows
 in row order), partner ranking, both directions of every exchange (one
 list of pool rows, each pool filled in place), the receivers' refusal
-filter and the merge each gather only
-:func:`~repro.sim.batch.kernels.block_rows` rows into padded scratch, so
-no block outgrows the scratch budget however large the network is and
-a step holds the views, the round's messages and one block.  Rows rank
-independently and RNG draws are taken for the whole network before (or,
-for the bootstrap, after) a block loop, so blocking changes no result
-and no stream.  A descriptor moves once: the messages stay stacked as
-step 3 built them, step 4 buckets *messages* (not entries) by receiver —
-one count, one stable radix pass over the receiver column — and a block
-of receivers scatters whole messages behind its view block, padded only
-to its own fullest row, for the fused
-:func:`~repro.sim.batch.kernels.merge_rank_truncate`.  What stays
-whole-network besides the messages is four message-length index columns.
+filter and the merge each resolve only
+:func:`~repro.sim.batch.kernels.block_rows` rows of versions into ids
+and coordinates, so no block outgrows the scratch budget however large
+the network is and a step holds the views, the round's messages and
+one block.  Rows rank independently, RNG draws are taken for the whole
+network before (or, for the bootstrap, after) a block loop, and every
+fresh version a step needs is issued before its block loop, so blocking
+changes no result and no stream, and no compaction renumbers a version
+a block loop holds.  A descriptor moves once: the messages stay stacked
+as step 3 built them, step 4 buckets *messages* (not entries) by
+receiver — one count, one stable radix pass over the receiver column —
+and a block of receivers scatters whole messages behind its view
+block, padded only to its own fullest row, for the fused
+:func:`~repro.sim.batch.kernels.merge_rank_truncate`, which ranks the
+resolved coordinates and keeps the winners' versions.  What stays
+whole-network besides the messages is four message-length index
+columns.
 
 View arrays are sized to the node table's capacity
 (:attr:`~repro.sim.arrays.NodeTable.capacity`) and numbered as its rows
 are: the table owns the one growth rule and the one renumbering, a
 layer only follows them, through :func:`~repro.sim.arrays.follow` (in
-place unless something else holds the array).
+place unless something else holds the array).  Versions are numbered
+independently of rows, so a reclaim renumbers none of them.
 
 Batch-vs-event semantic deltas: exchanges are snapshot-based rather
 than sequential, a node reached by several messages merges them in one
@@ -72,6 +93,19 @@ from ..arrays import ViewBuffer, follow
 from . import kernels
 
 
+class ViewIdMatrix:
+    """A topology layer's view ids read as the padded ``(rows, C)`` id
+    matrix of :meth:`~repro.sim.engine.Simulation.view_matrix`, one row
+    block at a time (``ids[rows]``), never materialised whole."""
+
+    def __init__(self, layer) -> None:
+        self._layer = layer
+        self.shape = layer._ver.shape
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return self._layer.ids_rows(rows)
+
+
 class _BatchTopologyBase:
     """Shared array plumbing of the two batch topology layers."""
 
@@ -90,29 +124,114 @@ class _BatchTopologyBase:
         self.capacity = capacity
         self.bootstrap_size = bootstrap_size
         self._coord_dim = space.dim
-        self._ids = np.full((0, capacity), -1, dtype=np.int64)
-        self._coords = np.zeros((0, capacity, space.dim), dtype=float)
+        self._ver = np.full((0, capacity), -1, dtype=np.int32)
         self._ages = np.zeros((0, capacity), dtype=np.int64) if with_ages else None
+        #: Each row's current version (``-1``: none issued yet).
+        self._cur = np.full(0, -1, dtype=np.int32)
+        #: The descriptor table: versions ``[0, _n_ver)`` are issued,
+        #: the last slot is the sentinel.
+        self._vnid = np.full(1, -1, dtype=np.int64)
+        self._vcoord = np.zeros((1, space.dim))
+        self._n_ver = 0
+        if obs_mem.ENABLED:
+            obs_mem.add("topology_views", f"{self.name}.views", self.nbytes)
 
     # -- storage -----------------------------------------------------------
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the view state: version slots (+ ages), the
+        current-version column and the descriptor table (the memory
+        ledger's ``<layer>.views`` site)."""
+        total = self._ver.nbytes + self._cur.nbytes
+        total += self._vnid.nbytes + self._vcoord.nbytes
+        if self._ages is not None:
+            total += self._ages.nbytes
+        return total
 
     def _ensure_rows(self, table) -> None:
         """Follow the node table (its capacity and row numbering: the
         table owns both; a layer only follows them)."""
-        have = len(self._ids)
-        follow(self, table, {"_ids": -1, "_coords": 0.0, "_ages": 0})
-        if obs_mem.ENABLED and len(self._ids) > have:
-            # int64 ids (+ int64 ages) and float64 coords per new slot.
-            cols = 1 + self._coord_dim + (self._ages is not None)
-            obs_mem.add(
-                "topology_views",
-                f"{self.name}.views",
-                8 * (len(self._ids) - have) * self.capacity * cols,
-            )
+        before = self.nbytes if obs_mem.ENABLED else 0
+        follow(self, table, {"_ver": -1, "_ages": 0, "_cur": -1})
+        if obs_mem.ENABLED:
+            obs_mem.add("topology_views", f"{self.name}.views", self.nbytes - before)
 
-    def view_arrays(self):
-        """The raw ``(ids, coords)`` state (rows indexed by table row)."""
-        return self._ids, self._coords
+    def _resolve(self, ver: np.ndarray):
+        """``(ids, coords)`` of a version block of any shape: int64 ids
+        and float coordinates, ``-1`` / zeros where the version is
+        ``-1``."""
+        return self._vnid.take(ver), self._vcoord.take(ver, axis=0)
+
+    def ids_rows(self, rows) -> np.ndarray:
+        """The view ids of table ``rows`` (an index array or a slice),
+        ``-1`` padded — how readers outside the layer see its views."""
+        return self._vnid.take(self._ver[rows])
+
+    # -- the descriptor table ------------------------------------------------
+
+    def _fresh(self, table, rows: np.ndarray) -> np.ndarray:
+        """Versions of the descriptors the nodes at table ``rows`` (any
+        shape, ``-1`` for none) advertise now: their ids at their
+        current positions.  A row keeps its current version while the
+        table's coordinate is bitwise the one that version recorded;
+        otherwise (the node moved, the row changed hands, or it never
+        advertised) it is issued one new version.  May compact the
+        table, so it renumbers versions a caller holds: call it before
+        reading the views."""
+        out = np.full(rows.shape, -1, dtype=np.int32)
+        has = rows >= 0
+        rows = rows[has]
+        cur = self._cur.take(rows)
+        stale = self._vnid.take(cur) != table._nid_of.take(rows)
+        bits = self._vcoord.take(cur, axis=0).view(np.int64)
+        stale |= (bits != table._coords.take(rows, axis=0).view(np.int64)).any(axis=1)
+        if stale.any():
+            new = np.unique(rows[stale])
+            k = len(new)
+            if self._n_ver + k > len(self._vnid) - 1:
+                self._compact_versions(k)
+            first = self._n_ver
+            self._vnid[first : first + k] = table._nid_of[new]
+            self._vcoord[first : first + k] = table._coords[new]
+            self._cur[new] = np.arange(first, first + k, dtype=np.int32)
+            self._n_ver += k
+            cur = self._cur.take(rows)
+        out[has] = cur
+        return out
+
+    def _live_versions(self) -> np.ndarray:
+        """Bool mask over the issued versions: those a view slot or the
+        current-version column references."""
+        live = np.zeros(self._n_ver + 1, dtype=bool)  # the last cell takes -1
+        step = kernels.block_rows(0, self.capacity, 1)
+        for a in range(0, len(self._ver), step):
+            live[self._ver[a : a + step]] = True
+        live[self._cur] = True
+        return live[:-1]
+
+    def _compact_versions(self, extra: int = 0) -> None:
+        """Keep the live versions (:meth:`_live_versions`), renumbered in
+        order, in a table of twice their number plus ``extra`` (the
+        versions about to be issued): the room a compaction leaves is at
+        least what it kept, so its cost, O(view slots + table), is O(1)
+        per version issued."""
+        before = self.nbytes if obs_mem.ENABLED else 0
+        keep = np.flatnonzero(self._live_versions())
+        remap = np.full(self._n_ver + 1, -1, dtype=np.int32)  # -1 stays -1
+        remap[keep] = np.arange(len(keep), dtype=np.int32)
+        step = kernels.block_rows(0, self.capacity, 1)
+        for a in range(0, len(self._ver), step):
+            self._ver[a : a + step] = remap.take(self._ver[a : a + step])
+        self._cur[:] = remap.take(self._cur)
+        size = 2 * (len(keep) + extra) + 1
+        vnid = np.full(size, -1, dtype=np.int64)
+        vcoord = np.zeros((size, self._coord_dim))
+        vnid[: len(keep)] = self._vnid[keep]
+        vcoord[: len(keep)] = self._vcoord[keep]
+        self._vnid, self._vcoord, self._n_ver = vnid, vcoord, len(keep)
+        if obs_mem.ENABLED:
+            obs_mem.add("topology_views", f"{self.name}.views", self.nbytes - before)
 
     # -- bootstrap ---------------------------------------------------------
 
@@ -123,11 +242,13 @@ class _BatchTopologyBase:
             return
         table = sim.network.table
         peers = self.rps.sample_rows(sim, rows, self.bootstrap_size)
-        self._ids[rows] = -1
-        self._coords[rows] = 0.0
+        self._ver[rows] = -1
         if self._ages is not None:
             self._ages[rows] = 0
         n_peers = peers.shape[1]
+        if n_peers == 0:
+            return
+        got = self._fresh(table, table.rows_of(peers))
         if n_peers > self.capacity:
             # A draw wider than the view keeps the ``capacity`` peers
             # closest to the node: T-Man's bounded-view rule, which the
@@ -136,19 +257,14 @@ class _BatchTopologyBase:
             stride = 1 + int(peers.max(initial=-1))
             step = kernels.block_rows(stride, n_peers, self._coord_dim)
             for a in range(0, len(rows), step):
-                blk, got = rows[a : a + step], peers[a : a + step]
-                self._ids[blk], self._coords[blk] = kernels.merge_rank_truncate(
-                    self.space,
-                    pos[blk],
-                    got,
-                    table.gather(got),
-                    got >= 0,
-                    self.capacity,
-                    stride,
-                )
-        elif n_peers:
-            self._ids[rows, :n_peers] = peers
-            self._coords[rows, :n_peers] = table.gather(peers)
+                blk, ver = rows[a : a + step], got[a : a + step]
+                ids, coords = self._resolve(ver)
+                self._ver[blk] = kernels.merge_rank_truncate(
+                    self.space, pos[blk], ids, coords, ver, ver >= 0,
+                    self.capacity, stride,
+                )[0]
+        else:
+            self._ver[rows, :n_peers] = got
 
     def init_network(self, sim) -> None:
         self._ensure_rows(sim.network.table)
@@ -164,16 +280,17 @@ class _BatchTopologyBase:
         """``(ids, pick, kd)`` of a row block: its view ids, the columns
         of each row's ``k`` closest *alive* entries, closest first, and
         their squared rank distances (``inf`` past the last alive one)."""
-        ids = self._ids[rows]
-        d = kernels.row_rank_sq(self.space, pos[rows], self._coords[rows])
+        ver = self._ver[rows]
+        ids, coords = self._resolve(ver)
+        d = kernels.row_rank_sq(self.space, pos[rows], coords)
         d[~sim.alive_entry_mask(ids)] = np.inf
         if obs_mem.ENABLED:
-            # At the rank: the id and coordinate gathers and the three
-            # (rows, C) float blocks the rank kernel holds at once.
+            # At the rank: the version, id and coordinate blocks and the
+            # three (rows, C) float blocks the rank kernel holds at once.
             obs_mem.scratch(
                 "topology_pads",
                 f"{self.name}.rank_block",
-                ids.nbytes * (1 + self._coord_dim) + 3 * d.nbytes,
+                ver.nbytes + ids.nbytes + coords.nbytes + 3 * d.nbytes,
             )
         pick = kernels.topk_smallest(d, k)
         kd = kernels.take_rows(d, pick)
@@ -204,14 +321,13 @@ class _BatchTopologyBase:
     def view_of(self, node) -> ViewBuffer:
         if node.row < 0:  # a reclaimed row: nothing to read
             return ViewBuffer(self._coord_dim)
-        ids = self._ids[node.row]
-        coords = self._coords[node.row]
+        ver = self._ver[node.row]
+        ids, coords = self._resolve(ver[ver >= 0])
         return ViewBuffer(
             self._coord_dim,
             (
-                (int(nid), tuple(float(c) for c in coord))
-                for nid, coord in zip(ids, coords)
-                if nid >= 0
+                (nid, tuple(coord))
+                for nid, coord in zip(ids.tolist(), coords.tolist())
             ),
         )
 
@@ -227,21 +343,22 @@ class _BatchTopologyBase:
         step = kernels.block_rows(0, self.capacity, 1)
         for a in range(0, len(act), step):
             rows = act[a : a + step]
-            ids = self._ids[rows]
+            ver = self._ver[rows]
+            ids = self._vnid.take(ver)
             evict = sim.detected_entry_mask(ids)
-            held = ids >= 0
+            held = ver >= 0
             if obs_mem.ENABLED:
-                # The id block and its row index (detected_entry_mask's
-                # gather), two masks.
+                # The version block, its ids and their rows
+                # (detected_entry_mask's gather), two masks.
                 obs_mem.scratch(
                     "topology_pads",
                     f"{self.name}.groom",
-                    2 * ids.nbytes + evict.nbytes + held.nbytes,
+                    ver.nbytes + 2 * ids.nbytes + evict.nbytes + held.nbytes,
                 )
             if evict.any():
-                ids[evict] = -1
+                ver[evict] = -1
                 held &= ~evict
-                self._ids[rows] = ids
+                self._ver[rows] = ver
             if self._ages is not None:
                 ages = self._ages[rows]
                 ages[evict] = 0
@@ -260,16 +377,19 @@ class _BatchTopologyBase:
         extra_i=None,
         extra_q=None,
     ):
-        """The round's messages, stacked: ``(recv, ids, coords)`` with
-        the payloads (sent by ``irow`` to ``qrow``) above the replies.
+        """The round's messages, stacked: ``(recv, vers)`` — the
+        versions of the descriptors sent, ``-1`` padded — with the
+        payloads (sent by ``irow`` to ``qrow``) above the replies.
 
         Each side's pool is its view entries plus its own fresh
         descriptor (plus optional extra descriptors at current
         positions); a message is the ``m`` pool entries closest to the
-        *receiver's* position.  Both directions are one list of pool
-        rows, ranked a row block at a time (every row ranks
-        independently), so the gathered pools stay O(block).
+        *receiver's* position.  Every fresh version is issued up front;
+        then both directions are one list of pool rows, ranked a row
+        block at a time (every row ranks independently), so the resolved
+        pools stay O(block).
         """
+        table = sim.network.table
         E = len(irow)
         dim = self._coord_dim
         rows = np.concatenate([irow, qrow])
@@ -277,60 +397,42 @@ class _BatchTopologyBase:
         if extra_i is None:
             extra = np.empty((2 * E, 0), dtype=np.int64)
         else:
-            extra = np.concatenate([extra_i, extra_q])
-        width = self.capacity + 1 + extra.shape[1]
+            extra = table.rows_of(np.concatenate([extra_i, extra_q]))
+        # One call: a compaction inside a second one would renumber the first's.
+        fresh = self._fresh(table, np.concatenate([rows, extra.ravel()]))
+        own, extra = fresh[: 2 * E], fresh[2 * E :].reshape(extra.shape)
+        C = self.capacity
+        width = C + 1 + extra.shape[1]
         k = min(m, width)
-        ids = np.empty((2 * E, k), dtype=np.int64)
-        coords = np.empty((2 * E, k, dim))
+        vers = np.empty((2 * E, k), dtype=np.int32)
         step = kernels.block_rows(0, width, dim)
         for a in range(0, 2 * E, step):
             blk = slice(a, a + step)
-            pool_ids, pool_coords = self._pool_blocks(sim, rows[blk], pos, extra[blk])
+            pool = np.empty((len(rows[blk]), width), dtype=np.int32)
+            pool[:, :C] = self._ver[rows[blk]]
+            pool[:, C] = own[blk]
+            pool[:, C + 1 :] = extra[blk]
+            pool_coords = self._vcoord.take(pool, axis=0)
             d = kernels.row_rank_sq(self.space, pos[recv[blk]], pool_coords)
-            d[pool_ids < 0] = np.inf
+            d[pool < 0] = np.inf
             if obs_mem.ENABLED:
-                # At the rank: both pools and three (rows, width) float
-                # blocks of the rank kernel.
+                # At the rank: the pool's versions and coordinates and
+                # three (rows, width) float blocks of the rank kernel.
                 obs_mem.scratch(
                     "topology_pads",
                     f"{self.name}.exchange_pool",
-                    pool_ids.nbytes + pool_coords.nbytes + 3 * d.nbytes,
+                    pool.nbytes + pool_coords.nbytes + 3 * d.nbytes,
                 )
             pick = kernels.topk_smallest(d, m)
             kd = kernels.take_rows(d, pick)
-            ids[blk] = np.where(np.isfinite(kd), kernels.take_rows(pool_ids, pick), -1)
-            coords[blk] = kernels.take_rows(pool_coords, pick)
-        return recv, ids, coords
+            vers[blk] = np.where(np.isfinite(kd), kernels.take_rows(pool, pick), -1)
+        return recv, vers
 
-    def _pool_blocks(self, sim, rows, pos, extra_ids):
-        """One side's padded pool, filled in place: view entries, own
-        fresh descriptor, extra descriptors (possibly none) at current
-        positions."""
-        table = sim.network.table
-        C = self.capacity
-        width = C + 1 + extra_ids.shape[1]
-        pool_ids = np.empty((len(rows), width), dtype=np.int64)
-        pool_coords = np.empty((len(rows), width, self._coord_dim))
-        pool_ids[:, :C] = self._ids[rows]
-        pool_coords[:, :C] = self._coords[rows]
-        pool_ids[:, C] = table._nid_of[rows]
-        pool_coords[:, C] = pos[rows]
-        if width > C + 1:
-            pool_ids[:, C + 1 :] = extra_ids
-            pool_coords[:, C + 1 :] = table.gather(extra_ids)
-        return pool_ids, pool_coords
-
-    def _apply_merges(
-        self,
-        sim,
-        recv: np.ndarray,
-        ids: np.ndarray,
-        coords: np.ndarray,
-    ) -> None:
+    def _apply_merges(self, sim, recv: np.ndarray, vers: np.ndarray) -> None:
         """Deliver the round's stacked messages — message ``j`` is the
-        ``k`` descriptors ``ids[j]`` / ``coords[j]`` for row ``recv[j]``,
-        listed in arrival order — and merge them into the receivers'
-        views through the fused ranked merge-truncate.
+        ``k`` descriptor versions ``vers[j]`` for row ``recv[j]``, listed
+        in arrival order — and merge them into the receivers' views
+        through the fused ranked merge-truncate.
 
         Every descriptor sent is metered; what a receiver then refuses
         (its own id, detected peers) becomes a ``-1`` hole *in place*.
@@ -353,29 +455,30 @@ class _BatchTopologyBase:
         pos = table.coords_rows()
         C = self.capacity
         dim = self._coord_dim
-        M, k = ids.shape
+        M, k = vers.shape
 
         # Metering and refusal, a block of messages at a time: the
         # detector's row gather is as large as the messages' ids.
         sent = 0
         step = kernels.block_rows(0, k, 1)
         for a in range(0, M, step):
-            blk = ids[a : a + step]
+            blk = vers[a : a + step]
+            ids = self._vnid.take(blk)
             sent += int(np.count_nonzero(blk >= 0))
-            refused = sim.detected_entry_mask(blk)
-            refused |= blk == table._nid_of[recv[a : a + step]][:, None]
+            refused = sim.detected_entry_mask(ids)
+            refused |= ids == table._nid_of[recv[a : a + step]][:, None]
             blk[refused] = -1
         sim.meter.charge_descriptors(self.name, sent, dim)
 
         # Receivers: every row addressed by a message gets re-ranked,
         # even if the filter left it nothing.  Fullest first, so a
         # block's first row is its widest.
-        cnt = np.bincount(recv, minlength=len(self._ids))
+        cnt = np.bincount(recv, minlength=len(self._ver))
         recv_rows = np.flatnonzero(cnt)
         recv_rows = recv_rows[kernels.radix_argsort(cnt[recv_rows])[::-1]]
         cnt = cnt[recv_rows]
         U = len(recv_rows)
-        slot_of = np.zeros(len(self._ids), dtype=np.int64)
+        slot_of = np.zeros(len(self._ver), dtype=np.int64)
         slot_of[recv_rows] = np.arange(U)
 
         # A stable radix grouping by receiver slot keeps a receiver's
@@ -393,11 +496,11 @@ class _BatchTopologyBase:
             obs_mem.scratch(
                 "topology_pads",
                 f"{self.name}.messages",
-                ids.nbytes + coords.nbytes
-                + recv.nbytes + slot.nbytes + order.nbytes + nth.nbytes,
+                vers.nbytes + recv.nbytes + slot.nbytes + order.nbytes + nth.nbytes,
             )
 
-        stride = 1 + max(int(self._ids.max(initial=-1)), int(ids.max(initial=-1)))
+        # Every id a view or a message holds is in the descriptor table.
+        stride = 1 + int(self._vnid.max())
         a = 0
         while a < U:
             n_max = int(cnt[a])
@@ -405,16 +508,13 @@ class _BatchTopologyBase:
             b = min(U, a + kernels.block_rows(stride, width, dim))
             rows = recv_rows[a:b]
             run = slice(int(ends[a] - cnt[a]), int(ends[b - 1]))
-            src = order[run]
             at = (slot[run] - a, nth[run])
-            ids_pad = np.full((b - a, width), -1, dtype=np.int64)
-            coords_pad = np.zeros((b - a, width, dim))
-            ids_pad[:, :C] = self._ids[rows]
-            coords_pad[:, :C] = self._coords[rows]
+            pad = np.full((b - a, width), -1, dtype=np.int32)
+            pad[:, :C] = self._ver[rows]
             # Splitting the tail columns into (message, entry) is a view.
-            ids_pad[:, C:].reshape(b - a, n_max, k)[at] = ids[src]
-            coords_pad[:, C:].reshape(b - a, n_max, k, dim)[at] = coords[src]
-            valid = ids_pad >= 0
+            pad[:, C:].reshape(b - a, n_max, k)[at] = vers[order[run]]
+            ids_pad, coords_pad = self._resolve(pad)
+            valid = pad >= 0
             ages_pad = None
             if self._ages is not None:
                 # Incoming descriptors are freshly heard of: age 0.
@@ -424,7 +524,7 @@ class _BatchTopologyBase:
                 # The pads, and what the fused kernel holds beside them:
                 # its int32 last-writer table and about three (rows,
                 # width) int64 columns in flight (index, key, order).
-                pad_bytes = ids_pad.nbytes + coords_pad.nbytes + valid.nbytes
+                pad_bytes = pad.nbytes + ids_pad.nbytes + coords_pad.nbytes + valid.nbytes
                 if ages_pad is not None:
                     pad_bytes += ages_pad.nbytes
                 obs_mem.scratch(
@@ -432,13 +532,12 @@ class _BatchTopologyBase:
                     f"{self.name}.merge_pad",
                     pad_bytes + 4 * (b - a) * stride + 3 * ids_pad.nbytes,
                 )
-            out = kernels.merge_rank_truncate(
-                self.space, pos[rows], ids_pad, coords_pad, valid, C, stride, ages_pad
+            ver, ages = kernels.merge_rank_truncate(
+                self.space, pos[rows], ids_pad, coords_pad, pad, valid, C, stride, ages_pad
             )
-            self._ids[rows] = out[0]
-            self._coords[rows] = out[1]
-            if ages_pad is not None:
-                self._ages[rows] = out[2]
+            self._ver[rows] = ver
+            if ages is not None:
+                self._ages[rows] = ages
             a = b
 
     # -- canonical-state bridge ---------------------------------------------
@@ -453,11 +552,14 @@ class _BatchTopologyBase:
                 continue
             node.tman_view = self.view_of(node)
             if self._ages is not None:
-                ids = self._ids[node.row]
-                ages = self._ages[node.row]
-                node.vicinity_age = {
-                    int(i): int(a) for i, a in zip(ids, ages) if i >= 0
-                }
+                ver = self._ver[node.row]
+                held = ver >= 0
+                node.vicinity_age = dict(
+                    zip(
+                        self._vnid.take(ver[held]).tolist(),
+                        self._ages[node.row][held].tolist(),
+                    )
+                )
 
 
 class BatchTMan(_BatchTopologyBase):
@@ -562,8 +664,9 @@ class BatchVicinity(_BatchTopologyBase):
         # Partner: the oldest entry (ties to the max id), alive or not —
         # a dead-but-undetected partner still answers, as in the event
         # engine's PeerSim-style model.
-        ids_act = self._ids[act]
-        valid = ids_act >= 0
+        ver_act = self._ver[act]
+        ids_act = self._vnid.take(ver_act)
+        valid = ver_act >= 0
         agekey = np.where(valid, self._ages[act], -1)
         oldest = agekey.max(axis=1)
         can = valid & (agekey == oldest[:, None])

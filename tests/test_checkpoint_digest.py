@@ -231,10 +231,9 @@ class TestArrayNativeDigestMatchesOracle:
         rps, tman = sim.layers[0], sim.layers[1]
         a, b, c = (sim.network.node(nid).row for nid in sim.network.alive_ids()[:3])
         rps._ids[a] = -1  # an alive node with an empty view
-        tman._ids[b] = -1
+        tman._ver[b] = -1
         rps._ids[c, 1] = rps._ids[c, 0]  # a dict would keep one entry
-        tman._ids[c, 2] = tman._ids[c, 0]
-        tman._coords[c, 2] = tman._coords[c, 0]
+        tman._ver[c, 2] = tman._ver[c, 0]  # one descriptor in two slots
         assert_digest_is_pure(sim)
         views = sim.canonical_view_ids()
         assert views["rps_view"][a] == [] and views["tman_view"][b] == []
@@ -246,10 +245,10 @@ class TestArrayNativeDigestMatchesOracle:
         sim, *_ = prepare_scenario(config())
         sim.run(2)
         node = sim.network.add_node((0.5, 0.5), None)
-        allocated = [len(layer._ids) for layer in sim.layers[:2]]
+        allocated = [len(layer.ids_rows(slice(None))) for layer in sim.layers[:2]]
         assert all(node.row >= n for n in allocated)
         assert_digest_is_pure(sim)
-        assert [len(layer._ids) for layer in sim.layers[:2]] == allocated
+        assert [len(layer.ids_rows(slice(None))) for layer in sim.layers[:2]] == allocated
 
     def test_stale_synced_views_are_ignored(self):
         """A simulation that was ``sync_canonical()``-ed (routing probe,
@@ -486,16 +485,33 @@ def _truncate(path, sim) -> None:
 
 
 def _flip_tman_coordinate_bit(path, sim) -> None:
-    """One mantissa bit of a stored T-Man view coordinate: state the
-    digest does not cover (it reads view *ids*), so only the byte
+    """One mantissa bit of a stored T-Man view coordinate — of a
+    descriptor a view slot holds, in the layer's descriptor table: state
+    the digest does not cover (it reads view *ids*), so only the byte
     checksum can see it."""
     tman = sim.layers[1]
-    row, slot = np.argwhere(tman._ids >= 0)[5]
+    ver = tman._ver[tman._ver >= 0][5]
     raw = bytearray(path.read_bytes())
-    at = raw.find(tman._coords.tobytes()) + tman._coords[: row + 1, : slot + 1].nbytes
-    assert at > len(raw) // 8
-    raw[at] ^= 0x04
+    start = raw.find(tman._vcoord.tobytes())
+    assert start > len(raw) // 8
+    raw[start + tman._vcoord[:ver].nbytes] ^= 0x04  # a low mantissa byte
     path.write_bytes(bytes(raw))
+
+
+def _rewrite_as_format_5(path, sim) -> None:
+    """The same state behind a format-5 header — what a build from
+    before descriptor versions wrote (checksum intact): a stale format,
+    refused before anything is unpickled."""
+    stale = checkpoint.SimulationCheckpoint(
+        format=5,
+        round=sim.round,
+        seed=sim.seed,
+        n_alive=sim.network.n_alive,
+        n_total=sim.network.n_total,
+        layer_names=[layer.name for layer in sim.layers],
+        sim=sim,
+    )
+    checkpoint.save(stale, path)
 
 
 @pytest.fixture
@@ -514,13 +530,26 @@ def test_damaged_entry_fetched_by_a_worker_runs_cold(tmp_path, obs_on, damage):
     announced (``expect_digest``) finds it damaged — the entry is
     discarded, the miss is counted and logged, the cell runs cold and
     its stored result is ``diff_stores``-equal to a cold sweep's."""
+    assert_refused_entry_runs_cold(tmp_path, obs_on, damage, "checksum")
+
+
+def test_format_5_entry_is_refused_as_stale_and_runs_cold(tmp_path, obs_on):
+    """A cache entry a format-5 build published (batch views as an id
+    and a coordinate per slot) is refused by its format number, not
+    unpickled; the fork sweep's cell falls back to a cold run."""
+    assert_refused_entry_runs_cold(
+        tmp_path, obs_on, _rewrite_as_format_5, "unsupported checkpoint format 5 "
+    )
+
+
+def assert_refused_entry_runs_cold(tmp_path, events, damage, refusal) -> None:
     cfg = config(failure_round=5, reinjection_round=None, total_rounds=8)
     prefix = prefix_scenario(cfg)
     sim = run_prefix(cfg)
     cache = CheckpointCache(tmp_path / "cache")
     digest, path = cache.publish(prefix, checkpoint.snapshot(sim))
     damage(path, sim)
-    with pytest.raises(CheckpointError, match="checksum"):
+    with pytest.raises(CheckpointError, match=refusal):
         checkpoint.load(path)
 
     clear_checkpoint_memo()
@@ -537,8 +566,8 @@ def test_damaged_entry_fetched_by_a_worker_runs_cold(tmp_path, obs_on, damage):
     assert cell.metrics["counters"]["checkpoint.corrupt"] == 1
     assert cell.metrics["counters"]["cells.cold"] == 1
     assert not path.exists() and not path.with_suffix(".json").exists()
-    events = [json.loads(line)["event"] for line in obs_on.read_text().splitlines()]
-    assert "checkpoint.corrupt" in events
+    logged = [json.loads(line)["event"] for line in events.read_text().splitlines()]
+    assert "checkpoint.corrupt" in logged
 
     cold_store = ResultStore(tmp_path / "cold.jsonl")
     ParallelRunner(workers=1).run(

@@ -288,13 +288,14 @@ class TestMemLedger:
         ids = rng.integers(0, n_rows, (n_rows, width)).astype(np.int64)
         coords = rng.integers(0, 8, (n_rows, width, 2)).astype(float)
         ages = rng.integers(0, 50, (n_rows, width)).astype(np.int64)
+        vers = np.arange(n_rows * width, dtype=np.int32).reshape(n_rows, width)
         valid = np.ones((n_rows, width), dtype=bool)
         obs_mem.set_enabled(True)
         obs_mem.reset()
         tracemalloc.start()
         try:
             kernels.merge_rank_truncate(
-                space, pos, ids, coords, valid, cap, n_rows, ages
+                space, pos, ids, coords, vers, valid, cap, n_rows, ages
             )
             _, tm_peak = tracemalloc.get_traced_memory()
         finally:
@@ -385,13 +386,14 @@ class TestMemLedger:
         ages_pad = rng.integers(0, 9, (n, width))
         obs_mem.reset()
         obs_mem.set_enabled(True)
+        vers_pad = np.arange(n * width, dtype=np.int32).reshape(n, width)
         out = kernels.merge_rank_truncate(
             FlatTorus(16.0, 8.0), coords_pad[:, 0], np.where(valid, ids_pad, -1),
-            coords_pad, valid, cap, width, ages_pad,
+            coords_pad, vers_pad, valid, cap, width, ages_pad,
         )
         obs_mem.set_enabled(False)
         sites = obs_mem.snapshot()["sites"]
-        assert [o.shape[:2] for o in out] == [(n, cap)] * 3
+        assert [o.shape[:2] for o in out] == [(n, cap)] * 2
         assert sites["merge_rank_truncate.out"]["peak"] == sum(o.nbytes for o in out)
         assert sites["take_rows.index"]["peak"] == 8 * n * cap
 

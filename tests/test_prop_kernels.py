@@ -497,7 +497,13 @@ def test_merge_rank_truncate_matches_dict_model(impl, lattice, data):
         dsq = space.rank_sq_rows(pos, coords_pad)
         assert batch_kernels.exact_rank_key(dsq, max(stride, 1)) is not None
     want = _merge_model(space, pos, ids_pad, coords_pad, valid, cap, ages_pad)
-    got = impl(space, pos, ids_pad, coords_pad, valid, cap, stride, ages_pad)
+    # Each entry's version is its flat index; the sentinel resolves -1.
+    vers_pad = np.arange(n_rows * width, dtype=np.int32).reshape(n_rows, width)
+    vers, ages = impl(space, pos, ids_pad, coords_pad, vers_pad, valid, cap, stride, ages_pad)
+    assert vers.dtype == np.int32 and (ages is None) == (ages_pad is None)
+    flat_ids = np.append(ids_pad.ravel(), -1)
+    flat_coords = np.concatenate([coords_pad.reshape(-1, 2), np.zeros((1, 2))])
+    got = [flat_ids[vers], flat_coords[vers]] + ([] if ages is None else [ages])
     assert len(got) == len(want)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
@@ -664,6 +670,7 @@ from repro.experiments.scenario import ScenarioConfig, prepare_scenario
 from repro.runtime import state_digest
 from repro.sim.batch.topology import BatchTMan, BatchVicinity
 
+from .helpers import put_descriptors
 from .topology_merge_oracle import MergeSim
 
 
@@ -703,37 +710,36 @@ def test_keep_last_per_row_matches_sort_oracle(data):
     )
 
 
-def _whole_network_merge(layer, sim, recv, ids, coords):
-    """Expected ``(ids, coords, ages)`` state: every addressed receiver's
+def _whole_network_merge(layer, sim, recv, vers):
+    """Expected ``(versions, ages)`` state: every addressed receiver's
     view and filtered incoming entries, in arrival order, in ONE pad
     handed to ONE kernel call."""
     table = sim.network.table
-    C, dim = layer.capacity, layer._coord_dim
+    C = layer.capacity
     incoming = {}
-    for r, id_row, coord_row in zip(recv.tolist(), ids.tolist(), coords):
+    for r, ver_row in zip(recv.tolist(), vers.tolist()):
         got = incoming.setdefault(r, [])
-        for nid, coord in zip(id_row, coord_row):
-            if nid >= 0 and nid != table._nid_of[r] and nid not in sim._detected:
-                got.append((nid, coord))
+        for ver in ver_row:
+            nid = int(layer._vnid[ver])
+            if ver >= 0 and nid != table._nid_of[r] and nid not in sim._detected:
+                got.append(ver)
     recv = np.asarray(sorted(incoming), dtype=np.int64)
     width = C + max(len(got) for got in incoming.values())
-    ids_pad = np.full((len(recv), width), -1, dtype=np.int64)
-    coords_pad = np.zeros((len(recv), width, dim))
-    ids_pad[:, :C] = layer._ids[recv]
-    coords_pad[:, :C] = layer._coords[recv]
+    pad = np.full((len(recv), width), -1, dtype=np.int32)
+    pad[:, :C] = layer._ver[recv]
     ages_pad = None
     if layer._ages is not None:
         ages_pad = np.zeros((len(recv), width), dtype=np.int64)
         ages_pad[:, :C] = layer._ages[recv]
     for u, r in enumerate(recv.tolist()):
-        for j, (nid, coord) in enumerate(incoming[r]):
-            ids_pad[u, C + j] = nid
-            coords_pad[u, C + j] = coord
+        pad[u, C : C + len(incoming[r])] = incoming[r]
+    ids_pad = layer._vnid.take(pad)
     out = batch_kernels.merge_rank_truncate(
-        layer.space, table.coords_rows()[recv], ids_pad, coords_pad,
-        ids_pad >= 0, C, int(ids_pad.max(initial=-1)) + 1, ages_pad,
+        layer.space, table.coords_rows()[recv], ids_pad,
+        layer._vcoord.take(pad, axis=0), pad, pad >= 0, C,
+        int(ids_pad.max(initial=-1)) + 1, ages_pad,
     )
-    want = [layer._ids.copy(), layer._coords.copy()]
+    want = [layer._ver.copy()]
     if ages_pad is not None:
         want.append(layer._ages.copy())
     for state, block in zip(want, out):
@@ -779,10 +785,12 @@ def test_blocked_apply_merges_matches_whole_network_call(with_ages, data):
         layer = BatchTMan(space, rps=None, view_cap=cap)
     layer._ensure_rows(sim.network.table)
     # Stored views hold each id at most once (every merge dedups).
+    view_ids = np.full((n_rows, cap), -1, dtype=np.int64)
     for r in range(n_rows):
         held = data.draw(st.lists(st.integers(0, 60), max_size=cap, unique=True))
-        layer._ids[r, : len(held)] = held
-    layer._coords[:n_rows] = np.asarray(grid(n_rows, cap, coord), dtype=float)
+        view_ids[r, : len(held)] = held
+    view_coords = np.asarray(grid(n_rows, cap, coord), dtype=float)
+    layer._ver[:n_rows] = put_descriptors(layer, view_ids, view_coords)
     if with_ages:
         layer._ages[:n_rows] = np.asarray(grid(n_rows, cap, st.integers(0, 30)))
 
@@ -805,20 +813,21 @@ def test_blocked_apply_merges_matches_whole_network_call(with_ages, data):
     recv = np.concatenate(recv_blocks)
     ids = np.concatenate(ids_blocks)
     coords = np.concatenate(coords_blocks)
-    want = _whole_network_merge(layer, sim, recv, ids, coords)
-    start = [layer._ids.copy(), layer._coords.copy()]
+    vers = put_descriptors(layer, ids, coords)
+    want = _whole_network_merge(layer, sim, recv, vers)
+    start = [layer._ver.copy()]
     if with_ages:
         start.append(layer._ages.copy())
     U = len(set(recv.tolist()))
     for rows_per_block in sorted({1, 3, max(U - 1, 1), U, U + 7}):
-        layer._ids[:], layer._coords[:] = start[0], start[1]
+        layer._ver[:] = start[0]
         if with_ages:
-            layer._ages[:] = start[2]
+            layer._ages[:] = start[1]
         with mock.patch.object(
             batch_kernels, "block_rows", lambda *_, n=rows_per_block: n
         ):
-            layer._apply_merges(sim, recv, ids.copy(), coords)
-        got = [layer._ids, layer._coords] + ([layer._ages] if with_ages else [])
+            layer._apply_merges(sim, recv, vers.copy())
+        got = [layer._ver] + ([layer._ages] if with_ages else [])
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 

@@ -268,7 +268,7 @@ class TestDigest:
 
 
 class TestLegacyFormatUpgrade:
-    """One format, no legacy reader: only ``CHECKPOINT_FORMAT`` (5)
+    """One format, no legacy reader: only ``CHECKPOINT_FORMAT`` (6)
     loads, and every other format number is rejected by name."""
 
     def test_format_1_rejected_naming_the_format(self, tmp_path):
@@ -288,6 +288,12 @@ class TestLegacyFormatUpgrade:
         layout this build no longer has (format 5 keeps it in the
         placement store both engines share)."""
         self.assert_rejected_by_number(tmp_path, 4, "unsupported checkpoint format 4 ")
+
+    def test_format_5_rejected_before_unpickling(self, tmp_path):
+        """Format 5 pickled batch topology views as an id and a
+        coordinate per slot, a layout this build no longer has (format 6
+        stores a descriptor version per slot)."""
+        self.assert_rejected_by_number(tmp_path, 5, "unsupported checkpoint format 5 ")
 
     def assert_rejected_by_number(self, tmp_path, legacy, message=None):
         sim, *_ = prepare_scenario(small_config())
@@ -314,7 +320,9 @@ class TestLegacyFormatUpgrade:
 
         path = tmp_path / "v2.ckpt"
         path.write_bytes(b"repro-ckpt" + pickle.dumps({"format": 2}))
-        with pytest.raises(CheckpointError, match="format 5"):
+        with pytest.raises(
+            CheckpointError, match=f"format {checkpoint.CHECKPOINT_FORMAT}"
+        ):
             checkpoint.load(path)
 
     def test_unknown_future_format_rejected(self, tmp_path):

@@ -189,7 +189,7 @@ class TestBatchSimulation:
         topo = sim.layers[1]
         table = sim.network.table
         act = np.flatnonzero(table.alive_rows())
-        ids = topo._ids[act]
+        ids = topo.ids_rows(act)
         for i, row in enumerate(act):
             entries = [x for x in ids[i] if x >= 0]
             assert len(entries) == len(set(entries))  # no duplicates

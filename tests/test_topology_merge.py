@@ -4,7 +4,7 @@
 and leaves what a receiver refuses as ``-1`` holes;
 ``tests/topology_merge_oracle.entry_merge`` is the merge as it was —
 every entry flattened, filtered entries packed out.  Both must leave
-byte-identical ``ids`` / ``coords`` / Vicinity ``ages`` and charge the
+byte-identical descriptor versions / Vicinity ``ages`` and charge the
 meter the same, on both ranking branches of ``merge_rank_truncate``
 (``exact_rank_key`` on a dyadic lattice, the float cascade off it).
 
@@ -26,6 +26,7 @@ from repro.sim.batch import kernels
 from repro.sim.batch.topology import BatchTMan, BatchVicinity
 from repro.spaces import FlatTorus
 
+from .helpers import put_descriptors, topology_views
 from .topology_merge_oracle import MergeSim, entry_merge
 
 SPACE = FlatTorus(16.0, 8.0)
@@ -51,9 +52,10 @@ def make_layer(kind, cap, nid_of, pos, detected, views, view_coords, ages=None):
     sim = MergeSim(np.asarray(nid_of, np.int64), np.asarray(pos, float), detected)
     layer = LAYERS[kind](cap)
     layer._ensure_rows(sim.network.table)
+    ids = np.full(layer._ver.shape, -1, dtype=np.int64)
     for r, held in enumerate(views):
-        layer._ids[r, : len(held)] = held
-    layer._coords[:] = np.asarray(view_coords, float).reshape(layer._coords.shape)
+        ids[r, : len(held)] = held
+    layer._ver[:] = put_descriptors(layer, ids, view_coords)
     if layer._ages is not None and ages is not None:
         layer._ages[:] = ages
     return layer, sim
@@ -61,15 +63,16 @@ def make_layer(kind, cap, nid_of, pos, detected, views, view_coords, ages=None):
 
 def assert_merges_agree(layer, sim, recv, ids, coords, merge=None):
     """Run the shipped merge (or ``merge``, a stand-in for it) and the
-    oracle from the same state; compare state and metering."""
+    oracle from the same state on the messages ``(ids, coords)``, issued
+    as descriptor versions; compare state and metering."""
+    vers = put_descriptors(layer, ids, coords)
     want_layer, want_sim = copy.deepcopy(layer), MergeSim(
         sim.network.table._nid_of, sim.network.table.coords_rows(), sim._detected
     )
-    entry_merge(want_layer, want_sim, recv, ids, coords)
+    entry_merge(want_layer, want_sim, recv, vers)
     got_layer = copy.deepcopy(layer)
-    (merge or type(layer)._apply_merges)(got_layer, sim, recv, ids.copy(), coords)
-    np.testing.assert_array_equal(got_layer._ids, want_layer._ids)
-    np.testing.assert_array_equal(got_layer._coords, want_layer._coords)
+    (merge or type(layer)._apply_merges)(got_layer, sim, recv, vers.copy())
+    np.testing.assert_array_equal(got_layer._ver, want_layer._ver)
     if layer._ages is not None:
         np.testing.assert_array_equal(got_layer._ages, want_layer._ages)
     assert sim.charged == want_sim.charged
@@ -178,10 +181,11 @@ def test_fixed_case_agrees_on_both_ranking_branches(kind, step, exact):
 
 def test_fixed_case_keeps_the_last_copy_and_meters_before_filtering():
     layer, sim, recv, ids, coords = fixed_case()
-    layer._apply_merges(sim, recv, ids, coords)
+    layer._apply_merges(sim, recv, put_descriptors(layer, ids, coords))
     # node 7 where the last message to row 0 (the reply) placed it; own
     # id 10 and the detected 9 refused; every descriptor sent paid for.
-    row0 = dict(zip(layer._ids[0].tolist(), layer._coords[0].tolist()))
+    view_ids, view_coords = topology_views(layer)
+    row0 = dict(zip(view_ids[0].tolist(), view_coords[0].tolist()))
     assert row0[7] == [0.25, 0.5] and 10 not in row0 and 9 not in row0
     assert sim.charged == [("tman", 8, 2)]
 
@@ -190,35 +194,38 @@ def test_messages_site_is_the_stacked_messages_and_four_index_columns():
     from repro.obs import mem as obs_mem
 
     layer, sim, recv, ids, coords = fixed_case("vicinity")
+    vers = put_descriptors(layer, ids, coords)
     obs_mem.reset()
     obs_mem.set_enabled(True)
     try:
-        layer._apply_merges(sim, recv, ids, coords)
+        layer._apply_merges(sim, recv, vers)
         site = obs_mem.snapshot()["sites"]["vicinity.messages"]
     finally:
         obs_mem.set_enabled(False)
         obs_mem.reset()
-    assert site["peak"] == ids.nbytes + coords.nbytes + 4 * 8 * len(recv)
+    # An int32 version a descriptor, four int64 message columns.
+    assert site["peak"] == 4 * vers.size + 4 * 8 * len(recv)
     assert site["family"] == "topology_pads" and site["cur"] == 0
 
 
-def _filter_before_metering(layer, sim, recv, ids, coords):
-    ids[ids == sim.network.table._nid_of[recv][:, None]] = -1
-    ids[sim.detected_entry_mask(ids)] = -1
-    type(layer)._apply_merges(layer, sim, recv, ids, coords)
+def _filter_before_metering(layer, sim, recv, vers):
+    ids = layer._vnid.take(vers)
+    vers[ids == sim.network.table._nid_of[recv][:, None]] = -1
+    vers[sim.detected_entry_mask(ids)] = -1
+    type(layer)._apply_merges(layer, sim, recv, vers)
 
 
-def _replies_before_payloads(layer, sim, recv, ids, coords):
+def _replies_before_payloads(layer, sim, recv, vers):
     first = np.asarray([3, 0, 1, 2])  # the reply to row 0 is message 3
-    type(layer)._apply_merges(layer, sim, recv[first], ids[first], coords[first])
+    type(layer)._apply_merges(layer, sim, recv[first], vers[first])
 
 
-def _later_message_packed_first(layer, sim, recv, ids, coords):
+def _later_message_packed_first(layer, sim, recv, vers):
     def unstable(a):  # equal keys in reverse input order
         return np.lexsort((-np.arange(len(a)), a))
 
     with mock.patch.object(kernels, "radix_argsort", unstable):
-        type(layer)._apply_merges(layer, sim, recv, ids, coords)
+        type(layer)._apply_merges(layer, sim, recv, vers)
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,8 @@ receiver with a stable radix pass over entries, and each row block is
 padded to its widest packed row.  The shipped merge buckets whole
 messages and leaves filtered entries behind as ``-1`` holes; both feed
 the same :func:`~repro.sim.batch.kernels.merge_rank_truncate`, so on any
-input they must leave byte-identical ``ids`` / ``coords`` / ``ages`` and
-charge the meter the same (``tests/test_topology_merge``).
+input they must leave byte-identical descriptor versions and ``ages``
+and charge the meter the same (``tests/test_topology_merge``).
 
 Not shipped: the topology merge has one implementation under ``src/``.
 """
@@ -45,19 +45,20 @@ class MergeSim:
         return np.isin(ids, self._detected)
 
 
-def entry_merge(layer, sim, recv, ids, coords) -> None:
-    """Merge the stacked messages into ``layer``'s views one *entry* at
-    a time; ``ids`` is not modified."""
+def entry_merge(layer, sim, recv, vers) -> None:
+    """Merge the stacked messages — descriptor versions, ``-1`` padded —
+    into ``layer``'s views one *entry* at a time; ``vers`` is not
+    modified."""
     table = sim.network.table
     pos = table.coords_rows()
     C = layer.capacity
     dim = layer._coord_dim
 
-    sim.meter.charge_descriptors(layer.name, int(np.count_nonzero(ids >= 0)), dim)
-    inc_rows = np.repeat(recv, ids.shape[1])
-    inc_ids = ids.ravel()
-    inc_coords = coords.reshape(-1, dim)
-    keep = inc_ids >= 0
+    sim.meter.charge_descriptors(layer.name, int(np.count_nonzero(vers >= 0)), dim)
+    inc_rows = np.repeat(recv, vers.shape[1])
+    inc_vers = vers.ravel()
+    inc_ids = layer._vnid.take(inc_vers)
+    keep = inc_vers >= 0
     keep &= inc_ids != table._nid_of[inc_rows]
     keep &= ~sim.detected_entry_mask(inc_ids)
     kept = np.flatnonzero(keep)
@@ -66,14 +67,14 @@ def entry_merge(layer, sim, recv, ids, coords) -> None:
     # Receivers: every row addressed by a message gets re-ranked, even
     # if all its incoming entries were filtered out above.  Fullest
     # first, so a block's first row is its widest.
-    cnt_in = np.bincount(inc_rows, minlength=len(layer._ids))
-    touched = np.zeros(len(layer._ids), dtype=bool)
+    cnt_in = np.bincount(inc_rows, minlength=len(layer._ver))
+    touched = np.zeros(len(layer._ver), dtype=bool)
     touched[recv] = True
     recv_rows = np.flatnonzero(touched)
     recv_rows = recv_rows[kernels.radix_argsort(cnt_in[recv_rows])[::-1]]
     cnt_in = cnt_in[recv_rows]
     U = len(recv_rows)
-    slot_of = np.zeros(len(layer._ids), dtype=np.int64)
+    slot_of = np.zeros(len(layer._ver), dtype=np.int64)
     slot_of[recv_rows] = np.arange(U)
 
     # Per-receiver incoming columns in flat arrival order: a stable
@@ -85,11 +86,12 @@ def entry_merge(layer, sim, recv, ids, coords) -> None:
     slot = slot[order]
     src = kept[order]
     inc_ids = inc_ids[src]
-    inc_coords = inc_coords[src]
+    inc_vers = inc_vers[src]
     ends = np.cumsum(cnt_in)
     col = C + np.arange(len(slot)) - (ends - cnt_in)[slot]
 
-    stride = 1 + max(int(layer._ids.max(initial=-1)), int(inc_ids.max(initial=-1)))
+    view_ids = layer._vnid.take(layer._ver)
+    stride = 1 + max(int(view_ids.max(initial=-1)), int(inc_ids.max(initial=-1)))
     a = 0
     while a < U:
         width = C + int(cnt_in[a])
@@ -97,23 +99,21 @@ def entry_merge(layer, sim, recv, ids, coords) -> None:
         rows = recv_rows[a:b]
         lo = int(ends[a] - cnt_in[a])
         hi = int(ends[b - 1])
-        ids_pad = np.full((b - a, width), -1, dtype=np.int64)
-        coords_pad = np.zeros((b - a, width, dim))
-        ids_pad[:, :C] = layer._ids[rows]
-        coords_pad[:, :C] = layer._coords[rows]
-        ids_pad[slot[lo:hi] - a, col[lo:hi]] = inc_ids[lo:hi]
-        coords_pad[slot[lo:hi] - a, col[lo:hi]] = inc_coords[lo:hi]
-        valid = ids_pad >= 0
+        pad = np.full((b - a, width), -1, dtype=np.int32)
+        pad[:, :C] = layer._ver[rows]
+        pad[slot[lo:hi] - a, col[lo:hi]] = inc_vers[lo:hi]
+        ids_pad = layer._vnid.take(pad)
+        coords_pad = layer._vcoord.take(pad, axis=0)
+        valid = pad >= 0
         ages_pad = None
         if layer._ages is not None:
             # Incoming descriptors are freshly heard of: age 0.
             ages_pad = np.zeros((b - a, width), dtype=np.int64)
             ages_pad[:, :C] = layer._ages[rows]
-        out = kernels.merge_rank_truncate(
-            layer.space, pos[rows], ids_pad, coords_pad, valid, C, stride, ages_pad
+        ver, ages = kernels.merge_rank_truncate(
+            layer.space, pos[rows], ids_pad, coords_pad, pad, valid, C, stride, ages_pad
         )
-        layer._ids[rows] = out[0]
-        layer._coords[rows] = out[1]
-        if ages_pad is not None:
-            layer._ages[rows] = out[2]
+        layer._ver[rows] = ver
+        if ages is not None:
+            layer._ages[rows] = ages
         a = b
