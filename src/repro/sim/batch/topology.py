@@ -187,7 +187,11 @@ class _BatchTopologyBase:
         bits = self._vcoord.take(cur, axis=0).view(np.int64)
         stale |= (bits != table._coords.take(rows, axis=0).view(np.int64)).any(axis=1)
         if stale.any():
-            new = np.unique(rows[stale])
+            # Each stale row once, in row order (``np.unique`` would
+            # import ``numpy.ma``, a megabyte, for its masked check).
+            mark = np.zeros(len(self._cur), dtype=bool)
+            mark[rows[stale]] = True
+            new = np.flatnonzero(mark)
             k = len(new)
             if self._n_ver + k > len(self._vnid) - 1:
                 self._compact_versions(k)
