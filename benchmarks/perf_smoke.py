@@ -41,8 +41,8 @@ Usage::
     python benchmarks/perf_smoke.py --engine-gate    # batch >= 6x recorded event
     python benchmarks/perf_smoke.py --kernel-gate    # merge >= 2x flat sort
     python benchmarks/perf_smoke.py --obs-gate       # disabled obs <= 2%
-    python benchmarks/perf_smoke.py --mem-gate       # tracked peak vs baseline
-    python benchmarks/perf_smoke.py --mem-gate --record   # re-record peak
+    python benchmarks/perf_smoke.py --mem-gate       # tracked peaks vs baseline
+    python benchmarks/perf_smoke.py --mem-gate --record   # re-record both rows
     python benchmarks/perf_smoke.py --mem-profile-paper --record  # 51k nodes
 """
 
@@ -420,15 +420,15 @@ def obs_gate(threshold: float, repeats: int = 5) -> int:
     return 0
 
 
-def _run_with_ledger(cell: dict, watch=None) -> dict:
-    """Run one batch cell with the memory ledger enabled, and return the
+def _run_with_ledger(cell: dict, watch=None, engine: str = "batch") -> dict:
+    """Run one cell with the memory ledger enabled, and return the
     ledger snapshot."""
     from repro.obs import mem as obs_mem
 
     obs_mem.reset()
     obs_mem.set_enabled(True)
     try:
-        wall = run_cell("batch", cell, watch)
+        wall = run_cell(engine, cell, watch)
         snap = obs_mem.snapshot()
     finally:
         obs_mem.set_enabled(False)
@@ -441,66 +441,73 @@ def _fmt_mb(n: float) -> str:
     return f"{n / 1e6:.1f}MB"
 
 
+#: The engines the memory gate runs its cell under, and the baseline key
+#: of each one's recorded row.
+MEM_GATE_ROWS = {"batch": "mem_gate", "event": "mem_gate_event"}
+
+
 def mem_gate(threshold: float, record: bool) -> int:
-    """Gate the batch engine's tracked peak bytes on the reduced
-    fig10a gate cell against the recorded baseline (``--record``
-    re-records it).  Catches allocation regressions — a kernel that
-    starts padding quadratically, a view table that stops reusing its
-    arrays — that wall-clock gates miss on small cells."""
-    snap = _run_with_ledger(ENGINE_GATE_CELL)
-    peak = snap["total"]["peak"]
-    families = {
-        name: fam["peak"] for name, fam in sorted(snap["families"].items())
-    }
-    by_peak = ", ".join(
-        f"{name} {_fmt_mb(peak_b)}"
-        for name, peak_b in sorted(
-            families.items(), key=lambda kv: kv[1], reverse=True
-        )
-    )
-    print(
-        f"mem gate (48x24 K=4, 81 rounds, batch): tracked peak "
-        f"{_fmt_mb(peak)} at round {snap['total']['peak_round']} "
-        f"(RSS peak {_fmt_mb(snap['peak_rss_bytes'])})"
-    )
-    print(f"  per family: {by_peak}")
+    """Gate each engine's tracked peak bytes on the reduced fig10a gate
+    cell against its recorded row (``--record`` re-records both).
+    Catches allocation regressions — a kernel that starts padding
+    quadratically, a view table that stops reusing its arrays — that
+    wall-clock gates miss on small cells."""
     baseline = json.loads(BASELINE_PATH.read_text(encoding="utf8"))
-    if record:
-        baseline["mem_gate"] = {
-            "cell": "48x24 torus, polystyrene K=4 advanced, failure@20, "
-            "81 rounds, batch engine",
-            "peak_tracked_bytes": peak,
-            "peak_round": snap["total"]["peak_round"],
-            "peak_rss_bytes": snap["peak_rss_bytes"],
-            "families": families,
+    failed = 0
+    for engine, key in MEM_GATE_ROWS.items():
+        snap = _run_with_ledger(ENGINE_GATE_CELL, engine=engine)
+        peak = snap["total"]["peak"]
+        families = {
+            name: fam["peak"] for name, fam in sorted(snap["families"].items())
         }
+        by_peak = ", ".join(
+            f"{name} {_fmt_mb(peak_b)}"
+            for name, peak_b in sorted(
+                families.items(), key=lambda kv: kv[1], reverse=True
+            )
+        )
+        print(
+            f"mem gate (48x24 K=4, 81 rounds, {engine}): tracked peak "
+            f"{_fmt_mb(peak)} at round {snap['total']['peak_round']} "
+            f"(RSS peak {_fmt_mb(snap['peak_rss_bytes'])})"
+        )
+        print(f"  per family: {by_peak}")
+        if record:
+            baseline[key] = {
+                "cell": "48x24 torus, polystyrene K=4 advanced, failure@20, "
+                f"81 rounds, {engine} engine",
+                "peak_tracked_bytes": peak,
+                "peak_round": snap["total"]["peak_round"],
+                "peak_rss_bytes": snap["peak_rss_bytes"],
+                "families": families,
+            }
+            continue
+        recorded = baseline.get(key)
+        if not recorded:
+            print(f"FAIL: no {key} baseline recorded (run --mem-gate --record first)")
+            failed = 1
+            continue
+        allowed = recorded["peak_tracked_bytes"] * threshold
+        ratio = peak / recorded["peak_tracked_bytes"]
+        print(
+            f"  baseline {_fmt_mb(recorded['peak_tracked_bytes'])} -> "
+            f"ratio {ratio:.3f} (threshold {threshold:.2f}x)"
+        )
+        if peak > allowed:
+            print(
+                f"FAIL: tracked peak {_fmt_mb(peak)} exceeds "
+                f"{threshold:.2f}x the recorded baseline "
+                f"{_fmt_mb(recorded['peak_tracked_bytes'])}"
+            )
+            failed = 1
+        else:
+            print(f"OK: tracked peak within {threshold:.2f}x of baseline")
+    if record:
         BASELINE_PATH.write_text(
             json.dumps(baseline, indent=2, sort_keys=True) + "\n"
         )
         print(f"recorded to {BASELINE_PATH}")
-        return 0
-    recorded = baseline.get("mem_gate")
-    if not recorded:
-        print(
-            "FAIL: no mem_gate baseline recorded "
-            "(run --mem-gate --record first)"
-        )
-        return 1
-    allowed = recorded["peak_tracked_bytes"] * threshold
-    ratio = peak / recorded["peak_tracked_bytes"]
-    print(
-        f"  baseline {_fmt_mb(recorded['peak_tracked_bytes'])} -> "
-        f"ratio {ratio:.3f} (threshold {threshold:.2f}x)"
-    )
-    if peak > allowed:
-        print(
-            f"FAIL: tracked peak {_fmt_mb(peak)} exceeds "
-            f"{threshold:.2f}x the recorded baseline "
-            f"{_fmt_mb(recorded['peak_tracked_bytes'])}"
-        )
-        return 1
-    print(f"OK: tracked peak within {threshold:.2f}x of baseline")
-    return 0
+    return failed
 
 
 #: The paper-scale memory-profile cell: the paper preset's 51,200-node
@@ -716,9 +723,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--mem-gate",
         action="store_true",
-        help="gate the batch engine's ledger-tracked peak bytes on the "
-        "largest reduced fig10a cell against the recorded baseline "
-        "(with --record: re-record the baseline)",
+        help="gate each engine's ledger-tracked peak bytes on the "
+        "largest reduced fig10a cell against its recorded row "
+        "(with --record: re-record both rows)",
     )
     parser.add_argument(
         "--mem-threshold",

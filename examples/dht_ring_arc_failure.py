@@ -17,7 +17,8 @@ Run:  python examples/dht_ring_arc_failure.py
 from repro import PolystyreneConfig, PolystyreneLayer
 from repro.core.points import PointFactory
 from repro.gossip import PeerSamplingLayer, TManLayer
-from repro.metrics import homogeneity, surviving_fraction
+from repro.metrics import surviving_fraction
+from repro.metrics.homogeneity import homogeneity
 from repro.shapes import RingShape
 from repro.sim import Network, Simulation
 

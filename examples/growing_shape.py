@@ -20,7 +20,8 @@ Run:  python examples/growing_shape.py
 from repro import PolystyreneConfig, PolystyreneLayer
 from repro.core.points import PointFactory
 from repro.gossip import PeerSamplingLayer, TManLayer
-from repro.metrics import homogeneity, load_balance
+from repro.metrics import load_balance
+from repro.metrics.homogeneity import homogeneity
 from repro.shapes import TorusGrid
 from repro.sim import Network, Simulation
 from repro.spaces import FlatTorus

@@ -74,12 +74,12 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".runtime.scenarios": ("ChurnSchedule",),
         ".metrics": (
             "MetricsRecorder",
-            "homogeneity",
-            "proximity",
             "reference_homogeneity",
             "reshaping_time",
             "surviving_fraction",
         ),
+        ".metrics.homogeneity": ("homogeneity",),
+        ".metrics.proximity": ("proximity",),
         ".types": ("Coord", "DataPoint", "NodeId", "PointId"),
         ".errors": ("ReproError",),
     },

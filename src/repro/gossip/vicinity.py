@@ -94,7 +94,10 @@ class VicinityLayer:
         node.vicinity_age = {nid: 0 for nid in node.tman_view}
 
     def view_of(self, node: SimNode) -> ViewBuffer:
-        return node.tman_view
+        """The node's view; a node whose row was reclaimed holds none
+        and reads as empty, as on the batch engine."""
+        view = getattr(node, "tman_view", None)
+        return ViewBuffer(view_dim(self.space)) if view is None else view
 
     def neighbors(self, sim: Simulation, node: SimNode, k: int) -> List[NodeId]:
         """The node's ``k`` closest alive view entries (same interface

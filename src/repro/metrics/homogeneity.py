@@ -107,12 +107,12 @@ def _nearest_node(space: Space, queries: np.ndarray, positions: np.ndarray):
     Float-identical to the least of each query's ``space.distance`` to
     the positions, on the canonical coordinates a simulation stores."""
     out = np.empty(len(queries))
-    step = block_rows(0, len(positions), space.dim, 1)
+    # The torus kernel holds three (rows, n) float blocks at once: the
+    # running sum, one axis' |Δ| and its folded complement — one budget.
+    step = block_rows(0, len(positions), 3, 1)
     for a in range(0, len(queries), step):
         out[a : a + step] = space.nearest_distance(queries[a : a + step], positions)
     if obs_mem.ENABLED:
-        # The torus kernel holds three (rows, n) float blocks at once:
-        # the running sum, one axis' |Δ| and its folded complement.
         obs_mem.scratch(
             "observer_pads",
             "homogeneity.nearest",
@@ -138,14 +138,18 @@ def _homogeneity_table(
     pcount = counts[pt_pids]
     pos_all = table.coords_rows()
     total = 0.0
+    # Each part drops its point-length temporaries before the next, so
+    # the lost points' distance blocks sit beside the counts only.
     single = pcount == 1
     if single.any():
         hrow = np.zeros(size, dtype=np.int64)
         hrow[hp] = hr  # unique writer for single-holder pids
         rows = hrow[pt_pids[single]]
+        del hrow
         total += float(
             np.sum(space.distance_rows(pt_coords[single], pos_all[rows]))
         )
+        del rows
     multi = pcount > 1
     if multi.any():
         # Multiply-held points (recovery spikes): one distance per
@@ -159,6 +163,7 @@ def _homogeneity_table(
             best, hp[held], space.distance_rows(coord_of[hp[held]], pos_all[hr[held]])
         )
         total += float(np.sum(best[pt_pids[multi]]))
+        del coord_of, held, best
     lost = pcount == 0
     if lost.any():
         total += float(

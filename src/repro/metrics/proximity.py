@@ -42,40 +42,57 @@ def node_proximity(
 
 def _view_means(space: Space, table, rows, ids, k: int) -> np.ndarray:
     """:func:`node_proximity` of every row of ``rows`` (``nan`` without
-    an alive neighbour) from the padded view matrix ``ids``, a row block
-    at a time: resolve the ids through the node table's sentinel slot,
-    rank by current true position, average the ``k`` closest alive
-    entries per row."""
-    means = np.full(len(rows), np.nan)
+    an alive neighbour) from the padded view matrix ``ids``: each row's
+    ``k`` closest entries a row block at a time (:func:`_closest`), then
+    the mean of the alive ones of every row at once."""
     width = ids.shape[1]
     if width == 0:
-        return means
+        return np.full(len(rows), np.nan)
     pos = table.coords_rows()
     kk = min(k, width)
-    step = block_rows(0, width, space.dim)
+    closest = np.empty((len(rows), kk))
+    # At the rank a block holds each entry's coordinates and liveness and
+    # the kernel's three (rows, width) float blocks: dim + 4 floats an
+    # entry, the liveness byte rounded up — one budget in all.
+    step = block_rows(0, width, space.dim + 4)
     for a in range(0, len(rows), step):
-        blk = rows[a : a + step]
-        entry_rows = table.rows_of(ids[blk])
-        alive = table.alive_at(entry_rows)
-        coords = table.coords_at(entry_rows)
-        d = np.sqrt(space.rank_sq_rows(pos[blk], coords))
-        if obs_mem.ENABLED:
-            # At the rank: the entries' rows, liveness and coordinates
-            # and three (rows, width) float blocks of the rank kernel.
-            obs_mem.scratch(
-                "observer_pads",
-                "proximity.distance_pad",
-                entry_rows.nbytes + alive.nbytes + coords.nbytes + 3 * d.nbytes,
-            )
-        d[~alive] = np.inf
-        if kk < width:
-            d = np.partition(d, kk - 1, axis=1)[:, :kk]
-        d.sort(axis=1)
-        cnt = np.minimum(alive.sum(axis=1), k)
-        csum = np.cumsum(np.where(np.isfinite(d), d, 0.0), axis=1)
-        total = csum[np.arange(len(blk)), np.maximum(cnt - 1, 0)]
-        means[a : a + step] = np.where(cnt > 0, total / np.maximum(cnt, 1), np.nan)
-    return means
+        closest[a : a + step] = _closest(space, table, pos, ids, rows[a : a + step], kk)
+    # Dead entries rank last: a row's count of alive ones among its k
+    # closest is ``min(alive, k)``, and their sum is the running sum of
+    # its columns with the dead ones zeroed, added left to right.
+    alive = np.isfinite(closest)
+    cnt = alive.sum(axis=1)
+    closest[~alive] = 0.0
+    total = closest[:, 0].copy()
+    for j in range(1, kk):
+        total += closest[:, j]
+    return np.where(cnt > 0, total / np.maximum(cnt, 1), np.nan)
+
+
+def _closest(space: Space, table, pos, ids, blk, kk: int) -> np.ndarray:
+    """The ``kk`` least distances from each row of ``blk`` to the
+    entries of its view (``ids[blk]``, resolved through the node table's
+    sentinel slot) by current true position, ascending; ``inf`` for a
+    dead entry.  Each temporary is dropped as soon as it is read, so the
+    rank is the block's high-water mark."""
+    entry_rows = table.rows_of(ids[blk])
+    alive = table.alive_at(entry_rows)
+    coords = table.coords_at(entry_rows)
+    del entry_rows
+    d = space.rank_sq_rows(pos[blk], coords)
+    if obs_mem.ENABLED:
+        obs_mem.scratch(
+            "observer_pads",
+            "proximity.distance_pad",
+            alive.nbytes + coords.nbytes + 3 * d.nbytes,
+        )
+    del coords
+    np.sqrt(d, out=d)
+    d[~alive] = np.inf
+    if kk < d.shape[1]:
+        d = np.partition(d, kk - 1, axis=1)[:, :kk]
+    d.sort(axis=1)
+    return d
 
 
 def proximity(space: Space, sim: Simulation, k: int = 4) -> float:

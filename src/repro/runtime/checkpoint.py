@@ -31,18 +31,21 @@ from __future__ import annotations
 import copy
 import gc
 import hashlib
+import itertools
 import json
 import pickle
 import types
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as np
+
 from ..errors import CheckpointError
 from ..obs import mem as obs_mem
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.stream import atomic_write
-from ..sim.arrays import ViewBuffer
+from ..sim.arrays import _MIN_BLOCK_ROWS, ViewBuffer
 from ..sim.engine import Simulation
 
 #: On-disk checkpoint format: ``_MAGIC``, the SHA-256 (hex) of everything
@@ -255,16 +258,18 @@ def load(path: Union[str, Path]) -> SimulationCheckpoint:
 # -- state fingerprinting ---------------------------------------------------
 
 
-def _node_state(node, layer_views, placement) -> tuple:
-    """A canonical, order-stable summary of one node's layer state.
+def _node_state(node, at: int, layer_views, placement) -> tuple:
+    """A canonical, order-stable summary of one node's layer state; the
+    node is entry ``at`` of its block.
 
     View ids come from the node's ``*_view`` attributes, except those a
-    batch layer owns (``layer_views``, ``{attribute: ids per table
-    row}``): there the arrays are the state, and an attribute an earlier
-    ``sync_canonical()`` left behind is stale and ignored.  Placement is
-    ``placement`` (``PlacementStore.canonical``, summaries per table
-    row; empty for a stack without a placement store)."""
-    views = {attr: rows[node.row] for attr, rows in layer_views.items()}
+    batch layer owns (``layer_views``, ``{attribute: ids per row of the
+    block}``): there the arrays are the state, and an attribute an
+    earlier ``sync_canonical()`` left behind is stale and ignored.
+    Placement is ``placement`` (``PlacementStore.canonical``, summaries
+    per row of the block; empty for a stack without a placement
+    store)."""
+    views = {attr: rows[at] for attr, rows in layer_views.items()}
     for attr, view in vars(node).items():
         if (
             attr.endswith("_view")
@@ -274,7 +279,7 @@ def _node_state(node, layer_views, placement) -> tuple:
             views[attr] = sorted(view)
     entries = [("pos", node.pos), *sorted(views.items())]
     if placement:
-        entries.append(("poly", placement[node.row]))
+        entries.append(("poly", placement[at]))
     return tuple(entries)
 
 
@@ -320,12 +325,22 @@ def state_digest(sim: Simulation) -> str:
     (``canonical_view_ids``), exactly what ``sync_canonical()`` would
     have materialised, so the same definition covers both engines (their
     digests never collide: the RNG states differ by construction) — and
-    the call is a pure read on either.
+    the call is a pure read on either.  Views and placement are
+    resolved a block of :data:`~repro.sim.arrays._MIN_BLOCK_ROWS` alive
+    nodes at a time (a node's summary is a few KiB of Python objects),
+    so no summary list spans the network.
     """
+    network = sim.network
+    alive = network.alive_ids()
+    nodes = [network.nodes[nid] for nid in alive]
+    rows = np.fromiter((node.row for node in nodes), np.int64, len(nodes))
+    starts = range(0, len(nodes), _MIN_BLOCK_ROWS)
+    blocks = [rows[a : a + _MIN_BLOCK_ROWS] for a in starts]
     canonical = getattr(sim, "canonical_view_ids", None)
-    layer_views = canonical() if canonical is not None else {}
     store = sim.placement
-    placement = [] if store is None else store.canonical(sim.network.table)
+    placements = (
+        itertools.repeat([]) if store is None else store.canonical(network.table, blocks)
+    )
     h = hashlib.sha256()
 
     def feed(tag: str, value) -> None:
@@ -334,13 +349,12 @@ def state_digest(sim: Simulation) -> str:
 
     feed("round", sim.round)
     feed("seed", sim.seed)
-    feed("alive", sim.network.alive_ids())
-    feed("dead", sim.network.dead_ids())
-    for nid in sim.network.alive_ids():
-        feed(
-            f"node:{nid}",
-            _node_state(sim.network.node(nid), layer_views, placement),
-        )
+    feed("alive", alive)
+    feed("dead", network.dead_ids())
+    for a, block, placement in zip(starts, blocks, placements):
+        layer_views = canonical(block) if canonical is not None else {}
+        for at, node in enumerate(nodes[a : a + _MIN_BLOCK_ROWS]):
+            feed(f"node:{node.nid}", _node_state(node, at, layer_views, placement))
     for name in sorted(sim._rngs):
         feed(f"rng:{name}", _rng_state(sim._rngs[name]))
     feed("rng:engine", _rng_state(sim._engine_rng))

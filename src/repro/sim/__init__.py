@@ -3,7 +3,9 @@
 Provides the network model (crash-stop nodes, pluggable failure
 detectors), the round engine, scheduled failure/reinjection events, the
 message-cost meter with the paper's accounting units, and observer
-hooks for metrics collection.
+hooks for metrics collection.  The ``reinjection`` event factory is
+read from :mod:`repro.sim.reinjection`: no name exported here equals a
+submodule's.
 """
 
 from .arrays import NodeTable, ViewBuffer
@@ -24,7 +26,7 @@ from .network import (
     SimNode,
 )
 from .observers import AliveCountObserver, CallbackObserver, PositionSnapshotter
-from .reinjection import reinjection, spawn_fresh_nodes
+from .reinjection import spawn_fresh_nodes
 from .rng import derive_seed, sample_without, spawn
 from .transport import MessageMeter
 
@@ -46,7 +48,6 @@ __all__ = [
     "random_failure",
     "fail_nodes",
     "select_region",
-    "reinjection",
     "spawn_fresh_nodes",
     "CallbackObserver",
     "PositionSnapshotter",

@@ -79,12 +79,13 @@ _MIN_CAP = 8
 #: Cyclon groom + partner / payload / reply    1.2 / 1.1 / 1.1
 #: Cyclon merge block (sized at 15 columns)    1.5
 #: bootstrap oracle key block                  1.0
-#: lost-point nearest node (torus kernel)      1.5
-#: proximity distance pad                      3.1
+#: lost-point nearest node (torus kernel)      0.9
+#: proximity distance pad (rank + liveness)    0.9
 #: ==========================================  =======
 #:
 #: so at 512 KiB no block holds more than ≈ 2.2 MiB, about one L2 (2 MiB
-#: per core on the Xeon these were measured on).  Where one row alone
+#: per core on the Xeon these were measured on).  The observers size
+#: their blocks by their whole co-live set, so each holds one budget.  Where one row alone
 #: nears the budget the row floor (:data:`_MIN_BLOCK_ROWS`) wins and a
 #: block is that many rows: the merge block at 12,800 nodes holds a
 #: 3.3 MB last-writer table (7.8 budgets).  The 40 rounds of

@@ -194,11 +194,12 @@ class BatchSimulation(Simulation):
                 materialize(self)
         self._canonical_synced = True
 
-    def canonical_view_ids(self) -> Dict[str, List[List[int]]]:
-        """``{attribute: sorted view ids per table row}`` for every layer
-        that states a ``canonical_attr`` — what ``sorted(node.<attribute>)``
-        reads after :meth:`sync_canonical`, taken from each layer's
-        padded ids (``ids_rows``) and sorted a row block at a time.
+    def canonical_view_ids(self, rows: np.ndarray) -> Dict[str, List[List[int]]]:
+        """``{attribute: sorted view ids of each table row of rows}`` for
+        every layer that states a ``canonical_attr`` — what
+        ``sorted(node.<attribute>)`` reads after :meth:`sync_canonical`,
+        taken from each layer's padded ids (``ids_rows``); callers pass
+        a row block at a time.
 
         A pure read, which is what lets
         :func:`repro.runtime.checkpoint.state_digest` fingerprint a
@@ -206,23 +207,23 @@ class BatchSimulation(Simulation):
         layer grows (rows one has not allocated read as empty), and a
         duplicated id counts once, as a dict key would.
         """
-        n_rows = self.network.table.n_rows
         out = {}
         for layer in self.layers:
             attr = getattr(layer, "canonical_attr", None)
             if attr is None:
                 continue
-            rows = []
-            step = arrays.block_rows(0, layer.ids_rows(slice(0)).shape[1], 1)
-            for a in range(0, n_rows, step):
-                # Rows past the layer's allocation slice away: empty views.
-                ids = np.sort(layer.ids_rows(slice(a, min(a + step, n_rows))), axis=1)
-                dup = (ids[:, 1:] == ids[:, :-1]) & (ids[:, 1:] >= 0)
-                if dup.any():
-                    ids[:, 1:][dup] = -1
-                    ids.sort(axis=1)
-                pads = (ids < 0).sum(axis=1).tolist()
-                rows.extend(row[k:] for row, k in zip(ids.tolist(), pads))
-            rows.extend([] for _ in range(n_rows - len(rows)))
-            out[attr] = rows
+            allocated, width = layer.view_shape
+            held = rows < allocated
+            if held.all():
+                ids = layer.ids_rows(rows)
+            else:
+                ids = np.full((len(rows), width), -1, np.int64)
+                ids[held] = layer.ids_rows(rows[held])
+            ids.sort(axis=1)
+            dup = (ids[:, 1:] == ids[:, :-1]) & (ids[:, 1:] >= 0)
+            if dup.any():
+                ids[:, 1:][dup] = -1
+                ids.sort(axis=1)
+            pads = (ids < 0).sum(axis=1).tolist()
+            out[attr] = [row[k:] for row, k in zip(ids.tolist(), pads)]
         return out

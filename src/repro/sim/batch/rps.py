@@ -94,6 +94,11 @@ class BatchPeerSampling:
         ``-1`` padded."""
         return self._ids[rows]
 
+    @property
+    def view_shape(self):
+        """``(allocated rows, view slots)`` of :meth:`ids_rows`."""
+        return self._ids.shape
+
     # -- bootstrap oracle --------------------------------------------------
 
     def _bootstrap_rows(

@@ -100,7 +100,7 @@ class ViewIdMatrix:
 
     def __init__(self, layer) -> None:
         self._layer = layer
-        self.shape = layer._ver.shape
+        self.shape = layer.view_shape
 
     def __getitem__(self, rows) -> np.ndarray:
         return self._layer.ids_rows(rows)
@@ -167,6 +167,11 @@ class _BatchTopologyBase:
         """The view ids of table ``rows`` (an index array or a slice),
         ``-1`` padded — how readers outside the layer see its views."""
         return self._vnid.take(self._ver[rows])
+
+    @property
+    def view_shape(self):
+        """``(allocated rows, view slots)`` of :meth:`ids_rows`."""
+        return self._ver.shape
 
     # -- the descriptor table ------------------------------------------------
 
@@ -552,7 +557,7 @@ class _BatchTopologyBase:
 
     def materialize(self, sim) -> None:
         for node in sim.network.nodes.values():
-            if node.row < 0:  # a reclaimed row: the node keeps what it had
+            if node.row < 0:  # a reclaimed row: the node holds no views
                 continue
             node.tman_view = self.view_of(node)
             if self._ages is not None:

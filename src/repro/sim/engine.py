@@ -84,6 +84,28 @@ class Observer(Protocol):
     def on_round_end(self, sim: "Simulation") -> None: ...
 
 
+class ViewIdRows:
+    """The event engine's ``tman_view`` id columns read as the padded
+    ``(table rows, width)`` id matrix of :meth:`Simulation.view_matrix`,
+    one row block at a time (``ids[rows]``, ``-1`` pads; a row no alive
+    node holds reads empty)."""
+
+    def __init__(self, network: Network, width: int) -> None:
+        self._network = network
+        self.shape = (network.table.n_rows, width)
+
+    def __getitem__(self, rows) -> np.ndarray:
+        table, n = self._network.table, self.shape[0]
+        nids = np.where(table._alive[:n][rows], table._nid_of[:n][rows], -1)
+        out = np.full((len(nids), self.shape[1]), -1, np.int64)
+        nodes = self._network.nodes
+        for i, nid in enumerate(nids.tolist()):
+            if nid >= 0:
+                column = view_ids(getattr(nodes[nid], "tman_view", None))
+                out[i, : len(column)] = column
+        return out
+
+
 class Simulation:
     """Drives a stack of layers over a network, round by round."""
 
@@ -264,21 +286,17 @@ class Simulation:
             self._detected_rows_key = key
         return self._detected_rows.take(table.rows_of(ids))
 
-    def view_matrix(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The topology views as one padded id matrix, ``(rows, ids)``:
+    def view_matrix(self) -> Tuple[np.ndarray, "ViewIdRows"]:
+        """The topology views as a padded id matrix, ``(rows, ids)``:
         ``ids`` is indexed by table row (``-1`` pads) and ``rows`` are
         the alive nodes' rows, in :meth:`Network.alive_ids` order — what
-        the proximity metric scores.  Filled row by row from the
-        per-node ``tman_view`` id columns; the batch engine's layers
-        already hold it."""
+        the proximity metric scores.  ``ids`` is read a row block at a
+        time (``ids[rows]``, :class:`ViewIdRows`), never materialised
+        whole, as the batch engine's layers hand theirs over."""
         nodes = self.network.alive_nodes()
         rows = np.fromiter((node.row for node in nodes), np.int64, len(nodes))
-        columns = [view_ids(getattr(node, "tman_view", None)) for node in nodes]
-        width = max(map(len, columns), default=0)
-        ids = np.full((self.network.table.n_rows, width), -1, np.int64)
-        for row, column in zip(rows.tolist(), columns):
-            ids[row, : len(column)] = column
-        return rows, ids
+        width = max((len(getattr(node, "tman_view", None) or ()) for node in nodes), default=0)
+        return rows, ViewIdRows(self.network, width)
 
     @property
     def placement(self):

@@ -28,12 +28,17 @@ from ..types import Coord, DataPoint, NodeId
 from .arrays import NodeTable, _grown, release_views, resized
 
 
+#: A :class:`SimNode`'s own fields; every other attribute is a layer's.
+_OWN_FIELDS = frozenset(("nid", "initial_point", "_table", "_row", "_poscache"))
+
+
 class SimNode:
     """A simulated physical node — a view over one :class:`NodeTable` row.
 
     Gossip layers attach their per-node state as attributes
     (``rps_view``, ``tman_view``), mirroring PeerSim's protocol-slot
-    design without the indirection; placement lives in the row-indexed
+    design without the indirection, and the node drops them when it
+    leaves its row; placement lives in the row-indexed
     :class:`~repro.sim.placement.PlacementStore` instead.
 
     ``pos`` is the node's *advertised* position — the value the topology
@@ -95,7 +100,14 @@ class SimNode:
 
     def _detach(self) -> None:
         """Stop being a view over a table row — the node was removed,
-        or its row reclaimed — keeping its last position."""
+        or its row reclaimed — keeping its own fields (id, initial
+        point, last position) and dropping every layer's state, its view
+        slots booked as released in the memory ledger.  Both removals
+        take dead nodes only: a crashed node never acts again, and what
+        the layers read of it is its id."""
+        release_views(self)
+        for name in [name for name in vars(self) if name not in _OWN_FIELDS]:
+            delattr(self, name)
         self._poscache = [self.pos]
         self._table = None
         self._row = 0
@@ -219,14 +231,12 @@ class Network:
         still reference the id; the freed row is reused by the next
         node added (free-list reuse), bounding table growth by the
         peak population instead of the total churn volume.  The node's
-        own view slots go with it (booked as released in the memory
-        ledger).
+        layer state goes with it (:meth:`SimNode._detach`).
         """
         node = self.node(nid)
         if nid in self._alive:
             raise DeadNodeError(f"cannot remove alive node {nid}")
         self.table.release(nid)  # -1: a reclaim took the row already
-        release_views(node)
         node._detach()
         del self.nodes[nid]
         self._death_round.pop(nid, None)
@@ -240,7 +250,7 @@ class Network:
         every node's row follows.  A reclaimed node stays a known dead
         id — in :meth:`dead_ids`, its death round kept for the detector
         — read like a released one: no row, so the sentinel's liveness
-        and detection."""
+        and detection, and no layer state (:meth:`SimNode._detach`)."""
         table, nodes = self.table, self.nodes
         for nid in table._nid_of[rows].tolist():
             nodes[nid]._detach()

@@ -38,7 +38,8 @@ registered on the memory ledger as family ``protocol_placement``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -221,12 +222,13 @@ class PlacementStore:
 
     # -- canonical form ----------------------------------------------------
 
-    def canonical(self, table) -> List[tuple]:
-        """Per table row, the placement summary
+    def canonical(self, table, blocks: Iterable[np.ndarray]) -> Iterator[List[tuple]]:
+        """For each block of table rows in ``blocks``, the placement
+        summary of each of its rows that
         :func:`repro.runtime.checkpoint.state_digest` feeds: ``(sorted
         guests, sorted (origin, sorted copy), sorted backups, sorted
-        (backup, sorted copy))`` — a pure read; rows past the allocation
-        read empty."""
+        (backup, sorted copy))`` — a pure read, one block at a time; rows
+        past the allocation read empty."""
         n = min(table.n_rows, len(self.guest_n))
 
         def runs(block: np.ndarray) -> List[list]:
@@ -234,30 +236,47 @@ class PlacementStore:
             pads = (block < 0).sum(axis=1).tolist()
             return [r[k:] for r, k in zip(np.sort(block, axis=1).tolist(), pads)]
 
-        guests = runs(self.guest_ids[:n])
-        backups = runs(self.backup_ids[:n])
-        sent: List[list] = [[] for _ in range(n)]
-        ghosts: List[list] = [[] for _ in range(n)]
-        # Each pushed copy once (it sits in a named slot): what its
-        # origin row last sent and, while that row is still its owner's
-        # and the target is in the table, a ghost on the target's row.
+        def spans(keys: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+            """Where each of ``rows`` sits in the sorted ``keys``: the
+            positions, flat, and how many each row has."""
+            lo = np.searchsorted(keys, rows)
+            cnt = np.searchsorted(keys, rows, side="right") - lo
+            at = np.arange(cnt.sum()) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+            return at, cnt.tolist()
+
+        # Each pushed copy once (it sits in a named slot), located once
+        # for every block: what its origin row last sent (copies come in
+        # origin-row order) and, while that row is still its owner's and
+        # the target is in the table, a ghost on the target's row.
         o_rows, slots = np.nonzero(self.sent_n[:n] >= 0)
         named = self.backup_ids[o_rows, slots]
         targets = np.where(self._owned(table, n)[o_rows], table.rows_of(named), -1)
-        for o, b, t, origin, copy in zip(
-            o_rows.tolist(),
-            named.tolist(),
-            targets.tolist(),
-            self.owner[o_rows].tolist(),
-            runs(self.sent_ids[o_rows, slots]),
-        ):
-            copy = tuple(copy)
-            sent[o].append((b, copy))
-            if 0 <= t < n:
-                ghosts[t].append((origin, copy))
-        out = [
-            (guests[r], sorted(ghosts[r]), backups[r], sorted(sent[r]))
-            for r in range(n)
-        ]
-        out.extend(([], [], [], []) for _ in range(table.n_rows - n))
-        return out
+        by_target = np.argsort(targets, kind="stable")
+        target_keys = targets[by_target]
+
+        def copies(at: np.ndarray):
+            return map(tuple, runs(self.sent_ids[o_rows[at], slots[at]]))
+
+        for rows in blocks:
+            held = rows[rows < n]
+            sent, sent_n = spans(o_rows, held)
+            ghost, ghost_n = spans(target_keys, held)
+            ghost = by_target[ghost]
+            sent_pairs = zip(named[sent].tolist(), copies(sent))
+            ghost_pairs = zip(self.owner[o_rows[ghost]].tolist(), copies(ghost))
+            summary = {
+                row: (
+                    guests,
+                    sorted(islice(ghost_pairs, g)),
+                    backups,
+                    sorted(islice(sent_pairs, s)),
+                )
+                for row, guests, backups, s, g in zip(
+                    held.tolist(),
+                    runs(self.guest_ids[held]),
+                    runs(self.backup_ids[held]),
+                    sent_n,
+                    ghost_n,
+                )
+            }
+            yield [summary.get(row, ([], [], [], [])) for row in rows.tolist()]

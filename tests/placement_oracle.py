@@ -123,11 +123,12 @@ class DictPlacement:
         mask[list(held)] = True
         return mask
 
-    def canonical(self, table) -> List[tuple]:
+    def canonical(self, table, blocks):
         out = [([], [], [], [])] * table.n_rows
         for row, state in self._rowed():
             out[row] = summary(state)
-        return out
+        for rows in blocks:
+            yield [out[row] for row in rows.tolist()]
 
 
 class DictPolystyrene:

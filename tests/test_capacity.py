@@ -15,7 +15,8 @@ row array follows the table's order-preserving renumbering
 (``arrays.follow``).  So a reinjection wave after the detection window
 reuses the failed nodes' rows, and one inside it grows the table as
 before.  Neither a reserve nor a reclaim is a state change: digests and
-checkpoints do not see them.
+checkpoints do not see them.  A reclaimed node keeps its id and holds
+neither a row nor any layer's state.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ import numpy as np
 import pytest
 
 from repro.experiments.scenario import ScenarioConfig, prepare_scenario
+from repro.obs import mem as obs_mem
 from repro.runtime import checkpoint as ckpt
 from repro.sim.arrays import NodeTable
 from repro.sim.batch import BatchSimulation
 from repro.sim.engine import Simulation
+from repro.sim.network import SimNode
 from repro.sim.reinjection import Reinjection
 
 
@@ -249,3 +252,75 @@ def test_reinjection_inside_the_detection_window_grows_as_before(engine):
     assert set(spy.counts.values()) == {1}
     sim.run(2)
     assert sim.network.table.n_rows == 72 + 36
+
+
+#: The per-node layer state the gossip layers attach.
+LAYER_STATE = ("tman_view", "rps_view", "vicinity_age")
+
+
+def keep_layer_state(node) -> None:
+    """``SimNode._detach`` without the release: the node leaves its row
+    and keeps every layer attribute."""
+    node._poscache = [node.pos]
+    node._table = None
+    node._row = 0
+
+
+def view_bytes(sim) -> int:
+    """Bytes of the ``tman_view`` buffers the nodes hold."""
+    views = (getattr(node, "tman_view", None) for node in sim.network.nodes.values())
+    return sum(view.nbytes for view in views if view is not None)
+
+
+@pytest.mark.parametrize("engine", ["event", "batch"])
+@pytest.mark.parametrize("topology", ["tman", "vicinity"])
+def test_a_reclaimed_node_holds_no_layer_state(engine, topology, monkeypatch):
+    """After the reinjection's reclaim no dead node carries a view or
+    Vicinity's ages (a batch run syncs first, so its nodes carried
+    them), and the memory ledger's ``view_buffer`` family drops by their
+    bytes.  The run is the one whose reclaim kept them, digest for
+    digest, and so is one restored from a checkpoint taken right after
+    the reclaim."""
+    obs_mem.reset()
+    obs_mem.set_enabled(True)
+    try:
+        sim, wave = half_failed(engine, topology=topology)
+        sim.run(5)
+        if engine == "batch":
+            sim.sync_canonical()
+        dead = [sim.network.node(nid) for nid in sim.network.dead_ids()]
+        held = view_bytes(sim)
+        dead_bytes = sum(node.tman_view.nbytes for node in dead)
+        assert dead_bytes > 0
+        assert all(hasattr(node, "rps_view") for node in dead)
+        assert obs_mem.snapshot()["families"]["view_buffer"]["cur"] == held
+        Reinjection(wave)(sim)
+        assert all(node.row == -1 for node in dead)  # reclaimed
+        assert not [attr for node in dead for attr in LAYER_STATE if hasattr(node, attr)]
+        assert obs_mem.snapshot()["families"]["view_buffer"]["cur"] == view_bytes(sim)
+        if engine == "event":  # the wave's views, less the dead nodes'
+            spawned = view_bytes(sim) - (held - dead_bytes)
+            assert 0 < spawned == sum(
+                sim.network.node(nid).tman_view.nbytes
+                for nid in sim.network.alive_ids()[-len(wave):]
+            )
+    finally:
+        obs_mem.set_enabled(False)
+        obs_mem.reset()
+
+    twin, _ = half_failed(engine, topology=topology)
+    twin.run(5)
+    if engine == "batch":
+        twin.sync_canonical()
+    with monkeypatch.context() as patch:
+        patch.setattr(SimNode, "_detach", keep_layer_state)
+        Reinjection(wave)(twin)
+    kept = [twin.network.node(nid) for nid in twin.network.dead_ids()]
+    assert all(hasattr(node, "tman_view") and node.row == -1 for node in kept)
+
+    restored = ckpt.restore(ckpt.snapshot(sim))
+    assert ckpt.state_digest(sim) == ckpt.state_digest(twin) == ckpt.state_digest(restored)
+    for _ in range(4):
+        for each in (sim, twin, restored):
+            each.step()
+        assert ckpt.state_digest(sim) == ckpt.state_digest(twin) == ckpt.state_digest(restored)

@@ -6,7 +6,8 @@ from repro.core.config import PolystyreneConfig
 from repro.core.points import PointFactory
 from repro.core.protocol import PolystyreneLayer
 from repro.gossip import PeerSamplingLayer, TManLayer
-from repro.metrics import homogeneity, load_balance
+from repro.metrics import load_balance
+from repro.metrics.homogeneity import homogeneity
 from repro.sim import Network, Simulation
 from repro.spaces import FlatTorus
 

@@ -90,9 +90,22 @@ def concatenated_view_matrix(sim):
 
 
 def assert_same_matrix(got, want):
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        np.testing.assert_array_equal(a, b)
+    """``got`` (a row-block reader) holds ``want``'s rows: read whole,
+    by alive-row blocks of every size, and by slices."""
+    (rows, ids), (want_rows, want_ids) = got, want
+    np.testing.assert_array_equal(rows, want_rows)
+    assert rows.dtype == want_rows.dtype and ids.shape == want_ids.shape
+    everything = np.arange(ids.shape[0])
+    for blocks in (
+        [everything],
+        [rows[a : a + 3] for a in range(0, len(rows), 3)],
+        [rows[::-1]],
+        [slice(0, 2), slice(2, None)],
+    ):
+        for blk in blocks:
+            block = ids[blk]
+            assert block.dtype == want_ids.dtype
+            np.testing.assert_array_equal(block, want_ids[blk])
 
 
 class TestProximityKernelMatchesScalarDefinition:
@@ -163,9 +176,9 @@ class TestProximityKernelMatchesScalarDefinition:
 
     @pytest.mark.parametrize("topology", ["tman", "vicinity"])
     def test_view_matrix_fills_rows_like_the_concatenated_pack(self, topology):
-        """``Simulation.view_matrix`` fills the padded matrix row by row
-        from the view id columns; the one-copy construction it replaced
-        is the oracle, on hand-made views and through a run."""
+        """``Simulation.view_matrix`` reads the padded matrix a row block
+        at a time from the view id columns; the one-copy construction it
+        replaced is the oracle, on hand-made views and through a run."""
         from repro.experiments.scenario import ScenarioConfig, prepare_scenario
 
         positions = {n: (float(n), 1.0) for n in range(5)}

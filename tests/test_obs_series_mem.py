@@ -430,12 +430,13 @@ class TestMemLedger:
         n = sim.network.n_alive
         lost = len(lost_points(points, sim.network.alive_nodes(), sim.placement))
         assert lost < len(points) // 2  # the failed half's, not everything
-        rows = block_rows(0, n, sim.space.dim, 1)
+        rows = block_rows(0, n, 3, 1)
         assert lost > 4 * rows  # several blocks' worth of lost points
         nearest = sites["homogeneity.nearest"]
         assert nearest["family"] == "observer_pads"
-        # The torus kernel holds three (rows, n) float blocks at once.
-        assert nearest["peak"] == 3 * 8 * rows * n
+        # The torus kernel holds three (rows, n) float blocks at once:
+        # one budget.
+        assert nearest["peak"] == 3 * 8 * rows * n <= _SCRATCH_BYTES
         assert 4 * nearest["peak"] < 8 * lost * n
 
         budget = _COLIVE_MAX * _SCRATCH_BYTES
@@ -465,6 +466,7 @@ class TestMemLedger:
         pad = sites["proximity.distance_pad"]
         assert pad["family"] == "observer_pads"
         assert pad["events"] > config.total_rounds  # several blocks a round
+        assert pad["peak"] <= _SCRATCH_BYTES  # the rank, liveness and pad: one budget
         assert snap["families"]["observer_pads"]["peak"] == max(
             nearest["peak"], pad["peak"]
         )
@@ -552,12 +554,26 @@ class TestMemGate:
         return mod
 
     def test_record_then_pass(self, smoke, capsys):
+        """One row per engine: the batch cell's and the same cell's
+        under the event engine, whose views are ``ViewBuffer`` slots."""
         assert smoke.mem_gate(1.25, record=True) == 0
-        recorded = json.loads(smoke.BASELINE_PATH.read_text())["mem_gate"]
-        assert recorded["peak_tracked_bytes"] > 0
-        assert recorded["families"]
+        doc = json.loads(smoke.BASELINE_PATH.read_text())
+        for key in ("mem_gate", "mem_gate_event"):
+            assert doc[key]["peak_tracked_bytes"] > 0
+            assert doc[key]["families"]
+        assert "view_buffer" in doc["mem_gate_event"]["families"]
+        assert "topology_views" in doc["mem_gate"]["families"]
         assert smoke.mem_gate(1.25, record=False) == 0
-        assert "OK: tracked peak" in capsys.readouterr().out
+        assert capsys.readouterr().out.count("OK: tracked peak") == 2
+
+    def test_each_engine_row_gates(self, smoke, capsys):
+        assert smoke.mem_gate(1.25, record=True) == 0
+        doc = json.loads(smoke.BASELINE_PATH.read_text())
+        doc["mem_gate_event"]["peak_tracked_bytes"] //= 10
+        smoke.BASELINE_PATH.write_text(json.dumps(doc))
+        assert smoke.mem_gate(1.25, record=False) == 1
+        out = capsys.readouterr().out
+        assert out.count("OK: tracked peak") == 1 and "FAIL: tracked peak" in out
 
     def test_fail_when_over_budget(self, smoke, capsys):
         assert smoke.mem_gate(1.25, record=True) == 0

@@ -108,7 +108,8 @@ def assert_same_state(arrays, oracle, where: str) -> None:
     sim_o, rec_o, _, _, probe_o = oracle
     if state_digest(sim_a) != state_digest(sim_o):
         # Name the first difference instead of two hashes.
-        rows = sim_a.placement.canonical(sim_a.network.table)
+        table = sim_a.network.table
+        [rows] = sim_a.placement.canonical(table, [np.arange(table.n_rows)])
         for nid in sim_a.network.alive_ids():
             a, o = sim_a.network.node(nid), sim_o.network.node(nid)
             assert a.pos == o.pos, f"{where}: node {nid} position"

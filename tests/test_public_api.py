@@ -105,3 +105,25 @@ class TestExports:
             obj = getattr(repro, name)
             if inspect.isclass(obj) or inspect.isfunction(obj):
                 assert obj.__doc__, f"{name} lacks a docstring"
+
+    def test_no_package_attribute_shadows_its_submodule(self):
+        """Every attribute of a ``repro`` package named like one of its
+        submodules *is* that submodule — ``import repro.spaces.medoid as
+        m`` binds the module, not a function re-exported under its name —
+        and a lazily exported name never equals a submodule's."""
+        import importlib
+        import pkgutil
+
+        packages = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if info.ispkg
+        ]
+        assert len(packages) > 10
+        for package in packages:
+            lazy = getattr(package, "__getattr__", None)
+            for info in pkgutil.iter_modules(package.__path__):
+                module = importlib.import_module(f"{package.__name__}.{info.name}")
+                assert getattr(package, info.name) is module, module.__name__
+                if lazy is not None and info.name in package.__all__:
+                    assert lazy(info.name) is module, module.__name__

@@ -3,12 +3,13 @@
 Three halves of that claim are held here:
 
 * **the footprint** — on a 160x80 batch cell every layer step of the
-  blocked layers (peer sampling, T-Man) and every observer allocates no
-  more than one block (``_COLIVE_MAX`` scratch budgets), the layer's
-  stacked messages and a dozen node-length index columns beside the
-  persistent arrays; the topology merge alone may add the last-writer
-  table of its row floor.  The protocol layer is not held to it: its
-  wave and recovery arrays are whole-network (ROADMAP item 1);
+  blocked layers (peer sampling, T-Man) allocates no more than one block
+  (``_COLIVE_MAX`` scratch budgets), the layer's stacked messages and a
+  dozen node-length index columns beside the persistent arrays; the
+  topology merge alone may add the last-writer table of its row floor.
+  Every observer call, on that cell and on a 32x16 event cell, holds one
+  scratch budget beside those columns.  The protocol layer is not held
+  to it: its wave and recovery arrays are whole-network (ROADMAP item 1);
 * **blocked ≡ whole** — T-Man's and Vicinity's groom, one row block at a
   time, leaves the views, ages and every RNG stream exactly as the
   whole-network pass it replaced (kept below as the oracle);
@@ -136,6 +137,8 @@ def test_every_layer_step_holds_one_block_beside_its_messages():
     n = sim.network.n_total
     # One block, and the node-length columns.
     block = _COLIVE_MAX * _SCRATCH_BYTES + NODE_COLUMNS * 8 * n
+    # An observer's block is one budget.
+    observer = _SCRATCH_BYTES + NODE_COLUMNS * 8 * n
     # Ids are below n: the merge's int32 last-writer table at its floor.
     floor = 4 * _MIN_BLOCK_ROWS * n
     assert len(probe.peaks["groom"]) == len(built) == config.total_rounds
@@ -144,9 +147,38 @@ def test_every_layer_step_holds_one_block_beside_its_messages():
             assert got <= block + stacked + (floor if name == "tman" else 0), name
     for got, stacked in zip(probe.peaks["exchange"], built):
         assert got <= block + stacked
+    assert max(probe.peaks["groom"]) <= block
+    for i in range(len(sim.observers)):
+        assert max(probe.peaks[f"observer{i}"]) <= observer, i
+
+
+def test_event_observers_hold_one_budget_beside_the_node_columns():
+    """A 32x16 event run through a failure and a reinjection whose
+    reclaim takes the failed half's rows: every observer call — all four
+    metrics — allocates at most one scratch budget beside the
+    node-length columns.  The event engine's view matrix is read a row
+    block at a time, as the batch engine's is."""
+    config = ScenarioConfig(
+        engine="event", width=32, height=16, seed=1, failure_round=4,
+        reinjection_round=9, total_rounds=12,
+        metrics=("homogeneity", "proximity", "storage", "message_cost"),
+    )
+    sim, *_ = prepare_scenario(config)
+    probe = Transients()
+    for i, observer in enumerate(sim.observers):
+        observer.on_round_end = probe.wrap(f"observer{i}", observer.on_round_end)
+
+    tracemalloc.start()
+    try:
+        sim.run(config.total_rounds)
+    finally:
+        tracemalloc.stop()
+
+    assert sim.network.table._layout == 1  # the reinjection reclaimed rows
+    n = sim.network.n_total
     for name, peaks in probe.peaks.items():
-        if name == "groom" or name.startswith("observer"):
-            assert max(peaks) <= block, name
+        assert len(peaks) == config.total_rounds
+        assert max(peaks) <= _SCRATCH_BYTES + NODE_COLUMNS * 8 * n, name
 
 
 # -- blocked ≡ whole: the groom ------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import EmptySelectionError
-from repro.spaces import FlatTorus, medoid, medoid_index
+from repro.spaces import FlatTorus
+from repro.spaces.medoid import medoid, medoid_index
 
 from .helpers import sum_sq_distances
 
