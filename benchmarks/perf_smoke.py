@@ -179,47 +179,35 @@ KERNEL_GATE_LATTICE_RATIO = 1.3
 
 def _merge_block(width, height, per, rng, half_step):
     """One merge load on a ``width x height`` torus: every node a
-    receiver of ``per`` random descriptors (duplicates included) at
-    lattice positions — whole steps, or a whole/half-step mix like the
-    views of a network re-injected on ``Grid.parallel(0.5)``."""
+    receiver of ``per`` random peer ids (duplicates included), each at
+    its node's lattice position — whole steps, or a whole/half-step mix
+    like the positions of a network re-injected on
+    ``Grid.parallel(0.5)``."""
     n = width * height
-    ids = rng.integers(0, n, (n, per)).astype(np.int64)
+    ids = rng.integers(0, n, (n, per)).astype(np.int32)
     lattice = np.stack(np.divmod(np.arange(n), height), axis=1).astype(float)
-    coords = lattice[rng.integers(0, n, (n, per))]
     if half_step:
-        coords += 0.5 * rng.integers(0, 2, (n, per, 1))
-    return lattice, ids, coords, rng.integers(0, 50, (n, per)).astype(np.int64)
+        lattice += 0.5 * rng.integers(0, 2, (n, 1))
+    return lattice, ids, lattice[ids], rng.integers(0, 50, (n, per)).astype(np.int64)
 
 
 def _merge_blocked(kernels, space, pos, ids, coords, ages, cap):
     """``merge_rank_truncate`` over budget-sized row blocks, cut the way
     ``_apply_merges`` cuts them (``block_rows(stride, width, dim)``).
     There a row is the view block plus whole messages, refused entries
-    left behind as ``-1`` holes; here every column is a live entry, its
-    version its flat index.  Returns the kept ``(versions, ages)``."""
+    left behind as ``-1`` holes; here every column is a live entry.
+    Returns the kept ``(ids, ages)``."""
     n, per = ids.shape
     stride = n
-    vers = np.arange(n * per, dtype=np.int32).reshape(n, per)
     step = kernels.block_rows(stride, per, coords.shape[2])
     outs = [
         kernels.merge_rank_truncate(
             space, pos[a : a + step], ids[a : a + step], coords[a : a + step],
-            vers[a : a + step], ids[a : a + step] >= 0, cap, stride,
-            ages[a : a + step],
+            ids[a : a + step] >= 0, cap, stride, ages[a : a + step],
         )
         for a in range(0, n, step)
     ]
     return tuple(np.concatenate(part) for part in zip(*outs))
-
-
-def _resolve_versions(ids, coords, vers):
-    """``(ids, coords)`` of the flat-index versions ``vers`` of a merge
-    block (``-1``: an empty slot, ``-1`` / zeros)."""
-    flat_ids = np.append(ids.ravel(), -1)
-    flat_coords = np.concatenate(
-        [coords.reshape(-1, coords.shape[2]), np.zeros((1, coords.shape[2]))]
-    )
-    return flat_ids[vers], flat_coords[vers]
 
 
 def _merge_flat_reference(kernels, space, pos, ids, coords, ages, cap):
@@ -235,13 +223,11 @@ def _merge_flat_reference(kernels, space, pos, ids, coords, ages, cap):
     sel, slot, age = kernels.dedup_rank_truncate_reference(
         recv, ids.ravel(), dist_of, cap, ages.ravel()
     )
-    out_ids = np.full((n, cap), -1, dtype=np.int64)
-    out_coords = np.zeros((n, cap, coords.shape[2]))
+    out_ids = np.full((n, cap), -1, dtype=ids.dtype)
     out_ages = np.zeros((n, cap), dtype=np.int64)
     out_ids[recv[sel], slot] = ids.ravel()[sel]
-    out_coords[recv[sel], slot] = flat_coords[sel]
     out_ages[recv[sel], slot] = age
-    return out_ids, out_coords, out_ages
+    return out_ids, out_ages
 
 
 def kernel_gate(threshold: float, repeats: int = 5) -> int:
@@ -275,8 +261,7 @@ def kernel_gate(threshold: float, repeats: int = 5) -> int:
             t_ref, out_ref = best_of(
                 _merge_flat_reference, kernels, space, *block, cap
             )
-            t_new, (vers, ages) = best_of(_merge_blocked, kernels, space, *block, cap)
-            out_new = (*_resolve_versions(block[1], block[2], vers), ages)
+            t_new, out_new = best_of(_merge_blocked, kernels, space, *block, cap)
             if not all(np.array_equal(a, b) for a, b in zip(out_ref, out_new)):
                 print(
                     f"FAIL: {label} ({lattice}): merge_rank_truncate output "

@@ -92,9 +92,9 @@ class ScenarioConfig:
     step: float = 1.0
     # -- execution engine ------------------------------------------------
     #: ``"event"`` — the round-by-round per-node engine
-    #: (:class:`repro.sim.engine.Simulation`, semantics version 3);
+    #: (:class:`repro.sim.engine.Simulation`, semantics version 4);
     #: ``"batch"`` — the batch-synchronous vectorised engine
-    #: (:class:`repro.sim.batch.BatchSimulation`, semantics version 2).
+    #: (:class:`repro.sim.batch.BatchSimulation`, semantics version 5).
     #: Same scenario, statistically equivalent metrics, different
     #: trajectories — see README "Execution engines".
     engine: str = "event"

@@ -1,12 +1,12 @@
 """Distance-ranking helpers shared by the gossip layers.
 
-Two input shapes are supported everywhere: plain ``{id: coord}`` dicts
-(tests, ad-hoc probes, the routing layer) and the
-:class:`~repro.sim.arrays.ViewBuffer` view slots the layers use on the
-hot path.  A ViewBuffer *is* an id column and a coordinate batch, so
-its rankings read the view's state itself — no per-call list building
-or ``np.asarray``.  :func:`rank_order` is the one kernel: it returns
-positions, so a caller can take the ranked rows of both arrays.
+A topology view is an id column (:class:`~repro.sim.arrays.ViewBuffer`):
+the layers rank its peers at their *current* positions, read from the
+node table when they rank (:func:`rank_current`), as cycle-driven T-Man
+simulators do.  Plain ``{id: coord}`` dicts (tests, ad-hoc probes) rank
+at the coordinates they hold (:func:`rank_entries`).  :func:`rank_order`
+is the one kernel under both: it returns positions, so a caller can take
+the ranked rows of any array it ranked.
 
 Rankings sort by *squared* distance: ``sqrt`` is strictly increasing,
 so the order (including the id tie-break) is the order true distances
@@ -15,15 +15,12 @@ would produce, one ufunc pass cheaper per call.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..sim.arrays import ViewBuffer, take_coords
 from ..spaces.base import Space
 from ..types import Coord, NodeId
-
-Entries = Union[Dict[NodeId, Coord], ViewBuffer]
 
 
 def rank_order(
@@ -40,24 +37,23 @@ def rank_order(
     return order if limit is None else order[:limit]
 
 
-def rank_ids(
+def rank_current(
     space: Space,
+    table,
     origin: Coord,
-    ids,
-    coords,
+    ids: np.ndarray,
     limit: Optional[int] = None,
-) -> List[NodeId]:
-    """The ids of :func:`rank_order`, as a list."""
-    order = rank_order(space, origin, ids, coords, limit)
-    if isinstance(ids, np.ndarray):
-        return ids[order].tolist()
-    return [ids[i] for i in order]
+) -> np.ndarray:
+    """``ids`` ranked by the distance of each peer's current position
+    (``table``'s, a :class:`~repro.sim.arrays.NodeTable`) to
+    ``origin``, closest first, ties broken by id, cut to ``limit``."""
+    return ids[rank_order(space, origin, ids, table.gather(ids), limit)]
 
 
 def rank_entries(
     space: Space,
     origin: Coord,
-    entries: Entries,
+    entries: Dict[NodeId, Coord],
     limit: Optional[int] = None,
 ) -> List[NodeId]:
     """Node ids from ``entries`` sorted by distance of their recorded
@@ -67,34 +63,15 @@ def rank_entries(
     """
     if not entries:
         return []
-    if isinstance(entries, ViewBuffer):
-        ids, coords = entries.arrays()
-        return rank_ids(space, origin, ids, coords, limit)
     ids = list(entries.keys())
-    coords = [entries[nid] for nid in ids]
-    return rank_ids(space, origin, ids, space.pack_batch(coords), limit)
-
-
-def rank_alive(
-    space: Space,
-    origin: Coord,
-    view: ViewBuffer,
-    alive_mask: np.ndarray,
-    limit: Optional[int] = None,
-) -> List[NodeId]:
-    """Rank only the view entries whose mask position is True (the
-    alive-filtered ranking of ``neighbors()``), off the view's arrays."""
-    ids, coords = view.arrays()
-    if not alive_mask.all():
-        ids = ids[alive_mask]
-        coords = take_coords(coords, alive_mask)
-    return ids[rank_order(space, origin, ids, coords, limit)].tolist()
+    coords = space.pack_batch([entries[nid] for nid in ids])
+    return [ids[i] for i in rank_order(space, origin, ids, coords, limit)]
 
 
 def closest_entries(
     space: Space,
     origin: Coord,
-    entries: Entries,
+    entries: Dict[NodeId, Coord],
     k: int,
 ) -> Dict[NodeId, Coord]:
     """The ``k`` closest entries as a new id → coord mapping."""
@@ -104,9 +81,9 @@ def closest_entries(
 def truncate_closest(
     space: Space,
     origin: Coord,
-    entries: Entries,
+    entries: Dict[NodeId, Coord],
     cap: int,
-) -> Entries:
+) -> Dict[NodeId, Coord]:
     """Return ``entries`` unchanged if within ``cap``, else only the
     ``cap`` closest to ``origin`` (T-Man's bounded-view rule)."""
     if len(entries) <= cap:

@@ -10,45 +10,40 @@ Parameters follow the paper's setup (Sec. IV-A): views initialised with
 10 random peers from RPS, views capped at 100 (unlike the unbounded
 original), m = 20 descriptors per message, ψ = 5.
 
-Views are :class:`~repro.sim.arrays.ViewBuffer` slots, an id column and
-a coordinate block, kept *ranked for their owner*: rows in order of
-(squared distance to the position the owner advertised, id), cut to
-``view_cap``.  A merge is one ranked merge — incoming rows replace the
-stored copies of their ids and the union is ranked once — so it holds
-exactly the entries the unbounded-then-truncated dict merge held.
-Partner selection and :meth:`TManLayer.neighbors` read the alive
-prefix, re-ranking only when the owner has moved since (a new position
-object; ``ViewBuffer.ranked_pos`` names the one the view was ranked
-for).  A message is the ranked ``(ids, coords)`` rows of its sender's
-view ∪ {sender}.  Every ranking breaks ties by id, so RNG draws and
-results do not depend on storage order; only the order itself differs
-from the historical insertion-ordered dict views.
+A view is an id column (:class:`~repro.sim.arrays.ViewBuffer`), kept
+*ranked for its owner*: ids in order of (squared distance of the peer's
+current position to the owner's, id), cut to ``view_cap``.  Every
+ranking reads positions from the node table when it ranks, as
+cycle-driven T-Man simulators hold a view (node references, not stored
+coordinates), so no entry is stale.  A merge ranks the view ∪ the
+message once.  Partner selection and :meth:`TManLayer.neighbors` read
+the alive prefix; a view is re-ranked only when some node has moved
+since it was ranked (``ViewBuffer.ranked_at`` against the table's
+:attr:`~repro.sim.arrays.NodeTable.moves` count; a coordinate write
+handing back the same position object is not a move).  A message is the
+ranked ids of its sender's view ∪ {sender}.  Every ranking breaks ties
+by id, so RNG draws and results do not depend on storage order.
 
-Because Polystyrene moves nodes, every exchange refreshes the positions
-recorded for the two participants; this position-update traffic is why
-T-Man dominates the message budget in Fig. 7b.
+Because Polystyrene moves nodes, every descriptor a message carries is a
+position update; this traffic is why T-Man dominates the message budget
+in Fig. 7b.  The meter charges each descriptor sent as an id plus a
+coordinate: what the protocol sends, not what the simulator stores.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional
 
 import numpy as np
 
 from ..obs import metrics as obs_metrics
-from ..sim.arrays import OBJECT_DIM, ViewBuffer, join_coords, take_coords
+from ..sim.arrays import ViewBuffer
 from ..sim.engine import Simulation
 from ..sim.network import SimNode
 from ..spaces.base import Space
 from ..types import Coord, NodeId
-from .ranking import rank_order
+from .ranking import rank_current
 from .rps import PeerSamplingLayer
-
-
-def view_dim(space: Space) -> Union[int, str]:
-    """The ViewBuffer coordinate layout for a space (float columns for
-    vector spaces, object storage otherwise)."""
-    return space.dim if space.dim is not None else OBJECT_DIM
 
 
 class TManLayer:
@@ -83,29 +78,22 @@ class TManLayer:
 
     def _ensure_view(self, node: SimNode) -> ViewBuffer:
         """The node's topology view as a ViewBuffer (tests may have
-        attached a plain dict; adopt it transparently)."""
+        attached a plain dict; its ids are adopted transparently)."""
         view = getattr(node, "tman_view", None)
         if type(view) is not ViewBuffer:
-            view = ViewBuffer(view_dim(self.space), (view or {}).items())
+            view = ViewBuffer(view or ())
             node.tman_view = view
         return view
 
     def init_node(self, sim: Simulation, node: SimNode) -> None:
         peers = self.rps.sample(sim, node, self.bootstrap_size)
-        node.tman_view = ViewBuffer(
-            view_dim(self.space),
-            (
-                (nid, sim.network.node(nid).pos)
-                for nid in peers
-                if nid != node.nid
-            ),
-        )
+        node.tman_view = ViewBuffer(nid for nid in peers if nid != node.nid)
 
     def view_of(self, node: SimNode) -> ViewBuffer:
         """The node's view; a node whose row was reclaimed holds none
         and reads as empty, as on the batch engine."""
         view = getattr(node, "tman_view", None)
-        return ViewBuffer(view_dim(self.space)) if view is None else view
+        return ViewBuffer() if view is None else view
 
     def neighbors(self, sim: Simulation, node: SimNode, k: int) -> List[NodeId]:
         """The node's ``k`` closest *alive* view entries (the
@@ -114,20 +102,21 @@ class TManLayer:
         view = self._ensure_view(node)
         if not view:
             return []
-        ids = self._ranked_ids(node, view)
+        ids = self._ranked_ids(sim, node, view)
         return ids[sim.network.alive_mask(ids)][:k].tolist()
 
-    def _ranked_ids(self, node: SimNode, view: ViewBuffer) -> np.ndarray:
-        """The view's id column in (distance to the node, id) order.
-        Merges leave the view ranked for the position object the node
-        advertised then; only a node that has moved since (or a view
-        that was never merged into) is re-ranked, and the order is
+    def _ranked_ids(
+        self, sim: Simulation, node: SimNode, view: ViewBuffer
+    ) -> np.ndarray:
+        """The view's ids in (distance to the node, id) order at current
+        positions.  A view ranked at the table's current move count is
+        in that order already; any other is re-ranked, and the order is
         installed so the next reader scans a prefix again."""
-        if view.ranked_pos is not node.pos:
-            ids, coords = view.arrays()
-            order = rank_order(self.space, node.pos_array, ids, coords)
-            view.set_ranked(ids[order], take_coords(coords, order), ranked_for=node.pos)
-        return view.arrays()[0]
+        table = sim.network.table
+        if view.ranked_at != table.moves:
+            ids = rank_current(self.space, table, node.pos_array, view.ids)
+            view.set_ranked(ids, table.moves)
+        return view.ids
 
     # -- one gossip cycle ----------------------------------------------------
 
@@ -145,7 +134,7 @@ class TManLayer:
         # scan is one gather over the view's id column.
         detected = sim.detected_failed()
         if detected:
-            ids, _ = view.arrays()
+            ids = view.ids
             stale = sim.detected_mask(ids)
             if stale.any():
                 view.evict_ids(ids[stale])
@@ -159,11 +148,11 @@ class TManLayer:
             return
         partner = sim.network.node(partner_id)
         # Symmetric exchange: each side sends the m entries most useful
-        # to the *other* side, always including its own fresh descriptor.
-        payload = self._build_buffer(node, target_pos=partner.pos_array)
-        reply = self._build_buffer(partner, target_pos=node.pos_array)
-        sim.meter.charge_descriptors(self.name, len(payload[0]), self._coord_dim)
-        sim.meter.charge_descriptors(self.name, len(reply[0]), self._coord_dim)
+        # to the *other* side, always including its own descriptor.
+        payload = self._build_buffer(sim, node, target_pos=partner.pos_array)
+        reply = self._build_buffer(sim, partner, target_pos=node.pos_array)
+        sim.meter.charge_descriptors(self.name, len(payload), self._coord_dim)
+        sim.meter.charge_descriptors(self.name, len(reply), self._coord_dim)
         obs_metrics.count("exchanges.tman")
         self._merge(sim, partner, payload, detected)
         self._merge(sim, node, reply, detected)
@@ -172,60 +161,40 @@ class TManLayer:
         self, sim: Simulation, rng, node: SimNode, view: ViewBuffer
     ) -> Optional[NodeId]:
         """Random choice among the ψ closest alive view entries."""
-        ids = self._ranked_ids(node, view)
+        ids = self._ranked_ids(sim, node, view)
         candidates = ids[sim.network.alive_mask(ids)][: self.psi].tolist()
         if not candidates:
             return None
         return rng.choice(candidates)
 
-    def _build_buffer(self, node: SimNode, target_pos: Coord) -> Tuple[np.ndarray, object]:
-        """The ``m`` descriptors from ``node``'s view ∪ {node itself}
-        closest to ``target_pos``: the ranked ``(ids, coords)`` rows of
-        one pool holding the view's rows and the node's own."""
-        ids, coords = self._ensure_view(node).arrays()
-        n = len(ids)
-        pool_ids = np.empty(n + 1, dtype=np.int64)
-        pool_ids[:n] = ids
-        pool_ids[n] = node.nid
-        if isinstance(coords, np.ndarray):
-            pool_coords = np.empty((n + 1, coords.shape[1]))
-            pool_coords[:n] = coords
-            pool_coords[n] = node.pos_array
-        else:
-            pool_coords = coords + [node.pos]
-        order = rank_order(
-            self.space, target_pos, pool_ids, pool_coords, self.message_size
+    def _build_buffer(
+        self, sim: Simulation, node: SimNode, target_pos: Coord
+    ) -> np.ndarray:
+        """The ids of the ``m`` peers of ``node``'s view ∪ {node itself}
+        whose current positions are closest to ``target_pos``."""
+        ids = self._ensure_view(node).ids
+        pool = np.empty(len(ids) + 1, dtype=np.int64)
+        pool[:-1] = ids
+        pool[-1] = node.nid
+        return rank_current(
+            self.space, sim.network.table, target_pos, pool, self.message_size
         )
-        return pool_ids[order], take_coords(pool_coords, order)
 
     def _merge(
-        self,
-        sim: Simulation,
-        node: SimNode,
-        incoming: Tuple[np.ndarray, object],
-        detected=None,
+        self, sim: Simulation, node: SimNode, incoming: np.ndarray, detected=None
     ) -> None:
-        """Merge an incoming message into the node's ranked view.
-
-        Every descriptor except the node's own and detected-failed ids
-        is adopted; its coordinates replace the stored copy of its id (a
-        descriptor that arrives now reflects a fresher position than
-        whatever the view remembered — nodes move under Polystyrene).
-        The union is ranked for the node's position and cut to the
-        ``cap`` closest entries.
-        """
+        """Merge an incoming message (peer ids) into the node's ranked
+        view: every id except the node's own and detected-failed ones is
+        adopted, and the union is ranked at current positions and cut to
+        the ``cap`` closest entries."""
         view = self._ensure_view(node)
         if detected is None:
             detected = sim.detected_failed()
-        in_ids, in_coords = incoming
-        adopt = [nid != node.nid and nid not in detected for nid in in_ids.tolist()]
+        adopt = [nid != node.nid and nid not in detected for nid in incoming.tolist()]
         if not all(adopt):
-            adopt = np.array(adopt)
-            in_ids, in_coords = in_ids[adopt], take_coords(in_coords, adopt)
-        ids, coords = view.arrays()
-        kept = ~sim.network.table.id_flags(in_ids).take(ids)
-        ids, coords = ids[kept], take_coords(coords, kept)
-        ids = np.concatenate((ids, in_ids))
-        coords = join_coords(coords, in_coords)
-        order = rank_order(self.space, node.pos_array, ids, coords, self.view_cap)
-        view.set_ranked(ids[order], take_coords(coords, order), ranked_for=node.pos)
+            incoming = incoming[np.array(adopt)]
+        table = sim.network.table
+        ids = view.ids
+        ids = np.concatenate((ids[~table.id_flags(incoming).take(ids)], incoming))
+        ids = rank_current(self.space, table, node.pos_array, ids, self.view_cap)
+        view.set_ranked(ids, table.moves)

@@ -19,7 +19,8 @@ design:
   than capped-at-100.
 
 The per-node view is stored under the same ``tman_view`` attribute the
-T-Man layer uses (a coordinate :class:`~repro.sim.arrays.ViewBuffer`);
+T-Man layer uses (an id :class:`~repro.sim.arrays.ViewBuffer`, ranked at
+peers' current positions read from the node table, as T-Man's are);
 ages are tracked separately under ``vicinity_age``.  Reusing the
 attribute keeps Polystyrene, the proximity metric and every observer
 working unchanged over either overlay — they only care about "the
@@ -28,18 +29,17 @@ topology view".
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
-from ..sim.arrays import ViewBuffer, join_coords, take_coords
+from ..sim.arrays import ViewBuffer
 from ..sim.engine import Simulation
 from ..sim.network import SimNode
 from ..spaces.base import Space
 from ..types import Coord, NodeId
-from .ranking import rank_alive, rank_order
+from .ranking import rank_current
 from .rps import PeerSamplingLayer
-from .tman import view_dim
 
 
 class VicinityLayer:
@@ -75,7 +75,7 @@ class VicinityLayer:
     def _ensure_view(self, node: SimNode) -> ViewBuffer:
         view = getattr(node, "tman_view", None)
         if type(view) is not ViewBuffer:
-            view = ViewBuffer(view_dim(self.space), (view or {}).items())
+            view = ViewBuffer(view or ())
             node.tman_view = view
             if not hasattr(node, "vicinity_age"):
                 node.vicinity_age = {nid: 0 for nid in view}
@@ -83,33 +83,21 @@ class VicinityLayer:
 
     def init_node(self, sim: Simulation, node: SimNode) -> None:
         peers = self.rps.sample(sim, node, self.bootstrap_size)
-        node.tman_view = ViewBuffer(
-            view_dim(self.space),
-            (
-                (nid, sim.network.node(nid).pos)
-                for nid in peers
-                if nid != node.nid
-            ),
-        )
+        node.tman_view = ViewBuffer(nid for nid in peers if nid != node.nid)
         node.vicinity_age = {nid: 0 for nid in node.tman_view}
 
     def view_of(self, node: SimNode) -> ViewBuffer:
         """The node's view; a node whose row was reclaimed holds none
         and reads as empty, as on the batch engine."""
         view = getattr(node, "tman_view", None)
-        return ViewBuffer(view_dim(self.space)) if view is None else view
+        return ViewBuffer() if view is None else view
 
     def neighbors(self, sim: Simulation, node: SimNode, k: int) -> List[NodeId]:
         """The node's ``k`` closest alive view entries (same interface
         as :meth:`TManLayer.neighbors`, so Polystyrene is agnostic)."""
-        view = self._ensure_view(node)
-        if not view:
-            return []
-        ids, _ = view.arrays()
-        mask = sim.network.alive_mask(ids)
-        if not mask.any():
-            return []
-        return rank_alive(self.space, node.pos_array, view, mask, k)
+        ids = self._ensure_view(node).ids
+        ids = ids[sim.network.alive_mask(ids)]
+        return rank_current(self.space, sim.network.table, node.pos_array, ids, k).tolist()
 
     # -- one gossip cycle ----------------------------------------------------
 
@@ -144,18 +132,18 @@ class VicinityLayer:
 
         payload = self._build_buffer(sim, node, target_pos=partner.pos_array)
         reply = self._build_buffer(sim, partner, target_pos=node.pos_array)
-        sim.meter.charge_descriptors(self.name, len(payload[0]), self._coord_dim)
-        sim.meter.charge_descriptors(self.name, len(reply[0]), self._coord_dim)
+        sim.meter.charge_descriptors(self.name, len(payload), self._coord_dim)
+        sim.meter.charge_descriptors(self.name, len(reply), self._coord_dim)
         self._merge(sim, partner, payload)
         self._merge(sim, node, reply)
 
     def _build_buffer(
         self, sim: Simulation, node: SimNode, target_pos: Coord
-    ) -> Tuple[np.ndarray, object]:
-        """The ``message_size`` descriptors most relevant to the target,
-        drawn from the node's view ∪ itself ∪ fresh RPS candidates: the
-        ranked ``(ids, coords)`` rows."""
-        ids, coords = self._ensure_view(node).arrays()
+    ) -> np.ndarray:
+        """The ids of the ``message_size`` peers most relevant to the
+        target, drawn from the node's view ∪ itself ∪ fresh RPS
+        candidates and ranked at their current positions."""
+        ids = self._ensure_view(node).ids
         extra = [node.nid]
         seen = set(ids.tolist())
         seen.add(node.nid)
@@ -163,24 +151,19 @@ class VicinityLayer:
             if nid not in seen:
                 seen.add(nid)
                 extra.append(nid)
-        pool_ids = np.append(ids, np.asarray(extra, dtype=np.int64))
-        pool_coords = join_coords(
-            coords, [node.pos] + [sim.network.node(nid).pos for nid in extra[1:]]
+        pool = np.append(ids, np.asarray(extra, dtype=np.int64))
+        return rank_current(
+            self.space, sim.network.table, target_pos, pool, self.message_size
         )
-        order = rank_order(
-            self.space, target_pos, pool_ids, pool_coords, self.message_size
-        )
-        return pool_ids[order], take_coords(pool_coords, order)
 
-    def _merge(
-        self, sim: Simulation, node: SimNode, incoming: Tuple[np.ndarray, object]
-    ) -> None:
+    def _merge(self, sim: Simulation, node: SimNode, incoming: np.ndarray) -> None:
         view = self._ensure_view(node)
         ages = node.vicinity_age
-        for nid in view.merge(*incoming, node.nid, sim.detected_failed()):
+        for nid in view.merge(incoming, node.nid, sim.detected_failed()):
             ages[nid] = 0  # freshly heard of
         if len(view) > self.view_size:
-            ids, coords = view.arrays()
-            order = rank_order(self.space, node.pos_array, ids, coords, self.view_size)
-            view.set_ranked(ids[order], take_coords(coords, order))
+            table = sim.network.table
+            view.set_ranked(
+                rank_current(self.space, table, node.pos_array, view.ids, self.view_size)
+            )
             node.vicinity_age = {nid: ages.get(nid, 0) for nid in view}

@@ -57,11 +57,12 @@ from ..sim.engine import Simulation
 #: placement in per-node dicts, where format 5 keeps it in the
 #: ``PlacementStore`` both engines share; format 5 pickled batch
 #: topology views as an id and a coordinate per slot, where format 6
-#: pickles an int32 descriptor version per slot and one descriptor table
-#: per layer.  :func:`load` and :func:`restore` reject every format but
+#: pickled an int32 descriptor version per slot and one descriptor table
+#: per layer; format 7 pickles a view as its peer ids alone, on both
+#: engines.  :func:`load` and :func:`restore` reject every format but
 #: this one (cached entries are disposable: one format, no legacy
 #: reader).
-CHECKPOINT_FORMAT = 6
+CHECKPOINT_FORMAT = 7
 
 _MAGIC = b"repro-ckpt"
 #: Offset of the checksummed body: magic, 64 hex digits, a newline.

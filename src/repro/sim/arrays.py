@@ -15,14 +15,15 @@ and friends):
   table grows (:meth:`NodeTable.reclaim`), so the rows in use are
   bounded by the live population.
 
-* :class:`ViewBuffer` — the per-layer topology *view slot*: an id →
-  coordinate map that *is* two arrays, an int64 id column and the
-  coordinates of those ids in the same order.  :meth:`ViewBuffer.merge`
-  keeps ``dict`` semantics exactly — updating an existing key keeps its
-  position, new keys append — so Vicinity draws the same RNG sequences
-  it drew over plain dicts; T-Man keeps its views *ranked* for their
-  owner instead (:meth:`ViewBuffer.set_ranked`).  Every ranking reads
-  the arrays as they stand: there is no second copy to rebuild.
+* :class:`ViewBuffer` — the per-layer topology *view slot*: an int64
+  column of peer ids.  A view holds no coordinates: every ranking reads
+  each peer's current position from the table when it ranks
+  (:meth:`NodeTable.gather`).  :meth:`ViewBuffer.merge` keeps ``dict``
+  key semantics — known ids keep their place, new ids append — so
+  Vicinity iterates its views as it did over plain dicts; T-Man keeps
+  its views *ranked* for their owner instead
+  (:meth:`ViewBuffer.set_ranked`), valid while the table's
+  :attr:`NodeTable.moves` counter stands where the ranking read it.
 
 Both containers deep-copy and pickle cleanly, which the checkpoint
 subsystem relies on.
@@ -44,7 +45,7 @@ where nothing else references the array.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -107,14 +108,15 @@ _MIN_BLOCK_ROWS = 64
 #: What :func:`reserve_scratch` allocates and frees, which sets glibc's
 #: ``mmap`` threshold to it and the trim threshold to twice it.  Its job
 #: is the round's stacked messages, the largest temporaries a round
-#: makes: at 3,200 nodes T-Man's message coordinates are 2 MB, so 4 MiB
-#: serves them, one block and the rest of a round from retained heap
-#: (40 rounds of ``repair-batch-80x40``: 3.3k minor faults, against 35k
+#: makes: at 3,200 nodes T-Man's messages were 2 MB when a descriptor
+#: was an id and a coordinate, so 4 MiB serves them, one block and the
+#: rest of a round from retained heap (40 rounds of
+#: ``repair-batch-80x40``: 3.3k minor faults, against 35k
 #: at 2 MiB and 37k unreserved).  It is also the size above which an
 #: array is ``mmap``ped — the persistent view arrays from 3,200 nodes up
 #: are, so :func:`resized` grows them by ``mremap``; at 6-16 MiB T-Man's
-#: 5 MB coordinate block sits on the heap, its growth copies, and the
-#: peak reads 68.1 MB against 66.4 MB (faults 3.7k).  Networks whose
+#: then 5 MB view block sat on the heap, its growth copied, and the
+#: peak read 68.1 MB against 66.4 MB (faults 3.7k).  Networks whose
 #: messages outgrow it raise the threshold themselves: glibc lifts it
 #: to every freed ``mmap`` chunk's size, up to 32 MiB.
 _SCRATCH_ARENA_BYTES = 4 << 20
@@ -261,6 +263,11 @@ class NodeTable:
         #: view hold an id the network no longer knows
         #: (:meth:`repro.sim.engine.Simulation.departed`).
         self._has_released = False
+        #: Changes of what :meth:`gather` reads so far: a coordinate
+        #: write that hands in a new position object, a release, a
+        #: reclaim.  A ranking taken while it stood still is the ranking
+        #: now (the event engine's T-Man views keep it as their memo).
+        self.moves = 0
 
     def __setstate__(self, state) -> None:
         """Tables pickled before the sentinel slot existed may have
@@ -401,7 +408,11 @@ class NodeTable:
         return row
 
     def set_coord(self, row: int, coord: Coord) -> None:
-        """Write a node's coordinate (array column + canonical object)."""
+        """Write a node's coordinate (array column + canonical object).
+        Handing back the position object the row holds is not a move."""
+        if coord is self._pos_cache[row]:
+            return
+        self.moves += 1
         if self._coords is not None:
             self._coords[row] = coord
             if not isinstance(coord, tuple):
@@ -410,6 +421,7 @@ class NodeTable:
 
     def set_coords(self, rows: np.ndarray, coords: np.ndarray) -> None:
         """:meth:`set_coord` for many rows at once (vector mode)."""
+        self.moves += 1
         self._coords[rows] = coords
         cache = self._pos_cache
         for row, coord in zip(rows.tolist(), coords.tolist()):
@@ -442,6 +454,7 @@ class NodeTable:
             self._pos_cache[row] = None
             self._free.append(row)
         self._has_released = True
+        self.moves += 1
         return row
 
     def reclaim(self, rows: np.ndarray) -> np.ndarray:
@@ -482,6 +495,7 @@ class NodeTable:
         del cache[k:]
         self._n_rows = k
         self._layout += 1
+        self.moves += 1
         self._remap = remap
         return remap
 
@@ -590,132 +604,66 @@ def follow(owner, table: NodeTable, fills) -> Optional[np.ndarray]:
     return remap
 
 
-#: The memory ledger site of every view's arrays (family ``view_buffer``).
+#: The memory ledger site of every view's id column (family
+#: ``view_buffer``).
 _VIEW_SITE = "ViewBuffer.state"
 
 
-def take_coords(coords, idx: np.ndarray):
-    """Rows ``idx`` (an index array or a bool mask) of a coordinate
-    batch: a float block, or a list of coordinate objects
-    (:data:`OBJECT_DIM`).  The result is a new batch either way."""
-    if isinstance(coords, np.ndarray):
-        # ``take`` / ``compress`` rather than ``coords[idx]``: the same
-        # rows at a fraction of fancy indexing's per-call cost.
-        if idx.dtype == bool:
-            return coords.compress(idx, axis=0)
-        return coords.take(idx, axis=0)
-    if idx.dtype == bool:
-        idx = np.flatnonzero(idx)
-    return [coords[i] for i in idx.tolist()]
-
-
-def join_coords(coords, extra):
-    """A new coordinate batch: ``coords`` followed by ``extra`` (a batch
-    of the same kind, or a sequence of coordinate objects)."""
-    if isinstance(coords, list):
-        return coords + list(extra)
-    extra = np.asarray(extra, dtype=float).reshape(-1, coords.shape[1])
-    return np.concatenate((coords, extra))
-
-
 class ViewBuffer:
-    """An id → coordinate map held as two arrays.
+    """A topology view: an int64 column of peer ids and nothing else.
 
-    The whole state is an int64 id column and the coordinates of those
-    ids, row for row: an ``(n, dim)`` float block, or a list of
-    coordinate objects where the space's coordinates are not float
-    vectors (:data:`OBJECT_DIM`).  Ranking kernels read the pair as it
-    stands (:meth:`arrays`).  The bulk calls the gossip layers make —
-    :meth:`merge`, :meth:`evict_ids`, :meth:`set_ranked` — overwrite
-    rows in place or install new arrays the view alone holds.
-    :meth:`merge` keeps ``dict`` semantics exactly, so Vicinity's views
-    (merged, then truncated by rank only when over their size) iterate
-    and hence draw RNG as the historical dict-based views did.  T-Man's
-    views are *ranked* instead: every merge installs the (distance to
-    the owner, id) order through :meth:`set_ranked`, and
-    :attr:`ranked_pos` names the position it was ranked for.
+    A view holds no coordinates.  Every ranking reads each peer's
+    position from the node table at the moment it ranks, so a view is
+    never stale.  :meth:`merge` keeps ``dict`` key semantics exactly — a
+    known id keeps its place, unknown ids append in message order — so
+    Vicinity's views iterate, and hence draw RNG, as plain dict views
+    did.  T-Man's views are *ranked* instead: every merge installs the
+    (distance to the owner, id) order through :meth:`set_ranked`, and
+    :attr:`ranked_at` names the :attr:`NodeTable.moves` count it was
+    ranked at (``-1``: not ranked).
 
-    The mapping protocol (``in``, ``[]``, ``items()``) reads the arrays
-    for the routing layer and tests; a single-id lookup scans the id
-    column.  Every change of the arrays' size is booked in the memory
-    ledger (family ``view_buffer``), so its current bytes are what the
-    views hold.
+    ``in``, ``len`` and iteration read the id column (a single-id test
+    scans it).  Every change of its size is booked in the memory ledger
+    (family ``view_buffer``), so its current bytes are what the views
+    hold.
     """
 
-    __slots__ = ("_dim", "_ids", "_coords", "_ranked_pos")
+    __slots__ = ("_ids", "_ranked_at")
 
-    def __init__(
-        self,
-        dim: Union[int, str],
-        entries: Iterable[Tuple[NodeId, Coord]] = (),
-    ) -> None:
-        entries = dict(entries)
-        self._dim = dim
-        self._ids = np.fromiter(entries, dtype=np.int64, count=len(entries))
-        coords = list(entries.values())
-        if isinstance(dim, int):
-            coords = np.asarray(coords, dtype=float).reshape(len(coords), dim)
-        self._coords = coords
-        #: The origin object this view is currently *sorted for* (set by
-        #: the ranked truncations, compared by identity).  While it is
-        #: the node's live position object, ranked prefixes of the view
-        #: replace distance kernels entirely; any mutation that can
-        #: break the sort order clears it (order-preserving evictions
-        #: keep it).
-        self._ranked_pos = None
+    def __init__(self, ids: Iterable[NodeId] = ()) -> None:
+        ids = dict.fromkeys(ids)
+        self._ids = np.fromiter(ids, dtype=np.int64, count=len(ids))
+        self._ranked_at = -1
         if _mem.ENABLED:
             _mem.add("view_buffer", _VIEW_SITE, self.nbytes)
 
-    def _install(self, ids: np.ndarray, coords) -> None:
-        """Make ``(ids, coords)`` the view's state, booking the change
-        of its bytes."""
-        before = self.nbytes if _mem.ENABLED else 0
-        self._ids = ids
-        self._coords = coords
+    def _install(self, ids: np.ndarray) -> None:
+        """Make ``ids`` the view's id column, booking the change of its
+        bytes."""
         if _mem.ENABLED:
-            _mem.add("view_buffer", _VIEW_SITE, self.nbytes - before)
+            _mem.add("view_buffer", _VIEW_SITE, ids.nbytes - self.nbytes)
+        self._ids = ids
 
-    def _find(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(slots, held)``: where each of ``ids`` sits in the id column
-        (a sorted search) and whether it is there at all; a slot is
-        meaningful only where ``held``."""
-        col = self._ids
-        if not len(col):
-            return np.zeros(len(ids), dtype=np.intp), np.zeros(len(ids), dtype=bool)
-        order = np.argsort(col)
-        slots = order.take(np.searchsorted(col, ids, sorter=order), mode="clip")
-        return slots, col[slots] == ids
-
-    def _slot(self, nid) -> int:
-        hit = np.flatnonzero(self._ids == nid)
-        if not len(hit):
-            raise KeyError(nid)
-        return int(hit[0])
-
-    def _coord(self, slot: int) -> Coord:
-        if isinstance(self._coords, np.ndarray):
-            return tuple(self._coords[slot].tolist())
-        return self._coords[slot]
+    def release(self) -> None:
+        """Book the view's bytes as released (its holder drops it)."""
+        if _mem.ENABLED:
+            _mem.add("view_buffer", _VIEW_SITE, -self.nbytes)
 
     @property
-    def dim(self) -> Union[int, str]:
-        return self._dim
+    def ids(self) -> np.ndarray:
+        """The id column — the view's own state, not a copy; do not
+        mutate it."""
+        return self._ids
 
     @property
-    def ranked_pos(self):
-        """The origin object the view is sorted for, or None."""
-        return self._ranked_pos
+    def ranked_at(self) -> int:
+        """The table's move count the view's order was ranked at."""
+        return self._ranked_at
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the id column and a float coordinate block (the
-        memory ledger's accounting hook)."""
-        total = self._ids.nbytes
-        if isinstance(self._coords, np.ndarray):
-            total += self._coords.nbytes
-        return total
-
-    # -- mapping protocol (dict-compatible reads of the arrays) ----------
+        """Bytes held by the id column (the memory ledger's hook)."""
+        return self._ids.nbytes
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -729,123 +677,49 @@ class ViewBuffer:
     def __contains__(self, nid) -> bool:
         return bool(np.any(self._ids == nid))
 
-    def __getitem__(self, nid) -> Coord:
-        return self._coord(self._slot(nid))
-
-    def __setitem__(self, nid: NodeId, coord: Coord) -> None:
-        hit = np.flatnonzero(self._ids == nid)
-        if len(hit):
-            self._coords[hit[0]] = coord
-        else:
-            self._install(
-                np.append(self._ids, np.int64(nid)), join_coords(self._coords, [coord])
-            )
-        self._ranked_pos = None
-
-    def __delitem__(self, nid: NodeId) -> None:
-        if nid not in self:
-            raise KeyError(nid)
-        self.evict_ids([nid])
-
-    def get(self, nid, default=None):
-        return self[nid] if nid in self else default
-
-    def keys(self) -> List[NodeId]:
-        return self._ids.tolist()
-
-    def values(self) -> List[Coord]:
-        if isinstance(self._coords, np.ndarray):
-            return list(map(tuple, self._coords.tolist()))
-        return list(self._coords)
-
-    def items(self) -> List[Tuple[NodeId, Coord]]:
-        return list(zip(self.keys(), self.values()))
-
-    # -- the arrays (the ranking hot path) --------------------------------
-
-    def arrays(self):
-        """``(ids, coords)`` in insertion order: the int64 id column and
-        the coordinate batch ((n, dim) float array in vector mode, a
-        list of coordinate objects otherwise) — the view's own state,
-        not a copy; do not mutate them."""
-        return self._ids, self._coords
-
-    # -- bulk mutations (one method call per hot pattern) ----------------
-
     def evict_ids(self, stale) -> None:
-        """Drop the given ids (the caller computed the stale set, e.g.
-        from a vectorised liveness mask); the order of the rest, and so
-        the ranked marker, is kept."""
+        """Drop the given ids; the order of the rest, and so the ranked
+        marker, is kept."""
         if len(stale):
-            keep = ~np.isin(self._ids, stale)
-            self._install(self._ids[keep], take_coords(self._coords, keep))
+            self._install(self._ids[~np.isin(self._ids, stale)])
 
-    def merge(self, ids: np.ndarray, coords, own: NodeId, detected) -> List[NodeId]:
-        """The topology merge rule over one message ``(ids, coords)``:
-        adopt every descriptor except ``own`` and ids in ``detected`` (a
-        set).  A known id's row is overwritten where it stands — a
-        descriptor that arrives now is fresher than the stored one — and
-        unknown ids are appended in message order.  Returns the adopted
-        ids, in message order."""
-        incoming = ids.tolist()
-        pick = [
-            i for i, nid in enumerate(incoming) if nid != own and nid not in detected
+    def merge(self, ids: np.ndarray, own: NodeId, detected) -> List[NodeId]:
+        """The Vicinity merge rule over one message: adopt every id
+        except ``own`` and ids in ``detected`` (a set); unknown ids
+        append in message order.  Returns the adopted ids, in message
+        order."""
+        adopted = [
+            nid for nid in ids.tolist() if nid != own and nid not in detected
         ]
-        if not pick:
-            return []
-        if len(pick) < len(incoming):
-            idx = np.asarray(pick)
-            ids, coords = ids[idx], take_coords(coords, idx)
-            incoming = [incoming[i] for i in pick]
-        self._ranked_pos = None
-        slots, held = self._find(ids)
-        if held.any():
-            if isinstance(self._coords, np.ndarray):
-                self._coords[slots[held]] = coords[held]
-            else:
-                for slot, coord in zip(slots[held].tolist(), take_coords(coords, held)):
-                    self._coords[slot] = coord
-        if not held.all():
-            new = ~held
-            self._install(
-                np.concatenate((self._ids, ids[new])),
-                join_coords(self._coords, take_coords(coords, new)),
-            )
-        return incoming
+        if adopted:
+            self._ranked_at = -1
+            new = np.asarray(adopted, dtype=np.int64)
+            new = new[~np.isin(new, self._ids)]
+            if len(new):
+                self._install(np.concatenate((self._ids, new)))
+        return adopted
 
-    def set_ranked(self, keep_ids: np.ndarray, coords, ranked_for=None) -> None:
-        """Install ``(keep_ids, coords)`` — arrays the caller hands over,
-        typically a ranking's rows of this view — as the whole view.
-        ``ranked_for`` records the origin object the order was computed
-        against (T-Man's bounded-view truncation)."""
-        self._install(keep_ids, coords)
-        self._ranked_pos = ranked_for
-
-    def keep_ranked(self, keep: Sequence[NodeId], ranked_for=None) -> None:
-        """:meth:`set_ranked` by id: hold exactly ``keep``, in that
-        order — the array form of ``{nid: view[nid] for nid in keep}``."""
-        keep = np.asarray(keep, dtype=np.int64).reshape(-1)
-        slots, held = self._find(keep)
-        if not held.all():
-            raise KeyError(keep[~held][0].item())
-        self.set_ranked(keep, take_coords(self._coords, slots), ranked_for)
+    def set_ranked(self, ids: np.ndarray, ranked_at: int = -1) -> None:
+        """Install ``ids`` — an array the caller hands over — as the
+        whole view, ranked at table move count ``ranked_at``."""
+        self._install(ids)
+        self._ranked_at = ranked_at
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ViewBuffer(n={len(self._ids)}, dim={self._dim})"
+        return f"ViewBuffer(n={len(self._ids)})"
 
 
 def release_views(holder) -> None:
     """Book in the memory ledger the release of every view slot an
     object holds — a node the network forgets drops its views."""
-    if _mem.ENABLED:
-        for slot in vars(holder).values():
-            if isinstance(slot, ViewBuffer):
-                _mem.add("view_buffer", _VIEW_SITE, -slot.nbytes)
+    for slot in vars(holder).values():
+        if isinstance(slot, ViewBuffer):
+            slot.release()
 
 
 def view_ids(view) -> np.ndarray:
     """The id column of a topology view slot: a :class:`ViewBuffer`, a
     plain dict (tests, ad-hoc probes) or ``None``."""
     if isinstance(view, ViewBuffer):
-        return view.arrays()[0]
+        return view.ids
     return np.fromiter(view or (), np.int64)

@@ -4,8 +4,8 @@ The second execution engine (``ScenarioConfig.engine = "batch"``): it
 advances the whole network one round at a time with array kernels
 (:mod:`.kernels` — plain functions, one implementation each) instead of
 per-node Python control flow.  Ships as simulation-semantics
-version 2: trajectories are *statistically* equivalent to the event
-engine (version 3), not bit-identical — see the engine module docstring
+version 5: trajectories are *statistically* equivalent to the event
+engine (version 4), not bit-identical — see the engine module docstring
 for the exact semantic contract and ``tests/test_engine_equivalence``
 for the enforced equivalence bands.
 """

@@ -1,4 +1,4 @@
-"""Batch-synchronous simulation engine (``SEMANTICS_VERSION = 2``).
+"""Batch-synchronous simulation engine (``SEMANTICS_VERSION = 5``).
 
 :class:`BatchSimulation` drives the same network, event schedule,
 message meter and observers as the event engine, but each layer
@@ -46,11 +46,13 @@ from ..rng import derive_seed
 from .topology import ViewIdMatrix, _BatchTopologyBase
 
 #: Version of the *batch* simulation semantics (the event engine is
-#: version 3 — :data:`repro.sim.engine.SEMANTICS_VERSION`).  Bump in the
+#: version 4 — :data:`repro.sim.engine.SEMANTICS_VERSION`).  Bump in the
 #: same change that alters any batch-mode trajectory; it keys the
 #: phase-fork checkpoint cache for ``engine="batch"`` configurations and
-#: the batch golden digests.
-SEMANTICS_VERSION = 2
+#: the batch golden digests.  Version 5 (neither engine's number
+#: before): topology views are id columns ranked at peers' current
+#: positions.
+SEMANTICS_VERSION = 5
 
 
 def generator_for(seed: int, *keys) -> np.random.Generator:

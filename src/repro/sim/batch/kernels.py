@@ -319,7 +319,6 @@ def merge_rank_truncate(
     pos: np.ndarray,
     ids_pad: np.ndarray,
     coords_pad: np.ndarray,
-    vers_pad: np.ndarray,
     valid: np.ndarray,
     cap: int,
     stride: int,
@@ -328,20 +327,19 @@ def merge_rank_truncate(
     """The topology merge in fused padded form — the bucketed successor
     of the flat pipeline :func:`dedup_rank_truncate_reference` keeps.
 
-    ``ids_pad``/``coords_pad``/``vers_pad`` are ``(rows, width)`` padded
-    blocks whose columns hold each receiver's existing view entries
-    first and the incoming message entries after, in arrival order —
-    each entry's id, coordinate, and the version (descriptor-table
-    index) it is stored as; ``valid`` masks real entries; ``pos`` is
-    each receiver's own position; ``stride`` is any exclusive upper
-    bound on the ids (callers compute the network-wide one once per
-    merge, not per block).  Per row the kernel keeps the last
-    (freshest) copy of every duplicated id, ranks the survivors by
+    ``ids_pad``/``coords_pad`` are ``(rows, width)`` padded blocks whose
+    columns hold each receiver's existing view entries first and the
+    incoming message entries after, in arrival order — each entry's id
+    and the coordinate it ranks at; ``valid`` masks real entries;
+    ``pos`` is each receiver's own position; ``stride`` is any
+    exclusive upper bound on the ids (callers compute the network-wide
+    one once per merge, not per block).  Per row the kernel keeps the
+    last copy of every duplicated id, ranks the survivors by
     canonical-coordinate distance to ``pos`` with id tie-break,
-    truncates to ``cap`` and returns ``(vers, ages)``: the survivors'
-    versions as a ``(rows, cap)`` block padded with ``-1``, and their
-    merged ages (incoming entries aging from 0) when ``ages_pad`` is
-    given, else ``None``.
+    truncates to ``cap`` and returns ``(ids, ages)``: the survivors' ids
+    as a ``(rows, cap)`` block of ``ids_pad``'s dtype padded with
+    ``-1``, and their merged ages (incoming entries aging from 0) when
+    ``ages_pad`` is given, else ``None``.
 
     Output contract: the entries the reference flat pipeline (dedup
     keep-last, rank by ``space.distance_rows``, id tie-break, truncate)
@@ -372,22 +370,22 @@ def merge_rank_truncate(
         order = take_rows(o1, o2)
     top = order[:, :k]
     if _mem.ENABLED:
-        # A version (+ an int64 age) per output slot.
-        slot_bytes = vers_pad.itemsize + (8 if ages_pad is not None else 0)
+        # An id (+ an int64 age) per output slot.
+        slot_bytes = ids_pad.itemsize + (8 if ages_pad is not None else 0)
         _mem.scratch("kernel_pads", "merge_rank_truncate.out", n_rows * cap * slot_bytes)
     if n_rows and int(cnt.min()) >= cap:
         # Every row fills ``cap`` (the common case): the gathers *are*
         # the output blocks, there is nothing to mask.
         ages = None if ages_pad is None else take_rows(ages_pad, top)
-        return take_rows(vers_pad, top), ages
+        return take_rows(ids_pad, top), ages
     fit = np.arange(k) < np.minimum(cnt, cap)[:, None]
-    out_vers = np.full((n_rows, cap), -1, dtype=vers_pad.dtype)
-    out_vers[:, :k] = np.where(fit, take_rows(vers_pad, top), -1)
+    out_ids = np.full((n_rows, cap), -1, dtype=ids_pad.dtype)
+    out_ids[:, :k] = np.where(fit, take_rows(ids_pad, top), -1)
     if ages_pad is None:
-        return out_vers, None
+        return out_ids, None
     out_ages = np.zeros((n_rows, cap), dtype=np.int64)
     out_ages[:, :k] = np.where(fit, take_rows(ages_pad, top), 0)
-    return out_vers, out_ages
+    return out_ids, out_ages
 
 
 # -- row distances --------------------------------------------------------

@@ -1,22 +1,14 @@
 """Batch topology construction: whole-network T-Man and Vicinity.
 
-A view slot holds a *descriptor*: a peer's id plus the position that
-peer advertised when the descriptor was sent (Sec. IV-A).  Many slots
-hold the same descriptor — at 80×40 the 320k filled slots of T-Man's
-views hold 3–10k distinct ones — so each is stored once, in a per-layer
-*descriptor table* (an int64 id and a float64 coordinate per
-*version*), and view state is padded arrays indexed by node-table row:
-int32 versions ``(R, C)`` with ``-1`` empty slots (Vicinity adds
-``ages`` ``(R, C)``).  The table's last slot is a sentinel — id ``-1``,
-zero coordinates — so a ``-1`` pad resolves through plain ``take``
-calls, as :class:`~repro.sim.arrays.NodeTable`'s does.  A node's fresh
-descriptor (its id at its current position: its own entry in an
-exchange pool, a bootstrap peer, a Vicinity RPS candidate) reuses its
-current version while its table coordinate is bitwise the one that
-version recorded, and is issued a new version otherwise, so a stored
-descriptor stays exactly as stale as the one it was copied from.  A
-full table compacts: the versions a view slot or a current-version
-column references are kept, renumbered in order.
+A view is an id column: view state is padded arrays indexed by
+node-table row, int32 peer ids ``(R, C)`` with ``-1`` empty slots
+(Vicinity adds ``ages`` ``(R, C)``).  A view holds no coordinates.
+Every stage that ranks — partner choice, message building, the merge
+truncation, ``neighbors_rows`` — reads each peer's position from the
+node table when it ranks (``table.coords_at(table.rows_of(ids))``), as
+cycle-driven T-Man simulators do, so no entry is ever stale.  A ``-1``
+pad resolves through the table's sentinel row (dead, zero
+coordinates) in plain ``take`` calls.
 
 One ``step`` runs the round for every alive node from the groomed
 round-start snapshot:
@@ -25,36 +17,34 @@ round-start snapshot:
    peer-sampling layer;
 2. select every node's gossip partner (T-Man: uniform among the ψ
    closest alive entries; Vicinity: the oldest entry);
-3. build both exchange buffers of every pair — the ``m`` descriptors of
+3. build both exchange buffers of every pair — the ``m`` peers of
    ``view ∪ {self}`` (Vicinity: ``∪ fresh RPS candidates``) closest to
    the *other* side's position — from the snapshot, as one stacked
-   array of message versions (payloads above replies) beside its
-   receiver column;
-4. deliver all messages at once: every descriptor is metered, a
-   receiver's own id and detected peers are blanked in place, fresher
-   descriptors overwrite, and every touched view is truncated to the
-   ``cap`` entries closest to the receiver's position, stored in ranked
-   order.
+   array of message ids (payloads above replies) beside its receiver
+   column;
+4. deliver all messages at once: every descriptor is metered as an id
+   plus a coordinate (what the protocol sends), a receiver's own id and
+   detected peers are blanked in place, and every touched view is
+   truncated to the ``cap`` entries closest to the receiver's position,
+   stored in ranked order.
 
 Every stage runs a *row block* at a time: the groom (evicting and
 ageing in place, then one bootstrap call over every block's empty rows
 in row order), partner ranking, both directions of every exchange (one
 list of pool rows, each pool filled in place), the receivers' refusal
-filter and the merge each resolve only
-:func:`~repro.sim.batch.kernels.block_rows` rows of versions into ids
-and coordinates, so no block outgrows the scratch budget however large
-the network is and a step holds the views, the round's messages and
-one block.  Rows rank independently, RNG draws are taken for the whole
-network before (or, for the bootstrap, after) a block loop, and every
-fresh version a step needs is issued before its block loop, so blocking
-changes no result and no stream, and no compaction renumbers a version
-a block loop holds.  A descriptor moves once: the messages stay stacked
+filter and the merge each gather coordinates for only
+:func:`~repro.sim.batch.kernels.block_rows` rows of ids, so no block
+outgrows the scratch budget however large the network is and a step
+holds the views, the round's messages and one block.  Rows rank
+independently, and RNG draws are taken for the whole network before
+(or, for the bootstrap, after) a block loop, so blocking changes no
+result and no stream.  A descriptor moves once: the messages stay stacked
 as step 3 built them, step 4 buckets *messages* (not entries) by
 receiver — one count, one stable radix pass over the receiver column —
 and a block of receivers scatters whole messages behind its view
 block, padded only to its own fullest row, for the fused
 :func:`~repro.sim.batch.kernels.merge_rank_truncate`, which ranks the
-resolved coordinates and keeps the winners' versions.  What stays
+gathered coordinates and keeps the winners' ids.  What stays
 whole-network besides the messages is four message-length index
 columns.
 
@@ -62,8 +52,7 @@ View arrays are sized to the node table's capacity
 (:attr:`~repro.sim.arrays.NodeTable.capacity`) and numbered as its rows
 are: the table owns the one growth rule and the one renumbering, a
 layer only follows them, through :func:`~repro.sim.arrays.follow` (in
-place unless something else holds the array).  Versions are numbered
-independently of rows, so a reclaim renumbers none of them.
+place unless something else holds the array).
 
 Batch-vs-event semantic deltas: exchanges are snapshot-based rather
 than sequential, a node reached by several messages merges them in one
@@ -124,15 +113,8 @@ class _BatchTopologyBase:
         self.capacity = capacity
         self.bootstrap_size = bootstrap_size
         self._coord_dim = space.dim
-        self._ver = np.full((0, capacity), -1, dtype=np.int32)
+        self._ids = np.full((0, capacity), -1, dtype=np.int32)
         self._ages = np.zeros((0, capacity), dtype=np.int64) if with_ages else None
-        #: Each row's current version (``-1``: none issued yet).
-        self._cur = np.full(0, -1, dtype=np.int32)
-        #: The descriptor table: versions ``[0, _n_ver)`` are issued,
-        #: the last slot is the sentinel.
-        self._vnid = np.full(1, -1, dtype=np.int64)
-        self._vcoord = np.zeros((1, space.dim))
-        self._n_ver = 0
         if obs_mem.ENABLED:
             obs_mem.add("topology_views", f"{self.name}.views", self.nbytes)
 
@@ -140,11 +122,9 @@ class _BatchTopologyBase:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the view state: version slots (+ ages), the
-        current-version column and the descriptor table (the memory
-        ledger's ``<layer>.views`` site)."""
-        total = self._ver.nbytes + self._cur.nbytes
-        total += self._vnid.nbytes + self._vcoord.nbytes
+        """Bytes of the view state: id slots (+ ages) — the memory
+        ledger's ``<layer>.views`` site."""
+        total = self._ids.nbytes
         if self._ages is not None:
             total += self._ages.nbytes
         return total
@@ -153,111 +133,35 @@ class _BatchTopologyBase:
         """Follow the node table (its capacity and row numbering: the
         table owns both; a layer only follows them)."""
         before = self.nbytes if obs_mem.ENABLED else 0
-        follow(self, table, {"_ver": -1, "_ages": 0, "_cur": -1})
+        follow(self, table, {"_ids": -1, "_ages": 0})
         if obs_mem.ENABLED:
             obs_mem.add("topology_views", f"{self.name}.views", self.nbytes - before)
-
-    def _resolve(self, ver: np.ndarray):
-        """``(ids, coords)`` of a version block of any shape: int64 ids
-        and float coordinates, ``-1`` / zeros where the version is
-        ``-1``."""
-        return self._vnid.take(ver), self._vcoord.take(ver, axis=0)
 
     def ids_rows(self, rows) -> np.ndarray:
         """The view ids of table ``rows`` (an index array or a slice),
         ``-1`` padded — how readers outside the layer see its views."""
-        return self._vnid.take(self._ver[rows])
+        return self._ids[rows]
 
     @property
     def view_shape(self):
         """``(allocated rows, view slots)`` of :meth:`ids_rows`."""
-        return self._ver.shape
-
-    # -- the descriptor table ------------------------------------------------
-
-    def _fresh(self, table, rows: np.ndarray) -> np.ndarray:
-        """Versions of the descriptors the nodes at table ``rows`` (any
-        shape, ``-1`` for none) advertise now: their ids at their
-        current positions.  A row keeps its current version while the
-        table's coordinate is bitwise the one that version recorded;
-        otherwise (the node moved, the row changed hands, or it never
-        advertised) it is issued one new version.  May compact the
-        table, so it renumbers versions a caller holds: call it before
-        reading the views."""
-        out = np.full(rows.shape, -1, dtype=np.int32)
-        has = rows >= 0
-        rows = rows[has]
-        cur = self._cur.take(rows)
-        stale = self._vnid.take(cur) != table._nid_of.take(rows)
-        bits = self._vcoord.take(cur, axis=0).view(np.int64)
-        stale |= (bits != table._coords.take(rows, axis=0).view(np.int64)).any(axis=1)
-        if stale.any():
-            # Each stale row once, in row order (``np.unique`` would
-            # import ``numpy.ma``, a megabyte, for its masked check).
-            mark = np.zeros(len(self._cur), dtype=bool)
-            mark[rows[stale]] = True
-            new = np.flatnonzero(mark)
-            k = len(new)
-            if self._n_ver + k > len(self._vnid) - 1:
-                self._compact_versions(k)
-            first = self._n_ver
-            self._vnid[first : first + k] = table._nid_of[new]
-            self._vcoord[first : first + k] = table._coords[new]
-            self._cur[new] = np.arange(first, first + k, dtype=np.int32)
-            self._n_ver += k
-            cur = self._cur.take(rows)
-        out[has] = cur
-        return out
-
-    def _live_versions(self) -> np.ndarray:
-        """Bool mask over the issued versions: those a view slot or the
-        current-version column references."""
-        live = np.zeros(self._n_ver + 1, dtype=bool)  # the last cell takes -1
-        step = kernels.block_rows(0, self.capacity, 1)
-        for a in range(0, len(self._ver), step):
-            live[self._ver[a : a + step]] = True
-        live[self._cur] = True
-        return live[:-1]
-
-    def _compact_versions(self, extra: int = 0) -> None:
-        """Keep the live versions (:meth:`_live_versions`), renumbered in
-        order, in a table of twice their number plus ``extra`` (the
-        versions about to be issued): the room a compaction leaves is at
-        least what it kept, so its cost, O(view slots + table), is O(1)
-        per version issued."""
-        before = self.nbytes if obs_mem.ENABLED else 0
-        keep = np.flatnonzero(self._live_versions())
-        remap = np.full(self._n_ver + 1, -1, dtype=np.int32)  # -1 stays -1
-        remap[keep] = np.arange(len(keep), dtype=np.int32)
-        step = kernels.block_rows(0, self.capacity, 1)
-        for a in range(0, len(self._ver), step):
-            self._ver[a : a + step] = remap.take(self._ver[a : a + step])
-        self._cur[:] = remap.take(self._cur)
-        size = 2 * (len(keep) + extra) + 1
-        vnid = np.full(size, -1, dtype=np.int64)
-        vcoord = np.zeros((size, self._coord_dim))
-        vnid[: len(keep)] = self._vnid[keep]
-        vcoord[: len(keep)] = self._vcoord[keep]
-        self._vnid, self._vcoord, self._n_ver = vnid, vcoord, len(keep)
-        if obs_mem.ENABLED:
-            obs_mem.add("topology_views", f"{self.name}.views", self.nbytes - before)
+        return self._ids.shape
 
     # -- bootstrap ---------------------------------------------------------
 
     def _bootstrap(self, sim, rows: np.ndarray) -> None:
         """(Re-)initialise the views of ``rows`` with random peers from
-        the peer-sampling layer, recorded at their current positions."""
+        the peer-sampling layer."""
         if len(rows) == 0:
             return
         table = sim.network.table
         peers = self.rps.sample_rows(sim, rows, self.bootstrap_size)
-        self._ver[rows] = -1
+        self._ids[rows] = -1
         if self._ages is not None:
             self._ages[rows] = 0
         n_peers = peers.shape[1]
         if n_peers == 0:
             return
-        got = self._fresh(table, table.rows_of(peers))
         if n_peers > self.capacity:
             # A draw wider than the view keeps the ``capacity`` peers
             # closest to the node: T-Man's bounded-view rule, which the
@@ -266,14 +170,13 @@ class _BatchTopologyBase:
             stride = 1 + int(peers.max(initial=-1))
             step = kernels.block_rows(stride, n_peers, self._coord_dim)
             for a in range(0, len(rows), step):
-                blk, ver = rows[a : a + step], got[a : a + step]
-                ids, coords = self._resolve(ver)
-                self._ver[blk] = kernels.merge_rank_truncate(
-                    self.space, pos[blk], ids, coords, ver, ver >= 0,
-                    self.capacity, stride,
+                blk, ids = rows[a : a + step], peers[a : a + step]
+                coords = table.coords_at(table.rows_of(ids))
+                self._ids[blk] = kernels.merge_rank_truncate(
+                    self.space, pos[blk], ids, coords, ids >= 0, self.capacity, stride
                 )[0]
         else:
-            self._ver[rows, :n_peers] = got
+            self._ids[rows, :n_peers] = peers
 
     def init_network(self, sim) -> None:
         self._ensure_rows(sim.network.table)
@@ -287,19 +190,22 @@ class _BatchTopologyBase:
 
     def _closest_alive(self, sim, rows: np.ndarray, pos: np.ndarray, k: int):
         """``(ids, pick, kd)`` of a row block: its view ids, the columns
-        of each row's ``k`` closest *alive* entries, closest first, and
-        their squared rank distances (``inf`` past the last alive one)."""
-        ver = self._ver[rows]
-        ids, coords = self._resolve(ver)
+        of each row's ``k`` closest *alive* entries at their current
+        positions, closest first, and their squared rank distances
+        (``inf`` past the last alive one)."""
+        table = sim.network.table
+        ids = self._ids[rows]
+        entry_rows = table.rows_of(ids)
+        coords = table.coords_at(entry_rows)
         d = kernels.row_rank_sq(self.space, pos[rows], coords)
-        d[~sim.alive_entry_mask(ids)] = np.inf
+        d[~table.alive_at(entry_rows)] = np.inf
         if obs_mem.ENABLED:
-            # At the rank: the version, id and coordinate blocks and the
-            # three (rows, C) float blocks the rank kernel holds at once.
+            # At the rank: the id block, its rows, their coordinates and
+            # the three (rows, C) float blocks the rank kernel holds.
             obs_mem.scratch(
                 "topology_pads",
                 f"{self.name}.rank_block",
-                ver.nbytes + ids.nbytes + coords.nbytes + 3 * d.nbytes,
+                ids.nbytes + entry_rows.nbytes + coords.nbytes + 3 * d.nbytes,
             )
         pick = kernels.topk_smallest(d, k)
         kd = kernels.take_rows(d, pick)
@@ -329,16 +235,9 @@ class _BatchTopologyBase:
 
     def view_of(self, node) -> ViewBuffer:
         if node.row < 0:  # a reclaimed row: nothing to read
-            return ViewBuffer(self._coord_dim)
-        ver = self._ver[node.row]
-        ids, coords = self._resolve(ver[ver >= 0])
-        return ViewBuffer(
-            self._coord_dim,
-            (
-                (nid, tuple(coord))
-                for nid, coord in zip(ids.tolist(), coords.tolist())
-            ),
-        )
+            return ViewBuffer()
+        ids = self._ids[node.row]
+        return ViewBuffer(ids[ids >= 0].tolist())
 
     # -- shared step pieces ------------------------------------------------
 
@@ -352,22 +251,21 @@ class _BatchTopologyBase:
         step = kernels.block_rows(0, self.capacity, 1)
         for a in range(0, len(act), step):
             rows = act[a : a + step]
-            ver = self._ver[rows]
-            ids = self._vnid.take(ver)
+            ids = self._ids[rows]
             evict = sim.detected_entry_mask(ids)
-            held = ver >= 0
+            held = ids >= 0
             if obs_mem.ENABLED:
-                # The version block, its ids and their rows
-                # (detected_entry_mask's gather), two masks.
+                # The id block, its rows (detected_entry_mask's gather),
+                # two masks.
                 obs_mem.scratch(
                     "topology_pads",
                     f"{self.name}.groom",
-                    ver.nbytes + 2 * ids.nbytes + evict.nbytes + held.nbytes,
+                    3 * ids.nbytes + evict.nbytes + held.nbytes,
                 )
             if evict.any():
-                ver[evict] = -1
+                ids[evict] = -1
                 held &= ~evict
-                self._ver[rows] = ver
+                self._ids[rows] = ids
             if self._ages is not None:
                 ages = self._ages[rows]
                 ages[evict] = 0
@@ -386,47 +284,42 @@ class _BatchTopologyBase:
         extra_i=None,
         extra_q=None,
     ):
-        """The round's messages, stacked: ``(recv, vers)`` — the
-        versions of the descriptors sent, ``-1`` padded — with the
-        payloads (sent by ``irow`` to ``qrow``) above the replies.
+        """The round's messages, stacked: ``(recv, msgs)`` — the ids of
+        the peers sent, ``-1`` padded — with the payloads (sent by
+        ``irow`` to ``qrow``) above the replies.
 
-        Each side's pool is its view entries plus its own fresh
-        descriptor (plus optional extra descriptors at current
-        positions); a message is the ``m`` pool entries closest to the
-        *receiver's* position.  Every fresh version is issued up front;
-        then both directions are one list of pool rows, ranked a row
-        block at a time (every row ranks independently), so the resolved
-        pools stay O(block).
+        Each side's pool is its view entries plus its own id (plus
+        optional extra ids); a message is the ``m`` pool entries whose
+        current positions are closest to the *receiver's* position.
+        Both directions are one list of pool rows, ranked a row block at
+        a time (every row ranks independently), so the gathered pool
+        coordinates stay O(block).
         """
         table = sim.network.table
         E = len(irow)
-        dim = self._coord_dim
         rows = np.concatenate([irow, qrow])
         recv = np.concatenate([qrow, irow])
         if extra_i is None:
-            extra = np.empty((2 * E, 0), dtype=np.int64)
+            extra = np.empty((2 * E, 0), dtype=np.int32)
         else:
-            extra = table.rows_of(np.concatenate([extra_i, extra_q]))
-        # One call: a compaction inside a second one would renumber the first's.
-        fresh = self._fresh(table, np.concatenate([rows, extra.ravel()]))
-        own, extra = fresh[: 2 * E], fresh[2 * E :].reshape(extra.shape)
+            extra = np.concatenate([extra_i, extra_q])
         C = self.capacity
         width = C + 1 + extra.shape[1]
         k = min(m, width)
-        vers = np.empty((2 * E, k), dtype=np.int32)
-        step = kernels.block_rows(0, width, dim)
+        msgs = np.empty((2 * E, k), dtype=np.int32)
+        step = kernels.block_rows(0, width, self._coord_dim)
         for a in range(0, 2 * E, step):
             blk = slice(a, a + step)
             pool = np.empty((len(rows[blk]), width), dtype=np.int32)
-            pool[:, :C] = self._ver[rows[blk]]
-            pool[:, C] = own[blk]
+            pool[:, :C] = self._ids[rows[blk]]
+            pool[:, C] = table._nid_of[rows[blk]]
             pool[:, C + 1 :] = extra[blk]
-            pool_coords = self._vcoord.take(pool, axis=0)
+            pool_coords = table.coords_at(table.rows_of(pool))
             d = kernels.row_rank_sq(self.space, pos[recv[blk]], pool_coords)
             d[pool < 0] = np.inf
             if obs_mem.ENABLED:
-                # At the rank: the pool's versions and coordinates and
-                # three (rows, width) float blocks of the rank kernel.
+                # At the rank: the pool's ids and coordinates and three
+                # (rows, width) float blocks of the rank kernel.
                 obs_mem.scratch(
                     "topology_pads",
                     f"{self.name}.exchange_pool",
@@ -434,14 +327,14 @@ class _BatchTopologyBase:
                 )
             pick = kernels.topk_smallest(d, m)
             kd = kernels.take_rows(d, pick)
-            vers[blk] = np.where(np.isfinite(kd), kernels.take_rows(pool, pick), -1)
-        return recv, vers
+            msgs[blk] = np.where(np.isfinite(kd), kernels.take_rows(pool, pick), -1)
+        return recv, msgs
 
-    def _apply_merges(self, sim, recv: np.ndarray, vers: np.ndarray) -> None:
+    def _apply_merges(self, sim, recv: np.ndarray, msgs: np.ndarray) -> None:
         """Deliver the round's stacked messages — message ``j`` is the
-        ``k`` descriptor versions ``vers[j]`` for row ``recv[j]``, listed
-        in arrival order — and merge them into the receivers' views
-        through the fused ranked merge-truncate.
+        ``k`` peer ids ``msgs[j]`` for row ``recv[j]``, listed in
+        arrival order — and merge them into the receivers' views through
+        the fused ranked merge-truncate.
 
         Every descriptor sent is metered; what a receiver then refuses
         (its own id, detected peers) becomes a ``-1`` hole *in place*.
@@ -450,7 +343,7 @@ class _BatchTopologyBase:
         and a row block scatters whole ``k``-wide messages behind its
         view block.  Column order per receiver — view entries, then
         messages in arrival order, holes masked — is that of a packed
-        entry list, so the freshest-copy-wins dedup is unchanged.
+        entry list.
 
         Receivers are ordered by message count and cut into blocks of
         :func:`~repro.sim.batch.kernels.block_rows` rows, each padded
@@ -464,30 +357,29 @@ class _BatchTopologyBase:
         pos = table.coords_rows()
         C = self.capacity
         dim = self._coord_dim
-        M, k = vers.shape
+        M, k = msgs.shape
 
         # Metering and refusal, a block of messages at a time: the
         # detector's row gather is as large as the messages' ids.
         sent = 0
         step = kernels.block_rows(0, k, 1)
         for a in range(0, M, step):
-            blk = vers[a : a + step]
-            ids = self._vnid.take(blk)
+            blk = msgs[a : a + step]
             sent += int(np.count_nonzero(blk >= 0))
-            refused = sim.detected_entry_mask(ids)
-            refused |= ids == table._nid_of[recv[a : a + step]][:, None]
+            refused = sim.detected_entry_mask(blk)
+            refused |= blk == table._nid_of[recv[a : a + step]][:, None]
             blk[refused] = -1
         sim.meter.charge_descriptors(self.name, sent, dim)
 
         # Receivers: every row addressed by a message gets re-ranked,
         # even if the filter left it nothing.  Fullest first, so a
         # block's first row is its widest.
-        cnt = np.bincount(recv, minlength=len(self._ver))
+        cnt = np.bincount(recv, minlength=len(self._ids))
         recv_rows = np.flatnonzero(cnt)
         recv_rows = recv_rows[kernels.radix_argsort(cnt[recv_rows])[::-1]]
         cnt = cnt[recv_rows]
         U = len(recv_rows)
-        slot_of = np.zeros(len(self._ver), dtype=np.int64)
+        slot_of = np.zeros(len(self._ids), dtype=np.int64)
         slot_of[recv_rows] = np.arange(U)
 
         # A stable radix grouping by receiver slot keeps a receiver's
@@ -505,11 +397,11 @@ class _BatchTopologyBase:
             obs_mem.scratch(
                 "topology_pads",
                 f"{self.name}.messages",
-                vers.nbytes + recv.nbytes + slot.nbytes + order.nbytes + nth.nbytes,
+                msgs.nbytes + recv.nbytes + slot.nbytes + order.nbytes + nth.nbytes,
             )
 
-        # Every id a view or a message holds is in the descriptor table.
-        stride = 1 + int(self._vnid.max())
+        # An exclusive bound on every id a view or a message holds.
+        stride = 1 + max(int(self._ids.max(initial=-1)), int(msgs.max(initial=-1)))
         a = 0
         while a < U:
             n_max = int(cnt[a])
@@ -519,10 +411,10 @@ class _BatchTopologyBase:
             run = slice(int(ends[a] - cnt[a]), int(ends[b - 1]))
             at = (slot[run] - a, nth[run])
             pad = np.full((b - a, width), -1, dtype=np.int32)
-            pad[:, :C] = self._ver[rows]
+            pad[:, :C] = self._ids[rows]
             # Splitting the tail columns into (message, entry) is a view.
-            pad[:, C:].reshape(b - a, n_max, k)[at] = vers[order[run]]
-            ids_pad, coords_pad = self._resolve(pad)
+            pad[:, C:].reshape(b - a, n_max, k)[at] = msgs[order[run]]
+            coords_pad = table.coords_at(table.rows_of(pad))
             valid = pad >= 0
             ages_pad = None
             if self._ages is not None:
@@ -533,18 +425,18 @@ class _BatchTopologyBase:
                 # The pads, and what the fused kernel holds beside them:
                 # its int32 last-writer table and about three (rows,
                 # width) int64 columns in flight (index, key, order).
-                pad_bytes = pad.nbytes + ids_pad.nbytes + coords_pad.nbytes + valid.nbytes
+                pad_bytes = pad.nbytes + coords_pad.nbytes + valid.nbytes
                 if ages_pad is not None:
                     pad_bytes += ages_pad.nbytes
                 obs_mem.scratch(
                     "topology_pads",
                     f"{self.name}.merge_pad",
-                    pad_bytes + 4 * (b - a) * stride + 3 * ids_pad.nbytes,
+                    pad_bytes + 4 * (b - a) * stride + 6 * pad.nbytes,
                 )
-            ver, ages = kernels.merge_rank_truncate(
-                self.space, pos[rows], ids_pad, coords_pad, pad, valid, C, stride, ages_pad
+            ids, ages = kernels.merge_rank_truncate(
+                self.space, pos[rows], pad, coords_pad, valid, C, stride, ages_pad
             )
-            self._ver[rows] = ver
+            self._ids[rows] = ids
             if ages is not None:
                 self._ages[rows] = ages
             a = b
@@ -556,18 +448,21 @@ class _BatchTopologyBase:
     canonical_attr = "tman_view"
 
     def materialize(self, sim) -> None:
+        """Write every node's view onto its ``tman_view`` attribute (and
+        Vicinity's ages onto ``vicinity_age``), booking the release of
+        the view each one replaces."""
         for node in sim.network.nodes.values():
             if node.row < 0:  # a reclaimed row: the node holds no views
                 continue
+            old = getattr(node, "tman_view", None)
+            if isinstance(old, ViewBuffer):
+                old.release()
             node.tman_view = self.view_of(node)
             if self._ages is not None:
-                ver = self._ver[node.row]
-                held = ver >= 0
+                ids = self._ids[node.row]
+                held = ids >= 0
                 node.vicinity_age = dict(
-                    zip(
-                        self._vnid.take(ver[held]).tolist(),
-                        self._ages[node.row][held].tolist(),
-                    )
+                    zip(ids[held].tolist(), self._ages[node.row][held].tolist())
                 )
 
 
@@ -673,9 +568,8 @@ class BatchVicinity(_BatchTopologyBase):
         # Partner: the oldest entry (ties to the max id), alive or not —
         # a dead-but-undetected partner still answers, as in the event
         # engine's PeerSim-style model.
-        ver_act = self._ver[act]
-        ids_act = self._vnid.take(ver_act)
-        valid = ver_act >= 0
+        ids_act = self._ids[act]
+        valid = ids_act >= 0
         agekey = np.where(valid, self._ages[act], -1)
         oldest = agekey.max(axis=1)
         can = valid & (agekey == oldest[:, None])

@@ -42,7 +42,9 @@ Event = Callable[["Simulation"], None]
 #: Version 3 (never 2, the batch engine's number): the medoid sums the
 #: exact squared distances and SPLIT is the batch kernel's one-pool
 #: call, so exact ties go to the first point instead of to rounding.
-SEMANTICS_VERSION = 3
+#: Version 4 (neither engine's number before): a topology view is an id
+#: column, and T-Man and Vicinity rank peers at their current positions.
+SEMANTICS_VERSION = 4
 
 
 def semantics_version_for(engine: str = "event") -> int:

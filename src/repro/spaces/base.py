@@ -28,8 +28,8 @@ its square.
 Operands are *packed* (:meth:`Space.pack_batch`): float arrays with the
 coordinate on the last axis for vector spaces, object arrays of
 coordinates otherwise.  Callers that keep their coordinates in
-contiguous arrays (the :class:`~repro.sim.arrays.NodeTable` columns,
-the per-view coordinate blocks) hand them over with no conversion.
+contiguous arrays (the :class:`~repro.sim.arrays.NodeTable` columns)
+hand them over with no conversion.
 
 The kernel takes *canonical* coordinates: ones the space itself produced
 (grid positions, wrapped reinjection points, medoids of such points —

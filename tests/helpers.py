@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.core.points import PointFactory
 from repro.sim.engine import Simulation
 from repro.sim.network import Network, SimNode
@@ -165,31 +163,3 @@ def placed_nodes(
         store.backup_ids[nodes[origin].row, slot] = nodes[holder].nid
         store.set_copy(nodes[origin].row, slot, list(pids))
     return nodes, store
-
-
-# -- batch topology views (descriptor versions) -------------------------------
-
-
-def topology_views(layer) -> Tuple[np.ndarray, np.ndarray]:
-    """``(ids, coords)`` of every slot of a batch topology layer's views:
-    what its descriptor versions resolve to (``-1`` / zeros where a slot
-    is empty)."""
-    return layer._resolve(layer._ver)
-
-
-def put_descriptors(layer, ids, coords) -> np.ndarray:
-    """Issue one version per ``(id, coordinate)`` entry in a batch
-    topology layer's descriptor table — the view entries or message
-    descriptors a test hands the layer — and return the versions, shaped
-    like ``ids``, ``-1`` where the id is ``-1``."""
-    ids = np.asarray(ids, dtype=np.int64)
-    dim = layer._coord_dim
-    coords = np.asarray(coords, dtype=float).reshape(ids.shape + (dim,))
-    base, size = layer._n_ver, layer._n_ver + ids.size
-    vnid = np.full(size + 1, -1, dtype=np.int64)
-    vcoord = np.zeros((size + 1, dim))
-    vnid[:base], vcoord[:base] = layer._vnid[:base], layer._vcoord[:base]
-    vnid[base:size], vcoord[base:size] = ids.ravel(), coords.reshape(-1, dim)
-    layer._vnid, layer._vcoord, layer._n_ver = vnid, vcoord, size
-    vers = base + np.arange(ids.size, dtype=np.int32).reshape(ids.shape)
-    return np.where(ids >= 0, vers, -1).astype(np.int32)

@@ -60,8 +60,7 @@ def row_arrays(sim) -> dict:
         arrays = {
             "rps.ids": rps._ids,
             "rps.ages": rps._ages,
-            "tman.versions": tman._ver,
-            "tman.current": tman._cur,
+            "tman.ids": tman._ids,
             "flags": poly._flags,
         }
     store = sim.placement
@@ -166,7 +165,7 @@ def test_reserve_is_invisible_to_digest_and_survives_a_checkpoint(engine):
     assert ckpt.state_digest(sim) == ckpt.state_digest(twin)
 
     checkpoint = ckpt.snapshot(sim)
-    assert ckpt.CHECKPOINT_FORMAT == 6 and checkpoint.blob is not None
+    assert ckpt.CHECKPOINT_FORMAT == 7 and checkpoint.blob is not None
     restored = ckpt.restore(checkpoint)
     assert restored.network.table.capacity == 72 + 50
     for name, want in vars(sim.network.table).items():

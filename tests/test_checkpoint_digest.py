@@ -231,9 +231,9 @@ class TestArrayNativeDigestMatchesOracle:
         rps, tman = sim.layers[0], sim.layers[1]
         a, b, c = (sim.network.node(nid).row for nid in sim.network.alive_ids()[:3])
         rps._ids[a] = -1  # an alive node with an empty view
-        tman._ver[b] = -1
+        tman._ids[b] = -1
         rps._ids[c, 1] = rps._ids[c, 0]  # a dict would keep one entry
-        tman._ver[c, 2] = tman._ver[c, 0]  # one descriptor in two slots
+        tman._ids[c, 2] = tman._ids[c, 0]  # one id in two slots
         assert_digest_is_pure(sim)
         views = sim.canonical_view_ids(np.array([a, b, c]))
         assert views["rps_view"][0] == [] and views["tman_view"][1] == []
@@ -333,16 +333,17 @@ class TestPickleRestoreMatchesDeepcopy:
 
 def test_ranked_view_identity_survives_restore():
     """The event engine's T-Man skips its distance kernel while
-    ``view.ranked_pos is node.pos``; a restore that broke the identity
-    would still be correct but silently slower."""
+    ``view.ranked_at`` is the table's move count; a restore that broke
+    the match would still be correct but silently slower."""
     sim, *_ = prepare_scenario(config("event", tman_view_cap=8))
     sim.run(6)
 
     def ranked(s):
+        moves = s.network.table.moves
         return [
             nid
             for nid in s.network.alive_ids()
-            if s.network.node(nid).tman_view.ranked_pos is s.network.node(nid).pos
+            if s.network.node(nid).tman_view.ranked_at == moves
         ]
 
     assert ranked(sim)
@@ -486,33 +487,40 @@ def _truncate(path, sim) -> None:
 
 
 def _flip_tman_coordinate_bit(path, sim) -> None:
-    """One mantissa bit of a stored T-Man view coordinate — of a
-    descriptor a view slot holds, in the layer's descriptor table: state
-    the digest does not cover (it reads view *ids*), so only the byte
+    """One mantissa bit of a coordinate T-Man ranks a view entry at — in
+    the node table's float column, which the digest does not read (it
+    reads each node's canonical position object), so only the byte
     checksum can see it."""
-    tman = sim.layers[1]
-    ver = tman._ver[tman._ver >= 0][5]
+    table = sim.network.table
+    row = table.row(int(sim.layers[1]._ids[table.row(0), 0]))
     raw = bytearray(path.read_bytes())
-    start = raw.find(tman._vcoord.tobytes())
-    assert start > len(raw) // 8
-    raw[start + tman._vcoord[:ver].nbytes] ^= 0x04  # a low mantissa byte
+    start = raw.find(table._coords.tobytes())
+    assert start > 0
+    raw[start + table._coords[:row].nbytes] ^= 0x04  # a low mantissa byte
     path.write_bytes(bytes(raw))
 
 
-def _rewrite_as_format_5(path, sim) -> None:
-    """The same state behind a format-5 header — what a build from
-    before descriptor versions wrote (checksum intact): a stale format,
-    refused before anything is unpickled."""
-    stale = checkpoint.SimulationCheckpoint(
-        format=5,
-        round=sim.round,
-        seed=sim.seed,
-        n_alive=sim.network.n_alive,
-        n_total=sim.network.n_total,
-        layer_names=[layer.name for layer in sim.layers],
-        sim=sim,
-    )
-    checkpoint.save(stale, path)
+def _rewrite_as_format(stale):
+    """The same state behind a stale format's header (checksum intact):
+    what an older build wrote — format 5 batch views as an id and a
+    coordinate per slot, format 6 as descriptor versions into a
+    per-layer table."""
+
+    def rewrite(path, sim) -> None:
+        checkpoint.save(
+            checkpoint.SimulationCheckpoint(
+                format=stale,
+                round=sim.round,
+                seed=sim.seed,
+                n_alive=sim.network.n_alive,
+                n_total=sim.network.n_total,
+                layer_names=[layer.name for layer in sim.layers],
+                sim=sim,
+            ),
+            path,
+        )
+
+    return rewrite
 
 
 @pytest.fixture
@@ -534,13 +542,15 @@ def test_damaged_entry_fetched_by_a_worker_runs_cold(tmp_path, obs_on, damage):
     assert_refused_entry_runs_cold(tmp_path, obs_on, damage, "checksum")
 
 
-def test_format_5_entry_is_refused_as_stale_and_runs_cold(tmp_path, obs_on):
-    """A cache entry a format-5 build published (batch views as an id
-    and a coordinate per slot) is refused by its format number, not
-    unpickled; the fork sweep's cell falls back to a cold run."""
-    assert_refused_entry_runs_cold(
-        tmp_path, obs_on, _rewrite_as_format_5, "unsupported checkpoint format 5 "
-    )
+@pytest.mark.parametrize("stale", [5, 6])
+def test_stale_format_entry_is_refused_before_unpickling_and_runs_cold(
+    tmp_path, obs_on, stale
+):
+    """A cache entry a build of a stale format published is refused by
+    its header's format number before anything is unpickled, counted as
+    ``checkpoint.corrupt``, and the fork sweep's cell runs cold."""
+    refusal = f"unsupported checkpoint format {stale} "
+    assert_refused_entry_runs_cold(tmp_path, obs_on, _rewrite_as_format(stale), refusal)
 
 
 def assert_refused_entry_runs_cold(tmp_path, events, damage, refusal) -> None:

@@ -98,8 +98,8 @@ class TestEngineScopedCacheKeys:
         assert CheckpointCache.key(batch_prefix) != batch_key
 
     def test_semantics_versions_are_distinct(self):
-        assert semantics_version_for("event") == 3
-        assert semantics_version_for("batch") == 2
+        assert semantics_version_for("event") == 4
+        assert semantics_version_for("batch") == 5
         with pytest.raises(ValueError):
             semantics_version_for("turbo")
 

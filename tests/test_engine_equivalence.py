@@ -1,6 +1,6 @@
 """Cross-engine statistical equivalence: batch vs event.
 
-The batch engine (semantics version 2) does not reproduce the event
+The batch engine (semantics version 5) does not reproduce the event
 engine's trajectories — it must reproduce its *science*.  The claims
 that make this precise live in :func:`repro.eval.dataset.equivalence_cases`
 (one definition shared with the ``repro eval`` gate — see README

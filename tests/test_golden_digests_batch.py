@@ -1,7 +1,7 @@
 """Golden ``state_digest`` regression tests for the *batch* engine.
 
 Same contract as ``tests/test_golden_digests`` but for semantics
-version 2 (:data:`repro.sim.batch.SEMANTICS_VERSION`): the batch
+version 5 (:data:`repro.sim.batch.SEMANTICS_VERSION`): the batch
 engine's trajectories are pinned so an unintended change to any batch
 kernel fails loudly instead of silently invalidating cached batch-mode
 fork checkpoints.  An *intended* batch semantic change must regenerate

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gossip.ranking import rank_order, truncate_closest
+from repro.gossip.ranking import rank_entries
 from repro.gossip.rps import PeerSamplingLayer
 from repro.gossip.tman import TManLayer
 from repro.metrics.proximity import proximity
@@ -85,8 +85,8 @@ class TestConvergence:
         sim_b, _ = build(seed=3)
         sim_a.run(5)
         sim_b.run(5)
-        views_a = {n.nid: dict(n.tman_view) for n in sim_a.network.alive_nodes()}
-        views_b = {n.nid: dict(n.tman_view) for n in sim_b.network.alive_nodes()}
+        views_a = {n.nid: list(n.tman_view) for n in sim_a.network.alive_nodes()}
+        views_b = {n.nid: list(n.tman_view) for n in sim_b.network.alive_nodes()}
         assert views_a == views_b
 
 
@@ -98,7 +98,7 @@ class TestNeighbors:
         neigh = tman.neighbors(sim, node, 4)
         assert len(neigh) == 4
         dists = [
-            sim.space.distance(node.pos, node.tman_view[nid]) for nid in neigh
+            sim.space.distance(node.pos, sim.network.node(nid).pos) for nid in neigh
         ]
         assert dists == sorted(dists)
 
@@ -162,24 +162,25 @@ class TestTraffic:
             assert snapshot["tman"] <= n * 2 * 2 * 10 * 3
 
     def test_updates_refresh_positions(self):
+        """A view is never stale: after a node moves, every peer that
+        holds it ranks it at its new position."""
         sim, tman = build()
         sim.run(5)
-        # Move a node, gossip, and check some peer learned the new pos.
         node = sim.network.node(0)
         node.pos = (3.3, 3.3)
         sim.run(2)
-        learned = sum(
-            1
-            for other in sim.network.alive_nodes()
-            if other.tman_view.get(0) == (3.3, 3.3)
-        )
-        assert learned > 0
+        holders = [o for o in sim.network.alive_nodes() if 0 in o.tman_view]
+        assert holders
+        for other in holders:
+            ids = tman._ranked_ids(sim, other, other.tman_view).tolist()
+            dists = [sim.space.distance(other.pos, sim.network.node(n).pos) for n in ids]
+            assert dists == sorted(dists)
 
 
 def test_views_are_their_two_arrays_after_an_event_run():
     """After failure, repair and reinjection on the event engine, a view
-    holds its id column and coordinate block and nothing else: no dict,
-    no second copy of either array."""
+    holds its id column and nothing else: no dict, no coordinates, no
+    second copy of the column."""
     from repro.experiments.scenario import ScenarioConfig, prepare_scenario
     from repro.sim.arrays import ViewBuffer
 
@@ -189,14 +190,12 @@ def test_views_are_their_two_arrays_after_an_event_run():
     )
     sim, *_ = prepare_scenario(config)
     sim.run(config.total_rounds)
-    dim = sim.space.dim
     for node in sim.network.alive_nodes():
         view = node.tman_view
         assert type(view) is ViewBuffer and not hasattr(view, "__dict__")
-        assert not any(isinstance(getattr(view, slot), dict) for slot in ViewBuffer.__slots__)
-        assert view.nbytes == len(view) * 8 * (1 + dim)
-        ids, coords = view.arrays()
-        assert ids.base is None and coords.base is None
+        assert ViewBuffer.__slots__ == ("_ids", "_ranked_at")
+        assert view.nbytes == len(view) * 8
+        assert view.ids.base is None
 
 
 # -- the ranked merge ---------------------------------------------------------
@@ -210,48 +209,45 @@ lattice = st.tuples(
 
 @st.composite
 def merge_cases(draw):
-    """A view (under or over the cap, ranked for its owner or not) and
-    a message holding the owner's id, detected ids, held ids with new
-    coordinates and unknown ids."""
+    """A view (under or over the cap, ranked for its owner or not), a
+    message holding the owner's id, detected ids, held ids and unknown
+    ids, and new positions for the peers of both."""
     owner = draw(st.integers(0, 63))
     others = [nid for nid in range(64) if nid != owner]
     cap = draw(st.integers(1, 12))
-    held = draw(st.lists(st.sampled_from(others), unique=True, max_size=2 * cap))
-    view = [(nid, draw(lattice)) for nid in held]
+    view = draw(st.lists(st.sampled_from(others), unique=True, max_size=2 * cap))
     sent = draw(st.lists(st.sampled_from(range(64)), unique=True, max_size=10))
     if draw(st.booleans()) and owner not in sent:
         sent.append(owner)
-    message = [(nid, draw(lattice)) for nid in sent]
+    moved = {nid: draw(lattice) for nid in view + sent if nid != owner}
     detected = frozenset(draw(st.lists(st.sampled_from(others), max_size=6)))
-    return owner, cap, view, draw(st.booleans()), message, detected
+    return owner, cap, view, draw(st.booleans()), sent, moved, detected
 
 
 @given(merge_cases())
 @settings(max_examples=200, deadline=None)
 def test_ranked_merge_holds_what_merge_then_cap_holds(case):
-    """T-Man's ranked merge keeps exactly the id -> coordinate map of
-    ``ViewBuffer.merge`` followed by the bounded-view rule (the ``cap``
-    closest to the owner when over it), rows in (distance, id) order and
-    the view marked ranked for the owner's position."""
-    owner, cap, view, ranked, message, detected = case
+    """T-Man's ranked merge keeps exactly the ids of ``ViewBuffer.merge``
+    followed by the bounded-view rule (the ``cap`` closest to the owner
+    when over it) at the peers' *current* positions, in (distance, id)
+    order, and the view marked ranked at the table's move count."""
+    owner, cap, view, ranked, sent, moved, detected = case
     sim, _ = build()
     tman = TManLayer(sim.space, sim.layers[0], view_cap=cap)
     node = sim.network.node(owner)
-    node.tman_view = ViewBuffer(2, view)
+    node.tman_view = ViewBuffer(view)
     if ranked:
-        ids, coords = node.tman_view.arrays()
-        order = rank_order(sim.space, node.pos, ids, coords)
-        node.tman_view.set_ranked(ids[order], coords[order], ranked_for=node.pos)
-    msg_ids = np.array([nid for nid, _ in message], dtype=np.int64)
-    msg_coords = np.array([c for _, c in message], dtype=float).reshape(-1, 2)
+        tman._ranked_ids(sim, node, node.tman_view)
+    for nid, pos in moved.items():
+        sim.network.node(nid).pos = pos
+    msg_ids = np.array(sent, dtype=np.int64)
 
-    oracle = ViewBuffer(2, view)
-    oracle.merge(msg_ids, msg_coords, owner, detected)
-    expected = truncate_closest(sim.space, node.pos, dict(oracle.items()), cap)
+    oracle = ViewBuffer(view)
+    oracle.merge(msg_ids, owner, detected)
+    at = {nid: sim.network.node(nid).pos for nid in oracle}
+    expected = rank_entries(sim.space, node.pos, at, cap)
 
-    tman._merge(sim, node, (msg_ids, msg_coords), detected)
+    tman._merge(sim, node, msg_ids, detected)
     merged = node.tman_view
-    assert dict(merged.items()) == dict(expected)
-    ids, coords = merged.arrays()
-    assert rank_order(sim.space, node.pos, ids, coords).tolist() == list(range(len(ids)))
-    assert merged.ranked_pos is node.pos
+    assert list(merged) == expected
+    assert merged.ranked_at == sim.network.table.moves

@@ -273,6 +273,35 @@ class TestMemLedger:
             assert obs_mem.snapshot()["families"]["view_buffer"]["cur"] == held
         assert sim.network.table._has_released
 
+    def test_batch_syncs_book_the_views_they_replace(self):
+        """``sync_canonical`` writes every node a fresh ``tman_view`` and
+        books the release of the one it replaces: after each of three
+        syncs the ``view_buffer`` family holds exactly the views the
+        nodes hold, not the sum of every sync's."""
+        from repro.experiments.scenario import prepare_scenario
+
+        obs_mem.set_enabled(True)
+        obs_mem.reset()
+        try:
+            sim, *_ = prepare_scenario(
+                tiny_config(
+                    engine="batch", width=12, height=6, failure_round=None, total_rounds=3
+                )
+            )
+            for _ in range(3):
+                sim.step()
+                sim.sync_canonical()
+                held = sum(
+                    node.tman_view.nbytes
+                    for node in sim.network.nodes.values()
+                    if hasattr(node, "tman_view")
+                )
+                assert held > 0
+                assert obs_mem.snapshot()["families"]["view_buffer"]["cur"] == held
+        finally:
+            obs_mem.set_enabled(False)
+            obs_mem.reset()
+
     def test_ledger_scratch_within_tracemalloc_envelope(self):
         """The padded-kernel scratch accounting agrees with what the
         allocator actually hands out: for a synthetic merge block the
@@ -285,18 +314,15 @@ class TestMemLedger:
         n_rows, width, cap = 64, 120, 40
         space = FlatTorus(16.0, 8.0)
         pos = rng.integers(0, 8, (n_rows, 2)).astype(float)
-        ids = rng.integers(0, n_rows, (n_rows, width)).astype(np.int64)
+        ids = rng.integers(0, n_rows, (n_rows, width)).astype(np.int32)
         coords = rng.integers(0, 8, (n_rows, width, 2)).astype(float)
         ages = rng.integers(0, 50, (n_rows, width)).astype(np.int64)
-        vers = np.arange(n_rows * width, dtype=np.int32).reshape(n_rows, width)
         valid = np.ones((n_rows, width), dtype=bool)
         obs_mem.set_enabled(True)
         obs_mem.reset()
         tracemalloc.start()
         try:
-            kernels.merge_rank_truncate(
-                space, pos, ids, coords, vers, valid, cap, n_rows, ages
-            )
+            kernels.merge_rank_truncate(space, pos, ids, coords, valid, cap, n_rows, ages)
             _, tm_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -386,10 +412,10 @@ class TestMemLedger:
         ages_pad = rng.integers(0, 9, (n, width))
         obs_mem.reset()
         obs_mem.set_enabled(True)
-        vers_pad = np.arange(n * width, dtype=np.int32).reshape(n, width)
         out = kernels.merge_rank_truncate(
-            FlatTorus(16.0, 8.0), coords_pad[:, 0], np.where(valid, ids_pad, -1),
-            coords_pad, vers_pad, valid, cap, width, ages_pad,
+            FlatTorus(16.0, 8.0), coords_pad[:, 0],
+            np.where(valid, ids_pad, -1).astype(np.int32), coords_pad, valid, cap,
+            width, ages_pad,
         )
         obs_mem.set_enabled(False)
         sites = obs_mem.snapshot()["sites"]

@@ -290,16 +290,18 @@ def assert_canonical(space, coords: np.ndarray) -> None:
 
 def check_views(sim, cap: int) -> None:
     """Every T-Man view holds at most ``cap`` unique ids, never its
-    owner's; an event-engine view is in (distance, id) order wherever it
-    is marked ranked for its owner's live position."""
+    owner's; an event-engine view is in (distance, id) order at its
+    peers' current positions wherever it is marked ranked at the table's
+    current move count."""
     tman = sim.layers[1]
+    table = sim.network.table
     for node in sim.network.nodes.values():
         view = tman.view_of(node)
-        ids, coords = view.arrays()
+        ids = view.ids
         assert len(ids) <= cap and len(np.unique(ids)) == len(ids)
         assert node.nid not in ids
-        if view.ranked_pos is node.pos:
-            dsq = sim.space.rank_sq_block(node.pos_array, coords)
+        if view.ranked_at == table.moves:
+            dsq = sim.space.rank_sq_block(node.pos_array, table.gather(ids))
             assert (np.lexsort((ids, dsq)) == np.arange(len(ids))).all()
 
 

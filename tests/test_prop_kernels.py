@@ -384,8 +384,7 @@ def _merge_model(space, pos, ids_pad, coords_pad, valid, cap, ages_pad):
     uses, so the comparison isolates the dedup/rank/truncate logic."""
     n_rows, width = ids_pad.shape
     dsq = space.rank_sq_rows(pos, coords_pad)
-    out_ids = np.full((n_rows, cap), -1, dtype=np.int64)
-    out_coords = np.zeros((n_rows, cap, coords_pad.shape[2]))
+    out_ids = np.full((n_rows, cap), -1, dtype=ids_pad.dtype)
     out_ages = np.zeros((n_rows, cap), dtype=np.int64)
     for r in range(n_rows):
         lastcol = {}
@@ -397,12 +396,11 @@ def _merge_model(space, pos, ids_pad, coords_pad, valid, cap, ages_pad):
         )[:cap]
         for slot, (pid, c) in enumerate(ranked):
             out_ids[r, slot] = pid
-            out_coords[r, slot] = coords_pad[r, c]
             if ages_pad is not None:
                 out_ages[r, slot] = ages_pad[r, c]
     if ages_pad is None:
-        return out_ids, out_coords
-    return out_ids, out_coords, out_ages
+        return out_ids, None
+    return out_ids, out_ages
 
 
 #: Coordinate lattices of the merge suite: axis steps per lattice; the
@@ -483,7 +481,7 @@ def test_merge_rank_truncate_matches_dict_model(impl, lattice, data):
         else:
             cap = width + data.draw(st.integers(1, 3))
     pos = space.pack_batch([data.draw(coord) for _ in range(n_rows)])
-    ids_pad = np.where(valid, ids, -1).astype(np.int64)
+    ids_pad = np.where(valid, ids, -1).astype(np.int32)
     coords_pad = np.asarray(
         [[e[1] for e in row] for row in rows], dtype=float
     )
@@ -496,18 +494,15 @@ def test_merge_rank_truncate_matches_dict_model(impl, lattice, data):
     if lattice != "float":
         dsq = space.rank_sq_rows(pos, coords_pad)
         assert batch_kernels.exact_rank_key(dsq, max(stride, 1)) is not None
-    want = _merge_model(space, pos, ids_pad, coords_pad, valid, cap, ages_pad)
-    # Each entry's version is its flat index; the sentinel resolves -1.
-    vers_pad = np.arange(n_rows * width, dtype=np.int32).reshape(n_rows, width)
-    vers, ages = impl(space, pos, ids_pad, coords_pad, vers_pad, valid, cap, stride, ages_pad)
-    assert vers.dtype == np.int32 and (ages is None) == (ages_pad is None)
-    flat_ids = np.append(ids_pad.ravel(), -1)
-    flat_coords = np.concatenate([coords_pad.reshape(-1, 2), np.zeros((1, 2))])
-    got = [flat_ids[vers], flat_coords[vers]] + ([] if ages is None else [ages])
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
-        assert g.dtype == w.dtype
+    want_ids, want_ages = _merge_model(
+        space, pos, ids_pad, coords_pad, valid, cap, ages_pad
+    )
+    ids, ages = impl(space, pos, ids_pad, coords_pad, valid, cap, stride, ages_pad)
+    assert ids.dtype == np.int32 and (ages is None) == (ages_pad is None)
+    np.testing.assert_array_equal(ids, want_ids)
+    if ages is not None:
+        np.testing.assert_array_equal(ages, want_ages)
+        assert ages.dtype == want_ages.dtype
 
 
 # -- the exact rank key and the row-gather primitive ------------------------
@@ -670,7 +665,6 @@ from repro.experiments.scenario import ScenarioConfig, prepare_scenario
 from repro.runtime import state_digest
 from repro.sim.batch.topology import BatchTMan, BatchVicinity
 
-from .helpers import put_descriptors
 from .topology_merge_oracle import MergeSim
 
 
@@ -710,36 +704,34 @@ def test_keep_last_per_row_matches_sort_oracle(data):
     )
 
 
-def _whole_network_merge(layer, sim, recv, vers):
-    """Expected ``(versions, ages)`` state: every addressed receiver's
-    view and filtered incoming entries, in arrival order, in ONE pad
-    handed to ONE kernel call."""
+def _whole_network_merge(layer, sim, recv, msgs):
+    """Expected ``(ids, ages)`` state: every addressed receiver's view
+    and filtered incoming entries, in arrival order, in ONE pad handed
+    to ONE kernel call."""
     table = sim.network.table
     C = layer.capacity
     incoming = {}
-    for r, ver_row in zip(recv.tolist(), vers.tolist()):
+    for r, row in zip(recv.tolist(), msgs.tolist()):
         got = incoming.setdefault(r, [])
-        for ver in ver_row:
-            nid = int(layer._vnid[ver])
-            if ver >= 0 and nid != table._nid_of[r] and nid not in sim._detected:
-                got.append(ver)
+        for nid in row:
+            if nid >= 0 and nid != table._nid_of[r] and nid not in sim._detected:
+                got.append(nid)
     recv = np.asarray(sorted(incoming), dtype=np.int64)
     width = C + max(len(got) for got in incoming.values())
     pad = np.full((len(recv), width), -1, dtype=np.int32)
-    pad[:, :C] = layer._ver[recv]
+    pad[:, :C] = layer._ids[recv]
     ages_pad = None
     if layer._ages is not None:
         ages_pad = np.zeros((len(recv), width), dtype=np.int64)
         ages_pad[:, :C] = layer._ages[recv]
     for u, r in enumerate(recv.tolist()):
         pad[u, C : C + len(incoming[r])] = incoming[r]
-    ids_pad = layer._vnid.take(pad)
     out = batch_kernels.merge_rank_truncate(
-        layer.space, table.coords_rows()[recv], ids_pad,
-        layer._vcoord.take(pad, axis=0), pad, pad >= 0, C,
-        int(ids_pad.max(initial=-1)) + 1, ages_pad,
+        layer.space, table.coords_rows()[recv], pad,
+        table.coords_at(table.rows_of(pad)), pad >= 0, C,
+        int(pad.max(initial=-1)) + 1, ages_pad,
     )
-    want = [layer._ver.copy()]
+    want = [layer._ids.copy()]
     if ages_pad is not None:
         want.append(layer._ages.copy())
     for state, block in zip(want, out):
@@ -769,7 +761,9 @@ def test_blocked_apply_merges_matches_whole_network_call(with_ages, data):
     detected = set(data.draw(st.lists(st.integers(0, 60), max_size=6)))
     coord = st.tuples(st.integers(0, 15).map(float), st.integers(0, 7).map(float))
     pos = np.asarray([data.draw(coord) for _ in range(n_rows)], dtype=float)
-    sim = MergeSim(nid_of, pos, detected)
+    peer_pos = np.asarray([data.draw(coord) for _ in range(61)], dtype=float)
+    peer_pos[nid_of] = pos
+    sim = MergeSim(nid_of, pos, detected, peer_pos)
     # Ids a view or a message may carry: live nodes, detected peers,
     # strangers — and the empty slot.
     any_id = st.one_of(st.just(-1), st.sampled_from(nid_of.tolist()), st.integers(0, 60))
@@ -785,49 +779,43 @@ def test_blocked_apply_merges_matches_whole_network_call(with_ages, data):
         layer = BatchTMan(space, rps=None, view_cap=cap)
     layer._ensure_rows(sim.network.table)
     # Stored views hold each id at most once (every merge dedups).
-    view_ids = np.full((n_rows, cap), -1, dtype=np.int64)
     for r in range(n_rows):
         held = data.draw(st.lists(st.integers(0, 60), max_size=cap, unique=True))
-        view_ids[r, : len(held)] = held
-    view_coords = np.asarray(grid(n_rows, cap, coord), dtype=float)
-    layer._ver[:n_rows] = put_descriptors(layer, view_ids, view_coords)
+        layer._ids[r, : len(held)] = held
     if with_ages:
         layer._ages[:n_rows] = np.asarray(grid(n_rows, cap, st.integers(0, 30)))
 
     flooded = data.draw(st.integers(0, n_rows - 1))
-    recv_blocks, ids_blocks, coords_blocks = [], [], []
+    recv_blocks, ids_blocks = [], []
     for _ in range(2):  # payloads, then replies
         rows = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=8))
         rows += [flooded] * data.draw(st.integers(0, 6))
         recv_blocks.append(np.asarray(rows, dtype=np.int64))
-        ids = np.asarray(grid(len(rows), m, any_id), dtype=np.int64)
+        ids = np.asarray(grid(len(rows), m, any_id), dtype=np.int32)
         for e in range(len(rows)):
             if data.draw(st.integers(0, 3)) == 0:  # nothing survives the filter
                 ids[e] = data.draw(
                     st.sampled_from([-1, int(nid_of[rows[e]]), *sorted(detected)])
                 )
         ids_blocks.append(ids)
-        coords_blocks.append(np.asarray(grid(len(rows), m, coord), dtype=float))
 
     # Stacked as the layer stacks them: payloads above replies.
     recv = np.concatenate(recv_blocks)
-    ids = np.concatenate(ids_blocks)
-    coords = np.concatenate(coords_blocks)
-    vers = put_descriptors(layer, ids, coords)
-    want = _whole_network_merge(layer, sim, recv, vers)
-    start = [layer._ver.copy()]
+    msgs = np.concatenate(ids_blocks)
+    want = _whole_network_merge(layer, sim, recv, msgs)
+    start = [layer._ids.copy()]
     if with_ages:
         start.append(layer._ages.copy())
     U = len(set(recv.tolist()))
     for rows_per_block in sorted({1, 3, max(U - 1, 1), U, U + 7}):
-        layer._ver[:] = start[0]
+        layer._ids[:] = start[0]
         if with_ages:
             layer._ages[:] = start[1]
         with mock.patch.object(
             batch_kernels, "block_rows", lambda *_, n=rows_per_block: n
         ):
-            layer._apply_merges(sim, recv, vers.copy())
-        got = [layer._ver] + ([layer._ages] if with_ages else [])
+            layer._apply_merges(sim, recv, msgs.copy())
+        got = [layer._ids] + ([layer._ages] if with_ages else [])
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 

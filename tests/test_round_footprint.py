@@ -18,9 +18,8 @@ Three halves of that claim are held here:
   view keeps reading the rows it saw; either way the state, its
   checkpoint and the trajectory are the same.
 
-And the topology views' own footprint: four bytes a slot plus the
-descriptor table, which a compaction leaves at twice its live versions —
-and when it compacts changes nothing a run computes.
+And the topology views' own footprint: a view is an id column, four
+bytes a slot (plus eight for a Vicinity age) and nothing else.
 """
 
 from __future__ import annotations
@@ -37,10 +36,7 @@ from repro.obs import mem as obs_mem
 from repro.runtime import checkpoint as ckpt
 from repro.sim.arrays import _COLIVE_MAX, _MIN_BLOCK_ROWS, _SCRATCH_BYTES
 from repro.sim.batch import kernels
-from repro.sim.batch.topology import _BatchTopologyBase
 from repro.sim.reinjection import Reinjection
-
-from .helpers import put_descriptors, topology_views
 
 # -- the footprint --------------------------------------------------------
 
@@ -187,20 +183,20 @@ def test_event_observers_hold_one_budget_beside_the_node_columns():
 def whole_groom(layer, sim, act) -> None:
     """The groom as one whole-network pass — the body it had before it
     was row-blocked, kept as its oracle."""
-    ver_act = layer._ver[act]
-    evict = sim.detected_entry_mask(layer._vnid.take(ver_act))
+    ids_act = layer._ids[act]
+    evict = sim.detected_entry_mask(ids_act)
     if evict.any():
-        ver_act[evict] = -1
-        layer._ver[act] = ver_act
+        ids_act[evict] = -1
+        layer._ids[act] = ids_act
         if layer._ages is not None:
             ages = layer._ages[act]
             ages[evict] = 0
             layer._ages[act] = ages
     if layer._ages is not None:
         ages = layer._ages[act]
-        ages[ver_act >= 0] += 1
+        ages[ids_act >= 0] += 1
         layer._ages[act] = ages
-    empty = ~(ver_act >= 0).any(axis=1)
+    empty = ~(ids_act >= 0).any(axis=1)
     if empty.any():
         layer._bootstrap(sim, act[empty])
 
@@ -222,10 +218,8 @@ def groom_case(topology, seed, failed, orphans):
         held = np.asarray(failed[: layer.capacity], dtype=np.int64)
         for nid in sorted(set(orphans) - set(failed)):
             row = sim.network.table.row(nid)
-            layer._ver[row] = -1
-            layer._ver[row, : len(held)] = put_descriptors(
-                layer, held, sim.network.table.gather(held)
-            )
+            layer._ids[row] = -1
+            layer._ids[row, : len(held)] = held
     return layer, sim
 
 
@@ -249,8 +243,7 @@ def test_blocked_groom_equals_the_whole_network_pass(topology, seed, failed, orp
     with mock.patch.object(kernels, "block_rows", lambda *_: rows[block]):
         got._groom(sim, act)
     whole_groom(want, twin, twin.alive_act_rows())
-    for g, w in zip(topology_views(got), topology_views(want)):
-        np.testing.assert_array_equal(g, w)
+    np.testing.assert_array_equal(got._ids, want._ids)
     if topology == "vicinity":
         np.testing.assert_array_equal(got._ages, want._ages)
     assert rng_states(sim) == rng_states(twin)
@@ -278,7 +271,7 @@ def grown(sim) -> dict:
     rps, tman = sim.layers[:2]
     table = sim.network.table
     arrays = {
-        "tman._ver": tman._ver, "tman._cur": tman._cur,
+        "tman._ids": tman._ids,
         "rps._ids": rps._ids, "rps._ages": rps._ages,
     }
     for name in ("_alive", "_death", "_nid_of", "_row_of", "_coords"):
@@ -316,16 +309,15 @@ def test_a_held_view_forces_the_copy_and_keeps_reading_the_old_rows():
     poly, tman = sim.layers[2], sim.layers[1]
     views = {
         "flags": poly._flags.T,
-        "tman versions": tman._ver[3:9],
-        "tman current versions": tman._cur[3:9],
+        "tman ids": tman._ids[3:9],
     }
     seen = {name: view.copy() for name, view in views.items()}
-    owners = (poly._flags, tman._ver, tman._cur)
+    owners = (poly._flags, tman._ids)
     reinject(sim)
-    assert all(new is not old for new, old in zip((poly._flags, tman._ver, tman._cur), owners))
+    assert all(new is not old for new, old in zip((poly._flags, tman._ids), owners))
     for name, view in views.items():
         np.testing.assert_array_equal(view, seen[name], err_msg=name)
-    assert len(tman._ver) == sim.network.table.capacity == 72 + 40
+    assert len(tman._ids) == sim.network.table.capacity == 72 + 40
 
 
 def test_grown_state_checkpoints_bit_identically_and_runs_on():
@@ -345,7 +337,7 @@ def test_grown_state_checkpoints_bit_identically_and_runs_on():
     assert ckpt.state_digest(sim) == ckpt.state_digest(twin) == ckpt.state_digest(restored)
 
 
-# -- the descriptor table ----------------------------------------------------
+# -- the view state ------------------------------------------------------------
 
 
 def churn_config(topology: str, **overrides) -> ScenarioConfig:
@@ -356,86 +348,25 @@ def churn_config(topology: str, **overrides) -> ScenarioConfig:
     )
 
 
-def live_versions(layer) -> int:
-    """The versions a view slot or a current-version column references."""
-    held = np.concatenate([layer._ver.ravel(), layer._cur])
-    return len(np.unique(held[held >= 0]))
-
-
-def never_compact(layer) -> np.ndarray:
-    """``_live_versions`` of a table that keeps every version it issued."""
-    return np.ones(layer._n_ver, dtype=bool)
-
-
 @pytest.mark.parametrize("topology", ["tman", "vicinity"])
-def test_view_state_is_four_bytes_a_slot_plus_a_table_twice_its_live_versions(topology):
+def test_view_state_is_4_bytes_a_slot_plus_8_for_a_vicinity_age(topology):
     """Every round of a failure and reinjection run: the ledger's
-    ``<layer>.views`` site is the layer's bytes, which are an int32 per
-    slot (plus Vicinity's ages), an int32 per row and the descriptor
-    table; a compaction — the ones the run makes, and one forced after
-    every round — leaves the table at most twice its live versions."""
+    ``<layer>.views`` site is the layer's bytes, which are an int32 id
+    per slot plus Vicinity's int64 age — no descriptor table, no
+    per-row column."""
     config = churn_config(topology)
     obs_mem.reset()
     obs_mem.set_enabled(True)
-    compactions = []
-    real = _BatchTopologyBase._compact_versions
-
-    def counted(layer, extra=0):
-        real(layer, extra)
-        compactions.append(extra)
-        assert len(layer._vnid) - 1 <= 2 * live_versions(layer) + 2 * extra
-
     try:
-        with mock.patch.object(_BatchTopologyBase, "_compact_versions", counted):
-            sim, *_ = prepare_scenario(config)
-            layer = sim.layers[1]
-            for _ in range(config.total_rounds):
-                sim.step()
-                site = obs_mem.snapshot()["sites"][f"{layer.name}.views"]
-                assert site["cur"] == layer.nbytes
-                rows, slots = len(layer._ver), layer._ver.size
-                per_slot = 4 + (8 if topology == "vicinity" else 0)
-                table = len(layer._vnid) * (8 + 8 * layer._coord_dim)
-                assert layer._ver.dtype == layer._cur.dtype == np.int32
-                assert layer.nbytes == per_slot * slots + 4 * rows + table
-                layer._compact_versions()
-                assert len(layer._vnid) - 1 <= 2 * live_versions(layer)
+        sim, *_ = prepare_scenario(config)
+        layer = sim.layers[1]
+        for _ in range(config.total_rounds):
+            sim.step()
+            site = obs_mem.snapshot()["sites"][f"{layer.name}.views"]
+            assert site["cur"] == layer.nbytes
+            per_slot = 4 + (8 if topology == "vicinity" else 0)
+            assert layer._ids.dtype == np.int32
+            assert layer.nbytes == per_slot * layer._ids.size
     finally:
         obs_mem.set_enabled(False)
         obs_mem.reset()
-    assert len(compactions) > config.total_rounds  # the run's own, and the forced
-
-
-@pytest.mark.parametrize("topology", ["tman", "vicinity"])
-def test_compaction_schedule_changes_nothing(topology):
-    """A run that compacts its descriptor table after every round, one
-    restored from a checkpoint taken right after such a compaction, and
-    a run that never drops a version agree on every round's digest and
-    on the final views, slot by slot, as (id, coordinate) and age."""
-    config = churn_config(topology)
-    with mock.patch.object(_BatchTopologyBase, "_live_versions", never_compact):
-        never, *_ = prepare_scenario(config)
-        never_digests = []
-        for _ in range(config.total_rounds):
-            never.step()
-            never_digests.append(ckpt.state_digest(never))
-
-    sim, *_ = prepare_scenario(config)
-    restored = None
-    for rnd in range(config.total_rounds):
-        sim.step()
-        sim.layers[1]._compact_versions()
-        assert ckpt.state_digest(sim) == never_digests[rnd], rnd
-        if rnd == 5:  # after the failure, before the reinjection
-            restored = ckpt.restore(ckpt.snapshot(sim))
-            assert ckpt.state_digest(restored) == never_digests[rnd]
-    restored.run(config.total_rounds - 6)
-    assert ckpt.state_digest(restored) == never_digests[-1]
-
-    want = never.layers[1]
-    assert sim.layers[1]._n_ver < want._n_ver  # versions were dropped
-    for got in (sim.layers[1], restored.layers[1]):
-        for g, w in zip(topology_views(got), topology_views(want)):
-            np.testing.assert_array_equal(g, w)
-        if topology == "vicinity":
-            np.testing.assert_array_equal(got._ages, want._ages)

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.arrays import OBJECT_DIM, NodeTable, ViewBuffer, take_coords
+from repro.gossip.ranking import rank_current
+from repro.sim.arrays import OBJECT_DIM, NodeTable, ViewBuffer
 from repro.sim.network import Network
 
 
@@ -224,126 +225,98 @@ class TestNetworkRemoveNode:
             network.remove_node(0)
 
 
-def _apply(model, buf, op, key, coord):
-    """Apply one mutation to both the dict model and the buffer."""
-    if op == "set":
-        model[key] = coord
-        buf[key] = coord
+def _apply(model, buf, op, key):
+    """Apply one mutation to both the dict-of-keys model and the buffer."""
+    if op == "merge":
+        incoming = [key, key + 1]
+        buf.merge(np.array(incoming), own=-1, detected=frozenset())
+        model.update(dict.fromkeys(incoming))
     elif op == "del" and key in model:
         del model[key]
-        del buf[key]
-    elif op == "merge":
-        incoming = {key: coord, key + 1: coord}
-        for nid, c in incoming.items():
-            model[nid] = c
-        buf.merge(
-            np.array(list(incoming)), np.array(list(incoming.values())),
-            own=-1, detected=frozenset(),
-        )
+        buf.evict_ids([key])
     elif op == "keep":
         keep = sorted(model)[: max(1, len(model) // 2)]
-        for nid in list(model):
-            if nid not in keep:
-                del model[nid]
-        # keep insertion-order semantics of the dict rebuild
-        reordered = {nid: model[nid] for nid in keep}
         model.clear()
-        model.update(reordered)
-        buf.keep_ranked(keep)
+        model.update(dict.fromkeys(keep))
+        buf.set_ranked(np.array(keep, dtype=np.int64))
 
 
 class TestViewBuffer:
+    """A view is an id column: ``in`` / ``len`` / iteration read it with
+    dict key semantics, and no coordinate is held."""
+
     def test_mapping_protocol_matches_dict(self):
-        entries = [(3, (1.0, 2.0)), (1, (0.0, 0.0)), (7, (5.0, 5.0))]
-        buf = ViewBuffer(2, entries)
-        ref = dict(entries)
-        assert dict(buf) == ref
+        buf = ViewBuffer([3, 1, 7, 1])
+        ref = dict.fromkeys([3, 1, 7])
         assert list(buf) == list(ref)
         assert len(buf) == 3 and 3 in buf and 4 not in buf
-        assert buf[7] == (5.0, 5.0)
-        assert buf.get(4, "x") == "x"
-        assert sorted(buf.items()) == sorted(ref.items())
+        assert not hasattr(buf, "items") and not hasattr(buf, "__getitem__")
 
     def test_randomised_mutations_match_dict_semantics(self):
         rng = random.Random(42)
         model: dict = {}
-        buf = ViewBuffer(2)
+        buf = ViewBuffer()
         for step in range(300):
-            op = rng.choice(["set", "set", "merge", "del", "keep"])
-            key = rng.randrange(30)
-            coord = (float(rng.randrange(10)), float(rng.randrange(10)))
-            _apply(model, buf, op, key, coord)
+            op = rng.choice(["merge", "merge", "del", "keep"])
+            _apply(model, buf, op, rng.randrange(30))
             assert list(buf) == list(model), f"order diverged at step {step}"
-            assert dict(buf) == model
-            ids, coords = buf.arrays()
-            assert ids.tolist() == list(model)
-            if len(model):
-                assert coords.tolist() == [list(c) for c in model.values()]
+            assert buf.ids.tolist() == list(model)
 
     def test_arrays_cache_invalidation(self):
-        buf = ViewBuffer(2, [(1, (0.0, 0.0)), (2, (1.0, 1.0))])
-        ids1, coords1 = buf.arrays()
-        # No mutation: identical objects returned.
-        ids2, coords2 = buf.arrays()
-        assert ids1 is ids2 and coords1 is coords2
-        buf[3] = (2.0, 2.0)
-        ids3, _ = buf.arrays()
-        assert ids3.tolist() == [1, 2, 3]
+        buf = ViewBuffer([1, 2])
+        # No mutation: the same column is returned.
+        assert buf.ids is buf.ids
+        buf.merge(np.array([3]), own=-1, detected=frozenset())
+        assert buf.ids.tolist() == [1, 2, 3]
 
     def test_set_ranked_installs_clean_arrays(self):
-        buf = ViewBuffer(2, [(i, (float(i), 0.0)) for i in range(5)])
-        ids, coords = buf.arrays()
-        order = np.array([3, 1, 0])
-        pos = (0.0, 0.0)
-        buf.set_ranked(ids[order], coords[order], ranked_for=pos)
+        buf = ViewBuffer(range(5))
+        buf.set_ranked(buf.ids[np.array([3, 1, 0])], ranked_at=7)
         assert list(buf) == [3, 1, 0]
-        assert buf.ranked_pos is pos
-        ids2, coords2 = buf.arrays()
-        assert ids2.tolist() == [3, 1, 0]
-        assert coords2.tolist() == [[3.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+        assert buf.ranked_at == 7
         # Order-preserving eviction keeps the ranked marker ...
         buf.evict_ids([1])
-        assert buf.ranked_pos is pos
+        assert buf.ranked_at == 7
         assert list(buf) == [3, 0]
         # ... but any merge clears it.
-        buf.merge(np.array([9]), np.array([[9.0, 9.0]]), own=-1, detected=frozenset())
-        assert buf.ranked_pos is None
+        buf.merge(np.array([9]), own=-1, detected=frozenset())
+        assert buf.ranked_at == -1
 
     def test_object_coords_mode(self):
-        a, b = frozenset({"x"}), frozenset({"y", "z"})
-        buf = ViewBuffer(OBJECT_DIM, [(1, a), (2, b)])
-        ids, coords = buf.arrays()
-        assert ids.tolist() == [1, 2]
-        assert coords == [a, b]
-        assert buf[2] is b
+        """An id view ranks over a table of coordinate objects (the
+        Jaccard space) as it does over a float column."""
+        from repro.spaces import JaccardSpace
+
+        table = NodeTable()
+        sets = [frozenset({"x"}), frozenset({"x", "y"}), frozenset({"z"})]
+        for nid, coord in enumerate(sets):
+            table.add(nid, coord)
+        buf = ViewBuffer([2, 1, 0])
+        got = rank_current(JaccardSpace(), table, frozenset({"x"}), buf.ids)
+        assert got.tolist() == [0, 1, 2]
 
     def test_evict(self):
-        buf = ViewBuffer(2, [(i, (float(i), 0.0)) for i in range(6)])
+        buf = ViewBuffer(range(6))
         buf.evict_ids([1, 4])
         assert list(buf) == [0, 2, 3, 5]
 
     def test_pickle_and_deepcopy_roundtrip(self):
-        buf = ViewBuffer(2, [(1, (0.5, 0.25)), (9, (3.0, 4.0))])
+        buf = ViewBuffer([1, 9])
+        buf.set_ranked(buf.ids, ranked_at=3)
         for clone in (pickle.loads(pickle.dumps(buf)), copy.deepcopy(buf)):
-            assert dict(clone) == dict(buf)
-            assert list(clone) == list(buf)
-            ids, coords = clone.arrays()
-            assert ids.tolist() == [1, 9]
-            assert coords.tolist() == [[0.5, 0.25], [3.0, 4.0]]
+            assert list(clone) == [1, 9] and clone.ranked_at == 3
+            assert clone.ids.dtype == np.int64
 
     def test_empty_buffer(self):
-        buf = ViewBuffer(2)
+        buf = ViewBuffer()
         assert not buf and len(buf) == 0
-        ids, coords = buf.arrays()
-        assert len(ids) == 0 and coords.shape == (0, 2)
+        assert buf.ids.shape == (0,) and buf.nbytes == 0
 
 
 #: One mutation of the model test: an op name plus the raw draws it
 #: reads (ids, a coordinate seed, a subset / order of the held ids).
 _OPS = st.tuples(
-    st.sampled_from(
-        ["merge", "evict", "set_ranked", "keep_ranked", "set", "del", "pickle"]
-    ),
+    st.sampled_from(["merge", "evict", "set_ranked", "move", "pickle"]),
     st.lists(st.integers(0, 24), max_size=8, unique=True),
     st.integers(0, 9),
     st.randoms(use_true_random=False),
@@ -356,45 +329,31 @@ def _coord(dim, nid, seed):
     return (float(seed), float(nid) / 4.0)
 
 
-def _step(buf, model, dim, op, ids, seed, rng):
-    """Apply one mutation to the buffer and its plain-dict model."""
+def _step(buf, model, table, dim, op, ids, seed, rng):
+    """Apply one mutation to the buffer, its plain-dict model and the
+    node table the view's peers live in."""
     held = list(model)
     if op == "merge":
         own, detected = seed, frozenset(ids[::3])
-        coords = [_coord(dim, nid, seed) for nid in ids]
-        batch = coords if dim == OBJECT_DIM else np.array(coords).reshape(-1, dim)
-        adopted = buf.merge(np.array(ids, dtype=np.int64), batch, own, detected)
+        adopted = buf.merge(np.array(ids, dtype=np.int64), own, detected)
         want = [nid for nid in ids if nid != own and nid not in detected]
         assert adopted == want
-        assert buf.ranked_pos is None or not want
-        for nid, coord in zip(ids, coords):
-            if nid in want:
-                model[nid] = coord
+        assert buf.ranked_at == -1 or not want
+        model.update(dict.fromkeys(want))
     elif op == "evict":
         stale = [nid for nid in held if rng.random() < 0.4]
         buf.evict_ids(stale)
         for nid in stale:
             del model[nid]
-    elif op in ("set_ranked", "keep_ranked"):
+    elif op == "set_ranked":
         keep = rng.sample(held, rng.randint(0, len(held)))
-        if op == "keep_ranked":
-            buf.keep_ranked(keep, ranked_for=seed)
-        else:
-            slots = np.array([held.index(nid) for nid in keep], dtype=np.intp)
-            got_ids, got_coords = buf.arrays()
-            buf.set_ranked(got_ids[slots], take_coords(got_coords, slots), seed)
-        assert buf.ranked_pos == seed
-        kept = {nid: model[nid] for nid in keep}
+        buf.set_ranked(np.array(keep, dtype=np.int64), ranked_at=seed)
+        assert buf.ranked_at == seed
         model.clear()
-        model.update(kept)
-    elif op == "set":
+        model.update(dict.fromkeys(keep))
+    elif op == "move":
         for nid in ids[:2]:
-            buf[nid] = model[nid] = _coord(dim, nid, seed)
-            assert buf.ranked_pos is None
-    elif op == "del":
-        for nid in [nid for nid in ids if nid in model]:
-            del buf[nid]
-            del model[nid]
+            table.set_coord(table.row(nid), _coord(dim, nid, seed))
     else:
         buf = pickle.loads(pickle.dumps(buf))
     return buf
@@ -404,20 +363,26 @@ def _step(buf, model, dim, op, ids, seed, rng):
 @settings(max_examples=60, deadline=None)
 @given(ops=st.lists(_OPS, max_size=25))
 def test_view_buffer_matches_a_dict_model(dim, ops):
-    """Random sequences of every mutation the layers and tests make: after
-    each step order, values and ``arrays()`` are the dict model's, and a
-    vector view holds exactly its ids and coordinates."""
-    buf, model = ViewBuffer(dim), {}
+    """Random sequences of every mutation the layers make: after each
+    step the id column is the dict model's keys, 8 bytes an id, and
+    ranking it reads the peers' *current* table positions — the order a
+    scalar sort by distance to those positions gives — for a vector
+    and an object-coordinate table alike."""
+    from repro.spaces import FlatTorus, JaccardSpace
+
+    space = FlatTorus(10.0, 10.0) if dim == 2 else JaccardSpace()
+    table = NodeTable()
+    for nid in range(25):
+        table.add(nid, _coord(dim, nid, 0))
+    buf, model = ViewBuffer(), {}
     for op, ids, seed, rng in ops:
-        buf = _step(buf, model, dim, op, ids, seed, rng)
+        buf = _step(buf, model, table, dim, op, ids, seed, rng)
         assert list(buf) == list(model) and len(buf) == len(model)
-        assert buf.items() == list(model.items())
         assert all(nid in buf for nid in model) and 25 not in buf
-        got_ids, got_coords = buf.arrays()
-        assert got_ids.dtype == np.int64 and got_ids.tolist() == list(model)
-        if dim == OBJECT_DIM:
-            assert got_coords == list(model.values())
-        else:
-            assert got_coords.shape == (len(model), dim)
-            assert [tuple(row) for row in got_coords.tolist()] == list(model.values())
-            assert buf.nbytes == len(model) * 8 * (1 + dim)
+        assert buf.ids.dtype == np.int64 and buf.ids.tolist() == list(model)
+        assert buf.nbytes == len(model) * 8
+        origin = _coord(dim, 3, seed)
+        want = sorted(
+            model, key=lambda nid: (space.distance_sq(origin, table.pos(table.row(nid))), nid)
+        )
+        assert rank_current(space, table, origin, buf.ids).tolist() == want

@@ -4,13 +4,15 @@
 and leaves what a receiver refuses as ``-1`` holes;
 ``tests/topology_merge_oracle.entry_merge`` is the merge as it was —
 every entry flattened, filtered entries packed out.  Both must leave
-byte-identical descriptor versions / Vicinity ``ages`` and charge the
-meter the same, on both ranking branches of ``merge_rank_truncate``
+byte-identical view ids / Vicinity ``ages`` and charge the meter the
+same, on both ranking branches of ``merge_rank_truncate``
 (``exact_rank_key`` on a dyadic lattice, the float cascade off it).
 
-The last tests are the check's own teeth: three wrong merges — filter
-before metering, replies before payloads, a later message packed left of
-an earlier one — must each fail it.
+The last tests are the check's own teeth: two wrong merges — filter
+before metering, the first copy of an id winning over the last (so a
+Vicinity entry heard of again keeps its old age) — must each fail it.
+Arrival order among messages is no longer observable: a message carries
+ids only, and every copy of an id ranks at the peer's table position.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from repro.sim.batch import kernels
 from repro.sim.batch.topology import BatchTMan, BatchVicinity
 from repro.spaces import FlatTorus
 
-from .helpers import put_descriptors, topology_views
 from .topology_merge_oracle import MergeSim, entry_merge
 
 SPACE = FlatTorus(16.0, 8.0)
@@ -47,32 +48,34 @@ LAYERS = {
 }
 
 
-def make_layer(kind, cap, nid_of, pos, detected, views, view_coords, ages=None):
-    """A layer holding ``views`` (one id list per row) and its sim stub."""
-    sim = MergeSim(np.asarray(nid_of, np.int64), np.asarray(pos, float), detected)
+def make_layer(kind, cap, nid_of, pos, detected, views, peer_pos, ages=None):
+    """A layer holding ``views`` (one id list per row) and its sim stub;
+    ``peer_pos`` places every id, the receivers at their own ``pos``."""
+    peer_pos = np.array(peer_pos, float)
+    peer_pos[np.asarray(nid_of)] = pos
+    sim = MergeSim(np.asarray(nid_of, np.int64), np.asarray(pos, float), detected, peer_pos)
     layer = LAYERS[kind](cap)
     layer._ensure_rows(sim.network.table)
-    ids = np.full(layer._ver.shape, -1, dtype=np.int64)
     for r, held in enumerate(views):
-        ids[r, : len(held)] = held
-    layer._ver[:] = put_descriptors(layer, ids, view_coords)
+        layer._ids[r, : len(held)] = held
     if layer._ages is not None and ages is not None:
         layer._ages[:] = ages
     return layer, sim
 
 
-def assert_merges_agree(layer, sim, recv, ids, coords, merge=None):
+def assert_merges_agree(layer, sim, recv, ids, merge=None):
     """Run the shipped merge (or ``merge``, a stand-in for it) and the
-    oracle from the same state on the messages ``(ids, coords)``, issued
-    as descriptor versions; compare state and metering."""
-    vers = put_descriptors(layer, ids, coords)
+    oracle from the same state on the messages ``ids``; compare state
+    and metering."""
+    msgs = ids.astype(np.int32)
+    table = sim.network.table
     want_layer, want_sim = copy.deepcopy(layer), MergeSim(
-        sim.network.table._nid_of, sim.network.table.coords_rows(), sim._detected
+        table._nid_of, table.coords_rows(), sim._detected, sim.peer_pos
     )
-    entry_merge(want_layer, want_sim, recv, vers)
+    entry_merge(want_layer, want_sim, recv, msgs)
     got_layer = copy.deepcopy(layer)
-    (merge or type(layer)._apply_merges)(got_layer, sim, recv, vers.copy())
-    np.testing.assert_array_equal(got_layer._ver, want_layer._ver)
+    (merge or type(layer)._apply_merges)(got_layer, sim, recv, msgs.copy())
+    np.testing.assert_array_equal(got_layer._ids, want_layer._ids)
     if layer._ages is not None:
         np.testing.assert_array_equal(got_layer._ages, want_layer._ages)
     assert sim.charged == want_sim.charged
@@ -102,9 +105,8 @@ def draw_case(data, kind, coord):
         for _ in range(n_rows)
     ]
     ages = np.asarray(grid(n_rows, cap, st.integers(0, 30))) if kind == "vicinity" else None
-    layer, sim = make_layer(
-        kind, cap, nid_of, pos, detected, views, grid(n_rows, cap, coord), ages
-    )
+    peer_pos = [data.draw(coord) for _ in range(MAX_ID + 1)]
+    layer, sim = make_layer(kind, cap, nid_of, pos, detected, views, peer_pos, ages)
 
     # Ids a message may carry: live nodes (the receiver's own among
     # them), detected peers, strangers — and the empty slot.
@@ -123,16 +125,15 @@ def draw_case(data, kind, coord):
     refused = [-1, nid_of[starved], *detected]
     ids[n_open:] = grid(len(recv) - n_open, k, st.sampled_from(refused))
     # One id in several of the flooded receiver's messages (and twice in
-    # one, where a message has room), each copy with its own coordinate.
+    # one, where a message has room).
     dup = data.draw(st.integers(0, MAX_ID))
     first = n_open - 8
     for j in data.draw(st.lists(st.integers(first, n_open - 1), min_size=2, max_size=5)):
         ids[j, data.draw(st.integers(0, k - 1))] = dup
     ids[first, 0] = ids[first, -1] = dup
-    coords = np.asarray(grid(len(recv), k, coord), dtype=float)
     # Arrival order interleaves the receivers.
     perm = np.asarray(data.draw(st.permutations(range(len(recv)))))
-    return layer, sim, np.asarray(recv, np.int64)[perm], ids[perm], coords[perm]
+    return layer, sim, np.asarray(recv, np.int64)[perm], ids[perm]
 
 
 @pytest.mark.parametrize("lattice", sorted(LATTICES))
@@ -146,22 +147,21 @@ def test_message_merge_matches_entry_oracle(kind, lattice, data):
 # -- a fixed case: both kernel branches are reached, the mutants die --------
 
 
-def fixed_case(kind="tman", step=0.25):
-    """Row 0 (node 10) is sent two payloads and then a reply that
-    disagree about node 7's position; they also carry row 0's own id
-    and the detected node 9.  Row 1 gets one payload in between."""
+def fixed_case(kind="vicinity", step=0.25):
+    """Row 0 (node 10, its view entries aged 5) is sent two payloads and
+    then a reply that all carry node 7; they also carry row 0's own id
+    and its view entry 11.  Row 1 gets one payload in between, carrying
+    the detected node 9."""
     nid_of, detected = [10, 11, 12], [9]
     pos = [(1 * step, 1 * step), (8 * step, 4 * step), (3 * step, 9 * step)]
     views = [[11, 12], [10], []]
-    view_coords = [[pos[1], pos[2], (0, 0)], [pos[0], (0, 0), (0, 0)], [(0, 0)] * 3]
-    layer, sim = make_layer(kind, 3, nid_of, pos, detected, views, view_coords)
+    peer_pos = step * np.asarray([(i % 7, i // 7) for i in range(MAX_ID + 1)], dtype=float)
+    ages = np.zeros((3, 3), dtype=np.int64)
+    ages[0, :2] = 5
+    layer, sim = make_layer(kind, 3, nid_of, pos, detected, views, peer_pos, ages)
     recv = np.asarray([0, 1, 0, 0], dtype=np.int64)
-    ids = np.asarray([[7, 10], [12, 9], [9, 7], [20, 7]], dtype=np.int64)
-    coords = step * np.asarray(
-        [[(2, 2), (1, 1)], [(3, 9), (2, 2)], [(2, 2), (2, 1)], [(40, 20), (1, 2)]],
-        dtype=float,
-    )
-    return layer, sim, recv, ids, coords
+    ids = np.asarray([[7, 10], [12, 9], [11, 7], [20, 7]], dtype=np.int64)
+    return layer, sim, recv, ids
 
 
 @pytest.mark.parametrize("kind", sorted(LAYERS))
@@ -180,58 +180,56 @@ def test_fixed_case_agrees_on_both_ranking_branches(kind, step, exact):
 
 
 def test_fixed_case_keeps_the_last_copy_and_meters_before_filtering():
-    layer, sim, recv, ids, coords = fixed_case()
-    layer._apply_merges(sim, recv, put_descriptors(layer, ids, coords))
-    # node 7 where the last message to row 0 (the reply) placed it; own
-    # id 10 and the detected 9 refused; every descriptor sent paid for.
-    view_ids, view_coords = topology_views(layer)
-    row0 = dict(zip(view_ids[0].tolist(), view_coords[0].tolist()))
-    assert row0[7] == [0.25, 0.5] and 10 not in row0 and 9 not in row0
-    assert sim.charged == [("tman", 8, 2)]
+    """Node 7, in three messages to row 0, is held once; view entry 11,
+    heard of again, keeps the last copy's age 0 on Vicinity; own id 10
+    and the detected 9 are refused; every descriptor sent is paid
+    for."""
+    for kind in ("tman", "vicinity"):
+        layer, sim, recv, ids = fixed_case(kind)
+        layer._apply_merges(sim, recv, ids.astype(np.int32))
+        row0 = layer._ids[0].tolist()
+        assert row0.count(7) == 1 and 10 not in row0 and 9 not in layer._ids[1]
+        if kind == "vicinity":
+            assert layer._ages[0][row0.index(11)] == 0
+        assert sim.charged == [(kind, 8, 2)]
 
 
 def test_messages_site_is_the_stacked_messages_and_four_index_columns():
     from repro.obs import mem as obs_mem
 
-    layer, sim, recv, ids, coords = fixed_case("vicinity")
-    vers = put_descriptors(layer, ids, coords)
+    layer, sim, recv, ids = fixed_case("vicinity")
+    msgs = ids.astype(np.int32)
     obs_mem.reset()
     obs_mem.set_enabled(True)
     try:
-        layer._apply_merges(sim, recv, vers)
+        layer._apply_merges(sim, recv, msgs)
         site = obs_mem.snapshot()["sites"]["vicinity.messages"]
     finally:
         obs_mem.set_enabled(False)
         obs_mem.reset()
-    # An int32 version a descriptor, four int64 message columns.
-    assert site["peak"] == 4 * vers.size + 4 * 8 * len(recv)
+    # An int32 id a descriptor, four int64 message columns.
+    assert site["peak"] == 4 * msgs.size + 4 * 8 * len(recv)
     assert site["family"] == "topology_pads" and site["cur"] == 0
 
 
-def _filter_before_metering(layer, sim, recv, vers):
-    ids = layer._vnid.take(vers)
-    vers[ids == sim.network.table._nid_of[recv][:, None]] = -1
-    vers[sim.detected_entry_mask(ids)] = -1
-    type(layer)._apply_merges(layer, sim, recv, vers)
+def _filter_before_metering(layer, sim, recv, msgs):
+    msgs[msgs == sim.network.table._nid_of[recv][:, None]] = -1
+    msgs[sim.detected_entry_mask(msgs)] = -1
+    type(layer)._apply_merges(layer, sim, recv, msgs)
 
 
-def _replies_before_payloads(layer, sim, recv, vers):
-    first = np.asarray([3, 0, 1, 2])  # the reply to row 0 is message 3
-    type(layer)._apply_merges(layer, sim, recv[first], vers[first])
+def _first_copy_wins(layer, sim, recv, msgs):
+    keep_last = kernels.keep_last_per_row
+
+    def keep_first(ids_pad, valid, stride):
+        flipped = keep_last(ids_pad[:, ::-1], valid[:, ::-1], stride)
+        return flipped[:, ::-1]
+
+    with mock.patch.object(kernels, "keep_last_per_row", keep_first):
+        type(layer)._apply_merges(layer, sim, recv, msgs)
 
 
-def _later_message_packed_first(layer, sim, recv, vers):
-    def unstable(a):  # equal keys in reverse input order
-        return np.lexsort((-np.arange(len(a)), a))
-
-    with mock.patch.object(kernels, "radix_argsort", unstable):
-        type(layer)._apply_merges(layer, sim, recv, vers)
-
-
-@pytest.mark.parametrize(
-    "mutant",
-    [_filter_before_metering, _replies_before_payloads, _later_message_packed_first],
-)
+@pytest.mark.parametrize("mutant", [_filter_before_metering, _first_copy_wins])
 def test_the_check_fails_a_wrong_merge(mutant):
     assert_merges_agree(*fixed_case())
     with pytest.raises(AssertionError):
