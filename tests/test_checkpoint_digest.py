@@ -542,15 +542,23 @@ def test_damaged_entry_fetched_by_a_worker_runs_cold(tmp_path, obs_on, damage):
     assert_refused_entry_runs_cold(tmp_path, obs_on, damage, "checksum")
 
 
-@pytest.mark.parametrize("stale", [5, 6])
-def test_stale_format_entry_is_refused_before_unpickling_and_runs_cold(
-    tmp_path, obs_on, stale
-):
-    """A cache entry a build of a stale format published is refused by
-    its header's format number before anything is unpickled, counted as
-    ``checkpoint.corrupt``, and the fork sweep's cell runs cold."""
-    refusal = f"unsupported checkpoint format {stale} "
-    assert_refused_entry_runs_cold(tmp_path, obs_on, _rewrite_as_format(stale), refusal)
+def test_format_5_entry_is_refused_as_stale_and_runs_cold(tmp_path, obs_on):
+    """A cache entry a format-5 build published (batch views as an id
+    and a coordinate per slot) is refused by its format number, not
+    unpickled; the fork sweep's cell falls back to a cold run."""
+    assert_refused_entry_runs_cold(
+        tmp_path, obs_on, _rewrite_as_format(5), "unsupported checkpoint format 5 "
+    )
+
+
+def test_format_6_entry_is_refused_as_stale_and_runs_cold(tmp_path, obs_on):
+    """A cache entry a format-6 build published (batch views as
+    descriptor versions into a per-layer table) is refused by its format
+    number, not unpickled; the fork sweep's cell falls back to a cold
+    run."""
+    assert_refused_entry_runs_cold(
+        tmp_path, obs_on, _rewrite_as_format(6), "unsupported checkpoint format 6 "
+    )
 
 
 def assert_refused_entry_runs_cold(tmp_path, events, damage, refusal) -> None:

@@ -269,8 +269,7 @@ class TestDigest:
 
 class TestLegacyFormatUpgrade:
     """One format, no legacy reader: only ``CHECKPOINT_FORMAT`` (7)
-    loads, and every other format number is rejected by name (formats 5
-    and 6: ``tests/test_checkpoint_digest``'s stale-format case)."""
+    loads, and every other format number is rejected by name."""
 
     def test_format_1_rejected_naming_the_format(self, tmp_path):
         self.assert_rejected_by_number(tmp_path, 1)
@@ -289,6 +288,17 @@ class TestLegacyFormatUpgrade:
         layout this build no longer has (format 5 keeps it in the
         placement store both engines share)."""
         self.assert_rejected_by_number(tmp_path, 4, "unsupported checkpoint format 4 ")
+
+    def test_format_5_rejected_before_unpickling(self, tmp_path):
+        """Format 5 pickled batch topology views as an id and a
+        coordinate per slot, a layout this build no longer has (format 7
+        stores a peer id per slot)."""
+        self.assert_rejected_by_number(tmp_path, 5, "unsupported checkpoint format 5 ")
+
+    def test_format_6_rejected_before_unpickling(self, tmp_path):
+        """Format 6 pickled batch topology views as descriptor versions
+        into a per-layer table, which this build no longer has."""
+        self.assert_rejected_by_number(tmp_path, 6, "unsupported checkpoint format 6 ")
 
     def assert_rejected_by_number(self, tmp_path, legacy, message=None):
         sim, *_ = prepare_scenario(small_config())
