@@ -6,7 +6,6 @@ alone over RPS is exactly the paper's baseline configuration.
 """
 
 from .aggregation import AggregationLayer, SizeEstimator
-from .ranking import closest_entries, rank_entries, truncate_closest
 from .rps import PeerSamplingLayer
 from .tman import TManLayer
 from .vicinity import VicinityLayer
@@ -17,7 +16,4 @@ __all__ = [
     "VicinityLayer",
     "AggregationLayer",
     "SizeEstimator",
-    "rank_entries",
-    "closest_entries",
-    "truncate_closest",
 ]

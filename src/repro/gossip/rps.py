@@ -56,12 +56,6 @@ class PeerSamplingLayer:
         peers = sim.network.random_alive(rng, self.view_size, exclude=(node.nid,))
         node.rps_view = {nid: 0 for nid in peers}
 
-    def view_of(self, node: SimNode) -> Dict[NodeId, int]:
-        """The node's view; a node whose row was reclaimed holds none
-        and reads as empty, as on the batch engine."""
-        view = getattr(node, "rps_view", None)
-        return {} if view is None else view
-
     # -- sampling API used by upper layers ----------------------------------
 
     def sample(

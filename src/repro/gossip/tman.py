@@ -10,7 +10,10 @@ Parameters follow the paper's setup (Sec. IV-A): views initialised with
 10 random peers from RPS, views capped at 100 (unlike the unbounded
 original), m = 20 descriptors per message, ψ = 5.
 
-A view is an id column (:class:`~repro.sim.arrays.ViewBuffer`), kept
+A view is a row of peer ids in the layer's
+:class:`~repro.sim.arrays.ViewStore` — the store the batch layers keep
+theirs in — sized ``max(view_cap, bootstrap_size)``, so a bootstrap draw
+wider than the cap is held whole until the first merge.  It is kept
 *ranked for its owner*: ids in order of (squared distance of the peer's
 current position to the owner's, id), cut to ``view_cap``.  Every
 ranking reads positions from the node table when it ranks, as
@@ -18,7 +21,7 @@ cycle-driven T-Man simulators hold a view (node references, not stored
 coordinates), so no entry is stale.  A merge ranks the view ∪ the
 message once.  Partner selection and :meth:`TManLayer.neighbors` read
 the alive prefix; a view is re-ranked only when some node has moved
-since it was ranked (``ViewBuffer.ranked_at`` against the table's
+since it was ranked (the row's ``_ranked_at`` against the table's
 :attr:`~repro.sim.arrays.NodeTable.moves` count; a coordinate write
 handing back the same position object is not a move).  A message is the
 ranked ids of its sender's view ∪ {sender}.  Every ranking breaks ties
@@ -37,7 +40,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..obs import metrics as obs_metrics
-from ..sim.arrays import ViewBuffer
+from ..sim.arrays import ViewStore
 from ..sim.engine import Simulation
 from ..sim.network import SimNode
 from ..spaces.base import Space
@@ -46,7 +49,7 @@ from .ranking import rank_current
 from .rps import PeerSamplingLayer
 
 
-class TManLayer:
+class TManLayer(ViewStore):
     """One T-Man instance layered over a peer-sampling service."""
 
     name = "tman"
@@ -73,106 +76,91 @@ class TManLayer:
         self.view_cap = view_cap
         self.bootstrap_size = bootstrap_size
         self._coord_dim = space.dim if space.dim is not None else 1
+        self._init_views(max(view_cap, bootstrap_size), ranked=True)
 
     # -- per-node state ----------------------------------------------------
 
-    def _ensure_view(self, node: SimNode) -> ViewBuffer:
-        """The node's topology view as a ViewBuffer (tests may have
-        attached a plain dict; its ids are adopted transparently)."""
-        view = getattr(node, "tman_view", None)
-        if type(view) is not ViewBuffer:
-            view = ViewBuffer(view or ())
-            node.tman_view = view
-        return view
-
     def init_node(self, sim: Simulation, node: SimNode) -> None:
+        self._ensure_rows(sim.network.table)
         peers = self.rps.sample(sim, node, self.bootstrap_size)
-        node.tman_view = ViewBuffer(nid for nid in peers if nid != node.nid)
-
-    def view_of(self, node: SimNode) -> ViewBuffer:
-        """The node's view; a node whose row was reclaimed holds none
-        and reads as empty, as on the batch engine."""
-        view = getattr(node, "tman_view", None)
-        return ViewBuffer() if view is None else view
+        self._put(node.row, list(dict.fromkeys(p for p in peers if p != node.nid)))
+        self._ranked_at[node.row] = -1
 
     def neighbors(self, sim: Simulation, node: SimNode, k: int) -> List[NodeId]:
         """The node's ``k`` closest *alive* view entries (the
         neighbourhood handed to Polystyrene and to the proximity
-        metric)."""
-        view = self._ensure_view(node)
-        if not view:
+        metric); none for a node without a row."""
+        if node.row < 0:
             return []
-        ids = self._ranked_ids(sim, node, view)
+        ids = self._ranked_ids(sim, node, self.row_ids(node.row))
         return ids[sim.network.alive_mask(ids)][:k].tolist()
 
-    def _ranked_ids(
-        self, sim: Simulation, node: SimNode, view: ViewBuffer
-    ) -> np.ndarray:
-        """The view's ids in (distance to the node, id) order at current
-        positions.  A view ranked at the table's current move count is
-        in that order already; any other is re-ranked, and the order is
-        installed so the next reader scans a prefix again."""
+    def _ranked_ids(self, sim: Simulation, node: SimNode, ids: np.ndarray) -> np.ndarray:
+        """``ids`` — the node's row as it holds it — in (distance to the
+        node, id) order at current positions.  A row ranked at the
+        table's current move count is in that order already; any other
+        is re-ranked, and the order is stored so the next reader scans a
+        prefix again."""
         table = sim.network.table
-        if view.ranked_at != table.moves:
-            ids = rank_current(self.space, table, node.pos_array, view.ids)
-            view.set_ranked(ids, table.moves)
-        return view.ids
+        row = node.row
+        if self._ranked_at[row] != table.moves:
+            ids = rank_current(self.space, table, node.pos_array, ids)
+            self._ids[row, : len(ids)] = ids
+            self._ranked_at[row] = table.moves
+        return ids
 
     # -- one gossip cycle ----------------------------------------------------
 
     def step(self, sim: Simulation) -> None:
         network = sim.network
+        self._ensure_rows(network.table)
         for nid in sim.shuffled_alive(self.name):
             if network.is_alive(nid):
                 self._gossip(sim, network.node(nid))
 
     def _gossip(self, sim: Simulation, node: SimNode) -> None:
         rng = sim.rng_for(self.name)
-        view = self._ensure_view(node)
-        # Evict detectably-failed peers; the boundary nodes of Fig. 1c do
-        # exactly this, then re-link with the closest survivors.  The
-        # scan is one gather over the view's id column.
-        detected = sim.detected_failed()
-        if detected:
-            ids = view.ids
+        row = node.row
+        # Evict departed peers — detected failed, or released by the
+        # retention policy; the boundary nodes of Fig. 1c do exactly
+        # this, then re-link with the closest survivors.  The scan is one
+        # gather over the row; the order of the rest, and so the rank
+        # memo, is kept.  With nobody departed there is nothing to scan.
+        departed = bool(sim.detected_failed()) or sim.network.table._has_released
+        ids = self.row_ids(row)
+        if departed:
             stale = sim.detected_mask(ids)
             if stale.any():
-                view.evict_ids(ids[stale])
-        if not view:
+                ids = ids[~stale]
+                self._put(row, ids)
+        if not len(ids):
             self.init_node(sim, node)
-            view = node.tman_view
-            if not view:
+            ids = self.row_ids(row)
+            if not len(ids):
                 return
-        partner_id = self._select_partner(sim, rng, node, view)
-        if partner_id is None:
+        # Partner: a random choice among the ψ closest alive entries.
+        ids = self._ranked_ids(sim, node, ids)
+        candidates = ids[sim.network.alive_mask(ids)][: self.psi].tolist()
+        if not candidates:
             return
-        partner = sim.network.node(partner_id)
+        partner = sim.network.node(rng.choice(candidates))
+        held = self.row_ids(partner.row)
         # Symmetric exchange: each side sends the m entries most useful
         # to the *other* side, always including its own descriptor.
-        payload = self._build_buffer(sim, node, target_pos=partner.pos_array)
-        reply = self._build_buffer(sim, partner, target_pos=node.pos_array)
+        payload = self._build_buffer(sim, node, ids, target_pos=partner.pos_array)
+        reply = self._build_buffer(sim, partner, held, target_pos=node.pos_array)
         sim.meter.charge_descriptors(self.name, len(payload), self._coord_dim)
         sim.meter.charge_descriptors(self.name, len(reply), self._coord_dim)
         obs_metrics.count("exchanges.tman")
-        self._merge(sim, partner, payload, detected)
-        self._merge(sim, node, reply, detected)
-
-    def _select_partner(
-        self, sim: Simulation, rng, node: SimNode, view: ViewBuffer
-    ) -> Optional[NodeId]:
-        """Random choice among the ψ closest alive view entries."""
-        ids = self._ranked_ids(sim, node, view)
-        candidates = ids[sim.network.alive_mask(ids)][: self.psi].tolist()
-        if not candidates:
-            return None
-        return rng.choice(candidates)
+        self._merge(sim, partner, payload, held, departed)
+        self._merge(sim, node, reply, ids, departed)
 
     def _build_buffer(
-        self, sim: Simulation, node: SimNode, target_pos: Coord
+        self, sim: Simulation, node: SimNode, ids: np.ndarray, target_pos: Coord
     ) -> np.ndarray:
-        """The ids of the ``m`` peers of ``node``'s view ∪ {node itself}
-        whose current positions are closest to ``target_pos``."""
-        ids = self._ensure_view(node).ids
+        """The ids of the ``m`` peers of ``node``'s view (``ids``) ∪
+        {node itself} whose current positions are closest to
+        ``target_pos``."""
         pool = np.empty(len(ids) + 1, dtype=np.int64)
         pool[:-1] = ids
         pool[-1] = node.nid
@@ -181,20 +169,27 @@ class TManLayer:
         )
 
     def _merge(
-        self, sim: Simulation, node: SimNode, incoming: np.ndarray, detected=None
+        self,
+        sim: Simulation,
+        node: SimNode,
+        incoming: np.ndarray,
+        held: Optional[np.ndarray] = None,
+        departed: bool = True,
     ) -> None:
         """Merge an incoming message (peer ids) into the node's ranked
-        view: every id except the node's own and detected-failed ones is
+        view (``held``, its row as it holds it): every id except the
+        node's own and departed ones (detected failed, or released by the
+        retention policy — ``departed`` is false when there are none) is
         adopted, and the union is ranked at current positions and cut to
         the ``cap`` closest entries."""
-        view = self._ensure_view(node)
-        if detected is None:
-            detected = sim.detected_failed()
-        adopt = [nid != node.nid and nid not in detected for nid in incoming.tolist()]
-        if not all(adopt):
-            incoming = incoming[np.array(adopt)]
+        refused = incoming == node.nid
+        if departed:
+            refused |= sim.detected_mask(incoming)
+        if refused.any():
+            incoming = incoming[~refused]
         table = sim.network.table
-        ids = view.ids
+        row = node.row
+        ids = self.row_ids(row) if held is None else held
         ids = np.concatenate((ids[~table.id_flags(incoming).take(ids)], incoming))
-        ids = rank_current(self.space, table, node.pos_array, ids, self.view_cap)
-        view.set_ranked(ids, table.moves)
+        self._put(row, rank_current(self.space, table, node.pos_array, ids, self.view_cap))
+        self._ranked_at[row] = table.moves

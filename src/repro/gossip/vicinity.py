@@ -18,13 +18,16 @@ design:
 * views are small and fixed-size (``view_size``, default 20) rather
   than capped-at-100.
 
-The per-node view is stored under the same ``tman_view`` attribute the
-T-Man layer uses (an id :class:`~repro.sim.arrays.ViewBuffer`, ranked at
-peers' current positions read from the node table, as T-Man's are);
-ages are tracked separately under ``vicinity_age``.  Reusing the
-attribute keeps Polystyrene, the proximity metric and every observer
-working unchanged over either overlay — they only care about "the
-topology view".
+The views live in the same kind of store as T-Man's, on both engines
+(a :class:`~repro.sim.arrays.ViewStore` row of peer ids per node,
+ranked at peers' current positions read from the node table), with each
+entry's age in the row-aligned ``_ages`` column beside it.  Polystyrene,
+the proximity metric, greedy routing and every observer read "the
+topology view" through the simulation's topology layer
+(:attr:`~repro.sim.engine.Simulation.topology`), so they work unchanged
+over either overlay.  Nothing drawn or ranked depends on the order a
+row stores its entries in: the partner is the max (age, id) and every
+ranking breaks ties by id.
 """
 
 from __future__ import annotations
@@ -33,16 +36,16 @@ from typing import List
 
 import numpy as np
 
-from ..sim.arrays import ViewBuffer
+from ..sim.arrays import ViewStore
 from ..sim.engine import Simulation
 from ..sim.network import SimNode
 from ..spaces.base import Space
 from ..types import Coord, NodeId
-from .ranking import rank_current
+from .ranking import rank_current, rank_order
 from .rps import PeerSamplingLayer
 
 
-class VicinityLayer:
+class VicinityLayer(ViewStore):
     """One Vicinity instance layered over a peer-sampling service."""
 
     name = "vicinity"
@@ -69,65 +72,53 @@ class VicinityLayer:
         self.rps_candidates = rps_candidates
         self.bootstrap_size = min(bootstrap_size, view_size)
         self._coord_dim = space.dim if space.dim is not None else 1
+        self._init_views(view_size, ages=True)
 
     # -- per-node state ----------------------------------------------------
 
-    def _ensure_view(self, node: SimNode) -> ViewBuffer:
-        view = getattr(node, "tman_view", None)
-        if type(view) is not ViewBuffer:
-            view = ViewBuffer(view or ())
-            node.tman_view = view
-            if not hasattr(node, "vicinity_age"):
-                node.vicinity_age = {nid: 0 for nid in view}
-        return view
-
     def init_node(self, sim: Simulation, node: SimNode) -> None:
+        self._ensure_rows(sim.network.table)
         peers = self.rps.sample(sim, node, self.bootstrap_size)
-        node.tman_view = ViewBuffer(nid for nid in peers if nid != node.nid)
-        node.vicinity_age = {nid: 0 for nid in node.tman_view}
-
-    def view_of(self, node: SimNode) -> ViewBuffer:
-        """The node's view; a node whose row was reclaimed holds none
-        and reads as empty, as on the batch engine."""
-        view = getattr(node, "tman_view", None)
-        return ViewBuffer() if view is None else view
+        ids = list(dict.fromkeys(p for p in peers if p != node.nid))
+        self._put(node.row, ids, np.zeros(len(ids), dtype=np.int64))
 
     def neighbors(self, sim: Simulation, node: SimNode, k: int) -> List[NodeId]:
         """The node's ``k`` closest alive view entries (same interface
         as :meth:`TManLayer.neighbors`, so Polystyrene is agnostic)."""
-        ids = self._ensure_view(node).ids
+        ids = self.row_ids(node.row)
         ids = ids[sim.network.alive_mask(ids)]
         return rank_current(self.space, sim.network.table, node.pos_array, ids, k).tolist()
+
+    def _row(self, row: int):
+        """The ids a row holds and their ages (copies)."""
+        held = self._ids[row] >= 0
+        return self._ids[row][held], self._ages[row][held]
 
     # -- one gossip cycle ----------------------------------------------------
 
     def step(self, sim: Simulation) -> None:
         network = sim.network
+        self._ensure_rows(network.table)
         for nid in sim.shuffled_alive(self.name):
             if network.is_alive(nid):
                 self._gossip(sim, network.node(nid))
 
     def _gossip(self, sim: Simulation, node: SimNode) -> None:
-        view = self._ensure_view(node)
-        ages = node.vicinity_age
+        row = node.row
         # Evict detectably-failed peers (ids pruned by the retention
-        # policy count as long-detected).
-        gone = sim.departed()
-        stale = []
-        for peer in view:
-            if gone(peer):
-                stale.append(peer)
-                ages.pop(peer, None)
-            else:
-                ages[peer] = ages.get(peer, 0) + 1
-        view.evict_ids(stale)
-        if not view:
+        # policy count as long-detected) and age the rest.
+        ids, ages = self._row(row)
+        keep = ~sim.detected_mask(ids)
+        ids, ages = ids[keep], ages[keep] + 1
+        self._put(row, ids, ages)
+        if not len(ids):
             self.init_node(sim, node)
-            view, ages = node.tman_view, node.vicinity_age
-            if not view:
+            ids, ages = self._row(row)
+            if not len(ids):
                 return
-        # Vicinity selects the *oldest* view entry as gossip partner.
-        partner_id = max(view, key=lambda p: (ages.get(p, 0), p))
+        # Vicinity selects the *oldest* view entry as gossip partner
+        # (ties to the max id).
+        partner_id = int(ids[ages == ages.max()].max())
         partner = sim.network.node(partner_id)
 
         payload = self._build_buffer(sim, node, target_pos=partner.pos_array)
@@ -143,7 +134,7 @@ class VicinityLayer:
         """The ids of the ``message_size`` peers most relevant to the
         target, drawn from the node's view ∪ itself ∪ fresh RPS
         candidates and ranked at their current positions."""
-        ids = self._ensure_view(node).ids
+        ids = self.row_ids(node.row)
         extra = [node.nid]
         seen = set(ids.tolist())
         seen.add(node.nid)
@@ -157,13 +148,24 @@ class VicinityLayer:
         )
 
     def _merge(self, sim: Simulation, node: SimNode, incoming: np.ndarray) -> None:
-        view = self._ensure_view(node)
-        ages = node.vicinity_age
-        for nid in view.merge(incoming, node.nid, sim.detected_failed()):
-            ages[nid] = 0  # freshly heard of
-        if len(view) > self.view_size:
+        """Adopt every id of the message except the node's own and
+        departed ones (detected failed, or released by the retention
+        policy) at age 0 — freshly heard of, known ones too — and keep
+        the ``view_size`` entries closest to the node on overflow."""
+        refused = sim.detected_mask(incoming)
+        refused |= incoming == node.nid
+        adopted = incoming[~refused]
+        if not len(adopted):
+            return
+        row = node.row
+        ids, ages = self._row(row)
+        old = ~np.isin(ids, adopted)
+        ids = np.concatenate((ids[old], adopted))
+        ages = np.concatenate((ages[old], np.zeros(len(adopted), dtype=np.int64)))
+        if len(ids) > self.view_size:
             table = sim.network.table
-            view.set_ranked(
-                rank_current(self.space, table, node.pos_array, view.ids, self.view_size)
+            keep = rank_order(
+                self.space, node.pos_array, ids, table.gather(ids), self.view_size
             )
-            node.vicinity_age = {nid: ages.get(nid, 0) for nid in view}
+            ids, ages = ids[keep], ages[keep]
+        self._put(row, ids, ages)

@@ -5,9 +5,9 @@ a node and its k closest overlay neighbours (k = 4 here, "we represent
 the 4 closest nodes returned by T-Man").  Lower is better; on a unit
 grid the optimum is 1.0 (the four grid neighbours).
 
-Distances are measured between *current true positions*: a neighbour's
-view entry may record a stale coordinate, but what matters for routing
-quality is where the neighbour actually is.
+Distances are measured between *current true positions*, read from the
+node table: a view entry is a peer id and nothing else, on both engines,
+so no view holds a coordinate that could be stale.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import mem as obs_mem
-from ..sim.arrays import block_rows, view_ids
+from ..sim.arrays import block_rows
 from ..sim.engine import Simulation
 from ..sim.network import SimNode
 from ..spaces.base import Space
@@ -27,12 +27,12 @@ def node_proximity(
     """Mean distance from ``node`` to its ``k`` closest alive T-Man
     neighbours (by true position).  Returns ``nan`` if the node has no
     alive neighbour at all."""
-    view = getattr(node, "tman_view", None)
-    if not view:
+    topo = sim.topology
+    if topo is None:
         return float("nan")
-    # Liveness mask over the id column, then one gather of the
+    # Liveness mask over the node's view row, then one gather of the
     # *current* positions from the node table.
-    ids = view_ids(view)
+    ids = topo.row_ids(node.row)
     alive = ids[sim.network.alive_mask(ids)]
     if len(alive) == 0:
         return float("nan")

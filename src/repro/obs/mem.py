@@ -2,7 +2,7 @@
 
 ``repro.obs.mem`` answers "where did the bytes go, and in which round?"
 for the array core and the batch engine.  The instrumented chokepoints
-— :class:`~repro.sim.arrays.NodeTable`/``ViewBuffer`` column growth,
+— :class:`~repro.sim.arrays.NodeTable`/``ViewStore`` row growth,
 the padded kernel buffers in ``repro.sim.batch`` (topology merge pads,
 dedup/merge kernel scratch, SPLIT pair blocks, migration pools),
 checkpoint pickle blobs — report every allocation with a *family* (the

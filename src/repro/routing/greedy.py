@@ -57,11 +57,7 @@ def greedy_route(
     """
     if max_hops is None:
         max_hops = sim.network.n_alive
-    # Batch-engine simulations keep views in array state; materialise
-    # them onto the nodes once so the hop walk below reads fresh views.
-    sync = getattr(sim, "sync_canonical", None)
-    if sync is not None:
-        sync()
+    topo = sim.topology
     current = start
     current_dist = space.distance(current.pos, target)
     path = [current.nid]
@@ -69,7 +65,7 @@ def greedy_route(
     for hop in range(max_hops):
         if current_dist <= tolerance:
             return RouteResult(True, hop, path, current_dist, "delivered")
-        view = getattr(current, "tman_view", None) or {}
+        view = topo.row_ids(current.row).tolist() if topo is not None else ()
         best_id: Optional[NodeId] = None
         best_dist = current_dist
         for nid in view:

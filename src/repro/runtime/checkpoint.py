@@ -45,7 +45,7 @@ from ..obs import mem as obs_mem
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.stream import atomic_write
-from ..sim.arrays import _MIN_BLOCK_ROWS, ViewBuffer
+from ..sim.arrays import _MIN_BLOCK_ROWS
 from ..sim.engine import Simulation
 
 #: On-disk checkpoint format: ``_MAGIC``, the SHA-256 (hex) of everything
@@ -59,10 +59,12 @@ from ..sim.engine import Simulation
 #: topology views as an id and a coordinate per slot, where format 6
 #: pickled an int32 descriptor version per slot and one descriptor table
 #: per layer; format 7 pickles a view as its peer ids alone, on both
-#: engines.  :func:`load` and :func:`restore` reject every format but
+#: engines, where format 8 pickles the event engine's views as the
+#: topology layer's id rows, as the batch engine's are (no per-node view
+#: objects).  :func:`load` and :func:`restore` reject every format but
 #: this one (cached entries are disposable: one format, no legacy
 #: reader).
-CHECKPOINT_FORMAT = 7
+CHECKPOINT_FORMAT = 8
 
 _MAGIC = b"repro-ckpt"
 #: Offset of the checksummed body: magic, 64 hex digits, a newline.
@@ -263,20 +265,15 @@ def _node_state(node, at: int, layer_views, placement) -> tuple:
     """A canonical, order-stable summary of one node's layer state; the
     node is entry ``at`` of its block.
 
-    View ids come from the node's ``*_view`` attributes, except those a
-    batch layer owns (``layer_views``, ``{attribute: ids per row of the
-    block}``): there the arrays are the state, and an attribute an
-    earlier ``sync_canonical()`` left behind is stale and ignored.
-    Placement is ``placement`` (``PlacementStore.canonical``, summaries
-    per row of the block; empty for a stack without a placement
-    store)."""
+    View ids come from the layers that keep them in arrays
+    (``layer_views``, ``{attribute: ids per row of the block}``, from
+    ``Simulation.canonical_view_ids``) and from the node's ``*_view``
+    dict attributes (the event engine's peer sampling).  Placement is
+    ``placement`` (``PlacementStore.canonical``, summaries per row of
+    the block; empty for a stack without a placement store)."""
     views = {attr: rows[at] for attr, rows in layer_views.items()}
     for attr, view in vars(node).items():
-        if (
-            attr.endswith("_view")
-            and attr not in views
-            and isinstance(view, (dict, ViewBuffer))
-        ):
+        if attr.endswith("_view") and attr not in views and isinstance(view, dict):
             views[attr] = sorted(view)
     entries = [("pos", node.pos), *sorted(views.items())]
     if placement:
@@ -321,10 +318,9 @@ def state_digest(sim: Simulation) -> str:
     (event identity and parameters, not just rounds) — the checkpoint
     round-trip tests assert digest equality between interrupted and
     uninterrupted runs.  Placement is read from the placement store both
-    engines keep (``PlacementStore.canonical``); a batch-engine
-    simulation's view ids are read from its arrays
-    (``canonical_view_ids``), exactly what ``sync_canonical()`` would
-    have materialised, so the same definition covers both engines (their
+    engines keep (``PlacementStore.canonical``); view ids are read from
+    the layers' arrays (``Simulation.canonical_view_ids``) wherever a
+    layer keeps them there, so the same definition covers both engines (their
     digests never collide: the RNG states differ by construction) — and
     the call is a pure read on either.  Views and placement are
     resolved a block of :data:`~repro.sim.arrays._MIN_BLOCK_ROWS` alive
@@ -337,7 +333,6 @@ def state_digest(sim: Simulation) -> str:
     rows = np.fromiter((node.row for node in nodes), np.int64, len(nodes))
     starts = range(0, len(nodes), _MIN_BLOCK_ROWS)
     blocks = [rows[a : a + _MIN_BLOCK_ROWS] for a in starts]
-    canonical = getattr(sim, "canonical_view_ids", None)
     store = sim.placement
     placements = (
         itertools.repeat([]) if store is None else store.canonical(network.table, blocks)
@@ -353,7 +348,7 @@ def state_digest(sim: Simulation) -> str:
     feed("alive", alive)
     feed("dead", network.dead_ids())
     for a, block, placement in zip(starts, blocks, placements):
-        layer_views = canonical(block) if canonical is not None else {}
+        layer_views = sim.canonical_view_ids(block)
         for at, node in enumerate(nodes[a : a + _MIN_BLOCK_ROWS]):
             feed(f"node:{node.nid}", _node_state(node, at, layer_views, placement))
     for name in sorted(sim._rngs):

@@ -8,7 +8,7 @@ read from :mod:`repro.sim.reinjection`: no name exported here equals a
 submodule's.
 """
 
-from .arrays import NodeTable, ViewBuffer
+from .arrays import NodeTable, ViewStore
 from .engine import Layer, Observer, Simulation
 from .failures import (
     ChurnProcess,
@@ -37,7 +37,7 @@ __all__ = [
     "Network",
     "SimNode",
     "NodeTable",
-    "ViewBuffer",
+    "ViewStore",
     "FailureDetector",
     "PerfectFailureDetector",
     "DelayedFailureDetector",

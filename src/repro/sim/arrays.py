@@ -15,15 +15,11 @@ and friends):
   table grows (:meth:`NodeTable.reclaim`), so the rows in use are
   bounded by the live population.
 
-* :class:`ViewBuffer` — the per-layer topology *view slot*: an int64
-  column of peer ids.  A view holds no coordinates: every ranking reads
-  each peer's current position from the table when it ranks
-  (:meth:`NodeTable.gather`).  :meth:`ViewBuffer.merge` keeps ``dict``
-  key semantics — known ids keep their place, new ids append — so
-  Vicinity iterates its views as it did over plain dicts; T-Man keeps
-  its views *ranked* for their owner instead
-  (:meth:`ViewBuffer.set_ranked`), valid while the table's
-  :attr:`NodeTable.moves` counter stands where the ranking read it.
+* :class:`ViewStore` — one topology layer's views, on both engines:
+  int32 peer ids ``(rows, width)`` indexed by table row, ``-1`` empty,
+  with Vicinity's ages and T-Man's per-row rank memo beside them.  A
+  view holds no coordinates: every ranking reads each peer's current
+  position from the table when it ranks (:meth:`NodeTable.gather`).
 
 Both containers deep-copy and pickle cleanly, which the checkpoint
 subsystem relies on.
@@ -45,7 +41,7 @@ where nothing else references the array.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -559,11 +555,13 @@ class NodeTable:
     def gather(self, ids: np.ndarray):
         """Current true coordinates of the given node ids: an
         ``ids.shape + (dim,)`` array in vector mode (zeros for ``-1``
-        pads and released ids), a list of coordinate objects otherwise."""
+        pads and released ids), a list of coordinate objects otherwise
+        (``None`` for them: the sentinel row has no coordinate object)."""
         rows = self._row_of.take(ids)
         if self._coords is not None:
             return self._coords.take(rows, axis=0)
-        return [self._pos_cache[r] for r in rows]
+        cache = self._pos_cache
+        return [cache[r] if r >= 0 else None for r in rows.tolist()]
 
 
 def follow(owner, table: NodeTable, fills) -> Optional[np.ndarray]:
@@ -604,122 +602,81 @@ def follow(owner, table: NodeTable, fills) -> Optional[np.ndarray]:
     return remap
 
 
-#: The memory ledger site of every view's id column (family
-#: ``view_buffer``).
-_VIEW_SITE = "ViewBuffer.state"
 
 
-class ViewBuffer:
-    """A topology view: an int64 column of peer ids and nothing else.
+class ViewStore:
+    """The topology views of one layer, on either engine: int32 peer ids
+    ``(rows, width)`` indexed by node-table row, ``-1`` an empty slot
+    (:attr:`_ids`), with optional row-aligned columns beside them —
+    Vicinity's entry ages (:attr:`_ages`) and T-Man's rank memo
+    (:attr:`_ranked_at`, one per row: the :attr:`NodeTable.moves` count
+    the row's order was ranked at, ``-1`` not ranked).
 
-    A view holds no coordinates.  Every ranking reads each peer's
-    position from the node table at the moment it ranks, so a view is
-    never stale.  :meth:`merge` keeps ``dict`` key semantics exactly — a
-    known id keeps its place, unknown ids append in message order — so
-    Vicinity's views iterate, and hence draw RNG, as plain dict views
-    did.  T-Man's views are *ranked* instead: every merge installs the
-    (distance to the owner, id) order through :meth:`set_ranked`, and
-    :attr:`ranked_at` names the :attr:`NodeTable.moves` count it was
-    ranked at (``-1``: not ranked).
-
-    ``in``, ``len`` and iteration read the id column (a single-id test
-    scans it).  Every change of its size is booked in the memory ledger
-    (family ``view_buffer``), so its current bytes are what the views
-    hold.
+    A view holds no coordinates: every ranking reads each peer's current
+    position from the table when it ranks.  The arrays follow the table
+    through :func:`follow`, so a reclaimed row reads empty.  Their bytes
+    are booked in the memory ledger under ``topology_views``, site
+    ``<layer>.views``, so the family's current is what the views hold.
+    Layers inherit the store and call :meth:`_init_views` once.
     """
 
-    __slots__ = ("_ids", "_ranked_at")
+    #: The key the state digest files these views under (both topology
+    #: layers share the slot name T-Man's views always had).
+    canonical_attr = "tman_view"
+    _ages: Optional[np.ndarray] = None
+    _ranked_at: Optional[np.ndarray] = None
+    _FILLS = {"_ids": -1, "_ages": 0, "_ranked_at": -1}
 
-    def __init__(self, ids: Iterable[NodeId] = ()) -> None:
-        ids = dict.fromkeys(ids)
-        self._ids = np.fromiter(ids, dtype=np.int64, count=len(ids))
-        self._ranked_at = -1
+    def _init_views(self, width: int, ages: bool = False, ranked: bool = False) -> None:
+        self._ids = np.full((0, width), -1, dtype=np.int32)
+        if ages:
+            self._ages = np.zeros((0, width), dtype=np.int64)
+        if ranked:
+            self._ranked_at = np.full(0, -1, dtype=np.int64)
         if _mem.ENABLED:
-            _mem.add("view_buffer", _VIEW_SITE, self.nbytes)
-
-    def _install(self, ids: np.ndarray) -> None:
-        """Make ``ids`` the view's id column, booking the change of its
-        bytes."""
-        if _mem.ENABLED:
-            _mem.add("view_buffer", _VIEW_SITE, ids.nbytes - self.nbytes)
-        self._ids = ids
-
-    def release(self) -> None:
-        """Book the view's bytes as released (its holder drops it)."""
-        if _mem.ENABLED:
-            _mem.add("view_buffer", _VIEW_SITE, -self.nbytes)
-
-    @property
-    def ids(self) -> np.ndarray:
-        """The id column — the view's own state, not a copy; do not
-        mutate it."""
-        return self._ids
-
-    @property
-    def ranked_at(self) -> int:
-        """The table's move count the view's order was ranked at."""
-        return self._ranked_at
+            _mem.add("topology_views", f"{self.name}.views", self.nbytes)
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the id column (the memory ledger's hook)."""
-        return self._ids.nbytes
+        """Bytes of the view state: id slots (+ ages, + rank memo)."""
+        return sum(
+            getattr(self, name).nbytes
+            for name in self._FILLS
+            if getattr(self, name) is not None
+        )
 
-    def __len__(self) -> int:
-        return len(self._ids)
+    def _ensure_rows(self, table: NodeTable) -> None:
+        """Follow the node table (its capacity and row numbering: the
+        table owns both; a layer only follows them)."""
+        before = self.nbytes if _mem.ENABLED else 0
+        follow(self, table, self._FILLS)
+        if _mem.ENABLED:
+            _mem.add("topology_views", f"{self.name}.views", self.nbytes - before)
 
-    def __bool__(self) -> bool:
-        return len(self._ids) > 0
+    def ids_rows(self, rows) -> np.ndarray:
+        """The view ids of table ``rows`` (an index array or a slice),
+        ``-1`` padded — how readers outside the layer see its views."""
+        return self._ids[rows]
 
-    def __iter__(self):
-        return iter(self._ids.tolist())
+    @property
+    def view_shape(self):
+        """``(allocated rows, view slots)`` of :meth:`ids_rows`."""
+        return self._ids.shape
 
-    def __contains__(self, nid) -> bool:
-        return bool(np.any(self._ids == nid))
+    def row_ids(self, row: int) -> np.ndarray:
+        """The ids one row holds, in slot order (a copy; empty for
+        ``-1``, the row of a node that has none)."""
+        if row < 0:
+            return np.empty(0, dtype=np.int32)
+        ids = self._ids[row]
+        return ids[ids >= 0]
 
-    def evict_ids(self, stale) -> None:
-        """Drop the given ids; the order of the rest, and so the ranked
-        marker, is kept."""
-        if len(stale):
-            self._install(self._ids[~np.isin(self._ids, stale)])
-
-    def merge(self, ids: np.ndarray, own: NodeId, detected) -> List[NodeId]:
-        """The Vicinity merge rule over one message: adopt every id
-        except ``own`` and ids in ``detected`` (a set); unknown ids
-        append in message order.  Returns the adopted ids, in message
-        order."""
-        adopted = [
-            nid for nid in ids.tolist() if nid != own and nid not in detected
-        ]
-        if adopted:
-            self._ranked_at = -1
-            new = np.asarray(adopted, dtype=np.int64)
-            new = new[~np.isin(new, self._ids)]
-            if len(new):
-                self._install(np.concatenate((self._ids, new)))
-        return adopted
-
-    def set_ranked(self, ids: np.ndarray, ranked_at: int = -1) -> None:
-        """Install ``ids`` — an array the caller hands over — as the
-        whole view, ranked at table move count ``ranked_at``."""
-        self._install(ids)
-        self._ranked_at = ranked_at
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ViewBuffer(n={len(self._ids)})"
-
-
-def release_views(holder) -> None:
-    """Book in the memory ledger the release of every view slot an
-    object holds — a node the network forgets drops its views."""
-    for slot in vars(holder).values():
-        if isinstance(slot, ViewBuffer):
-            slot.release()
-
-
-def view_ids(view) -> np.ndarray:
-    """The id column of a topology view slot: a :class:`ViewBuffer`, a
-    plain dict (tests, ad-hoc probes) or ``None``."""
-    if isinstance(view, ViewBuffer):
-        return view.ids
-    return np.fromiter(view or (), np.int64)
+    def _put(self, row: int, ids, ages=None) -> None:
+        """Make ``ids`` (and ``ages``) the whole view of ``row``, packed
+        in front of its empty slots."""
+        n = len(ids)
+        self._ids[row, :n] = ids
+        self._ids[row, n:] = -1
+        if ages is not None:
+            self._ages[row, :n] = ages
+            self._ages[row, n:] = 0

@@ -33,7 +33,7 @@ model, checkpoint snapshot/restore, and the scenario runner seams.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .. import arrays
 from ..engine import Layer, Observer, Simulation
 from ..network import Network
 from ..rng import derive_seed
-from .topology import ViewIdMatrix, _BatchTopologyBase
 
 #: Version of the *batch* simulation semantics (the event engine is
 #: version 4 — :data:`repro.sim.engine.SEMANTICS_VERSION`).  Bump in the
@@ -72,12 +71,6 @@ class BatchSimulation(Simulation):
 
     semantics_version = SEMANTICS_VERSION
 
-    #: Whether the per-node canonical attributes currently mirror the
-    #: array state (set by :meth:`sync_canonical`, cleared by anything
-    #: that can mutate layer state), so read-only repeat syncs — e.g.
-    #: a routing probe firing hundreds of routes per round — are O(1).
-    _canonical_synced = False
-
     def __init__(
         self,
         space: Space,
@@ -100,8 +93,6 @@ class BatchSimulation(Simulation):
             for layer in layers
         }
         self._engine_rng = generator_for(self.seed, "engine")
-        self._act_rows: Optional[np.ndarray] = None
-        self._act_rows_key: Optional[tuple] = None
         arrays.reserve_scratch()
 
     def rng_for(self, layer_name: str) -> np.random.Generator:
@@ -109,14 +100,6 @@ class BatchSimulation(Simulation):
         if layer_name not in self._rngs:
             self._rngs[layer_name] = generator_for(self.seed, "layer", layer_name)
         return self._rngs[layer_name]
-
-    def step(self) -> int:
-        self._canonical_synced = False
-        return super().step()
-
-    def spawn_node(self, pos, initial_point=None):
-        self._canonical_synced = False
-        return super().spawn_node(pos, initial_point)
 
     # -- batch helpers used by the layers ---------------------------------
 
@@ -132,22 +115,6 @@ class BatchSimulation(Simulation):
                 for node in self.network.alive_nodes():
                     layer.init_node(self, node)
 
-    def alive_act_rows(self) -> np.ndarray:
-        """The sorted table rows of the alive nodes — the round-start
-        pack every batch layer grooms and exchanges over.  Liveness only
-        changes between rounds (scheduled events run before the first
-        layer), so the pack is computed once per round and shared by all
-        layers, cached per (round, membership, row numbering) exactly
-        like :meth:`detected_mask`.  The returned array is read-only."""
-        table = self.network.table
-        key = (self.round, self.network.n_alive, self.network.n_total, table._layout)
-        if self._act_rows_key != key:
-            rows = np.flatnonzero(table.alive_rows())
-            rows.setflags(write=False)
-            self._act_rows = rows
-            self._act_rows_key = key
-        return self._act_rows
-
     def detected_entry_mask(self, ids: np.ndarray) -> np.ndarray:
         """Vectorised failure-detector test over a padded id array of
         any shape; ``-1`` pads report not-detected (they share the
@@ -160,72 +127,3 @@ class BatchSimulation(Simulation):
         """Vectorised liveness test over a padded id array of any shape
         (``-1`` pads and released ids report dead)."""
         return self.network.alive_mask(ids)
-
-    def view_matrix(self):
-        """``(rows, ids)`` of :meth:`Simulation.view_matrix`, with
-        ``ids`` the topology layer's views read a row block at a time
-        (:class:`~repro.sim.batch.topology.ViewIdMatrix`)."""
-        topo = next(
-            (layer for layer in self.layers if isinstance(layer, _BatchTopologyBase)),
-            None,
-        )
-        if topo is None:
-            return super().view_matrix()
-        return self.alive_act_rows(), ViewIdMatrix(topo)
-
-    # -- canonical-state bridge -------------------------------------------
-
-    def sync_canonical(self) -> None:
-        """Write every gossip layer's view arrays back onto the per-node
-        attributes the event engine uses (``rps_view`` dicts,
-        ``tman_view`` ViewBuffers, ...).  Placement needs no bridge: both
-        engines keep it in :attr:`placement`.
-
-        A one-way bridge: nothing reads the attributes back into the
-        arrays.  Idempotent and free of RNG draws, so callers may sync at
-        any time — the routing probe before walking views.  Repeat syncs
-        with no intervening step are skipped.  The attributes stay attached (and
-        go stale at the next step); state fingerprinting does not sync —
-        it reads :meth:`canonical_view_ids`.
-        """
-        if self._canonical_synced:
-            return
-        for layer in self.layers:
-            materialize = getattr(layer, "materialize", None)
-            if materialize is not None:
-                materialize(self)
-        self._canonical_synced = True
-
-    def canonical_view_ids(self, rows: np.ndarray) -> Dict[str, List[List[int]]]:
-        """``{attribute: sorted view ids of each table row of rows}`` for
-        every layer that states a ``canonical_attr`` — what
-        ``sorted(node.<attribute>)`` reads after :meth:`sync_canonical`,
-        taken from each layer's padded ids (``ids_rows``); callers pass
-        a row block at a time.
-
-        A pure read, which is what lets
-        :func:`repro.runtime.checkpoint.state_digest` fingerprint a
-        simulation without changing it: nothing is materialised, no
-        layer grows (rows one has not allocated read as empty), and a
-        duplicated id counts once, as a dict key would.
-        """
-        out = {}
-        for layer in self.layers:
-            attr = getattr(layer, "canonical_attr", None)
-            if attr is None:
-                continue
-            allocated, width = layer.view_shape
-            held = rows < allocated
-            if held.all():
-                ids = layer.ids_rows(rows)
-            else:
-                ids = np.full((len(rows), width), -1, np.int64)
-                ids[held] = layer.ids_rows(rows[held])
-            ids.sort(axis=1)
-            dup = (ids[:, 1:] == ids[:, :-1]) & (ids[:, 1:] >= 0)
-            if dup.any():
-                ids[:, 1:][dup] = -1
-                ids.sort(axis=1)
-            pads = (ids < 0).sum(axis=1).tolist()
-            out[attr] = [row[k:] for row, k in zip(ids.tolist(), pads)]
-        return out

@@ -48,12 +48,11 @@ keeps a uniformly-refreshed random sample of the alive network.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from ...obs import mem as obs_mem
-from ...types import NodeId
 from ..arrays import follow
 from . import kernels
 
@@ -75,6 +74,10 @@ class BatchPeerSampling:
         self.bootstrap_fallbacks = 0
         self._ids = np.full((0, view_size), -1, dtype=np.int64)
         self._ages = np.zeros((0, view_size), dtype=np.int64)
+
+    #: The key the state digest files these views under: the event
+    #: engine's per-node attribute of the same views.
+    canonical_attr = "rps_view"
 
     # -- storage -----------------------------------------------------------
 
@@ -151,13 +154,6 @@ class BatchPeerSampling:
             sim, np.asarray([node.row], dtype=np.int64)
         )[0]
         self._ages[node.row] = 0
-
-    def view_of(self, node) -> Dict[NodeId, int]:
-        if node.row < 0:  # a reclaimed row: nothing to read
-            return {}
-        ids = self._ids[node.row]
-        ages = self._ages[node.row]
-        return {int(i): int(a) for i, a in zip(ids, ages) if i >= 0}
 
     # -- sampling API used by upper layers ----------------------------------
 
@@ -373,18 +369,3 @@ class BatchPeerSampling:
             ids[f_recv[sel], slot] = f_ids[sel]
             ages[f_recv[sel], slot] = age
             a = b
-
-    # -- canonical-state bridge ---------------------------------------------
-
-    #: The per-node attribute :meth:`materialize` writes; its ids are
-    #: read array-natively by :meth:`BatchSimulation.canonical_view_ids`.
-    canonical_attr = "rps_view"
-
-    def materialize(self, sim) -> None:
-        """Write ``node.rps_view`` dicts from the arrays (all known
-        nodes with a row; dead nodes keep their last groomed view, as in
-        the event engine)."""
-        self._ensure_rows(sim.network.table)
-        for node in sim.network.nodes.values():
-            if node.row >= 0:
-                node.rps_view = self.view_of(node)

@@ -48,11 +48,13 @@ gathered coordinates and keeps the winners' ids.  What stays
 whole-network besides the messages is four message-length index
 columns.
 
-View arrays are sized to the node table's capacity
-(:attr:`~repro.sim.arrays.NodeTable.capacity`) and numbered as its rows
-are: the table owns the one growth rule and the one renumbering, a
-layer only follows them, through :func:`~repro.sim.arrays.follow` (in
-place unless something else holds the array).
+The view arrays are the one store both engines' topology layers keep
+(:class:`~repro.sim.arrays.ViewStore`), sized to the node table's
+capacity (:attr:`~repro.sim.arrays.NodeTable.capacity`) and numbered as
+its rows are: the table owns the one growth rule and the one
+renumbering, a layer only follows them, through
+:func:`~repro.sim.arrays.follow` (in place unless something else holds
+the array).
 
 Batch-vs-event semantic deltas: exchanges are snapshot-based rather
 than sequential, a node reached by several messages merges them in one
@@ -78,24 +80,11 @@ from ...obs import mem as obs_mem
 from ...obs import metrics as obs_metrics
 from ...spaces.base import Space
 from ...types import NodeId
-from ..arrays import ViewBuffer, follow
+from ..arrays import ViewStore
 from . import kernels
 
 
-class ViewIdMatrix:
-    """A topology layer's view ids read as the padded ``(rows, C)`` id
-    matrix of :meth:`~repro.sim.engine.Simulation.view_matrix`, one row
-    block at a time (``ids[rows]``), never materialised whole."""
-
-    def __init__(self, layer) -> None:
-        self._layer = layer
-        self.shape = layer.view_shape
-
-    def __getitem__(self, rows) -> np.ndarray:
-        return self._layer.ids_rows(rows)
-
-
-class _BatchTopologyBase:
+class _BatchTopologyBase(ViewStore):
     """Shared array plumbing of the two batch topology layers."""
 
     name = "tman"
@@ -113,39 +102,7 @@ class _BatchTopologyBase:
         self.capacity = capacity
         self.bootstrap_size = bootstrap_size
         self._coord_dim = space.dim
-        self._ids = np.full((0, capacity), -1, dtype=np.int32)
-        self._ages = np.zeros((0, capacity), dtype=np.int64) if with_ages else None
-        if obs_mem.ENABLED:
-            obs_mem.add("topology_views", f"{self.name}.views", self.nbytes)
-
-    # -- storage -----------------------------------------------------------
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the view state: id slots (+ ages) — the memory
-        ledger's ``<layer>.views`` site."""
-        total = self._ids.nbytes
-        if self._ages is not None:
-            total += self._ages.nbytes
-        return total
-
-    def _ensure_rows(self, table) -> None:
-        """Follow the node table (its capacity and row numbering: the
-        table owns both; a layer only follows them)."""
-        before = self.nbytes if obs_mem.ENABLED else 0
-        follow(self, table, {"_ids": -1, "_ages": 0})
-        if obs_mem.ENABLED:
-            obs_mem.add("topology_views", f"{self.name}.views", self.nbytes - before)
-
-    def ids_rows(self, rows) -> np.ndarray:
-        """The view ids of table ``rows`` (an index array or a slice),
-        ``-1`` padded — how readers outside the layer see its views."""
-        return self._ids[rows]
-
-    @property
-    def view_shape(self):
-        """``(allocated rows, view slots)`` of :meth:`ids_rows`."""
-        return self._ids.shape
+        self._init_views(capacity, ages=with_ages)
 
     # -- bootstrap ---------------------------------------------------------
 
@@ -229,15 +186,11 @@ class _BatchTopologyBase:
 
     def neighbors(self, sim, node, k: int) -> List[NodeId]:
         """Scalar interface kept for the backup placement heuristic and
-        ad-hoc probes."""
+        ad-hoc probes (a node without a row has none)."""
+        if node.row < 0:
+            return []
         got = self.neighbors_rows(sim, np.asarray([node.row], dtype=np.int64), k)
         return [int(nid) for nid in got[0] if nid >= 0]
-
-    def view_of(self, node) -> ViewBuffer:
-        if node.row < 0:  # a reclaimed row: nothing to read
-            return ViewBuffer()
-        ids = self._ids[node.row]
-        return ViewBuffer(ids[ids >= 0].tolist())
 
     # -- shared step pieces ------------------------------------------------
 
@@ -440,30 +393,6 @@ class _BatchTopologyBase:
             if ages is not None:
                 self._ages[rows] = ages
             a = b
-
-    # -- canonical-state bridge ---------------------------------------------
-
-    #: The per-node attribute :meth:`materialize` writes (both layers
-    #: share the event engine's ``tman_view`` slot).
-    canonical_attr = "tman_view"
-
-    def materialize(self, sim) -> None:
-        """Write every node's view onto its ``tman_view`` attribute (and
-        Vicinity's ages onto ``vicinity_age``), booking the release of
-        the view each one replaces."""
-        for node in sim.network.nodes.values():
-            if node.row < 0:  # a reclaimed row: the node holds no views
-                continue
-            old = getattr(node, "tman_view", None)
-            if isinstance(old, ViewBuffer):
-                old.release()
-            node.tman_view = self.view_of(node)
-            if self._ages is not None:
-                ids = self._ids[node.row]
-                held = ids >= 0
-                node.vicinity_age = dict(
-                    zip(ids[held].tolist(), self._ages[node.row][held].tolist())
-                )
 
 
 class BatchTMan(_BatchTopologyBase):

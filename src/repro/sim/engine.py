@@ -25,7 +25,7 @@ from ..obs import trace as obs_trace
 from ..spaces.base import Space
 from ..types import Coord, DataPoint, NodeId
 from . import rng as rng_mod
-from .arrays import view_ids
+from .arrays import ViewStore
 from .network import Network, SimNode
 from .transport import MessageMeter
 
@@ -86,28 +86,6 @@ class Observer(Protocol):
     def on_round_end(self, sim: "Simulation") -> None: ...
 
 
-class ViewIdRows:
-    """The event engine's ``tman_view`` id columns read as the padded
-    ``(table rows, width)`` id matrix of :meth:`Simulation.view_matrix`,
-    one row block at a time (``ids[rows]``, ``-1`` pads; a row no alive
-    node holds reads empty)."""
-
-    def __init__(self, network: Network, width: int) -> None:
-        self._network = network
-        self.shape = (network.table.n_rows, width)
-
-    def __getitem__(self, rows) -> np.ndarray:
-        table, n = self._network.table, self.shape[0]
-        nids = np.where(table._alive[:n][rows], table._nid_of[:n][rows], -1)
-        out = np.full((len(nids), self.shape[1]), -1, np.int64)
-        nodes = self._network.nodes
-        for i, nid in enumerate(nids.tolist()):
-            if nid >= 0:
-                column = view_ids(getattr(nodes[nid], "tman_view", None))
-                out[i, : len(column)] = column
-        return out
-
-
 class Simulation:
     """Drives a stack of layers over a network, round by round."""
 
@@ -154,6 +132,8 @@ class Simulation:
         self._detected_key: Optional[tuple] = None
         self._detected_rows: Optional[np.ndarray] = None
         self._detected_rows_key: Optional[tuple] = None
+        self._act_rows: Optional[np.ndarray] = None
+        self._act_rows_key: Optional[tuple] = None
 
     # -- setup -----------------------------------------------------------
 
@@ -288,17 +268,79 @@ class Simulation:
             self._detected_rows_key = key
         return self._detected_rows.take(table.rows_of(ids))
 
-    def view_matrix(self) -> Tuple[np.ndarray, "ViewIdRows"]:
+    def alive_act_rows(self) -> np.ndarray:
+        """The sorted table rows of the alive nodes — the round-start
+        pack the batch layers groom and exchange over and the proximity
+        metric scores.  Liveness only changes between rounds (scheduled
+        events run before the first layer), so the pack is cached per
+        (round, membership, row numbering) exactly like
+        :meth:`detected_mask`.  The returned array is read-only."""
+        table = self.network.table
+        key = (self.round, self.network.n_alive, self.network.n_total, table._layout)
+        if self._act_rows_key != key:
+            rows = np.flatnonzero(table.alive_rows())
+            rows.setflags(write=False)
+            self._act_rows = rows
+            self._act_rows_key = key
+        return self._act_rows
+
+    @property
+    def topology(self) -> Optional[ViewStore]:
+        """The topology layer (T-Man or Vicinity, either engine): the
+        first layer keeping its views in a
+        :class:`~repro.sim.arrays.ViewStore`, or ``None``."""
+        for layer in self.layers:
+            if isinstance(layer, ViewStore):
+                return layer
+        return None
+
+    def view_matrix(self) -> Tuple[np.ndarray, np.ndarray]:
         """The topology views as a padded id matrix, ``(rows, ids)``:
-        ``ids`` is indexed by table row (``-1`` pads) and ``rows`` are
-        the alive nodes' rows, in :meth:`Network.alive_ids` order — what
-        the proximity metric scores.  ``ids`` is read a row block at a
-        time (``ids[rows]``, :class:`ViewIdRows`), never materialised
-        whole, as the batch engine's layers hand theirs over."""
-        nodes = self.network.alive_nodes()
-        rows = np.fromiter((node.row for node in nodes), np.int64, len(nodes))
-        width = max((len(getattr(node, "tman_view", None) or ()) for node in nodes), default=0)
-        return rows, ViewIdRows(self.network, width)
+        ``ids`` is the topology layer's id array itself, indexed by
+        table row (``-1`` pads; read it, do not write it), and ``rows``
+        are the alive nodes' rows (:meth:`alive_act_rows`) — what the
+        proximity metric scores.  A stack without a topology layer has
+        views of width 0."""
+        topo = self.topology
+        if topo is None:
+            return self.alive_act_rows(), np.full((self.network.table.capacity, 0), -1)
+        topo._ensure_rows(self.network.table)
+        return self.alive_act_rows(), topo._ids
+
+    def canonical_view_ids(self, rows: np.ndarray) -> Dict[str, List[List[int]]]:
+        """``{attribute: sorted view ids of each table row of rows}`` for
+        every layer that keeps its views in arrays and states the key
+        they are digested under (``canonical_attr``), taken from each
+        layer's padded ids (``ids_rows``); callers pass a row block at a
+        time.  Views still kept as node attributes (the event engine's
+        peer sampling) are read off the nodes by the digest.
+
+        A pure read, which is what lets
+        :func:`repro.runtime.checkpoint.state_digest` fingerprint a
+        simulation without changing it: no layer grows (rows one has
+        not allocated read as empty), and a duplicated id counts once,
+        as a dict key would.
+        """
+        out = {}
+        for layer in self.layers:
+            attr = getattr(layer, "canonical_attr", None)
+            if attr is None:
+                continue
+            allocated, width = layer.view_shape
+            held = rows < allocated
+            if held.all():
+                ids = layer.ids_rows(rows)
+            else:
+                ids = np.full((len(rows), width), -1, np.int64)
+                ids[held] = layer.ids_rows(rows[held])
+            ids.sort(axis=1)
+            dup = (ids[:, 1:] == ids[:, :-1]) & (ids[:, 1:] >= 0)
+            if dup.any():
+                ids[:, 1:][dup] = -1
+                ids.sort(axis=1)
+            pads = (ids < 0).sum(axis=1).tolist()
+            out[attr] = [row[k:] for row, k in zip(ids.tolist(), pads)]
+        return out
 
     @property
     def placement(self):

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import DeadNodeError, UnknownNodeError
 from ..types import Coord, DataPoint, NodeId
-from .arrays import NodeTable, _grown, release_views, resized
+from .arrays import NodeTable, _grown, resized
 
 
 #: A :class:`SimNode`'s own fields; every other attribute is a layer's.
@@ -35,11 +35,13 @@ _OWN_FIELDS = frozenset(("nid", "initial_point", "_table", "_row", "_poscache"))
 class SimNode:
     """A simulated physical node — a view over one :class:`NodeTable` row.
 
-    Gossip layers attach their per-node state as attributes
-    (``rps_view``, ``tman_view``), mirroring PeerSim's protocol-slot
-    design without the indirection, and the node drops them when it
-    leaves its row; placement lives in the row-indexed
-    :class:`~repro.sim.placement.PlacementStore` instead.
+    The event engine's peer-sampling layer attaches its per-node view
+    as an attribute (``rps_view``), mirroring PeerSim's protocol-slot
+    design without the indirection, and the node drops it when it
+    leaves its row.  Everything else a layer keeps per node lives in
+    row-indexed arrays that follow the table: topology views in the
+    layer's :class:`~repro.sim.arrays.ViewStore`, placement in the
+    :class:`~repro.sim.placement.PlacementStore`.
 
     ``pos`` is the node's *advertised* position — the value the topology
     construction layer sees.  For plain T-Man it is the node's fixed
@@ -101,11 +103,9 @@ class SimNode:
     def _detach(self) -> None:
         """Stop being a view over a table row — the node was removed,
         or its row reclaimed — keeping its own fields (id, initial
-        point, last position) and dropping every layer's state, its view
-        slots booked as released in the memory ledger.  Both removals
-        take dead nodes only: a crashed node never acts again, and what
-        the layers read of it is its id."""
-        release_views(self)
+        point, last position) and dropping every layer attribute.  Both
+        removals take dead nodes only: a crashed node never acts again,
+        and what the layers read of it is its id."""
         for name in [name for name in vars(self) if name not in _OWN_FIELDS]:
             delattr(self, name)
         self._poscache = [self.pos]

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.points import PointFactory
+from repro.gossip.ranking import rank_order
+from repro.sim.arrays import ViewStore
 from repro.sim.engine import Simulation
 from repro.sim.network import Network, SimNode
 from repro.sim.placement import PlacementStore
 from repro.spaces.base import Space
-from repro.types import Coord
+from repro.types import Coord, NodeId
 
 
 def sum_sq_distances(space: Space, origin: Coord, coords: Sequence[Coord]) -> float:
@@ -58,17 +60,21 @@ class StubRPS:
         return picked
 
 
-class StubTMan:
+class StubTMan(ViewStore):
     """Topology stand-in: neighbours are the true k-closest alive nodes
-    (an oracle T-Man that has already converged)."""
+    (an oracle T-Man that has already converged).  Its views are rows of
+    a :class:`~repro.sim.arrays.ViewStore`, empty unless a test writes
+    them (:func:`set_view`)."""
 
     name = "tman"
 
-    def __init__(self, space: Space) -> None:
+    def __init__(self, space: Space, width: int = 8) -> None:
         self.space = space
+        self._init_views(width)
 
     def init_node(self, sim: Simulation, node: SimNode) -> None:
-        node.tman_view = {}
+        self._ensure_rows(sim.network.table)
+        self._put(node.row, [])
 
     def step(self, sim: Simulation) -> None:
         return None
@@ -82,6 +88,38 @@ class StubTMan:
         )
         order = sorted(range(len(others)), key=lambda i: (dists[i], others[i].nid))
         return [others[i].nid for i in order[:k]]
+
+
+def view_of(sim: Simulation, node: SimNode) -> List[NodeId]:
+    """The ids of ``node``'s topology view, in slot order."""
+    return sim.topology.row_ids(node.row).tolist()
+
+
+def set_view(sim: Simulation, node: SimNode, ids: Iterable[NodeId]) -> None:
+    """Make ``ids`` ``node``'s whole topology view (ages 0, not ranked),
+    as a layer's bootstrap would."""
+    topo = sim.topology
+    topo._ensure_rows(sim.network.table)
+    ids = list(ids)
+    topo._put(node.row, ids, None if topo._ages is None else [0] * len(ids))
+    if topo._ranked_at is not None:
+        topo._ranked_at[node.row] = -1
+
+
+def rank_entries(
+    space: Space,
+    origin: Coord,
+    entries: Dict[NodeId, Coord],
+    limit: Optional[int] = None,
+) -> List[NodeId]:
+    """Oracle ranking: node ids from ``entries`` sorted by distance of
+    their recorded coordinate to ``origin``, closest first, ties broken
+    by id, optionally truncated."""
+    if not entries:
+        return []
+    ids = list(entries.keys())
+    coords = space.pack_batch([entries[nid] for nid in ids])
+    return [ids[i] for i in rank_order(space, origin, ids, coords, limit)]
 
 
 def make_sim(

@@ -165,7 +165,7 @@ def test_reserve_is_invisible_to_digest_and_survives_a_checkpoint(engine):
     assert ckpt.state_digest(sim) == ckpt.state_digest(twin)
 
     checkpoint = ckpt.snapshot(sim)
-    assert ckpt.CHECKPOINT_FORMAT == 7 and checkpoint.blob is not None
+    assert ckpt.CHECKPOINT_FORMAT == 8 and checkpoint.blob is not None
     restored = ckpt.restore(checkpoint)
     assert restored.network.table.capacity == 72 + 50
     for name, want in vars(sim.network.table).items():
@@ -253,69 +253,65 @@ def test_reinjection_inside_the_detection_window_grows_as_before(engine):
     assert sim.network.table.n_rows == 72 + 36
 
 
-#: The per-node layer state the gossip layers attach.
-LAYER_STATE = ("tman_view", "rps_view", "vicinity_age")
-
-
 def keep_layer_state(node) -> None:
-    """``SimNode._detach`` without the release: the node leaves its row
-    and keeps every layer attribute."""
+    """``SimNode._detach`` without dropping the layer attributes: the
+    node leaves its row and keeps what the layers attached."""
     node._poscache = [node.pos]
     node._table = None
     node._row = 0
 
 
-def view_bytes(sim) -> int:
-    """Bytes of the ``tman_view`` buffers the nodes hold."""
-    views = (getattr(node, "tman_view", None) for node in sim.network.nodes.values())
-    return sum(view.nbytes for view in views if view is not None)
+def views_family() -> int:
+    return obs_mem.snapshot()["families"]["topology_views"]["cur"]
 
 
 @pytest.mark.parametrize("engine", ["event", "batch"])
 @pytest.mark.parametrize("topology", ["tman", "vicinity"])
 def test_a_reclaimed_node_holds_no_layer_state(engine, topology, monkeypatch):
-    """After the reinjection's reclaim no dead node carries a view or
-    Vicinity's ages (a batch run syncs first, so its nodes carried
-    them), and the memory ledger's ``view_buffer`` family drops by their
-    bytes.  The run is the one whose reclaim kept them, digest for
-    digest, and so is one restored from a checkpoint taken right after
-    the reclaim."""
+    """After the reinjection's reclaim no dead node carries a layer
+    attribute (the event engine's ``rps_view``) and each reads an empty
+    view: its row went back to the table, and the topology store's
+    rows followed (the held views are the kept rows').  The memory
+    ledger's ``topology_views`` family is the store's bytes before and
+    after.  The run is the one whose reclaim kept the attributes, digest
+    for digest, and so is one restored from a checkpoint taken right
+    after the reclaim."""
     obs_mem.reset()
     obs_mem.set_enabled(True)
     try:
         sim, wave = half_failed(engine, topology=topology)
+        topo = sim.topology
         sim.run(5)
-        if engine == "batch":
-            sim.sync_canonical()
         dead = [sim.network.node(nid) for nid in sim.network.dead_ids()]
-        held = view_bytes(sim)
-        dead_bytes = sum(node.tman_view.nbytes for node in dead)
-        assert dead_bytes > 0
-        assert all(hasattr(node, "rps_view") for node in dead)
-        assert obs_mem.snapshot()["families"]["view_buffer"]["cur"] == held
+        assert all(len(topo.row_ids(node.row)) for node in dead)
+        assert all(hasattr(node, "rps_view") == (engine == "event") for node in dead)
+        assert views_family() == topo.nbytes
+        kept = {
+            nid: topo.row_ids(sim.network.node(nid).row).tolist()
+            for nid in sim.network.alive_ids()
+        }
         Reinjection(wave)(sim)
         assert all(node.row == -1 for node in dead)  # reclaimed
-        assert not [attr for node in dead for attr in LAYER_STATE if hasattr(node, attr)]
-        assert obs_mem.snapshot()["families"]["view_buffer"]["cur"] == view_bytes(sim)
-        if engine == "event":  # the wave's views, less the dead nodes'
-            spawned = view_bytes(sim) - (held - dead_bytes)
-            assert 0 < spawned == sum(
-                sim.network.node(nid).tman_view.nbytes
-                for nid in sim.network.alive_ids()[-len(wave):]
-            )
+        assert not [attr for node in dead for attr in vars(node) if attr.endswith("_view")]
+        assert all(topo.neighbors(sim, node, 4) == [] for node in dead)
+        assert all(len(topo.row_ids(node.row)) == 0 for node in dead)
+        for nid, view in kept.items():
+            assert topo.row_ids(sim.network.node(nid).row).tolist() == view
+        # Rows past the kept and the wave's read empty.
+        assert (topo._ids[sim.network.table.n_rows :] == -1).all()
+        assert views_family() == topo.nbytes
     finally:
         obs_mem.set_enabled(False)
         obs_mem.reset()
 
     twin, _ = half_failed(engine, topology=topology)
     twin.run(5)
-    if engine == "batch":
-        twin.sync_canonical()
     with monkeypatch.context() as patch:
         patch.setattr(SimNode, "_detach", keep_layer_state)
         Reinjection(wave)(twin)
     kept = [twin.network.node(nid) for nid in twin.network.dead_ids()]
-    assert all(hasattr(node, "tman_view") and node.row == -1 for node in kept)
+    assert all(hasattr(node, "rps_view") == (engine == "event") for node in kept)
+    assert all(node.row == -1 for node in kept)
 
     restored = ckpt.restore(ckpt.snapshot(sim))
     assert ckpt.state_digest(sim) == ckpt.state_digest(twin) == ckpt.state_digest(restored)

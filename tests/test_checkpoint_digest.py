@@ -51,9 +51,6 @@ from repro.runtime.forksweep import (
 from repro.runtime.runner import ParallelRunner, SweepTask
 from repro.runtime.scenarios import catastrophic, compose, flash_crowd, trickle
 from repro.runtime.store import ResultStore
-from repro.sim.arrays import ViewBuffer
-from repro.sim.batch import BatchPeerSampling, BatchSimulation
-from repro.sim.batch.topology import _BatchTopologyBase
 from repro.sim.engine import Simulation
 
 from .helpers import NullLayer, backups_of, ghosts_of, grid_coords, make_sim
@@ -79,26 +76,32 @@ def config(engine: str = "batch", **overrides) -> ScenarioConfig:
 
 
 def oracle_digest(sim: Simulation) -> str:
-    """``state_digest`` as it was before the array-native read: sync the
-    batch layers' arrays onto per-node attributes, then fingerprint
-    ``sorted(view)`` per node.  Works on a private copy, because
-    syncing attaches the views (and grows short layers) for good."""
+    """``state_digest`` by its definition, one node at a time: the set
+    of ids in each array layer's row of the node (a row past a layer's
+    allocation is empty) and every ``*_view`` dict attribute the node
+    carries for a key no array layer states, ``sorted`` per view, not
+    through ``Simulation.canonical_view_ids``'s row blocks.  Works on a
+    private copy whose layers follow the table (placement is read row by
+    row)."""
     sim = copy.deepcopy(sim)
-    if hasattr(sim, "sync_canonical"):
-        for layer in sim.layers:
-            ensure_rows = getattr(layer, "_ensure_rows", None)
-            if ensure_rows is not None:
-                ensure_rows(sim.network.table)
-        sim._canonical_synced = False
-        sim.sync_canonical()
+    for layer in sim.layers:
+        ensure_rows = getattr(layer, "_ensure_rows", None)
+        if ensure_rows is not None:
+            ensure_rows(sim.network.table)
 
     def node_state(node) -> tuple:
         entries = [("pos", node.pos)]
-        for attr in sorted(vars(node)):
-            if attr.endswith("_view"):
-                view = getattr(node, attr)
-                if isinstance(view, (dict, ViewBuffer)):
-                    entries.append((attr, sorted(view)))
+        views = {}
+        for layer in sim.layers:
+            attr = getattr(layer, "canonical_attr", None)
+            if attr is not None:
+                ids = layer.ids_rows(node.row) if node.row < layer.view_shape[0] else []
+                views[attr] = sorted({int(i) for i in ids if i >= 0})
+        for attr in vars(node):
+            view = getattr(node, attr)
+            if attr.endswith("_view") and attr not in views and isinstance(view, dict):
+                views[attr] = sorted(view)
+        entries += sorted(views.items())
         store = sim.placement
         if store is not None:
             # Read row by row, not through ``PlacementStore.canonical``.
@@ -251,35 +254,42 @@ class TestArrayNativeDigestMatchesOracle:
         assert [len(layer.ids_rows(slice(None))) for layer in sim.layers[:2]] == allocated
 
     def test_stale_synced_views_are_ignored(self):
-        """A simulation that was ``sync_canonical()``-ed (routing probe,
-        engine conversion) and then stepped carries stale ``*_view``
-        attributes; it must digest like its never-synced twin."""
-        synced, *_ = prepare_scenario(config())
-        twin, *_ = prepare_scenario(config())
+        """Nodes carrying ``*_view`` attributes for the keys the layers'
+        arrays state (what a bridge writing views onto the nodes once
+        left behind) digest like their clean twin, on both engines: the
+        arrays are the views."""
+        for engine in ("batch", "event"):
+            self.assert_stale_views_are_ignored(engine)
+
+    @staticmethod
+    def assert_stale_views_are_ignored(engine):
+        synced, *_ = prepare_scenario(config(engine))
+        twin, *_ = prepare_scenario(config(engine))
         synced.run(5)
         twin.run(5)
-        synced.sync_canonical()
-        assert hasattr(synced.network.node(0), "tman_view")
+        for node in synced.network.nodes.values():
+            node.tman_view = {-5: None}
+            if engine == "batch":
+                node.rps_view = {-7: 0}
         assert checkpoint.state_digest(synced) == checkpoint.state_digest(twin)
         synced.run(3)
         twin.run(3)
         stale = synced.network.node(synced.network.alive_ids()[0])
-        [row] = synced.canonical_view_ids(np.array([stale.row]))["rps_view"]
-        assert sorted(stale.rps_view) != row
+        [row] = synced.canonical_view_ids(np.array([stale.row]))["tman_view"]
+        assert sorted(stale.tman_view) != row
         assert checkpoint.state_digest(synced) == checkpoint.state_digest(twin)
         assert checkpoint.state_digest(synced) == oracle_digest(synced)
 
-    def test_digest_calls_neither_sync_nor_materialize(self, monkeypatch):
-        sim, *_ = prepare_scenario(config())
-        sim.run(2)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("state_digest must not materialise views")
-
-        monkeypatch.setattr(BatchSimulation, "sync_canonical", forbidden)
-        monkeypatch.setattr(BatchPeerSampling, "materialize", forbidden)
-        monkeypatch.setattr(_BatchTopologyBase, "materialize", forbidden)
-        checkpoint.state_digest(sim)
+    def test_digest_calls_neither_sync_nor_materialize(self):
+        """There is no bridge writing views onto nodes to call: the
+        digest reads the layers' arrays and leaves every node's
+        attributes as they were, on both engines."""
+        for engine in ("batch", "event"):
+            sim, *_ = prepare_scenario(config(engine))
+            sim.run(2)
+            assert not hasattr(sim, "sync_canonical")
+            assert not [layer for layer in sim.layers if hasattr(layer, "materialize")]
+            assert_digest_is_pure(sim)
 
 
 # -- pickle restore ≡ deepcopy restore ----------------------------------------
@@ -332,18 +342,18 @@ class TestPickleRestoreMatchesDeepcopy:
 
 
 def test_ranked_view_identity_survives_restore():
-    """The event engine's T-Man skips its distance kernel while
-    ``view.ranked_at`` is the table's move count; a restore that broke
+    """The event engine's T-Man skips its distance kernel while a row's
+    ``_ranked_at`` is the table's move count; a restore that broke
     the match would still be correct but silently slower."""
     sim, *_ = prepare_scenario(config("event", tman_view_cap=8))
     sim.run(6)
 
     def ranked(s):
-        moves = s.network.table.moves
+        moves, tman = s.network.table.moves, s.topology
         return [
             nid
             for nid in s.network.alive_ids()
-            if s.network.node(nid).tman_view.ranked_at == moves
+            if tman._ranked_at[s.network.node(nid).row] == moves
         ]
 
     assert ranked(sim)
@@ -388,7 +398,7 @@ def test_fork_cycle_budget(tmp_path, monkeypatch):
     base = dict(width=16, height=8, failure_round=6, reinjection_round=None, total_rounds=9)
     cells = fork_cells(base)
     prefix = prefix_scenario(cells[0].config)
-    calls = {"deepcopy": 0, "dumps": 0, "materialize": 0}
+    calls = {"deepcopy": 0, "dumps": 0}
     real_dumps, real_deepcopy = pickle.dumps, copy.deepcopy
 
     def counting_dumps(obj, *args, **kwargs):
@@ -400,14 +410,8 @@ def test_fork_cycle_budget(tmp_path, monkeypatch):
         calls["deepcopy"] += type(obj).__module__ != "builtins"
         return real_deepcopy(obj, *args, **kwargs)
 
-    def counting_materialize(*args, **kwargs):
-        calls["materialize"] += 1
-
     monkeypatch.setattr(pickle, "dumps", counting_dumps)
     monkeypatch.setattr(copy, "deepcopy", counting_deepcopy)
-    monkeypatch.setattr(BatchSimulation, "sync_canonical", counting_materialize)
-    monkeypatch.setattr(BatchPeerSampling, "materialize", counting_materialize)
-    monkeypatch.setattr(_BatchTopologyBase, "materialize", counting_materialize)
 
     clear_checkpoint_memo()
     cache = CheckpointCache(tmp_path)
@@ -422,7 +426,7 @@ def test_fork_cycle_budget(tmp_path, monkeypatch):
         )
         task.run()
         assert task.forked_from == entry["state_digest"]
-    assert calls == {"deepcopy": 0, "dumps": 1, "materialize": 0}
+    assert calls == {"deepcopy": 0, "dumps": 1}
     assert entry["size_bytes"] <= 3375 * prefix.n_nodes
 
 
@@ -504,7 +508,7 @@ def _rewrite_as_format(stale):
     """The same state behind a stale format's header (checksum intact):
     what an older build wrote — format 5 batch views as an id and a
     coordinate per slot, format 6 as descriptor versions into a
-    per-layer table."""
+    per-layer table, format 7 event views as per-node view objects."""
 
     def rewrite(path, sim) -> None:
         checkpoint.save(
@@ -558,6 +562,15 @@ def test_format_6_entry_is_refused_as_stale_and_runs_cold(tmp_path, obs_on):
     run."""
     assert_refused_entry_runs_cold(
         tmp_path, obs_on, _rewrite_as_format(6), "unsupported checkpoint format 6 "
+    )
+
+
+def test_format_7_entry_is_refused_as_stale_and_runs_cold(tmp_path, obs_on):
+    """A cache entry a format-7 build published (event-engine views as
+    per-node view objects) is refused by its format number, not
+    unpickled; the fork sweep's cell falls back to a cold run."""
+    assert_refused_entry_runs_cold(
+        tmp_path, obs_on, _rewrite_as_format(7), "unsupported checkpoint format 7 "
     )
 
 

@@ -1,7 +1,10 @@
-"""Tests for the distance-ranking helpers."""
+"""Tests for the distance ranking under every topology layer
+(:func:`repro.gossip.ranking.rank_order`), through the test tree's
+dict oracle ``rank_entries``."""
 
-from repro.gossip.ranking import closest_entries, rank_entries, truncate_closest
 from repro.spaces import Euclidean, FlatTorus
+
+from .helpers import rank_entries
 
 PLANE = Euclidean(2)
 
@@ -27,25 +30,3 @@ class TestRankEntries:
         entries = {1: (9.5, 0.0), 2: (3.0, 0.0)}
         # 9.5 is only 0.5 away across the seam.
         assert rank_entries(torus, (0.0, 0.0), entries) == [1, 2]
-
-
-class TestClosestEntries:
-    def test_returns_mapping(self):
-        entries = {1: (5.0, 0.0), 2: (1.0, 0.0), 3: (3.0, 0.0)}
-        out = closest_entries(PLANE, (0.0, 0.0), entries, 2)
-        assert out == {2: (1.0, 0.0), 3: (3.0, 0.0)}
-
-    def test_k_larger_than_entries(self):
-        entries = {1: (1.0, 0.0)}
-        assert closest_entries(PLANE, (0.0, 0.0), entries, 5) == entries
-
-
-class TestTruncateClosest:
-    def test_within_cap_unchanged(self):
-        entries = {1: (1.0, 0.0), 2: (2.0, 0.0)}
-        assert truncate_closest(PLANE, (0.0, 0.0), entries, 5) is entries
-
-    def test_truncates_to_cap(self):
-        entries = {i: (float(i), 0.0) for i in range(1, 10)}
-        out = truncate_closest(PLANE, (0.0, 0.0), entries, 3)
-        assert sorted(out) == [1, 2, 3]

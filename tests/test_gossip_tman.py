@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gossip.ranking import rank_entries
 from repro.gossip.rps import PeerSamplingLayer
 from repro.gossip.tman import TManLayer
 from repro.metrics.proximity import proximity
-from repro.sim.arrays import ViewBuffer
 from repro.sim.engine import Simulation
 from repro.sim.network import Network
 from repro.spaces import FlatTorus
 
-from .helpers import grid_coords
+from .helpers import grid_coords, rank_entries, set_view, view_of
 
 
 def build(width=8, height=8, seed=0, **tman_kwargs):
@@ -55,8 +53,8 @@ class TestInit:
     def test_bootstrap_from_rps(self):
         sim, tman = build()
         for node in sim.network.alive_nodes():
-            assert 0 < len(node.tman_view) <= tman.bootstrap_size
-            assert node.nid not in node.tman_view
+            assert 0 < len(view_of(sim, node)) <= tman.bootstrap_size
+            assert node.nid not in view_of(sim, node)
 
 
 class TestConvergence:
@@ -78,15 +76,15 @@ class TestConvergence:
         sim, tman = build(view_cap=12)
         sim.run(10)
         for node in sim.network.alive_nodes():
-            assert len(node.tman_view) <= 12
+            assert len(view_of(sim, node)) <= 12
 
     def test_deterministic_given_seed(self):
         sim_a, _ = build(seed=3)
         sim_b, _ = build(seed=3)
         sim_a.run(5)
         sim_b.run(5)
-        views_a = {n.nid: list(n.tman_view) for n in sim_a.network.alive_nodes()}
-        views_b = {n.nid: list(n.tman_view) for n in sim_b.network.alive_nodes()}
+        views_a = {n.nid: view_of(sim_a, n) for n in sim_a.network.alive_nodes()}
+        views_b = {n.nid: view_of(sim_b, n) for n in sim_b.network.alive_nodes()}
         assert views_a == views_b
 
 
@@ -106,7 +104,7 @@ class TestNeighbors:
         sim, tman = build()
         sim.run(5)
         node = sim.network.node(0)
-        victims = list(node.tman_view)[:3]
+        victims = view_of(sim, node)[:3]
         sim.network.fail(victims, rnd=sim.round)
         neigh = tman.neighbors(sim, node, 10)
         assert not (set(neigh) & set(victims))
@@ -114,7 +112,7 @@ class TestNeighbors:
     def test_neighbors_empty_view(self):
         sim, tman = build()
         node = sim.network.node(0)
-        node.tman_view = {}
+        set_view(sim, node, [])
         assert tman.neighbors(sim, node, 4) == []
 
 
@@ -126,7 +124,7 @@ class TestFailureHandling:
         sim.network.fail(victims, rnd=sim.round)
         sim.run(2)
         for node in sim.network.alive_nodes():
-            assert not (set(node.tman_view) & set(victims))
+            assert not (set(view_of(sim, node)) & set(victims))
 
     def test_boundary_relinks_after_half_failure(self):
         sim, _ = build()
@@ -140,9 +138,9 @@ class TestFailureHandling:
     def test_view_rebootstraps_when_emptied(self):
         sim, _ = build()
         node = sim.network.node(0)
-        node.tman_view = {}
+        set_view(sim, node, [])
         sim.run(1)
-        assert len(node.tman_view) > 0
+        assert len(view_of(sim, node)) > 0
 
 
 class TestTraffic:
@@ -169,20 +167,20 @@ class TestTraffic:
         node = sim.network.node(0)
         node.pos = (3.3, 3.3)
         sim.run(2)
-        holders = [o for o in sim.network.alive_nodes() if 0 in o.tman_view]
+        holders = [o for o in sim.network.alive_nodes() if 0 in view_of(sim, o)]
         assert holders
         for other in holders:
-            ids = tman._ranked_ids(sim, other, other.tman_view).tolist()
+            ids = tman._ranked_ids(sim, other, tman.row_ids(other.row)).tolist()
             dists = [sim.space.distance(other.pos, sim.network.node(n).pos) for n in ids]
             assert dists == sorted(dists)
 
 
 def test_views_are_their_two_arrays_after_an_event_run():
-    """After failure, repair and reinjection on the event engine, a view
-    holds its id column and nothing else: no dict, no coordinates, no
-    second copy of the column."""
+    """After failure, repair and reinjection on the event engine, the
+    views are the T-Man layer's store and nothing else: an int32 id row
+    per table row beside one rank-memo column, sized to the table, and
+    no node holds a view attribute."""
     from repro.experiments.scenario import ScenarioConfig, prepare_scenario
-    from repro.sim.arrays import ViewBuffer
 
     config = ScenarioConfig(
         width=32, height=16, failure_round=3, reinjection_round=6,
@@ -190,12 +188,18 @@ def test_views_are_their_two_arrays_after_an_event_run():
     )
     sim, *_ = prepare_scenario(config)
     sim.run(config.total_rounds)
+    tman = sim.topology
+    assert type(tman) is TManLayer and tman._ages is None
+    cap = sim.network.table.capacity
+    assert tman._ids.dtype == np.int32 and tman._ids.shape == (cap, config.tman_view_cap)
+    assert tman._ranked_at.shape == (cap,)
+    assert tman.nbytes == tman._ids.nbytes + tman._ranked_at.nbytes
+    for node in sim.network.nodes.values():
+        assert not any(name.startswith(("tman", "vicinity")) for name in vars(node))
     for node in sim.network.alive_nodes():
-        view = node.tman_view
-        assert type(view) is ViewBuffer and not hasattr(view, "__dict__")
-        assert ViewBuffer.__slots__ == ("_ids", "_ranked_at")
-        assert view.nbytes == len(view) * 8
-        assert view.ids.base is None
+        row = tman._ids[node.row]
+        n = len(view_of(sim, node))
+        assert n > 0 and (row[:n] >= 0).all() and (row[n:] == -1).all()
 
 
 # -- the ranked merge ---------------------------------------------------------
@@ -227,27 +231,30 @@ def merge_cases(draw):
 @given(merge_cases())
 @settings(max_examples=200, deadline=None)
 def test_ranked_merge_holds_what_merge_then_cap_holds(case):
-    """T-Man's ranked merge keeps exactly the ids of ``ViewBuffer.merge``
-    followed by the bounded-view rule (the ``cap`` closest to the owner
-    when over it) at the peers' *current* positions, in (distance, id)
-    order, and the view marked ranked at the table's move count."""
+    """T-Man's ranked merge keeps exactly the ids of the dict merge rule
+    (the view's keys, then every sent id but the owner's and departed
+    ones) followed by the bounded-view rule (the ``cap`` closest to the
+    owner when over it) at the peers' *current* positions, in (distance,
+    id) order, and the row marked ranked at the table's move count."""
     owner, cap, view, ranked, sent, moved, detected = case
     sim, _ = build()
-    tman = TManLayer(sim.space, sim.layers[0], view_cap=cap)
+    tman = TManLayer(sim.space, sim.layers[0], view_cap=cap, bootstrap_size=2 * cap)
+    sim.layers[1] = tman
+    tman._ensure_rows(sim.network.table)
     node = sim.network.node(owner)
-    node.tman_view = ViewBuffer(view)
+    set_view(sim, node, view)
     if ranked:
-        tman._ranked_ids(sim, node, node.tman_view)
+        tman._ranked_ids(sim, node, tman.row_ids(node.row))
     for nid, pos in moved.items():
         sim.network.node(nid).pos = pos
+    sim.network.fail(sorted(detected), rnd=sim.round)
     msg_ids = np.array(sent, dtype=np.int64)
 
-    oracle = ViewBuffer(view)
-    oracle.merge(msg_ids, owner, detected)
+    oracle = dict.fromkeys(view)
+    oracle.update(dict.fromkeys(n for n in sent if n != owner and n not in detected))
     at = {nid: sim.network.node(nid).pos for nid in oracle}
     expected = rank_entries(sim.space, node.pos, at, cap)
 
-    tman._merge(sim, node, msg_ids, detected)
-    merged = node.tman_view
-    assert list(merged) == expected
-    assert merged.ranked_at == sim.network.table.moves
+    tman._merge(sim, node, msg_ids)
+    assert view_of(sim, node) == expected
+    assert tman._ranked_at[node.row] == sim.network.table.moves

@@ -9,7 +9,7 @@ from repro.sim.engine import Simulation
 from repro.sim.network import Network
 from repro.spaces import FlatTorus
 
-from .helpers import grid_coords
+from .helpers import grid_coords, view_of
 
 
 def build(width=8, height=8, seed=0, **kwargs):
@@ -54,14 +54,18 @@ class TestConvergence:
         sim, vicinity = build(view_size=10)
         sim.run(10)
         for node in sim.network.alive_nodes():
-            assert len(node.tman_view) <= 10
-            assert set(node.vicinity_age) == set(node.tman_view)
+            assert len(view_of(sim, node)) <= 10
+            # An age beside every held id, and none beside an empty slot.
+            row = vicinity._ids[node.row]
+            assert (vicinity._ages[node.row][row < 0] == 0).all()
+            assert (vicinity._ages[node.row][row >= 0] >= 0).all()
 
     def test_ages_grow_without_contact(self):
         sim, vicinity = build()
         sim.run(3)
         node = sim.network.alive_nodes()[0]
-        assert any(age > 0 for age in node.vicinity_age.values())
+        held = vicinity._ids[node.row] >= 0
+        assert (vicinity._ages[node.row][held] > 0).any()
 
 
 class TestFailures:
@@ -72,7 +76,7 @@ class TestFailures:
         sim.network.fail(victims, rnd=sim.round)
         sim.run(2)
         for node in sim.network.alive_nodes():
-            assert not (set(node.tman_view) & set(victims))
+            assert not (set(view_of(sim, node)) & set(victims))
 
     def test_neighbors_interface_matches_tman(self):
         sim, vicinity = build()

@@ -9,12 +9,11 @@ from repro.metrics.messages import layer_share, per_node_cost, per_node_series
 from repro.metrics.proximity import node_proximity, proximity
 from repro.metrics.reshaping import reference_homogeneity, reshaping_time
 from repro.metrics.storage import average_storage, node_storage, total_unique_points
-from repro.sim.arrays import view_ids
 from repro.sim.engine import Simulation
 from repro.sim.network import Network
 from repro.spaces import FlatTorus
 
-from .helpers import NullLayer, placed_nodes
+from .helpers import StubTMan, placed_nodes, set_view
 
 TORUS = FlatTorus(8.0, 4.0)
 
@@ -23,11 +22,11 @@ def sim_with_views(view_map, positions):
     network = Network()
     for nid in sorted(positions):
         network.add_node(positions[nid])
+    sim = Simulation(TORUS, network, [StubTMan(TORUS)], seed=0)
+    sim.init_all_nodes()
     for nid, view in view_map.items():
-        network.node(nid).tman_view = {
-            peer: positions[peer] for peer in view
-        }
-    return Simulation(TORUS, network, [NullLayer()], seed=0)
+        set_view(sim, network.node(nid), view)
+    return sim
 
 
 class TestProximity:
@@ -55,7 +54,7 @@ class TestProximity:
         positions = {0: (0.0, 0.0)}
         sim = sim_with_views({}, positions)
         node = sim.network.node(0)
-        node.tman_view = {}
+        set_view(sim, node, [])
         assert math.isnan(node_proximity(TORUS, sim, node))
 
     def test_network_mean(self):
@@ -73,39 +72,18 @@ def oracle_proximity(space, sim, k, nodes=None):
     return float(np.mean(values)) if values else float("nan")
 
 
-def concatenated_view_matrix(sim):
-    """The padded view matrix built from one concatenated copy of every
-    view's ids (the event engine's construction before it filled rows
-    in place)."""
-    nodes = sim.network.alive_nodes()
-    rows = np.fromiter((node.row for node in nodes), np.int64, len(nodes))
-    packed = [view_ids(getattr(node, "tman_view", None)) for node in nodes]
-    lens = np.fromiter(map(len, packed), np.int64, len(packed))
-    total = int(lens.sum())
-    ids = np.full((sim.network.table.n_rows, int(lens.max(initial=0))), -1, np.int64)
-    if total:
-        col = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-        ids[np.repeat(rows, lens), col] = np.concatenate(packed)
-    return rows, ids
-
-
-def assert_same_matrix(got, want):
-    """``got`` (a row-block reader) holds ``want``'s rows: read whole,
-    by alive-row blocks of every size, and by slices."""
-    (rows, ids), (want_rows, want_ids) = got, want
-    np.testing.assert_array_equal(rows, want_rows)
-    assert rows.dtype == want_rows.dtype and ids.shape == want_ids.shape
-    everything = np.arange(ids.shape[0])
-    for blocks in (
-        [everything],
-        [rows[a : a + 3] for a in range(0, len(rows), 3)],
-        [rows[::-1]],
-        [slice(0, 2), slice(2, None)],
-    ):
-        for blk in blocks:
-            block = ids[blk]
-            assert block.dtype == want_ids.dtype
-            np.testing.assert_array_equal(block, want_ids[blk])
+def assert_rows_are_the_views(sim):
+    """``Simulation.view_matrix`` is ``(rows, ids)``: the alive nodes'
+    table rows in row order, and an id array whose row of each holds
+    that node's view, packed in front of ``-1`` pads."""
+    rows, ids = sim.view_matrix()
+    nodes = sorted(sim.network.alive_nodes(), key=lambda node: node.row)
+    np.testing.assert_array_equal(rows, [node.row for node in nodes])
+    assert ids is sim.topology._ids
+    for node in nodes:
+        view = sim.topology.row_ids(node.row)
+        assert ids[node.row, : len(view)].tolist() == view.tolist()
+        assert (ids[node.row, len(view) :] == -1).all()
 
 
 class TestProximityKernelMatchesScalarDefinition:
@@ -119,7 +97,7 @@ class TestProximityKernelMatchesScalarDefinition:
             1: [0, 2],  # fewer than k entries
             2: [4],  # only a dead entry -> nan, skipped
             3: [],  # empty view -> nan, skipped
-            5: [0, 4, 3],  # node 4 holds no view attribute at all
+            5: [0, 4, 3],  # node 4's row was never written
         }
         sim = sim_with_views(views, positions)
         sim.network.fail([4], rnd=0)
@@ -140,7 +118,7 @@ class TestProximityKernelMatchesScalarDefinition:
         sim.network.remove_node(1)  # id 1 released, its row is free
         newcomer = sim.network.add_node((1.0, 3.0))  # reuses that row
         assert newcomer.row == 1 and sim.network.table.row(1) == -1
-        newcomer.tman_view = {1: (1.0, 1.0), 0: positions[0]}
+        set_view(sim, newcomer, [1, 0])
         for k in (1, 4):
             got = proximity(TORUS, sim, k=k)
             assert got == oracle_proximity(TORUS, sim, k)
@@ -163,12 +141,9 @@ class TestProximityKernelMatchesScalarDefinition:
         sim, recorder, *_ = prepare_scenario(config)
         for rnd in range(config.total_rounds):
             sim.step()
-            nodes = sim.network.alive_nodes()
-            if engine == "batch":
-                sim.sync_canonical()  # the oracle reads node.tman_view
-                # The batch engine's node order is table-row order (the
-                # final mean is a float sum: same terms, same order).
-                nodes = sorted(nodes, key=lambda node: node.row)
+            # Both engines score in table-row order (the final mean is
+            # a float sum: same terms, same order).
+            nodes = sorted(sim.network.alive_nodes(), key=lambda node: node.row)
             assert recorder.series["proximity"][rnd] == oracle_proximity(
                 sim.space, sim, config.k_proximity, nodes
             )
@@ -176,15 +151,15 @@ class TestProximityKernelMatchesScalarDefinition:
 
     @pytest.mark.parametrize("topology", ["tman", "vicinity"])
     def test_view_matrix_fills_rows_like_the_concatenated_pack(self, topology):
-        """``Simulation.view_matrix`` reads the padded matrix a row block
-        at a time from the view id columns; the one-copy construction it
-        replaced is the oracle, on hand-made views and through a run."""
+        """``Simulation.view_matrix`` hands over the topology layer's id
+        array itself, row for row the nodes' views, on hand-made views
+        and through a failure, pruning and reinjection run."""
         from repro.experiments.scenario import ScenarioConfig, prepare_scenario
 
         positions = {n: (float(n), 1.0) for n in range(5)}
         sim = sim_with_views({0: [1, 2], 2: [], 3: [0, 1, 2, 4]}, positions)
         sim.network.fail([4], rnd=0)
-        assert_same_matrix(sim.view_matrix(), concatenated_view_matrix(sim))
+        assert_rows_are_the_views(sim)
         config = ScenarioConfig(
             width=8, height=4, failure_round=3, reinjection_round=9,
             total_rounds=14, retention_rounds=3, seed=5, topology=topology,
@@ -193,7 +168,7 @@ class TestProximityKernelMatchesScalarDefinition:
         sim, *_ = prepare_scenario(config)
         for _ in range(config.total_rounds):
             sim.step()
-            assert_same_matrix(sim.view_matrix(), concatenated_view_matrix(sim))
+            assert_rows_are_the_views(sim)
 
     def test_fractional_positions_agree_to_the_last_digits(self):
         from hypothesis import given, settings, strategies as st

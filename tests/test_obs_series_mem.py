@@ -253,32 +253,43 @@ class TestMemLedger:
         assert tracked == table.nbytes - before
 
     def test_view_buffer_family_is_what_the_views_hold(self):
-        """Every view state change books its byte delta and a pruned
-        node's view is booked as released: through failure, retention
-        pruning and reinjection the family's current bytes stay the
-        bytes the known nodes' views hold."""
+        """Every change of the view store's size books its byte delta:
+        through failure, retention pruning, reclaim and reinjection the
+        ``topology_views`` family's current bytes stay the bytes the
+        topology layer's store holds, on both engines."""
         from repro.experiments.scenario import prepare_scenario
 
-        obs_mem.set_enabled(True)
-        obs_mem.reset()
-        sim, *_ = prepare_scenario(
-            tiny_config(
-                width=16, height=8, failure_round=3, reinjection_round=9,
-                total_rounds=14, retention_rounds=3, metrics=("proximity",),
-            )
-        )
-        for _ in range(14):
-            sim.step()
-            held = sum(node.tman_view.nbytes for node in sim.network.nodes.values())
-            assert obs_mem.snapshot()["families"]["view_buffer"]["cur"] == held
-        assert sim.network.table._has_released
+        for engine in ("event", "batch"):
+            obs_mem.set_enabled(True)
+            obs_mem.reset()
+            try:
+                sim, *_ = prepare_scenario(
+                    tiny_config(
+                        engine=engine, width=16, height=8, failure_round=3,
+                        reinjection_round=9, total_rounds=14, retention_rounds=3,
+                        metrics=("proximity",),
+                    )
+                )
+                for _ in range(14):
+                    sim.step()
+                    family = obs_mem.snapshot()["families"]["topology_views"]["cur"]
+                    assert family == sim.topology.nbytes > 0
+                assert sim.network.table._has_released
+                assert len(sim.topology._ids) == sim.network.table.capacity
+            finally:
+                obs_mem.set_enabled(False)
+                obs_mem.reset()
 
     def test_batch_syncs_book_the_views_they_replace(self):
-        """``sync_canonical`` writes every node a fresh ``tman_view`` and
-        books the release of the one it replaces: after each of three
-        syncs the ``view_buffer`` family holds exactly the views the
-        nodes hold, not the sum of every sync's."""
+        """What once synced the batch views onto the nodes — a routing
+        probe, the proximity read, a digest — reads the store and books
+        nothing: after each of three steps and repeated reads the
+        ``topology_views`` family holds exactly the store's bytes, not
+        the sum of every read's, and no node carries a view."""
         from repro.experiments.scenario import prepare_scenario
+        from repro.metrics.proximity import proximity
+        from repro.routing import greedy_route
+        from repro.runtime.checkpoint import state_digest
 
         obs_mem.set_enabled(True)
         obs_mem.reset()
@@ -290,14 +301,18 @@ class TestMemLedger:
             )
             for _ in range(3):
                 sim.step()
-                sim.sync_canonical()
-                held = sum(
-                    node.tman_view.nbytes
-                    for node in sim.network.nodes.values()
-                    if hasattr(node, "tman_view")
+                for _ in range(2):
+                    proximity(sim.space, sim)
+                    state_digest(sim)
+                    greedy_route(sim, sim.space, sim.network.node(0), (5.0, 2.0))
+                assert obs_mem.snapshot()["families"]["topology_views"]["cur"] == (
+                    sim.topology.nbytes
                 )
-                assert held > 0
-                assert obs_mem.snapshot()["families"]["view_buffer"]["cur"] == held
+                assert not any(
+                    name.endswith("_view")
+                    for node in sim.network.nodes.values()
+                    for name in vars(node)
+                )
         finally:
             obs_mem.set_enabled(False)
             obs_mem.reset()
@@ -581,14 +596,16 @@ class TestMemGate:
 
     def test_record_then_pass(self, smoke, capsys):
         """One row per engine: the batch cell's and the same cell's
-        under the event engine, whose views are ``ViewBuffer`` slots."""
+        under the event engine; both book their views under
+        ``topology_views``."""
         assert smoke.mem_gate(1.25, record=True) == 0
         doc = json.loads(smoke.BASELINE_PATH.read_text())
         for key in ("mem_gate", "mem_gate_event"):
             assert doc[key]["peak_tracked_bytes"] > 0
             assert doc[key]["families"]
-        assert "view_buffer" in doc["mem_gate_event"]["families"]
-        assert "topology_views" in doc["mem_gate"]["families"]
+        for key in ("mem_gate", "mem_gate_event"):
+            assert "topology_views" in doc[key]["families"]
+            assert "view_buffer" not in doc[key]["families"]
         assert smoke.mem_gate(1.25, record=False) == 0
         assert capsys.readouterr().out.count("OK: tracked peak") == 2
 

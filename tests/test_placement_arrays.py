@@ -293,14 +293,13 @@ def check_views(sim, cap: int) -> None:
     owner's; an event-engine view is in (distance, id) order at its
     peers' current positions wherever it is marked ranked at the table's
     current move count."""
-    tman = sim.layers[1]
+    tman = sim.topology
     table = sim.network.table
     for node in sim.network.nodes.values():
-        view = tman.view_of(node)
-        ids = view.ids
+        ids = tman.row_ids(node.row)
         assert len(ids) <= cap and len(np.unique(ids)) == len(ids)
         assert node.nid not in ids
-        if view.ranked_at == table.moves:
+        if tman._ranked_at is not None and tman._ranked_at[node.row] == table.moves:
             dsq = sim.space.rank_sq_block(node.pos_array, table.gather(ids))
             assert (np.lexsort((ids, dsq)) == np.arange(len(ids))).all()
 
@@ -395,8 +394,6 @@ def test_no_placement_object_exists_between_rounds():
     state_digest(sim)
     assert [dict(vars(n)) for n in sim.network.nodes.values()] == before_vars
     assert len(pickle.dumps(sim)) == before_size
-    sim.sync_canonical()  # views only: placement has no bridge
-    assert not any("poly" in vars(node) for node in sim.network.nodes.values())
 
 
 def test_digest_never_materialises_placement():
@@ -409,12 +406,17 @@ def test_digest_never_materialises_placement():
 
 
 def test_stale_materialised_placement_is_ignored():
+    """Per-node placement (and view) attributes, the layout a bridge
+    once wrote onto the nodes, are not state: the digest reads the
+    placement store and the layers' arrays."""
     synced, *_ = prepare_scenario(config())
     twin, *_ = prepare_scenario(config())
     for sim in (synced, twin):
         CHURN["catastrophic"](config()).install(sim)
         sim.run(5)
-    synced.sync_canonical()
+    for node in synced.network.nodes.values():
+        node.poly = {"guests": [0]}
+        node.tman_view = {node.nid: None}
     synced.run(4)
     twin.run(4)
     assert state_digest(synced) == state_digest(twin)

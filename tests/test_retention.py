@@ -16,6 +16,7 @@ live node.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -146,3 +147,48 @@ class TestBoundedMemory:
         restored = ckpt.restore(ckpt.snapshot(sim))
         assert ckpt.state_digest(restored) == ckpt.state_digest(sim)
         restored.run(2)
+
+
+def _released(sim):
+    network = sim.network
+    return {nid for nid in range(network._next_id) if nid not in network.nodes}
+
+
+def test_event_tman_merge_refuses_released_ids():
+    """An event T-Man merge refuses an id the retention policy released
+    — no longer in the detector's set, but departed — as it refuses a
+    detected one."""
+    sim, *_ = prepare_scenario(trickle_config("event"))
+    tman = sim.topology
+    sim.network.fail([5], sim.round)
+    sim.network.remove_node(5)
+    assert 5 not in sim.detected_failed()
+    node = sim.network.node(0)
+    tman._merge(sim, node, np.array([5, 6], dtype=np.int64))
+    held = tman.row_ids(node.row).tolist()
+    assert 5 not in held and 6 in held
+
+
+def test_no_event_tman_row_ever_holds_a_released_id():
+    """A retention run on the event engine whose views are all handed a
+    released id — as a view not yet groomed in a round still holds what
+    it held — ends no round with an alive T-Man row holding one: every
+    holder evicts it at its turn, though the detector's set no longer
+    names it, and every merge refuses it."""
+    sim, *_ = prepare_scenario(
+        trickle_config("event", failure_round=3, total_rounds=16, tman_view_cap=8)
+    )
+    tman = sim.topology
+    sim.run(9)
+    released = _released(sim)
+    assert released and not sim.detected_failed()
+    stale = min(released)
+    for node in sim.network.alive_nodes():
+        held = tman.row_ids(node.row).tolist()
+        tman._put(node.row, held[: tman.view_shape[1] - 1] + [stale])
+        tman._ranked_at[node.row] = -1
+    for _ in range(4):
+        sim.step()
+        released = _released(sim)
+        for node in sim.network.alive_nodes():
+            assert not released & set(tman.row_ids(node.row).tolist())

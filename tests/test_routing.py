@@ -10,7 +10,7 @@ from repro.sim.network import Network
 from repro.spaces import Euclidean, FlatTorus
 from repro.types import DataPoint
 
-from .helpers import NullLayer, grid_coords
+from .helpers import StubTMan, set_view
 
 # A plain (non-wrapping) plane, so the chain below really is a line
 # with two ends rather than a broken ring.
@@ -23,14 +23,11 @@ def chain_sim():
     network = Network()
     for x in range(8):
         network.add_node((float(x), 0.0))
+    sim = Simulation(PLANE, network, [StubTMan(PLANE)], seed=0)
+    sim.init_all_nodes()
     for x in range(8):
-        view = {}
-        if x > 0:
-            view[x - 1] = (float(x - 1), 0.0)
-        if x < 7:
-            view[x + 1] = (float(x + 1), 0.0)
-        network.node(x).tman_view = view
-    return Simulation(PLANE, network, [NullLayer()], seed=0)
+        set_view(sim, network.node(x), [n for n in (x - 1, x + 1) if 0 <= n < 8])
+    return sim
 
 
 class TestGreedyRoute:
@@ -82,10 +79,11 @@ class TestGreedyRoute:
         network = Network()
         for coord in [(0.0, 0.0), (1.0, 1.0), (1.0, -1.0), (2.0, 0.0)]:
             network.add_node(coord)
-        network.node(0).tman_view = {nid: network.node(nid).pos for nid in order}
-        network.node(1).tman_view = {3: (2.0, 0.0)}
-        network.node(2).tman_view = {3: (2.0, 0.0)}
-        sim = Simulation(PLANE, network, [NullLayer()], seed=0)
+        sim = Simulation(PLANE, network, [StubTMan(PLANE)], seed=0)
+        sim.init_all_nodes()
+        set_view(sim, network.node(0), order)
+        set_view(sim, network.node(1), [3])
+        set_view(sim, network.node(2), [3])
         result = greedy_route(sim, PLANE, network.node(0), (2.0, 0.0), tolerance=0.1)
         assert result.success
         assert result.path == [0, 1, 3]
@@ -157,3 +155,53 @@ class TestRoutingAfterCatastrophe:
             tolerance=1.0, rng=random.Random(2),
         )
         assert quality.delivery_rate > 0.9
+
+
+@pytest.mark.parametrize("engine", ["event", "batch"])
+def test_every_reader_sees_the_one_view_store(engine):
+    """The view matrix, the digest's canonical ids, the greedy router's
+    hop choice and the layer's ``neighbors`` read the same ids for every
+    alive node — before and after a reinjection that reclaims the dead
+    half's rows — and a reclaimed node reads an empty view."""
+    from repro.experiments.scenario import ScenarioConfig, prepare_scenario
+
+    config = ScenarioConfig(
+        engine=engine, width=12, height=6, failure_round=2, reinjection_round=6,
+        total_rounds=9, metrics=(), seed=4,
+    )
+    sim, *_ = prepare_scenario(config)
+    topo = sim.topology
+    network = sim.network
+
+    def check() -> None:
+        rows, ids = sim.view_matrix()
+        nodes = [network.node(nid) for nid in network.table._nid_of[rows].tolist()]
+        canonical = sim.canonical_view_ids(rows)["tman_view"]
+        for node, matrix_row, view in zip(nodes, ids[rows].tolist(), canonical):
+            assert sorted({nid for nid in matrix_row if nid >= 0}) == view
+            alive = [nid for nid in view if network.is_alive(nid)]
+            assert sorted(topo.neighbors(sim, node, len(view) + 1)) == alive
+            if not alive:
+                continue
+            # Aim at the farthest alive entry: the first hop is the
+            # alive view entry closest to it (ties to the lower id).
+            far = max(alive, key=lambda nid: sim.space.distance(node.pos, network.node(nid).pos))
+            target = network.node(far).pos
+            want = min(alive, key=lambda nid: (sim.space.distance(network.node(nid).pos, target), nid))
+            route = greedy_route(sim, sim.space, node, target, tolerance=-1.0, max_hops=1)
+            if sim.space.distance(node.pos, target) > sim.space.distance(network.node(want).pos, target):
+                assert route.path == [node.nid, want]
+
+    for _ in range(5):
+        sim.step()
+    check()
+    dead = [network.node(nid) for nid in network.dead_ids()]
+    assert dead and all(node.row >= 0 for node in dead)
+    sim.run(2)  # the reinjection wave reclaims the dead half's rows
+    assert all(node.row == -1 for node in dead)
+    for node in dead:
+        assert topo.row_ids(node.row).tolist() == []
+        assert topo.neighbors(sim, node, 4) == []
+    check()
+    sim.step()
+    check()

@@ -268,7 +268,7 @@ class TestDigest:
 
 
 class TestLegacyFormatUpgrade:
-    """One format, no legacy reader: only ``CHECKPOINT_FORMAT`` (7)
+    """One format, no legacy reader: only ``CHECKPOINT_FORMAT`` (8)
     loads, and every other format number is rejected by name."""
 
     def test_format_1_rejected_naming_the_format(self, tmp_path):
@@ -299,6 +299,12 @@ class TestLegacyFormatUpgrade:
         """Format 6 pickled batch topology views as descriptor versions
         into a per-layer table, which this build no longer has."""
         self.assert_rejected_by_number(tmp_path, 6, "unsupported checkpoint format 6 ")
+
+    def test_format_7_rejected_before_unpickling(self, tmp_path):
+        """Format 7 pickled each event-engine topology view as a per-node
+        view object, which this build no longer has (format 8 keeps the
+        views as the topology layer's id rows on both engines)."""
+        self.assert_rejected_by_number(tmp_path, 7, "unsupported checkpoint format 7 ")
 
     def assert_rejected_by_number(self, tmp_path, legacy, message=None):
         sim, *_ = prepare_scenario(small_config())

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.gossip.ranking import rank_current
-from repro.sim.arrays import OBJECT_DIM, NodeTable, ViewBuffer
+from repro.sim.arrays import OBJECT_DIM, NodeTable, ViewStore
 from repro.sim.network import Network
 
 
@@ -225,98 +225,176 @@ class TestNetworkRemoveNode:
             network.remove_node(0)
 
 
-def _apply(model, buf, op, key):
-    """Apply one mutation to both the dict-of-keys model and the buffer."""
-    if op == "merge":
-        incoming = [key, key + 1]
-        buf.merge(np.array(incoming), own=-1, detected=frozenset())
-        model.update(dict.fromkeys(incoming))
-    elif op == "del" and key in model:
-        del model[key]
-        buf.evict_ids([key])
-    elif op == "keep":
-        keep = sorted(model)[: max(1, len(model) // 2)]
-        model.clear()
-        model.update(dict.fromkeys(keep))
-        buf.set_ranked(np.array(keep, dtype=np.int64))
+class _Store(ViewStore):
+    """A bare view store: one row per table row, ``width`` slots."""
+
+    name = "probe"
+
+    def __init__(self, width, **kwargs):
+        self._init_views(width, **kwargs)
+
+
+def _table(n, coord=lambda nid: (float(nid), 0.0)):
+    table = NodeTable()
+    for nid in range(n):
+        table.add(nid, coord(nid))
+    return table
 
 
 class TestViewBuffer:
-    """A view is an id column: ``in`` / ``len`` / iteration read it with
-    dict key semantics, and no coordinate is held."""
+    """A view is a row of one layer's :class:`ViewStore`: int32 peer ids
+    packed in front of ``-1`` slots, read in slot order with dict key
+    semantics, the row arrays following the node table, no coordinate
+    held."""
 
     def test_mapping_protocol_matches_dict(self):
-        buf = ViewBuffer([3, 1, 7, 1])
-        ref = dict.fromkeys([3, 1, 7])
-        assert list(buf) == list(ref)
-        assert len(buf) == 3 and 3 in buf and 4 not in buf
-        assert not hasattr(buf, "items") and not hasattr(buf, "__getitem__")
+        store = _Store(5)
+        store._ensure_rows(_table(2))
+        ref = dict.fromkeys([3, 1, 7, 1])
+        store._put(0, list(ref))
+        assert store.row_ids(0).tolist() == list(ref)
+        assert len(store.row_ids(0)) == 3 and 3 in store.row_ids(0) and 4 not in store.row_ids(0)
+        assert not hasattr(store, "items") and not hasattr(store, "__getitem__")
 
     def test_randomised_mutations_match_dict_semantics(self):
         rng = random.Random(42)
+        store = _Store(8)
+        store._ensure_rows(_table(2))
         model: dict = {}
-        buf = ViewBuffer()
         for step in range(300):
+            key = rng.randrange(30)
             op = rng.choice(["merge", "merge", "del", "keep"])
-            _apply(model, buf, op, rng.randrange(30))
-            assert list(buf) == list(model), f"order diverged at step {step}"
-            assert buf.ids.tolist() == list(model)
+            if op == "merge":
+                new = dict.fromkeys(model)
+                new.update(dict.fromkeys([key, key + 1]))
+                if len(new) <= 8:
+                    model = new
+            elif op == "del":
+                model.pop(key, None)
+            else:
+                model = dict.fromkeys(sorted(model)[: max(1, len(model) // 2)])
+            store._put(1, list(model))
+            assert store.row_ids(1).tolist() == list(model), f"order diverged at step {step}"
+            assert (store._ids[1, len(model) :] == -1).all()
 
     def test_arrays_cache_invalidation(self):
-        buf = ViewBuffer([1, 2])
-        # No mutation: the same column is returned.
-        assert buf.ids is buf.ids
-        buf.merge(np.array([3]), own=-1, detected=frozenset())
-        assert buf.ids.tolist() == [1, 2, 3]
+        """The id array is the state: a write is what the next read
+        sees, with no cached copy to invalidate, and a read is a copy
+        that a later write does not change."""
+        store = _Store(4)
+        store._ensure_rows(_table(2))
+        store._put(0, [1, 2])
+        before = store.row_ids(0)
+        store._put(0, [1, 2, 3])
+        assert store.row_ids(0).tolist() == [1, 2, 3] and before.tolist() == [1, 2]
+        assert store.ids_rows(np.array([0]))[0].tolist() == [1, 2, 3, -1]
 
     def test_set_ranked_installs_clean_arrays(self):
-        buf = ViewBuffer(range(5))
-        buf.set_ranked(buf.ids[np.array([3, 1, 0])], ranked_at=7)
-        assert list(buf) == [3, 1, 0]
-        assert buf.ranked_at == 7
-        # Order-preserving eviction keeps the ranked marker ...
-        buf.evict_ids([1])
-        assert buf.ranked_at == 7
-        assert list(buf) == [3, 0]
-        # ... but any merge clears it.
-        buf.merge(np.array([9]), own=-1, detected=frozenset())
-        assert buf.ranked_at == -1
+        """The rank memo is one column beside the ids: a rewrite of the
+        row keeps it (an order-preserving eviction), it follows the
+        table, and a fresh row reads not ranked."""
+        table = _table(3)
+        store = _Store(5, ranked=True)
+        store._ensure_rows(table)
+        assert (store._ranked_at == -1).all()
+        store._put(1, [2, 0])
+        store._ranked_at[1] = 7
+        store._put(1, [2])
+        assert store._ranked_at[1] == 7 and store.row_ids(1).tolist() == [2]
+        table.mark_dead(0, rnd=0)
+        table.reclaim(np.array([0]))
+        store._ensure_rows(table)
+        assert store._ranked_at[:3].tolist() == [7, -1, -1]
 
     def test_object_coords_mode(self):
-        """An id view ranks over a table of coordinate objects (the
+        """An id row ranks over a table of coordinate objects (the
         Jaccard space) as it does over a float column."""
         from repro.spaces import JaccardSpace
 
-        table = NodeTable()
         sets = [frozenset({"x"}), frozenset({"x", "y"}), frozenset({"z"})]
-        for nid, coord in enumerate(sets):
-            table.add(nid, coord)
-        buf = ViewBuffer([2, 1, 0])
-        got = rank_current(JaccardSpace(), table, frozenset({"x"}), buf.ids)
+        table = _table(3, coord=sets.__getitem__)
+        store = _Store(3)
+        store._ensure_rows(table)
+        store._put(0, [2, 1, 0])
+        got = rank_current(JaccardSpace(), table, frozenset({"x"}), store.row_ids(0))
         assert got.tolist() == [0, 1, 2]
 
     def test_evict(self):
-        buf = ViewBuffer(range(6))
-        buf.evict_ids([1, 4])
-        assert list(buf) == [0, 2, 3, 5]
+        store = _Store(6)
+        store._ensure_rows(_table(1))
+        store._put(0, list(range(6)))
+        row = store.row_ids(0)
+        store._put(0, row[~np.isin(row, [1, 4])])
+        assert store.row_ids(0).tolist() == [0, 2, 3, 5]
 
     def test_pickle_and_deepcopy_roundtrip(self):
-        buf = ViewBuffer([1, 9])
-        buf.set_ranked(buf.ids, ranked_at=3)
-        for clone in (pickle.loads(pickle.dumps(buf)), copy.deepcopy(buf)):
-            assert list(clone) == [1, 9] and clone.ranked_at == 3
-            assert clone.ids.dtype == np.int64
+        store = _Store(2, ranked=True)
+        store._ensure_rows(_table(2))
+        store._put(0, [1, 0])
+        store._ranked_at[0] = 3
+        for clone in (pickle.loads(pickle.dumps(store)), copy.deepcopy(store)):
+            assert clone.row_ids(0).tolist() == [1, 0] and clone._ranked_at[0] == 3
+            assert clone._ids.dtype == np.int32
 
     def test_empty_buffer(self):
-        buf = ViewBuffer()
-        assert not buf and len(buf) == 0
-        assert buf.ids.shape == (0,) and buf.nbytes == 0
+        store = _Store(3, ages=True)
+        assert store.view_shape == (0, 3) and store.nbytes == 0
+        store._ensure_rows(_table(2))
+        assert store.row_ids(0).tolist() == [] and store.row_ids(0).dtype == np.int32
+        # A node without a row (reclaimed or released) reads empty, not
+        # the store's last row.
+        store._put(store.view_shape[0] - 1, [1, 0], [0, 0])
+        assert store.row_ids(-1).tolist() == []
+
+    def test_put_packs_a_row_and_ages_ride_beside_it(self):
+        store = _Store(4, ages=True)
+        store._ensure_rows(_table(3))
+        store._put(1, [2, 0], [5, 6])
+        assert store._ids[1].tolist() == [2, 0, -1, -1]
+        assert store._ages[1].tolist() == [5, 6, 0, 0]
+        store._put(1, [7])
+        assert store.row_ids(1).tolist() == [7] and store._ages[1, 0] == 5
+
+    def test_rows_follow_growth_and_reclaim(self):
+        table = _table(4)
+        store = _Store(2, ages=True, ranked=True)
+        store._ensure_rows(table)
+        assert store.view_shape == (table.capacity, 2)
+        for row in range(4):
+            store._put(row, [row + 10], [row])
+            store._ranked_at[row] = row
+        table.mark_dead(1, rnd=0)
+        table.reclaim(np.array([1]))
+        store._ensure_rows(table)
+        assert [store.row_ids(r).tolist() for r in range(4)] == [[10], [12], [13], []]
+        assert store._ages[:4, 0].tolist() == [0, 2, 3, 0]
+        assert store._ranked_at[:4].tolist() == [0, 2, 3, -1]
+        for nid in range(4, 40):
+            table.add(nid, (0.0, 0.0))
+        store._ensure_rows(table)
+        assert store.view_shape == (table.capacity, 2)
+        assert store.row_ids(1).tolist() == [12]
+        assert store.nbytes == table.capacity * (2 * 4 + 2 * 8 + 8)
+
+
+def test_object_gather_resolves_pads_and_released_ids_to_no_node():
+    """In object-coordinate mode a ``-1`` pad, a released id and a
+    reclaimed one read ``None``, never another node's coordinate (the
+    vector mode's zero sentinel has no object counterpart)."""
+    table = _table(4, coord=lambda nid: frozenset({"abcd"[nid]}))
+    assert table.gather(np.array([-1, 0])) == [None, frozenset({"a"})]
+    table.mark_dead(2, rnd=0)
+    table.release(2)
+    table.mark_dead(1, rnd=0)
+    table.reclaim(np.array([1]))
+    got = table.gather(np.array([2, 1, 3, -1]))
+    assert got == [None, None, frozenset({"d"}), None]
 
 
 #: One mutation of the model test: an op name plus the raw draws it
 #: reads (ids, a coordinate seed, a subset / order of the held ids).
 _OPS = st.tuples(
-    st.sampled_from(["merge", "evict", "set_ranked", "move", "pickle"]),
+    st.sampled_from(["put", "evict", "move", "pickle"]),
     st.lists(st.integers(0, 24), max_size=8, unique=True),
     st.integers(0, 9),
     st.randoms(use_true_random=False),
@@ -329,60 +407,54 @@ def _coord(dim, nid, seed):
     return (float(seed), float(nid) / 4.0)
 
 
-def _step(buf, model, table, dim, op, ids, seed, rng):
-    """Apply one mutation to the buffer, its plain-dict model and the
-    node table the view's peers live in."""
+def _step(store, model, table, dim, op, ids, seed, rng):
+    """Apply one mutation to row 3 of the store, its plain-dict model and
+    the node table the view's peers live in."""
     held = list(model)
-    if op == "merge":
-        own, detected = seed, frozenset(ids[::3])
-        adopted = buf.merge(np.array(ids, dtype=np.int64), own, detected)
-        want = [nid for nid in ids if nid != own and nid not in detected]
-        assert adopted == want
-        assert buf.ranked_at == -1 or not want
-        model.update(dict.fromkeys(want))
+    if op == "put":
+        keep = rng.sample(held, rng.randint(0, len(held)))
+        new = [nid for nid in ids if nid not in keep][: 8 - len(keep)]
+        store._put(3, keep + new)
+        model.clear()
+        model.update(dict.fromkeys(keep + new))
     elif op == "evict":
         stale = [nid for nid in held if rng.random() < 0.4]
-        buf.evict_ids(stale)
+        row = store.row_ids(3)
+        store._put(3, row[~np.isin(row, stale)])
         for nid in stale:
             del model[nid]
-    elif op == "set_ranked":
-        keep = rng.sample(held, rng.randint(0, len(held)))
-        buf.set_ranked(np.array(keep, dtype=np.int64), ranked_at=seed)
-        assert buf.ranked_at == seed
-        model.clear()
-        model.update(dict.fromkeys(keep))
     elif op == "move":
         for nid in ids[:2]:
             table.set_coord(table.row(nid), _coord(dim, nid, seed))
     else:
-        buf = pickle.loads(pickle.dumps(buf))
-    return buf
+        store = pickle.loads(pickle.dumps(store))
+    return store
 
 
 @pytest.mark.parametrize("dim", [2, OBJECT_DIM])
 @settings(max_examples=60, deadline=None)
 @given(ops=st.lists(_OPS, max_size=25))
 def test_view_buffer_matches_a_dict_model(dim, ops):
-    """Random sequences of every mutation the layers make: after each
-    step the id column is the dict model's keys, 8 bytes an id, and
-    ranking it reads the peers' *current* table positions — the order a
-    scalar sort by distance to those positions gives — for a vector
-    and an object-coordinate table alike."""
+    """Random sequences of the row writes the layers make: after each
+    step a store row is the dict model's keys in order, packed in front
+    of its ``-1`` slots, and ranking it reads the peers' *current* table
+    positions — the order a scalar sort by distance to those positions
+    gives — for a vector and an object-coordinate table alike."""
     from repro.spaces import FlatTorus, JaccardSpace
 
     space = FlatTorus(10.0, 10.0) if dim == 2 else JaccardSpace()
     table = NodeTable()
     for nid in range(25):
         table.add(nid, _coord(dim, nid, 0))
-    buf, model = ViewBuffer(), {}
+    store, model = _Store(8), {}
+    store._ensure_rows(table)
     for op, ids, seed, rng in ops:
-        buf = _step(buf, model, table, dim, op, ids, seed, rng)
-        assert list(buf) == list(model) and len(buf) == len(model)
-        assert all(nid in buf for nid in model) and 25 not in buf
-        assert buf.ids.dtype == np.int64 and buf.ids.tolist() == list(model)
-        assert buf.nbytes == len(model) * 8
+        store = _step(store, model, table, dim, op, ids, seed, rng)
+        row = store.row_ids(3)
+        assert row.dtype == np.int32 and row.tolist() == list(model)
+        assert (store._ids[3, len(model) :] == -1).all()
         origin = _coord(dim, 3, seed)
         want = sorted(
             model, key=lambda nid: (space.distance_sq(origin, table.pos(table.row(nid))), nid)
         )
-        assert rank_current(space, table, origin, buf.ids).tolist() == want
+        assert rank_current(space, table, origin, row).tolist() == want
