@@ -230,7 +230,7 @@ def _merge_flat_reference(kernels, space, pos, ids, coords, ages, cap):
     return out_ids, out_ages
 
 
-def kernel_gate(threshold: float, repeats: int = 5) -> int:
+def kernel_gate(threshold: float, repeats: int = 9) -> int:
     """Gate the kernel that actually runs — the fused padded
     ``merge_rank_truncate`` — at every preset shape (min-of-``repeats``
     per side, one session): outputs equal to the flat reference
@@ -238,37 +238,42 @@ def kernel_gate(threshold: float, repeats: int = 5) -> int:
     claim cannot drift apart from the equivalence claim), at least
     ``threshold`` x faster than it, and the half-step block within
     ``KERNEL_GATE_LATTICE_RATIO`` of the integer one, so Phase 3 cannot
-    silently fall off the one-sort path again."""
+    silently fall off the one-sort path again.
+
+    The two lattices' repeats are interleaved (integer, half-step,
+    integer, …), so a burst of load on a shared machine lands on both
+    sides of the ratio instead of on one lattice's whole series."""
     from repro.sim.batch import kernels
     from repro.spaces import FlatTorus
 
-    def best_of(fn, *args):
-        best, out = float("inf"), None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            out = fn(*args)
-            best = min(best, time.perf_counter() - t0)
-        return best, out
-
+    lattices = ("integer", "half-step")
     failed = False
     for label, width, height, per, cap in KERNEL_GATE_SHAPES:
         space = FlatTorus(float(width), float(height))
-        timings = {}
-        for lattice in ("integer", "half-step"):
-            block = _merge_block(
+        blocks = {
+            lattice: _merge_block(
                 width, height, per, np.random.default_rng(0), lattice == "half-step"
             )
-            t_ref, out_ref = best_of(
-                _merge_flat_reference, kernels, space, *block, cap
-            )
-            t_new, out_new = best_of(_merge_blocked, kernels, space, *block, cap)
+            for lattice in lattices
+        }
+        timings = {lattice: [float("inf"), float("inf")] for lattice in lattices}
+        outputs = {}
+        for _ in range(repeats):
+            for lattice in lattices:
+                for side, fn in enumerate((_merge_flat_reference, _merge_blocked)):
+                    t0 = time.perf_counter()
+                    out = fn(kernels, space, *blocks[lattice], cap)
+                    elapsed = time.perf_counter() - t0
+                    timings[lattice][side] = min(timings[lattice][side], elapsed)
+                    outputs[lattice, side] = out
+        for lattice in lattices:
+            out_ref, out_new = outputs[lattice, 0], outputs[lattice, 1]
             if not all(np.array_equal(a, b) for a, b in zip(out_ref, out_new)):
                 print(
                     f"FAIL: {label} ({lattice}): merge_rank_truncate output "
                     "differs from the flat reference pipeline"
                 )
                 failed = True
-            timings[lattice] = (t_ref, t_new)
         t_ref, t_int = timings["integer"]
         t_half = timings["half-step"][1]
         speedup = t_ref / t_int
@@ -336,8 +341,6 @@ def _vanilla_step(self):
     self.meter.end_round()
     for observer in self.observers:
         observer.on_round_end(self)
-    if self.retention_rounds is not None:
-        self.network.prune_dead(completed - self.retention_rounds)
     self.round += 1
     return completed
 

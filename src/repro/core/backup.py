@@ -108,12 +108,11 @@ class BackupManager:
         network = sim.network
         coord_dim = sim.space.dim if sim.space.dim is not None else 1
         # Line 1: drop failed backup nodes (one cached detector set for
-        # the whole scan; ids pruned by the retention policy count as
-        # long-detected).
-        gone = sim.departed()
+        # the whole scan).
+        gone = sim.detected_failed()
         slots = store.backup_ids[row].tolist()
         for slot, b in enumerate(slots):
-            if b >= 0 and gone(b):
+            if b in gone:
                 slots[slot] = -1
                 store.drop_copy(row, slot)
         # Line 2: top back up to K backup nodes, into the free slots (a

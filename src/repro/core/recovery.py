@@ -32,10 +32,8 @@ def recover_node(
     in."""
     if not pushed_by:
         return []
-    # Under the retention policy a long-dead origin may already be
-    # pruned from the network entirely; its copy still reactivates.
-    gone = sim.departed()
-    recovered = [q for q in pushed_by if gone(q)]
+    gone = sim.detected_failed()
+    recovered = [q for q in pushed_by if q in gone]
     if recovered:
         guests = dict.fromkeys(store.guests(node.row))
         for origin in recovered:

@@ -68,12 +68,10 @@ DIVERGENT_FIELDS = (
     "reinjection_round",
     "reinjection_count",
     "total_rounds",
+    # ``engine`` is deliberately NOT here: it shapes every round, so it
+    # belongs to the prefix (a batch cell can only fork from a batch
+    # prefix).
     "detector_delay",
-    # The retention policy only ever observes dead nodes, and nobody is
-    # dead before the failure round.  ``engine`` is deliberately NOT
-    # here: it shapes every round, so it belongs to the prefix (a batch
-    # cell can only fork from a batch prefix).
-    "retention_rounds",
 )
 
 
@@ -128,11 +126,6 @@ class ScenarioConfig:
     rps_view_size: int = 20
     rps_shuffle_length: int = 10
     detector_delay: int = 0
-    #: Forget crashed nodes after this many rounds (``None`` disables):
-    #: bounds long-churn memory at the peak population.  Must exceed
-    #: ``detector_delay`` by at least 2 so all ghost recoveries have
-    #: fired before their origin is forgotten.
-    retention_rounds: Optional[int] = None
     # -- instrumentation ----------------------------------------------------
     seed: int = 0
     metrics: Tuple[str, ...] = ALL_METRICS
@@ -157,14 +150,6 @@ class ScenarioConfig:
                 "selectable kernel backends were removed (the batch "
                 "kernels have one implementation); kernel_backend must be "
                 f"None or 'numpy', got {self.kernel_backend!r}"
-            )
-        if self.retention_rounds is not None and (
-            self.retention_rounds < self.detector_delay + 2
-        ):
-            raise ConfigurationError(
-                f"retention_rounds={self.retention_rounds} would forget "
-                "crashed nodes before every ghost recovery has fired; "
-                f"use at least detector_delay + 2 = {self.detector_delay + 2}"
             )
         if self.width < 1 or self.height < 1:
             raise ConfigurationError(
@@ -438,8 +423,6 @@ def build_simulation(
         seed=config.seed,
         observers=observers,
     )
-    if config.retention_rounds is not None:
-        sim.retention_rounds = config.retention_rounds
     sim.init_all_nodes()
     return sim, recorder, snapshotter, points
 
@@ -616,7 +599,6 @@ def prefix_scenario(config: ScenarioConfig) -> Optional[ScenarioConfig]:
         reinjection_count=None,
         total_rounds=rnd + 1,
         detector_delay=0,
-        retention_rounds=None,
     )
 
 
@@ -674,7 +656,6 @@ def apply_divergence(sim: Simulation, config: ScenarioConfig) -> Simulation:
         if config.detector_delay > 0
         else PerfectFailureDetector()
     )
-    sim.retention_rounds = config.retention_rounds
     handles.config = config
     _schedule_phases(sim, config, handles.probe)
     return sim

@@ -95,11 +95,10 @@ class PeerSamplingLayer:
     def _shuffle(self, sim: Simulation, node: SimNode) -> None:
         rng = sim.rng_for(self.name)
         view = node.rps_view
-        # Age every entry and evict detectably-failed peers (ids pruned
-        # by the retention policy count as long-detected).
-        gone = sim.departed()
+        # Age every entry and evict detectably-failed peers.
+        gone = sim.detected_failed()
         for peer in list(view):
-            if gone(peer):
+            if peer in gone:
                 del view[peer]
             else:
                 view[peer] += 1

@@ -121,12 +121,13 @@ class TManLayer(ViewStore):
     def _gossip(self, sim: Simulation, node: SimNode) -> None:
         rng = sim.rng_for(self.name)
         row = node.row
-        # Evict departed peers — detected failed, or released by the
-        # retention policy; the boundary nodes of Fig. 1c do exactly
-        # this, then re-link with the closest survivors.  The scan is one
-        # gather over the row; the order of the rest, and so the rank
-        # memo, is kept.  With nobody departed there is nothing to scan.
-        departed = bool(sim.detected_failed()) or sim.network.table._has_released
+        # Evict departed peers — detected failed, reclaimed ones too;
+        # the boundary nodes of Fig. 1c do exactly this, then re-link
+        # with the closest survivors.  The scan is one gather over the
+        # row; the order of the rest, and so the rank memo, is kept.
+        # With nobody detected there is nothing to scan: an id without
+        # a row was detected before its row was reclaimed.
+        departed = bool(sim.detected_failed())
         ids = self.row_ids(row)
         if departed:
             stale = sim.detected_mask(ids)
@@ -178,8 +179,8 @@ class TManLayer(ViewStore):
     ) -> None:
         """Merge an incoming message (peer ids) into the node's ranked
         view (``held``, its row as it holds it): every id except the
-        node's own and departed ones (detected failed, or released by the
-        retention policy — ``departed`` is false when there are none) is
+        node's own and departed ones (detected failed, reclaimed ones
+        too — ``departed`` is false when there are none) is
         adopted, and the union is ranked at current positions and cut to
         the ``cap`` closest entries."""
         refused = incoming == node.nid

@@ -105,8 +105,8 @@ class VicinityLayer(ViewStore):
 
     def _gossip(self, sim: Simulation, node: SimNode) -> None:
         row = node.row
-        # Evict detectably-failed peers (ids pruned by the retention
-        # policy count as long-detected) and age the rest.
+        # Evict detectably-failed peers (reclaimed ids read detected)
+        # and age the rest.
         ids, ages = self._row(row)
         keep = ~sim.detected_mask(ids)
         ids, ages = ids[keep], ages[keep] + 1
@@ -149,9 +149,9 @@ class VicinityLayer(ViewStore):
 
     def _merge(self, sim: Simulation, node: SimNode, incoming: np.ndarray) -> None:
         """Adopt every id of the message except the node's own and
-        departed ones (detected failed, or released by the retention
-        policy) at age 0 — freshly heard of, known ones too — and keep
-        the ``view_size`` entries closest to the node on overflow."""
+        detected-failed ones at age 0 — freshly heard of, known ones
+        too — and keep the ``view_size`` entries closest to the node on
+        overflow."""
         refused = sim.detected_mask(incoming)
         refused |= incoming == node.nid
         adopted = incoming[~refused]

@@ -182,8 +182,6 @@ def format_record(record: Dict[str, Any]) -> str:
         extras = []
         if "live" in nodes:
             extras.append(f"live={nodes['live']}")
-        if nodes.get("pruned"):
-            extras.append(f"pruned={nodes['pruned']}")
         migration = (record.get("exchanges") or {}).get("migration")
         if migration:
             extras.append(f"migration={migration:g}")

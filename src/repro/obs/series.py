@@ -9,7 +9,7 @@ record per simulation round to ``obs/series.jsonl``::
     {"kind": "series", "ctx": {run/worker/cell context}, "round": n,
      "wall_s": ..., "layers": {layer: seconds},
      "kernels": {kernel: seconds}, "messages": {layer: units},
-     "nodes": {"live": ..., "dead": ..., "pruned": ...},
+     "nodes": {"live": ..., "dead": ...},
      "exchanges": {"tman": ..., "migration": ...},
      "mem": {family: {"cur": bytes, "peak": bytes}},   # ledger on
      "probes": {"homogeneity": ..., "proximity": ...,
@@ -101,7 +101,6 @@ def emit_round(
     wall_s: float,
     layer_walls: Dict[str, float],
     layer_costs: Dict[str, int],
-    pruned: int,
 ) -> None:
     """Build and buffer one series record for the just-completed round.
 
@@ -123,7 +122,6 @@ def emit_round(
         record["nodes"] = {
             "live": network.n_alive,
             "dead": network.n_total - network.n_alive,
-            "pruned": pruned,
         }
     # Per-round kernel seconds: deltas of the kernel-span totals.
     kernels: Dict[str, float] = {}

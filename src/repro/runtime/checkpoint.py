@@ -61,10 +61,12 @@ from ..sim.engine import Simulation
 #: per layer; format 7 pickles a view as its peer ids alone, on both
 #: engines, where format 8 pickles the event engine's views as the
 #: topology layer's id rows, as the batch engine's are (no per-node view
-#: objects).  :func:`load` and :func:`restore` reject every format but
+#: objects); format 8 pickled the node table's free list and the
+#: simulation's retention setting, which format 9 has neither of.
+#: :func:`load` and :func:`restore` reject every format but
 #: this one (cached entries are disposable: one format, no legacy
 #: reader).
-CHECKPOINT_FORMAT = 8
+CHECKPOINT_FORMAT = 9
 
 _MAGIC = b"repro-ckpt"
 #: Offset of the checksummed body: magic, 64 hex digits, a newline.

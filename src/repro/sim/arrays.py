@@ -8,12 +8,10 @@ and friends):
   columns (coordinates, alive flags, death rounds) plus an id → row
   index.  :class:`~repro.sim.network.SimNode` objects are thin views
   over one row; batch consumers (ranking, metrics) read whole columns
-  without touching Python objects.  Rows of nodes that have been
-  *removed* (crash-stop nodes pruned after every reference to them has
-  aged out) go onto a free list and are reused by the next node added;
-  rows of dead nodes nothing reads any more are *reclaimed* before the
-  table grows (:meth:`NodeTable.reclaim`), so the rows in use are
-  bounded by the live population.
+  without touching Python objects.  Rows of dead nodes nothing reads
+  any more are *reclaimed* before the table grows
+  (:meth:`NodeTable.reclaim`), so the rows in use are bounded by the
+  live population.
 
 * :class:`ViewStore` — one topology layer's views, on both engines:
   int32 peer ids ``(rows, width)`` indexed by table row, ``-1`` empty,
@@ -225,7 +223,7 @@ class NodeTable:
     The last slot of every column is a *sentinel* that is never
     allocated: ``_row_of[-1] == -1``, and row ``-1`` is dead with zero
     coordinates.  A ``-1`` view pad indexes the sentinel id slot and a
-    released id stores ``-1``, so :meth:`rows_of` → :meth:`alive_at` /
+    reclaimed id stores ``-1``, so :meth:`rows_of` → :meth:`alive_at` /
     :meth:`coords_at` resolve a padded id block of any shape to "dead,
     zero" in plain ``take`` calls — no validity mask, no compress and
     scatter.  Growth appends fresh slots, which *are* sentinel values.
@@ -240,8 +238,7 @@ class NodeTable:
     _ROWS = (("_alive", False), ("_death", -1), ("_nid_of", -1), ("_coords", 0.0))
 
     #: Reclaims so far, and the last one's remap (old row → new row,
-    #: ``-1`` reclaimed).  Class defaults: a table pickled before
-    #: reclaims existed has had none.
+    #: ``-1`` reclaimed); a new table starts with none.
     _layout = 0
     _remap: Optional[np.ndarray] = None
 
@@ -253,28 +250,12 @@ class NodeTable:
         self._row_of = np.full(_MIN_CAP, -1, dtype=np.int64)  # nid -> row
         self._nid_of = np.full(_MIN_CAP, -1, dtype=np.int64)  # row -> nid
         self._pos_cache: List = []  # row -> canonical coordinate object
-        self._free: List[int] = []
         self._n_rows = 0
-        #: Set once a node id has ever been released: only then can a
-        #: view hold an id the network no longer knows
-        #: (:meth:`repro.sim.engine.Simulation.departed`).
-        self._has_released = False
         #: Changes of what :meth:`gather` reads so far: a coordinate
-        #: write that hands in a new position object, a release, a
-        #: reclaim.  A ranking taken while it stood still is the ranking
-        #: now (the event engine's T-Man views keep it as their memo).
+        #: write that hands in a new position object, a reclaim.  A
+        #: ranking taken while it stood still is the ranking now (the
+        #: event engine's T-Man views keep it as their memo).
         self.moves = 0
-
-    def __setstate__(self, state) -> None:
-        """Tables pickled before the sentinel slot existed may have
-        their last slot in use and uninitialised coordinates past the
-        allocated rows: re-establish the sentinel."""
-        self.__dict__.update(state)
-        self._grow_rows(self._n_rows)
-        if self._row_of[-1] != -1:
-            self._grow_ids(len(self._row_of) - 1)
-        if self._coords is not None:
-            self._coords[self._n_rows :] = 0.0
 
     # -- layout ----------------------------------------------------------
 
@@ -290,11 +271,6 @@ class NodeTable:
     def n_rows(self) -> int:
         """Number of allocated rows (including dead nodes' rows)."""
         return self._n_rows
-
-    @property
-    def free_rows(self) -> List[int]:
-        """Rows currently on the free list (read-only snapshot)."""
-        return list(self._free)
 
     @property
     def nbytes(self) -> int:
@@ -333,9 +309,9 @@ class NodeTable:
 
     @property
     def spare_rows(self) -> int:
-        """Nodes the table can add before it grows: free rows plus
-        unused capacity."""
-        return len(self._free) + self.capacity - self._n_rows
+        """Nodes the table can add before it grows: its unused
+        capacity."""
+        return self.capacity - self._n_rows
 
     def _resize(self, row_slots: int, id_slots: int) -> None:
         """Reallocate the row columns and the id index to the given
@@ -370,32 +346,23 @@ class NodeTable:
         """Make room, in one exact allocation, for ``extra`` more nodes
         with ids from ``next_id`` up — for the callers that know how
         many are coming (the initial population, a reinjection wave).
-        Freed rows are counted first.  A call that does not fit costs
-        one reallocation, so it is made per membership event, not per
-        node; joins of unknown count need no call — :meth:`add` grows
-        geometrically (:func:`_grown`)."""
-        fresh = max(0, extra - len(self._free))
-        self._resize(self._n_rows + fresh + 1, next_id + extra + 1)
+        A call that does not fit costs one reallocation, so it is made
+        per membership event, not per node; joins of unknown count need
+        no call — :meth:`add` grows geometrically (:func:`_grown`)."""
+        self._resize(self._n_rows + extra + 1, next_id + extra + 1)
 
     # -- membership ------------------------------------------------------
 
     def add(self, nid: NodeId, coord: Coord) -> int:
-        """Register a node; returns its row (reusing a freed row when
-        one is available)."""
+        """Register a node; returns its row, the first unused one."""
         self._ensure_layout(coord)
         self._grow_ids(nid)
         if self._row_of[nid] != -1:
             raise SimulationError(f"node id {nid} already registered")
-        if self._free:
-            row = self._free.pop()
-        else:
-            row = self._n_rows
-            self._grow_rows(row + 1)
-            self._n_rows += 1
-            if len(self._pos_cache) <= row:
-                self._pos_cache.extend(
-                    [None] * (row + 1 - len(self._pos_cache))
-                )
+        row = self._n_rows
+        self._grow_rows(row + 1)
+        self._n_rows += 1
+        self._pos_cache.append(None)
         self._row_of[nid] = row
         self._nid_of[row] = nid
         self._alive[row] = True
@@ -431,42 +398,19 @@ class NodeTable:
         self._alive[row] = False
         self._death[row] = rnd
 
-    def release(self, nid: NodeId) -> int:
-        """Forget a *dead* node entirely and recycle its row; returns
-        the row, or ``-1`` for a node whose row :meth:`reclaim` took
-        already (there is none left to recycle).
-
-        The caller is responsible for making sure no view still
-        references the id; the freed row is handed to the next
-        :meth:`add` (reinjection reuse).
-        """
-        row = int(self._row_of[nid])
-        if row >= 0:
-            if self._alive[row]:
-                raise SimulationError(f"cannot release alive node {nid}")
-            self._row_of[nid] = -1
-            self._nid_of[row] = -1
-            self._death[row] = -1
-            self._pos_cache[row] = None
-            self._free.append(row)
-        self._has_released = True
-        self.moves += 1
-        return row
-
     def reclaim(self, rows: np.ndarray) -> np.ndarray:
         """Take ``rows`` — rows of dead nodes that nothing reads any
         more — out of the table, and return the remap, old row → new row
         (``-1`` for a reclaimed one).
 
         Every other row moves down in place, keeping its relative order:
-        alive rows, dead rows still readable and free-list rows alike,
-        so any order taken over rows (the alive pack, a bucket by row)
-        is the same after it.  The ids of ``rows`` resolve to the
-        sentinel row from now on — dead, zero, no row — like released
-        ids, though they are not released: :meth:`release` of one later
-        only records the release.  The canonical-coordinate list is
-        compacted in place (nodes share it).  The table's capacity does
-        not change; row arrays elsewhere follow through :func:`follow`.
+        alive rows and dead rows still readable alike, so any order
+        taken over rows (the alive pack, a bucket by row) is the same
+        after it.  The ids of ``rows`` resolve to the sentinel row from
+        now on — dead, zero, no row — as ``-1`` pads do.  The
+        canonical-coordinate list is compacted in place (nodes share
+        it).  The table's capacity does not change; row arrays elsewhere
+        follow through :func:`follow`.
         """
         n = self._n_rows
         rows = np.asarray(rows, dtype=np.int64)
@@ -485,7 +429,6 @@ class NodeTable:
                 _compact(col, keep, n, fill)
         held = np.flatnonzero(self._nid_of[:k] >= 0)
         self._row_of[self._nid_of[held]] = held
-        self._free = remap[np.asarray(self._free, dtype=np.int64)].tolist()
         cache = self._pos_cache
         cache[:k] = [cache[r] for r in keep.tolist()]
         del cache[k:]
@@ -499,7 +442,7 @@ class NodeTable:
 
     def rows_of(self, ids: np.ndarray) -> np.ndarray:
         """Row indices for a node-id array of any shape.  ``-1`` pads
-        and released ids resolve to row ``-1``, the sentinel, which
+        and reclaimed ids resolve to row ``-1``, the sentinel, which
         :meth:`alive_at` and :meth:`coords_at` read as dead and zero."""
         return self._row_of.take(ids)
 
@@ -518,7 +461,7 @@ class NodeTable:
 
     def id_flags(self, ids: np.ndarray) -> np.ndarray:
         """A bool column over every id slot, set at ``ids`` — a set of
-        registered (or released) ids that other id arrays test
+        registered (or reclaimed) ids that other id arrays test
         membership in with one ``take``."""
         flags = np.zeros(len(self._row_of), dtype=bool)
         flags[ids] = True
@@ -535,10 +478,10 @@ class NodeTable:
     def alive_mask(self, ids: np.ndarray) -> np.ndarray:
         """Boolean mask: which of the given node ids are alive.
 
-        Ids of *released* (removed) nodes and ``-1`` pads map to the
-        sentinel row and report dead — a view that still holds a pruned
-        id must treat it like any other departed peer, not alias
-        another node's row."""
+        Ids of reclaimed nodes and ``-1`` pads map to the sentinel row
+        and report dead — a view that still holds a reclaimed id must
+        treat it like any other failed peer, not alias another node's
+        row."""
         return self._alive.take(self._row_of.take(ids))
 
     def alive_rows(self) -> np.ndarray:
@@ -555,7 +498,7 @@ class NodeTable:
     def gather(self, ids: np.ndarray):
         """Current true coordinates of the given node ids: an
         ``ids.shape + (dim,)`` array in vector mode (zeros for ``-1``
-        pads and released ids), a list of coordinate objects otherwise
+        pads and reclaimed ids), a list of coordinate objects otherwise
         (``None`` for them: the sentinel row has no coordinate object)."""
         rows = self._row_of.take(ids)
         if self._coords is not None:

@@ -118,12 +118,12 @@ class BatchSimulation(Simulation):
     def detected_entry_mask(self, ids: np.ndarray) -> np.ndarray:
         """Vectorised failure-detector test over a padded id array of
         any shape; ``-1`` pads report not-detected (they share the
-        sentinel row with released ids, which report detected)."""
+        sentinel row with reclaimed ids, which report detected)."""
         out = self.detected_mask(ids)
         out &= ids >= 0
         return out
 
     def alive_entry_mask(self, ids: np.ndarray) -> np.ndarray:
         """Vectorised liveness test over a padded id array of any shape
-        (``-1`` pads and released ids report dead)."""
+        (``-1`` pads and reclaimed ids report dead)."""
         return self.network.alive_mask(ids)

@@ -180,8 +180,7 @@ class BatchPolystyrene:
         store = self.placement
         table = sim.network.table
         n = table.n_rows
-        # Origins with a copy out whose owner is detected — or gone: a
-        # released id resolves to the sentinel row, which reads detected.
+        # Origins with a copy out whose owner is detected.
         out = (store.sent_n[:n] >= 0).any(axis=1) & (store.owner[:n] >= 0)
         stale = np.flatnonzero(out)
         stale = stale[sim.detected_mask(store.owner[stale])]
@@ -222,7 +221,7 @@ class BatchPolystyrene:
             keep[by_key[first]] = True
             seq_row, seq_pid = seq_row[keep], seq_pid[keep]
             slot = kernels.cumcount(seq_row)
-            store.ensure_width(int(slot.max()) + 1)
+            store.ensure_width(int(slot.max(initial=-1)) + 1)  # 0: no pid at all
             store.guest_ids[seq_row, slot] = seq_pid
             store.guest_n[holders] = np.bincount(seq_row, minlength=n)[holders]
             self._flags[holders, _CHANGED] = True

@@ -89,19 +89,6 @@ class Observer(Protocol):
 class Simulation:
     """Drives a stack of layers over a network, round by round."""
 
-    #: Retention policy for crashed nodes: when set, a node that has
-    #: been dead (and therefore detector-visible) for this many rounds
-    #: is forgotten entirely at the end of the round —
-    #: :meth:`~repro.sim.network.Network.remove_node` drops its id and
-    #: recycles its table row, so perpetual-churn runs hold
-    #: peak-population ids instead of total-churn ids (rows are bounded
-    #: without it: :meth:`reclaimable_rows`).  Must exceed the
-    #: failure-detection delay by at least two rounds so every ghost
-    #: recovery has already fired (the scenario config validates this).
-    #: Class attribute so checkpoints taken before the policy existed
-    #: restore cleanly.
-    retention_rounds: Optional[int] = None
-
     def __init__(
         self,
         space: Space,
@@ -169,9 +156,9 @@ class Simulation:
         return node
 
     def _make_room(self, extra: int) -> None:
-        """Before ``extra`` joins would grow the node table — no free
-        row, no spare capacity — reclaim the rows nothing can read any
-        more (:meth:`reclaimable_rows`,
+        """Before ``extra`` joins would grow the node table — no spare
+        capacity — reclaim the rows nothing can read any more
+        (:meth:`reclaimable_rows`,
         :meth:`~repro.sim.network.Network.reclaim`), so the rows in use
         are bounded by the live population.  Kept rows keep their order:
         no draw, bucket or digest sees the renumbering."""
@@ -183,9 +170,8 @@ class Simulation:
     def reclaimable_rows(self) -> np.ndarray:
         """Table rows of dead nodes that nothing can read any more:
         detected two rounds ago, so every recovery of them has fired
-        (``death + detector delay + 2 <= round``, the bound retention is
-        validated against), and holding no pushed copy whose target is
-        alive — a ghost its holder still carries."""
+        (``death + detector delay + 2 <= round``), and holding no pushed
+        copy whose target is alive — a ghost its holder still carries."""
         network, table = self.network, self.network.table
         death = table._death[: table.n_rows]
         then = self.round - 2
@@ -220,20 +206,6 @@ class Simulation:
     def detects_failed(self, nid: NodeId) -> bool:
         return nid in self.detected_failed()
 
-    def departed(self) -> Callable[[NodeId], bool]:
-        """Membership test for ids a layer must treat as failed and
-        detected: the detector's current set plus ids already forgotten
-        by the retention policy (a pruned id has no table row and was
-        detector-visible for the whole retention window).  The single
-        scalar source of the released-ids-count-as-detected rule — the
-        array mirror is :meth:`detected_mask`."""
-        detected = self.detected_failed()
-        network = self.network
-        if not network.table._has_released:
-            return detected.__contains__
-        nodes = network.nodes
-        return lambda nid: nid in detected or nid not in nodes
-
     def detected_failed(self) -> frozenset:
         """The set of node ids the failure detector currently reports
         as failed.  Detection only depends on the round and on the
@@ -255,7 +227,7 @@ class Simulation:
     def detected_mask(self, ids: np.ndarray) -> np.ndarray:
         """Vectorised form of :meth:`detects_failed` over an id array of
         any shape — the fast path for the per-view eviction scans in
-        the gossip layers.  Released (pruned) ids have no row and are
+        the gossip layers.  Reclaimed ids have no row and are
         long-detected: the table's sentinel row reads detected."""
         table = self.network.table
         key = (self.round, self.network.n_alive, self.network.n_total, table._layout)
@@ -392,11 +364,6 @@ class Simulation:
             with obs_trace.span("observers"):
                 for observer in self.observers:
                     observer.on_round_end(self)
-            pruned = 0
-            if self.retention_rounds is not None:
-                pruned = len(
-                    self.network.prune_dead(completed - self.retention_rounds)
-                )
             self.round += 1
         if obs_metrics.ENABLED:
             obs_metrics.count("rounds", 1)
@@ -405,7 +372,7 @@ class Simulation:
         if tracing and obs_series.ENABLED:
             layer_walls = {name: span.dur for name, span in layer_spans.items()}
             obs_series.emit_round(
-                self, completed, round_span.dur, layer_walls, layer_costs, pruned
+                self, completed, round_span.dur, layer_walls, layer_costs
             )
         return completed
 

@@ -101,11 +101,11 @@ class SimNode:
         return self._poscache[self._row]
 
     def _detach(self) -> None:
-        """Stop being a view over a table row — the node was removed,
-        or its row reclaimed — keeping its own fields (id, initial
-        point, last position) and dropping every layer attribute.  Both
-        removals take dead nodes only: a crashed node never acts again,
-        and what the layers read of it is its id."""
+        """Stop being a view over a table row — its row was reclaimed —
+        keeping its own fields (id, initial point, last position) and
+        dropping every layer attribute.  A reclaim takes dead nodes
+        only: a crashed node never acts again, and what the layers read
+        of it is its id."""
         for name in [name for name in vars(self) if name not in _OWN_FIELDS]:
             delattr(self, name)
         self._poscache = [self.pos]
@@ -224,24 +224,6 @@ class Network:
             raise DeadNodeError(f"node {nid} has crashed")
         return node
 
-    def remove_node(self, nid: NodeId) -> None:
-        """Forget a crashed node entirely, recycling its table row.
-
-        Long-churn runs with reinjection call this once no view can
-        still reference the id; the freed row is reused by the next
-        node added (free-list reuse), bounding table growth by the
-        peak population instead of the total churn volume.  The node's
-        layer state goes with it (:meth:`SimNode._detach`).
-        """
-        node = self.node(nid)
-        if nid in self._alive:
-            raise DeadNodeError(f"cannot remove alive node {nid}")
-        self.table.release(nid)  # -1: a reclaim took the row already
-        node._detach()
-        del self.nodes[nid]
-        self._death_round.pop(nid, None)
-        self._dead.remove(nid)
-
     def reclaim(self, rows: np.ndarray) -> None:
         """Give back the table rows of dead nodes that nothing reads any
         more (:meth:`Simulation.reclaimable_rows
@@ -249,8 +231,8 @@ class Network:
         renumbers the kept rows in order (:meth:`NodeTable.reclaim`) and
         every node's row follows.  A reclaimed node stays a known dead
         id — in :meth:`dead_ids`, its death round kept for the detector
-        — read like a released one: no row, so the sentinel's liveness
-        and detection, and no layer state (:meth:`SimNode._detach`)."""
+        — with no row, so it reads the sentinel's liveness and
+        detection, and no layer state (:meth:`SimNode._detach`)."""
         table, nodes = self.table, self.nodes
         for nid in table._nid_of[rows].tolist():
             nodes[nid]._detach()
@@ -258,23 +240,6 @@ class Network:
         for row, nid in enumerate(table._nid_of[: table.n_rows].tolist()):
             if nid >= 0:
                 nodes[nid]._row = row
-
-    def prune_dead(self, before_round: int) -> List[NodeId]:
-        """Forget every crashed node whose death round is at most
-        ``before_round`` (the retention policy's sweep).
-
-        The death record is ordered by death round, so the sweep stops
-        at the first survivor.  Safe once every recovery that could read
-        a pruned id has fired: stale view entries of a pruned id resolve
-        to "dead and long-detected" (no table row), never to another
-        node — node ids are never reused.
-        """
-        pruned: List[NodeId] = []
-        while self._dead and self._death_round[self._dead[0]] <= before_round:
-            nid = self._dead[0]
-            self.remove_node(nid)
-            pruned.append(nid)
-        return pruned
 
     # -- liveness --------------------------------------------------------
 

@@ -26,8 +26,8 @@ and their setters).
   ``backup_ids[o, s] == h`` — one store, no second copy to keep in step.
 
 ``owner`` ``(rows,)`` is the node id each row's placement belongs to, so
-a row the table has released (or handed to a later node) is told from
-its former owner without a hook on release.
+a row the table has handed to a later node is told from its former
+owner without a hook on reclaim.
 
 Point ids are stored as int32 and node ids / counts as the table stores
 them; rows follow the node table — its capacity and its renumbering

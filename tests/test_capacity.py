@@ -138,17 +138,17 @@ def test_single_joins_reallocate_logarithmically():
 
 @pytest.mark.parametrize("engine", ["event", "batch"])
 def test_freed_rows_are_reused_before_capacity_grows(engine):
-    sim, *_ = prepare_scenario(config(engine, retention_rounds=2))
+    sim, *_ = prepare_scenario(config(engine))
     table = sim.network.table
     victims = sim.network.alive_ids()[:10]
     sim.network.fail(victims, sim.round)
-    sim.run(4)  # past retention: the ten rows are on the free list
-    assert len(table.free_rows) == 10 and table.capacity == 72
+    sim.run(4)  # past the detection window: the ten rows are reclaimable
+    assert table.n_rows == table.capacity == 72
     positions = config().grid.parallel(0.5).generate()
-    Reinjection(positions[:6])(sim)
-    assert table.capacity == 72 and len(table.free_rows) == 4
+    Reinjection(positions[:6])(sim)  # reclaims all ten, fills six
+    assert table.capacity == 72 and table.spare_rows == 4
     Reinjection(positions[6:16])(sim)  # four freed rows, six fresh ones
-    assert table.free_rows == [] and table.capacity == table.n_rows == 78
+    assert table.spare_rows == 0 and table.capacity == table.n_rows == 78
     if engine == "batch":
         assert_sized_to_membership(sim)
     sim.run(2)
@@ -165,7 +165,7 @@ def test_reserve_is_invisible_to_digest_and_survives_a_checkpoint(engine):
     assert ckpt.state_digest(sim) == ckpt.state_digest(twin)
 
     checkpoint = ckpt.snapshot(sim)
-    assert ckpt.CHECKPOINT_FORMAT == 8 and checkpoint.blob is not None
+    assert ckpt.CHECKPOINT_FORMAT == 9 and checkpoint.blob is not None
     restored = ckpt.restore(checkpoint)
     assert restored.network.table.capacity == 72 + 50
     for name, want in vars(sim.network.table).items():
@@ -188,7 +188,7 @@ def test_table_reserve_is_exact_counts_free_rows_and_never_shrinks():
         table.add(nid, (float(nid), 0.0))
     assert table.capacity == 20 and table._coords.shape == (21, 2)
     table.mark_dead(1, 0)
-    table.release(1)
+    table.reclaim(np.asarray([1]))
     table.reserve(1, 20)  # served by the freed row
     assert table.capacity == 20
     table.reserve(3, 20)  # one freed row + two fresh ones
@@ -197,7 +197,7 @@ def test_table_reserve_is_exact_counts_free_rows_and_never_shrinks():
     assert table.capacity == 22
     assert table.alive_mask(np.asarray([-1, 1, 22])).tolist() == [False] * 3
     table.add(20, (20.0, 0.0))
-    assert table.row(20) == 1  # the freed row first
+    assert table.row(20) == 19  # the first unused row
     for nid in range(21, 24):  # past the reservation: geometric again
         table.add(nid, (float(nid), 0.0))
     assert table.n_rows == 23 and table.capacity == 2 * 23 - 1

@@ -190,20 +190,18 @@ class TestArrayNativeDigestMatchesOracle:
     @pytest.mark.parametrize("topology", ["tman", "vicinity"])
     @given(
         churn=st.sampled_from(sorted(CHURN)),
-        retention=st.sampled_from([None, 6]),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         checks=st.sets(st.integers(min_value=0, max_value=11), min_size=1, max_size=3),
     )
     @settings(max_examples=12, deadline=None)
-    def test_under_churn(self, topology, churn, retention, seed, checks):
-        """Any churn schedule, any round: dead nodes, pruned ids, reused
-        rows, freshly joined nodes with bootstrap-only views."""
+    def test_under_churn(self, topology, churn, seed, checks):
+        """Any churn schedule, any round: dead nodes, reclaimed rows,
+        freshly joined nodes with bootstrap-only views."""
         cfg = config(
             failure_round=None,
             reinjection_round=None,
             total_rounds=12,
             topology=topology,
-            retention_rounds=retention,
             seed=seed,
         )
         sim, *_ = prepare_scenario(cfg)
@@ -211,7 +209,7 @@ class TestArrayNativeDigestMatchesOracle:
         for rnd in range(12):
             if rnd in checks:
                 assert checkpoint.state_digest(sim) == oracle_digest(sim), (
-                    f"{churn}/{topology}/retention={retention} seed {seed} "
+                    f"{churn}/{topology} seed {seed} "
                     f"round {rnd}"
                 )
             sim.step()
@@ -571,6 +569,16 @@ def test_format_7_entry_is_refused_as_stale_and_runs_cold(tmp_path, obs_on):
     unpickled; the fork sweep's cell falls back to a cold run."""
     assert_refused_entry_runs_cold(
         tmp_path, obs_on, _rewrite_as_format(7), "unsupported checkpoint format 7 "
+    )
+
+
+def test_format_8_entry_is_refused_as_stale_and_runs_cold(tmp_path, obs_on):
+    """A cache entry a format-8 build published (a node table with a
+    free list, a simulation with a retention setting) is refused by its
+    format number, not unpickled; the fork sweep's cell falls back to a
+    cold run."""
+    assert_refused_entry_runs_cold(
+        tmp_path, obs_on, _rewrite_as_format(8), "unsupported checkpoint format 8 "
     )
 
 

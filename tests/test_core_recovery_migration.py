@@ -232,3 +232,25 @@ class TestRecoveryOrder:
         sim.network.fail([a.nid, b.nid], sim.round)
         sim.layers[2]._recover(sim)
         assert store.guests(t.row) == [0, 24, 2, 5, 9, 7, 3, 11]
+
+    @pytest.mark.parametrize("engine", ["event", "batch"])
+    def test_an_empty_copy_on_a_pointless_holder_activates_nothing(self, engine):
+        """A point-less origin's empty copy on a point-less holder: when
+        the origin crashes the activation adds no point, and the stale
+        copy is still cleared (the batch pass once failed here, taking
+        the maximum of an empty slot column)."""
+        sim, store, a, _, t = self.scenario(engine)
+        store.set_guests(a.row, [])
+        store.set_guests(t.row, [])
+        store.backup_ids[a.row, 0] = t.nid
+        store.set_copy(a.row, 0, [])
+        poly = sim.layers[2]
+        if engine == "event":
+            poly.pushed_by.setdefault(t.row, {})[a.nid] = a.row
+        sim.network.fail([a.nid], sim.round)
+        if engine == "event":
+            assert recover_node(sim, t, store, poly.pushed_by.get(t.row)) == [self.A]
+        else:
+            poly._recover(sim)
+        assert store.guests(t.row) == []
+        assert store.copy(a.row, 0) is None

@@ -34,21 +34,20 @@ UPDATE_ENV = "REPRO_UPDATE_GOLDEN"
 
 #: ``name -> (config, digest rounds[, churn schedule builder])``.
 GOLDEN_CASES = {
-    # Two failures a few rounds apart, retention pruning, joins into the
-    # reused rows, then a third failure that takes some of the joiners:
+    # Two failures a few rounds apart, joins into the reclaimed rows,
+    # then a third failure that takes some of the joiners:
     # the only shape in which one holder activates *several* origins'
     # copies in one round, and copies that were last pushed as multi-pid
     # deltas.  The orders involved (push candidates and stale origins in
     # ascending id, a pushed copy in its origin's guest order) are
     # defined by the protocol, not inherited from a hash-table layout.
-    "batch-12x6-two-failures-retention": (
+    "batch-12x6-two-failures": (
         ScenarioConfig(
             width=12,
             height=6,
             failure_round=None,
             reinjection_round=None,
             total_rounds=18,
-            retention_rounds=3,
             metrics=("homogeneity",),
             seed=7,
             engine="batch",

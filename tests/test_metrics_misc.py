@@ -115,27 +115,27 @@ class TestProximityKernelMatchesScalarDefinition:
         positions = {n: (float(n), 1.0) for n in range(4)}
         sim = sim_with_views({0: [1, 2], 2: [1], 3: [0, 1]}, positions)
         sim.network.fail([1], rnd=0)
-        sim.network.remove_node(1)  # id 1 released, its row is free
-        newcomer = sim.network.add_node((1.0, 3.0))  # reuses that row
-        assert newcomer.row == 1 and sim.network.table.row(1) == -1
+        sim.network.reclaim(np.array([1]))  # id 1 reclaimed: node 2 takes row 1
+        newcomer = sim.network.add_node((1.0, 3.0))
+        assert sim.network.node(2).row == 1 and sim.network.table.row(1) == -1
         set_view(sim, newcomer, [1, 0])
         for k in (1, 4):
             got = proximity(TORUS, sim, k=k)
             assert got == oracle_proximity(TORUS, sim, k)
-        # Node 2 only knows the released id: no alive neighbour.
+        # Node 2 only knows the reclaimed id: no alive neighbour.
         assert math.isnan(node_proximity(TORUS, sim, sim.network.node(2)))
 
     @pytest.mark.parametrize("engine", ["event", "batch"])
     @pytest.mark.parametrize("topology", ["tman", "vicinity"])
     def test_scenario_rounds_on_both_engines(self, engine, topology):
-        """Every round of a failure → retention pruning → reinjection
-        (row reuse) run: the recorded value is the scalar definition's,
-        bit for bit (grid coordinates: every distance is exact)."""
+        """Every round of a failure → reinjection (reclaimed rows) run:
+        the recorded value is the scalar definition's, bit for bit
+        (grid coordinates: every distance is exact)."""
         from repro.experiments.scenario import ScenarioConfig, prepare_scenario
 
         config = ScenarioConfig(
             width=8, height=4, failure_round=3, reinjection_round=9,
-            total_rounds=14, retention_rounds=3, seed=5, engine=engine,
+            total_rounds=14, seed=5, engine=engine,
             topology=topology, metrics=("proximity",),
         )
         sim, recorder, *_ = prepare_scenario(config)
@@ -147,13 +147,13 @@ class TestProximityKernelMatchesScalarDefinition:
             assert recorder.series["proximity"][rnd] == oracle_proximity(
                 sim.space, sim, config.k_proximity, nodes
             )
-        assert sim.network.table._has_released
+        assert sim.network.table._layout  # the wave reclaimed the dead rows
 
     @pytest.mark.parametrize("topology", ["tman", "vicinity"])
     def test_view_matrix_fills_rows_like_the_concatenated_pack(self, topology):
         """``Simulation.view_matrix`` hands over the topology layer's id
         array itself, row for row the nodes' views, on hand-made views
-        and through a failure, pruning and reinjection run."""
+        and through a failure, reclaim and reinjection run."""
         from repro.experiments.scenario import ScenarioConfig, prepare_scenario
 
         positions = {n: (float(n), 1.0) for n in range(5)}
@@ -162,7 +162,7 @@ class TestProximityKernelMatchesScalarDefinition:
         assert_rows_are_the_views(sim)
         config = ScenarioConfig(
             width=8, height=4, failure_round=3, reinjection_round=9,
-            total_rounds=14, retention_rounds=3, seed=5, topology=topology,
+            total_rounds=14, seed=5, topology=topology,
             metrics=("proximity",),
         )
         sim, *_ = prepare_scenario(config)

@@ -254,9 +254,9 @@ class TestMemLedger:
 
     def test_view_buffer_family_is_what_the_views_hold(self):
         """Every change of the view store's size books its byte delta:
-        through failure, retention pruning, reclaim and reinjection the
-        ``topology_views`` family's current bytes stay the bytes the
-        topology layer's store holds, on both engines."""
+        through failure, reclaim and reinjection the ``topology_views``
+        family's current bytes stay the bytes the topology layer's store
+        holds, on both engines."""
         from repro.experiments.scenario import prepare_scenario
 
         for engine in ("event", "batch"):
@@ -266,7 +266,7 @@ class TestMemLedger:
                 sim, *_ = prepare_scenario(
                     tiny_config(
                         engine=engine, width=16, height=8, failure_round=3,
-                        reinjection_round=9, total_rounds=14, retention_rounds=3,
+                        reinjection_round=9, total_rounds=14,
                         metrics=("proximity",),
                     )
                 )
@@ -274,7 +274,7 @@ class TestMemLedger:
                     sim.step()
                     family = obs_mem.snapshot()["families"]["topology_views"]["cur"]
                     assert family == sim.topology.nbytes > 0
-                assert sim.network.table._has_released
+                assert sim.network.table._layout  # rows were reclaimed
                 assert len(sim.topology._ids) == sim.network.table.capacity
             finally:
                 obs_mem.set_enabled(False)

@@ -77,8 +77,8 @@ CHURN = {
         catastrophic(2, cfg.grid.width / 2),
         flash_crowd(7, cfg.grid.parallel(0.5).generate()[:12]),
     ),
-    # Two failures, joins into rows the retention sweep has freed, then
-    # a failure that takes some of the joiners.
+    # Two failures, joins into rows reclaimed from the dead, then a
+    # failure that takes some of the joiners.
     "everything": lambda cfg: compose(
         trickle(1, 9, 0.04),
         catastrophic(3, cfg.grid.width / 3),
@@ -125,15 +125,12 @@ def assert_same_state(arrays, oracle, where: str) -> None:
 
 @given(
     churn=st.sampled_from(sorted(CHURN)),
-    retention=st.sampled_from([None, 4]),
     detector_delay=st.sampled_from([0, 2]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 @settings(max_examples=25, deadline=None)
-def test_array_layer_equals_dict_oracle_under_churn(
-    churn, retention, detector_delay, seed
-):
-    cfg = config(seed=seed, retention_rounds=retention, detector_delay=detector_delay)
+def test_array_layer_equals_dict_oracle_under_churn(churn, detector_delay, seed):
+    cfg = config(seed=seed, detector_delay=detector_delay)
     with pytest.MonkeyPatch.context() as monkeypatch:
         arrays, oracle = twins(cfg, churn, monkeypatch)
     for rnd in range(ROUNDS):
@@ -153,7 +150,7 @@ def test_array_layer_equals_dict_oracle_under_churn(
         dict(split="pd"),
         dict(split="md"),
         dict(topology="vicinity"),
-        dict(width=12, height=6, retention_rounds=3),
+        dict(width=12, height=6),
     ],
     ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
 )
@@ -211,14 +208,13 @@ def check_row_map(sim) -> None:
     assert all(node.row == table.row(nid) for nid, node in network.nodes.items())
     assert all(nid_of[node.row] == node.nid for node in network.alive_nodes())
     assert network.alive_ids_array().tolist() == network.alive_ids()
-    # the event layer's pushed_by: keyed by rows their owners hold (or
-    # free ones), naming origin rows their origins hold (or forgotten ids)
+    # the event layer's pushed_by: keyed by rows their owners hold,
+    # naming origin rows their origins hold
     pushed_by = getattr(sim.layers[2], "pushed_by", None)
-    free = set(table.free_rows)
     for target, origins in (pushed_by or {}).items():
-        assert 0 <= target < n and (nid_of[target] >= 0 or target in free)
+        assert 0 <= target < n and nid_of[target] >= 0
         for origin, row in origins.items():
-            assert row_of[origin] == row or origin not in network.nodes
+            assert row_of[origin] == row
 
 
 def check_invariants(sim, points, lost_before: set) -> set:
@@ -322,15 +318,13 @@ def test_a_view_cap_below_the_bootstrap_draw_holds_from_round_one(engine):
 @pytest.mark.parametrize("engine", ["batch", "event"])
 @given(
     churn=st.sampled_from(sorted(CHURN)),
-    retention=st.sampled_from([None, 4]),
     view_cap=st.sampled_from([8, 12, 100]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 @settings(max_examples=15, deadline=None)
-def test_store_invariants_hold_every_round(engine, churn, retention, view_cap, seed):
+def test_store_invariants_hold_every_round(engine, churn, view_cap, seed):
     cfg = config(
         seed=seed,
-        retention_rounds=retention,
         tman_view_cap=view_cap,
         metrics=(),
         engine=engine,
@@ -427,7 +421,7 @@ def test_stale_materialised_placement_is_ignored():
 
 @pytest.mark.parametrize("churn", sorted(CHURN))
 def test_array_readers_equal_node_sequence_definitions(churn, monkeypatch):
-    cfg = config(seed=6, retention_rounds=4)
+    cfg = config(seed=6)
     arrays, oracle = twins(cfg, churn, monkeypatch)
     points = arrays[3]
     some = points[: len(points) // 3]  # stored pids exceed the asked ones
@@ -473,7 +467,7 @@ def test_rows_grow_by_the_tables_policy_and_land_on_the_ledger():
 
 @pytest.mark.parametrize("churn", ["none", "everything"])
 def test_store_pickles_its_occupied_part_and_restores_bit_identically(churn):
-    cfg = config(seed=8, retention_rounds=4)
+    cfg = config(seed=8)
     sim, *_ = prepare_scenario(cfg)
     CHURN[churn](cfg).install(sim)
     sim.run(10)
@@ -500,7 +494,7 @@ def test_blocked_protocol_passes_equal_whole_ones(churn, rows_per_block, monkeyp
     budget; rows are independent, so any block size is the same run."""
     from repro.sim.batch import kernels
 
-    cfg = config(seed=13, retention_rounds=4)
+    cfg = config(seed=13)
     whole, *_ = prepare_scenario(cfg)
     blocked, *_ = prepare_scenario(cfg)
     for sim in (whole, blocked):

@@ -122,19 +122,17 @@ class TestDisk:
 
     @pytest.mark.parametrize("engine", ["event", "batch"])
     def test_roundtrip_keeps_the_node_table_sentinel(self, tmp_path, engine):
-        """A disk round trip taken after retention pruning (released
-        ids, rows on the free list) restores a table whose padded reads
-        still resolve ``-1`` pads and released ids to "dead, zero" — and
-        the resumed run, metrics included, matches the uninterrupted one."""
+        """A disk round trip taken after the reinjection wave reclaimed
+        the failed nodes' rows restores a table whose padded reads still
+        resolve ``-1`` pads and reclaimed ids to "dead, zero" — and the
+        resumed run, metrics included, matches the uninterrupted one."""
         import numpy as np
 
         from .test_sim_arrays import assert_sentinel
 
-        config = small_config(
-            engine=engine, retention_rounds=3, metrics=("homogeneity", "proximity")
-        )
+        config = small_config(engine=engine, metrics=("homogeneity", "proximity"))
         sim, recorder, *_ = prepare_scenario(config)
-        sim.run(14)  # failure@5 pruned by round 9, reinjection@12 reuses rows
+        sim.run(14)  # failure@5 detected by round 7, reinjection@12 reclaims rows
         path = tmp_path / "run.ckpt"
         checkpoint.save(checkpoint.snapshot(sim), path)
         loaded = checkpoint.load(path)
@@ -142,9 +140,10 @@ class TestDisk:
         resumed = checkpoint.restore(loaded)
         table = resumed.network.table
         assert_sentinel(table)
-        released = sorted(set(range(config.width * config.height)) - set(resumed.network.nodes))
-        assert released
-        block = np.array([released[:2] + [-1], resumed.network.alive_ids()[:3]])
+        network = resumed.network
+        reclaimed = [nid for nid in network.dead_ids() if network.node(nid).row == -1]
+        assert reclaimed
+        block = np.array([reclaimed[:2] + [-1], resumed.network.alive_ids()[:3]])
         assert table.alive_mask(block).tolist() == [[False] * 3, [True] * 3]
         assert not table.gather(block)[0].any()
 
@@ -268,7 +267,7 @@ class TestDigest:
 
 
 class TestLegacyFormatUpgrade:
-    """One format, no legacy reader: only ``CHECKPOINT_FORMAT`` (8)
+    """One format, no legacy reader: only ``CHECKPOINT_FORMAT`` (9)
     loads, and every other format number is rejected by name."""
 
     def test_format_1_rejected_naming_the_format(self, tmp_path):
@@ -305,6 +304,12 @@ class TestLegacyFormatUpgrade:
         view object, which this build no longer has (format 8 keeps the
         views as the topology layer's id rows on both engines)."""
         self.assert_rejected_by_number(tmp_path, 7, "unsupported checkpoint format 7 ")
+
+    def test_format_8_rejected_before_unpickling(self, tmp_path):
+        """Format 8 pickled the node table's free list and the
+        simulation's retention setting, which this build no longer has
+        (format 9: reclaim alone gives back a dead node's row)."""
+        self.assert_rejected_by_number(tmp_path, 8, "unsupported checkpoint format 8 ")
 
     def assert_rejected_by_number(self, tmp_path, legacy, message=None):
         sim, *_ = prepare_scenario(small_config())

@@ -94,7 +94,6 @@ class TestPrefixSplit:
             failure_fraction=0.25,
             detector_delay=2,
             reinjection_count=5,
-            retention_rounds=10,
         )
         prefix = prefix_scenario(config)
         for field_name in DIVERGENT_FIELDS:

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SimulationError
 from repro.gossip.ranking import rank_current
 from repro.sim.arrays import OBJECT_DIM, NodeTable, ViewStore
-from repro.sim.network import Network
 
 
 class TestNodeTable:
@@ -55,48 +54,40 @@ class TestNodeTable:
         gathered = table.gather(np.array([3, 0]))
         assert gathered.tolist() == [[3.0, 0.0], [0.0, 0.0]]
 
-    def test_release_requires_dead_node(self):
+    def test_reclaim_takes_dead_rows_only(self):
         table = NodeTable()
-        table.add(0, (0.0, 0.0))
-        with pytest.raises(SimulationError):
-            table.release(0)
-
-    def test_free_list_reuse(self):
-        table = NodeTable()
-        for nid in range(4):
+        for nid in range(3):
             table.add(nid, (float(nid), 0.0))
-        table.mark_dead(table.row(1), rnd=3)
-        freed = table.release(1)
-        assert freed in table.free_rows
-        # The next node added reuses the freed row; the table does not
-        # grow.
-        rows_before = table.n_rows
-        row = table.add(99, (9.0, 9.0))
-        assert row == freed
-        assert table.n_rows == rows_before
-        assert table.pos(table.row(99)) == (9.0, 9.0)
-        assert table.alive_mask(np.array([99])).tolist() == [True]
+        with pytest.raises(SimulationError):
+            table.reclaim(np.array([1]))  # alive
+        with pytest.raises(SimulationError):
+            table.reclaim(np.array([5]))  # no node's row
+        assert table.n_rows == 3 and table.alive_mask(np.arange(3)).all()
 
     def test_duplicate_id_rejected(self):
         table = NodeTable()
         table.add(0, (0.0, 0.0))
         with pytest.raises(SimulationError):
             table.add(0, (1.0, 1.0))
-        # The failed add must not have leaked a row or free-list slot.
+        # The failed add must not have leaked a row.
         assert table.n_rows == 1
-        assert table.free_rows == []
+        assert table.spare_rows == table.capacity - 1
+        assert table.add(1, (1.0, 1.0)) == 1
 
     def test_released_ids_report_dead_not_aliased(self):
-        """A view that still references a pruned id must see it as dead
-        — never alias whichever node reuses (or neighbours) the row."""
+        """A view that still references a reclaimed id must see it as
+        dead — never alias whichever node takes (or neighbours) the row
+        number it had."""
         table = NodeTable()
         for nid in range(3):
             table.add(nid, (float(nid), 0.0))
         table.mark_dead(table.row(1), rnd=2)
-        table.release(1)
-        table.add(3, (9.0, 9.0))  # reuses row of 1, and is alive
+        table.reclaim(np.array([table.row(1)]))
+        assert table.row(1) == -1 and table.row(2) == 1  # 2 took its row
+        table.add(3, (9.0, 9.0))  # alive, in the next row
         mask = table.alive_mask(np.array([0, 1, 2, 3]))
         assert mask.tolist() == [True, False, True, True]
+        assert table.gather(np.array([1])).tolist() == [[0.0, 0.0]]
 
     def test_growth_preserves_state(self):
         table = NodeTable()
@@ -125,21 +116,23 @@ class TestNodeTableSentinel:
     def test_invariants_hold_across_growth_release_and_reuse(self):
         table = NodeTable()
         rng = random.Random(4)
-        live, released, next_id = [], [], 0
+        live, reclaimed, next_id = [], [], 0
         for step in range(400):
             # Adds dominate (they cross every row and id capacity
             # boundary); ids jump so ``_grow_ids`` outpaces ``_grow_rows``.
+            # A crash's row is reclaimed at once, so later adds take the
+            # row numbers it freed.
             if live and rng.random() < 0.35:
                 nid = live.pop(rng.randrange(len(live)))
                 table.mark_dead(table.row(nid), rnd=step)
-                table.release(nid)
-                released.append(nid)
+                table.reclaim(np.array([table.row(nid)]))
+                reclaimed.append(nid)
             else:
                 next_id += rng.choice((1, 1, 1, 9))
                 table.add(next_id, (float(next_id), float(step)))
                 live.append(next_id)
             assert_sentinel(table)
-            block = np.array([live[-3:] + released[-3:] + [-1]])
+            block = np.array([live[-3:] + reclaimed[-3:] + [-1]])
             rows = table.rows_of(block)
             n_live = len(live[-3:])
             assert table.alive_at(rows)[0].tolist() == [True] * n_live + [False] * (
@@ -175,55 +168,12 @@ class TestNodeTableSentinel:
         for nid in range(20):
             table.add(nid, (float(nid), 1.0))
         table.mark_dead(table.row(7), rnd=2)
-        table.release(7)
+        table.reclaim(np.array([table.row(7)]))
         for clone in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
             assert_sentinel(clone)
             ids = np.array([0, 7, 19, -1])
             assert clone.alive_mask(ids).tolist() == table.alive_mask(ids).tolist()
             assert clone.gather(ids).tolist() == table.gather(ids).tolist()
-
-    def test_tables_pickled_before_the_sentinel_are_upgraded(self):
-        """The old layout could have its last row and last id slot in
-        use, and left coordinates past ``n_rows`` uninitialised."""
-        table = NodeTable()
-        for nid in range(8):
-            table.add(nid, (float(nid + 1), 3.0))
-        state = dict(table.__dict__)
-        for column in ("_alive", "_death", "_nid_of", "_row_of"):
-            state[column] = state[column][:8].copy()  # every slot in use
-        state["_coords"] = state["_coords"][:8].copy()
-        old = NodeTable.__new__(NodeTable)
-        old.__setstate__(state)
-        assert_sentinel(old)
-        ids = np.array([0, 7, -1])
-        assert old.alive_mask(ids).tolist() == [True, True, False]
-        assert old.gather(ids).tolist() == [[1.0, 3.0], [8.0, 3.0], [0.0, 0.0]]
-        assert old.add(8, (9.0, 3.0)) == 8
-        assert_sentinel(old)
-
-
-class TestNetworkRemoveNode:
-    def test_remove_node_recycles_row_for_reinjection(self):
-        network = Network()
-        for i in range(5):
-            network.add_node((float(i), 0.0))
-        network.fail([2], rnd=1)
-        network.remove_node(2)
-        assert 2 not in network.nodes
-        assert network.dead_ids() == []
-        assert network.death_round(2) is None
-        # A fresh (reinjected) node reuses the released row.
-        fresh = network.add_node((9.0, 9.0))
-        assert fresh.nid == 5
-        assert network.table.n_rows == 5
-        assert network.node(5).pos == (9.0, 9.0)
-
-    def test_remove_alive_node_refused(self):
-        network = Network()
-        network.add_node((0.0, 0.0))
-        with pytest.raises(Exception):
-            network.remove_node(0)
-
 
 class _Store(ViewStore):
     """A bare view store: one row per table row, ``width`` slots."""
@@ -341,7 +291,7 @@ class TestViewBuffer:
         assert store.view_shape == (0, 3) and store.nbytes == 0
         store._ensure_rows(_table(2))
         assert store.row_ids(0).tolist() == [] and store.row_ids(0).dtype == np.int32
-        # A node without a row (reclaimed or released) reads empty, not
+        # A node without a row (a reclaimed one) reads empty, not
         # the store's last row.
         store._put(store.view_shape[0] - 1, [1, 0], [0, 0])
         assert store.row_ids(-1).tolist() == []
@@ -378,15 +328,14 @@ class TestViewBuffer:
 
 
 def test_object_gather_resolves_pads_and_released_ids_to_no_node():
-    """In object-coordinate mode a ``-1`` pad, a released id and a
-    reclaimed one read ``None``, never another node's coordinate (the
-    vector mode's zero sentinel has no object counterpart)."""
+    """In object-coordinate mode a ``-1`` pad and a reclaimed id read
+    ``None``, never another node's coordinate (the vector mode's zero
+    sentinel has no object counterpart)."""
     table = _table(4, coord=lambda nid: frozenset({"abcd"[nid]}))
     assert table.gather(np.array([-1, 0])) == [None, frozenset({"a"})]
     table.mark_dead(2, rnd=0)
-    table.release(2)
     table.mark_dead(1, rnd=0)
-    table.reclaim(np.array([1]))
+    table.reclaim(np.array([1, 2]))
     got = table.gather(np.array([2, 1, 3, -1]))
     assert got == [None, None, frozenset({"d"}), None]
 

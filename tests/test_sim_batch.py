@@ -235,13 +235,13 @@ class TestBatchSimulation:
 
     def test_entry_masks_match_their_compress_expand_reference(self):
         """``alive_entry_mask``/``detected_entry_mask`` over random padded
-        id blocks — alive, dead-undetected, detected and *released* ids,
+        id blocks — alive, dead-undetected, detected and *reclaimed* ids,
         ``-1`` pads — equal the compress → scalar test → expand bodies
         they had before the node table's sentinel slot."""
         from hypothesis import given, settings, strategies as st
 
         sim, *_ = prepare_scenario(
-            batch_config(detector_delay=2, retention_rounds=4, total_rounds=20)
+            batch_config(detector_delay=2, total_rounds=20)
         )
         network = sim.network
 
@@ -261,22 +261,19 @@ class TestBatchSimulation:
                 data.draw(st.lists(known, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
                 dtype=np.int64,
             ).reshape(shape)
-            departed = sim.departed()
+            detected = sim.detected_failed().__contains__
             np.testing.assert_array_equal(
                 sim.alive_entry_mask(ids), reference(ids, network.is_alive)
             )
             np.testing.assert_array_equal(
-                sim.detected_entry_mask(ids), reference(ids, departed)
+                sim.detected_entry_mask(ids), reference(ids, detected)
             )
 
         # Round 6: the failure@5 is dead but undetected (delay 2);
-        # round 8: detected; round 11: pruned (released ids, free rows);
-        # round 14: reinjected nodes reuse the freed rows.
+        # round 8: detected; round 14: the reinjection wave@12 took the
+        # reclaimed rows of the dead.
         for target in (6, 8, 11, 14):
             sim.run(target - sim.round)
             check()
-        assert network.table._has_released and len(network.nodes) < network._next_id
-
-    def test_retention_bounds_batch_table(self):
-        result = run_scenario(batch_config(retention_rounds=3))
-        assert result.n_alive[-1] > 0
+        dead = np.asarray(network.dead_ids())
+        assert (network.table.rows_of(dead) == -1).any()

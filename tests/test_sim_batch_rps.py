@@ -40,7 +40,6 @@ def starving_config(**overrides) -> ScenarioConfig:
         engine="batch", width=12, height=6, seed=3, metrics=("homogeneity",),
         rps_view_size=2, rps_shuffle_length=1, failure_round=3,
         failure_fraction=0.7, reinjection_round=7, total_rounds=12,
-        retention_rounds=6,
     )
     base.update(overrides)
     return ScenarioConfig(**base)
@@ -103,7 +102,7 @@ def run(config, rows_per_block=None, only_rps=False):
 
 
 def test_blocked_step_matches_whole_network_step(monkeypatch):
-    """Catastrophic failure, re-injection and retention pruning: the
+    """Catastrophic failure, re-injection and reclaimed rows: the
     final state, the fallback count and the layer's RNG position are the
     same for blocks of 1, 7 and 64 rows and for one whole-network block
     — through rounds where a block holds a starved view that falls back

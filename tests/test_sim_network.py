@@ -113,10 +113,10 @@ class TestFailures:
         check(net)
         net.add_node((99.0, 0.0))  # extends the exact-size rebuilt array
         check(net)
-        net.remove_node(17)
+        net.reclaim(np.array([net.node(17).row]))
         check(net)
-        reused = net.add_node((17.5, 0.0))
-        assert reused.row == 17  # the freed row, under a fresh id
+        fresh = net.add_node((17.5, 0.0))
+        assert fresh.row == 40  # the rows above 17 moved down one
         check(net)
 
         assert "_alive_arr" not in net.__getstate__()
