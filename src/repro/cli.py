@@ -92,9 +92,25 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: ./obs/)",
     )
 
-    # How a grid runs — shared by run/sweep/eval, read back with
-    # ExecOptions.from_args.  None of the three changes a result.
+    # What a grid runs and how — shared by run/sweep/eval, read back
+    # with ExecOptions.from_args.  --workers, --fork and --queue never
+    # change a result; --scale and --engine do.
     exec_options = argparse.ArgumentParser(add_help=False)
+    exec_options.add_argument(
+        "--scale",
+        choices=sorted(PRESETS),
+        default=None,
+        help="scale preset (default: $REPRO_SCALE or 'reduced')",
+    )
+    exec_options.add_argument(
+        "--engine",
+        choices=("event", "batch"),
+        default=None,
+        help="execution engine: 'event' (per-node) or 'batch' "
+        "(batch-synchronous vectorised — statistically equivalent "
+        "results, several times faster); default: event, and for "
+        "'eval run' both engines",
+    )
     exec_options.add_argument(
         "--workers",
         type=int,
@@ -136,21 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=experiment_names(),
         help="experiment id (omit when using --resume)",
     )
-    run.add_argument(
-        "--scale",
-        choices=sorted(PRESETS),
-        default=None,
-        help="scale preset (default: $REPRO_SCALE or 'reduced')",
-    )
     run.add_argument("--seed", type=int, default=0, help="base random seed")
-    run.add_argument(
-        "--engine",
-        choices=("event", "batch"),
-        default=None,
-        help="execution engine: 'event' (per-node, semantics v3) or "
-        "'batch' (batch-synchronous vectorised, semantics v2 — "
-        "statistically equivalent results, several times faster)",
-    )
     run.add_argument(
         "--resume",
         metavar="CHECKPOINT",
@@ -177,12 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(--fork), locally (--workers) or through a shared work queue "
         "(--queue) — persisting every cell to a result store",
         parents=[obs_options, exec_options],
-    )
-    sweep.add_argument(
-        "--scale",
-        choices=sorted(PRESETS),
-        default=None,
-        help="scale preset (default: $REPRO_SCALE or 'reduced')",
     )
     sweep.add_argument(
         "--ks",
@@ -219,14 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="on",
         help="keep the preset's reinjection phase, drop it, or ablate "
         "both variants as a grid axis (default: on)",
-    )
-    sweep.add_argument(
-        "--engine",
-        choices=("event", "batch"),
-        default=None,
-        help="execution engine for every cell (default: event); batch "
-        "cells are recorded under engine='batch' configs and never "
-        "compare equal to event cells",
     )
     sweep.add_argument(
         "--checkpoint-dir",
@@ -413,7 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
     eval_cmd = sub.add_parser(
         "eval",
         help="the paper-conformance claims gate: run claim cases, score "
-        "them against recorded expectations, report, and gate CI",
+        "them against recorded expectations, report, and gate CI "
+        "(--scale picks the preset's claims, --engine the one engine to "
+        "gate; cross-engine claims always run both engines at smoke "
+        "scale)",
         parents=[obs_options, exec_options],
     )
     eval_cmd.add_argument(
@@ -428,21 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="with report: path to a JSON report written by "
         "'eval run --report'",
-    )
-    eval_cmd.add_argument(
-        "--scale",
-        choices=sorted(PRESETS),
-        default=None,
-        help="which preset's claims to run (default: $REPRO_SCALE or "
-        "'reduced'); cross-engine equivalence claims always ride along "
-        "at smoke scale",
-    )
-    eval_cmd.add_argument(
-        "--engine",
-        choices=("event", "batch", "both"),
-        default="both",
-        help="gate this engine's conformance (default both); "
-        "cross-engine claims always run both",
     )
     eval_cmd.add_argument(
         "--case",
@@ -476,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="regenerate the recorded expectations for the cases just "
         "run (also triggered by REPRO_UPDATE_EXPECTED=1); incompatible "
-        "with --gate and --engine != both",
+        "with --gate and --engine",
     )
     eval_cmd.add_argument(
         "--tolerance-scale",
@@ -1175,7 +1151,6 @@ def _cmd_eval(args) -> int:
         return 0
 
     update = args.update_expected or eval_dataset.update_expected_requested()
-    engine = None if args.engine == "both" else args.engine
     if update and args.gate:
         print(
             "error: --update-expected rewrites the expectations the gate "
@@ -1183,10 +1158,10 @@ def _cmd_eval(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if update and engine is not None:
+    if update and args.engine is not None:
         print(
             "error: --update-expected needs both engines' ensembles "
-            "(run with --engine both)",
+            "(run without --engine)",
             file=sys.stderr,
         )
         return 2
@@ -1195,11 +1170,11 @@ def _cmd_eval(args) -> int:
     data = run_cases(
         cases,
         store,
-        engine=engine,
+        engine=args.engine,
         workers=args.workers,
         fork=args.fork,
         queue=args.queue,
-        metadata={"preset": preset.name, "engine": args.engine},
+        metadata={"preset": preset.name, "engine": args.engine or "both"},
         log=lambda message: print(message, file=sys.stderr),
     )
 

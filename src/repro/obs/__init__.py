@@ -46,7 +46,7 @@ processes — under fork *or* spawn — and cluster workers inherit it:
 
 Everything is off by default: no files are written, and the
 instrumented seams cost one global check each (CI gates the disabled
-path at ≤2% on ``perf_smoke.py``).  Instrumentation is read-only —
+path at ≤2% with ``perf_smoke.py obs``).  Instrumentation is read-only —
 no RNG draws, no iteration-order changes — so trajectories and golden
 digests are bit-identical with observability on or off.
 """

@@ -10,7 +10,7 @@ are not kept here: every timed thing is one span
 
 :func:`count` is the call sites' fast path: when observability is
 disabled (the default) it is a single module-global check — the
-``perf_smoke.py --obs-gate`` CI gate holds the disabled path within 2%
+``perf_smoke.py obs`` CI gate holds the disabled path within 2%
 of an uninstrumented build.
 
 The registry is thread-safe (one lock around every mutation — the

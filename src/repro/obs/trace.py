@@ -17,7 +17,7 @@ sweep reconstructs into **one** tree:
     layer → kernel
 
 Everything is off by default, and the instrumented seams cost one
-module-global check (``perf_smoke.py --obs-gate`` covers this fast
+module-global check (``perf_smoke.py obs`` gates this fast
 path).  When an obs dir is configured, finished spans are buffered per
 process in a :class:`repro.obs.stream.BufferedStream` over
 ``obs/spans.jsonl``.  Kernels are timed by :func:`timed`: one leaf span

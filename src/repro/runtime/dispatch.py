@@ -62,9 +62,11 @@ class ExecOptions:
     three changes a result.  ``engine`` overrides every configuration's
     execution engine (``"event"`` | ``"batch"``) — the one knob that
     *does*: the batch engine is statistically, not bit-for-bit,
-    equivalent (``SEMANTICS_VERSION`` 2; see README "Execution
-    engines").  Stored cells and checkpoint-cache keys carry the engine
-    in the configuration, so the two backends never cross-contaminate.
+    equivalent to the event engine (``repro.sim.batch`` and
+    ``repro.sim.engine`` each keep their own ``SEMANTICS_VERSION``; see
+    README "Execution engines").  Stored cells and checkpoint-cache
+    keys carry the engine in the configuration, so the two backends
+    never cross-contaminate.
     """
 
     workers: int = 1

@@ -33,7 +33,7 @@ the module attribute (``kernels.merge_rank_truncate(...)``, never a
 ``from``-import), which is what lets ``bench/child.py`` time them by
 replacing the module globals.  The ``*_reference`` functions keep the
 original global-sort implementations as the oracles of the equivalence
-suites and the ``perf_smoke.py --kernel-gate`` micro-benchmark.
+suites and the ``perf_smoke.py kernel`` micro-benchmark gate.
 """
 
 from __future__ import annotations

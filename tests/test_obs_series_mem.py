@@ -9,6 +9,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import re
 import threading
 import tracemalloc
 from pathlib import Path
@@ -582,13 +583,16 @@ def _load_perf_smoke():
     return mod
 
 
+BASELINE = Path(__file__).parent.parent / "benchmarks" / "baseline_core.json"
+
+
 class TestMemGate:
     @pytest.fixture()
     def smoke(self, tmp_path, monkeypatch):
         mod = _load_perf_smoke()
-        tiny = dict(mod.ENGINE_GATE_CELL)
-        tiny.update(width=8, height=4, failure_round=3, total_rounds=8)
-        monkeypatch.setattr(mod, "ENGINE_GATE_CELL", tiny)
+        tiny = dict(width=8, height=4, failure_round=3, total_rounds=8)
+        for key, value in tiny.items():
+            monkeypatch.setitem(mod.ENGINE_GATE_CELL, key, value)
         baseline = tmp_path / "baseline.json"
         baseline.write_text("{}")
         monkeypatch.setattr(mod, "BASELINE_PATH", baseline)
@@ -598,7 +602,7 @@ class TestMemGate:
         """One row per engine: the batch cell's and the same cell's
         under the event engine; both book their views under
         ``topology_views``."""
-        assert smoke.mem_gate(1.25, record=True) == 0
+        assert smoke.main(["mem", "--record"]) == 0
         doc = json.loads(smoke.BASELINE_PATH.read_text())
         for key in ("mem_gate", "mem_gate_event"):
             assert doc[key]["peak_tracked_bytes"] > 0
@@ -606,32 +610,36 @@ class TestMemGate:
         for key in ("mem_gate", "mem_gate_event"):
             assert "topology_views" in doc[key]["families"]
             assert "view_buffer" not in doc[key]["families"]
-        assert smoke.mem_gate(1.25, record=False) == 0
-        assert capsys.readouterr().out.count("OK: tracked peak") == 2
+        assert smoke.main(["mem"]) == 0
+        out = capsys.readouterr().out
+        assert "OK mem.batch 1.0000 <= 1.25" in out
+        assert "OK mem.event 1.0000 <= 1.25" in out
 
     def test_each_engine_row_gates(self, smoke, capsys):
-        assert smoke.mem_gate(1.25, record=True) == 0
+        assert smoke.main(["mem", "--record"]) == 0
         doc = json.loads(smoke.BASELINE_PATH.read_text())
         doc["mem_gate_event"]["peak_tracked_bytes"] //= 10
         smoke.BASELINE_PATH.write_text(json.dumps(doc))
-        assert smoke.mem_gate(1.25, record=False) == 1
+        assert smoke.main(["mem"]) == 1
         out = capsys.readouterr().out
-        assert out.count("OK: tracked peak") == 1 and "FAIL: tracked peak" in out
+        assert "OK mem.batch" in out and "FAIL mem.event" in out
 
     def test_fail_when_over_budget(self, smoke, capsys):
-        assert smoke.mem_gate(1.25, record=True) == 0
+        assert smoke.main(["mem", "--record"]) == 0
         doc = json.loads(smoke.BASELINE_PATH.read_text())
         doc["mem_gate"]["peak_tracked_bytes"] //= 10
         smoke.BASELINE_PATH.write_text(json.dumps(doc))
-        assert smoke.mem_gate(1.25, record=False) == 1
-        assert "FAIL: tracked peak" in capsys.readouterr().out
+        assert smoke.main(["mem"]) == 1
+        assert "FAIL mem.batch" in capsys.readouterr().out
 
     def test_fail_without_baseline(self, smoke, capsys):
-        assert smoke.mem_gate(1.25, record=False) == 1
-        assert "no mem_gate baseline" in capsys.readouterr().out
+        assert smoke.main(["mem"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL mem.batch no mem_gate row" in out
+        assert "FAIL mem.event no mem_gate_event row" in out
 
     def test_gate_leaves_obs_disabled(self, smoke):
-        smoke.mem_gate(1.25, record=True)
+        smoke.main(["mem", "--record"])
         assert not obs_mem.ENABLED
         assert not obs_metrics.ENABLED
         assert obs_mem.is_empty()
@@ -640,9 +648,10 @@ class TestMemGate:
     def test_paper_profile_names_the_step_that_set_the_high_water(
         self, smoke, monkeypatch, capsys
     ):
-        tiny = dict(smoke.PAPER_MEM_CELL, width=8, height=4, failure_round=3, total_rounds=6)
-        monkeypatch.setattr(smoke, "PAPER_MEM_CELL", tiny)
-        assert smoke.mem_profile_paper(record=True) == 0
+        tiny = dict(width=8, height=4, failure_round=3, total_rounds=6)
+        for key, value in tiny.items():
+            monkeypatch.setitem(smoke.PAPER_MEM_CELL, key, value)
+        assert smoke.main(["paper-mem", "--record"]) == 0
         out = capsys.readouterr().out
         assert "per round: VmRSS / VmHWM" in out and "round  5" in out
         rounds = json.loads(smoke.BASELINE_PATH.read_text())["paper_memory_profile"][
@@ -656,8 +665,190 @@ class TestMemGate:
         assert all(set(r["raised_by"]) <= names for r in rounds)
 
         monkeypatch.setattr(smoke, "_status_mb", lambda: None)
-        assert smoke.mem_profile_paper(record=False) == 0
+        assert smoke.main(["paper-mem"]) == 0
         assert "skipped (no /proc/self/status here)" in capsys.readouterr().out
+
+
+def _stubbed(mod, monkeypatch, readings, baseline=None, tmp_path=None):
+    """Swap every check's measure for one returning the readings under
+    its check's name, else its gate's (rows sharing a measure keep
+    sharing one stub), over a copy of the committed baseline file (or
+    ``baseline``)."""
+    stubs = {}
+
+    def stub_for(check):
+        key = check.name if check.name in readings else check.name.split(".")[0]
+        return stubs.setdefault(
+            check.measure, lambda repeats, key=key: dict(readings[key])
+        )
+
+    monkeypatch.setattr(
+        mod, "CHECKS", tuple(c._replace(measure=stub_for(c)) for c in mod.CHECKS)
+    )
+    path = tmp_path / "baseline.json"
+    path.write_text(baseline if baseline is not None else BASELINE.read_text())
+    monkeypatch.setattr(mod, "BASELINE_PATH", path)
+
+
+def _in_bound_readings():
+    """Readings every gate passes on: walls at the recorded ones, the
+    kernel at 4x with lattice parity, obs at +1%, peaks as recorded."""
+    doc = json.loads(BASELINE.read_text())
+    seed, event = doc["gate_cell"]["seed"], doc["engine_gate"]["event"]
+    return {
+        "seed": {"wall_s": seed["wall_s"], "calib_s": seed["calib_s"]},
+        "engine": {"wall_s": event["wall_s"] / 10, "calib_s": event["calib_s"]},
+        "kernel": {
+            "integer-equal": True,
+            "half-step-equal": True,
+            "speedup": 4.0,
+            "half-step-ratio": 1.0,
+        },
+        "obs": {"overhead": 0.01},
+        **{
+            f"mem.{engine}": {
+                "peak_tracked_bytes": doc[ref]["peak_tracked_bytes"],
+                "row": {"peak_tracked_bytes": doc[ref]["peak_tracked_bytes"]},
+            }
+            for engine, ref in (("batch", "mem_gate"), ("event", "mem_gate_event"))
+        },
+        "paper-mem": {"peak_tracked_bytes": 1, "row": {"peak_tracked_bytes": 1}},
+    }
+
+
+class TestGateTable:
+    """``benchmarks/perf_smoke.py``: every gate is a row of one table,
+    judged by one evaluator."""
+
+    def test_ci_names_resolve_to_the_recorded_bounds(self):
+        """Each gate CI runs by name selects rows with its reference
+        rows, bounds and repeat counts; no name selects every gate but
+        the paper profile."""
+        mod = _load_perf_smoke()
+        ci = (Path(__file__).parent.parent / ".github" / "workflows" / "ci.yml").read_text()
+        names = re.findall(r"python benchmarks/perf_smoke\.py ([\w-]+)\s*$", ci, re.M)
+        assert sorted(names) == ["engine", "kernel", "mem", "obs", "seed"]
+
+        def rows(name):
+            return {(c.ref, c.op, c.bound, c.repeats) for c in mod.select([name])}
+
+        assert rows("seed") == {("gate_cell.seed", "<=", 2.0, 1)}
+        assert rows("engine") == {("engine_gate.event", ">=", 6.0, 1)}
+        assert rows("kernel") == {
+            (None, "==", True, 9), (None, ">=", 2.0, 9), (None, "<=", 1.3, 9)
+        }
+        assert len(mod.select(["kernel"])) == 8  # two shapes x four checks
+        assert rows("obs") == {(None, "<=", 0.02, 9)}
+        assert rows("mem") == {
+            ("mem_gate", "<=", 1.25, 1), ("mem_gate_event", "<=", 1.25, 1)
+        }
+        assert set(mod.select([])) == {c for n in names for c in mod.select([n])}
+        assert not any(c.name == "paper-mem" for c in mod.select([]))
+        doc = json.loads(BASELINE.read_text())
+        assert all(mod._recorded(doc, c.ref) for c in mod.CHECKS if c.ref)
+
+    @pytest.mark.parametrize(
+        "gate, key, reading, planted, failing",
+        [
+            ("seed", "seed", "wall_s", lambda r: r * 2.5, "seed 2.5000 <= 2.0"),
+            ("engine", "engine", "wall_s", lambda r: r * 2, "engine 5.0000 >= 6.0"),
+            (
+                "kernel",
+                "kernel",
+                "half-step-equal",
+                lambda r: False,
+                "kernel.reduced-48x24.half-step-equal False == True",
+            ),
+            (
+                "kernel",
+                "kernel",
+                "speedup",
+                lambda r: 1.9,
+                "kernel.reduced-48x24.speedup 1.9000 >= 2.0",
+            ),
+            ("obs", "obs", "overhead", lambda r: 0.05, "obs 0.0500 <= 0.02"),
+            (
+                "mem",
+                "mem.event",
+                "peak_tracked_bytes",
+                lambda r: r * 1.3,
+                "mem.event 1.3000 <= 1.25",
+            ),
+        ],
+    )
+    def test_a_planted_violation_fails(
+        self, gate, key, reading, planted, failing, tmp_path, monkeypatch, capsys
+    ):
+        """The in-bound readings pass; one planted reading prints
+        ``FAIL <check>`` and exits 1: a ratio, a speed-up, exact output
+        equality and a budget."""
+        mod = _load_perf_smoke()
+        readings = _in_bound_readings()
+        _stubbed(mod, monkeypatch, readings, tmp_path=tmp_path)
+        assert mod.main([gate]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        readings[key][reading] = planted(readings[key][reading])
+        assert mod.main([gate]) == 1
+        out = capsys.readouterr().out
+        # Both kernel shapes share one stub, so both read the plant.
+        assert out.count("FAIL") == (2 if gate == "kernel" else 1)
+        assert f"FAIL {failing}\n" in out
+
+    def test_a_missing_reference_row_fails(self, tmp_path, monkeypatch, capsys):
+        mod = _load_perf_smoke()
+        doc = json.loads(BASELINE.read_text())
+        del doc["gate_cell"]["seed"], doc["mem_gate_event"]
+        _stubbed(mod, monkeypatch, _in_bound_readings(), json.dumps(doc), tmp_path)
+        assert mod.main(["seed", "mem"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL seed no gate_cell.seed row in baseline.json" in out
+        assert "OK mem.batch" in out
+        assert "FAIL mem.event no mem_gate_event row in baseline.json" in out
+
+    def test_record_rewrites_only_the_rows_a_check_reads(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        mod = _load_perf_smoke()
+        original = BASELINE.read_text()
+        _stubbed(mod, monkeypatch, _in_bound_readings(), tmp_path=tmp_path)
+        assert mod.main(["--record"]) == 0
+        assert mod.main(["paper-mem", "--record"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("recorded ") == 3 + 2  # three rows, two writes
+        after = json.loads(mod.BASELINE_PATH.read_text())
+        before = json.loads(original)
+        recorded = ("mem_gate", "mem_gate_event", "paper_memory_profile")
+        for key in recorded:
+            assert after[key] == {"peak_tracked_bytes": after[key]["peak_tracked_bytes"]}
+            after[key] = before[key]
+        assert json.dumps(after, indent=2, sort_keys=True) + "\n" == original
+
+    def test_unknown_name_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _load_perf_smoke().main(["nope"])
+        assert exc.value.code == 2
+        assert "unknown check(s) nope" in capsys.readouterr().err
+
+    def test_merge_kernel_measure_sees_a_differing_output(self, monkeypatch):
+        """The kernel measure compares real outputs: a kernel that drops
+        one kept entry reads unequal on both lattices."""
+        mod = _load_perf_smoke()
+        from repro.sim.batch import kernels
+
+        shape = ("tiny", 6, 4, 20, 8)
+        readings = mod.merge_kernel(shape, repeats=1)
+        assert readings["integer-equal"] and readings["half-step-equal"]
+        merge = kernels.merge_rank_truncate
+
+        def dropping(*args, **kwargs):
+            ids, ages = merge(*args, **kwargs)
+            ids = ids.copy()
+            ids[0, 0] = -1
+            return ids, ages
+
+        monkeypatch.setattr(kernels, "merge_rank_truncate", dropping)
+        readings = mod.merge_kernel(shape, repeats=1)
+        assert not readings["integer-equal"] and not readings["half-step-equal"]
 
 
 class TestWatch:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -43,6 +45,19 @@ class TestParser:
         assert args.ks == [2, 4]
         assert args.seeds == 3
         assert args.store == "out.jsonl"
+
+    @pytest.mark.parametrize(
+        "command", [["run", "fig6a"], ["sweep"], ["eval", "run"]]
+    )
+    def test_engine_and_scale_parse_for_every_grid_command(self, command):
+        """``--engine`` and ``--scale`` are declared once, on the
+        parent every grid command shares, with one set of values."""
+        parser = build_parser()
+        args = parser.parse_args(command + ["--engine", "batch", "--scale", "smoke"])
+        assert (args.engine, args.scale) == ("batch", "smoke")
+        assert parser.parse_args(command).engine is None
+        with pytest.raises(SystemExit):
+            parser.parse_args(command + ["--engine", "both"])
 
 
 class TestCommands:
@@ -127,6 +142,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "--engine" in out
         assert "convert" not in out
+
+    def test_eval_without_engine_runs_both_engines(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        code = main(
+            ["eval", "run", "--scale", "smoke", "--case", "fig6-shape-recovery",
+             "--store", str(tmp_path / "eval.jsonl"), "--report", str(report)]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "engine batch: executing 3" in err
+        assert "engine event: executing 3" in err
+        doc = json.loads(report.read_text())
+        assert doc["engine"] == "both"
+        assert {claim["engine"] for claim in doc["claims"]} == {"batch", "event"}
+
+    def test_update_expected_refuses_one_engine(self, tmp_path, capsys):
+        code = main(
+            ["eval", "run", "--scale", "smoke", "--update-expected",
+             "--engine", "batch", "--store", str(tmp_path / "eval.jsonl")]
+        )
+        assert code == 2
+        assert "needs both engines' ensembles" in capsys.readouterr().err
+        assert not (tmp_path / "eval.jsonl").exists()
 
     def test_resume_missing_checkpoint_errors(self, tmp_path, capsys):
         code = main(["run", "--resume", str(tmp_path / "absent.ckpt")])

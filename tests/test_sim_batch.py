@@ -50,7 +50,7 @@ class TestKernels:
 
     def test_dedup_rank_truncate_keeps_freshest_and_ranks(self):
         """The flat oracle the fused merge is property-tested and
-        ``perf_smoke.py --kernel-gate`` is timed against, by hand."""
+        ``perf_smoke.py kernel`` is timed against, by hand."""
         space = Euclidean(1)
         # Receiver 0 at the origin; id 5 appears twice — the later
         # (fresher) coordinate must win; cap 2 keeps the closest two.
