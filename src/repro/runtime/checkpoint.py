@@ -50,23 +50,13 @@ from ..sim.engine import Simulation
 
 #: On-disk checkpoint format: ``_MAGIC``, the SHA-256 (hex) of everything
 #: after its line, one JSON line of metadata, then the pickled
-#: simulation.  Format 2 was one pickle of the whole checkpoint object
-#: with no checksum; format 3 pickled event-engine topology views as a
-#: dict plus a lazily packed array copy, where format 4 pickles the two
-#: arrays that are a view's whole state; format 4 kept event-engine
-#: placement in per-node dicts, where format 5 keeps it in the
-#: ``PlacementStore`` both engines share; format 5 pickled batch
-#: topology views as an id and a coordinate per slot, where format 6
-#: pickled an int32 descriptor version per slot and one descriptor table
-#: per layer; format 7 pickles a view as its peer ids alone, on both
-#: engines, where format 8 pickles the event engine's views as the
-#: topology layer's id rows, as the batch engine's are (no per-node view
-#: objects); format 8 pickled the node table's free list and the
-#: simulation's retention setting, which format 9 has neither of.
-#: :func:`load` and :func:`restore` reject every format but
-#: this one (cached entries are disposable: one format, no legacy
+#: simulation.  Format 10 pickles every gossip view, Cyclon's too, as
+#: int32 rows of its layer's view store; each earlier format pickled a
+#: layout this build no longer has (the README's checkpoint section
+#: lists them).  :func:`load` and :func:`restore` reject every format
+#: but this one (cached entries are disposable: one format, no legacy
 #: reader).
-CHECKPOINT_FORMAT = 9
+CHECKPOINT_FORMAT = 10
 
 _MAGIC = b"repro-ckpt"
 #: Offset of the checksummed body: magic, 64 hex digits, a newline.
@@ -267,17 +257,14 @@ def _node_state(node, at: int, layer_views, placement) -> tuple:
     """A canonical, order-stable summary of one node's layer state; the
     node is entry ``at`` of its block.
 
-    View ids come from the layers that keep them in arrays
-    (``layer_views``, ``{attribute: ids per row of the block}``, from
-    ``Simulation.canonical_view_ids``) and from the node's ``*_view``
-    dict attributes (the event engine's peer sampling).  Placement is
-    ``placement`` (``PlacementStore.canonical``, summaries per row of
-    the block; empty for a stack without a placement store)."""
-    views = {attr: rows[at] for attr, rows in layer_views.items()}
-    for attr, view in vars(node).items():
-        if attr.endswith("_view") and attr not in views and isinstance(view, dict):
-            views[attr] = sorted(view)
-    entries = [("pos", node.pos), *sorted(views.items())]
+    View ids come from the layers' view stores (``layer_views``,
+    ``{attribute: ids per row of the block}``, from
+    ``Simulation.canonical_view_ids``); nothing is read off the node but
+    its position.  Placement is ``placement``
+    (``PlacementStore.canonical``, summaries per row of the block; empty
+    for a stack without a placement store)."""
+    views = sorted((attr, rows[at]) for attr, rows in layer_views.items())
+    entries = [("pos", node.pos), *views]
     if placement:
         entries.append(("poly", placement[at]))
     return tuple(entries)
@@ -320,11 +307,11 @@ def state_digest(sim: Simulation) -> str:
     (event identity and parameters, not just rounds) — the checkpoint
     round-trip tests assert digest equality between interrupted and
     uninterrupted runs.  Placement is read from the placement store both
-    engines keep (``PlacementStore.canonical``); view ids are read from
-    the layers' arrays (``Simulation.canonical_view_ids``) wherever a
-    layer keeps them there, so the same definition covers both engines (their
-    digests never collide: the RNG states differ by construction) — and
-    the call is a pure read on either.  Views and placement are
+    engines keep (``PlacementStore.canonical``) and view ids from the
+    layers' view stores (``Simulation.canonical_view_ids``), so the same
+    definition covers both engines (their digests never collide: the RNG
+    states differ by construction) — and the call is a pure read on
+    either.  Views and placement are
     resolved a block of :data:`~repro.sim.arrays._MIN_BLOCK_ROWS` alive
     nodes at a time (a node's summary is a few KiB of Python objects),
     so no summary list spans the network.

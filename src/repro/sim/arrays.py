@@ -13,11 +13,12 @@ and friends):
   (:meth:`NodeTable.reclaim`), so the rows in use are bounded by the
   live population.
 
-* :class:`ViewStore` — one topology layer's views, on both engines:
+* :class:`ViewStore` — one gossip layer's views, on both engines:
   int32 peer ids ``(rows, width)`` indexed by table row, ``-1`` empty,
-  with Vicinity's ages and T-Man's per-row rank memo beside them.  A
-  view holds no coordinates: every ranking reads each peer's current
-  position from the table when it ranks (:meth:`NodeTable.gather`).
+  with Cyclon's and Vicinity's ages and T-Man's per-row rank memo
+  beside them.  A view holds no coordinates: every ranking reads each
+  peer's current position from the table when it ranks
+  (:meth:`NodeTable.gather`).
 
 Both containers deep-copy and pickle cleanly, which the checkpoint
 subsystem relies on.
@@ -548,17 +549,18 @@ def follow(owner, table: NodeTable, fills) -> Optional[np.ndarray]:
 
 
 class ViewStore:
-    """The topology views of one layer, on either engine: int32 peer ids
-    ``(rows, width)`` indexed by node-table row, ``-1`` an empty slot
-    (:attr:`_ids`), with optional row-aligned columns beside them —
-    Vicinity's entry ages (:attr:`_ages`) and T-Man's rank memo
-    (:attr:`_ranked_at`, one per row: the :attr:`NodeTable.moves` count
-    the row's order was ranked at, ``-1`` not ranked).
+    """The views of one gossip layer — peer sampling, T-Man or Vicinity —
+    on either engine: int32 peer ids ``(rows, width)`` indexed by
+    node-table row, ``-1`` an empty slot (:attr:`_ids`), with optional
+    row-aligned columns beside them — Cyclon's and Vicinity's entry ages
+    (:attr:`_ages`) and T-Man's rank memo (:attr:`_ranked_at`, one per
+    row: the :attr:`NodeTable.moves` count the row's order was ranked
+    at, ``-1`` not ranked).
 
     A view holds no coordinates: every ranking reads each peer's current
     position from the table when it ranks.  The arrays follow the table
     through :func:`follow`, so a reclaimed row reads empty.  Their bytes
-    are booked in the memory ledger under ``topology_views``, site
+    are booked in the memory ledger under :attr:`family`, site
     ``<layer>.views``, so the family's current is what the views hold.
     Layers inherit the store and call :meth:`_init_views` once.
     """
@@ -566,6 +568,10 @@ class ViewStore:
     #: The key the state digest files these views under (both topology
     #: layers share the slot name T-Man's views always had).
     canonical_attr = "tman_view"
+    #: The memory-ledger family of the views — ``topology_views`` marks
+    #: the layer :attr:`Simulation.topology
+    #: <repro.sim.engine.Simulation.topology>` reads.
+    family = "topology_views"
     _ages: Optional[np.ndarray] = None
     _ranked_at: Optional[np.ndarray] = None
     _FILLS = {"_ids": -1, "_ages": 0, "_ranked_at": -1}
@@ -577,7 +583,7 @@ class ViewStore:
         if ranked:
             self._ranked_at = np.full(0, -1, dtype=np.int64)
         if _mem.ENABLED:
-            _mem.add("topology_views", f"{self.name}.views", self.nbytes)
+            _mem.add(self.family, f"{self.name}.views", self.nbytes)
 
     @property
     def nbytes(self) -> int:
@@ -594,7 +600,7 @@ class ViewStore:
         before = self.nbytes if _mem.ENABLED else 0
         follow(self, table, self._FILLS)
         if _mem.ENABLED:
-            _mem.add("topology_views", f"{self.name}.views", self.nbytes - before)
+            _mem.add(self.family, f"{self.name}.views", self.nbytes - before)
 
     def ids_rows(self, rows) -> np.ndarray:
         """The view ids of table ``rows`` (an index array or a slice),

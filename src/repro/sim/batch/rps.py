@@ -1,7 +1,9 @@
 """Batch random peer sampling — the whole-network Cyclon shuffle.
 
-State is two padded arrays indexed by node-table row: ``ids`` ``(R, V)``
-(``-1`` marks an empty slot) and ``ages`` ``(R, V)``.  One
+State is the layer's :class:`~repro.sim.arrays.ViewStore` — the store
+every gossip view on either engine is a row of: int32 ``ids`` ``(R, V)``
+indexed by node-table row (``-1`` marks an empty slot) and int64
+``ages`` ``(R, V)`` beside them, following the table.  One
 :meth:`BatchPeerSampling.step` call runs the round for every alive node
 as four loops over :func:`~repro.sim.batch.kernels.block_rows`-sized row
 blocks, so no temporary scales with the network:
@@ -53,14 +55,16 @@ from typing import Optional
 import numpy as np
 
 from ...obs import mem as obs_mem
-from ..arrays import follow
+from ..arrays import ViewStore
 from . import kernels
 
 
-class BatchPeerSampling:
+class BatchPeerSampling(ViewStore):
     """Array-backed Cyclon peer sampling for :class:`BatchSimulation`."""
 
     name = "rps"
+    canonical_attr = "rps_view"
+    family = "rps_views"
 
     def __init__(self, view_size: int = 20, shuffle_length: int = 10) -> None:
         if view_size < 1:
@@ -72,35 +76,7 @@ class BatchPeerSampling:
         #: How many times a node had to fall back to the bootstrap
         #: oracle because its view contained no alive peer.
         self.bootstrap_fallbacks = 0
-        self._ids = np.full((0, view_size), -1, dtype=np.int64)
-        self._ages = np.zeros((0, view_size), dtype=np.int64)
-
-    #: The key the state digest files these views under: the event
-    #: engine's per-node attribute of the same views.
-    canonical_attr = "rps_view"
-
-    # -- storage -----------------------------------------------------------
-
-    def _ensure_rows(self, table) -> None:
-        """Follow the node table (its capacity and row numbering: the
-        table owns both; a layer only follows them)."""
-        have = len(self._ids)
-        follow(self, table, {"_ids": -1, "_ages": 0})
-        if obs_mem.ENABLED and len(self._ids) > have:
-            # int64 ids and int64 ages per new slot.
-            obs_mem.add(
-                "rps_views", "rps.views", 16 * (len(self._ids) - have) * self.view_size
-            )
-
-    def ids_rows(self, rows) -> np.ndarray:
-        """The view ids of table ``rows`` (an index array or a slice),
-        ``-1`` padded."""
-        return self._ids[rows]
-
-    @property
-    def view_shape(self):
-        """``(allocated rows, view slots)`` of :meth:`ids_rows`."""
-        return self._ids.shape
+        self._init_views(view_size, ages=True)
 
     # -- bootstrap oracle --------------------------------------------------
 

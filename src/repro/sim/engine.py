@@ -259,10 +259,11 @@ class Simulation:
     @property
     def topology(self) -> Optional[ViewStore]:
         """The topology layer (T-Man or Vicinity, either engine): the
-        first layer keeping its views in a
-        :class:`~repro.sim.arrays.ViewStore`, or ``None``."""
+        first layer keeping topology views in a
+        :class:`~repro.sim.arrays.ViewStore` (never the peer sampler's
+        store), or ``None``."""
         for layer in self.layers:
-            if isinstance(layer, ViewStore):
+            if isinstance(layer, ViewStore) and layer.family == "topology_views":
                 return layer
         return None
 
@@ -281,11 +282,10 @@ class Simulation:
 
     def canonical_view_ids(self, rows: np.ndarray) -> Dict[str, List[List[int]]]:
         """``{attribute: sorted view ids of each table row of rows}`` for
-        every layer that keeps its views in arrays and states the key
-        they are digested under (``canonical_attr``), taken from each
-        layer's padded ids (``ids_rows``); callers pass a row block at a
-        time.  Views still kept as node attributes (the event engine's
-        peer sampling) are read off the nodes by the digest.
+        every layer keeping its views in a
+        :class:`~repro.sim.arrays.ViewStore`, under the key they are
+        digested under (``canonical_attr``), taken from each layer's
+        padded ids (``ids_rows``); callers pass a row block at a time.
 
         A pure read, which is what lets
         :func:`repro.runtime.checkpoint.state_digest` fingerprint a
@@ -295,8 +295,7 @@ class Simulation:
         """
         out = {}
         for layer in self.layers:
-            attr = getattr(layer, "canonical_attr", None)
-            if attr is None:
+            if not isinstance(layer, ViewStore):
                 continue
             allocated, width = layer.view_shape
             held = rows < allocated
@@ -311,7 +310,7 @@ class Simulation:
                 ids[:, 1:][dup] = -1
                 ids.sort(axis=1)
             pads = (ids < 0).sum(axis=1).tolist()
-            out[attr] = [row[k:] for row, k in zip(ids.tolist(), pads)]
+            out[layer.canonical_attr] = [row[k:] for row, k in zip(ids.tolist(), pads)]
         return out
 
     @property

@@ -35,13 +35,13 @@ _OWN_FIELDS = frozenset(("nid", "initial_point", "_table", "_row", "_poscache"))
 class SimNode:
     """A simulated physical node — a view over one :class:`NodeTable` row.
 
-    The event engine's peer-sampling layer attaches its per-node view
-    as an attribute (``rps_view``), mirroring PeerSim's protocol-slot
-    design without the indirection, and the node drops it when it
-    leaves its row.  Everything else a layer keeps per node lives in
-    row-indexed arrays that follow the table: topology views in the
-    layer's :class:`~repro.sim.arrays.ViewStore`, placement in the
-    :class:`~repro.sim.placement.PlacementStore`.
+    The paper's layers keep nothing on a node: what they keep per node
+    lives in row-indexed arrays that follow the table — every gossip
+    view (Cyclon, T-Man, Vicinity) in its layer's
+    :class:`~repro.sim.arrays.ViewStore`, placement in the
+    :class:`~repro.sim.placement.PlacementStore`.  A layer outside that
+    stack may attach an attribute (the aggregation layer's
+    ``agg_value``); the node drops it when it leaves its row.
 
     ``pos`` is the node's *advertised* position — the value the topology
     construction layer sees.  For plain T-Man it is the node's fixed

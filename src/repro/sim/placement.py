@@ -18,7 +18,7 @@ and their setters).
   each backup slot, in the order its target holds it: a full push is
   the origin's guest row; the event engine applies an incremental push
   in place (the old copy minus the removed ids, then the added ones),
-  where the batch engine copies the guest row over (semantics v2).
+  where the batch engine copies the guest row over.
   ``sent_n == -1`` means nothing was ever pushed (an *empty* copy,
   ``sent_n == 0``, is a real push: it was metered and it is a ghost
   entry).  This block is ``backup_sent`` read by origin and ``ghosts``

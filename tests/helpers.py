@@ -34,17 +34,25 @@ class NullLayer:
         return None
 
 
-class StubRPS:
+class StubRPS(ViewStore):
     """Deterministic peer-sampling stand-in.
 
     ``sample`` returns the lowest alive node ids not excluded — fully
-    predictable, which unit tests of backup/migration rely on.
+    predictable, which unit tests of backup/migration rely on.  Its
+    views are rows of a peer-sampling :class:`~repro.sim.arrays.ViewStore`
+    that stay empty.
     """
 
     name = "rps"
+    canonical_attr = "rps_view"
+    family = "rps_views"
+
+    def __init__(self, width: int = 1) -> None:
+        self._init_views(width, ages=True)
 
     def init_node(self, sim: Simulation, node: SimNode) -> None:
-        node.rps_view = {}
+        self._ensure_rows(sim.network.table)
+        self._put(node.row, [], [])
 
     def step(self, sim: Simulation) -> None:
         return None

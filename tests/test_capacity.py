@@ -52,17 +52,12 @@ def config(engine="batch", **overrides) -> ScenarioConfig:
 
 
 def row_arrays(sim) -> dict:
-    """Every row-indexed layer array of a simulation, by name (the event
-    engine keeps only placement in rows)."""
+    """Every row-indexed layer array of a simulation, by name: the view
+    stores and placement on both engines, the batch protocol's flags."""
     rps, tman, poly = sim.layers[:3]
-    arrays = {}
+    arrays = {"rps.ids": rps._ids, "rps.ages": rps._ages, "tman.ids": tman._ids}
     if isinstance(sim, BatchSimulation):
-        arrays = {
-            "rps.ids": rps._ids,
-            "rps.ages": rps._ages,
-            "tman.ids": tman._ids,
-            "flags": poly._flags,
-        }
+        arrays["flags"] = poly._flags
     store = sim.placement
     for name in ("guest_ids", "guest_n", "backup_ids", "sent_ids", "sent_n", "owner"):
         arrays[f"placement.{name}"] = getattr(store, name)
@@ -149,8 +144,7 @@ def test_freed_rows_are_reused_before_capacity_grows(engine):
     assert table.capacity == 72 and table.spare_rows == 4
     Reinjection(positions[6:16])(sim)  # four freed rows, six fresh ones
     assert table.spare_rows == 0 and table.capacity == table.n_rows == 78
-    if engine == "batch":
-        assert_sized_to_membership(sim)
+    assert_sized_to_membership(sim)
     sim.run(2)
 
 
@@ -165,15 +159,14 @@ def test_reserve_is_invisible_to_digest_and_survives_a_checkpoint(engine):
     assert ckpt.state_digest(sim) == ckpt.state_digest(twin)
 
     checkpoint = ckpt.snapshot(sim)
-    assert ckpt.CHECKPOINT_FORMAT == 9 and checkpoint.blob is not None
+    assert ckpt.CHECKPOINT_FORMAT == 10 and checkpoint.blob is not None
     restored = ckpt.restore(checkpoint)
     assert restored.network.table.capacity == 72 + 50
     for name, want in vars(sim.network.table).items():
         if isinstance(want, np.ndarray):
             np.testing.assert_array_equal(getattr(restored.network.table, name), want)
-    if engine == "batch":
-        for (name, want), got in zip(row_arrays(sim).items(), row_arrays(restored).values()):
-            np.testing.assert_array_equal(got, want, err_msg=name)
+    for (name, want), got in zip(row_arrays(sim).items(), row_arrays(restored).values()):
+        np.testing.assert_array_equal(got, want, err_msg=name)
     # ... and the trajectory: reinjection and all, as if never reserved.
     for each in (sim, twin, restored):
         each.run(5)
@@ -261,33 +254,35 @@ def keep_layer_state(node) -> None:
     node._row = 0
 
 
-def views_family() -> int:
-    return obs_mem.snapshot()["families"]["topology_views"]["cur"]
+def views_family(family: str = "topology_views") -> int:
+    return obs_mem.snapshot()["families"][family]["cur"]
 
 
 @pytest.mark.parametrize("engine", ["event", "batch"])
 @pytest.mark.parametrize("topology", ["tman", "vicinity"])
 def test_a_reclaimed_node_holds_no_layer_state(engine, topology, monkeypatch):
-    """After the reinjection's reclaim no dead node carries a layer
-    attribute (the event engine's ``rps_view``) and each reads an empty
-    view: its row went back to the table, and the topology store's
-    rows followed (the held views are the kept rows').  The memory
-    ledger's ``topology_views`` family is the store's bytes before and
-    after.  The run is the one whose reclaim kept the attributes, digest
+    """No node carries a view attribute on either engine, and after the
+    reinjection's reclaim each dead node reads an empty view in both
+    view stores: its row went back to the table, and the stores' rows
+    followed (the held views are the kept rows').  The memory ledger's
+    ``topology_views`` and ``rps_views`` families are the stores' bytes
+    before and after.  The run is the one whose reclaim kept the attributes, digest
     for digest, and so is one restored from a checkpoint taken right
     after the reclaim."""
     obs_mem.reset()
     obs_mem.set_enabled(True)
     try:
         sim, wave = half_failed(engine, topology=topology)
-        topo = sim.topology
+        topo, rps = sim.topology, sim.layers[0]
         sim.run(5)
         dead = [sim.network.node(nid) for nid in sim.network.dead_ids()]
         assert all(len(topo.row_ids(node.row)) for node in dead)
-        assert all(hasattr(node, "rps_view") == (engine == "event") for node in dead)
+        assert all(len(rps.row_ids(node.row)) for node in dead)
+        assert not any(hasattr(node, "rps_view") for node in sim.network.nodes.values())
         assert views_family() == topo.nbytes
+        assert views_family("rps_views") == rps.nbytes
         kept = {
-            nid: topo.row_ids(sim.network.node(nid).row).tolist()
+            nid: [store.row_ids(sim.network.node(nid).row).tolist() for store in (topo, rps)]
             for nid in sim.network.alive_ids()
         }
         Reinjection(wave)(sim)
@@ -295,11 +290,15 @@ def test_a_reclaimed_node_holds_no_layer_state(engine, topology, monkeypatch):
         assert not [attr for node in dead for attr in vars(node) if attr.endswith("_view")]
         assert all(topo.neighbors(sim, node, 4) == [] for node in dead)
         assert all(len(topo.row_ids(node.row)) == 0 for node in dead)
-        for nid, view in kept.items():
-            assert topo.row_ids(sim.network.node(nid).row).tolist() == view
+        assert all(len(rps.row_ids(node.row)) == 0 for node in dead)
+        for nid, views in kept.items():
+            row = sim.network.node(nid).row
+            assert [store.row_ids(row).tolist() for store in (topo, rps)] == views
         # Rows past the kept and the wave's read empty.
-        assert (topo._ids[sim.network.table.n_rows :] == -1).all()
+        n_rows = sim.network.table.n_rows
+        assert (topo._ids[n_rows:] == -1).all() and (rps._ids[n_rows:] == -1).all()
         assert views_family() == topo.nbytes
+        assert views_family("rps_views") == rps.nbytes
     finally:
         obs_mem.set_enabled(False)
         obs_mem.reset()
@@ -310,7 +309,7 @@ def test_a_reclaimed_node_holds_no_layer_state(engine, topology, monkeypatch):
         patch.setattr(SimNode, "_detach", keep_layer_state)
         Reinjection(wave)(twin)
     kept = [twin.network.node(nid) for nid in twin.network.dead_ids()]
-    assert all(hasattr(node, "rps_view") == (engine == "event") for node in kept)
+    assert not any(hasattr(node, "rps_view") for node in kept)
     assert all(node.row == -1 for node in kept)
 
     restored = ckpt.restore(ckpt.snapshot(sim))

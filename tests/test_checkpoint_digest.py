@@ -51,6 +51,7 @@ from repro.runtime.forksweep import (
 from repro.runtime.runner import ParallelRunner, SweepTask
 from repro.runtime.scenarios import catastrophic, compose, flash_crowd, trickle
 from repro.runtime.store import ResultStore
+from repro.sim.arrays import ViewStore
 from repro.sim.engine import Simulation
 
 from .helpers import NullLayer, backups_of, ghosts_of, grid_coords, make_sim
@@ -77,9 +78,8 @@ def config(engine: str = "batch", **overrides) -> ScenarioConfig:
 
 def oracle_digest(sim: Simulation) -> str:
     """``state_digest`` by its definition, one node at a time: the set
-    of ids in each array layer's row of the node (a row past a layer's
-    allocation is empty) and every ``*_view`` dict attribute the node
-    carries for a key no array layer states, ``sorted`` per view, not
+    of ids in each view store's row of the node (a row past a layer's
+    allocation is empty), ``sorted`` per view, not
     through ``Simulation.canonical_view_ids``'s row blocks.  Works on a
     private copy whose layers follow the table (placement is read row by
     row)."""
@@ -93,14 +93,9 @@ def oracle_digest(sim: Simulation) -> str:
         entries = [("pos", node.pos)]
         views = {}
         for layer in sim.layers:
-            attr = getattr(layer, "canonical_attr", None)
-            if attr is not None:
+            if isinstance(layer, ViewStore):
                 ids = layer.ids_rows(node.row) if node.row < layer.view_shape[0] else []
-                views[attr] = sorted({int(i) for i in ids if i >= 0})
-        for attr in vars(node):
-            view = getattr(node, attr)
-            if attr.endswith("_view") and attr not in views and isinstance(view, dict):
-                views[attr] = sorted(view)
+                views[layer.canonical_attr] = sorted({int(i) for i in ids if i >= 0})
         entries += sorted(views.items())
         store = sim.placement
         if store is not None:
@@ -252,10 +247,11 @@ class TestArrayNativeDigestMatchesOracle:
         assert [len(layer.ids_rows(slice(None))) for layer in sim.layers[:2]] == allocated
 
     def test_stale_synced_views_are_ignored(self):
-        """Nodes carrying ``*_view`` attributes for the keys the layers'
-        arrays state (what a bridge writing views onto the nodes once
-        left behind) digest like their clean twin, on both engines: the
-        arrays are the views."""
+        """Nodes carrying ``*_view`` attributes for the keys the view
+        stores state (what a bridge writing views onto the nodes, or a
+        peer sampler keeping its dict on them, once left behind) digest
+        like their clean twin, on both engines: the stores are the
+        views."""
         for engine in ("batch", "event"):
             self.assert_stale_views_are_ignored(engine)
 
@@ -267,8 +263,7 @@ class TestArrayNativeDigestMatchesOracle:
         twin.run(5)
         for node in synced.network.nodes.values():
             node.tman_view = {-5: None}
-            if engine == "batch":
-                node.rps_view = {-7: 0}
+            node.rps_view = {-7: 0}
         assert checkpoint.state_digest(synced) == checkpoint.state_digest(twin)
         synced.run(3)
         twin.run(3)
@@ -506,7 +501,8 @@ def _rewrite_as_format(stale):
     """The same state behind a stale format's header (checksum intact):
     what an older build wrote — format 5 batch views as an id and a
     coordinate per slot, format 6 as descriptor versions into a
-    per-layer table, format 7 event views as per-node view objects."""
+    per-layer table, format 7 event views as per-node view objects,
+    format 9 event Cyclon views as per-node dicts."""
 
     def rewrite(path, sim) -> None:
         checkpoint.save(
@@ -579,6 +575,16 @@ def test_format_8_entry_is_refused_as_stale_and_runs_cold(tmp_path, obs_on):
     cold run."""
     assert_refused_entry_runs_cold(
         tmp_path, obs_on, _rewrite_as_format(8), "unsupported checkpoint format 8 "
+    )
+
+
+def test_format_9_entry_is_refused_as_stale_and_runs_cold(tmp_path, obs_on):
+    """A cache entry a format-9 build published (event-engine Cyclon
+    views as per-node dicts, batch ones as int64 ids) is refused by its
+    format number, not unpickled; the fork sweep's cell falls back to a
+    cold run."""
+    assert_refused_entry_runs_cold(
+        tmp_path, obs_on, _rewrite_as_format(9), "unsupported checkpoint format 9 "
     )
 
 

@@ -254,10 +254,11 @@ class TestMemLedger:
         assert tracked == table.nbytes - before
 
     def test_view_buffer_family_is_what_the_views_hold(self):
-        """Every change of the view store's size books its byte delta:
+        """Every change of a view store's size books its byte delta:
         through failure, reclaim and reinjection the ``topology_views``
-        family's current bytes stay the bytes the topology layer's store
-        holds, on both engines."""
+        and ``rps_views`` families' current bytes stay the bytes the
+        topology layer's and the peer sampler's stores hold, on both
+        engines."""
         from repro.experiments.scenario import prepare_scenario
 
         for engine in ("event", "batch"):
@@ -271,12 +272,15 @@ class TestMemLedger:
                         metrics=("proximity",),
                     )
                 )
+                rps = sim.layers[0]
                 for _ in range(14):
                     sim.step()
-                    family = obs_mem.snapshot()["families"]["topology_views"]["cur"]
-                    assert family == sim.topology.nbytes > 0
+                    families = obs_mem.snapshot()["families"]
+                    assert families["topology_views"]["cur"] == sim.topology.nbytes > 0
+                    assert families["rps_views"]["cur"] == rps.nbytes > 0
                 assert sim.network.table._layout  # rows were reclaimed
                 assert len(sim.topology._ids) == sim.network.table.capacity
+                assert len(rps._ids) == sim.network.table.capacity
             finally:
                 obs_mem.set_enabled(False)
                 obs_mem.reset()
@@ -402,7 +406,7 @@ class TestMemLedger:
             assert blocked[name]["events"] == whole[name]["events"] == 4
         assert blocked["rps.views"] == whole["rps.views"]
         assert blocked["rps.views"]["family"] == "rps_views"
-        assert blocked["rps.views"]["cur"] == 2 * 8 * 72 * 20  # ids + ages
+        assert blocked["rps.views"]["cur"] == (4 + 8) * 72 * 20  # int32 ids + int64 ages
         assert blocked["take_rows.index"]["family"] == "kernel_pads"
         # ``take_rows``' flat index is as large as its caller's pick:
         # one block in the topology stages, so the peak falls with the

@@ -267,7 +267,7 @@ class TestDigest:
 
 
 class TestLegacyFormatUpgrade:
-    """One format, no legacy reader: only ``CHECKPOINT_FORMAT`` (9)
+    """One format, no legacy reader: only ``CHECKPOINT_FORMAT`` (10)
     loads, and every other format number is rejected by name."""
 
     def test_format_1_rejected_naming_the_format(self, tmp_path):
@@ -310,6 +310,13 @@ class TestLegacyFormatUpgrade:
         simulation's retention setting, which this build no longer has
         (format 9: reclaim alone gives back a dead node's row)."""
         self.assert_rejected_by_number(tmp_path, 8, "unsupported checkpoint format 8 ")
+
+    def test_format_9_rejected_before_unpickling(self, tmp_path):
+        """Format 9 pickled the event engine's Cyclon views as a dict on
+        each node and the batch engine's as int64 ids, which this build
+        no longer has (format 10 keeps both as int32 rows of the peer
+        sampler's view store)."""
+        self.assert_rejected_by_number(tmp_path, 9, "unsupported checkpoint format 9 ")
 
     def assert_rejected_by_number(self, tmp_path, legacy, message=None):
         sim, *_ = prepare_scenario(small_config())
